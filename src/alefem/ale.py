@@ -11,7 +11,6 @@ evaluation on the old mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -37,14 +36,6 @@ class RemeshError(Exception):
             f"y [{ring[:, 1].min():.4f}, {ring[:, 1].max():.4f}]"
         )
         self.ring = ring
-
-
-@dataclass
-class MotionState:
-    x: np.ndarray
-    w: np.ndarray
-    remesh_count: int = 0
-    last_min_angle: float = math.pi / 3.0
 
 
 def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,

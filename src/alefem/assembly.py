@@ -75,11 +75,15 @@ class GeometryTables:
         self.detJ = detJ                                # (E, Q)
         self.Jinv = Jinv                                # (E, Q, 2, 2)
         self.wdet = detJ * rule.weights                 # (E, Q)
-        self._gphys: dict[int, np.ndarray] = {}
+        self._gphys: dict[tuple[int, bool], np.ndarray] = {}
 
     def physical_gradients(self, space: ScalarSpace) -> np.ndarray:
-        """Basis gradients w.r.t. physical coordinates; (E, Q, n_loc, 2)."""
-        key = id(space)
+        """Basis gradients w.r.t. physical coordinates; (E, Q, n_loc, 2).
+
+        The local basis, and so the result, depends on the space only
+        through its degree and bubble flag; those are the cache key.
+        """
+        key = (space.degree, space.bubble)
         if key not in self._gphys:
             G = space.basis_gradients(self.rule.points)  # (n_loc, Q, 2)
             self._gphys[key] = np.einsum("lqj,eqji->eqli", G, self.Jinv,

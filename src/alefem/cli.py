@@ -135,11 +135,14 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_rows = []
     remesh_events = []
+    saddle_iterations = []
     last_count = 0
 
     def sink(i, state, rec):
         nonlocal last_count
         csv_rows.append(rec.csv_row())
+        if i > 0:
+            saddle_iterations.append(state.saddle_iterations)
         if rec.remesh_count > last_count:
             remesh_events.append({"step": i, "t": state.t,
                                   "count": rec.remesh_count})
@@ -167,6 +170,10 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
         "csv": "bench.csv",
         "remesh_events": remesh_events,
         "final_time": final_state.t,
+        "saddle_factorizations": final_state.saddle_factorizations,
+        "saddle_iterations_max": max(saddle_iterations, default=0),
+        "saddle_iterations_mean": (float(np.mean(saddle_iterations))
+                                   if saddle_iterations else 0.0),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if not quiet:

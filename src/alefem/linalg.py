@@ -1,13 +1,17 @@
-"""Sparse direct solves for the coupled velocity-pressure systems.
+"""Sparse solves for the coupled velocity-pressure systems.
 
-One monolithic LU factorization per solve (SuperLU with COLAMD ordering
-and partial pivoting); the zero-mean pressure constraint is imposed by a
-single scalar multiplier row/column bordering the saddle block.
+The saddle block is factored by SuperLU (COLAMD ordering, partial
+pivoting) and the zero-mean pressure constraint is imposed by a single
+scalar multiplier row/column bordering it.  A factor outlives its solve:
+between remeshes the saddle matrix changes only by O(tau), so the factor
+of an earlier step preconditions GMRES on the current system and a new
+factorization is needed only when that stops paying off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -73,78 +77,189 @@ class SaddleSystem:
             raise SolverError("mean vector size does not match pressure block")
 
 
-def solve_saddle(system: SaddleSystem):
-    """Solve the bordered saddle problem; returns (u, p, multiplier).
+# Applications of a factor (iterations) one saddle solve may spend before
+# the factor is handed back as stale, so that the next solve refactors.
+MAX_ITERATIONS = 20
+
+
+class SaddleFactor:
+    """Exact inverse of one bordered saddle matrix [[A0, c], [c^T, 0]].
 
     The multiplier row/column couple the dense pressure-mean functional
     to every pressure DOF, which ruins the fill-reducing ordering if
-    factored verbatim.  Instead the two-by-two saddle block is made
-    nonsingular by a sparse rank-one shift on one pinned pressure DOF,
-    factored once, and the bordered solution is recovered from three
-    triangular solves plus a two-by-two closure; iterative refinement on
-    the exact bordered residual restores full accuracy.
+    factored verbatim.  Instead A0 is made nonsingular by a sparse
+    rank-one shift on one pinned pressure DOF and factored once; each
+    bordered solve is then one triangular solve plus a two-by-two
+    closure on two solves made here.
+    """
+
+    def __init__(self, A0: sparse.spmatrix, c: np.ndarray):
+        n = A0.shape[0]
+        self.n = n
+        self.c = c
+        self.pin = int(np.argmax(np.abs(c)))
+        self.sigma = float(np.abs(A0.diagonal()).max()) or 1.0
+        shift = sparse.coo_matrix(([self.sigma], ([self.pin], [self.pin])),
+                                  shape=(n, n))
+        try:
+            self.lu = splu((A0 + shift).tocsc())
+        except RuntimeError as err:
+            raise SolverError(f"factorization failed: {err}") from err
+        e = np.zeros(n)
+        e[self.pin] = 1.0
+        self.x2 = self.lu.solve(c)
+        self.x3 = self.lu.solve(e)
+        self.a11 = 1.0 - self.sigma * self.x3[self.pin]
+        self.a12 = self.x2[self.pin]
+        self.a21 = -self.sigma * (c @ self.x3)
+        self.a22 = c @ self.x2
+        self.det = self.a11 * self.a22 - self.a12 * self.a21
+        if self.det == 0.0 or not np.isfinite(self.det):
+            raise SolverError("bordered closure is singular "
+                              "(mean vector incompatible with the blocks)")
+
+    def solve(self, rs: np.ndarray) -> np.ndarray:
+        """(x, lam) with A0 x + lam c = r and c^T x = s, for rs = (r, s)."""
+        x1 = self.lu.solve(rs[:-1])
+        r1, r2 = x1[self.pin], (self.c @ x1) - rs[-1]
+        alpha = (r1 * self.a22 - self.a12 * r2) / self.det
+        lam = (self.a11 * r2 - r1 * self.a21) / self.det
+        return np.append(x1 - lam * self.x2 + self.sigma * alpha * self.x3,
+                         lam)
+
+
+@dataclass
+class SaddleStats:
+    """What a saddle solve hands on: the factor for the next solve (None
+    when it has gone stale), the iterations spent (applications of the
+    factor) and the factorizations made (0 or 1)."""
+
+    factor: SaddleFactor | None
+    iterations: int
+    factorizations: int
+
+
+def _gmres(matvec: Callable, precond: Callable, r: np.ndarray,
+           accept: Callable, max_iter: int):
+    """Right-preconditioned GMRES for matvec(d) = r, started from d = 0.
+
+    The preconditioned directions are kept, so forming the iterate costs
+    no further preconditioner application.  Stops as soon as accept(d)
+    holds, on breakdown, or after max_iter iterations; returns (d,
+    iterations).
+    """
+    n = len(r)
+    V = np.zeros((max_iter + 1, n))
+    Z = np.empty((max_iter, n))
+    H = np.zeros((max_iter + 1, max_iter))
+    g = np.zeros(max_iter + 1)
+    g[0] = np.linalg.norm(r)
+    V[0] = r / g[0]
+    for j in range(max_iter):
+        Z[j] = precond(V[j])
+        w = matvec(Z[j])
+        for i in range(j + 1):                  # modified Gram-Schmidt
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] > 0.0:
+            V[j + 1] = w / H[j + 1, j]
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
+        d = y @ Z[:j + 1]
+        if H[j + 1, j] == 0.0 or accept(d):
+            return d, j + 1
+    return d, max_iter
+
+
+def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
+    """Solve the bordered saddle problem; returns (u, p, multiplier, stats).
+
+    The first iterate is one bordered solve with factor, typically the
+    one an earlier solve handed on; iterative refinement on the exact
+    bordered residual follows, each correction computed by GMRES right-
+    preconditioned with the same factor.  A fresh factor is the lag-0
+    case and needs a single correction.  A factor of the wrong size, or
+    one that cannot reach the refinement target, is replaced by a fresh
+    factorization.  stats.iterations counts applications of the factor;
+    stats.factor is None when they exceeded MAX_ITERATIONS, so that the
+    next solve refactors instead.
+
+    The refinement target is 1e-12 of the bound below and, row by row,
+    1e-12 of |A| |x| + |b|.  The matrix is badly scaled (M_rho / tau
+    against the divergence rows): one solve with a fresh factor leaves
+    the divergence rows at up to 1e-6 of their row scale.  The row-wise
+    target makes the result independent, to about 1e-12 in the
+    observables, of which factor preconditioned it.
     """
     n_u = system.Kuu.shape[0]
     n_p = system.B.shape[0]
     n = n_u + n_p
     m = system.mean_vector
     c = np.concatenate([np.zeros(n_u), m])
-    pin = n_u + int(np.argmax(np.abs(m)))
     A0 = sparse.bmat([[system.Kuu, system.B.T], [system.B, None]],
-                     format="csc")
-    sigma = float(np.abs(system.Kuu.diagonal()).max())
-    if sigma == 0.0:
-        sigma = 1.0
-    shift = sparse.coo_matrix(([sigma], ([pin], [pin])), shape=(n, n))
-    try:
-        lu = splu((A0 + shift).tocsc())
-    except RuntimeError as err:
-        raise SolverError(f"factorization failed: {err}") from err
-
-    x2 = lu.solve(c)
-    e = np.zeros(n)
-    e[pin] = 1.0
-    x3 = lu.solve(e)
-
-    def bordered(r, s):
-        # A0 x + lam c = r and c^T x = s via the rank-one-shifted factor
-        x1 = lu.solve(r)
-        a11 = 1.0 - sigma * x3[pin]
-        a12 = x2[pin]
-        a21 = -sigma * (c @ x3)
-        a22 = c @ x2
-        det = a11 * a22 - a12 * a21
-        if det == 0.0 or not np.isfinite(det):
-            raise SolverError("bordered closure is singular "
-                              "(mean vector incompatible with the blocks)")
-        r1, r2 = x1[pin], (c @ x1) - s
-        alpha = (r1 * a22 - a12 * r2) / det
-        lam = (a11 * r2 - r1 * a21) / det
-        return x1 - lam * x2 + sigma * alpha * x3, lam
-
+                     format="csr")
+    abs_A0, abs_c = abs(A0), np.abs(c)
     rhs = np.concatenate([system.rhs_u, system.rhs_p])
-    x, lam = bordered(rhs, 0.0)
+    b = np.append(rhs, 0.0)
+    abs_b = np.abs(b)
     norm_A = _inf_norm(A0) + np.abs(m).sum()
-    for _ in range(3):
-        res = rhs - (A0 @ x + lam * c)
-        res_s = -(c @ x)
-        bound = max(norm_A * np.abs(x).max(initial=0.0),
-                    np.abs(rhs).max(initial=0.0), 1e-30)
-        if max(np.abs(res).max(initial=0.0), abs(res_s)) <= 1e-12 * bound:
-            break
-        dx, dlam = bordered(res, res_s)
-        x = x + dx
-        lam = lam + dlam
+
+    def matvec(z):
+        return np.append(A0 @ z[:n] + z[n] * c, c @ z[:n])
+
+    def bound(x):
+        return max(norm_A * np.abs(x).max(initial=0.0),
+                   np.abs(rhs).max(initial=0.0), 1e-30)
+
+    def row_scale(z):
+        az = np.abs(z)
+        s = np.append(abs_A0 @ az[:n] + az[n] * abs_c, abs_c @ az[:n])
+        return np.maximum(s + abs_b, 1e-30)
+
+    def on_target(z):
+        res = np.abs(b - matvec(z))
+        return (res.max() <= 1e-12 * bound(z[:n])
+                and bool(np.all(res <= 1e-12 * row_scale(z))))
+
+    def refine(factor):
+        z = factor.solve(b)
+        iterations = 1
+        for _ in range(3):
+            if on_target(z):
+                return z, iterations, True
+            # GMRES minimizes the residual relative to the row scales, the
+            # measure the row-wise target applies
+            s = row_scale(z)
+            D = s.max() / s
+            dz, its = _gmres(lambda v: D * matvec(v),
+                             lambda v: factor.solve(v / D),
+                             D * (b - matvec(z)),
+                             lambda d: on_target(z + d), MAX_ITERATIONS)
+            z = z + dz
+            iterations += its
+        return z, iterations, on_target(z)
+
+    factorizations = 0
+    converged = False
+    if factor is not None and factor.n == n:
+        z, iterations, converged = refine(factor)
+    if not converged:
+        factor = None               # drop this reference before allocating
+        factor = SaddleFactor(A0, c)
+        factorizations = 1
+        z, iterations, _ = refine(factor)
+
+    x, lam = z[:n], z[n]
     res = rhs - (A0 @ x + lam * c)
-    bound = max(norm_A * np.abs(x).max(initial=0.0),
-                np.abs(rhs).max(initial=0.0), 1e-30)
-    if np.abs(res).max(initial=0.0) > 1e-9 * bound:
-        raise SolverError(
-            f"saddle residual {np.abs(res).max():.3e} exceeds 1e-9 * {bound:.3e}")
+    if np.abs(res).max(initial=0.0) > 1e-9 * bound(x):
+        raise SolverError(f"saddle residual {np.abs(res).max():.3e} exceeds "
+                          f"1e-9 * {bound(x):.3e}")
     u = x[:n_u]
     p = x[n_u:]
     mean = float(m @ p)
     if abs(mean) > 1e-10 * max(np.abs(p).max(initial=0.0), 1.0) * \
             max(np.abs(m).sum(), 1.0):
         raise SolverError(f"pressure mean {mean:.3e} not eliminated")
-    return u, p, float(lam)
+    stats = SaddleStats(factor if iterations <= MAX_ITERATIONS else None,
+                        iterations, factorizations)
+    return u, p, float(lam), stats

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ale import (
-    MotionState,
     advance_mesh,
     check_and_remesh,
     harmonic_extension,
@@ -34,7 +33,7 @@ from .assembly import (
     pressure_mean_vector,
 )
 from .fespace import SUBDOMAIN, FESpacePair, build_taylor_hood, interpolate
-from .linalg import SaddleSystem, solve_saddle
+from .linalg import SaddleFactor, SaddleSystem, solve_saddle
 from .mesh import Mesh, generate_bubble_mesh, quality
 from .observables import (
     BenchmarkRecord,
@@ -59,7 +58,6 @@ class SimConfig:
     circle_radius: float = 0.25
     remesh_angle: float = math.pi / 18.0
     record_every: int = 1
-    vtk_every: int = 0
     body_force_weighted_by_rho: bool = True
     pressure_continuity: str = SUBDOMAIN
 
@@ -76,14 +74,27 @@ class SimConfig:
 
 @dataclass
 class State:
+    """Everything one step hands to the next.
+
+    min_angle is the minimum angle of mesh and remesh_count the remeshes
+    so far.  factor is the saddle factor that preconditions the next flow
+    solve (None makes that solve factor afresh); saddle_iterations are
+    the iterations of the last flow solve and saddle_factorizations the
+    factorizations since initialize().
+    """
+
     t: float
     mesh: Mesh
     spaces: FESpacePair
     u: np.ndarray
     p: np.ndarray
     w: np.ndarray
-    motion: MotionState
+    min_angle: float
     multiplier: float = 0.0
+    remesh_count: int = 0
+    factor: SaddleFactor | None = None
+    saddle_iterations: int = 0
+    saddle_factorizations: int = 0
 
 
 def initialize(config: SimConfig) -> State:
@@ -94,21 +105,22 @@ def initialize(config: SimConfig) -> State:
     u = np.zeros(2 * spaces.velocity.n_dofs)
     w = harmonic_extension(mesh, spaces, u)
     p = np.zeros(spaces.pressure.n_dofs)
-    motion = MotionState(x=mesh.x.copy(), w=w,
-                         last_min_angle=quality(mesh).min_angle)
-    return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p, w=w, motion=motion)
+    return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p, w=w,
+                 min_angle=quality(mesh).min_angle)
 
 
 def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
                tau: float, u_old: np.ndarray, transport: np.ndarray,
                load: np.ndarray, boundary_values: np.ndarray | None = None,
-               geom: GeometryTables | None = None):
+               geom: GeometryTables | None = None,
+               factor: SaddleFactor | None = None):
     """One implicit solve of the momentum/divergence system.
 
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
-    default) and the zero-mean pressure constraint.  Returns (u, p,
-    multiplier).
+    default) and the zero-mean pressure constraint, preconditioned by
+    factor when one is given (see `solve_saddle`).  Returns (u, p,
+    multiplier, stats).
     """
     geom = geom or GeometryTables(mesh, default_rule(mesh))
     M_rho = assemble("M_rho", mesh, spaces, params, geom=geom)
@@ -134,11 +146,12 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     Cf = C[:, free]
     rhs_p = C[:, fixed] @ u_bc[fixed]
 
-    uf, p, lam = solve_saddle(SaddleSystem(
-        Kuu=Kff, B=(-Cf).tocsr(), rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m))
+    uf, p, lam, stats = solve_saddle(SaddleSystem(
+        Kuu=Kff, B=(-Cf).tocsr(), rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m),
+        factor)
     u = u_bc.copy()
     u[free] = uf
-    return u, p, float(lam)
+    return u, p, lam, stats
 
 
 def step(state: State, config: SimConfig) -> State:
@@ -159,8 +172,9 @@ def step(state: State, config: SimConfig) -> State:
     load = assemble_load(mesh, spaces, params,
                          weighted_by_rho=config.body_force_weighted_by_rho,
                          geom=geom)
-    u, p, lam = flow_solve(mesh, spaces, params, tau, state.u,
-                           transport=state.u - w, load=load, geom=geom)
+    u, p, lam, stats = flow_solve(mesh, spaces, params, tau, state.u,
+                                  transport=state.u - w, load=load, geom=geom,
+                                  factor=state.factor)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p),
@@ -172,12 +186,15 @@ def step(state: State, config: SimConfig) -> State:
         u = fields2["u"][1]
         p = fields2["p"][1]
         w = fields2["w"][1]
-    motion = MotionState(
-        x=mesh2.x.copy(), w=w,
-        remesh_count=state.motion.remesh_count + int(did_remesh),
-        last_min_angle=quality(mesh2).min_angle)
-    return State(t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p, w=w,
-                 motion=motion, multiplier=lam)
+    return State(
+        t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p, w=w,
+        min_angle=quality(mesh2).min_angle, multiplier=lam,
+        remesh_count=state.remesh_count + int(did_remesh),
+        # a factor of the old mesh cannot precondition the new one
+        factor=None if did_remesh else stats.factor,
+        saddle_iterations=stats.iterations,
+        saddle_factorizations=(state.saddle_factorizations
+                               + stats.factorizations))
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
@@ -195,8 +212,8 @@ def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
         total_energy=tot,
         area_minus=phase_area(state.mesh, -1, geom=geom),
         interface_length=interface_length(state.mesh),
-        min_angle=state.motion.last_min_angle,
-        remesh_count=state.motion.remesh_count,
+        min_angle=state.min_angle,
+        remesh_count=state.remesh_count,
     )
 
 

@@ -302,7 +302,7 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
             state = step(state, cfg)
             if progress is not None:
                 progress(lvl, i + 1, cfg.n_steps)
-        if state.motion.remesh_count:
+        if state.remesh_count:
             raise RuntimeError(
                 "remeshing occurred during the rate study; shorten T or "
                 "refine tau (the pullback comparison needs an unremeshed run)")
@@ -416,9 +416,9 @@ def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
     n = max(1, int(round(T / tau)))
     p = np.zeros(spaces.pressure.n_dofs)
     for _ in range(n):
-        u, p, _lam = flow_solve(mesh, spaces, params, tau, u,
-                                transport=u, load=load,
-                                boundary_values=u, geom=geom)
+        u, p, _lam, _stats = flow_solve(mesh, spaces, params, tau, u,
+                                        transport=u, load=load,
+                                        boundary_values=u, geom=geom)
 
     uq = field_values(spaces.velocity, u, geom)
     gq = field_gradients(spaces.velocity, u, geom)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alefem.assembly import PhaseParams
+from alefem.cli import smooth_displacement  # noqa: F401  (shared by tests)
 
 BP1 = PhaseParams(rho_plus=1000.0, rho_minus=100.0, mu_plus=10.0,
                   mu_minus=1.0, g=0.98)
@@ -13,21 +14,6 @@ RADIUS = 0.25
 @pytest.fixture(scope="session")
 def bp1_params():
     return BP1
-
-
-def smooth_displacement(rng, pts, amp):
-    """Random smooth vector field on the benchmark rectangle, sup-norm amp."""
-    out = np.zeros((len(pts), 2))
-    for _ in range(3):
-        kx, ky = rng.integers(1, 4, size=2)
-        phx, phy = rng.uniform(0, 2 * np.pi, size=2)
-        a = rng.normal(size=2)
-        out[:, 0] += a[0] * np.sin(kx * np.pi * pts[:, 0] + phx) \
-            * np.cos(ky * np.pi * pts[:, 1] / 2 + phy)
-        out[:, 1] += a[1] * np.cos(kx * np.pi * pts[:, 0] + phx) \
-            * np.sin(ky * np.pi * pts[:, 1] / 2 + phy)
-    out *= amp / np.abs(out).max()
-    return out.ravel()
 
 
 @pytest.fixture(scope="session")

@@ -243,3 +243,14 @@ def test_unit_square_quadratic_norm():
     xf = interpolate(spaces.velocity, lambda x, y: x)
     assert quadratic_norm(xf, "A", mesh, spaces.velocity) == \
         pytest.approx(1.0, abs=1e-12)
+
+
+def test_physical_gradients_cached_by_degree_not_identity():
+    mesh = generate_rect_mesh((0, 0, 1, 1), 0.5, 2)
+    geom = GeometryTables(mesh, default_rule(mesh))
+    first, second = build_scalar_space(mesh, 2), build_scalar_space(mesh, 2)
+    g2 = geom.physical_gradients(first)
+    assert geom.physical_gradients(second) is g2
+    g1 = geom.physical_gradients(build_scalar_space(mesh, 1))
+    assert g1 is not g2
+    assert g1.shape[2] == 3 and g2.shape[2] == 6

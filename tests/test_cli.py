@@ -82,6 +82,11 @@ def test_cmd_run_writes_outputs(tmp_path, config_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["h"] == 0.16
     assert manifest["rows"] == 11
+    steps = manifest["rows"] - 1
+    assert 1 <= manifest["saddle_factorizations"] <= steps + 1
+    assert 1 <= manifest["saddle_iterations_max"]
+    assert 1 <= manifest["saddle_iterations_mean"] \
+        <= manifest["saddle_iterations_max"]
     assert (out / "state_000000.vtk").exists()
     assert (out / "state_000010.vtk").exists()
 

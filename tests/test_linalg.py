@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from alefem.ale import move_mesh, spaces_with_mesh
 from alefem.assembly import (
     assemble,
+    assemble_convection,
     assemble_load,
     pressure_mean_vector,
     PhaseParams,
 )
 from alefem.fespace import build_taylor_hood, interpolate
-from alefem.linalg import SaddleSystem, SolverError, lu_solve, solve_saddle
-from alefem.mesh import generate_rect_mesh
+from alefem.linalg import (
+    SaddleFactor,
+    SaddleSystem,
+    SolverError,
+    lu_solve,
+    solve_saddle,
+)
+from alefem.mesh import generate_bubble_mesh, generate_rect_mesh
 from alefem.stepper import flow_solve
+
+from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
 
 
 def test_lu_identity():
@@ -62,7 +72,7 @@ def test_saddle_zero_rhs_gives_zero():
     free[bnd] = False
     Kff = (M_rho + A_mu).tocsr()[free][:, free]
     Cf = C[:, free]
-    u, p, lam = solve_saddle(SaddleSystem(
+    u, p, lam, _ = solve_saddle(SaddleSystem(
         Kuu=Kff, B=(-Cf).tocsr(), rhs_u=np.zeros(Kff.shape[0]),
         rhs_p=np.zeros(C.shape[0]), mean_vector=m))
     assert np.abs(u).max() < 1e-14
@@ -89,9 +99,10 @@ def manufactured_stokes(h):
     M = assemble("M", mesh, spaces)
     load = M @ f_nodal
     # steady Stokes: take one huge implicit step with zero transport
-    u, p, lam = flow_solve(mesh, spaces, params, 1e12, np.zeros_like(u_bc),
-                           transport=np.zeros_like(u_bc), load=load,
-                           boundary_values=u_bc)
+    u, p, lam, _ = flow_solve(mesh, spaces, params, 1e12,
+                              np.zeros_like(u_bc),
+                              transport=np.zeros_like(u_bc), load=load,
+                              boundary_values=u_bc)
     return mesh, spaces, u, p, lam, u_bc
 
 
@@ -147,3 +158,80 @@ def test_infsup_constant_stable_under_refinement():
         assert 2 * spaces.velocity.n_dofs <= 600  # stays a tiny problem
     assert vals[1] > 0.5 * vals[0]
     assert vals[1] > 0.05
+
+
+TAU = 1.0 / 200.0
+
+
+def bubble_saddle(mesh, spaces, u_old):
+    """The saddle system of one rising-bubble step on the given mesh."""
+    M_rho = assemble("M_rho", mesh, spaces, BP1)
+    Kuu = (M_rho / TAU + assemble("A_mu", mesh, spaces, BP1)
+           + assemble_convection(mesh, spaces, BP1, u_old)).tocsr()
+    rhs = assemble_load(mesh, spaces, BP1) + M_rho @ u_old / TAU
+    C = assemble("C", mesh, spaces)
+    free = np.ones(2 * spaces.velocity.n_dofs, dtype=bool)
+    free[spaces.vector_dofs(spaces.boundary_dofs)] = False
+    return SaddleSystem(Kuu=Kuu[free][:, free], B=(-C[:, free]).tocsr(),
+                        rhs_u=rhs[free], rhs_p=np.zeros(C.shape[0]),
+                        mean_vector=pressure_mean_vector(mesh, spaces))
+
+
+@pytest.fixture(scope="module")
+def lagged_pair():
+    """Saddle systems of two configurations an O(tau) mesh motion apart."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    spaces = build_taylor_hood(mesh, 2)
+    rng = np.random.default_rng(5)
+    u = smooth_displacement(rng, spaces.velocity.positions, 0.05)
+    u[spaces.vector_dofs(spaces.boundary_dofs)] = 0.0
+    moved = move_mesh(mesh, mesh.x + TAU * u[:len(mesh.x)])
+    return (bubble_saddle(mesh, spaces, u),
+            bubble_saddle(moved, spaces_with_mesh(spaces, moved), u))
+
+
+def assert_on_target(system, u, p, lam):
+    """The bordered residual meets the 1e-12 refinement target."""
+    A0 = sparse.bmat([[system.Kuu, system.B.T], [system.B, None]]).tocsr()
+    m = system.mean_vector
+    x = np.concatenate([u, p])
+    rhs = np.concatenate([system.rhs_u, system.rhs_p])
+    c = np.concatenate([np.zeros(len(u)), m])
+    res = max(np.abs(rhs - A0 @ x - lam * c).max(), abs(m @ p))
+    norm_A = np.abs(A0).sum(axis=1).max() + np.abs(m).sum()
+    assert res <= 1e-12 * max(norm_A * np.abs(x).max(), np.abs(rhs).max())
+
+
+def test_lagged_factor_matches_fresh_solve(lagged_pair):
+    old, new = lagged_pair
+    *_, first = solve_saddle(old)
+    assert first.factorizations == 1
+    u, p, lam, lagged = solve_saddle(new, first.factor)
+    assert lagged.factorizations == 0
+    assert lagged.factor is first.factor
+    assert 2 < lagged.iterations <= 20
+    uf, pf, lamf, fresh = solve_saddle(new)
+    assert fresh.factorizations == 1
+    assert_on_target(new, u, p, lam)
+    assert_on_target(new, uf, pf, lamf)
+    assert np.abs(u - uf).max() <= 1e-10 * np.abs(uf).max()
+    assert np.abs(p - pf).max() <= 1e-10 * np.abs(pf).max()
+
+
+def test_unusable_factor_is_replaced(lagged_pair):
+    _, new = lagged_pair
+    expect = solve_saddle(new)
+    coarse = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.2, 2)
+    coarse_spaces = build_taylor_hood(coarse, 2)
+    u0 = np.zeros(2 * coarse_spaces.velocity.n_dofs)
+    wrong_size = solve_saddle(bubble_saddle(coarse, coarse_spaces, u0))[3].factor
+    n = new.Kuu.shape[0] + new.B.shape[0]
+    c = np.concatenate([np.zeros(new.Kuu.shape[0]), new.mean_vector])
+    useless = SaddleFactor(sparse.identity(n, format="csr"), c)
+    for factor in (wrong_size, useless):
+        u, p, lam, stats = solve_saddle(new, factor)
+        assert stats.factorizations == 1
+        assert stats.factor is not factor
+        assert np.array_equal(u, expect[0])
+        assert np.array_equal(p, expect[1])
+        assert lam == expect[2]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from alefem.stepper import (
     run,
     step,
 )
-from alefem.ale import MotionState, harmonic_extension
+from alefem.ale import harmonic_extension
 
 from conftest import BP1, CENTER, RADIUS, RECT
 
@@ -61,8 +62,7 @@ def hydrostatic_setup(h=0.16, k=2):
     w = harmonic_extension(mesh, spaces, u)
     state = State(t=0.0, mesh=mesh, spaces=spaces, u=u,
                   p=np.zeros(spaces.pressure.n_dofs), w=w,
-                  motion=MotionState(x=mesh.x.copy(), w=w,
-                                     last_min_angle=quality(mesh).min_angle))
+                  min_angle=quality(mesh).min_angle)
     return state, cfg, params
 
 
@@ -136,3 +136,18 @@ def test_records_strictly_increasing_and_deterministic():
     rows1 = [r.csv_row() for r in rec1]
     rows2 = [r.csv_row() for r in rec2]
     assert rows1 == rows2
+
+
+def test_factor_reuse_matches_refactoring_every_step():
+    cfg = tiny_config(T=20 / 200)
+    reuse = refactor = initialize(cfg)
+    a, b = [], []
+    for _ in range(20):
+        reuse = step(reuse, cfg)
+        refactor = step(replace(refactor, factor=None), cfg)
+        a.append(np.hstack(astuple(record_state(reuse, cfg))))
+        b.append(np.hstack(astuple(record_state(refactor, cfg))))
+    # relative to each observable's largest magnitude over the run
+    scale = np.maximum(np.abs(b).max(axis=0), 1e-300)
+    assert (np.abs(np.array(a) - b) / scale).max() <= 1e-10
+    assert reuse.saddle_factorizations < refactor.saddle_factorizations == 20
