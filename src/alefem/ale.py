@@ -16,16 +16,17 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
-from .assembly import GeometryTables, default_rule, scalar_laplacian
+from .assembly import scalar_laplacian
 from .fespace import (
+    GLOBAL,
     FESpacePair,
     ScalarSpace,
-    build_scalar_space,
     build_taylor_hood,
+    dof_positions,
     evaluate_many,
 )
 from .mesh import Mesh, MeshGenerationError, interface_cycle, quality
-from .reference import edge_local_nodes
+from .reference import edge_element, edge_local_nodes
 
 
 class RemeshError(Exception):
@@ -38,8 +39,8 @@ class RemeshError(Exception):
         self.ring = ring
 
 
-def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
-                       geom: GeometryTables | None = None) -> np.ndarray:
+def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
+                       u: np.ndarray) -> np.ndarray:
     """Discrete harmonic mesh velocity matching u on the interface.
 
     Interface DOFs of the result equal those of u bitwise, boundary DOFs
@@ -48,7 +49,7 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     the subdomains).
     """
     V = spaces.velocity
-    L = scalar_laplacian(mesh, V, geom=geom)
+    L = scalar_laplacian(mesh, V)
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True
@@ -69,12 +70,13 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
 
 
 def advance_mesh(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """Forward-Euler node update x + tau * w (nodal part of w)."""
+    """Forward-Euler node update x + tau * w."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if len(w) < len(x):
-        raise ValueError(f"mesh velocity has {len(w)} entries, need >= {len(x)}")
-    return x + tau * w[:len(x)]
+    if len(w) != len(x):
+        raise ValueError(f"mesh velocity has {len(w)} entries, the mesh "
+                         f"has {len(x)} coordinates")
+    return x + tau * w
 
 
 def move_mesh(mesh: Mesh, x_new: np.ndarray) -> Mesh:
@@ -85,29 +87,15 @@ def move_mesh(mesh: Mesh, x_new: np.ndarray) -> Mesh:
 def spaces_with_mesh(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
     """Rebind spaces to a mesh with identical connectivity (moved nodes)."""
     def rebind(s: ScalarSpace) -> ScalarSpace:
-        if s.degree == mesh.degree and s.continuity == "global" and not s.bubble:
+        if s.degree == mesh.degree and s.continuity == GLOBAL:
             positions = mesh.coords
         else:
-            positions = _positions_of(s, mesh)
+            positions = dof_positions(mesh, s.degree, s.dof_of, s.n_dofs)
         return ScalarSpace(mesh, s.degree, s.continuity, s.dof_of, s.n_dofs,
-                           positions, s.dof_phase, bubble=s.bubble)
+                           positions, s.dof_phase)
 
     return FESpacePair(rebind(spaces.velocity), rebind(spaces.pressure),
                        spaces.interface_dofs, spaces.boundary_dofs)
-
-
-def _positions_of(space: ScalarSpace, mesh: Mesh) -> np.ndarray:
-    from .reference import lattice_nodes, reference_element
-
-    lat = lattice_nodes(space.degree)
-    if space.bubble:
-        lat = np.vstack([lat, [[1.0 / 3.0, 1.0 / 3.0]]])
-    geom_vals = reference_element(mesh.degree).shape_values(lat)
-    xs = mesh.coords[mesh.elements]
-    pos = np.einsum("gl,egi->eli", geom_vals, xs)
-    positions = np.zeros((space.n_dofs, 2))
-    positions[space.dof_of.ravel()] = pos.reshape(-1, 2)
-    return positions
 
 
 def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
@@ -152,10 +140,7 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
 def _old_edge_curve(mesh: Mesh, verts: np.ndarray, edges):
     """Parametrize each interface segment by the old curved edge geometry."""
     k = mesh.degree
-    params = np.concatenate([[0.0], np.arange(1, k) / k, [1.0]])
-    # Lagrange basis on the sorted parameters (matches edge_nodes order)
-    V = np.vander(params, increasing=True)
-    coeff = np.linalg.inv(V).T
+    edge = edge_element(k)
     n = len(verts)
 
     def curve(i0, i1, s):
@@ -175,8 +160,7 @@ def _old_edge_curve(mesh: Mesh, verts: np.ndarray, edges):
         s = np.asarray(s, dtype=float)
         if not forward:
             s = 1.0 - s
-        P = np.vander(s, N=k + 1, increasing=True)
-        return (coeff @ P.T).T @ pos
+        return edge.shape_values(s).T @ pos
 
     return curve
 
@@ -185,18 +169,9 @@ def transfer_velocity(old: FESpacePair, new: FESpacePair,
                       coeffs: np.ndarray) -> np.ndarray:
     """Nodal transfer of a continuous velocity-space vector field."""
     V = new.velocity
-    out = np.zeros((V.n_dofs, 2))
-    n_nodal = V.n_dofs
-    if V.bubble:
-        bub = np.unique(V.dof_of[:, -1])
-        nodal = np.setdiff1d(np.arange(V.n_dofs), bub)
-    else:
-        nodal = np.arange(V.n_dofs)
-    pts = V.positions[nodal]
-    phase = new.velocity.dof_phase[nodal]
-    vals = evaluate_many(old.velocity, coeffs, pts, phase=phase, vector=True)
-    out[nodal] = vals
-    return out.ravel()
+    vals = evaluate_many(old.velocity, coeffs, V.positions,
+                         phase=V.dof_phase, vector=True)
+    return vals.ravel()
 
 
 def transfer_pressure(old: FESpacePair, new: FESpacePair,

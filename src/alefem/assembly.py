@@ -4,7 +4,9 @@ All matrices act on interleaved vector coefficients (entries 2i, 2i+1
 are the x/y components of scalar DOF i) except the divergence matrix,
 whose rows live on the pressure space.  Phase weights are per-element
 constants; the mesh is fitted, so no integrand ever straddles the
-interface.
+interface.  Every integral runs over the quadrature table of
+`mesh.geometry`, which is built once per mesh configuration; a tangled
+mesh raises TangledElementError.
 
 Available kinds for `assemble`:
     M      vector mass             v^T M u   = sum_K  int u.v
@@ -22,9 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .fespace import FESpacePair, ScalarSpace
-from .mesh import MINUS, Mesh, TangledElementError
-from .quadrature import QuadRule, triangle_rule
-from .reference import reference_element
+from .mesh import MINUS, GeometryTables, Mesh, geometry
 
 MATRIX_KINDS = ("M", "M_rho", "A", "A_mu", "C")
 
@@ -51,50 +51,6 @@ class PhaseParams:
         return np.where(phase == MINUS, self.mu_minus, self.mu_plus)
 
 
-class GeometryTables:
-    """Jacobian data of every element at the quadrature points of a rule."""
-
-    def __init__(self, mesh: Mesh, rule: QuadRule):
-        self.mesh = mesh
-        self.rule = rule
-        ref = reference_element(mesh.degree)
-        vals = ref.shape_values(rule.points)            # (n_g, Q)
-        grads = ref.shape_gradients(rule.points)        # (n_g, Q, 2)
-        xs = mesh.coords[mesh.elements]                 # (E, n_g, 2)
-        J = np.einsum("lqj,eli->eqij", grads, xs)
-        detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        if np.any(detJ <= 0.0):
-            e = int(np.argmin(detJ.min(axis=1)))
-            raise TangledElementError(e, float(detJ.min()))
-        Jinv = np.empty_like(J)
-        Jinv[..., 0, 0] = J[..., 1, 1] / detJ
-        Jinv[..., 0, 1] = -J[..., 0, 1] / detJ
-        Jinv[..., 1, 0] = -J[..., 1, 0] / detJ
-        Jinv[..., 1, 1] = J[..., 0, 0] / detJ
-        self.x = np.einsum("lq,eli->eqi", vals, xs)     # (E, Q, 2)
-        self.detJ = detJ                                # (E, Q)
-        self.Jinv = Jinv                                # (E, Q, 2, 2)
-        self.wdet = detJ * rule.weights                 # (E, Q)
-        self._gphys: dict[tuple[int, bool], np.ndarray] = {}
-
-    def physical_gradients(self, space: ScalarSpace) -> np.ndarray:
-        """Basis gradients w.r.t. physical coordinates; (E, Q, n_loc, 2).
-
-        The local basis, and so the result, depends on the space only
-        through its degree and bubble flag; those are the cache key.
-        """
-        key = (space.degree, space.bubble)
-        if key not in self._gphys:
-            G = space.basis_gradients(self.rule.points)  # (n_loc, Q, 2)
-            self._gphys[key] = np.einsum("lqj,eqji->eqli", G, self.Jinv,
-                                         optimize=True)
-        return self._gphys[key]
-
-
-def default_rule(mesh: Mesh) -> QuadRule:
-    return triangle_rule(2 * mesh.degree + 2)
-
-
 def _scatter(rows, cols, vals, shape):
     A = sparse.coo_matrix(
         (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
@@ -114,18 +70,16 @@ def _vector_expand(scalar_csr):
     return sparse.kron(scalar_csr, sparse.identity(2, format="csr"), format="csr")
 
 
-def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None,
-                geom: GeometryTables | None = None) -> sparse.csr_matrix:
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
+    geom = geometry(mesh)
     vals = space.basis_values(geom.rule.points)         # (n_loc, Q)
     w = geom.wdet if weights is None else geom.wdet * weights[:, None]
     local = (vals[None] * w[:, None, :]) @ vals.T       # (E, n_loc, n_loc)
     return _scalar_local_to_csr(local, space.dof_of, space.n_dofs)
 
 
-def scalar_laplacian(mesh: Mesh, space: ScalarSpace, weights=None,
-                     geom: GeometryTables | None = None) -> sparse.csr_matrix:
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+def scalar_laplacian(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
+    geom = geometry(mesh)
     gphys = geom.physical_gradients(space)              # (E, Q, n_loc, 2)
     w = geom.wdet if weights is None else geom.wdet * weights[:, None]
     E, Q, n_loc, _ = gphys.shape
@@ -137,8 +91,7 @@ def scalar_laplacian(mesh: Mesh, space: ScalarSpace, weights=None,
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
-             params: PhaseParams | None = None,
-             geom: GeometryTables | None = None) -> sparse.csr_matrix:
+             params: PhaseParams | None = None) -> sparse.csr_matrix:
     """Assemble one of the domain-dependent matrices (see module doc)."""
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -146,15 +99,15 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
         raise ValueError("spaces were built on a different mesh")
     if kind in ("M_rho", "A_mu") and params is None:
         raise ValueError(f"kind {kind} needs phase parameters")
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     V = spaces.velocity
 
     if kind in ("M", "M_rho"):
         w = None if kind == "M" else params.rho_of(mesh.phase)
-        return _vector_expand(scalar_mass(mesh, V, weights=w, geom=geom))
+        return _vector_expand(scalar_mass(mesh, V, weights=w))
 
     if kind == "A":
-        return _vector_expand(scalar_laplacian(mesh, V, geom=geom))
+        return _vector_expand(scalar_laplacian(mesh, V))
 
     if kind == "A_mu":
         mu = params.mu_of(mesh.phase)
@@ -190,15 +143,14 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
 
 
 def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
-                        transport: np.ndarray,
-                        geom: GeometryTables | None = None) -> sparse.csr_matrix:
+                        transport: np.ndarray) -> sparse.csr_matrix:
     """Convection matrix for a frozen transport field.
 
     transport holds interleaved velocity-space coefficients of the field
     a = u - w; the result satisfies
     v^T B chi = sum_K rho_K int (a . grad chi) . v.
     """
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     V = spaces.velocity
     vals = V.basis_values(geom.rule.points)             # (n_loc, Q)
     gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
@@ -213,15 +165,14 @@ def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
 
 
 def assemble_load(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
-                  weighted_by_rho: bool = True,
-                  geom: GeometryTables | None = None) -> np.ndarray:
+                  weighted_by_rho: bool = True) -> np.ndarray:
     """Pairing of the gravity interpolant (0, -g) with the test functions.
 
     With weighted_by_rho the per-element density multiplies the pairing,
     which is the buoyancy form used by the benchmark; without it the
     force enters the momentum equation unweighted.
     """
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     V = spaces.velocity
     vals = V.basis_values(geom.rule.points)
     w = geom.wdet
@@ -233,10 +184,9 @@ def assemble_load(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     return out
 
 
-def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair,
-                         geom: GeometryTables | None = None) -> np.ndarray:
+def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair) -> np.ndarray:
     """Vector m with m^T p = integral of the pressure FE function."""
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     P = spaces.pressure
     vals = P.basis_values(geom.rule.points)
     cell = np.einsum("iq,eq->ei", vals, geom.wdet)
@@ -246,13 +196,12 @@ def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair,
 
 
 def quadratic_norm(v: np.ndarray, kind: str, mesh: Mesh,
-                   space: ScalarSpace,
-                   geom: GeometryTables | None = None) -> float:
+                   space: ScalarSpace) -> float:
     """Quadratic form v^T K v for K in {M, A, K}; equals the squared
     L2 / H1-semi / H1 norm of the FE function with coefficients v."""
     if kind not in ("M", "A", "K"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     if len(v) == 2 * space.n_dofs:
         cf = v.reshape(-1, 2)
     elif len(v) == space.n_dofs:

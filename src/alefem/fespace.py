@@ -5,27 +5,22 @@ so the vector coefficient of scalar DOF i occupies entries 2i, 2i+1.
 The velocity space of degree k on a degree-k mesh reuses the mesh nodes
 as DOFs, which makes mesh nodes and velocity DOFs interchangeable.
 
-The pressure space of a Taylor-Hood pair is subdomain-discontinuous by
-default: DOFs sitting on the interface are duplicated, one copy per
-phase, so pressure may jump across the interface while staying
-continuous inside each subdomain.
+The flow spaces are the Taylor-Hood pairs of degree k = 2, 3.  Their
+pressure space is subdomain-discontinuous by default: DOFs sitting on
+the interface are duplicated, one copy per phase, so pressure may jump
+across the interface while staying continuous inside each subdomain.
+Degree-1 scalar spaces exist too, but no degree-1 flow pair does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .mesh import MINUS, PLUS, Mesh, _element_map_raw
-from .reference import (
-    bubble_gradients,
-    bubble_values,
-    edge_local_nodes,
-    lattice_nodes,
-    reference_element,
-)
+from .mesh import MINUS, PLUS, Mesh, map_points
+from .reference import lattice_nodes, reference_element
 
 GLOBAL = "global"
 SUBDOMAIN = "subdomain-discontinuous"
@@ -46,11 +41,8 @@ class NewtonError(Exception):
 class ScalarSpace:
     """Scalar Lagrange space of the given degree on a mesh.
 
-    dof_of     (E, n_loc) global DOF per element and local node; when the
-               space carries per-element bubbles the bubble DOF is the
-               last local column
-    positions  (n_dofs, 2) physical node positions (bubble rows hold the
-               element barycenter image)
+    dof_of     (E, n_loc) global DOF per element and local node
+    positions  (n_dofs, 2) physical node positions
     dof_phase  (n_dofs,) phase of the owning subdomain; 0 when shared by
                both phases (only possible for globally continuous spaces)
     """
@@ -62,7 +54,6 @@ class ScalarSpace:
     n_dofs: int
     positions: np.ndarray
     dof_phase: np.ndarray
-    bubble: bool = False
 
     def __post_init__(self):
         self.dof_of.setflags(write=False)
@@ -75,17 +66,11 @@ class ScalarSpace:
 
     def basis_values(self, ref_pts) -> np.ndarray:
         """Local basis at reference points; (n_local, n_pts)."""
-        vals = reference_element(self.degree).shape_values(ref_pts)
-        if self.bubble:
-            vals = np.vstack([vals, bubble_values(ref_pts)[None, :]])
-        return vals
+        return reference_element(self.degree).shape_values(ref_pts)
 
     def basis_gradients(self, ref_pts) -> np.ndarray:
         """Local reference gradients; (n_local, n_pts, 2)."""
-        grads = reference_element(self.degree).shape_gradients(ref_pts)
-        if self.bubble:
-            grads = np.concatenate([grads, bubble_gradients(ref_pts)[None]], axis=0)
-        return grads
+        return reference_element(self.degree).shape_gradients(ref_pts)
 
     @cached_property
     def locator(self) -> "PointLocator":
@@ -119,12 +104,12 @@ class FESpacePair:
         return np.column_stack([2 * scalar_ids, 2 * scalar_ids + 1]).ravel()
 
 
-def build_scalar_space(mesh: Mesh, degree: int, continuity: str = GLOBAL,
-                       bubble: bool = False) -> ScalarSpace:
+def build_scalar_space(mesh: Mesh, degree: int,
+                       continuity: str = GLOBAL) -> ScalarSpace:
     if continuity not in (GLOBAL, SUBDOMAIN):
         raise ValueError(f"unknown continuity {continuity!r}")
 
-    if degree == mesh.degree and continuity == GLOBAL and not bubble:
+    if degree == mesh.degree and continuity == GLOBAL:
         dof_of = mesh.elements
         n_dofs = mesh.n_nodes
         positions = mesh.coords
@@ -134,7 +119,7 @@ def build_scalar_space(mesh: Mesh, degree: int, continuity: str = GLOBAL,
 
     tri = mesh.elements[:, :3]
     n_loc = (degree + 1) * (degree + 2) // 2
-    dof_of = np.empty((mesh.n_elements, n_loc + (1 if bubble else 0)), dtype=int)
+    dof_of = np.empty((mesh.n_elements, n_loc), dtype=int)
 
     iface_vertices: set[int] = set()
     iface_edges: set[tuple[int, int]] = set()
@@ -168,23 +153,26 @@ def build_scalar_space(mesh: Mesh, degree: int, continuity: str = GLOBAL,
         base = 3 + 3 * (degree - 1)
         for j in range(n_loc - base):
             dof_of[e, base + j] = get(("i", e, j))
-        if bubble:
-            dof_of[e, -1] = get(("b", e))
     n_dofs = len(dof_ids)
 
-    positions = np.zeros((n_dofs, 2))
-    ref_geom = reference_element(mesh.degree)
-    lat = lattice_nodes(degree)
-    if bubble:
-        lat = np.vstack([lat, [[1.0 / 3.0, 1.0 / 3.0]]])
-    geom_vals = ref_geom.shape_values(lat)              # (n_geom, n_lat)
-    xs = mesh.coords[mesh.elements]                     # (E, n_geom, 2)
-    pos = np.einsum("gl,egi->eli", geom_vals, xs)       # (E, n_lat, 2)
-    positions[dof_of.ravel()] = pos.reshape(-1, 2)
-
+    positions = dof_positions(mesh, degree, dof_of, n_dofs)
     dof_phase = _phase_of_dofs(mesh, dof_of, n_dofs)
     return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
-                       positions, dof_phase, bubble=bubble)
+                       positions, dof_phase)
+
+
+def dof_positions(mesh: Mesh, degree: int, dof_of: np.ndarray,
+                  n_dofs: int) -> np.ndarray:
+    """Physical DOF positions of a degree-`degree` space with the given
+    DOF table: the images of the reference lattice under each element's
+    geometry map."""
+    geom_vals = reference_element(mesh.degree).shape_values(
+        lattice_nodes(degree))                          # (n_geom, n_lat)
+    xs = mesh.coords[mesh.elements]                     # (E, n_geom, 2)
+    pos = np.einsum("gl,egi->eli", geom_vals, xs)       # (E, n_lat, 2)
+    positions = np.zeros((n_dofs, 2))
+    positions[dof_of.ravel()] = pos.reshape(-1, 2)
+    return positions
 
 
 def _phase_of_dofs(mesh, dof_of, n_dofs):
@@ -201,23 +189,16 @@ def _phase_of_dofs(mesh, dof_of, n_dofs):
 
 def build_taylor_hood(mesh: Mesh, k: int,
                       pressure_continuity: str = SUBDOMAIN) -> FESpacePair:
-    """Velocity/pressure pair of degree k.
-
-    k = 2, 3 gives the continuous degree-k velocity with degree-(k-1)
-    subdomain-discontinuous pressure.  k = 1 gives the Mini pair
-    (vertex velocity enriched with a per-element cubic bubble, continuous
-    linear pressure); this pair is experimental.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError(f"unsupported degree k={k}")
+    """Taylor-Hood pair of degree k = 2 or 3: the continuous degree-k
+    velocity with the degree-(k-1) pressure, subdomain-discontinuous by
+    default."""
+    if k not in (2, 3):
+        raise ValueError(f"unsupported degree k={k}; Taylor-Hood needs "
+                         f"k = 2 or 3")
     if mesh.degree != k:
         raise ValueError(f"mesh degree {mesh.degree} does not match k={k}")
-    if k == 1:
-        velocity = build_scalar_space(mesh, 1, GLOBAL, bubble=True)
-        pressure = build_scalar_space(mesh, 1, GLOBAL)
-    else:
-        velocity = build_scalar_space(mesh, k, GLOBAL)
-        pressure = build_scalar_space(mesh, k - 1, pressure_continuity)
+    velocity = build_scalar_space(mesh, k, GLOBAL)
+    pressure = build_scalar_space(mesh, k - 1, pressure_continuity)
     interface_dofs = mesh.interface_node_ids()
     boundary_dofs = mesh.boundary_node_ids()
     return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs)
@@ -232,7 +213,7 @@ def interpolate(space: ScalarSpace, f, vector: bool = False) -> np.ndarray:
 
     f maps (x, y) -> value (scalar, or length-2 for vector=True); a pair
     (f_plus, f_minus) supplies per-phase values for two-valued functions
-    on the interface.  Bubble coefficients are set to zero.
+    on the interface.
     """
     if isinstance(f, tuple):
         f_plus, f_minus = f
@@ -246,9 +227,6 @@ def interpolate(space: ScalarSpace, f, vector: bool = False) -> np.ndarray:
         if rows.any():
             vals = np.asarray([fn(x, y) for x, y in pos[rows]], dtype=float)
             out[rows] = vals.reshape(-1, width)
-    if space.bubble:
-        bub = np.unique(space.dof_of[:, -1])
-        out[bub] = 0.0
     return out.ravel() if vector else out[:, 0]
 
 
@@ -366,11 +344,9 @@ class PointLocator:
         only occur for candidate elements that do not contain the point.
         """
         mesh = self.mesh
-        coords = mesh.coords
-        ref_el = reference_element(mesh.degree)
-        xe = coords[mesh.elements[elems]]               # (P, n_loc, 2)
         # affine initial guess from the vertex triangle
-        a, b, c = xe[:, 0], xe[:, 1], xe[:, 2]
+        tri = mesh.coords[mesh.elements[elems, :3]]     # (P, 3, 2)
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
         M = np.stack([b - a, c - a], axis=2)            # columns are edges
         det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
         rhs = pts - a
@@ -382,10 +358,7 @@ class PointLocator:
             return ref, converged
         active = np.ones(len(pts), dtype=bool)
         for _ in range(max_iter):
-            vals = ref_el.shape_values(ref)             # (n_loc, P)
-            grads = ref_el.shape_gradients(ref)         # (n_loc, P, 2)
-            x = np.einsum("lp,pli->pi", vals, xe)
-            J = np.einsum("lpj,pli->pij", grads, xe)
+            x, J, detJ = map_points(mesh, elems, ref)
             r = x - pts
             resid = np.abs(r).max(axis=1)
             active &= resid >= tol
@@ -393,7 +366,6 @@ class PointLocator:
             active &= ~wandered
             if not active.any():
                 break
-            detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
             detJ = np.where(np.abs(detJ) < 1e-300, 1e-300, detJ)
             step = np.empty_like(r)
             step[:, 0] = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / detJ

@@ -11,6 +11,10 @@ interface nodes verbatim, triangulates with Delaunay, recovers the
 interface segments by edge flips, and smooths the free points.  Degree-k
 geometry is obtained afterwards by inserting edge/interior nodes, with
 the interface edge nodes placed on the exact interface curve.
+
+`geometry(mesh)` holds the Jacobian data of a mesh configuration at the
+assembly quadrature points.  It is built once per configuration and
+shared by assembly, observables and `quality`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .reference import edge_local_nodes, lattice_nodes, reference_element
+from .reference import edge_local_nodes, reference_element
 from .quadrature import triangle_rule
 
 PLUS = 1
@@ -162,33 +166,112 @@ def _check_interface_pairing(elements, phase, interface_edges) -> None:
 # geometry map
 
 
+def map_points(mesh: Mesh, elems, ref: np.ndarray):
+    """Evaluate the geometry map at per-element reference points.
+
+    Point p lies in element elems[p] at reference coordinates ref[p].
+    Returns (x, J, detJ) with shapes (P, 2), (P, 2, 2), (P,); J[p, i, j]
+    is the derivative of physical coordinate i w.r.t. reference
+    coordinate j.  No sign check: detJ <= 0 marks a tangled element.
+    """
+    ref_el = reference_element(mesh.degree)
+    xe = mesh.coords[mesh.elements[elems]]            # (P, n_loc, 2)
+    vals = ref_el.shape_values(ref)                   # (n_loc, P)
+    grads = ref_el.shape_gradients(ref)               # (n_loc, P, 2)
+    x = np.einsum("lp,pli->pi", vals, xe)
+    J = np.einsum("lpj,pli->pij", grads, xe)
+    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    return x, J, detJ
+
+
 def element_map(mesh: Mesh, element: int, ref_pts):
     """Evaluate the geometry map of one element at reference points.
 
-    Returns (x, J, detJ) with shapes (n, 2), (n, 2, 2), (n,).  J[q, i, j]
-    is the derivative of physical coordinate i w.r.t. reference
-    coordinate j.  Raises TangledElementError if any detJ <= 0.
+    Returns (x, J, detJ) as `map_points` does.  Raises
+    TangledElementError if any detJ <= 0.
     """
     ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
-    x, J, detJ = _element_map_raw(mesh, element, ref_pts)
+    x, J, detJ = map_points(mesh, np.full(len(ref_pts), element), ref_pts)
     if np.any(detJ <= 0.0):
         raise TangledElementError(element, float(detJ.min()))
     return x, J, detJ
 
 
-def _element_map_raw(mesh: Mesh, element: int, ref_pts: np.ndarray):
-    ref = reference_element(mesh.degree)
-    xe = mesh.coords[mesh.elements[element]]          # (n_loc, 2)
-    vals = ref.shape_values(ref_pts)                  # (n_loc, n)
-    grads = ref.shape_gradients(ref_pts)              # (n_loc, n, 2)
-    x = vals.T @ xe                                   # (n, 2)
-    J = np.einsum("lnj,li->nij", grads, xe)           # (n, 2, 2)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    return x, J, detJ
+class GeometryTables:
+    """Jacobian data of every element at the points of triangle_rule(2k+2).
+
+    Built from one mesh configuration but holding no reference to it;
+    `geometry` hands out the table of a mesh.  A tangled mesh still gets
+    a table (its detJ shows where); `tangled` is then (element, min
+    detJ), otherwise None.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.rule = rule = triangle_rule(2 * mesh.degree + 2)
+        ref = reference_element(mesh.degree)
+        vals = ref.shape_values(rule.points)            # (n_g, Q)
+        grads = ref.shape_gradients(rule.points)        # (n_g, Q, 2)
+        xs = mesh.coords[mesh.elements]                 # (E, n_g, 2)
+        J = np.einsum("lqj,eli->eqij", grads, xs)
+        detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        self.tangled = None
+        if np.any(detJ <= 0.0):
+            e = int(np.argmin(detJ.min(axis=1)))
+            self.tangled = (e, float(detJ.min()))
+        Jinv = np.empty_like(J)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Jinv[..., 0, 0] = J[..., 1, 1] / detJ
+            Jinv[..., 0, 1] = -J[..., 0, 1] / detJ
+            Jinv[..., 1, 0] = -J[..., 1, 0] / detJ
+            Jinv[..., 1, 1] = J[..., 0, 0] / detJ
+        self.x = np.einsum("lq,eli->eqi", vals, xs)     # (E, Q, 2)
+        self.detJ = detJ                                # (E, Q)
+        self.Jinv = Jinv                                # (E, Q, 2, 2)
+        self.wdet = detJ * rule.weights                 # (E, Q)
+        self._gphys: dict[int, np.ndarray] = {}
+
+    def physical_gradients(self, space) -> np.ndarray:
+        """Gradients of a Lagrange space's local basis w.r.t. physical
+        coordinates; (E, Q, n_loc, 2).  They depend on the space only
+        through its degree, which is the cache key."""
+        k = space.degree
+        if k not in self._gphys:
+            G = reference_element(k).shape_gradients(self.rule.points)
+            self._gphys[k] = np.einsum("lqj,eqji->eqli", G, self.Jinv,
+                                       optimize=True)
+        return self._gphys[k]
+
+
+# The table of the last mesh asked about.  Meshes are immutable, so the
+# identity of the mesh is a key that cannot go stale.
+_last_geometry: tuple[Mesh, GeometryTables] | None = None
+
+
+def _tables(mesh: Mesh) -> GeometryTables:
+    global _last_geometry
+    if _last_geometry is None or _last_geometry[0] is not mesh:
+        _last_geometry = None           # free the old table first
+        _last_geometry = (mesh, GeometryTables(mesh))
+    return _last_geometry[1]
+
+
+def geometry(mesh: Mesh) -> GeometryTables:
+    """The geometry table of the mesh, built once per configuration.
+
+    Raises TangledElementError if an element has detJ <= 0 at a
+    quadrature point.
+    """
+    geom = _tables(mesh)
+    if geom.tangled is not None:
+        raise TangledElementError(*geom.tangled)
+    return geom
 
 
 def quality(mesh: Mesh) -> MeshQuality:
-    """Minimum vertex angle, scaled Jacobian bound, and largest edge."""
+    """Minimum vertex angle, scaled Jacobian bound, and largest edge.
+
+    Never raises on a tangled mesh: min_jacobian <= 0 reports it.
+    """
     tri = mesh.coords[mesh.elements[:, :3]]           # (E, 3, 2)
     edges = tri[:, [1, 2, 0]] - tri[:, [0, 1, 2]]
     h_max = float(np.linalg.norm(edges, axis=2).max())
@@ -202,14 +285,8 @@ def quality(mesh: Mesh) -> MeshQuality:
         angles[:, i] = np.arccos(np.clip(c, -1.0, 1.0))
     min_angle = float(angles.min())
 
-    rule = triangle_rule(2 * mesh.degree + 2)
-    ref = reference_element(mesh.degree)
-    grads = ref.shape_gradients(rule.points)          # (n_loc, Q, 2)
-    xs = mesh.coords[mesh.elements]                   # (E, n_loc, 2)
-    J = np.einsum("lqj,eli->eqij", grads, xs)
-    detJ = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
     straight_area2 = np.abs(_cross2(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
-    scaled = detJ / np.maximum(straight_area2, 1e-300)[:, None]
+    scaled = _tables(mesh).detJ / np.maximum(straight_area2, 1e-300)[:, None]
     return MeshQuality(min_angle=min_angle, min_jacobian=float(scaled.min()),
                        h_max=h_max)
 

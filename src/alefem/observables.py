@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import GeometryTables, PhaseParams, default_rule, field_values
-from .mesh import MINUS, Mesh
+from .assembly import PhaseParams, field_values
+from .mesh import MINUS, Mesh, geometry
 from .quadrature import edge_rule
-from .reference import edge_local_nodes
+from .reference import edge_element, edge_local_nodes
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,15 @@ class BenchmarkRecord:
         return ",".join(f"{v:.17g}" for v in vals) + f",{self.remesh_count}"
 
 
-def phase_area(mesh: Mesh, phase: int,
-               geom: GeometryTables | None = None) -> float:
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+def phase_area(mesh: Mesh, phase: int) -> float:
+    geom = geometry(mesh)
     mask = mesh.phase == phase
     return float(geom.wdet[mask].sum())
 
 
-def center_of_mass(mesh: Mesh, geom: GeometryTables | None = None):
+def center_of_mass(mesh: Mesh):
     """Centroid of the minus phase (the bubble)."""
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     mask = mesh.phase == MINUS
     area = geom.wdet[mask].sum()
     cx = (geom.wdet[mask] * geom.x[mask, :, 0]).sum() / area
@@ -66,14 +65,7 @@ def interface_length(mesh: Mesh) -> float:
         return 0.0
     k = mesh.degree
     rule = edge_rule(2 * k + 2)
-    s = rule.points[:, 0]
-    params = np.concatenate([[0.0], np.arange(1, k) / k, [1.0]])
-    V = np.vander(params, increasing=True)
-    coeff = np.linalg.inv(V).T                       # (k+1, k+1) monomials
-    D = np.zeros((len(s), k + 1))
-    for m in range(1, k + 1):
-        D[:, m] = m * s ** (m - 1)
-    dbasis = coeff @ D.T                             # (k+1, Q)
+    dbasis = edge_element(k).shape_derivatives(rule.points[:, 0])  # (k+1, Q)
     total = 0.0
     for e, le in mesh.interface_edges:
         ids = mesh.elements[e, edge_local_nodes(k, le)]
@@ -83,26 +75,24 @@ def interface_length(mesh: Mesh) -> float:
     return total
 
 
-def circularity(mesh: Mesh, geom: GeometryTables | None = None) -> float:
+def circularity(mesh: Mesh) -> float:
     """Perimeter of the area-equivalent circle over the bubble perimeter."""
-    area = phase_area(mesh, MINUS, geom)
+    area = phase_area(mesh, MINUS)
     return 2.0 * math.sqrt(math.pi * area) / interface_length(mesh)
 
 
-def rise_velocity(mesh: Mesh, velocity_space, u: np.ndarray,
-                  geom: GeometryTables | None = None) -> float:
+def rise_velocity(mesh: Mesh, velocity_space, u: np.ndarray) -> float:
     """Bubble average of the vertical velocity component."""
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     mask = mesh.phase == MINUS
     uq = field_values(velocity_space, u, geom)       # (E, Q, 2)
     area = geom.wdet[mask].sum()
     return float((geom.wdet[mask] * uq[mask, :, 1]).sum() / area)
 
 
-def energy(mesh: Mesh, velocity_space, u: np.ndarray, params: PhaseParams,
-           geom: GeometryTables | None = None):
+def energy(mesh: Mesh, velocity_space, u: np.ndarray, params: PhaseParams):
     """(kinetic, potential, total): 0.5 rho |u|^2 and rho g y integrals."""
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     rho = params.rho_of(mesh.phase)
     uq = field_values(velocity_space, u, geom)
     kin = 0.5 * float(np.einsum("eq,eqi,eqi,e->", geom.wdet, uq, uq, rho))

@@ -106,57 +106,42 @@ def reference_element(degree: int) -> ReferenceElement:
 class EdgeElement:
     """Degree-k Lagrange basis on the reference edge [0, 1].
 
-    Node ordering matches Gmsh line elements: the two endpoints first,
-    then interior nodes from the first endpoint to the second.
+    The nodes 0, 1/k, ..., 1 are in increasing order, which is the order
+    of `edge_local_nodes` (and so of `Mesh.edge_nodes`) along an edge.
     """
 
     degree: int
+    nodes: np.ndarray = field(init=False)
+    _coeffs: np.ndarray = field(init=False)   # (n_nodes, n_monomials)
 
-    @property
-    def nodes(self) -> np.ndarray:
+    def __post_init__(self):
         k = self.degree
-        return np.array([0.0, 1.0] + [j / k for j in range(1, k)])
+        nodes = np.concatenate([[0.0], np.arange(1, k) / k, [1.0]])
+        coeffs = np.linalg.inv(np.vander(nodes, increasing=True)).T
+        nodes.setflags(write=False)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def n_nodes(self) -> int:
         return self.degree + 1
 
     def shape_values(self, s) -> np.ndarray:
+        """Basis values at edge parameters; shape (n_nodes, n_pts)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        nodes = self.nodes
-        V = np.vander(nodes, increasing=True)
-        coeffs = np.linalg.inv(V).T
         P = np.vander(s, N=self.n_nodes, increasing=True)
-        return coeffs @ P.T
+        return self._coeffs @ P.T
 
     def shape_derivatives(self, s) -> np.ndarray:
+        """Basis derivatives at edge parameters; shape (n_nodes, n_pts)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        nodes = self.nodes
-        V = np.vander(nodes, increasing=True)
-        coeffs = np.linalg.inv(V).T
-        n = self.n_nodes
-        D = np.zeros((len(s), n))
-        for m in range(1, n):
+        D = np.zeros((len(s), self.n_nodes))
+        for m in range(1, self.n_nodes):
             D[:, m] = m * s ** (m - 1)
-        return coeffs @ D.T
+        return self._coeffs @ D.T
 
 
 @lru_cache(maxsize=None)
 def edge_element(degree: int) -> EdgeElement:
     return EdgeElement(degree)
-
-
-def bubble_values(pts) -> np.ndarray:
-    """Cubic bubble 27*l0*l1*l2 at reference points."""
-    pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    return 27.0 * (1.0 - x - y) * x * y
-
-
-def bubble_gradients(pts) -> np.ndarray:
-    """Gradient of the cubic bubble; shape (n_pts, 2)."""
-    pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    gx = 27.0 * y * (1.0 - 2.0 * x - y)
-    gy = 27.0 * x * (1.0 - x - 2.0 * y)
-    return np.column_stack([gx, gy])

@@ -7,12 +7,18 @@ saddle problem on the new mesh with the convection field frozen at the
 old velocity relative to the mesh, (4) remesh if the minimum angle
 dropped too far.  Diffusion, pressure and divergence are implicit; the
 constant gravity enters explicitly.
+
+The mesh velocity is derived from the velocity at the start of each
+step and is not carried between steps.  Assembly, quality checks and
+observables of one mesh configuration all read its single geometry
+table (`mesh.geometry`), so a step without a remesh builds exactly one:
+that of the moved mesh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +30,13 @@ from .ale import (
     spaces_with_mesh,
 )
 from .assembly import (
-    GeometryTables,
     PhaseParams,
     assemble,
     assemble_convection,
     assemble_load,
-    default_rule,
     pressure_mean_vector,
 )
-from .fespace import SUBDOMAIN, FESpacePair, build_taylor_hood, interpolate
+from .fespace import SUBDOMAIN, FESpacePair, build_taylor_hood
 from .linalg import SaddleFactor, SaddleSystem, solve_saddle
 from .mesh import Mesh, generate_bubble_mesh, quality
 from .observables import (
@@ -64,8 +68,9 @@ class SimConfig:
     def __post_init__(self):
         if self.tau <= 0 or self.h <= 0 or self.T < 0:
             raise ValueError("tau and h must be positive, T non-negative")
-        if self.k not in (1, 2, 3):
-            raise ValueError(f"unsupported degree k={self.k}")
+        if self.k not in (2, 3):
+            raise ValueError(f"unsupported degree k={self.k}; the "
+                             f"Taylor-Hood pairs need k = 2 or 3")
 
     @property
     def n_steps(self) -> int:
@@ -88,7 +93,6 @@ class State:
     spaces: FESpacePair
     u: np.ndarray
     p: np.ndarray
-    w: np.ndarray
     min_angle: float
     multiplier: float = 0.0
     remesh_count: int = 0
@@ -103,16 +107,14 @@ def initialize(config: SimConfig) -> State:
     spaces = build_taylor_hood(mesh, config.k,
                                pressure_continuity=config.pressure_continuity)
     u = np.zeros(2 * spaces.velocity.n_dofs)
-    w = harmonic_extension(mesh, spaces, u)
     p = np.zeros(spaces.pressure.n_dofs)
-    return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p, w=w,
+    return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p,
                  min_angle=quality(mesh).min_angle)
 
 
 def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
                tau: float, u_old: np.ndarray, transport: np.ndarray,
                load: np.ndarray, boundary_values: np.ndarray | None = None,
-               geom: GeometryTables | None = None,
                factor: SaddleFactor | None = None):
     """One implicit solve of the momentum/divergence system.
 
@@ -122,12 +124,11 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     factor when one is given (see `solve_saddle`).  Returns (u, p,
     multiplier, stats).
     """
-    geom = geom or GeometryTables(mesh, default_rule(mesh))
-    M_rho = assemble("M_rho", mesh, spaces, params, geom=geom)
-    A_mu = assemble("A_mu", mesh, spaces, params, geom=geom)
-    B_conv = assemble_convection(mesh, spaces, params, transport, geom=geom)
-    C = assemble("C", mesh, spaces, geom=geom)
-    m = pressure_mean_vector(mesh, spaces, geom=geom)
+    M_rho = assemble("M_rho", mesh, spaces, params)
+    A_mu = assemble("A_mu", mesh, spaces, params)
+    B_conv = assemble_convection(mesh, spaces, params, transport)
+    C = assemble("C", mesh, spaces)
+    m = pressure_mean_vector(mesh, spaces)
 
     Kuu = (M_rho / tau + A_mu + B_conv).tocsr()
     rhs_u = load + M_rho @ u_old / tau
@@ -168,26 +169,22 @@ def step(state: State, config: SimConfig) -> State:
     spaces = spaces_with_mesh(state.spaces, mesh)
 
     # (3) implicit flow solve with convection frozen at u^n - w^n
-    geom = GeometryTables(mesh, default_rule(mesh))
     load = assemble_load(mesh, spaces, params,
-                         weighted_by_rho=config.body_force_weighted_by_rho,
-                         geom=geom)
+                         weighted_by_rho=config.body_force_weighted_by_rho)
     u, p, lam, stats = flow_solve(mesh, spaces, params, tau, state.u,
-                                  transport=state.u - w, load=load, geom=geom,
+                                  transport=state.u - w, load=load,
                                   factor=state.factor)
 
     # (4) remesh on the angle criterion
-    fields = {"u": ("velocity", u), "p": ("pressure", p),
-              "w": ("velocity", w)}
+    fields = {"u": ("velocity", u), "p": ("pressure", p)}
     mesh2, spaces2, fields2, did_remesh = check_and_remesh(
         mesh, spaces, fields, config.rect, config.h,
         angle_threshold=config.remesh_angle)
     if did_remesh:
         u = fields2["u"][1]
         p = fields2["p"][1]
-        w = fields2["w"][1]
     return State(
-        t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p, w=w,
+        t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
         min_angle=quality(mesh2).min_angle, multiplier=lam,
         remesh_count=state.remesh_count + int(did_remesh),
         # a factor of the old mesh cannot precondition the new one
@@ -198,19 +195,18 @@ def step(state: State, config: SimConfig) -> State:
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
-    geom = GeometryTables(state.mesh, default_rule(state.mesh))
     kin, pot, tot = energy(state.mesh, state.spaces.velocity, state.u,
-                           config.params, geom=geom)
+                           config.params)
     return BenchmarkRecord(
         t=state.t,
-        circularity=circularity(state.mesh, geom=geom),
-        center_of_mass=center_of_mass(state.mesh, geom=geom),
+        circularity=circularity(state.mesh),
+        center_of_mass=center_of_mass(state.mesh),
         rise_velocity=rise_velocity(state.mesh, state.spaces.velocity,
-                                    state.u, geom=geom),
+                                    state.u),
         kinetic_energy=kin,
         potential_energy=pot,
         total_energy=tot,
-        area_minus=phase_area(state.mesh, -1, geom=geom),
+        area_minus=phase_area(state.mesh, -1),
         interface_length=interface_length(state.mesh),
         min_angle=state.min_angle,
         remesh_count=state.remesh_count,

@@ -23,10 +23,8 @@ import numpy as np
 
 from .ale import harmonic_extension
 from .assembly import (
-    GeometryTables,
     PhaseParams,
     assemble,
-    default_rule,
     field_gradients,
     field_values,
     scalar_field_values,
@@ -39,9 +37,7 @@ from .fespace import (
     build_taylor_hood,
     interpolate,
 )
-from .mesh import Mesh, displace, generate_rect_mesh
-from .quadrature import triangle_rule
-from .reference import reference_element
+from .mesh import Mesh, displace, generate_rect_mesh, geometry, map_points
 from .stepper import flow_solve
 
 HOMOTOPY_KINDS = ("M", "M_rho", "A", "A_mu", "C")
@@ -103,7 +99,7 @@ def _sym(G):
 
 
 def _shape_derivative(mesh, spaces, kind, u, v, e_x, params) -> float:
-    geom = GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     V = spaces.velocity
     Ge = field_gradients(V, e_x, geom)                  # (E, Q, 2, 2)
     div_e = Ge[..., 0, 0] + Ge[..., 1, 1]
@@ -152,16 +148,16 @@ def transport_formula_residual(mesh: Mesh, w: np.ndarray, f: np.ndarray,
     derivative of the integral equal the integral of f * div(w).
     """
     space = build_scalar_space(mesh, mesh.degree)
-    geom0 = GeometryTables(mesh, default_rule(mesh))
-    mesh1 = displace(mesh, tau * w[:len(mesh.x)])
-    geom1 = GeometryTables(mesh1, default_rule(mesh1))
+    geom0 = geometry(mesh)
+    mesh1 = displace(mesh, tau * w)
+    geom1 = geometry(mesh1)
 
     f_cells = scalar_field_values(space, f, geom0)
     i0 = float((geom0.wdet * f_cells).sum())
     space1 = build_scalar_space(mesh1, mesh1.degree)
     i1 = float((geom1.wdet * scalar_field_values(space1, f, geom1)).sum())
 
-    Gw = field_gradients(space, w[:2 * space.n_dofs], geom0)
+    Gw = field_gradients(space, w, geom0)
     div_w = Gw[..., 0, 0] + Gw[..., 1, 1]
     rate = float((geom0.wdet * f_cells * div_w).sum())
     return abs((i1 - i0) / tau - rate)
@@ -202,13 +198,9 @@ class RateReport:
 
 def _values_grads_at(space, coeffs, elems, ref, vector):
     """Field values and physical-coordinate gradients at (element, ref)."""
-    mesh = space.mesh
     vals = space.basis_values(ref)                      # (n_loc, P)
     grads = space.basis_gradients(ref)                  # (n_loc, P, 2)
-    ggrads = reference_element(mesh.degree).shape_gradients(ref)
-    xe = mesh.coords[mesh.elements[elems]]              # (P, n_g, 2)
-    J = np.einsum("gpj,pgi->pij", ggrads, xe)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    _, J, detJ = map_points(space.mesh, elems, ref)
     Jinv = np.empty_like(J)
     Jinv[:, 0, 0] = J[:, 1, 1] / detJ
     Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
@@ -239,8 +231,7 @@ def pullback_difference_norms(coarse, fine) -> dict[str, float]:
     element so that gradients never straddle the interface.
     """
     mesh_c = coarse["mesh0"]
-    rule = triangle_rule(2 * mesh_c.degree + 2)
-    geom = GeometryTables(mesh_c, rule)
+    geom = geometry(mesh_c)
     E, Q = geom.wdet.shape
     Vc, Pc = coarse["spaces0"].velocity, coarse["spaces0"].pressure
 
@@ -404,11 +395,11 @@ def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
     mesh = generate_rect_mesh(RECT, h, k)
     spaces = build_taylor_hood(mesh, k)
     params = PhaseParams(rho, rho, mu, mu, 1.0)
-    geom = GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
 
     u = interpolate(spaces.velocity, exact_u, vector=True)
     f_nodal = interpolate(spaces.velocity, force, vector=True)
-    M = _vector_expand(scalar_mass(mesh, spaces.velocity, geom=geom))
+    M = _vector_expand(scalar_mass(mesh, spaces.velocity))
     load = M @ f_nodal
 
     w = harmonic_extension(mesh, spaces, u)
@@ -418,7 +409,7 @@ def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
     for _ in range(n):
         u, p, _lam, _stats = flow_solve(mesh, spaces, params, tau, u,
                                         transport=u, load=load,
-                                        boundary_values=u, geom=geom)
+                                        boundary_values=u)
 
     uq = field_values(spaces.velocity, u, geom)
     gq = field_gradients(spaces.velocity, u, geom)

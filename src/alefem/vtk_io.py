@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import GeometryTables, default_rule, scalar_field_values
-from .mesh import Mesh
+from .assembly import scalar_field_values
+from .mesh import Mesh, geometry
 
 _SUBTRIANGLES = {
     1: [(0, 1, 2)],
@@ -53,7 +53,7 @@ def write_vtk(path, mesh: Mesh, velocity: np.ndarray | None = None,
         lines.extend([str(int(ph))] * n_sub)
     if pressure is not None:
         space, coeffs = pressure
-        geom = GeometryTables(mesh, default_rule(mesh))
+        geom = geometry(mesh)
         pq = scalar_field_values(space, coeffs, geom)
         means = (pq * geom.wdet).sum(axis=1) / geom.wdet.sum(axis=1)
         lines.append("SCALARS pressure double 1")

@@ -81,12 +81,14 @@ def test_advance_mesh_basics(setup):
     assert np.allclose(moved.reshape(-1, 2) - x.reshape(-1, 2), [0.1, 0.0])
     with pytest.raises(ValueError):
         advance_mesh(x, w, -1.0)
+    with pytest.raises(ValueError):
+        advance_mesh(x, np.append(w, [0.0, 0.0]), 0.1)
 
 
 def test_area_drift_second_order_for_divfree_motion(setup):
     """Nodal advection by a divergence-free field changes the total area
     at O(tau^2)."""
-    from alefem.assembly import GeometryTables, default_rule
+    from alefem.mesh import geometry
 
     mesh, spaces = setup
 
@@ -94,11 +96,11 @@ def test_area_drift_second_order_for_divfree_motion(setup):
         return (-(y - 1.0), x - 0.5)
 
     w = interpolate(spaces.velocity, rot, vector=True)
-    area0 = GeometryTables(mesh, default_rule(mesh)).wdet.sum()
+    area0 = geometry(mesh).wdet.sum()
     drifts = []
     for tau in (0.02, 0.01, 0.005):
         moved = move_mesh(mesh, advance_mesh(mesh.x, w, tau))
-        area = GeometryTables(moved, default_rule(moved)).wdet.sum()
+        area = geometry(moved).wdet.sum()
         drifts.append(abs(area - area0))
     rates = [math.log2(drifts[i] / drifts[i + 1]) for i in range(2)]
     assert all(1.9 < r < 2.1 for r in rates)
@@ -157,10 +159,10 @@ def test_remesh_triggers_and_restores_quality():
     assert quality(m2).min_angle > math.pi / 18
 
     # phase areas are preserved up to the curved-geometry tolerance
-    from alefem.assembly import GeometryTables, default_rule
+    from alefem.mesh import geometry
 
-    g1 = GeometryTables(sheared, default_rule(sheared))
-    g2 = GeometryTables(m2, default_rule(m2))
+    g1 = geometry(sheared)
+    g2 = geometry(m2)
     a1 = g1.wdet[sheared.phase == MINUS].sum()
     a2 = g2.wdet[m2.phase == MINUS].sum()
     assert abs(a1 - a2) < 5 * 0.1 ** 3

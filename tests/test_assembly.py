@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 
 from alefem.assembly import (
-    GeometryTables,
     PhaseParams,
     assemble,
     assemble_convection,
     assemble_load,
-    default_rule,
     pressure_mean_vector,
     quadratic_norm,
     scalar_laplacian,
     scalar_mass,
 )
 from alefem.fespace import build_scalar_space, build_taylor_hood, interpolate
-from alefem.mesh import Mesh, generate_bubble_mesh, generate_rect_mesh
+from alefem.mesh import (
+    Mesh,
+    TangledElementError,
+    displace,
+    generate_bubble_mesh,
+    generate_rect_mesh,
+    geometry,
+    quality,
+)
 from alefem.quadrature import triangle_rule
 from alefem.reference import reference_element
 
@@ -210,7 +216,7 @@ def test_load_rho_weighted(small_setup):
     mesh, spaces = small_setup
     load = assemble_load(mesh, spaces, BP1, weighted_by_rho=True)
     ey = np.tile([0.0, 1.0], spaces.velocity.n_dofs)
-    geom = GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     area_minus = geom.wdet[mesh.phase == -1].sum()
     expect = -0.98 * (BP1.rho_plus * (2.0 - area_minus)
                       + BP1.rho_minus * area_minus)
@@ -247,10 +253,26 @@ def test_unit_square_quadratic_norm():
 
 def test_physical_gradients_cached_by_degree_not_identity():
     mesh = generate_rect_mesh((0, 0, 1, 1), 0.5, 2)
-    geom = GeometryTables(mesh, default_rule(mesh))
+    geom = geometry(mesh)
     first, second = build_scalar_space(mesh, 2), build_scalar_space(mesh, 2)
     g2 = geom.physical_gradients(first)
     assert geom.physical_gradients(second) is g2
     g1 = geom.physical_gradients(build_scalar_space(mesh, 1))
     assert g1 is not g2
     assert g1.shape[2] == 3 and g2.shape[2] == 6
+
+
+def test_tangled_mesh_quality_reports_assembly_raises():
+    """quality() reports a tangled curved mesh through min_jacobian and
+    never raises; assembly on the same mesh raises."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.2, 2)
+    e, le = mesh.interface_edges[0]
+    node = mesh.elements[e, 3 + le]                     # curved edge midpoint
+    opposite = mesh.coords[mesh.elements[e, (le + 2) % 3]]
+    d = np.zeros_like(mesh.coords)
+    d[node] = 1.5 * (opposite - mesh.coords[node])
+    tangled = displace(mesh, d.ravel())
+    q = quality(tangled)
+    assert q.min_jacobian <= 0.0
+    with pytest.raises(TangledElementError):
+        assemble("M", tangled, build_taylor_hood(tangled, 2))

@@ -124,8 +124,8 @@ def test_verify_detects_corrupted_assembly(monkeypatch, capsys):
 
     orig = asm.assemble
 
-    def corrupted(kind, mesh, spaces, params=None, geom=None):
-        K = orig(kind, mesh, spaces, params, geom=geom)
+    def corrupted(kind, mesh, spaces, params=None):
+        K = orig(kind, mesh, spaces, params)
         if kind == "A":
             K = K * (1.0 + 1e-4)
         return K
@@ -141,3 +141,9 @@ def test_verify_detects_corrupted_assembly(monkeypatch, capsys):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         build_verify_checks("bogus")
+
+
+def test_cmd_run_rejects_degree_one(tmp_path):
+    path = tmp_path / "k1.cfg"
+    path.write_text(BP1_CONFIG.replace("k = 2", "k = 1"))
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 2

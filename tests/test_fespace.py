@@ -14,7 +14,7 @@ from alefem.fespace import (
     evaluate_many,
     interpolate,
 )
-from alefem.mesh import displace, generate_bubble_mesh
+from alefem.mesh import displace, generate_bubble_mesh, generate_rect_mesh
 
 from conftest import CENTER, RADIUS, RECT
 
@@ -57,14 +57,6 @@ def test_taylor_hood_k3_dof_count():
              for e in range(mesh.n_elements) for i in range(3)}
     expect = n_vertices + 2 * len(edges) + mesh.n_elements
     assert pair.velocity.n_dofs == expect
-
-
-def test_mini_pair_counts():
-    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 1)
-    pair = build_taylor_hood(mesh, 1)
-    assert pair.velocity.bubble
-    assert pair.velocity.n_dofs == mesh.n_nodes + mesh.n_elements
-    assert pair.pressure.n_dofs == mesh.n_nodes
 
 
 def test_interpolate_linear_reproduced(bubble_pair_k2):
@@ -195,3 +187,8 @@ def test_ring_dof_sets(bubble_mesh_k2, bubble_pair_k2):
 def test_mesh_degree_mismatch_rejected(bubble_mesh_k2):
     with pytest.raises(ValueError):
         build_taylor_hood(bubble_mesh_k2, 3)
+
+
+def test_degree_one_pair_rejected():
+    with pytest.raises(ValueError):
+        build_taylor_hood(generate_rect_mesh(RECT, 0.5, 1), 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alefem.assembly import GeometryTables, PhaseParams, default_rule
+from alefem.assembly import PhaseParams
 from alefem.fespace import build_taylor_hood, interpolate
 from alefem.mesh import displace, fit_interface_mesh, generate_bubble_mesh, \
     generate_rect_mesh

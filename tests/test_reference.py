@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from alefem.reference import (
-    bubble_gradients,
-    bubble_values,
     edge_element,
     edge_local_nodes,
     lattice_nodes,
@@ -67,14 +65,3 @@ def test_edge_element_kronecker():
         V = el.shape_values(el.nodes)
         assert np.abs(V - np.eye(k + 1)).max() < 1e-12
 
-
-def test_bubble_vanishes_on_boundary_and_peaks_at_barycenter():
-    s = np.linspace(0, 1, 7)
-    edge_pts = np.vstack([
-        np.column_stack([s, np.zeros_like(s)]),
-        np.column_stack([np.zeros_like(s), s]),
-        np.column_stack([s, 1 - s]),
-    ])
-    assert np.abs(bubble_values(edge_pts)).max() < 1e-14
-    assert bubble_values(np.array([[1 / 3, 1 / 3]]))[0] == pytest.approx(1.0)
-    assert np.abs(bubble_gradients(np.array([[1 / 3, 1 / 3]]))).max() < 1e-14

@@ -59,9 +59,8 @@ def hydrostatic_setup(h=0.16, k=2):
     cfg = SimConfig(params=params, k=k, h=h, tau=0.01, T=1.0)
     spaces = build_taylor_hood(mesh, k)
     u = np.zeros(2 * spaces.velocity.n_dofs)
-    w = harmonic_extension(mesh, spaces, u)
     state = State(t=0.0, mesh=mesh, spaces=spaces, u=u,
-                  p=np.zeros(spaces.pressure.n_dofs), w=w,
+                  p=np.zeros(spaces.pressure.n_dofs),
                   min_angle=quality(mesh).min_angle)
     return state, cfg, params
 
@@ -151,3 +150,25 @@ def test_factor_reuse_matches_refactoring_every_step():
     scale = np.maximum(np.abs(b).max(axis=0), 1e-300)
     assert (np.abs(np.array(a) - b) / scale).max() <= 1e-10
     assert reuse.saddle_factorizations < refactor.saddle_factorizations == 20
+
+
+def test_one_geometry_table_per_step(monkeypatch):
+    """A step without a remesh, followed by its record, builds the
+    geometry table of the moved mesh and nothing else."""
+    from alefem.mesh import GeometryTables
+
+    cfg = tiny_config()
+    state = initialize(cfg)
+    record_state(state, cfg)
+    built = []
+    original = GeometryTables.__init__
+
+    def counting(self, mesh):
+        built.append(mesh)
+        original(self, mesh)
+
+    monkeypatch.setattr(GeometryTables, "__init__", counting)
+    nxt = step(state, cfg)
+    record_state(nxt, cfg)
+    assert nxt.remesh_count == 0
+    assert len(built) == 1 and built[0] is nxt.mesh
