@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
-from .assembly import scalar_laplacian
+from .assembly import gather, scalar_laplacian
 from .fespace import (
     GLOBAL,
     FESpacePair,
@@ -60,9 +60,12 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     w[spaces.interface_dofs] = uv[spaces.interface_dofs]
     w[spaces.boundary_dofs] = 0.0
 
-    Lff = L[free][:, free].tocsc()
-    Lfd = L[free][:, fixed]
-    rhs = -Lfd @ w[fixed]
+    # w vanishes on the free DOFs, whose columns therefore add only +-0:
+    # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
+    rhs = -(L @ w)[free]
+    Lff = gather(V, "interior", (spaces.interface_dofs, spaces.boundary_dofs),
+                 lambda L: L[free][:, free].tocsc(), L)
+    del L
     lu = splu(Lff, permc_spec="MMD_AT_PLUS_A")
     for c in range(2):
         w[free, c] = lu.solve(rhs[:, c])
@@ -106,11 +109,12 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
     fields maps names to ("velocity" | "pressure", coefficients); the
     returned dict holds the coefficients transferred to the new mesh by
     point evaluation (phase-aware for pressure).  Returns
-    (mesh, spaces, fields, did_remesh).
+    (mesh, spaces, fields, did_remesh, min_angle), min_angle being that of
+    the returned mesh.
     """
     q = quality(mesh)
     if q.min_angle > angle_threshold:
-        return mesh, spaces, fields, False
+        return mesh, spaces, fields, False, q.min_angle
 
     verts, edges = interface_cycle(mesh)
     ring = mesh.coords[verts]
@@ -134,7 +138,7 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
             out[name] = (kind, transfer_pressure(spaces, new_spaces, coeffs))
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-    return new_mesh, new_spaces, out, True
+    return new_mesh, new_spaces, out, True, quality(new_mesh).min_angle
 
 
 def _old_edge_curve(mesh: Mesh, verts: np.ndarray, edges):

@@ -14,11 +14,35 @@ Available kinds for `assemble`:
     A      vector Laplace form     v^T A u   = sum_K  int grad u : grad v
     A_mu   viscous form            v^T Am u  = sum_K 2 mu_K int D(u):D(v)
     C      divergence form         q^T C v   = sum_K  int (div v) q
+
+Index maps.  Between remeshes the nodes move but the connectivity does
+not, so every matrix keeps its sparsity pattern for hundreds of steps.
+`index_maps(space)` holds, per DOF numbering, the canonical CSR pattern
+of each matrix kind and the order in which its element contributions
+are summed; assembly then writes the element kernels straight into CSR
+data arrays.  The maps are keyed on the identity of the space's
+read-only `dof_of` array, which `ale.spaces_with_mesh` passes through
+unchanged, and live in a one-slot cache that frees the old entry before
+building the next, like `mesh.geometry`.
+
+The maps replay scipy's COO-to-CSR conversion (`tocsr`) exactly, so the
+matrices are bitwise equal to those of a COO assembly.  tocsr buckets
+the entries stably by row, sorts each row with `csr_sort_indices` (a
+std::sort on the column alone, which is not stable) and sums duplicates
+left to right.  `SumOrder` runs that same sort once on entry ids and keeps the
+resulting permutation: the entry of rank 0 of each slot is assigned,
+those of later ranks are added one rank at a time.  Summing in element
+order instead differs in the last bits, and the remeshing of a long run
+is chaotic in such roundoff.  `gather` extends the same idea to
+matrices derived by slicing and stacking (the saddle matrix, the
+interior block of the mesh Laplacian): the slicing runs once on entry
+ids and is replayed as one gather per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -51,43 +75,341 @@ class PhaseParams:
         return np.where(phase == MINUS, self.mu_minus, self.mu_plus)
 
 
-def _scatter(rows, cols, vals, shape):
-    A = sparse.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    )
-    return A.tocsr()
+# ---------------------------------------------------------------------------
+# index maps
 
 
-def _scalar_local_to_csr(local, dofs, n_dofs):
-    n_loc = dofs.shape[1]
-    rows = np.repeat(dofs[:, :, None], n_loc, axis=2)
-    cols = np.repeat(dofs[:, None, :], n_loc, axis=1)
-    return _scatter(rows, cols, local, (n_dofs, n_dofs))
+def _index(a) -> np.ndarray:
+    out = np.array(a, dtype=np.int32)
+    out.setflags(write=False)
+    return out
 
 
-def _vector_expand(scalar_csr):
-    """Kronecker with the 2x2 identity, matching interleaved layout."""
-    return sparse.kron(scalar_csr, sparse.identity(2, format="csr"), format="csr")
+def _pointer(a: np.ndarray) -> tuple[int, int]:
+    return a.ctypes.data, a.size
 
 
-def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
-    geom = geometry(mesh)
+class SumOrder:
+    """Canonical CSR pattern of a list of entries (rows, cols), and the
+    order in which scipy's COO-to-CSR conversion sums entries vals given
+    in that order.
+
+    first[s] is the entry summed first into slot s; later holds, for
+    ranks 1, 2, ... in turn, the slots with an entry of that rank and
+    those entries.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
+        self.shape = shape
+        counts = np.bincount(rows, minlength=shape[0])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        order = np.argsort(rows, kind="stable")
+        # coo_tocsr's stable row buckets, then tocsr's own index sort
+        ids = sparse.csr_matrix(
+            (order.astype(float), cols[order].astype(np.int32),
+             indptr.astype(np.int32)), shape=shape)
+        ids.sort_indices()
+        entry = ids.data.astype(np.int64)
+        col = ids.indices
+        starts = np.ones(len(col), dtype=bool)
+        starts[1:] = col[1:] != col[:-1]
+        starts[indptr[:-1][counts > 0]] = True
+        slot = np.cumsum(starts) - 1
+        rank = np.arange(len(col)) - np.flatnonzero(starts)[slot]
+        slot_rows = np.repeat(np.arange(shape[0]), counts)[starts]
+        self.indices = _index(col[starts])
+        self.indptr = _index(np.concatenate(
+            ([0], np.cumsum(np.bincount(slot_rows, minlength=shape[0])))))
+        self.first = _index(entry[starts])
+        by_rank = np.argsort(rank, kind="stable")[len(self.first):]
+        self.later_slots = _index(slot[by_rank])
+        self.later_entries = _index(entry[by_rank])
+        # end of each rank 1, 2, ... within later_*
+        self.rank_bounds = np.searchsorted(rank[by_rank],
+                                           np.arange(2, rank.max() + 2))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def sum(self, vals: np.ndarray) -> np.ndarray:
+        """CSR data of the entries vals (in entry order)."""
+        vals = vals.ravel()
+        data = vals[self.first]
+        lo = 0
+        for hi in self.rank_bounds:
+            data[self.later_slots[lo:hi]] += vals[self.later_entries[lo:hi]]
+            lo = hi
+        return data
+
+    def matrix(self, vals: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((self.sum(vals), self.indices, self.indptr),
+                                 shape=self.shape)
+
+
+class Gather:
+    """A matrix derived from assembled ones by slicing, stacking,
+    transposition, format changes and negation, replayed as one gather
+    over their data arrays.
+
+    derive(*matrices) runs once, on copies whose data are entry ids;
+    the ids it returns (negative where it negated) are the map.
+    """
+
+    def __init__(self, derive, matrices):
+        sizes = [m.nnz for m in matrices]
+        offsets = np.cumsum([0] + sizes)
+        tagged = [type(m)((np.arange(o + 1, o + n + 1, dtype=float),
+                           m.indices, m.indptr), shape=m.shape)
+                  for m, o, n in zip(matrices, offsets, sizes)]
+        out = derive(*tagged)
+        tags = out.data.astype(np.int64)
+        self.source = _index(np.abs(tags) - 1)
+        owner = np.searchsorted(offsets, self.source, side="right") - 1
+        self.negated = [bool(np.any(tags[owner == i] < 0))
+                        for i in range(len(matrices))]
+        if any(np.any(tags[owner == i] > 0) and self.negated[i]
+               for i in range(len(matrices))):
+            raise ValueError("derive may negate an input only as a whole")
+        self.container = type(out)
+        self.indices = _index(out.indices)
+        self.indptr = _index(out.indptr)
+        self.shape = out.shape
+
+    def __call__(self, matrices):
+        data = np.concatenate([-m.data if neg else m.data
+                               for m, neg in zip(matrices, self.negated)])
+        return self.container((data[self.source], self.indices, self.indptr),
+                              shape=self.shape)
+
+
+class DofMaps:
+    """Index maps of one DOF numbering, each built on first use."""
+
+    def __init__(self, dof_of: np.ndarray, n_dofs: int):
+        self.dof_of = dof_of
+        self.n_dofs = n_dofs
+        self._keyed: dict[str, tuple[tuple, object]] = {}
+
+    @cached_property
+    def scalar(self) -> SumOrder:
+        """Scalar element matrices, entries (E, n_loc, n_loc)."""
+        dofs = self.dof_of
+        n_loc = dofs.shape[1]
+        rows = np.repeat(dofs[:, :, None], n_loc, axis=2)
+        cols = np.repeat(dofs[:, None, :], n_loc, axis=1)
+        return SumOrder(rows.ravel(), cols.ravel(), (self.n_dofs, self.n_dofs))
+
+    @cached_property
+    def vector(self) -> SumOrder:
+        """Vector element matrices, entries (E, n_loc, 2, n_loc, 2)."""
+        vdofs = 2 * self.dof_of[:, :, None] + np.arange(2)
+        n_loc = self.dof_of.shape[1]
+        shape = (len(vdofs), n_loc, 2, n_loc, 2)
+        rows = np.broadcast_to(vdofs[:, :, :, None, None], shape)
+        cols = np.broadcast_to(vdofs[:, None, None, :, :], shape)
+        n = 2 * self.n_dofs
+        return SumOrder(rows.ravel(), cols.ravel(), (n, n))
+
+    @cached_property
+    def interleaved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, source) of a scalar matrix acting on both
+        components: scalar row i becomes rows 2i and 2i+1 with the same
+        data, source being its slots."""
+        S = self.scalar
+        lengths = np.diff(S.indptr)
+        indptr = np.zeros(2 * self.n_dofs + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.repeat(lengths, 2))
+        row_of = np.repeat(np.arange(self.n_dofs), lengths)
+        slots = np.arange(S.nnz)
+        # row 2i holds the slots of scalar row i, then row 2i+1 again
+        source = np.empty(2 * S.nnz, dtype=np.int64)
+        indices = np.empty(2 * S.nnz, dtype=np.int64)
+        at = slots + S.indptr[row_of]
+        source[at], indices[at] = slots, 2 * S.indices
+        at = at + lengths[row_of]
+        source[at], indices[at] = slots, 2 * S.indices + 1
+        return _index(indptr), _index(indices), _index(source)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Slots of the vector pattern that hold the entries of the
+        interleaved pattern, in its slot order."""
+        V = self.vector
+        indptr, indices, _ = self.interleaved
+        n = 2 * self.n_dofs
+        keys = np.repeat(np.arange(n), np.diff(V.indptr)) * n + V.indices
+        wanted = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+        return _index(np.searchsorted(keys, wanted))
+
+    def keyed(self, name: str, key: tuple, build):
+        """build(), cached under name while every array of key is the
+        same memory as when it was built.  The entry holds those arrays,
+        so their memory cannot be reused by other data meanwhile."""
+        entry = self._keyed.get(name)
+        if entry is None or [_pointer(a) for a in entry[0]] != [
+                _pointer(a) for a in key]:
+            self._keyed[name] = None            # free the old map first
+            self._keyed[name] = (key, build())
+        return self._keyed[name][1]
+
+    def divergence(self, pressure: ScalarSpace) -> SumOrder:
+        """Divergence element matrices, entries (E, n_p, n_loc, 2)."""
+        def build():
+            vdofs = 2 * self.dof_of[:, None, :, None] + np.arange(2)
+            shape = (len(vdofs), pressure.n_local, self.dof_of.shape[1], 2)
+            rows = np.broadcast_to(pressure.dof_of[:, :, None, None], shape)
+            cols = np.broadcast_to(vdofs, shape)
+            return SumOrder(rows.ravel(), cols.ravel(),
+                            (pressure.n_dofs, 2 * self.n_dofs))
+        return self.keyed("divergence", (pressure.dof_of,), build)
+
+
+# The maps of the last numbering asked about.  dof_of arrays are
+# read-only, so their identity is a key that cannot go stale.
+_last_maps: DofMaps | None = None
+
+
+def index_maps(space: ScalarSpace) -> DofMaps:
+    """The index maps of the space's DOF numbering, built once per
+    numbering (see the module doc)."""
+    global _last_maps
+    if (_last_maps is None or _last_maps.dof_of is not space.dof_of
+            or _last_maps.n_dofs != space.n_dofs):
+        _last_maps = None                   # free the old maps first
+        _last_maps = DofMaps(space.dof_of, space.n_dofs)
+    return _last_maps
+
+
+def gather(space: ScalarSpace, name: str, key: tuple, derive, *matrices):
+    """derive(*matrices) for a derive made of slicing, stacking,
+    transposition, format changes and whole-matrix negation.
+
+    The index map is cached under name with the maps of the space's
+    numbering, and rebuilt when an array of key or the pattern of an
+    input changes.  key must hold every array that derive depends on
+    besides the inputs.
+    """
+    key = key + tuple(m.indices for m in matrices)
+    g = index_maps(space).keyed(name, key, lambda: Gather(derive, matrices))
+    return g(matrices)
+
+
+def _interleaved(maps: DofMaps, scalar_data: np.ndarray) -> sparse.csr_matrix:
+    """The scalar matrix with data scalar_data, acting on both components."""
+    indptr, indices, source = maps.interleaved
+    n = 2 * maps.n_dofs
+    return sparse.csr_matrix((scalar_data[source], indices, indptr),
+                             shape=(n, n))
+
+
+def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
+                    A_mu: sparse.csr_matrix, B_conv: sparse.csr_matrix,
+                    tau: float) -> sparse.csr_matrix:
+    """M_rho / tau + A_mu + B_conv on the pattern of A_mu.
+
+    The entries are summed as scipy's sparse operators sum them, which
+    scale by 1 / tau and add left to right.  The arguments must be
+    assembled on spaces; A_mu is consumed.
+    """
+    maps = index_maps(spaces.velocity)
+    indptr, indices, _ = maps.interleaved
+    if (_pointer(A_mu.indices) != _pointer(maps.vector.indices)
+            or _pointer(M_rho.indices) != _pointer(indices)
+            or _pointer(B_conv.indices) != _pointer(indices)):
+        raise ValueError("momentum_matrix needs matrices assembled on spaces")
+    d = maps.diagonal
+    data = A_mu.data
+    data[d] = (M_rho.data * (1.0 / tau) + data[d]) + B_conv.data
+    return sparse.csr_matrix((data, A_mu.indices, A_mu.indptr),
+                             shape=A_mu.shape)
+
+
+# ---------------------------------------------------------------------------
+# element kernels
+
+
+def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
     vals = space.basis_values(geom.rule.points)         # (n_loc, Q)
     w = geom.wdet if weights is None else geom.wdet * weights[:, None]
-    local = (vals[None] * w[:, None, :]) @ vals.T       # (E, n_loc, n_loc)
-    return _scalar_local_to_csr(local, space.dof_of, space.n_dofs)
+    return (vals[None] * w[:, None, :]) @ vals.T        # (E, n_loc, n_loc)
 
 
-def scalar_laplacian(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
-    geom = geometry(mesh)
+# Elements per chunk of the Laplacian kernel.  Its two work arrays would
+# be as large as the physical gradients; the mesh Laplacian is assembled
+# while the saddle factor of the previous step is alive, so they set the
+# peak memory of a run.  With chunks of 128 elements the peak of the
+# rising-bubble runs at h=0.08 and 0.04 stays at that of whole-array COO
+# assembly; chunks of 512 raised it by about 5 MB at h=0.08.
+_LAPLACIAN_CHUNK = 128
+
+
+def _laplacian_local(geom: GeometryTables, space: ScalarSpace, weights):
     gphys = geom.physical_gradients(space)              # (E, Q, n_loc, 2)
     w = geom.wdet if weights is None else geom.wdet * weights[:, None]
     E, Q, n_loc, _ = gphys.shape
-    G = gphys.transpose(0, 2, 1, 3).reshape(E, n_loc, 2 * Q)
-    Gw = (gphys * w[:, :, None, None]).transpose(0, 2, 1, 3).reshape(
-        E, n_loc, 2 * Q)
-    local = Gw @ G.transpose(0, 2, 1)
-    return _scalar_local_to_csr(local, space.dof_of, space.n_dofs)
+    local = np.empty((E, n_loc, n_loc))
+    for lo in range(0, E, _LAPLACIAN_CHUNK):
+        g = gphys[lo:lo + _LAPLACIAN_CHUNK]
+        n = len(g)
+        G = g.transpose(0, 2, 1, 3).reshape(n, n_loc, 2 * Q)
+        # Gw is the transpose of a C-contiguous (n, 2Q, n_loc) array:
+        # matmul rounds differently for other operand layouts
+        Gw = np.multiply(g.transpose(0, 1, 3, 2),
+                         w[lo:lo + n, :, None, None],
+                         out=np.empty((n, Q, 2, n_loc)))
+        np.matmul(Gw.reshape(n, 2 * Q, n_loc).transpose(0, 2, 1),
+                  G.transpose(0, 2, 1), out=local[lo:lo + n])
+    return local
+
+
+def _viscous_local(geom: GeometryTables, V: ScalarSpace, mu):
+    """Entries (E, n_loc, 2, n_loc, 2) of the viscous form."""
+    gphys = geom.physical_gradients(V)
+    w = geom.wdet * mu[:, None]
+    E, Q, n_loc, _ = gphys.shape
+    # P[(i,a),(j,b)] = sum_K mu_K int d_a phi_i d_b phi_j
+    G = gphys.reshape(E, Q, 2 * n_loc)
+    P = (G * w[:, :, None]).transpose(0, 2, 1) @ G      # (E, 2n, 2n)
+    P = P.reshape(E, n_loc, 2, n_loc, 2)
+    trace = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
+    local = np.swapaxes(P, 2, 4).copy()                 # entry [i,a,j,b] = P[i,b,j,a]
+    local[:, :, 0, :, 0] += trace
+    local[:, :, 1, :, 1] += trace
+    return local
+
+
+def _divergence_local(geom: GeometryTables, P: ScalarSpace, V: ScalarSpace):
+    """Entries (E, n_p, n_v, 2) of the divergence form."""
+    pvals = P.basis_values(geom.rule.points)            # (n_p, Q)
+    gphys = geom.physical_gradients(V)                  # (E, Q, n_v, 2)
+    E, Q, n_v, _ = gphys.shape
+    G = gphys.reshape(E, Q, 2 * n_v)
+    return ((pvals[None] * geom.wdet[:, None, :]) @ G).reshape(
+        E, P.n_local, n_v, 2)
+
+
+def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
+                      transport: np.ndarray):
+    """Scalar entries (E, n_loc, n_loc) of the convection form."""
+    vals = V.basis_values(geom.rule.points)             # (n_loc, Q)
+    gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
+    a_coeff = transport.reshape(-1, 2)[V.dof_of]        # (E, n_loc, 2)
+    a_q = np.einsum("lq,eli->eqi", vals, a_coeff)       # (E, Q, 2)
+    w = geom.wdet * rho[:, None]
+    # scalar form: int phi_i (a . grad phi_j); identical for both components
+    adg = np.einsum("eqja,eqa->eqj", gphys, a_q)        # (E, Q, n_loc)
+    return (vals[None] * w[:, None, :]) @ adg
+
+
+def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
+    local = _mass_local(geometry(mesh), space, weights)
+    return index_maps(space).scalar.matrix(local)
+
+
+def scalar_laplacian(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
+    local = _laplacian_local(geometry(mesh), space, weights)
+    return index_maps(space).scalar.matrix(local)
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
@@ -101,45 +423,22 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
         raise ValueError(f"kind {kind} needs phase parameters")
     geom = geometry(mesh)
     V = spaces.velocity
+    maps = index_maps(V)
 
     if kind in ("M", "M_rho"):
         w = None if kind == "M" else params.rho_of(mesh.phase)
-        return _vector_expand(scalar_mass(mesh, V, weights=w))
+        return _interleaved(maps, maps.scalar.sum(_mass_local(geom, V, w)))
 
     if kind == "A":
-        return _vector_expand(scalar_laplacian(mesh, V))
+        return _interleaved(maps, maps.scalar.sum(_laplacian_local(geom, V, None)))
 
     if kind == "A_mu":
-        mu = params.mu_of(mesh.phase)
-        gphys = geom.physical_gradients(V)
-        w = geom.wdet * mu[:, None]
-        E, Q, n_loc, _ = gphys.shape
-        # P[(i,a),(j,b)] = sum_K mu_K int d_a phi_i d_b phi_j
-        G = gphys.reshape(E, Q, 2 * n_loc)
-        P = (G * w[:, :, None]).transpose(0, 2, 1) @ G  # (E, 2n, 2n)
-        P = P.reshape(E, n_loc, 2, n_loc, 2)
-        trace = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
-        local = np.swapaxes(P, 2, 4).copy()             # entry [i,a,j,b] = P[i,b,j,a]
-        local[:, :, 0, :, 0] += trace
-        local[:, :, 1, :, 1] += trace
-        dofs = V.dof_of
-        vrows = (2 * dofs[:, :, None] + np.arange(2)[None, None, :])
-        rows = np.broadcast_to(vrows[:, :, :, None, None], local.shape)
-        cols = np.broadcast_to(vrows[:, None, None, :, :], local.shape)
-        return _scatter(rows, cols, local, (2 * V.n_dofs, 2 * V.n_dofs))
+        return maps.vector.matrix(
+            _viscous_local(geom, V, params.mu_of(mesh.phase)))
 
     # kind == "C"
     P = spaces.pressure
-    pvals = P.basis_values(geom.rule.points)            # (n_p, Q)
-    gphys = geom.physical_gradients(V)                  # (E, Q, n_v, 2)
-    E, Q, n_v, _ = gphys.shape
-    G = gphys.reshape(E, Q, 2 * n_v)
-    local = ((pvals[None] * geom.wdet[:, None, :]) @ G).reshape(
-        E, P.n_local, n_v, 2)
-    prow = np.broadcast_to(P.dof_of[:, :, None, None], local.shape)
-    vcol = 2 * V.dof_of[:, None, :, None] + np.arange(2)[None, None, None, :]
-    vcol = np.broadcast_to(vcol, local.shape)
-    return _scatter(prow, vcol, local, (P.n_dofs, 2 * V.n_dofs))
+    return maps.divergence(P).matrix(_divergence_local(geom, P, V))
 
 
 def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
@@ -150,18 +449,11 @@ def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     a = u - w; the result satisfies
     v^T B chi = sum_K rho_K int (a . grad chi) . v.
     """
-    geom = geometry(mesh)
     V = spaces.velocity
-    vals = V.basis_values(geom.rule.points)             # (n_loc, Q)
-    gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
-    a_coeff = transport.reshape(-1, 2)[V.dof_of]        # (E, n_loc, 2)
-    a_q = np.einsum("lq,eli->eqi", vals, a_coeff)       # (E, Q, 2)
-    rho = params.rho_of(mesh.phase)
-    w = geom.wdet * rho[:, None]
-    # scalar form: int phi_i (a . grad phi_j); identical for both components
-    adg = np.einsum("eqja,eqa->eqj", gphys, a_q)        # (E, Q, n_loc)
-    local = (vals[None] * w[:, None, :]) @ adg
-    return _vector_expand(_scalar_local_to_csr(local, V.dof_of, V.n_dofs))
+    local = _convection_local(geometry(mesh), V, params.rho_of(mesh.phase),
+                              transport)
+    maps = index_maps(V)
+    return _interleaved(maps, maps.scalar.sum(local))
 
 
 def assemble_load(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import PhaseParams
-from .stepper import SimConfig, record_state, run
+from .stepper import SimConfig, run
 from .vtk_io import write_vtk
 
 
@@ -230,7 +230,7 @@ def cmd_verify(suite: str = "all", quiet=False) -> int:
 def build_verify_checks(suite: str):
     import numpy as np
 
-    from .assembly import assemble, PhaseParams
+    from .assembly import PhaseParams
     from .fespace import build_taylor_hood
     from .mesh import generate_bubble_mesh
     from .quadrature import triangle_rule, triangle_monomial_integral
@@ -258,7 +258,6 @@ def build_verify_checks(suite: str):
         def check_reference_matrices():
             from .fespace import build_scalar_space
             from .assembly import scalar_mass, scalar_laplacian
-            from .mesh import Mesh
             import numpy as np
 
             mesh = _unit_right_triangle()

@@ -48,6 +48,11 @@ def _inf_norm(A: sparse.spmatrix) -> float:
     return float(np.abs(A).sum(axis=1).max()) if A.nnz else 0.0
 
 
+def saddle_matrix(Kuu: sparse.spmatrix, B: sparse.spmatrix) -> sparse.csr_matrix:
+    """The saddle block [[Kuu, B^T], [B, 0]] in CSR."""
+    return sparse.bmat([[Kuu, B.T], [B, None]], format="csr")
+
+
 @dataclass
 class SaddleSystem:
     """Constrained saddle-point problem
@@ -57,23 +62,22 @@ class SaddleSystem:
         [ 0    m^T  0 ] [l]   [  0  ]
 
     where m is the pressure-mean functional, so m^T p = 0 holds exactly
-    at the solution and l absorbs any mean component of rhs_p.
+    at the solution and l absorbs any mean component of rhs_p.  A0 holds
+    the saddle block [[Kuu, B^T], [B, 0]] in CSR (`saddle_matrix`); the
+    sizes of rhs_u and rhs_p split it.
     """
 
-    Kuu: sparse.spmatrix
-    B: sparse.spmatrix
+    A0: sparse.csr_matrix
     rhs_u: np.ndarray
     rhs_p: np.ndarray
     mean_vector: np.ndarray
 
     def __post_init__(self):
-        n_u = self.Kuu.shape[0]
-        n_p = self.B.shape[0]
-        if self.B.shape[1] != n_u:
-            raise SolverError(f"B has shape {self.B.shape}, expected (*, {n_u})")
-        if len(self.rhs_u) != n_u or len(self.rhs_p) != n_p:
-            raise SolverError("right-hand side sizes do not match the blocks")
-        if len(self.mean_vector) != n_p:
+        n = len(self.rhs_u) + len(self.rhs_p)
+        if self.A0.shape != (n, n):
+            raise SolverError(f"A0 has shape {self.A0.shape}, the right-hand "
+                              f"sides need ({n}, {n})")
+        if len(self.mean_vector) != len(self.rhs_p):
             raise SolverError("mean vector size does not match pressure block")
 
 
@@ -191,13 +195,11 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
     target makes the result independent, to about 1e-12 in the
     observables, of which factor preconditioned it.
     """
-    n_u = system.Kuu.shape[0]
-    n_p = system.B.shape[0]
-    n = n_u + n_p
+    n_u = len(system.rhs_u)
+    n = system.A0.shape[0]
     m = system.mean_vector
     c = np.concatenate([np.zeros(n_u), m])
-    A0 = sparse.bmat([[system.Kuu, system.B.T], [system.B, None]],
-                     format="csr")
+    A0 = system.A0
     abs_A0, abs_c = abs(A0), np.abs(c)
     rhs = np.concatenate([system.rhs_u, system.rhs_p])
     b = np.append(rhs, 0.0)

@@ -237,8 +237,12 @@ class GeometryTables:
         k = space.degree
         if k not in self._gphys:
             G = reference_element(k).shape_gradients(self.rule.points)
-            self._gphys[k] = np.einsum("lqj,eqji->eqli", G, self.Jinv,
-                                       optimize=True)
+            E, Q = self.detJ.shape
+            # C-contiguous, so that the element kernels reading it need
+            # no strided copies
+            self._gphys[k] = np.einsum(
+                "lqj,eqji->eqli", G, self.Jinv, optimize=True,
+                out=np.empty((E, Q, len(G), 2)))
         return self._gphys[k]
 
 

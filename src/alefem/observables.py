@@ -77,15 +77,21 @@ def interface_length(mesh: Mesh) -> float:
 
 def circularity(mesh: Mesh) -> float:
     """Perimeter of the area-equivalent circle over the bubble perimeter."""
-    area = phase_area(mesh, MINUS)
-    return 2.0 * math.sqrt(math.pi * area) / interface_length(mesh)
+    return _circularity(phase_area(mesh, MINUS), interface_length(mesh))
+
+
+def _circularity(area: float, length: float) -> float:
+    return 2.0 * math.sqrt(math.pi * area) / length
 
 
 def rise_velocity(mesh: Mesh, velocity_space, u: np.ndarray) -> float:
     """Bubble average of the vertical velocity component."""
     geom = geometry(mesh)
+    return _rise_velocity(mesh, geom, field_values(velocity_space, u, geom))
+
+
+def _rise_velocity(mesh: Mesh, geom, uq: np.ndarray) -> float:
     mask = mesh.phase == MINUS
-    uq = field_values(velocity_space, u, geom)       # (E, Q, 2)
     area = geom.wdet[mask].sum()
     return float((geom.wdet[mask] * uq[mask, :, 1]).sum() / area)
 
@@ -93,9 +99,38 @@ def rise_velocity(mesh: Mesh, velocity_space, u: np.ndarray) -> float:
 def energy(mesh: Mesh, velocity_space, u: np.ndarray, params: PhaseParams):
     """(kinetic, potential, total): 0.5 rho |u|^2 and rho g y integrals."""
     geom = geometry(mesh)
+    return _energy(mesh, geom, field_values(velocity_space, u, geom), params)
+
+
+def _energy(mesh: Mesh, geom, uq: np.ndarray, params: PhaseParams):
     rho = params.rho_of(mesh.phase)
-    uq = field_values(velocity_space, u, geom)
     kin = 0.5 * float(np.einsum("eq,eqi,eqi,e->", geom.wdet, uq, uq, rho))
     pot = float(np.einsum("eq,eq,e->", geom.wdet, geom.x[:, :, 1],
                           rho * params.g))
     return kin, pot, kin + pot
+
+
+def benchmark_record(t: float, mesh: Mesh, velocity_space, u: np.ndarray,
+                     params: PhaseParams, min_angle: float,
+                     remesh_count: int) -> BenchmarkRecord:
+    """Every observable of one state.  Each quantity is computed once:
+    the velocity at the quadrature points serves the energy and the rise
+    velocity, the bubble area and interface length the circularity."""
+    geom = geometry(mesh)
+    uq = field_values(velocity_space, u, geom)
+    area = phase_area(mesh, MINUS)
+    length = interface_length(mesh)
+    kin, pot, tot = _energy(mesh, geom, uq, params)
+    return BenchmarkRecord(
+        t=t,
+        circularity=_circularity(area, length),
+        center_of_mass=center_of_mass(mesh),
+        rise_velocity=_rise_velocity(mesh, geom, uq),
+        kinetic_energy=kin,
+        potential_energy=pot,
+        total_energy=tot,
+        area_minus=area,
+        interface_length=length,
+        min_angle=min_angle,
+        remesh_count=remesh_count,
+    )

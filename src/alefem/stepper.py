@@ -34,20 +34,14 @@ from .assembly import (
     assemble,
     assemble_convection,
     assemble_load,
+    gather,
+    momentum_matrix,
     pressure_mean_vector,
 )
 from .fespace import SUBDOMAIN, FESpacePair, build_taylor_hood
-from .linalg import SaddleFactor, SaddleSystem, solve_saddle
+from .linalg import SaddleFactor, SaddleSystem, saddle_matrix, solve_saddle
 from .mesh import Mesh, generate_bubble_mesh, quality
-from .observables import (
-    BenchmarkRecord,
-    center_of_mass,
-    circularity,
-    energy,
-    interface_length,
-    phase_area,
-    rise_velocity,
-)
+from .observables import BenchmarkRecord, benchmark_record
 
 
 @dataclass(frozen=True)
@@ -130,26 +124,31 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     C = assemble("C", mesh, spaces)
     m = pressure_mean_vector(mesh, spaces)
 
-    Kuu = (M_rho / tau + A_mu + B_conv).tocsr()
     rhs_u = load + M_rho @ u_old / tau
+    Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
+    del M_rho, A_mu, B_conv
 
     n_u = 2 * spaces.velocity.n_dofs
     bnd = spaces.vector_dofs(spaces.boundary_dofs)
-    fixed = np.zeros(n_u, dtype=bool)
-    fixed[bnd] = True
-    free = ~fixed
+    free = np.ones(n_u, dtype=bool)
+    free[bnd] = False
     u_bc = np.zeros(n_u)
     if boundary_values is not None:
         u_bc[bnd] = boundary_values[bnd]
 
-    Kff = Kuu[free][:, free]
-    rhs_f = rhs_u[free] - Kuu[free][:, fixed] @ u_bc[fixed]
-    Cf = C[:, free]
-    rhs_p = C[:, fixed] @ u_bc[fixed]
+    # u_bc vanishes on the free DOFs, whose columns therefore add only
+    # +-0: these liftings equal those through the sliced blocks bitwise
+    rhs_f = rhs_u[free] - (Kuu @ u_bc)[free]
+    rhs_p = C @ u_bc
 
+    def saddle(Kuu, C):
+        return saddle_matrix(Kuu[free][:, free], (-C[:, free]).tocsr())
+
+    A0 = gather(spaces.velocity, "saddle", (spaces.boundary_dofs,), saddle,
+                Kuu, C)
+    del Kuu, C
     uf, p, lam, stats = solve_saddle(SaddleSystem(
-        Kuu=Kff, B=(-Cf).tocsr(), rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m),
-        factor)
+        A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
     u[free] = uf
     return u, p, lam, stats
@@ -177,7 +176,7 @@ def step(state: State, config: SimConfig) -> State:
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}
-    mesh2, spaces2, fields2, did_remesh = check_and_remesh(
+    mesh2, spaces2, fields2, did_remesh, min_angle = check_and_remesh(
         mesh, spaces, fields, config.rect, config.h,
         angle_threshold=config.remesh_angle)
     if did_remesh:
@@ -185,7 +184,7 @@ def step(state: State, config: SimConfig) -> State:
         p = fields2["p"][1]
     return State(
         t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
-        min_angle=quality(mesh2).min_angle, multiplier=lam,
+        min_angle=min_angle, multiplier=lam,
         remesh_count=state.remesh_count + int(did_remesh),
         # a factor of the old mesh cannot precondition the new one
         factor=None if did_remesh else stats.factor,
@@ -195,22 +194,9 @@ def step(state: State, config: SimConfig) -> State:
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
-    kin, pot, tot = energy(state.mesh, state.spaces.velocity, state.u,
-                           config.params)
-    return BenchmarkRecord(
-        t=state.t,
-        circularity=circularity(state.mesh),
-        center_of_mass=center_of_mass(state.mesh),
-        rise_velocity=rise_velocity(state.mesh, state.spaces.velocity,
-                                    state.u),
-        kinetic_energy=kin,
-        potential_energy=pot,
-        total_energy=tot,
-        area_minus=phase_area(state.mesh, -1),
-        interface_length=interface_length(state.mesh),
-        min_angle=state.min_angle,
-        remesh_count=state.remesh_count,
-    )
+    return benchmark_record(state.t, state.mesh, state.spaces.velocity,
+                            state.u, config.params, state.min_angle,
+                            state.remesh_count)
 
 
 def run(config: SimConfig, sinks=()):

@@ -28,8 +28,6 @@ from .assembly import (
     field_gradients,
     field_values,
     scalar_field_values,
-    scalar_mass,
-    _vector_expand,
 )
 from .fespace import (
     FESpacePair,
@@ -399,7 +397,7 @@ def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
 
     u = interpolate(spaces.velocity, exact_u, vector=True)
     f_nodal = interpolate(spaces.velocity, force, vector=True)
-    M = _vector_expand(scalar_mass(mesh, spaces.velocity))
+    M = assemble("M", mesh, spaces)
     load = M @ f_nodal
 
     w = harmonic_extension(mesh, spaces, u)

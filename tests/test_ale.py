@@ -109,9 +109,11 @@ def test_area_drift_second_order_for_divfree_motion(setup):
 def test_healthy_mesh_not_remeshed(setup):
     mesh, spaces = setup
     fields = {"u": ("velocity", np.zeros(2 * spaces.velocity.n_dofs))}
-    m2, s2, f2, did = check_and_remesh(mesh, spaces, fields, RECT, 0.1)
+    m2, s2, f2, did, min_angle = check_and_remesh(mesh, spaces, fields,
+                                                  RECT, 0.1)
     assert not did
     assert m2 is mesh and s2 is spaces and f2 is fields
+    assert min_angle == quality(mesh).min_angle
 
 
 def straighten_midnodes(mesh):
@@ -154,9 +156,10 @@ def test_remesh_triggers_and_restores_quality():
 
     u = interpolate(spaces_sh.velocity, quad, vector=True)
     fields = {"u": ("velocity", u)}
-    m2, s2, f2, did = check_and_remesh(sheared, spaces_sh, fields, RECT, 0.1)
+    m2, s2, f2, did, min_angle = check_and_remesh(sheared, spaces_sh,
+                                                  fields, RECT, 0.1)
     assert did
-    assert quality(m2).min_angle > math.pi / 18
+    assert min_angle == quality(m2).min_angle > math.pi / 18
 
     # phase areas are preserved up to the curved-geometry tolerance
     from alefem.mesh import geometry
@@ -201,8 +204,8 @@ def test_quadratic_transfer_exact_on_straight_interface():
         return (x * x - y, 2.0 * x * y + 0.5 * y * y)
 
     u = interpolate(spaces_sh.velocity, quad, vector=True)
-    m2, s2, f2, did = check_and_remesh(sheared, spaces_sh,
-                                       {"u": ("velocity", u)}, RECT, 0.1)
+    m2, s2, f2, did, _ = check_and_remesh(sheared, spaces_sh,
+                                          {"u": ("velocity", u)}, RECT, 0.1)
     assert did
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(0.05, 0.95, 100),
@@ -220,7 +223,7 @@ def test_remesh_keeps_interface_nodes_verbatim():
     sheared = shear_below_threshold(mesh)
     spaces_sh = spaces_with_mesh(spaces, sheared)
     old_iface = np.sort(sheared.coords[sheared.interface_node_ids()], axis=0)
-    m2, _, _, did = check_and_remesh(sheared, spaces_sh, {}, RECT, 0.1)
+    m2, _, _, did, _ = check_and_remesh(sheared, spaces_sh, {}, RECT, 0.1)
     assert did
     new_iface = np.sort(m2.coords[m2.interface_node_ids()], axis=0)
     assert old_iface.shape == new_iface.shape

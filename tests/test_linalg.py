@@ -16,6 +16,7 @@ from alefem.linalg import (
     SaddleSystem,
     SolverError,
     lu_solve,
+    saddle_matrix,
     solve_saddle,
 )
 from alefem.mesh import generate_bubble_mesh, generate_rect_mesh
@@ -73,7 +74,7 @@ def test_saddle_zero_rhs_gives_zero():
     Kff = (M_rho + A_mu).tocsr()[free][:, free]
     Cf = C[:, free]
     u, p, lam, _ = solve_saddle(SaddleSystem(
-        Kuu=Kff, B=(-Cf).tocsr(), rhs_u=np.zeros(Kff.shape[0]),
+        A0=saddle_matrix(Kff, (-Cf).tocsr()), rhs_u=np.zeros(Kff.shape[0]),
         rhs_p=np.zeros(C.shape[0]), mean_vector=m))
     assert np.abs(u).max() < 1e-14
     assert np.abs(p).max() < 1e-14
@@ -172,7 +173,8 @@ def bubble_saddle(mesh, spaces, u_old):
     C = assemble("C", mesh, spaces)
     free = np.ones(2 * spaces.velocity.n_dofs, dtype=bool)
     free[spaces.vector_dofs(spaces.boundary_dofs)] = False
-    return SaddleSystem(Kuu=Kuu[free][:, free], B=(-C[:, free]).tocsr(),
+    return SaddleSystem(A0=saddle_matrix(Kuu[free][:, free],
+                                         (-C[:, free]).tocsr()),
                         rhs_u=rhs[free], rhs_p=np.zeros(C.shape[0]),
                         mean_vector=pressure_mean_vector(mesh, spaces))
 
@@ -192,7 +194,7 @@ def lagged_pair():
 
 def assert_on_target(system, u, p, lam):
     """The bordered residual meets the 1e-12 refinement target."""
-    A0 = sparse.bmat([[system.Kuu, system.B.T], [system.B, None]]).tocsr()
+    A0 = system.A0
     m = system.mean_vector
     x = np.concatenate([u, p])
     rhs = np.concatenate([system.rhs_u, system.rhs_p])
@@ -225,8 +227,8 @@ def test_unusable_factor_is_replaced(lagged_pair):
     coarse_spaces = build_taylor_hood(coarse, 2)
     u0 = np.zeros(2 * coarse_spaces.velocity.n_dofs)
     wrong_size = solve_saddle(bubble_saddle(coarse, coarse_spaces, u0))[3].factor
-    n = new.Kuu.shape[0] + new.B.shape[0]
-    c = np.concatenate([np.zeros(new.Kuu.shape[0]), new.mean_vector])
+    n = new.A0.shape[0]
+    c = np.concatenate([np.zeros(len(new.rhs_u)), new.mean_vector])
     useless = SaddleFactor(sparse.identity(n, format="csr"), c)
     for factor in (wrong_size, useless):
         u, p, lam, stats = solve_saddle(new, factor)

@@ -172,3 +172,40 @@ def test_one_geometry_table_per_step(monkeypatch):
     record_state(nxt, cfg)
     assert nxt.remesh_count == 0
     assert len(built) == 1 and built[0] is nxt.mesh
+
+
+def test_record_state_evaluates_velocity_once(monkeypatch):
+    """record_state shares u at the quadrature points and the interface
+    length between observables, and equals them computed one by one."""
+    from alefem import observables as obs
+
+    cfg = tiny_config()
+    state = step(initialize(cfg), cfg)
+    calls = []
+    original = obs.field_values
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(obs, "field_values", counting)
+    rec = record_state(state, cfg)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    mesh, V, u = state.mesh, state.spaces.velocity, state.u
+    kin, pot, tot = obs.energy(mesh, V, u, cfg.params)
+    assert astuple(rec) == astuple(obs.BenchmarkRecord(
+        t=state.t,
+        circularity=obs.circularity(mesh),
+        center_of_mass=obs.center_of_mass(mesh),
+        rise_velocity=obs.rise_velocity(mesh, V, u),
+        kinetic_energy=kin,
+        potential_energy=pot,
+        total_energy=tot,
+        area_minus=obs.phase_area(mesh, -1),
+        interface_length=obs.interface_length(mesh),
+        min_angle=state.min_angle,
+        remesh_count=state.remesh_count,
+    ))
+    assert state.min_angle == quality(state.mesh).min_angle
