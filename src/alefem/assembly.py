@@ -1,4 +1,4 @@
-"""Assembly of the domain-dependent matrices, load vectors and norms.
+"""Assembly of the domain-dependent matrices and load vectors.
 
 All matrices act on interleaved vector coefficients (entries 2i, 2i+1
 are the x/y components of scalar DOF i) except the divergence matrix,
@@ -487,32 +487,6 @@ def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair) -> np.ndarray:
     return out
 
 
-def quadratic_norm(v: np.ndarray, kind: str, mesh: Mesh,
-                   space: ScalarSpace) -> float:
-    """Quadratic form v^T K v for K in {M, A, K}; equals the squared
-    L2 / H1-semi / H1 norm of the FE function with coefficients v."""
-    if kind not in ("M", "A", "K"):
-        raise ValueError(f"unknown norm kind {kind!r}")
-    geom = geometry(mesh)
-    if len(v) == 2 * space.n_dofs:
-        cf = v.reshape(-1, 2)
-    elif len(v) == space.n_dofs:
-        cf = v.reshape(-1, 1)
-    else:
-        raise ValueError(f"coefficient vector has length {len(v)}, expected "
-                         f"{space.n_dofs} or {2 * space.n_dofs}")
-    out = 0.0
-    if kind in ("M", "K"):
-        vals = space.basis_values(geom.rule.points)
-        uq = np.einsum("lq,elc->eqc", vals, cf[space.dof_of])
-        out += float(np.einsum("eqc,eqc,eq->", uq, uq, geom.wdet))
-    if kind in ("A", "K"):
-        gphys = geom.physical_gradients(space)
-        gq = np.einsum("eqla,elc->eqca", gphys, cf[space.dof_of])
-        out += float(np.einsum("eqca,eqca,eq->", gq, gq, geom.wdet))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # field evaluation at quadrature points (shared with the verification module)
 
@@ -531,7 +505,7 @@ def field_gradients(space: ScalarSpace, coeffs: np.ndarray,
     entry [i, j] = d u_i / d x_j."""
     gphys = geom.physical_gradients(space)
     cf = coeffs.reshape(-1, 2)[space.dof_of]
-    return np.einsum("eqlj,eli->eqij", gphys, cf)
+    return cf.transpose(0, 2, 1)[:, None] @ gphys
 
 
 def scalar_field_values(space: ScalarSpace, coeffs: np.ndarray,

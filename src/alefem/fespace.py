@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import MINUS, PLUS, Mesh, map_points
+from .mesh import MINUS, PLUS, Mesh, first_appearance, map_points
 from .reference import lattice_nodes, reference_element
 
 GLOBAL = "global"
@@ -117,48 +117,61 @@ def build_scalar_space(mesh: Mesh, degree: int,
         return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
                            positions, dof_phase)
 
-    tri = mesh.elements[:, :3]
-    n_loc = (degree + 1) * (degree + 2) // 2
-    dof_of = np.empty((mesh.n_elements, n_loc), dtype=int)
-
-    iface_vertices: set[int] = set()
-    iface_edges: set[tuple[int, int]] = set()
-    for e, le in mesh.interface_edges:
-        a, b = int(tri[e, le]), int(tri[e, (le + 1) % 3])
-        iface_vertices.update((a, b))
-        iface_edges.add((min(a, b), max(a, b)))
-    duplicated = continuity == SUBDOMAIN
-
-    dof_ids: dict[tuple, int] = {}
-
-    def get(key):
-        if key not in dof_ids:
-            dof_ids[key] = len(dof_ids)
-        return dof_ids[key]
-
-    for e in range(mesh.n_elements):
-        side = int(mesh.phase[e])
-        for lv in range(3):
-            v = int(tri[e, lv])
-            tag = side if (duplicated and v in iface_vertices) else 0
-            dof_of[e, lv] = get(("v", v, tag))
-        for le in range(3):
-            a, b = int(tri[e, le]), int(tri[e, (le + 1) % 3])
-            key = (min(a, b), max(a, b))
-            tag = side if (duplicated and key in iface_edges) else 0
-            ids = [get(("e", *key, tag, j)) for j in range(degree - 1)]
-            if a > b:
-                ids = ids[::-1]
-            dof_of[e, 3 + le * (degree - 1): 3 + (le + 1) * (degree - 1)] = ids
-        base = 3 + 3 * (degree - 1)
-        for j in range(n_loc - base):
-            dof_of[e, base + j] = get(("i", e, j))
-    n_dofs = len(dof_ids)
-
+    dof_of, n_dofs = _number_dofs(mesh, degree, continuity == SUBDOMAIN)
     positions = dof_positions(mesh, degree, dof_of, n_dofs)
     dof_phase = _phase_of_dofs(mesh, dof_of, n_dofs)
     return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
                        positions, dof_phase)
+
+
+def _number_dofs(mesh: Mesh, degree: int, duplicated: bool):
+    """DOF table and count of a degree-`degree` space.
+
+    DOF keys are vertices, (edge, j) for the degree-1 nodes inside each
+    edge, and (element, j) for interior nodes; a duplicated space tags
+    the keys on the interface with the phase of the element.  Keys are
+    numbered by first appearance, element by element, vertices first,
+    then edge nodes counted from the lower vertex id, then interior
+    nodes; an edge's nodes are stored reversed where it runs from the
+    higher vertex id to the lower.
+    """
+    tri = mesh.elements[:, :3]
+    E = mesh.n_elements
+    n_edge = degree - 1
+    n_loc = (degree + 1) * (degree + 2) // 2
+    n_int = n_loc - 3 - 3 * n_edge
+    a, b = tri, tri[:, [1, 2, 0]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+
+    # phase tag + 1 of each key: 0 or 2 on the duplicated interface, else 1
+    vertex_tag = edge_tag = np.ones((E, 3), dtype=np.int64)
+    if duplicated and len(mesh.interface_edges):
+        side = mesh.phase[:, None].astype(np.int64) + 1
+        ie, ile = mesh.interface_edges.T
+        lo_i, hi_i = lo[ie, ile], hi[ie, ile]
+        vertex_tag = np.where(np.isin(tri, [lo_i, hi_i]), side, 1)
+        m = int(tri.max()) + 1
+        edge_tag = np.where(np.isin(lo * m + hi, lo_i * m + hi_i), side, 1)
+
+    # key rows (kind, id, id2, tag, j), in the order the slots are met
+    keys = np.zeros((E, n_loc, 5), dtype=np.int64)
+    keys[:, :3, 1] = tri
+    keys[:, :3, 3] = vertex_tag
+    edge_keys = keys[:, 3:3 + 3 * n_edge].reshape(E, 3, n_edge, 5)
+    edge_keys[..., 0] = 1
+    edge_keys[..., 1] = lo[..., None]
+    edge_keys[..., 2] = hi[..., None]
+    edge_keys[..., 3] = edge_tag[..., None]
+    edge_keys[..., 4] = np.arange(n_edge)
+    keys[:, n_loc - n_int:, 0] = 2
+    keys[:, n_loc - n_int:, 1] = np.arange(E)[:, None]
+    keys[:, n_loc - n_int:, 4] = np.arange(n_int)
+    ids, first = first_appearance(keys.reshape(-1, 5))
+
+    dof_of = ids.reshape(E, n_loc)
+    edge_ids = dof_of[:, 3:3 + 3 * n_edge].reshape(E, 3, n_edge)
+    edge_ids[:] = np.where((a > b)[..., None], edge_ids[..., ::-1], edge_ids)
+    return dof_of, len(first)
 
 
 def dof_positions(mesh: Mesh, degree: int, dof_of: np.ndarray,
@@ -398,11 +411,3 @@ def evaluate_at(space: ScalarSpace, coeffs: np.ndarray, elems, ref,
         cf = coeffs.reshape(-1, 2)
         return np.einsum("lp,pli->pi", vals, cf[dofs])
     return np.einsum("lp,pl->p", vals, coeffs[dofs])
-
-
-def evaluate(space: ScalarSpace, coeffs: np.ndarray, x,
-             phase=None, vector: bool = False):
-    """Evaluate a FE function at one physical point."""
-    out = evaluate_many(space, coeffs, np.asarray(x, dtype=float)[None],
-                        phase=phase, vector=vector)
-    return out[0]

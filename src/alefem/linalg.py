@@ -22,28 +22,6 @@ class SolverError(Exception):
     pass
 
 
-def lu_solve(A: sparse.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by sparse LU; verifies the residual bound."""
-    b = np.asarray(b, dtype=float)
-    A = A.tocsc()
-    if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
-        raise SolverError(f"shape mismatch: A is {A.shape}, b has {len(b)}")
-    try:
-        lu = splu(A)
-    except RuntimeError as err:
-        raise SolverError(f"factorization failed: {err}") from err
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("factorization produced non-finite entries "
-                          "(singular to working precision)")
-    resid = np.abs(A @ x - b).max(initial=0.0)
-    scale = _inf_norm(A) * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
-    if resid > 1e-10 * max(scale, 1e-30):
-        raise SolverError(
-            f"residual {resid:.3e} exceeds 1e-10 * {scale:.3e}")
-    return x
-
-
 def _inf_norm(A: sparse.spmatrix) -> float:
     return float(np.abs(A).sum(axis=1).max()) if A.nnz else 0.0
 

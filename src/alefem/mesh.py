@@ -12,6 +12,13 @@ interface segments by edge flips, and smooths the free points.  Degree-k
 geometry is obtained afterwards by inserting edge/interior nodes, with
 the interface edge nodes placed on the exact interface curve.
 
+Numbering rule: every entity id (edge node, interior node, DOF of a
+space) is given by first appearance over (element, local entity) in
+element order, as a dict filled in that order would number its keys.
+`first_appearance` computes it from one int64 code per key.  The index
+maps cached by `assembly.index_maps` depend on the resulting numbering,
+so a change to this rule changes every assembled pattern.
+
 `geometry(mesh)` holds the Jacobian data of a mesh configuration at the
 assembly quadrature points.  It is built once per configuration and
 shared by assembly, observables and `quality`.
@@ -112,22 +119,53 @@ class Mesh:
     def vertex_ids(self) -> np.ndarray:
         return np.unique(self.elements[:, :3])
 
-    def edge_nodes(self, element: int, local_edge: int) -> np.ndarray:
-        """Node ids along an element edge, ordered along its direction."""
-        return self.elements[element, edge_local_nodes(self.degree, local_edge)]
-
     def interface_node_ids(self) -> np.ndarray:
         """All node ids lying on the interface."""
-        if len(self.interface_edges) == 0:
-            return np.empty(0, dtype=int)
-        ids = [self.edge_nodes(e, le) for e, le in self.interface_edges]
-        return np.unique(np.concatenate(ids))
+        return self._node_ids_on(self.interface_edges)
 
     def boundary_node_ids(self) -> np.ndarray:
-        if len(self.boundary_edges) == 0:
+        return self._node_ids_on(self.boundary_edges)
+
+    def _node_ids_on(self, edges: np.ndarray) -> np.ndarray:
+        if len(edges) == 0:
             return np.empty(0, dtype=int)
-        ids = [self.edge_nodes(e, le) for e, le in self.boundary_edges]
-        return np.unique(np.concatenate(ids))
+        local = np.array([edge_local_nodes(self.degree, le) for le in range(3)])
+        return np.unique(self.elements[edges[:, :1], local[edges[:, 1]]])
+
+
+def first_appearance(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of an integer key table by first appearance.
+
+    keys is (n, m) with non-negative entries.  Each row is encoded as one
+    int64 code (mixed radix over the columns).  Returns (ids, first):
+    ids[i] is the number of row i's key and first[j] the row where key j
+    appears first, so first increases.  This is the numbering a dict
+    gives its keys when filled in row order.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    radices = [int(col.max(initial=0)) + 1 for col in keys.T]
+    if math.prod(radices) >= 2 ** 63:
+        raise OverflowError("key table too large for int64 codes")
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for col, radix in zip(keys.T, radices):
+        codes = codes * radix + col
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _edge_table(tris):
+    """Undirected edges numbered by first appearance over (element,
+    local edge).  Returns (edge_of, ends, first): edge_of (E, 3) edge id
+    of each local edge, ends (n_edges, 2) its endpoints in increasing
+    order, first (n_edges,) its first incidence as element*3 + local
+    edge."""
+    a, b = tris, tris[:, [1, 2, 0]]
+    pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=2).reshape(-1, 2)
+    ids, first = first_appearance(pairs)
+    return ids.reshape(-1, 3), pairs[first], first
 
 
 def _check_interface_pairing(elements, phase, interface_edges) -> None:
@@ -181,19 +219,6 @@ def map_points(mesh: Mesh, elems, ref: np.ndarray):
     x = np.einsum("lp,pli->pi", vals, xe)
     J = np.einsum("lpj,pli->pij", grads, xe)
     detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    return x, J, detJ
-
-
-def element_map(mesh: Mesh, element: int, ref_pts):
-    """Evaluate the geometry map of one element at reference points.
-
-    Returns (x, J, detJ) as `map_points` does.  Raises
-    TangledElementError if any detJ <= 0.
-    """
-    ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
-    x, J, detJ = map_points(mesh, np.full(len(ref_pts), element), ref_pts)
-    if np.any(detJ <= 0.0):
-        raise TangledElementError(element, float(detJ.min()))
     return x, J, detJ
 
 
@@ -326,20 +351,18 @@ def generate_rect_mesh(rect, h: float, k: int) -> Mesh:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris += [(a, b, c), (a, c, d)]
-            else:
-                tris += [(a, b, d), (b, c, d)]
-    tris = np.array(tris, dtype=int)
+    # cells (i, j) in row-major order, each split along the diagonal
+    # that alternates with the parity of i + j
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny),
+                                            indexing="ij"))
+    a, b = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+    c, d = b + 1, a + 1
+    even = ((i + j) % 2 == 0)[:, None]
+    first = np.where(even, np.column_stack([a, b, c]), np.column_stack([a, b, d]))
+    second = np.where(even, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
+    tris = np.stack([first, second], axis=1).reshape(-1, 3)
     phase = np.full(len(tris), PLUS, dtype=np.int8)
-    return _elevate(pts, tris, phase, {}, rect, k)
+    return _elevate(pts, tris, phase, rect, k)
 
 
 def generate_bubble_mesh(rect, center, radius: float, h: float, k: int) -> Mesh:
@@ -397,8 +420,7 @@ def fit_interface_mesh(rect, ring: np.ndarray, h: float, k: int,
         try:
             pts, tris, ring_ids = _fit_points(rect, ring, h, band)
             phase = _classify(pts, tris, ring)
-            mesh = _build_fitted(pts, tris, phase, ring_ids, rect, k,
-                                 segment_curve)
+            mesh = _elevate(pts, tris, phase, rect, k, ring_ids, segment_curve)
             q = quality(mesh)
             if q.min_angle > min_angle and q.min_jacobian > 0.0:
                 return mesh
@@ -514,6 +536,13 @@ def _ekey(a, b):
 
 
 def _recover_edges(pts, tris, segments):
+    # Delaunay usually contains every segment already; then no flip is due
+    pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]],
+                       np.asarray(segments)])
+    ids, first = first_appearance(np.sort(pairs, axis=1))
+    if (first[ids[3 * len(tris):]] < 3 * len(tris)).all():
+        return np.array(tris, dtype=int)
+
     tri_list = [tuple(int(v) for v in t) for t in tris]
     edge_map: dict[tuple[int, int], list[int]] = {}
     for idx, t in enumerate(tri_list):
@@ -589,85 +618,56 @@ def _find_crossing_edge(pts, edge_map, a, b):
 # degree elevation
 
 
-def _build_fitted(pts, tris, phase, ring_ids, rect, k, segment_curve):
-    """Attach interface metadata and elevate to degree k."""
-    n_ring = len(ring_ids)
-    ring_pos = {int(ring_ids[i]): i for i in range(n_ring)}
+def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
+    """Insert degree-k edge/interior nodes and assemble the Mesh.
 
-    # map undirected interface edge key -> directed ring segment (i0, i1)
-    interface_pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for tri in tris:
-        for le in range(3):
-            a, b = int(tri[le]), int(tri[(le + 1) % 3])
-            ia, ib = ring_pos.get(a), ring_pos.get(b)
-            if ia is None or ib is None:
-                continue
-            if (ia + 1) % n_ring == ib:
-                interface_pairs[_ekey(a, b)] = (ia, ib)
-            elif (ib + 1) % n_ring == ia:
-                interface_pairs[_ekey(a, b)] = (ib, ia)
-    return _elevate(pts, tris, phase, interface_pairs, rect, k,
-                    segment_curve=segment_curve, ring_ids=ring_ids)
-
-
-def _elevate(pts, tris, phase, interface_pairs, rect, k,
-             segment_curve=None, ring_ids=None):
-    """Insert degree-k edge/interior nodes and assemble the Mesh."""
-    ring_id_of = {} if ring_ids is None else {
-        i: int(ring_ids[i]) for i in range(len(ring_ids))
-    }
+    With a segment_curve, the edges joining consecutive ring_ids are
+    interface edges whose nodes lie on segment_curve; all other edges
+    are straight.  Edge j's k-1 nodes get ids len(pts) + (k-1)*j + (0..k-2)
+    along its increasing-id direction; cubic interior nodes follow, one
+    per element.
+    """
+    pts = np.asarray(pts, dtype=float)
     n_loc = (k + 1) * (k + 2) // 2
-    nodes = [np.asarray(pts, dtype=float)]
-    next_id = len(pts)
-    edge_ids: dict[tuple[int, int], np.ndarray] = {}
+    edge_of, ends, first = _edge_table(tris)
     elements = np.empty((len(tris), n_loc), dtype=int)
     elements[:, :3] = tris
-    # undirected key -> deviation of the curve midpoint from the chord
-    # midpoint; drives the interior-node correction of adjacent cubics
-    mid_deviation: dict[tuple[int, int], np.ndarray] = {}
+    nodes = [pts]
+    curved = np.zeros(len(ends), dtype=bool)
+    # deviation of the curve midpoint from the chord midpoint; drives
+    # the interior-node correction of adjacent cubics
+    deviation = np.zeros((len(ends), 2))
 
     if k >= 2:
-        for e, tri in enumerate(tris):
-            for le in range(3):
-                a, b = int(tri[le]), int(tri[(le + 1) % 3])
-                key = _ekey(a, b)
-                if key not in edge_ids:
-                    if segment_curve is not None and key in interface_pairs:
-                        i0, i1 = interface_pairs[key]
-                        s = np.arange(1, k) / k
-                        mids = np.asarray(segment_curve(i0, i1, s), dtype=float)
-                        # mids run from ring vertex i0 to i1; store along the
-                        # sorted key direction key[0] -> key[1]
-                        if ring_id_of[i0] != key[0]:
-                            mids = mids[::-1]
-                        chord_mid = 0.5 * (pts[key[0]] + pts[key[1]])
-                        curve_mid = np.asarray(
-                            segment_curve(i0, i1, np.array([0.5])), dtype=float)[0]
-                        mid_deviation[key] = curve_mid - chord_mid
-                    else:
-                        # straight placement, along the sorted key direction
-                        pa, pb = pts[key[0]], pts[key[1]]
-                        s = (np.arange(1, k) / k)[:, None]
-                        mids = pa[None] * (1 - s) + pb[None] * s
-                    ids = np.arange(next_id, next_id + (k - 1))
-                    next_id += k - 1
-                    nodes.append(mids)
-                    edge_ids[key] = ids
-                ids = edge_ids[key]
-                ordered = ids if a < b else ids[::-1]
-                elements[e, 3 + le * (k - 1): 3 + (le + 1) * (k - 1)] = ordered
+        s = np.arange(1, k) / k
+        mids = (pts[ends[:, 0], None] * (1 - s[:, None])
+                + pts[ends[:, 1], None] * s[:, None])   # (n_edges, k-1, 2)
+        if segment_curve is not None:
+            for edge, i0, i1 in zip(*_ring_segments(ends, ring_ids, len(pts))):
+                arc = np.asarray(segment_curve(i0, i1, s), dtype=float)
+                # arc runs from ring vertex i0 to i1; store it along ends
+                mids[edge] = arc if ring_ids[i0] == ends[edge, 0] else arc[::-1]
+                chord_mid = 0.5 * (pts[ends[edge, 0]] + pts[ends[edge, 1]])
+                curve_mid = np.asarray(
+                    segment_curve(i0, i1, np.array([0.5])), dtype=float)[0]
+                deviation[edge] = curve_mid - chord_mid
+                curved[edge] = True
+        nodes.append(mids.reshape(-1, 2))
+        forward = tris < tris[:, [1, 2, 0]]
+        j = np.arange(k - 1)
+        along = np.where(forward[..., None], j, k - 2 - j)  # (E, 3, k-1)
+        ids = len(pts) + (k - 1) * edge_of[..., None] + along
+        elements[:, 3:3 + 3 * (k - 1)] = ids.reshape(len(tris), -1)
     if k == 3:
-        centers = pts[tris].mean(axis=1)
-        ids = np.arange(next_id, next_id + len(tris))
-        next_id += len(tris)
-        nodes.append(centers)
-        elements[:, 9] = ids
+        nodes.append(pts[tris].mean(axis=1))
+        elements[:, 9] = len(pts) + 2 * len(ends) + np.arange(len(tris))
 
     coords = np.vstack(nodes)
-    if k == 3 and mid_deviation:
-        _shift_interior_nodes(coords, elements, tris, mid_deviation)
+    if k == 3 and curved.any():
+        _shift_interior_nodes(coords, elements, edge_of, curved, deviation)
 
-    interface_edges, boundary_edges = _find_edge_sets(tris, phase, rect, coords)
+    interface_edges, boundary_edges = _find_edge_sets(
+        edge_of, ends, first, phase, rect, coords)
     return Mesh(
         x=coords.ravel(),
         elements=elements,
@@ -678,7 +678,23 @@ def _elevate(pts, tris, phase, interface_pairs, rect, k,
     )
 
 
-def _shift_interior_nodes(coords, elements, tris, mid_deviation):
+def _ring_segments(ends, ring_ids, n_pts):
+    """The edges joining consecutive ring vertices, in edge order, as
+    (edge ids, i0, i1) with i0 -> i1 the directed ring segment."""
+    n = len(ring_ids)
+    pos = np.full(n_pts, -1)
+    pos[ring_ids] = np.arange(n)
+    ia, ib = pos[ends[:, 0]], pos[ends[:, 1]]
+    on_ring = (ia >= 0) & (ib >= 0)
+    forward = on_ring & ((ia + 1) % n == ib)
+    backward = on_ring & ((ib + 1) % n == ia)
+    edges = np.flatnonzero(forward | backward)
+    i0 = np.where(forward, ia, ib)[edges]
+    i1 = np.where(forward, ib, ia)[edges]
+    return edges, i0.tolist(), i1.tolist()
+
+
+def _shift_interior_nodes(coords, elements, edge_of, curved, deviation):
     """Move cubic interior nodes with the curved edges.
 
     The curved map decomposes into the straight map, the quadratic edge
@@ -687,51 +703,42 @@ def _shift_interior_nodes(coords, elements, tris, mid_deviation):
     follow the quadratic part, whose bump function 4*lam_a*lam_b equals
     4/9 at the barycenter; the cubic edge basis functions vanish there.
     """
-    for e, tri in enumerate(tris):
-        delta = np.zeros(2)
-        moved = False
-        for le in range(3):
-            key = _ekey(int(tri[le]), int(tri[(le + 1) % 3]))
-            dev = mid_deviation.get(key)
-            if dev is not None:
-                delta = delta + (4.0 / 9.0) * dev
-                moved = True
-        if moved:
-            coords[elements[e, 9]] += delta
+    delta = np.zeros((len(elements), 2))
+    for le in range(3):
+        on = curved[edge_of[:, le]]
+        delta[on] = delta[on] + (4.0 / 9.0) * deviation[edge_of[on, le]]
+    moved = curved[edge_of].any(axis=1)
+    coords[elements[moved, 9]] += delta[moved]
 
 
-def _find_edge_sets(tris, phase, rect, coords):
+def _find_edge_sets(edge_of, ends, first, phase, rect, coords):
+    """Interface edges, each at its minus-side incidence, and boundary
+    edges, each at its only incidence; sorted (element, local_edge) rows.
+    """
     x0, y0, x1, y1 = rect
-    edge_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e, tri in enumerate(tris):
-        for le in range(3):
-            a, b = int(tri[le]), int(tri[(le + 1) % 3])
-            edge_map.setdefault(_ekey(a, b), []).append((e, le))
-    interface = []
-    boundary = []
-    for key, owners in edge_map.items():
-        if len(owners) == 2:
-            (e1, le1), (e2, le2) = owners
-            if phase[e1] != phase[e2]:
-                interface.append((e1, le1) if phase[e1] == MINUS else (e2, le2))
-        else:
-            e, le = owners[0]
-            a, b = key
-            pa, pb = coords[a], coords[b]
-            on_wall = (
-                (np.isclose(pa[0], x0) and np.isclose(pb[0], x0))
-                or (np.isclose(pa[0], x1) and np.isclose(pb[0], x1))
-                or (np.isclose(pa[1], y0) and np.isclose(pb[1], y0))
-                or (np.isclose(pa[1], y1) and np.isclose(pb[1], y1))
-            )
-            if not on_wall:
-                raise MeshGenerationError(
-                    f"dangling edge {key} is not on the rectangle boundary"
-                )
-            boundary.append((e, le))
-    interface = np.array(sorted(interface), dtype=int).reshape(-1, 2)
-    boundary = np.array(sorted(boundary), dtype=int).reshape(-1, 2)
-    return interface, boundary
+    ids = edge_of.ravel()
+    count = np.bincount(ids, minlength=len(ends))
+    half_phase = np.repeat(np.asarray(phase), 3)
+    phase_sum = np.bincount(ids, weights=half_phase, minlength=len(ends))
+    interface = np.flatnonzero((count[ids] == 2) & (phase_sum[ids] == 0)
+                               & (half_phase == MINUS))
+
+    dangling = np.flatnonzero(count != 2)
+    pa, pb = coords[ends[dangling, 0]], coords[ends[dangling, 1]]
+    on_wall = (
+        (np.isclose(pa[:, 0], x0) & np.isclose(pb[:, 0], x0))
+        | (np.isclose(pa[:, 0], x1) & np.isclose(pb[:, 0], x1))
+        | (np.isclose(pa[:, 1], y0) & np.isclose(pb[:, 1], y0))
+        | (np.isclose(pa[:, 1], y1) & np.isclose(pb[:, 1], y1))
+    )
+    if not on_wall.all():
+        key = tuple(int(v) for v in ends[dangling[np.argmin(on_wall)]])
+        raise MeshGenerationError(
+            f"dangling edge {key} is not on the rectangle boundary"
+        )
+    boundary = first[dangling]          # increasing, as first is
+    return (np.stack(np.divmod(interface, 3), axis=1),
+            np.stack(np.divmod(boundary, 3), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -96,12 +96,6 @@ def _rise_velocity(mesh: Mesh, geom, uq: np.ndarray) -> float:
     return float((geom.wdet[mask] * uq[mask, :, 1]).sum() / area)
 
 
-def energy(mesh: Mesh, velocity_space, u: np.ndarray, params: PhaseParams):
-    """(kinetic, potential, total): 0.5 rho |u|^2 and rho g y integrals."""
-    geom = geometry(mesh)
-    return _energy(mesh, geom, field_values(velocity_space, u, geom), params)
-
-
 def _energy(mesh: Mesh, geom, uq: np.ndarray, params: PhaseParams):
     rho = params.rho_of(mesh.phase)
     kin = 0.5 * float(np.einsum("eq,eqi,eqi,e->", geom.wdet, uq, uq, rho))

@@ -38,4 +38,4 @@ def two_triangle_mesh():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     phase = np.ones(2, dtype=np.int8)
-    return _elevate(pts, tris, phase, {}, (0, 0, 1, 1), 2)
+    return _elevate(pts, tris, phase, (0, 0, 1, 1), 2)

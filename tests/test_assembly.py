@@ -7,7 +7,6 @@ from alefem.assembly import (
     assemble_convection,
     assemble_load,
     pressure_mean_vector,
-    quadratic_norm,
     scalar_laplacian,
     scalar_mass,
 )
@@ -224,16 +223,19 @@ def test_load_rho_weighted(small_setup):
 
 
 def test_quadratic_norms(small_setup):
+    """v @ M @ v and v @ A @ v are the squared L2 and H1-semi norms."""
     mesh, spaces = small_setup
     V = spaces.velocity
+    M = assemble("M", mesh, spaces)
+    A = assemble("A", mesh, spaces)
     one = np.tile([1.0, 0.0], V.n_dofs)
-    assert quadratic_norm(one, "M", mesh, V) == pytest.approx(2.0, abs=1e-10)
-    assert quadratic_norm(one, "A", mesh, V) == pytest.approx(0.0, abs=1e-12)
-    xf = interpolate(V, lambda x, y: x)
-    # scalar field x on the rectangle: the gradient integral is the area
-    assert quadratic_norm(xf, "A", mesh, V) == pytest.approx(2.0, abs=1e-10)
-    assert quadratic_norm(xf, "K", mesh, V) == pytest.approx(
-        quadratic_norm(xf, "M", mesh, V) + 2.0, abs=1e-9)
+    assert one @ M @ one == pytest.approx(2.0, abs=1e-10)
+    assert one @ A @ one == pytest.approx(0.0, abs=1e-12)
+    xf = interpolate(V, lambda x, y: (x, 0.0), vector=True)
+    # field (x, 0) on the rectangle: the gradient integral is the area
+    assert xf @ A @ xf == pytest.approx(2.0, abs=1e-10)
+    # the H1 norm is the sum of both
+    assert xf @ (M + A) @ xf == pytest.approx(xf @ M @ xf + 2.0, abs=1e-9)
 
 
 def test_pressure_mean_vector_is_integral(small_setup):
@@ -246,9 +248,8 @@ def test_pressure_mean_vector_is_integral(small_setup):
 def test_unit_square_quadratic_norm():
     mesh = generate_rect_mesh((0, 0, 1, 1), 0.25, 2)
     spaces = build_taylor_hood(mesh, 2)
-    xf = interpolate(spaces.velocity, lambda x, y: x)
-    assert quadratic_norm(xf, "A", mesh, spaces.velocity) == \
-        pytest.approx(1.0, abs=1e-12)
+    xf = interpolate(spaces.velocity, lambda x, y: (x, 0.0), vector=True)
+    assert xf @ assemble("A", mesh, spaces) @ xf == pytest.approx(1.0, abs=1e-12)
 
 
 def test_physical_gradients_cached_by_degree_not_identity():

@@ -9,12 +9,12 @@ from alefem.fespace import (
     PointLocationError,
     build_scalar_space,
     build_taylor_hood,
-    evaluate,
     evaluate_at,
     evaluate_many,
     interpolate,
 )
-from alefem.mesh import displace, generate_bubble_mesh, generate_rect_mesh
+from alefem.mesh import (displace, generate_bubble_mesh, generate_rect_mesh,
+                          map_points)
 
 from conftest import CENTER, RADIUS, RECT
 
@@ -102,7 +102,7 @@ def test_evaluate_at_node_gives_coefficient(bubble_pair_k2):
     rng = np.random.default_rng(3)
     c = rng.normal(size=V.n_dofs)
     for dof in (5, 100, 400):
-        val = evaluate(V, c, V.positions[dof])
+        val = evaluate_many(V, c, V.positions[dof])[0]
         assert val == pytest.approx(c[dof], abs=1e-11)
 
 
@@ -122,10 +122,8 @@ def test_quadratic_exact_at_centroids(bubble_mesh_k2, bubble_pair_k2):
         return x * x - 0.5 * x * y + 2.0 * y * y - x + 3.0
 
     c = interpolate(V, f)
-    from alefem.mesh import element_map
-
     for e in range(0, mesh.n_elements, 37):
-        x, _, _ = element_map(mesh, e, [[1 / 3, 1 / 3]])
+        x, _, _ = map_points(mesh, [e], np.array([[1 / 3, 1 / 3]]))
         val = evaluate_at(V, c, np.array([e]), np.array([[1 / 3, 1 / 3]]))
         # exact only on straight elements; curved ones approximate
         tri = mesh.coords[mesh.elements[e, :3]]
@@ -141,20 +139,20 @@ def test_point_outside_mesh_raises(bubble_pair_k2):
     V = bubble_pair_k2.velocity
     c = np.zeros(V.n_dofs)
     with pytest.raises(PointLocationError):
-        evaluate(V, c, (5.0, 5.0))
+        evaluate_many(V, c, (5.0, 5.0))
 
 
 def test_two_valued_interpolation_and_sides(bubble_pair_k2):
     P = bubble_pair_k2.pressure
     c = interpolate(P, (lambda x, y: 1.0, lambda x, y: -1.0))
-    inside = evaluate(P, c, CENTER, phase=-1)
-    outside = evaluate(P, c, (0.1, 1.8), phase=1)
+    inside, = evaluate_many(P, c, CENTER, phase=-1)
+    outside, = evaluate_many(P, c, (0.1, 1.8), phase=1)
     assert inside == pytest.approx(-1.0, abs=1e-14)
     assert outside == pytest.approx(1.0, abs=1e-14)
     # on the interface both branches are reachable
     pt = (CENTER[0] + RADIUS, CENTER[1])
-    assert evaluate(P, c, pt, phase=-1) == pytest.approx(-1.0, abs=1e-10)
-    assert evaluate(P, c, pt, phase=1) == pytest.approx(1.0, abs=1e-10)
+    assert evaluate_many(P, c, pt, phase=-1)[0] == pytest.approx(-1.0, abs=1e-10)
+    assert evaluate_many(P, c, pt, phase=1)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_transport_property_under_displacement(bubble_mesh_k2, bubble_pair_k2):

@@ -14,8 +14,6 @@ from alefem.fespace import build_taylor_hood, interpolate
 from alefem.linalg import (
     SaddleFactor,
     SaddleSystem,
-    SolverError,
-    lu_solve,
     saddle_matrix,
     solve_saddle,
 )
@@ -23,41 +21,6 @@ from alefem.mesh import generate_bubble_mesh, generate_rect_mesh
 from alefem.stepper import flow_solve
 
 from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
-
-
-def test_lu_identity():
-    A = sparse.identity(5, format="csr")
-    b = np.arange(5.0)
-    assert np.array_equal(lu_solve(A, b), b)
-
-
-def test_lu_diagonal():
-    A = sparse.diags([2.0, 4.0]).tocsr()
-    x = lu_solve(A, np.array([2.0, 8.0]))
-    assert np.allclose(x, [1.0, 2.0], atol=1e-14)
-
-
-def test_lu_random_spd_residual():
-    rng = np.random.default_rng(0)
-    B = rng.normal(size=(200, 200))
-    A = sparse.csr_matrix(B @ B.T + 200 * np.eye(200))
-    b = rng.normal(size=200)
-    x = lu_solve(A, b)
-    resid = np.abs(A @ x - b).max()
-    scale = np.abs(A.toarray()).sum(axis=1).max() * np.abs(x).max() \
-        + np.abs(b).max()
-    assert resid <= 1e-10 * scale
-
-
-def test_lu_singular_raises():
-    A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(SolverError):
-        lu_solve(A, np.array([1.0, 1.0]))
-
-
-def test_lu_shape_mismatch():
-    with pytest.raises(SolverError):
-        lu_solve(sparse.identity(3, format="csr"), np.zeros(4))
 
 
 def test_saddle_zero_rhs_gives_zero():

@@ -8,10 +8,11 @@ from alefem.mesh import (
     MeshGenerationError,
     TangledElementError,
     displace,
-    element_map,
     generate_bubble_mesh,
     generate_rect_mesh,
+    geometry,
     interface_cycle,
+    map_points,
     quality,
 )
 from alefem.quadrature import triangle_rule
@@ -81,7 +82,7 @@ def test_element_map_affine():
         degree=1,
     )
     pts = np.array([[0.2, 0.3], [0.0, 0.0], [0.5, 0.5]])
-    x, J, detJ = element_map(mesh, 0, pts)
+    x, J, detJ = map_points(mesh, np.zeros(len(pts), dtype=int), pts)
     assert np.allclose(detJ, 4.0)
     assert np.allclose(x[0], [0.4, 0.6])
 
@@ -95,7 +96,7 @@ def test_element_map_identity():
         boundary_edges=np.array([[0, 0], [0, 1], [0, 2]]),
         degree=1,
     )
-    _, J, _ = element_map(mesh, 0, [[0.3, 0.3]])
+    _, J, _ = map_points(mesh, [0], np.array([[0.3, 0.3]]))
     assert np.allclose(J[0], np.eye(2))
 
 
@@ -114,13 +115,13 @@ def test_element_map_curved_matches_finite_differences():
         degree=2,
     )
     p = np.array([[0.3, 0.2]])
-    _, J, _ = element_map(mesh, 0, p)
+    _, J, _ = map_points(mesh, [0], p)
     eps = 1e-6
     for axis in range(2):
         dp = np.zeros(2)
         dp[axis] = eps
-        xp, _, _ = element_map(mesh, 0, p + dp)
-        xm, _, _ = element_map(mesh, 0, p - dp)
+        xp, _, _ = map_points(mesh, [0], p + dp)
+        xm, _, _ = map_points(mesh, [0], p - dp)
         fd = (xp[0] - xm[0]) / (2 * eps)
         assert np.abs(J[0, :, axis] - fd).max() < 1e-6
 
@@ -135,8 +136,10 @@ def test_element_map_tangled_raises():
         boundary_edges=np.empty((0, 2), dtype=int),
         degree=1,
     )
+    _, _, detJ = map_points(mesh, [0], np.array([[0.3, 0.3]]))
+    assert detJ[0] < 0.0
     with pytest.raises(TangledElementError):
-        element_map(mesh, 0, [[0.3, 0.3]])
+        geometry(mesh)
 
 
 def quality_of_triangle(verts):

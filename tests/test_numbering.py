@@ -1,0 +1,144 @@
+"""The vectorized mesh and DOF numbering equals the dict-and-loop one.
+
+Every array of a mesh and of its spaces must be bitwise equal, dtype
+included, to what `loop_reference` builds, since the index maps of
+`assembly` and every result downstream depend on the numbering.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from alefem import mesh as meshmod
+from alefem.fespace import GLOBAL, SUBDOMAIN, build_scalar_space, build_taylor_hood
+from alefem.mesh import (
+    MINUS,
+    PLUS,
+    first_appearance,
+    fit_interface_mesh,
+    generate_bubble_mesh,
+    generate_rect_mesh,
+)
+
+from conftest import CENTER, RADIUS, RECT
+
+MESH_FIELDS = ("x", "elements", "phase", "interface_edges", "boundary_edges")
+SPACE_FIELDS = ("dof_of", "positions", "dof_phase")
+
+# A coarse ellipse whose chords Delaunay misses: recovering its segments
+# takes edge flips.
+FLIP_RING_H = 0.16
+
+
+def flip_ring():
+    theta = 2.0 * math.pi * np.arange(6) / 6
+    return np.column_stack([0.5 + 0.3 * np.cos(theta),
+                            0.7 + 0.15 * np.sin(theta)])
+
+
+def assert_same(a, b, what):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype, f"{what}: dtype {a.dtype} != {b.dtype}"
+    assert np.array_equal(a, b), f"{what} differs"
+
+
+def assert_same_mesh(new, old):
+    assert new.degree == old.degree
+    for name in MESH_FIELDS:
+        assert_same(getattr(new, name), getattr(old, name), name)
+
+
+def assert_same_space(new, old, what):
+    assert new.n_dofs == old.n_dofs and type(new.n_dofs) is type(old.n_dofs)
+    for name in SPACE_FIELDS:
+        assert_same(getattr(new, name), getattr(old, name), f"{what}.{name}")
+
+
+def assert_same_spaces(mesh, old_mesh, k):
+    for continuity in (SUBDOMAIN, GLOBAL):
+        new = build_taylor_hood(mesh, k, continuity)
+        old = ref.build_taylor_hood(old_mesh, k, continuity)
+        assert_same_space(new.velocity, old.velocity, "velocity")
+        assert_same_space(new.pressure, old.pressure, "pressure")
+        assert_same(new.interface_dofs, old.interface_dofs, "interface_dofs")
+        assert_same(new.boundary_dofs, old.boundary_dofs, "boundary_dofs")
+
+
+@pytest.mark.parametrize("h", [0.16, 0.08])
+@pytest.mark.parametrize("k", [2, 3])
+def test_bubble_mesh_and_spaces_match_loops(h, k):
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, h, k)
+    old = ref.generate_bubble_mesh(RECT, CENTER, RADIUS, h, k)
+    assert_same_mesh(mesh, old)
+    assert_same_spaces(mesh, old, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rect_mesh_matches_loops(k):
+    mesh = generate_rect_mesh(RECT, 0.25, k)
+    assert_same_mesh(mesh, ref.generate_rect_mesh(RECT, 0.25, k))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("continuity", [SUBDOMAIN, GLOBAL])
+def test_scalar_spaces_match_loops(degree, continuity):
+    """Every degree on a cubic mesh, so that edges with two nodes are
+    reversed where the element runs against them."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 3)
+    assert_same_space(build_scalar_space(mesh, degree, continuity),
+                      ref.build_scalar_space(mesh, degree, continuity),
+                      f"P{degree}")
+
+
+def test_flip_ring_matches_loops():
+    mesh = fit_interface_mesh(RECT, flip_ring(), FLIP_RING_H, 2)
+    old = ref.fit_interface_mesh(RECT, flip_ring(), FLIP_RING_H, 2)
+    assert_same_mesh(mesh, old)
+    assert_same_spaces(mesh, old, 2)
+
+
+def test_flip_ring_recovers_every_segment(monkeypatch):
+    flips = []
+    crossing = meshmod._find_crossing_edge
+
+    def counting(*args):
+        flips.append(args)
+        return crossing(*args)
+
+    monkeypatch.setattr(meshmod, "_find_crossing_edge", counting)
+    ring = flip_ring()
+    mesh = fit_interface_mesh(RECT, ring, FLIP_RING_H, 2)
+    assert len(flips) > 0
+
+    # the ring vertices are kept verbatim, and each ring segment is an edge
+    tri = mesh.elements[:, :3]
+    node_of = [int(np.flatnonzero((mesh.coords == p).all(axis=1))[0])
+               for p in ring]
+    edges = {frozenset(map(int, (t[i], t[(i + 1) % 3])))
+             for t in tri for i in range(3)}
+    for i in range(len(ring)):
+        assert frozenset((node_of[i], node_of[(i + 1) % len(ring)])) in edges
+
+    # the interface is exactly the ring, each edge stored on its minus
+    # side and shared with a plus element
+    e, le = mesh.interface_edges.T
+    a, b = tri[e, le], tri[e, (le + 1) % 3]
+    assert {frozenset((int(p), int(q))) for p, q in zip(a, b)} == {
+        frozenset((node_of[i], node_of[(i + 1) % len(ring)]))
+        for i in range(len(ring))}
+    assert (mesh.phase[e] == MINUS).all()
+    for p, q in zip(a, b):
+        owners = np.flatnonzero(np.isin(tri, [p, q]).sum(axis=1) == 2)
+        assert sorted(mesh.phase[owners]) == [MINUS, PLUS]
+
+
+def test_first_appearance_numbers_like_a_dict():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 4, size=(200, 3))
+    numbering: dict[tuple, int] = {}
+    expected = [numbering.setdefault(tuple(row), len(numbering)) for row in keys]
+    ids, first = first_appearance(keys)
+    assert ids.tolist() == expected
+    assert [tuple(keys[i]) for i in first] == list(numbering)

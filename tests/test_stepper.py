@@ -6,7 +6,7 @@ import pytest
 
 from alefem.assembly import PhaseParams, assemble, pressure_mean_vector
 from alefem.fespace import build_taylor_hood, interpolate
-from alefem.mesh import fit_interface_mesh, quality
+from alefem.mesh import fit_interface_mesh, geometry, quality
 from alefem.stepper import (
     SimConfig,
     State,
@@ -194,7 +194,9 @@ def test_record_state_evaluates_velocity_once(monkeypatch):
     monkeypatch.undo()
 
     mesh, V, u = state.mesh, state.spaces.velocity, state.u
-    kin, pot, tot = obs.energy(mesh, V, u, cfg.params)
+    geom = geometry(mesh)
+    kin, pot, tot = obs._energy(mesh, geom, obs.field_values(V, u, geom),
+                                cfg.params)
     assert astuple(rec) == astuple(obs.BenchmarkRecord(
         t=state.t,
         circularity=obs.circularity(mesh),
