@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
-from .assembly import gather, scalar_laplacian
+from .assembly import gather, index_maps, scalar_laplacian
 from .fespace import (
     GLOBAL,
     FESpacePair,
@@ -47,6 +47,12 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     are exactly zero, and interior DOFs minimize the Dirichlet energy of
     each subdomain (one global solve; the fixed interface row decouples
     the subdomains).
+
+    The interior block is factored in SuperLU's MMD column order, which
+    depends on its sparsity pattern alone.  That order is computed once
+    per DOF numbering and cached with the numbering's index maps; the
+    later calls factor the block, its columns permuted into that order,
+    with the NATURAL ordering and no ordering work of their own.
     """
     V = spaces.velocity
     L = scalar_laplacian(mesh, V)
@@ -63,13 +69,50 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     # w vanishes on the free DOFs, whose columns therefore add only +-0:
     # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
     rhs = -(L @ w)[free]
-    Lff = gather(V, "interior", (spaces.interface_dofs, spaces.boundary_dofs),
-                 lambda L: L[free][:, free].tocsc(), L)
+    key = (spaces.interface_dofs, spaces.boundary_dofs)
+    ordering = []                       # the MMD factor, on a new numbering
+
+    def mmd_order():
+        lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        ordering.append(lu)
+        return _inverse_order(lu.perm_c)
+
+    order = index_maps(V).keyed("interior_order", key + (L.indices,),
+                                mmd_order)
+    # gathered on every call, so that only the first of a numbering slices
+    Lff = gather(V, "interior", key + (order,),
+                 lambda L: L[free][:, free][:, order].tocsc(), L)
     del L
-    lu = splu(Lff, permc_spec="MMD_AT_PLUS_A")
+    if ordering:
+        # the factor that gave the order solves this call: it has the L,
+        # U and row pivots of Lff's NATURAL factor (see _inverse_order)
+        solve = ordering.pop().solve
+    else:
+        lu = splu(Lff, permc_spec="NATURAL")
+        x = np.empty(len(order))
+
+        def solve(b):
+            x[order] = lu.solve(b)
+            return x
     for c in range(2):
-        w[free, c] = lu.solve(rhs[:, c])
+        w[free, c] = solve(rhs[:, c])
     return w.ravel()
+
+
+def _inverse_order(perm_c: np.ndarray) -> np.ndarray:
+    """The inverse of the column permutation perm_c of SuperLU's MMD
+    factor of a matrix A, as a read-only array order.
+
+    perm_c is the MMD order on A^T + A followed by the postorder of the
+    column elimination tree, and both depend on the sparsity pattern
+    alone.  Factored with the NATURAL ordering, A[:, order] has the same
+    L, U and row pivots as A under MMD, and its solution y is x[order].
+    perm_c itself in place of its inverse gives far more fill.
+    """
+    order = np.empty_like(perm_c)
+    order[perm_c] = np.arange(len(order), dtype=order.dtype)
+    order.setflags(write=False)
+    return order
 
 
 def advance_mesh(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:

@@ -36,7 +36,10 @@ order instead differs in the last bits, and the remeshing of a long run
 is chaotic in such roundoff.  `gather` extends the same idea to
 matrices derived by slicing and stacking (the saddle matrix, the
 interior block of the mesh Laplacian): the slicing runs once on entry
-ids and is replayed as one gather per step.
+ids and is replayed as one gather per step.  The maps of the velocity
+numbering also hold the column order in which `ale.harmonic_extension`
+factors that interior block: SuperLU's MMD ordering depends on the
+pattern alone, so it is computed once per numbering.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from .fespace import FESpacePair, ScalarSpace
-from .mesh import MINUS, GeometryTables, Mesh, geometry
+from .mesh import MINUS, GeometryTables, Mesh, geometry, values_at_points
 
 MATRIX_KINDS = ("M", "M_rho", "A", "A_mu", "C")
 
@@ -352,7 +355,10 @@ def _laplacian_local(geom: GeometryTables, space: ScalarSpace, weights):
     for lo in range(0, E, _LAPLACIAN_CHUNK):
         g = gphys[lo:lo + _LAPLACIAN_CHUNK]
         n = len(g)
-        G = g.transpose(0, 2, 1, 3).reshape(n, n_loc, 2 * Q)
+        # (n, n_loc, 2Q), C-contiguous: the (x, y) pairs of g moved as
+        # 16-byte items
+        G = np.ascontiguousarray(
+            g.view(np.complex128)[..., 0].transpose(0, 2, 1)).view(np.float64)
         # Gw is the transpose of a C-contiguous (n, 2Q, n_loc) array:
         # matmul rounds differently for other operand layouts
         Gw = np.multiply(g.transpose(0, 1, 3, 2),
@@ -394,8 +400,7 @@ def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
     """Scalar entries (E, n_loc, n_loc) of the convection form."""
     vals = V.basis_values(geom.rule.points)             # (n_loc, Q)
     gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
-    a_coeff = transport.reshape(-1, 2)[V.dof_of]        # (E, n_loc, 2)
-    a_q = np.einsum("lq,eli->eqi", vals, a_coeff)       # (E, Q, 2)
+    a_q = values_at_points(vals, transport.reshape(-1, 2), V.dof_of)  # (E, Q, 2)
     w = geom.wdet * rho[:, None]
     # scalar form: int phi_i (a . grad phi_j); identical for both components
     adg = np.einsum("eqja,eqa->eqj", gphys, a_q)        # (E, Q, n_loc)
@@ -495,8 +500,7 @@ def field_values(space: ScalarSpace, coeffs: np.ndarray,
                  geom: GeometryTables) -> np.ndarray:
     """Vector field values at quadrature points; (E, Q, 2)."""
     vals = space.basis_values(geom.rule.points)
-    cf = coeffs.reshape(-1, 2)[space.dof_of]
-    return np.einsum("lq,eli->eqi", vals, cf)
+    return values_at_points(vals, coeffs.reshape(-1, 2), space.dof_of)
 
 
 def field_gradients(space: ScalarSpace, coeffs: np.ndarray,

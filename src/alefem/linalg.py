@@ -22,8 +22,9 @@ class SolverError(Exception):
     pass
 
 
-def _inf_norm(A: sparse.spmatrix) -> float:
-    return float(np.abs(A).sum(axis=1).max()) if A.nnz else 0.0
+def _inf_norm(abs_A: sparse.spmatrix) -> float:
+    """Infinity norm of A, given |A|."""
+    return float(abs_A.sum(axis=1).max()) if abs_A.nnz else 0.0
 
 
 def saddle_matrix(Kuu: sparse.spmatrix, B: sparse.spmatrix) -> sparse.csr_matrix:
@@ -182,7 +183,7 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
     rhs = np.concatenate([system.rhs_u, system.rhs_p])
     b = np.append(rhs, 0.0)
     abs_b = np.abs(b)
-    norm_A = _inf_norm(A0) + np.abs(m).sum()
+    norm_A = _inf_norm(abs_A0) + np.abs(m).sum()
 
     def matvec(z):
         return np.append(A0 @ z[:n] + z[n] * c, c @ z[:n])
@@ -196,28 +197,35 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
         s = np.append(abs_A0 @ az[:n] + az[n] * abs_c, abs_c @ az[:n])
         return np.maximum(s + abs_b, 1e-30)
 
-    def on_target(z):
-        res = np.abs(b - matvec(z))
-        return (res.max() <= 1e-12 * bound(z[:n])
-                and bool(np.all(res <= 1e-12 * row_scale(z))))
+    def check(z):
+        """(on target, residual b - matvec(z), row scale of z or None):
+        the row scale is computed only when the residual meets the
+        bound, without which z is off target anyway."""
+        r = b - matvec(z)
+        res = np.abs(r)
+        if not res.max() <= 1e-12 * bound(z[:n]):
+            return False, r, None
+        s = row_scale(z)
+        return bool(np.all(res <= 1e-12 * s)), r, s
 
     def refine(factor):
         z = factor.solve(b)
         iterations = 1
         for _ in range(3):
-            if on_target(z):
+            on_target, r, s = check(z)
+            if on_target:
                 return z, iterations, True
             # GMRES minimizes the residual relative to the row scales, the
             # measure the row-wise target applies
-            s = row_scale(z)
+            if s is None:
+                s = row_scale(z)
             D = s.max() / s
             dz, its = _gmres(lambda v: D * matvec(v),
-                             lambda v: factor.solve(v / D),
-                             D * (b - matvec(z)),
-                             lambda d: on_target(z + d), MAX_ITERATIONS)
+                             lambda v: factor.solve(v / D), D * r,
+                             lambda d: check(z + d)[0], MAX_ITERATIONS)
             z = z + dz
             iterations += its
-        return z, iterations, on_target(z)
+        return z, iterations, check(z)[0]
 
     factorizations = 0
     converged = False

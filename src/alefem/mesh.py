@@ -72,6 +72,12 @@ class MeshQuality:
     h_max: float
 
 
+# The connectivity arrays of the last mesh whose interface pairing was
+# checked.  `displace` passes them through verbatim, so a moved mesh needs
+# no second check; holding them keeps their identity from being reused.
+_last_checked: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Immutable degree-k triangulation with phase labels.
@@ -101,7 +107,12 @@ class Mesh:
                 f"degree-{self.degree} elements need {n_expected} nodes, "
                 f"got {self.elements.shape[1]}"
             )
-        _check_interface_pairing(self.elements, self.phase, self.interface_edges)
+        global _last_checked
+        checked = (self.elements, self.phase, self.interface_edges)
+        if _last_checked is None or any(
+                a is not b for a, b in zip(checked, _last_checked)):
+            _check_interface_pairing(*checked)
+            _last_checked = checked
 
     @property
     def coords(self) -> np.ndarray:
@@ -222,6 +233,35 @@ def map_points(mesh: Mesh, elems, ref: np.ndarray):
     return x, J, detJ
 
 
+# Elements per chunk of the contractions below.  Their work arrays then
+# stay small beside the arrays they fill: the geometry table is built
+# while the saddle factor of the previous step is alive.
+_CHUNK = 256
+
+# Elements per block of the (x, y) pair transpose in `physical_gradients`.
+_PAIR_BLOCK = 64
+
+
+def _element_major(a: np.ndarray, out: np.ndarray) -> None:
+    """Copy the element-innermost array a (..., n) into the C-ordered
+    array out (n, ...), as one 2-D transpose: numpy copies that far
+    faster than the same data through a 3- or 4-D transposed view."""
+    out.reshape(len(out), -1)[...] = a.reshape(-1, len(out)).T
+
+
+def values_at_points(vals: np.ndarray, nodal: np.ndarray,
+                     cells: np.ndarray) -> np.ndarray:
+    """sum_l vals[l, q] * nodal[cells[e, l]] for nodal pairs (N, 2); a
+    C-ordered (E, Q, 2) array, contracted element-innermost as
+    `GeometryTables` does."""
+    out = np.empty((len(cells), vals.shape[1], 2))
+    for lo in range(0, len(cells), _CHUNK):
+        part = nodal.T[:, cells[lo:lo + _CHUNK].T]     # (2, n_loc, n)
+        _element_major(np.einsum("lq,ile->qie", vals, part),
+                       out[lo:lo + _CHUNK])
+    return out
+
+
 class GeometryTables:
     """Jacobian data of every element at the points of triangle_rule(2k+2).
 
@@ -229,6 +269,15 @@ class GeometryTables:
     `geometry` hands out the table of a mesh.  A tangled mesh still gets
     a table (its detJ shows where); `tangled` is then (element, min
     detJ), otherwise None.
+
+    Layout rule: the contractions over an element's local nodes run
+    element-innermost, on node coordinates gathered as (2, n_loc, n) in
+    chunks of n elements, and sum over the local nodes l in order, so
+    they round exactly as the (E, Q, ...) formulation does.  detJ and
+    Jinv are formed elementwise on that layout.  The public arrays x,
+    detJ, Jinv and wdet stay (E, Q, ...) and C-ordered: the matmul
+    kernels of assembly that read them, through `physical_gradients`,
+    round differently on other layouts.
     """
 
     def __init__(self, mesh: Mesh):
@@ -236,38 +285,51 @@ class GeometryTables:
         ref = reference_element(mesh.degree)
         vals = ref.shape_values(rule.points)            # (n_g, Q)
         grads = ref.shape_gradients(rule.points)        # (n_g, Q, 2)
-        xs = mesh.coords[mesh.elements]                 # (E, n_g, 2)
-        J = np.einsum("lqj,eli->eqij", grads, xs)
-        detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        self.x = values_at_points(vals, mesh.coords, mesh.elements)
+        E, Q, _ = self.x.shape
+        self.detJ = np.empty((E, Q))
+        self.Jinv = np.empty((E, Q, 2, 2))
+        for lo in range(0, E, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            xs = mesh.coords.T[:, mesh.elements[part].T]   # (2, n_g, n)
+            J = np.einsum("lqj,ile->qije", grads, xs)       # (Q, 2, 2, n)
+            a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+            det = a * d - b * c
+            _element_major(det, self.detJ[part])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.stack([d / det, -b / det, -c / det, a / det], axis=1)
+            _element_major(inv, self.Jinv[part])
         self.tangled = None
-        if np.any(detJ <= 0.0):
-            e = int(np.argmin(detJ.min(axis=1)))
-            self.tangled = (e, float(detJ.min()))
-        Jinv = np.empty_like(J)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Jinv[..., 0, 0] = J[..., 1, 1] / detJ
-            Jinv[..., 0, 1] = -J[..., 0, 1] / detJ
-            Jinv[..., 1, 0] = -J[..., 1, 0] / detJ
-            Jinv[..., 1, 1] = J[..., 0, 0] / detJ
-        self.x = np.einsum("lq,eli->eqi", vals, xs)     # (E, Q, 2)
-        self.detJ = detJ                                # (E, Q)
-        self.Jinv = Jinv                                # (E, Q, 2, 2)
-        self.wdet = detJ * rule.weights                 # (E, Q)
+        if np.any(self.detJ <= 0.0):
+            e = int(np.argmin(self.detJ.min(axis=1)))
+            self.tangled = (e, float(self.detJ.min()))
+        self.wdet = self.detJ * rule.weights            # (E, Q)
         self._gphys: dict[int, np.ndarray] = {}
 
     def physical_gradients(self, space) -> np.ndarray:
         """Gradients of a Lagrange space's local basis w.r.t. physical
-        coordinates; (E, Q, n_loc, 2).  They depend on the space only
-        through its degree, which is the cache key."""
+        coordinates; (E, Q, n_loc, 2), C-contiguous, so that the element
+        kernels reading it need no strided copies.  They depend on the
+        space only through its degree, which is the cache key."""
         k = space.degree
         if k not in self._gphys:
             G = reference_element(k).shape_gradients(self.rule.points)
             E, Q = self.detJ.shape
-            # C-contiguous, so that the element kernels reading it need
-            # no strided copies
-            self._gphys[k] = np.einsum(
-                "lqj,eqji->eqli", G, self.Jinv, optimize=True,
-                out=np.empty((E, Q, len(G), 2)))
+            out = np.empty((E, Q, len(G), 2))
+            # sum_j G[l, q, j] Jinv[e, q, j, i] as one matmul batched over
+            # q on a (Q, 2, 2E) copy of Jinv.  matmul rounds according to
+            # operand layout; these operands are the ones that
+            # einsum("lqj,eqji->eqli", optimize=True) passes it
+            Jq = self.Jinv.transpose(1, 2, 0, 3).reshape(Q, 2, 2 * E)
+            gq = np.matmul(G.transpose(1, 0, 2), Jq)   # (Q, n_loc, 2E)
+            del Jq
+            # move the (x, y) pairs to (E, Q, n_loc) as 16-byte items
+            pairs = gq.view(np.complex128)              # (Q, n_loc, E)
+            dest = out.view(np.complex128)[..., 0]
+            for lo in range(0, E, _PAIR_BLOCK):
+                dest[lo:lo + _PAIR_BLOCK] = \
+                    pairs[:, :, lo:lo + _PAIR_BLOCK].transpose(2, 0, 1)
+            self._gphys[k] = out
         return self._gphys[k]
 
 

@@ -9,7 +9,6 @@ from alefem.ale import (
     harmonic_extension,
     move_mesh,
     spaces_with_mesh,
-    transfer_velocity,
 )
 from alefem.assembly import assemble
 from alefem.fespace import build_taylor_hood, interpolate
@@ -188,8 +187,6 @@ def test_quadratic_transfer_exact_on_straight_interface():
     """With polygonal interface edges every element is affine, so a P2
     space contains global quadratics and the remesh transfer reproduces
     them to roundoff."""
-    import math as _math
-
     from alefem.mesh import fit_interface_mesh
 
     n = 24

@@ -5,9 +5,7 @@ import pytest
 
 from alefem.fespace import (
     GLOBAL,
-    SUBDOMAIN,
     PointLocationError,
-    build_scalar_space,
     build_taylor_hood,
     evaluate_at,
     evaluate_many,

@@ -1,15 +1,19 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package or of its tests imports a name it never
+uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alefem"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "alefem"
 
 # Imported for other modules to find here: the benchmark's tracer wraps
-# `alefem.assembly.GeometryTables.__init__`.
-RE_EXPORTS = {("assembly.py", "GeometryTables")}
+# `alefem.assembly.GeometryTables.__init__`, and the tests import
+# `smooth_displacement` from conftest.
+RE_EXPORTS = {("assembly.py", "GeometryTables"),
+              ("conftest.py", "smooth_displacement")}
 
 
 def unused_imports(tree: ast.Module):
@@ -47,13 +51,14 @@ def test_scan_finds_unused_names():
     assert unused_imports(tree) == [(1, "os"), (5, "tau")]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    + list(TESTS.glob("*.py"))), ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse((PACKAGE / path).read_text())
+    tree = ast.parse(path.read_text())
     unused = [(line, name) for line, name in unused_imports(tree)
-              if (path, name) not in RE_EXPORTS]
-    assert unused == [], f"{path}: imported but unused: {unused}"
+              if (path.name, name) not in RE_EXPORTS]
+    assert unused == [], f"{path.name}: imported but unused: {unused}"
 
 
 # Public names kept although nothing in the package uses them.

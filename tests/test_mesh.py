@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from alefem import mesh as meshmod
 from alefem.mesh import (
     Mesh,
+    MeshError,
     MeshGenerationError,
     TangledElementError,
     displace,
@@ -178,6 +180,31 @@ def test_displace_zero_and_rigid():
     d = np.tile([0.1, 0.0], mesh.n_nodes)
     moved = displace(mesh, d)
     assert np.abs(mesh_areas(moved) - mesh_areas(mesh)).max() < 1e-14
+
+
+def test_displace_does_not_recheck_the_interface_pairing(monkeypatch):
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(meshmod, "_check_interface_pairing", counting)
+    moved = displace(displace(mesh, np.zeros_like(mesh.x)),
+                     np.full_like(mesh.x, 1e-3))
+    assert calls == []
+    assert moved.interface_edges is mesh.interface_edges
+
+
+def test_corrupted_interface_edges_raise_after_displace():
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    displace(mesh, np.zeros_like(mesh.x))
+    bad = mesh.interface_edges.copy()
+    bad[:, 1] = (bad[:, 1] + 1) % 3             # another edge of the element
+    with pytest.raises(MeshError):
+        Mesh(x=mesh.x, elements=mesh.elements, phase=mesh.phase,
+             interface_edges=bad, boundary_edges=mesh.boundary_edges,
+             degree=mesh.degree)
 
 
 def test_displace_small_random_keeps_validity():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alefem.assembly import PhaseParams, assemble, pressure_mean_vector
-from alefem.fespace import build_taylor_hood, interpolate
+from alefem.fespace import build_taylor_hood
 from alefem.mesh import fit_interface_mesh, geometry, quality
 from alefem.stepper import (
     SimConfig,

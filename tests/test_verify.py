@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alefem.assembly import PhaseParams
-from alefem.fespace import build_taylor_hood, interpolate
+from alefem.fespace import build_taylor_hood
 from alefem.mesh import generate_bubble_mesh
 from alefem.verify import (
     convergence_rate,
