@@ -171,8 +171,7 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
         raise RemeshError(f"remeshing failed to beat the angle threshold "
                           f"({err})", ring) from err
 
-    new_spaces = build_taylor_hood(new_mesh, k,
-                                   pressure_continuity=spaces.pressure.continuity)
+    new_spaces = build_taylor_hood(new_mesh, k)
     out = {}
     for name, (kind, coeffs) in fields.items():
         if kind == "velocity":

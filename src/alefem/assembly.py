@@ -347,9 +347,9 @@ def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
 _LAPLACIAN_CHUNK = 128
 
 
-def _laplacian_local(geom: GeometryTables, space: ScalarSpace, weights):
+def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
     gphys = geom.physical_gradients(space)              # (E, Q, n_loc, 2)
-    w = geom.wdet if weights is None else geom.wdet * weights[:, None]
+    w = geom.wdet
     E, Q, n_loc, _ = gphys.shape
     local = np.empty((E, n_loc, n_loc))
     for lo in range(0, E, _LAPLACIAN_CHUNK):
@@ -407,13 +407,13 @@ def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
     return (vals[None] * w[:, None, :]) @ adg
 
 
-def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
-    local = _mass_local(geometry(mesh), space, weights)
+def scalar_mass(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
+    local = _mass_local(geometry(mesh), space, None)
     return index_maps(space).scalar.matrix(local)
 
 
-def scalar_laplacian(mesh: Mesh, space: ScalarSpace, weights=None) -> sparse.csr_matrix:
-    local = _laplacian_local(geometry(mesh), space, weights)
+def scalar_laplacian(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
+    local = _laplacian_local(geometry(mesh), space)
     return index_maps(space).scalar.matrix(local)
 
 
@@ -435,7 +435,7 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
         return _interleaved(maps, maps.scalar.sum(_mass_local(geom, V, w)))
 
     if kind == "A":
-        return _interleaved(maps, maps.scalar.sum(_laplacian_local(geom, V, None)))
+        return _interleaved(maps, maps.scalar.sum(_laplacian_local(geom, V)))
 
     if kind == "A_mu":
         return maps.vector.matrix(
@@ -461,20 +461,19 @@ def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     return _interleaved(maps, maps.scalar.sum(local))
 
 
-def assemble_load(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
-                  weighted_by_rho: bool = True) -> np.ndarray:
-    """Pairing of the gravity interpolant (0, -g) with the test functions.
+def assemble_load(mesh: Mesh, spaces: FESpacePair,
+                  params: PhaseParams) -> np.ndarray:
+    """Pairing of the gravity force rho (0, -g) with the test functions,
+    rho being the per-element density.
 
-    With weighted_by_rho the per-element density multiplies the pairing,
-    which is the buoyancy form used by the benchmark; without it the
-    force enters the momentum equation unweighted.
+    Only this buoyancy form exists: an unweighted (0, -g) is balanced
+    exactly by the pressure p = -g y with u = 0, so it cannot move a
+    bubble.
     """
     geom = geometry(mesh)
     V = spaces.velocity
     vals = V.basis_values(geom.rule.points)
-    w = geom.wdet
-    if weighted_by_rho:
-        w = w * params.rho_of(mesh.phase)[:, None]
+    w = geom.wdet * params.rho_of(mesh.phase)[:, None]
     cell = np.einsum("iq,eq->ei", vals, w) * (-params.g)
     out = np.zeros(2 * V.n_dofs)
     np.add.at(out, 2 * V.dof_of + 1, cell)

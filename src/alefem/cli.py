@@ -2,10 +2,10 @@
 the verification suites.
 
 Config files are flat `key = value` text; `[section]` headers are
-allowed for readability and ignored, `#` starts a comment.  Keys:
-rho_plus, rho_minus, mu_plus, mu_minus, g, k, h, tau, T, rect,
-circle_center, circle_radius, remesh_angle, record_every,
-body_force_weighted_by_rho.
+allowed for readability and ignored, `#` starts a comment.  The keys
+are the fields of `PhaseParams` and those of `SimConfig` other than
+params; the keys of fields without a default are required.  Tuple
+values are numbers separated by commas or spaces.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -26,18 +28,6 @@ from .vtk_io import write_vtk
 
 class ConfigError(Exception):
     pass
-
-
-REQUIRED_KEYS = ("rho_plus", "rho_minus", "mu_plus", "mu_minus",
-                 "g", "k", "h", "tau", "T")
-OPTIONAL_KEYS = {
-    "rect": "0,0,1,2",
-    "circle_center": "0.5,0.5",
-    "circle_radius": "0.25",
-    "remesh_angle": f"{math.pi / 18.0!r}",
-    "record_every": "1",
-    "body_force_weighted_by_rho": "true",
-}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -63,12 +53,24 @@ def _floats(val: str, n: int, key: str):
     return tuple(float(p) for p in parts)
 
 
-def _bool(val: str, key: str) -> bool:
-    if val.lower() in ("true", "1", "yes", "on"):
-        return True
-    if val.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"key {key!r} must be boolean, got {val!r}")
+def config_keys() -> dict[str, tuple[type, object]]:
+    """{key: (type, default)} of every config key in declaration order;
+    the default is MISSING for a required key."""
+    out = {}
+    for cls in (PhaseParams, SimConfig):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name != "params":
+                out[f.name] = (hints[f.name], f.default)
+    return out
+
+
+def _parse(val: str, key: str, kind: type, default):
+    """The value of key: an int, a float, or a tuple of len(default)
+    floats."""
+    if kind is tuple:
+        return _floats(val, len(default), key)
+    return kind(val)
 
 
 def load_config(path) -> SimConfig:
@@ -77,50 +79,26 @@ def load_config(path) -> SimConfig:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     kv = parse_config_text(text)
-    missing = [k for k in REQUIRED_KEYS if k not in kv]
+    keys = config_keys()
+    missing = [k for k, (_, default) in keys.items()
+               if default is MISSING and k not in kv]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    known = set(REQUIRED_KEYS) | set(OPTIONAL_KEYS)
-    unknown = sorted(set(kv) - known)
+    unknown = sorted(set(kv) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    full = dict(OPTIONAL_KEYS)
-    full.update(kv)
-    params = PhaseParams(
-        rho_plus=float(full["rho_plus"]), rho_minus=float(full["rho_minus"]),
-        mu_plus=float(full["mu_plus"]), mu_minus=float(full["mu_minus"]),
-        g=float(full["g"]))
-    return SimConfig(
-        params=params,
-        k=int(full["k"]),
-        h=float(full["h"]),
-        tau=float(full["tau"]),
-        T=float(full["T"]),
-        rect=_floats(full["rect"], 4, "rect"),
-        circle_center=_floats(full["circle_center"], 2, "circle_center"),
-        circle_radius=float(full["circle_radius"]),
-        remesh_angle=float(full["remesh_angle"]),
-        record_every=int(full["record_every"]),
-        body_force_weighted_by_rho=_bool(full["body_force_weighted_by_rho"],
-                                         "body_force_weighted_by_rho"),
-    )
+    values = {k: _parse(val, k, *keys[k]) for k, val in kv.items()}
+    params = PhaseParams(**{f.name: values.pop(f.name)
+                            for f in fields(PhaseParams)})
+    return SimConfig(params=params, **values)
 
 
 def config_echo(config: SimConfig) -> dict:
-    return {
-        "rho_plus": config.params.rho_plus,
-        "rho_minus": config.params.rho_minus,
-        "mu_plus": config.params.mu_plus,
-        "mu_minus": config.params.mu_minus,
-        "g": config.params.g,
-        "k": config.k, "h": config.h, "tau": config.tau, "T": config.T,
-        "rect": list(config.rect),
-        "circle_center": list(config.circle_center),
-        "circle_radius": config.circle_radius,
-        "remesh_angle": config.remesh_angle,
-        "record_every": config.record_every,
-        "body_force_weighted_by_rho": config.body_force_weighted_by_rho,
-    }
+    """Every config key with its value in config, tuples as lists."""
+    values = asdict(config)
+    params = values.pop("params")
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in {**params, **values}.items()}
 
 
 def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
@@ -211,7 +189,7 @@ def cmd_converge(config_path, levels: int = 3, m: int = 2, quiet=False) -> int:
     return 0
 
 
-def cmd_verify(suite: str = "all", quiet=False) -> int:
+def cmd_verify(suite: str = "all") -> int:
     checks = build_verify_checks(suite)
     failed = 0
     for name, fn in checks:
@@ -228,9 +206,6 @@ def cmd_verify(suite: str = "all", quiet=False) -> int:
 
 
 def build_verify_checks(suite: str):
-    import numpy as np
-
-    from .assembly import PhaseParams
     from .fespace import build_taylor_hood
     from .mesh import generate_bubble_mesh
     from .quadrature import triangle_rule, triangle_monomial_integral
@@ -258,7 +233,6 @@ def build_verify_checks(suite: str):
         def check_reference_matrices():
             from .fespace import build_scalar_space
             from .assembly import scalar_mass, scalar_laplacian
-            import numpy as np
 
             mesh = _unit_right_triangle()
             space = build_scalar_space(mesh, 1)
@@ -299,8 +273,6 @@ def build_verify_checks(suite: str):
 
     if suite in ("transport", "all"):
         def check_transport():
-            import math
-
             mesh = generate_bubble_mesh((0, 0, 1, 2), (0.5, 0.5), 0.25, 0.2, 2)
             spaces = build_taylor_hood(mesh, 2)
             rng = np.random.default_rng(11)
@@ -316,8 +288,6 @@ def build_verify_checks(suite: str):
 
     if suite in ("manufactured", "all"):
         def check_manufactured():
-            import math
-
             eu0, ep0 = manufactured_flow_errors(2, 0.2, 0.05, 1.0, case="poly")
             if max(eu0, ep0) > 1e-9:
                 return False, f"polynomial reproduction errors {eu0:.2e}, {ep0:.2e}"

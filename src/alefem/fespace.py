@@ -6,10 +6,11 @@ The velocity space of degree k on a degree-k mesh reuses the mesh nodes
 as DOFs, which makes mesh nodes and velocity DOFs interchangeable.
 
 The flow spaces are the Taylor-Hood pairs of degree k = 2, 3.  Their
-pressure space is subdomain-discontinuous by default: DOFs sitting on
-the interface are duplicated, one copy per phase, so pressure may jump
+pressure space is always subdomain-discontinuous: DOFs sitting on the
+interface are duplicated, one copy per phase, so pressure may jump
 across the interface while staying continuous inside each subdomain.
-Degree-1 scalar spaces exist too, but no degree-1 flow pair does.
+Scalar spaces come in either continuity and in degree 1 as well, but
+no other flow pair exists.
 """
 
 from __future__ import annotations
@@ -200,18 +201,16 @@ def _phase_of_dofs(mesh, dof_of, n_dofs):
     return phase
 
 
-def build_taylor_hood(mesh: Mesh, k: int,
-                      pressure_continuity: str = SUBDOMAIN) -> FESpacePair:
+def build_taylor_hood(mesh: Mesh, k: int) -> FESpacePair:
     """Taylor-Hood pair of degree k = 2 or 3: the continuous degree-k
-    velocity with the degree-(k-1) pressure, subdomain-discontinuous by
-    default."""
+    velocity with the subdomain-discontinuous degree-(k-1) pressure."""
     if k not in (2, 3):
         raise ValueError(f"unsupported degree k={k}; Taylor-Hood needs "
                          f"k = 2 or 3")
     if mesh.degree != k:
         raise ValueError(f"mesh degree {mesh.degree} does not match k={k}")
     velocity = build_scalar_space(mesh, k, GLOBAL)
-    pressure = build_scalar_space(mesh, k - 1, pressure_continuity)
+    pressure = build_scalar_space(mesh, k - 1, SUBDOMAIN)
     interface_dofs = mesh.interface_node_ids()
     boundary_dofs = mesh.boundary_node_ids()
     return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs)
@@ -241,6 +240,14 @@ def interpolate(space: ScalarSpace, f, vector: bool = False) -> np.ndarray:
             vals = np.asarray([fn(x, y) for x, y in pos[rows]], dtype=float)
             out[rows] = vals.reshape(-1, width)
     return out.ravel() if vector else out[:, 0]
+
+
+# A point whose best barycentric coordinate is below -_CONTAINMENT_TOL
+# lies outside the mesh.  The Newton inversion of a geometry map stops
+# at a residual of _NEWTON_TOL or after _NEWTON_MAX_ITER iterations.
+_CONTAINMENT_TOL = 1e-10
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 30
 
 
 @dataclass
@@ -279,7 +286,7 @@ class PointLocator:
         c = ((pts - self._origin) / np.maximum(self._bin_size, 1e-300)).astype(int)
         return np.clip(c, 0, self._nbins - 1)
 
-    def locate(self, pts, phase=None, tol: float = 1e-10):
+    def locate(self, pts, phase=None):
         """Locate points; returns (element ids, reference coordinates).
 
         phase restricts the search to elements of that phase (scalar or
@@ -342,14 +349,14 @@ class PointLocator:
             raise PointLocationError(
                 f"{int(missing.sum())} points have no candidate element "
                 f"(first: {pts[missing][0]})")
-        if phase is None and (best_score < -tol).any():
+        if phase is None and (best_score < -_CONTAINMENT_TOL).any():
             worst = int(np.argmin(best_score))
             raise PointLocationError(
                 f"point {pts[worst]} lies outside the mesh "
                 f"(containment defect {-best_score[worst]:.2e})")
         return best_el, best_ref
 
-    def _invert(self, pts, elems, max_iter: int = 30, tol: float = 1e-12):
+    def _invert(self, pts, elems):
         """Per-pair Newton inversion of the geometry maps, vectorized.
 
         Returns (ref, converged).  Pairs that wander far outside the
@@ -370,11 +377,11 @@ class PointLocator:
         if mesh.degree == 1:
             return ref, converged
         active = np.ones(len(pts), dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             x, J, detJ = map_points(mesh, elems, ref)
             r = x - pts
             resid = np.abs(r).max(axis=1)
-            active &= resid >= tol
+            active &= resid >= _NEWTON_TOL
             wandered = np.abs(ref).max(axis=1) > 10.0
             active &= ~wandered
             if not active.any():
@@ -385,7 +392,8 @@ class PointLocator:
             step[:, 1] = (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / detJ
             ref[active] -= step[active]
         final_resid = np.abs(r).max(axis=1) if len(pts) else np.empty(0)
-        converged = final_resid < np.maximum(tol, 1e-9 * np.abs(pts).max(initial=1.0))
+        converged = final_resid < np.maximum(
+            _NEWTON_TOL, 1e-9 * np.abs(pts).max(initial=1.0))
         return ref, converged
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -69,7 +68,6 @@ class TangledElementError(MeshError):
 class MeshQuality:
     min_angle: float      # radians, over straight vertex triangles
     min_jacobian: float   # min detJ / (2*straight area), dimensionless
-    h_max: float
 
 
 # The connectivity arrays of the last mesh whose interface pairing was
@@ -125,10 +123,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def vertex_ids(self) -> np.ndarray:
-        return np.unique(self.elements[:, :3])
 
     def interface_node_ids(self) -> np.ndarray:
         """All node ids lying on the interface."""
@@ -359,13 +353,12 @@ def geometry(mesh: Mesh) -> GeometryTables:
 
 
 def quality(mesh: Mesh) -> MeshQuality:
-    """Minimum vertex angle, scaled Jacobian bound, and largest edge.
+    """Minimum vertex angle and scaled Jacobian bound, the two figures a
+    step reads; no edge length is computed.
 
     Never raises on a tangled mesh: min_jacobian <= 0 reports it.
     """
     tri = mesh.coords[mesh.elements[:, :3]]           # (E, 3, 2)
-    edges = tri[:, [1, 2, 0]] - tri[:, [0, 1, 2]]
-    h_max = float(np.linalg.norm(edges, axis=2).max())
     angles = np.empty((len(tri), 3))
     for i in range(3):
         u = tri[:, (i + 1) % 3] - tri[:, i]
@@ -378,8 +371,7 @@ def quality(mesh: Mesh) -> MeshQuality:
 
     straight_area2 = np.abs(_cross2(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
     scaled = _tables(mesh).detJ / np.maximum(straight_area2, 1e-300)[:, None]
-    return MeshQuality(min_angle=min_angle, min_jacobian=float(scaled.min()),
-                       h_max=h_max)
+    return MeshQuality(min_angle=min_angle, min_jacobian=float(scaled.min()))
 
 
 def displace(mesh: Mesh, d: np.ndarray) -> Mesh:
@@ -496,7 +488,12 @@ def fit_interface_mesh(rect, ring: np.ndarray, h: float, k: int,
     raise last_err
 
 
-def _fit_points(rect, ring, h, band_factor, n_smooth: int = 4):
+# Laplacian smoothing passes of the free grid points, each followed by
+# a new Delaunay triangulation
+_SMOOTHING_PASSES = 4
+
+
+def _fit_points(rect, ring, h, band_factor):
     x0, y0, x1, y1 = rect
     nx = max(2, round((x1 - x0) / h))
     ny = max(2, round((y1 - y0) / h))
@@ -524,10 +521,10 @@ def _fit_points(rect, ring, h, band_factor, n_smooth: int = 4):
                 for i in range(len(ring))]
 
     tris = None
-    for it in range(n_smooth + 1):
+    for it in range(_SMOOTHING_PASSES + 1):
         tris = _oriented_simplices(pts)
         tris = _recover_edges(pts, tris, segments)
-        if it == n_smooth:
+        if it == _SMOOTHING_PASSES:
             break
         pts = _smooth(pts, tris, free)
     return pts, tris, ring_ids

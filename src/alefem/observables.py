@@ -75,22 +75,14 @@ def interface_length(mesh: Mesh) -> float:
     return total
 
 
-def circularity(mesh: Mesh) -> float:
-    """Perimeter of the area-equivalent circle over the bubble perimeter."""
-    return _circularity(phase_area(mesh, MINUS), interface_length(mesh))
-
-
 def _circularity(area: float, length: float) -> float:
+    """Perimeter of the area-equivalent circle over the bubble perimeter."""
     return 2.0 * math.sqrt(math.pi * area) / length
 
 
-def rise_velocity(mesh: Mesh, velocity_space, u: np.ndarray) -> float:
-    """Bubble average of the vertical velocity component."""
-    geom = geometry(mesh)
-    return _rise_velocity(mesh, geom, field_values(velocity_space, u, geom))
-
-
 def _rise_velocity(mesh: Mesh, geom, uq: np.ndarray) -> float:
+    """Bubble average of the vertical velocity component; uq holds the
+    velocity at the quadrature points of geom."""
     mask = mesh.phase == MINUS
     area = geom.wdet[mask].sum()
     return float((geom.wdet[mask] * uq[mask, :, 1]).sum() / area)

@@ -24,7 +24,6 @@ class QuadRule:
 
     points: np.ndarray   # (n, dim) reference coordinates
     weights: np.ndarray  # (n,) positive, summing to the reference measure
-    exact_degree: int
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -70,7 +69,7 @@ def triangle_rule(exact_degree: int) -> QuadRule:
         ]
     )
     wts = np.concatenate([w, w, w]) / 3.0
-    return QuadRule(points=pts, weights=wts, exact_degree=exact_degree)
+    return QuadRule(points=pts, weights=wts)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +81,7 @@ def edge_rule(exact_degree: int) -> QuadRule:
         )
     n = exact_degree // 2 + 1
     s, w = _gauss01(n)
-    return QuadRule(points=s.reshape(-1, 1), weights=w, exact_degree=exact_degree)
+    return QuadRule(points=s.reshape(-1, 1), weights=w)
 
 
 def triangle_monomial_integral(a: int, b: int) -> float:

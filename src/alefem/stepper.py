@@ -38,7 +38,7 @@ from .assembly import (
     momentum_matrix,
     pressure_mean_vector,
 )
-from .fespace import SUBDOMAIN, FESpacePair, build_taylor_hood
+from .fespace import FESpacePair, build_taylor_hood
 from .linalg import SaddleFactor, SaddleSystem, saddle_matrix, solve_saddle
 from .mesh import Mesh, generate_bubble_mesh, quality
 from .observables import BenchmarkRecord, benchmark_record
@@ -46,18 +46,19 @@ from .observables import BenchmarkRecord, benchmark_record
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The settings of one run.  Its fields and those of PhaseParams are
+    the keys of a config file (see `cli`)."""
+
     params: PhaseParams
-    k: int = 2
-    h: float = 0.04
-    tau: float = 1.0 / 200.0
-    T: float = 3.0
+    k: int
+    h: float
+    tau: float
+    T: float
     rect: tuple = (0.0, 0.0, 1.0, 2.0)
     circle_center: tuple = (0.5, 0.5)
     circle_radius: float = 0.25
     remesh_angle: float = math.pi / 18.0
     record_every: int = 1
-    body_force_weighted_by_rho: bool = True
-    pressure_continuity: str = SUBDOMAIN
 
     def __post_init__(self):
         if self.tau <= 0 or self.h <= 0 or self.T < 0:
@@ -65,6 +66,9 @@ class SimConfig:
         if self.k not in (2, 3):
             raise ValueError(f"unsupported degree k={self.k}; the "
                              f"Taylor-Hood pairs need k = 2 or 3")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be at least 1, "
+                             f"got {self.record_every}")
 
     @property
     def n_steps(self) -> int:
@@ -88,7 +92,6 @@ class State:
     u: np.ndarray
     p: np.ndarray
     min_angle: float
-    multiplier: float = 0.0
     remesh_count: int = 0
     factor: SaddleFactor | None = None
     saddle_iterations: int = 0
@@ -98,8 +101,7 @@ class State:
 def initialize(config: SimConfig) -> State:
     mesh = generate_bubble_mesh(config.rect, config.circle_center,
                                 config.circle_radius, config.h, config.k)
-    spaces = build_taylor_hood(mesh, config.k,
-                               pressure_continuity=config.pressure_continuity)
+    spaces = build_taylor_hood(mesh, config.k)
     u = np.zeros(2 * spaces.velocity.n_dofs)
     p = np.zeros(spaces.pressure.n_dofs)
     return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p,
@@ -168,11 +170,10 @@ def step(state: State, config: SimConfig) -> State:
     spaces = spaces_with_mesh(state.spaces, mesh)
 
     # (3) implicit flow solve with convection frozen at u^n - w^n
-    load = assemble_load(mesh, spaces, params,
-                         weighted_by_rho=config.body_force_weighted_by_rho)
-    u, p, lam, stats = flow_solve(mesh, spaces, params, tau, state.u,
-                                  transport=state.u - w, load=load,
-                                  factor=state.factor)
+    load = assemble_load(mesh, spaces, params)
+    u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
+                                transport=state.u - w, load=load,
+                                factor=state.factor)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}
@@ -184,7 +185,7 @@ def step(state: State, config: SimConfig) -> State:
         p = fields2["p"][1]
     return State(
         t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
-        min_angle=min_angle, multiplier=lam,
+        min_angle=min_angle,
         remesh_count=state.remesh_count + int(did_remesh),
         # a factor of the old mesh cannot precondition the new one
         factor=None if did_remesh else stats.factor,

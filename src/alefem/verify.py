@@ -39,6 +39,8 @@ from .mesh import Mesh, displace, generate_rect_mesh, geometry, map_points
 from .stepper import flow_solve
 
 HOMOTOPY_KINDS = ("M", "M_rho", "A", "A_mu", "C")
+# Gauss-Legendre points in the homotopy parameter
+HOMOTOPY_POINTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +49,6 @@ HOMOTOPY_KINDS = ("M", "M_rho", "A", "A_mu", "C")
 
 def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
                                u: np.ndarray, v: np.ndarray,
-                               n_theta: int = 16,
                                params: PhaseParams | None = None,
                                spaces: FESpacePair | None = None) -> float:
     """|LHS - RHS| of the matrix-difference identity for one matrix kind.
@@ -56,7 +57,7 @@ def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
     is v^T (C(x* + e_x) - C(x*)) u with v on the pressure space.  RHS is
     the Gauss-Legendre quadrature (in the homotopy parameter) of the
     corresponding shape-derivative volume integral on the intermediate
-    meshes x* + theta * e_x.
+    meshes x* + theta * e_x, with HOMOTOPY_POINTS points.
     """
     if kind not in HOMOTOPY_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -75,7 +76,7 @@ def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
     else:
         lhs = float(u @ (K1 - K0) @ v)
 
-    t, wt = np.polynomial.legendre.leggauss(n_theta)
+    t, wt = np.polynomial.legendre.leggauss(HOMOTOPY_POINTS)
     thetas = 0.5 * (t + 1.0)
     weights = 0.5 * wt
     rhs = 0.0
@@ -87,6 +88,7 @@ def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
 
 
 def _rebind(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
+    # imported per call, so that a wrapper on ale.spaces_with_mesh sees it
     from .ale import spaces_with_mesh
 
     return spaces_with_mesh(spaces, mesh)
@@ -380,14 +382,15 @@ def _poly_case(k, rho, mu):
 
 
 def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
-                             case: str = "trig", rho: float = 1.0,
-                             mu: float = 1.0):
-    """Run the single-phase scheme against a known steady solution.
+                             case: str = "trig"):
+    """Run the single-phase scheme (rho = mu = 1) against a known steady
+    solution.
 
     Returns (H1 velocity error, L2 pressure error) at the final time.
     The mesh has no interface, so the mesh velocity vanishes and the
     domain stays fixed; the boundary rows carry the exact velocity.
     """
+    rho = mu = 1.0
     exact_u, exact_grad_u, exact_p, force = (
         _trig_case(rho, mu) if case == "trig" else _poly_case(k, rho, mu))
     mesh = generate_rect_mesh(RECT, h, k)

@@ -357,9 +357,9 @@ def build_scalar_space(mesh, degree, continuity=GLOBAL):
                        positions, dof_phase)
 
 
-def build_taylor_hood(mesh, k, pressure_continuity=SUBDOMAIN):
+def build_taylor_hood(mesh, k):
     velocity = build_scalar_space(mesh, k, GLOBAL)
-    pressure = build_scalar_space(mesh, k - 1, pressure_continuity)
+    pressure = build_scalar_space(mesh, k - 1, SUBDOMAIN)
     return FESpacePair(velocity, pressure,
                        edge_set_node_ids(mesh, mesh.interface_edges),
                        edge_set_node_ids(mesh, mesh.boundary_edges))

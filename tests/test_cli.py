@@ -1,16 +1,23 @@
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
+from alefem.assembly import PhaseParams
 from alefem.cli import (
     ConfigError,
     build_verify_checks,
     cmd_run,
     cmd_verify,
+    config_echo,
+    config_keys,
     load_config,
     main,
     parse_config_text,
 )
+from alefem.stepper import SimConfig
+
+from conftest import BP1
 
 BP1_CONFIG = """# benchmark BP-1
 [physics]
@@ -46,7 +53,6 @@ def test_load_config(config_file):
     assert cfg.params.rho_minus == 100.0
     assert cfg.rect == (0.0, 0.0, 1.0, 2.0)
     assert cfg.circle_radius == 0.25
-    assert cfg.body_force_weighted_by_rho is True
 
 
 def test_missing_key_is_named(tmp_path):
@@ -55,6 +61,12 @@ def test_missing_key_is_named(tmp_path):
     with pytest.raises(ConfigError, match="tau"):
         load_config(path)
     assert cmd_run(path, tmp_path / "out") == 2
+    for line in ("k = 2", "h = 0.16", "T = 0.05"):
+        path.write_text(BP1_CONFIG.replace(line, ""))
+        key = line.split()[0]
+        with pytest.raises(ConfigError,
+                           match=f"missing required config keys: {key}$"):
+            load_config(path)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -62,6 +74,47 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text(BP1_CONFIG + "\nwarp_factor = 9\n")
     with pytest.raises(ConfigError, match="warp_factor"):
         load_config(path)
+    # the load is always density-weighted; the key that chose it is gone
+    path.write_text(BP1_CONFIG + "\nbody_force_weighted_by_rho = true\n")
+    with pytest.raises(ConfigError, match="body_force_weighted_by_rho"):
+        load_config(path)
+
+
+def test_config_keys_are_the_dataclass_fields():
+    keys = config_keys()
+    assert list(keys) == ([f.name for f in fields(PhaseParams)]
+                          + [f.name for f in fields(SimConfig)
+                             if f.name != "params"])
+    required = [k for k, (_, default) in keys.items() if default is MISSING]
+    assert required == ["rho_plus", "rho_minus", "mu_plus", "mu_minus", "g",
+                        "k", "h", "tau", "T"]
+    # the types the parser knows; a bool would parse "false" as True
+    assert {kind for kind, _ in keys.values()} == {int, float, tuple}
+
+
+def test_config_echo_loads_back(tmp_path):
+    cfg = SimConfig(params=BP1, k=3, h=0.12, tau=0.004, T=0.2,
+                    rect=(0.0, -0.5, 1.5, 2.0), circle_center=(0.7, 0.6),
+                    circle_radius=0.2, remesh_angle=0.2, record_every=3)
+    echo = config_echo(cfg)
+    assert list(echo) == list(config_keys())
+    path = tmp_path / "echo.cfg"
+    path.write_text("".join(
+        f"{k} = {', '.join(map(repr, v)) if isinstance(v, list) else repr(v)}\n"
+        for k, v in echo.items()))
+    assert load_config(path) == cfg
+    assert config_echo(load_config(path)) == echo
+
+
+@pytest.mark.parametrize("every", [0, -3])
+def test_record_every_below_one_rejected(tmp_path, every):
+    with pytest.raises(ValueError, match="record_every"):
+        SimConfig(params=BP1, k=2, h=0.16, tau=0.005, T=0.05,
+                  record_every=every)
+    path = tmp_path / "every.cfg"
+    path.write_text(BP1_CONFIG + f"record_every = {every}\n")
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_writes_outputs(tmp_path, config_file):

@@ -1,7 +1,9 @@
 """No module of the package or of its tests imports a name it never
-uses."""
+uses; every public name and every parameter default of the package is
+used by the package."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -71,14 +73,27 @@ UNREFERENCED_OK = {
 }
 
 
-def names_read(node) -> set[str]:
-    """Names a statement refers to: plain names, attributes and the
-    names it imports."""
+def module_aliases(tree: ast.Module) -> set[str]:
+    """Names bound to modules by `import x [as y]` or `from . import x
+    [as y]` anywhere in the module."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Import)
+            or (isinstance(n, ast.ImportFrom) and n.module is None)
+            for alias in n.names}
+
+
+def names_read(node, aliases: set[str]) -> set[str]:
+    """Names a statement refers to: the names it loads, the attributes
+    it reads off the module aliases of its module (`meshmod.displace`)
+    and the names it imports.  A field declaration stores its name and
+    an attribute of any other object is not a reference."""
     out = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id in aliases):
             out.add(n.attr)
         elif isinstance(n, ast.ImportFrom):
             out.update(alias.name for alias in n.names)
@@ -90,7 +105,8 @@ def unreferenced_public(modules: dict[str, ast.Module]):
     no statement of the package refers to, its own definition aside."""
     statements = [(path, stmt) for path, tree in modules.items()
                   for stmt in tree.body]
-    reads = [names_read(stmt) for _, stmt in statements]
+    aliases = {path: module_aliases(tree) for path, tree in modules.items()}
+    reads = [names_read(stmt, aliases[path]) for path, stmt in statements]
     unused = []
     for i, (path, stmt) in enumerate(statements):
         if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -106,15 +122,98 @@ def test_scan_finds_unreferenced_public_names():
     modules = {
         "a.py": ast.parse("def used():\n    pass\n\n"
                           "def lonely():\n    return lonely\n\n"
+                          "def field():\n    pass\n\n"
+                          "def attr():\n    pass\n\n"
+                          "def qualified():\n    pass\n\n"
                           "class _Private:\n    pass\n"),
-        "b.py": ast.parse("from .a import used\n"),
+        "b.py": ast.parse("from dataclasses import dataclass\n"
+                          "from . import a as amod\n"
+                          "from .a import used\n\n"
+                          "@dataclass\nclass _Record:\n    field: float\n\n"
+                          "def _show(rec):\n"
+                          "    return rec.attr, amod.qualified()\n"),
     }
-    assert unreferenced_public(modules) == [("a.py", "lonely")]
+    assert unreferenced_public(modules) == [
+        ("a.py", "attr"), ("a.py", "field"), ("a.py", "lonely")]
+
+
+def package_modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text())
+            for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_every_public_name_is_used_in_the_package():
-    modules = {p.name: ast.parse(p.read_text())
-               for p in sorted(PACKAGE.glob("*.py"))}
-    unused = [entry for entry in unreferenced_public(modules)
+    unused = [entry for entry in unreferenced_public(package_modules())
               if entry not in UNREFERENCED_OK]
     assert unused == [], f"public but unused in the package: {unused}"
+
+
+# Defaults kept although no call in the package passes the parameter.
+DEFAULTS_OK = {
+    # argparse reads sys.argv without it; the tests and the benchmark's
+    # make_reference.py pass an argument list
+    ("cli.py", "main", "argv"),
+}
+
+
+def _passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether call passes the parameter name, whose position among the
+    arguments is index (None for a keyword-only parameter)."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def defaults_never_passed(modules: dict[str, ast.Module]):
+    """(module, function, parameter) of every parameter with a default
+    that no call in the modules passes, by keyword or by position.
+    Calls match functions by name, plain or as an attribute; self and
+    cls are skipped."""
+    calls = defaultdict(list)
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                f = n.func
+                if isinstance(f, (ast.Name, ast.Attribute)):
+                    calls[f.id if isinstance(f, ast.Name) else f.attr].append(n)
+    unset = []
+    for path, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            bound = int(bool(positional)
+                        and positional[0].arg in ("self", "cls"))
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - bound) for i, a in enumerate(positional)
+                      if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                       if d is not None]
+            unset += [(path, fn.name, name) for name, index in params
+                      if not any(_passes(c, name, index)
+                                 for c in calls[fn.name])]
+    return sorted(unset)
+
+
+def test_default_scan_finds_unpassed_parameters():
+    modules = {
+        "a.py": ast.parse(
+            "def f(x, y=1, *, z=2, w=3):\n    pass\n\n"
+            "class C:\n    def m(self, a=0, b=0):\n        pass\n\n"
+            "def g(*args):\n    pass\n\n"
+            "def h(p=0, q=0):\n    pass\n"),
+        "b.py": ast.parse("f(0, z=5)\nC().m(1)\nh(*g())\n"),
+    }
+    assert defaults_never_passed(modules) == [
+        ("a.py", "f", "w"), ("a.py", "f", "y"), ("a.py", "m", "b")]
+
+
+def test_every_default_is_set_by_a_caller():
+    unset = [entry for entry in defaults_never_passed(package_modules())
+             if entry not in DEFAULTS_OK]
+    assert unset == [], f"defaults that no call in the package sets: {unset}"

@@ -94,7 +94,7 @@ def test_every_kind_equals_coo_assembly(moved):
     expect = {
         "M": kron2(scalar_coo(assembly._mass_local(geom, V, None), V)),
         "M_rho": kron2(scalar_coo(assembly._mass_local(geom, V, rho), V)),
-        "A": kron2(scalar_coo(assembly._laplacian_local(geom, V, None), V)),
+        "A": kron2(scalar_coo(assembly._laplacian_local(geom, V), V)),
         "A_mu": vector_coo(assembly._viscous_local(geom, V, mu)),
         "C": divergence_coo(assembly._divergence_local(geom, P, V)),
     }
@@ -104,7 +104,7 @@ def test_every_kind_equals_coo_assembly(moved):
     assert_same(assemble_convection(mesh, spaces, BP1, transport),
                 kron2(scalar_coo(local, V)))
     assert_same(scalar_laplacian(mesh, V),
-                scalar_coo(assembly._laplacian_local(geom, V, None), V))
+                scalar_coo(assembly._laplacian_local(geom, V), V))
     P1 = build_scalar_space(mesh, 1)
     for space in (P, P1):
         assert_same(scalar_mass(mesh, space),

@@ -57,13 +57,15 @@ def assert_same_space(new, old, what):
 
 
 def assert_same_spaces(mesh, old_mesh, k):
-    for continuity in (SUBDOMAIN, GLOBAL):
-        new = build_taylor_hood(mesh, k, continuity)
-        old = ref.build_taylor_hood(old_mesh, k, continuity)
-        assert_same_space(new.velocity, old.velocity, "velocity")
-        assert_same_space(new.pressure, old.pressure, "pressure")
-        assert_same(new.interface_dofs, old.interface_dofs, "interface_dofs")
-        assert_same(new.boundary_dofs, old.boundary_dofs, "boundary_dofs")
+    new = build_taylor_hood(mesh, k)
+    old = ref.build_taylor_hood(old_mesh, k)
+    assert_same_space(new.velocity, old.velocity, "velocity")
+    assert_same_space(new.pressure, old.pressure, "pressure")
+    assert_same(new.interface_dofs, old.interface_dofs, "interface_dofs")
+    assert_same(new.boundary_dofs, old.boundary_dofs, "boundary_dofs")
+    assert_same_space(build_scalar_space(mesh, k - 1, GLOBAL),
+                      ref.build_scalar_space(old_mesh, k - 1, GLOBAL),
+                      "global pressure")
 
 
 @pytest.mark.parametrize("h", [0.16, 0.08])

@@ -5,18 +5,29 @@ import pytest
 
 from alefem.assembly import PhaseParams, field_values
 from alefem.fespace import build_taylor_hood, interpolate
-from alefem.mesh import displace, fit_interface_mesh, generate_bubble_mesh, \
-    generate_rect_mesh, geometry
+from alefem.mesh import MINUS, displace, fit_interface_mesh, \
+    generate_bubble_mesh, generate_rect_mesh, geometry
 from alefem.observables import (
+    _circularity,
     _energy,
+    _rise_velocity,
     center_of_mass,
-    circularity,
     interface_length,
     phase_area,
-    rise_velocity,
 )
 
 from conftest import BP1, CENTER, RADIUS, RECT
+
+
+def circularity(mesh):
+    """The circularity as the benchmark record computes it."""
+    return _circularity(phase_area(mesh, MINUS), interface_length(mesh))
+
+
+def rise_velocity(mesh, velocity_space, u):
+    """The rise velocity as the benchmark record computes it."""
+    geom = geometry(mesh)
+    return _rise_velocity(mesh, geom, field_values(velocity_space, u, geom))
 
 
 @pytest.fixture(scope="module")

@@ -195,18 +195,19 @@ def test_record_state_evaluates_velocity_once(monkeypatch):
 
     mesh, V, u = state.mesh, state.spaces.velocity, state.u
     geom = geometry(mesh)
-    kin, pot, tot = obs._energy(mesh, geom, obs.field_values(V, u, geom),
-                                cfg.params)
+    uq = obs.field_values(V, u, geom)
+    kin, pot, tot = obs._energy(mesh, geom, uq, cfg.params)
+    area, length = obs.phase_area(mesh, -1), obs.interface_length(mesh)
     assert astuple(rec) == astuple(obs.BenchmarkRecord(
         t=state.t,
-        circularity=obs.circularity(mesh),
+        circularity=obs._circularity(area, length),
         center_of_mass=obs.center_of_mass(mesh),
-        rise_velocity=obs.rise_velocity(mesh, V, u),
+        rise_velocity=obs._rise_velocity(mesh, geom, uq),
         kinetic_energy=kin,
         potential_energy=pot,
         total_energy=tot,
-        area_minus=obs.phase_area(mesh, -1),
-        interface_length=obs.interface_length(mesh),
+        area_minus=area,
+        interface_length=length,
         min_angle=state.min_angle,
         remesh_count=state.remesh_count,
     ))

@@ -121,8 +121,7 @@ def test_convergence_rate_scale_invariant(scale, d1, ratio):
 
 def test_manufactured_polynomial_reproduction():
     for k in (2, 3):
-        eu, ep = manufactured_flow_errors(k, 0.25, 0.05, 0.5, case="poly",
-                                          mu=1.0)
+        eu, ep = manufactured_flow_errors(k, 0.25, 0.05, 0.5, case="poly")
         assert eu < 1e-9
         assert ep < 1e-9
 
