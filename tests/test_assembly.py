@@ -200,6 +200,18 @@ def test_convection_against_dense_oracle_with_linear_target(two_triangle_mesh):
     assert np.abs(B @ chi - M @ ex).max() < 1e-12
 
 
+def test_load_pairing(small_setup):
+    mesh, spaces = small_setup
+    unit = PhaseParams(1.0, 1.0, 1.0, 1.0, 0.98)
+    load = assemble_load(mesh, spaces, unit)
+    ey = np.tile([0.0, 1.0], spaces.velocity.n_dofs)
+    assert ey @ load == pytest.approx(-0.98 * 2.0, abs=1e-10)
+    ex = np.tile([1.0, 0.0], spaces.velocity.n_dofs)
+    assert ex @ load == pytest.approx(0.0, abs=1e-12)
+    g0 = PhaseParams(1.0, 1.0, 1.0, 1.0, 1e-300)
+    assert np.abs(assemble_load(mesh, spaces, g0)).max() < 1e-290
+
+
 def test_load_rho_weighted(small_setup):
     mesh, spaces = small_setup
     load = assemble_load(mesh, spaces, BP1)
@@ -211,11 +223,6 @@ def test_load_rho_weighted(small_setup):
     assert ey @ load == pytest.approx(expect, rel=1e-12)
     ex = np.tile([1.0, 0.0], spaces.velocity.n_dofs)
     assert ex @ load == pytest.approx(0.0, abs=1e-12)
-    unit = PhaseParams(1.0, 1.0, 1.0, 1.0, 0.98)
-    assert ey @ assemble_load(mesh, spaces, unit) == pytest.approx(
-        -0.98 * 2.0, abs=1e-10)
-    g0 = PhaseParams(1.0, 1.0, 1.0, 1.0, 1e-300)
-    assert np.abs(assemble_load(mesh, spaces, g0)).max() < 1e-290
 
 
 def test_quadratic_norms(small_setup):
