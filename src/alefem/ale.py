@@ -11,12 +11,17 @@ evaluation on the old mesh.
 from __future__ import annotations
 
 import math
+import queue
+import threading
+import traceback
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
-from .assembly import gather, index_maps, scalar_laplacian
+from .assembly import Gather, index_maps, scalar_laplacian
 from .fespace import (
     GLOBAL,
     FESpacePair,
@@ -25,7 +30,13 @@ from .fespace import (
     dof_positions,
     evaluate_many,
 )
-from .mesh import Mesh, MeshGenerationError, interface_cycle, quality
+from .mesh import (
+    Mesh,
+    MeshGenerationError,
+    geometry,
+    interface_cycle,
+    quality,
+)
 from .reference import edge_element, edge_local_nodes
 
 
@@ -39,8 +50,8 @@ class RemeshError(Exception):
         self.ring = ring
 
 
-def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
-                       u: np.ndarray) -> np.ndarray:
+def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
+                       worker: HarmonicWorker | None = None) -> np.ndarray:
     """Discrete harmonic mesh velocity matching u on the interface.
 
     Interface DOFs of the result equal those of u bitwise, boundary DOFs
@@ -48,55 +59,226 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     each subdomain (one global solve; the fixed interface row decouples
     the subdomains).
 
+    The operator of the extension, the mesh Laplacian L and the factor
+    of its interior block, depends on the configuration alone; only the
+    lift of u on the fixed DOFs and the two triangular solves need u.
+    When worker holds the operator prepared for this mesh and spaces,
+    the extension is its solve (see `HarmonicWorker`); otherwise the
+    operator is built here, on the calling thread.  Either way a factor
+    is used and freed only by the thread that made it, because scipy
+    frees the memory of a SuperLU factor only on that thread.
+
     The interior block is factored in SuperLU's MMD column order, which
     depends on its sparsity pattern alone.  That order is computed once
-    per DOF numbering and cached with the numbering's index maps; the
-    later calls factor the block, its columns permuted into that order,
-    with the NATURAL ordering and no ordering work of their own.
+    per DOF numbering, by the first extension on it, and cached with
+    the numbering's index maps; the later operators factor the block,
+    its columns permuted into that order, with the NATURAL ordering and
+    no ordering work of their own.
     """
+    if worker is not None:
+        w = worker.extend(mesh, spaces, u)
+        if w is not None:
+            return w
     V = spaces.velocity
-    L = scalar_laplacian(mesh, V)
-    fixed = np.zeros(V.n_dofs, dtype=bool)
-    fixed[spaces.interface_dofs] = True
-    fixed[spaces.boundary_dofs] = True
-    free = ~fixed
+    maps = index_maps(V)
+    L = scalar_laplacian(geometry(mesh), V, maps)
+    ordering = []                       # the MMD factor, on a new numbering
 
-    w = np.zeros((V.n_dofs, 2))
+    def interior():
+        free = _free(spaces)
+        lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        ordering.append(lu)
+        order = _inverse_order(lu.perm_c)
+        return order, Gather(lambda L: L[free][:, free][:, order].tocsc(),
+                             [L])
+
+    order, block = maps.keyed(
+        "interior", (spaces.interface_dofs, spaces.boundary_dofs), interior)
+    if ordering:
+        # the factor that gave the order solves this call: it has the L,
+        # U and row pivots of the block's NATURAL factor in that order
+        # (see _inverse_order)
+        solve = ordering.pop().solve
+    else:
+        solve = _natural_solve(block([L]), order)
+    return _extend(L, solve, spaces, u)
+
+
+def _free(spaces: FESpacePair) -> np.ndarray:
+    """Mask of the velocity DOFs on neither the interface nor the
+    boundary."""
+    free = np.ones(spaces.velocity.n_dofs, dtype=bool)
+    free[spaces.interface_dofs] = False
+    free[spaces.boundary_dofs] = False
+    return free
+
+
+def _natural_solve(Lff, order: np.ndarray):
+    """solve(b) of the interior block, given as Lff = block[:, order],
+    by the NATURAL factor of Lff; its result is overwritten by the next
+    call."""
+    lu = splu(Lff, permc_spec="NATURAL")
+    x = np.empty(len(order))
+
+    def solve(b):
+        x[order] = lu.solve(b)
+        return x
+    return solve
+
+
+def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
+    """The harmonic extension of u by the operator (L, solve)."""
+    free = _free(spaces)
+    w = np.zeros((spaces.velocity.n_dofs, 2))
     uv = u.reshape(-1, 2)
     w[spaces.interface_dofs] = uv[spaces.interface_dofs]
     w[spaces.boundary_dofs] = 0.0
-
     # w vanishes on the free DOFs, whose columns therefore add only +-0:
     # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
     rhs = -(L @ w)[free]
-    key = (spaces.interface_dofs, spaces.boundary_dofs)
-    ordering = []                       # the MMD factor, on a new numbering
-
-    def mmd_order():
-        lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-        ordering.append(lu)
-        return _inverse_order(lu.perm_c)
-
-    order = index_maps(V).keyed("interior_order", key + (L.indices,),
-                                mmd_order)
-    # gathered on every call, so that only the first of a numbering slices
-    Lff = gather(V, "interior", key + (order,),
-                 lambda L: L[free][:, free][:, order].tocsc(), L)
-    del L
-    if ordering:
-        # the factor that gave the order solves this call: it has the L,
-        # U and row pivots of Lff's NATURAL factor (see _inverse_order)
-        solve = ordering.pop().solve
-    else:
-        lu = splu(Lff, permc_spec="NATURAL")
-        x = np.empty(len(order))
-
-        def solve(b):
-            x[order] = lu.solve(b)
-            return x
     for c in range(2):
         w[free, c] = solve(rhs[:, c])
     return w.ravel()
+
+
+def _prepare(geom, V: ScalarSpace, maps, order: np.ndarray, block: Gather):
+    """The operator (L, solve) of a configuration whose numbering is
+    ordered already, from its geometry table and the numbering's maps
+    alone: no module-level cache is read."""
+    L = scalar_laplacian(geom, V, maps)
+    return L, _natural_solve(block([L]), order)
+
+
+class HarmonicWorker:
+    """One thread that builds the harmonic operator of the next mesh
+    configuration while the flow solve of the current step runs, and
+    extends with it in the next step.
+
+    The moved mesh of step n is the configuration on which step n + 1
+    extends.  `prepare` hands its operator to the thread (`stepper.
+    flow_solve` does so once the saddle matrix is gathered), and
+    `extend` asks the thread for the extension of u by that operator.
+    The thread keeps every factor it makes and runs the solves with it:
+    scipy's SuperLU wrapper records each allocation in a registry of
+    the allocating thread and frees a pointer only on that thread, so a
+    factor released elsewhere would leak its memory.  The main thread
+    gets back only w.  A prepared operator that is not used, after a
+    remesh or for a state on another mesh, is dropped on the thread.
+
+    The job gets the geometry table and the numbering's index maps,
+    order and gather, and reads no module-level cache: those are
+    one-slot caches that the main thread rebuilds meanwhile, on a
+    remesh.  An exception of the job is raised, with its type
+    unchanged, by the `extend` that uses the operator, and discarded
+    with an operator that is dropped.
+
+    The thread starts with the first job; `close` drops the operator
+    and joins it.  A worker that is garbage-collected unclosed ends its
+    thread the same way, without the join.
+    """
+
+    def __init__(self):
+        self._jobs: queue.SimpleQueue | None = None
+        self._thread: threading.Thread | None = None
+        self._stop = None
+        self._pending = None        # (mesh, spaces) of the job handed over
+
+    def _send(self, kind: str, args: tuple, done: Future | None) -> None:
+        if self._thread is None:
+            self._jobs = queue.SimpleQueue()
+            self._thread = threading.Thread(target=_serve, args=(self._jobs,),
+                                            name="alefem-harmonic",
+                                            daemon=True)
+            self._thread.start()
+            self._stop = weakref.finalize(self, self._jobs.put, None)
+        self._jobs.put((kind, args, done))
+
+    def _call(self, kind: str, *args):
+        """Run a job on the thread and return its result."""
+        done = Future()
+        self._send(kind, args, done)
+        return done.result()
+
+    def prepare(self, mesh: Mesh, spaces: FESpacePair) -> None:
+        """Start building the operator of mesh and spaces on the thread,
+        when their numbering has its order; the first extension on a
+        numbering orders it, on the calling thread.  The physical
+        gradients of the velocity space must exist already, so that
+        the two threads never both build them."""
+        V = spaces.velocity
+        maps = index_maps(V)
+        cached = maps.cached("interior",
+                             (spaces.interface_dofs, spaces.boundary_dofs))
+        if cached is None:
+            return
+        self._pending = (mesh, spaces)
+        # its result, or exception, is handed on by the extend that uses it
+        self._send("prepare", (geometry(mesh), V, maps, *cached), None)
+
+    def extend(self, mesh: Mesh, spaces: FESpacePair,
+               u: np.ndarray) -> np.ndarray | None:
+        """The extension of u by the operator prepared for mesh and
+        spaces, or None, after dropping any other operator, when there
+        is none."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return None
+        if pending[0] is not mesh or pending[1] is not spaces:
+            self._call("drop")
+            return None
+        return self._call("extend", spaces, u)
+
+    def close(self) -> None:
+        """Drop the prepared operator on the thread, then join it."""
+        self._pending = None
+        if self._thread is not None:
+            self._stop()
+            self._thread.join()
+            self._thread = None
+
+
+def _detached(err: Exception) -> Exception:
+    """err with the locals of its finished frames cleared and the frame
+    of the thread's loop left out of its traceback, so that another
+    thread holding err holds no factor of this one."""
+    tb = err.__traceback__.tb_next
+    traceback.clear_frames(tb)
+    return err.with_traceback(tb)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The loop of a `HarmonicWorker`'s thread.  prepared, the operator
+    of the last "prepare" job or the exception it raised, is the only
+    reference to the thread's factors, so each is freed here."""
+    prepared = None
+    while (job := jobs.get()) is not None:
+        kind, args, done = job
+        job = None
+        if kind == "prepare":
+            prepared = None                 # free the old factor first
+            try:
+                prepared = _prepare(*args)
+            except Exception as err:
+                prepared = _detached(err)
+            args = None
+            continue
+        # "extend" or "drop": either way the operator is used up
+        op, prepared = prepared, None
+        w = error = None
+        if kind == "extend" and isinstance(op, Exception):
+            error = op
+        elif kind == "extend":
+            try:
+                w = _extend(*op, *args)
+            except Exception as err:
+                error = _detached(err)
+        op = args = None                # freed before the caller goes on
+        if error is None:
+            done.set_result(w)
+        else:
+            done.set_exception(error)
+        done = w = error = None
+    prepared = None
 
 
 def _inverse_order(perm_c: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ left to right.  `SumOrder` runs that same sort once on entry ids and keeps the
 resulting permutation: the entry of rank 0 of each slot is assigned,
 those of later ranks are added one rank at a time.  Summing in element
 order instead differs in the last bits, and the remeshing of a long run
-is chaotic in such roundoff.  `gather` extends the same idea to
+is chaotic in such roundoff.  `Gather` extends the same idea to
 matrices derived by slicing and stacking (the saddle matrix, the
 interior block of the mesh Laplacian): the slicing runs once on entry
 ids and is replayed as one gather per step.  The maps of the velocity
@@ -249,12 +249,21 @@ class DofMaps:
         """build(), cached under name while every array of key is the
         same memory as when it was built.  The entry holds those arrays,
         so their memory cannot be reused by other data meanwhile."""
+        value = self.cached(name, key)
+        if value is None:
+            self._keyed[name] = None            # free the old map first
+            value = build()
+            self._keyed[name] = (key, value)
+        return value
+
+    def cached(self, name: str, key: tuple):
+        """What keyed(name, key, ...) built, or None if it built nothing
+        for key."""
         entry = self._keyed.get(name)
         if entry is None or [_pointer(a) for a in entry[0]] != [
                 _pointer(a) for a in key]:
-            self._keyed[name] = None            # free the old map first
-            self._keyed[name] = (key, build())
-        return self._keyed[name][1]
+            return None
+        return entry[1]
 
     def divergence(self, pressure: ScalarSpace) -> SumOrder:
         """Divergence element matrices, entries (E, n_p, n_loc, 2)."""
@@ -412,9 +421,12 @@ def scalar_mass(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
     return index_maps(space).scalar.matrix(local)
 
 
-def scalar_laplacian(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
-    local = _laplacian_local(geometry(mesh), space)
-    return index_maps(space).scalar.matrix(local)
+def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
+                     maps: DofMaps) -> sparse.csr_matrix:
+    """The Laplacian of the space on the configuration of geom, maps
+    being those of its numbering.  It looks up no cache, so that it
+    can run off the main thread (see `ale.HarmonicWorker`)."""
+    return maps.scalar.matrix(_laplacian_local(geom, space))
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,

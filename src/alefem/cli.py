@@ -232,12 +232,14 @@ def build_verify_checks(suite: str):
 
         def check_reference_matrices():
             from .fespace import build_scalar_space
-            from .assembly import scalar_mass, scalar_laplacian
+            from .assembly import index_maps, scalar_laplacian, scalar_mass
+            from .mesh import geometry
 
             mesh = _unit_right_triangle()
             space = build_scalar_space(mesh, 1)
             M = scalar_mass(mesh, space).toarray()
-            A = scalar_laplacian(mesh, space).toarray()
+            A = scalar_laplacian(geometry(mesh), space,
+                                 index_maps(space)).toarray()
             M_exact = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
             A_exact = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
                                 [-0.5, 0.0, 0.5]])

@@ -419,25 +419,37 @@ def generate_rect_mesh(rect, h: float, k: int) -> Mesh:
     return _elevate(pts, tris, phase, rect, k)
 
 
+def bubble_problem(rect, center, radius: float, h: float) -> str | None:
+    """Why a circle of that center and radius cannot be meshed in rect
+    at mesh size h, or None if it can: the radius must be positive and
+    the clearance to every wall larger than h."""
+    if radius <= 0:
+        return f"circle radius must be positive, got {radius}"
+    x0, y0, x1, y1 = rect
+    cx, cy = center
+    clearance = min(cx - radius - x0, x1 - cx - radius,
+                    cy - radius - y0, y1 - cy - radius)
+    if clearance <= h:
+        return (f"circle (center {center}, radius {radius}) keeps a "
+                f"clearance of {clearance:.4g} to the walls of {rect}; it "
+                f"must exceed h={h}")
+    return None
+
+
 def generate_bubble_mesh(rect, center, radius: float, h: float, k: int) -> Mesh:
     """Fitted mesh of a rectangle with a circular interface.
 
     Interface nodes (including the curved-edge nodes for k >= 2) lie
     exactly on the circle; interior elements are straight.
     """
-    x0, y0, x1, y1 = rect
     cx, cy = center
     if k not in (1, 2, 3):
         raise MeshGenerationError(f"degree k={k} not supported")
     if h <= 0:
         raise MeshGenerationError("mesh size must be positive")
-    clearance = min(cx - radius - x0, x1 - cx - radius,
-                    cy - radius - y0, y1 - cy - radius)
-    if radius <= 0 or clearance <= h:
-        raise MeshGenerationError(
-            f"circle (center {center}, radius {radius}) must lie strictly inside "
-            f"{rect} with clearance > h={h}; clearance is {clearance:.4g}"
-        )
+    problem = bubble_problem(rect, center, radius, h)
+    if problem is not None:
+        raise MeshGenerationError(problem)
     # keep the ring density proportional to 1/h so nested-mesh studies
     # refine the interface by the same factor as the bulk
     n_ring = max(8, int(round(2.0 * math.pi * radius / h)))

@@ -13,16 +13,26 @@ step and is not carried between steps.  Assembly, quality checks and
 observables of one mesh configuration all read its single geometry
 table (`mesh.geometry`), so a step without a remesh builds exactly one:
 that of the moved mesh.
+
+The moved mesh of one step is the configuration the next step extends
+on, and the operator of that extension depends on the mesh alone.  So
+once (3) has gathered its saddle matrix, the state's `HarmonicWorker`
+assembles and factors that operator on a second thread while the
+saddle solve runs, and step (1) of the next step is two triangular
+solves with it.  After a remesh the prepared operator is dropped
+unused.  The results are bitwise those of building the operator in
+(1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ale import (
+    HarmonicWorker,
     advance_mesh,
     check_and_remesh,
     harmonic_extension,
@@ -40,7 +50,7 @@ from .assembly import (
 )
 from .fespace import FESpacePair, build_taylor_hood
 from .linalg import SaddleFactor, SaddleSystem, saddle_matrix, solve_saddle
-from .mesh import Mesh, generate_bubble_mesh, quality
+from .mesh import Mesh, bubble_problem, generate_bubble_mesh, quality
 from .observables import BenchmarkRecord, benchmark_record
 
 
@@ -69,6 +79,19 @@ class SimConfig:
         if self.record_every < 1:
             raise ValueError(f"record_every must be at least 1, "
                              f"got {self.record_every}")
+        steps = self.T / self.tau
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+            raise ValueError(f"T={self.T} is not a whole number of steps "
+                             f"of tau={self.tau} ({steps:.6g} steps)")
+        problem = bubble_problem(self.rect, self.circle_center,
+                                 self.circle_radius, self.h)
+        if problem is not None:
+            raise ValueError(problem)
+        # a triangle has an angle of at most pi/3, so no mesh beats a
+        # larger threshold
+        if not 0.0 < self.remesh_angle < math.pi / 3.0:
+            raise ValueError(f"remesh_angle must lie in (0, pi/3), got "
+                             f"{self.remesh_angle}")
 
     @property
     def n_steps(self) -> int:
@@ -83,7 +106,10 @@ class State:
     so far.  factor is the saddle factor that preconditions the next flow
     solve (None makes that solve factor afresh); saddle_iterations are
     the iterations of the last flow solve and saddle_factorizations the
-    factorizations since initialize().
+    factorizations since initialize().  harmonic is the worker that
+    holds the operator of the next harmonic extension, prepared during
+    the last flow solve; it is made with the first state and handed
+    from state to state, and `run` closes it.
     """
 
     t: float
@@ -96,6 +122,7 @@ class State:
     factor: SaddleFactor | None = None
     saddle_iterations: int = 0
     saddle_factorizations: int = 0
+    harmonic: HarmonicWorker = field(default_factory=HarmonicWorker)
 
 
 def initialize(config: SimConfig) -> State:
@@ -111,14 +138,16 @@ def initialize(config: SimConfig) -> State:
 def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
                tau: float, u_old: np.ndarray, transport: np.ndarray,
                load: np.ndarray, boundary_values: np.ndarray | None = None,
-               factor: SaddleFactor | None = None):
+               factor: SaddleFactor | None = None,
+               harmonic: HarmonicWorker | None = None):
     """One implicit solve of the momentum/divergence system.
 
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
-    factor when one is given (see `solve_saddle`).  Returns (u, p,
-    multiplier, stats).
+    factor when one is given (see `solve_saddle`).  When harmonic is
+    given, it prepares the harmonic operator of mesh during the saddle
+    solve.  Returns (u, p, multiplier, stats).
     """
     M_rho = assemble("M_rho", mesh, spaces, params)
     A_mu = assemble("A_mu", mesh, spaces, params)
@@ -149,6 +178,10 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     A0 = gather(spaces.velocity, "saddle", (spaces.boundary_dofs,), saddle,
                 Kuu, C)
     del Kuu, C
+    if harmonic is not None:
+        # after assembly, so that its workspace does not add to theirs,
+        # and after the physical gradients exist
+        harmonic.prepare(mesh, spaces)
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
@@ -162,7 +195,8 @@ def step(state: State, config: SimConfig) -> State:
     tau = config.tau
 
     # (1) mesh velocity from the current velocity
-    w = harmonic_extension(state.mesh, state.spaces, state.u)
+    w = harmonic_extension(state.mesh, state.spaces, state.u,
+                           state.harmonic)
 
     # (2) move the mesh, carrying all coefficients nodally
     x_new = advance_mesh(state.mesh.x, w, tau)
@@ -173,7 +207,7 @@ def step(state: State, config: SimConfig) -> State:
     load = assemble_load(mesh, spaces, params)
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,
-                                factor=state.factor)
+                                factor=state.factor, harmonic=state.harmonic)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}
@@ -191,7 +225,8 @@ def step(state: State, config: SimConfig) -> State:
         factor=None if did_remesh else stats.factor,
         saddle_iterations=stats.iterations,
         saddle_factorizations=(state.saddle_factorizations
-                               + stats.factorizations))
+                               + stats.factorizations),
+        harmonic=state.harmonic)
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
@@ -204,18 +239,23 @@ def run(config: SimConfig, sinks=()):
     """Run the simulation; returns (final state, list of records).
 
     sinks are callables invoked as sink(step_index, state, record) at
-    every recorded step (including the initial state).
+    every recorded step (including the initial state).  The harmonic
+    worker of the states is closed on return, also when a step or a
+    sink raises.
     """
     state = initialize(config)
-    records = [record_state(state, config)]
-    for sink in sinks:
-        sink(0, state, records[-1])
-    n = config.n_steps
-    for i in range(1, n + 1):
-        state = step(state, config)
-        if i % config.record_every == 0 or i == n:
-            rec = record_state(state, config)
-            records.append(rec)
-            for sink in sinks:
-                sink(i, state, rec)
+    try:
+        records = [record_state(state, config)]
+        for sink in sinks:
+            sink(0, state, records[-1])
+        n = config.n_steps
+        for i in range(1, n + 1):
+            state = step(state, config)
+            if i % config.record_every == 0 or i == n:
+                rec = record_state(state, config)
+                records.append(rec)
+                for sink in sinks:
+                    sink(i, state, rec)
+    finally:
+        state.harmonic.close()
     return state, records

@@ -289,10 +289,13 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
         h_values.append(cfg.h)
         state = initialize(cfg)
         mesh0, spaces0 = state.mesh, state.spaces
-        for i in range(cfg.n_steps):
-            state = step(state, cfg)
-            if progress is not None:
-                progress(lvl, i + 1, cfg.n_steps)
+        try:
+            for i in range(cfg.n_steps):
+                state = step(state, cfg)
+                if progress is not None:
+                    progress(lvl, i + 1, cfg.n_steps)
+        finally:
+            state.harmonic.close()
         if state.remesh_count:
             raise RuntimeError(
                 "remeshing occurred during the rate study; shorten T or "

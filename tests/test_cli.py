@@ -117,6 +117,38 @@ def test_record_every_below_one_rejected(tmp_path, every):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra, match", [
+    # 2.48 steps of tau = 0.005: run to t = 0.01, T would have echoed 0.0124
+    ("T = 0.0124", "whole number of steps"),
+    ("circle_radius = -0.1", "radius must be positive"),
+    ("circle_radius = 0", "radius must be positive"),
+    ("circle_radius = 0.4", "clearance of 0.1 .* must exceed h=0.16"),
+    ("circle_center = 0.5, 1.9", "clearance of -0.15 .* must exceed h=0.16"),
+    ("remesh_angle = 0", "remesh_angle"),
+    ("remesh_angle = 1.0471975511965979", "remesh_angle"),     # pi/3
+    ("remesh_angle = 1.2", "remesh_angle"),
+])
+def test_invalid_horizon_bubble_and_angle_rejected(tmp_path, extra, match):
+    key, val = (s.strip() for s in extra.split("="))
+    settings = {"k": 2, "h": 0.16, "tau": 0.005, "T": 0.05}
+    settings[key] = (tuple(float(v) for v in val.split(",")) if "," in val
+                     else float(val))
+    with pytest.raises(ValueError, match=match):
+        SimConfig(params=BP1, **settings)
+    path = tmp_path / "bad.cfg"
+    path.write_text(BP1_CONFIG.replace("T = 0.05\n", "") + extra + "\n"
+                    + ("" if key == "T" else "T = 0.05\n"))
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("steps", [1, 7, 150, 283, 300, 600])
+def test_horizon_of_whole_steps_accepted(steps):
+    tau = 1.0 / 200.0
+    assert SimConfig(params=BP1, k=2, h=0.08, tau=tau,
+                     T=steps * tau).n_steps == steps
+
+
 def test_cmd_run_writes_outputs(tmp_path, config_file):
     out = tmp_path / "out"
     rc = cmd_run(config_file, out, vtk_every=5, quiet=True)

@@ -1,8 +1,11 @@
 """No module of the package or of its tests imports a name it never
 uses; every public name and every parameter default of the package is
-used by the package."""
+used by the package; importing the package starts no thread."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -217,3 +220,16 @@ def test_every_default_is_set_by_a_caller():
     unset = [entry for entry in defaults_never_passed(package_modules())
              if entry not in DEFAULTS_OK]
     assert unset == [], f"defaults that no call in the package sets: {unset}"
+
+
+def test_importing_the_package_starts_no_thread():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py")
+                     if p.name != "__init__.py")
+    code = ("import importlib, threading\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('alefem.' + name)\n"
+            "print(threading.active_count())\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.split() == ["1"]

@@ -103,7 +103,7 @@ def test_every_kind_equals_coo_assembly(moved):
     local = assembly._convection_local(geom, V, rho, transport)
     assert_same(assemble_convection(mesh, spaces, BP1, transport),
                 kron2(scalar_coo(local, V)))
-    assert_same(scalar_laplacian(mesh, V),
+    assert_same(scalar_laplacian(geometry(mesh), V, index_maps(V)),
                 scalar_coo(assembly._laplacian_local(geom, V), V))
     P1 = build_scalar_space(mesh, 1)
     for space in (P, P1):
@@ -157,7 +157,7 @@ def sliced_flow_solve(mesh, spaces, tau, u_old, transport, load,
 
 def sliced_harmonic_extension(mesh, spaces, u):
     V = spaces.velocity
-    L = scalar_laplacian(mesh, V)
+    L = scalar_laplacian(geometry(mesh), V, index_maps(V))
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True

@@ -18,9 +18,14 @@ from scipy.sparse.linalg import splu
 
 from alefem import ale, assembly
 from alefem.ale import harmonic_extension, move_mesh, spaces_with_mesh
-from alefem.assembly import field_values, scalar_laplacian
+from alefem.assembly import field_values, index_maps, scalar_laplacian
 from alefem.fespace import FESpacePair, build_scalar_space, build_taylor_hood
-from alefem.mesh import GeometryTables, displace, generate_bubble_mesh
+from alefem.mesh import (
+    GeometryTables,
+    displace,
+    generate_bubble_mesh,
+    geometry,
+)
 from alefem.quadrature import triangle_rule
 from alefem.reference import reference_element
 from alefem.stepper import SimConfig, initialize, step
@@ -157,7 +162,7 @@ def mmd_harmonic_extension(mesh, spaces, u):
     """The harmonic extension with the interior block factored under
     SuperLU's MMD ordering at every call."""
     V = spaces.velocity
-    L = scalar_laplacian(mesh, V)
+    L = scalar_laplacian(geometry(mesh), V, index_maps(V))
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True
@@ -193,9 +198,13 @@ def test_harmonic_extension_orders_once_per_numbering(monkeypatch):
         expect = mmd_harmonic_extension(state.mesh, state.spaces, state.u)
         assert_exact(got, expect)
     assert state.remesh_count == 0
-    # one factorization per call: the first orders by MMD, the later ones
-    # factor in that order
-    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 7
+    # the operator prepared for the last configuration is factored on the
+    # worker; closing it waits for that
+    state.harmonic.close()
+    # the first step orders by MMD; every later factorization is in that
+    # order: one per configuration prepared during the flow solve that
+    # moved to it, the last one included, and one per extension above
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 8
 
     # the same numbering under new identity orders again, and stays exact
     spaces = state.spaces
@@ -219,7 +228,7 @@ def test_harmonic_extension_keeps_mmd_fill():
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = step(initialize(cfg), cfg)
     spaces, V = state.spaces, state.spaces.velocity
-    L = scalar_laplacian(state.mesh, V)
+    L = scalar_laplacian(geometry(state.mesh), V, index_maps(V))
     free = np.ones(V.n_dofs, dtype=bool)
     free[spaces.interface_dofs] = False
     free[spaces.boundary_dofs] = False
