@@ -11,6 +11,7 @@ evaluation on the old mesh.
 from __future__ import annotations
 
 import math
+import os
 import queue
 import threading
 import traceback
@@ -172,6 +173,12 @@ class HarmonicWorker:
     unchanged, by the `extend` that uses the operator, and discarded
     with an operator that is dropped.
 
+    The overlap needs a second CPU.  On one, the thread can only take
+    turns with the saddle solve, and the fastest `rise_h04` step took
+    about 20% longer than when the next extension builds the operator
+    itself.  So when the process may run on one CPU alone, `prepare`
+    hands nothing over and no thread starts.
+
     The thread starts with the first job; `close` drops the operator
     and joins it.  A worker that is garbage-collected unclosed ends its
     thread the same way, without the join.
@@ -204,7 +211,10 @@ class HarmonicWorker:
         when their numbering has its order; the first extension on a
         numbering orders it, on the calling thread.  The physical
         gradients of the velocity space must exist already, so that
-        the two threads never both build them."""
+        the two threads never both build them.  On one CPU it does
+        nothing."""
+        if _cpus_available() < 2:
+            return
         V = spaces.velocity
         maps = index_maps(V)
         cached = maps.cached("interior",
@@ -235,6 +245,14 @@ class HarmonicWorker:
             self._stop()
             self._thread.join()
             self._thread = None
+
+
+def _cpus_available() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _detached(err: Exception) -> Exception:

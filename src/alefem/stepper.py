@@ -20,8 +20,9 @@ once (3) has gathered its saddle matrix, the state's `HarmonicWorker`
 assembles and factors that operator on a second thread while the
 saddle solve runs, and step (1) of the next step is two triangular
 solves with it.  After a remesh the prepared operator is dropped
-unused.  The results are bitwise those of building the operator in
-(1).
+unused.  When the process may run on one CPU only, nothing overlaps,
+and (1) builds the operator itself, on the calling thread.  The
+results are bitwise those of building the operator in (1).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each step prepares the harmonic operator of its moved mesh on a second
 thread during the saddle solve; the next step extends with it.  These
 tests pin what that thread may and may not do: free its factors itself,
 read no module-level cache, match an operator only to its own mesh, and
-hand its errors to the step that uses the operator.
+hand its errors to the step that uses the operator.  On one CPU there
+is nothing to overlap, and no thread is started at all.
 """
 
 import gc
@@ -23,6 +24,13 @@ TAU = 1.0 / 200.0
 
 def config(steps: int) -> SimConfig:
     return SimConfig(params=BP1, k=2, h=0.16, tau=TAU, T=steps * TAU)
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Hand the operators to the thread on any machine: on one CPU the
+    worker keeps them on the calling thread."""
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
 
 
 def off_main() -> bool:
@@ -138,3 +146,28 @@ def test_worker_error_surfaces_in_the_step_that_uses_it(monkeypatch):
         thread.join(timeout=5.0)
         assert not thread.is_alive()
     assert raised.type is RuntimeError
+
+
+def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
+    overlapped, overlapped_records = run(config(4))
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 1)
+    factors = []
+    original = ale.splu
+
+    def splu(*args, **kwargs):
+        factors.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ale, "splu", splu)
+    names = []
+    state, records = run(config(4), sinks=[
+        lambda i, state, rec: names.extend(
+            t.name for t in threading.enumerate())])
+    assert state.remesh_count == 0
+    assert "alefem-harmonic" not in names
+    # one factor per step, each on the calling thread
+    assert factors == [threading.get_ident()] * 4
+    assert records == overlapped_records
+    for a, b in ((state.u, overlapped.u), (state.p, overlapped.p),
+                 (state.mesh.x, overlapped.mesh.x)):
+        assert a.tobytes() == b.tobytes()

@@ -189,6 +189,8 @@ def record_orderings(monkeypatch):
 
 
 def test_harmonic_extension_orders_once_per_numbering(monkeypatch):
+    # the count below is that of the overlapped path, which one CPU skips
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
     specs = record_orderings(monkeypatch)
