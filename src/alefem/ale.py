@@ -174,10 +174,11 @@ class HarmonicWorker:
     with an operator that is dropped.
 
     The overlap needs a second CPU.  On one, the thread can only take
-    turns with the saddle solve, and the fastest `rise_h04` step took
-    about 20% longer than when the next extension builds the operator
-    itself.  So when the process may run on one CPU alone, `prepare`
-    hands nothing over and no thread starts.
+    turns with the saddle solve: pinned to one CPU of a 2-CPU Xeon VM,
+    the fastest `rise_h04` step took 12% longer (median of 10 runs) than
+    when the next extension builds the operator itself.  So when the
+    process may run on one CPU alone, `prepare` hands nothing over and
+    no thread starts.
 
     The thread starts with the first job; `close` drops the operator
     and joins it.  A worker that is garbage-collected unclosed ends its
