@@ -24,11 +24,9 @@ from scipy.sparse.linalg import splu
 from . import mesh as meshmod
 from .assembly import Gather, index_maps, scalar_laplacian
 from .fespace import (
-    GLOBAL,
     FESpacePair,
     ScalarSpace,
     build_taylor_hood,
-    dof_positions,
     evaluate_many,
 )
 from .mesh import (
@@ -151,38 +149,56 @@ def _prepare(geom, V: ScalarSpace, maps, order: np.ndarray, block: Gather):
 
 
 class HarmonicWorker:
-    """One thread that builds the harmonic operator of the next mesh
-    configuration while the flow solve of the current step runs, and
-    extends with it in the next step.
+    """One thread that works alongside the step on the main thread.
+
+    Its jobs, in the order a step hands them over:
+
+    - the extension of u by the harmonic operator prepared in the last
+      step (`extend`), at the start of the step;
+    - the upper halves of the moved mesh's geometry table and of its
+      physical gradients (see `mesh.GeometryTables`), while the main
+      thread builds the lower halves;
+    - the viscous form A_mu and the divergence form C, while the main
+      thread assembles M_rho, the convection form and the pressure mean
+      (see `stepper.flow_solve`);
+    - the harmonic operator of the moved mesh (`prepare`), once the
+      saddle matrix is gathered, while the saddle solve runs.
 
     The moved mesh of step n is the configuration on which step n + 1
-    extends.  `prepare` hands its operator to the thread (`stepper.
-    flow_solve` does so once the saddle matrix is gathered), and
-    `extend` asks the thread for the extension of u by that operator.
-    The thread keeps every factor it makes and runs the solves with it:
-    scipy's SuperLU wrapper records each allocation in a registry of
-    the allocating thread and frees a pointer only on that thread, so a
-    factor released elsewhere would leak its memory.  The main thread
-    gets back only w.  A prepared operator that is not used, after a
-    remesh or for a state on another mesh, is dropped on the thread.
+    extends, so its operator, the mesh Laplacian and the factor of its
+    interior block, is built in step n.  The thread keeps every factor
+    it makes and runs the solves with it: scipy's SuperLU wrapper
+    records each allocation in a registry of the allocating thread and
+    frees a pointer only on that thread, so a factor released elsewhere
+    would leak its memory.  The main thread gets back only w.  A
+    prepared operator that is not used, after a remesh or for a state
+    on another mesh, is dropped on the thread.  The other jobs
+    (`submit`) run a function on the arrays they are handed and hand
+    back arrays and sparse matrices, never a factor.
 
-    The job gets the geometry table and the numbering's index maps,
-    order and gather, and reads no module-level cache: those are
+    Every job gets the geometry table and the numbering's index maps it
+    needs as arguments and reads no module-level cache: those are
     one-slot caches that the main thread rebuilds meanwhile, on a
-    remesh.  An exception of the job is raised, with its type
-    unchanged, by the `extend` that uses the operator, and discarded
-    with an operator that is dropped.
+    remesh.  The index maps the job reads are built before it is handed
+    over, so the two threads never both build one.  An exception of a
+    job is raised, with its type unchanged, by the call that waits for
+    its result: for `prepare`, the `extend` that uses the operator; an
+    exception of an operator that is dropped is discarded.
 
     The overlap needs a second CPU.  On one, the thread can only take
-    turns with the saddle solve: pinned to one CPU of a 2-CPU Xeon VM,
-    the fastest `rise_h04` step took 12% longer (median of 10 runs) than
-    when the next extension builds the operator itself.  So when the
-    process may run on one CPU alone, `prepare` hands nothing over and
-    no thread starts.
+    turns with the main thread: pinned to one CPU of a 2-CPU Xeon VM,
+    the fastest `rise_h04` step took 12% longer (median of 10 runs) when
+    the harmonic operator was built on the thread.  So when the process
+    may run on one CPU alone, nothing is handed over and no thread
+    starts: `prepare` does nothing, the next extension builds the
+    operator itself, and `submit` runs its function at once on the
+    calling thread.  The results are bitwise the same on either path.
 
     The thread starts with the first job; `close` drops the operator
-    and joins it.  A worker that is garbage-collected unclosed ends its
-    thread the same way, without the join.
+    and joins it.  A worker that is garbage-collected unclosed, or left
+    open at interpreter exit, stops and joins its thread the same way,
+    so that the thread frees its factors before the interpreter is torn
+    down.
     """
 
     def __init__(self):
@@ -198,7 +214,8 @@ class HarmonicWorker:
                                             name="alefem-harmonic",
                                             daemon=True)
             self._thread.start()
-            self._stop = weakref.finalize(self, self._jobs.put, None)
+            self._stop = weakref.finalize(self, _stop, self._jobs,
+                                          self._thread)
         self._jobs.put((kind, args, done))
 
     def _call(self, kind: str, *args):
@@ -206,6 +223,16 @@ class HarmonicWorker:
         done = Future()
         self._send(kind, args, done)
         return done.result()
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        """A future of fn(*args, **kwargs), run on the thread, or at once
+        on the calling thread when the process may use one CPU only.
+        fn must read no module-level cache (see the class doc)."""
+        if _cpus_available() < 2:
+            return run_here(fn, *args, **kwargs)
+        done = Future()
+        self._send("call", (fn, args, kwargs), done)
+        return done
 
     def prepare(self, mesh: Mesh, spaces: FESpacePair) -> None:
         """Start building the operator of mesh and spaces on the thread,
@@ -244,8 +271,15 @@ class HarmonicWorker:
         self._pending = None
         if self._thread is not None:
             self._stop()
-            self._thread.join()
             self._thread = None
+
+
+def _stop(jobs: queue.SimpleQueue, thread: threading.Thread) -> None:
+    """End the loop of a worker's thread and join it, unless called on
+    that thread itself (by a garbage collection that ran there)."""
+    jobs.put(None)
+    if thread is not threading.current_thread():
+        thread.join()
 
 
 def _cpus_available() -> int:
@@ -265,6 +299,24 @@ def _detached(err: Exception) -> Exception:
     return err.with_traceback(tb)
 
 
+def run_here(fn, *args, **kwargs) -> Future:
+    """A future of fn(*args, **kwargs), run at once on the calling
+    thread: the `HarmonicWorker.submit` of a step without a worker."""
+    done = Future()
+    _settle(done, fn, args, kwargs)
+    return done
+
+
+def _settle(done: Future, fn, args: tuple, kwargs: dict) -> None:
+    """Set done to the result of fn(*args, **kwargs), or its exception."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as err:
+        done.set_exception(_detached(err))
+    else:
+        done.set_result(result)
+
+
 def _serve(jobs: queue.SimpleQueue) -> None:
     """The loop of a `HarmonicWorker`'s thread.  prepared, the operator
     of the last "prepare" job or the exception it raised, is the only
@@ -273,6 +325,10 @@ def _serve(jobs: queue.SimpleQueue) -> None:
     while (job := jobs.get()) is not None:
         kind, args, done = job
         job = None
+        if kind == "call":
+            _settle(done, *args)
+            args = done = None
+            continue
         if kind == "prepare":
             prepared = None                 # free the old factor first
             try:
@@ -332,14 +388,11 @@ def move_mesh(mesh: Mesh, x_new: np.ndarray) -> Mesh:
 
 
 def spaces_with_mesh(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
-    """Rebind spaces to a mesh with identical connectivity (moved nodes)."""
+    """Rebind spaces to a mesh with identical connectivity (moved nodes).
+    Their DOF positions are computed when first read."""
     def rebind(s: ScalarSpace) -> ScalarSpace:
-        if s.degree == mesh.degree and s.continuity == GLOBAL:
-            positions = mesh.coords
-        else:
-            positions = dof_positions(mesh, s.degree, s.dof_of, s.n_dofs)
         return ScalarSpace(mesh, s.degree, s.continuity, s.dof_of, s.n_dofs,
-                           positions, s.dof_phase)
+                           s.dof_phase)
 
     return FESpacePair(rebind(spaces.velocity), rebind(spaces.pressure),
                        spaces.interface_dofs, spaces.boundary_dofs)

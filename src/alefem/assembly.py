@@ -347,13 +347,14 @@ def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
     return (vals[None] * w[:, None, :]) @ vals.T        # (E, n_loc, n_loc)
 
 
-# Elements per chunk of the Laplacian kernel.  Its two work arrays would
-# be as large as the physical gradients; the mesh Laplacian is assembled
-# while the saddle factor of the previous step is alive, so they set the
-# peak memory of a run.  With chunks of 128 elements the peak of the
+# Elements per chunk of the Laplacian and viscous kernels.  Their work
+# arrays would be as large as the physical gradients; the mesh
+# Laplacian is assembled while the saddle factor of the previous step is
+# alive, and the viscous form alongside the convection form, so they set
+# the peak memory of a run.  With chunks of 128 elements the peak of the
 # rising-bubble runs at h=0.08 and 0.04 stays at that of whole-array COO
 # assembly; chunks of 512 raised it by about 5 MB at h=0.08.
-_LAPLACIAN_CHUNK = 128
+_ELEMENT_CHUNK = 128
 
 
 def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
@@ -361,8 +362,8 @@ def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
     w = geom.wdet
     E, Q, n_loc, _ = gphys.shape
     local = np.empty((E, n_loc, n_loc))
-    for lo in range(0, E, _LAPLACIAN_CHUNK):
-        g = gphys[lo:lo + _LAPLACIAN_CHUNK]
+    for lo in range(0, E, _ELEMENT_CHUNK):
+        g = gphys[lo:lo + _ELEMENT_CHUNK]
         n = len(g)
         # (n, n_loc, 2Q), C-contiguous: the (x, y) pairs of g moved as
         # 16-byte items
@@ -381,16 +382,20 @@ def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
 def _viscous_local(geom: GeometryTables, V: ScalarSpace, mu):
     """Entries (E, n_loc, 2, n_loc, 2) of the viscous form."""
     gphys = geom.physical_gradients(V)
-    w = geom.wdet * mu[:, None]
     E, Q, n_loc, _ = gphys.shape
-    # P[(i,a),(j,b)] = sum_K mu_K int d_a phi_i d_b phi_j
-    G = gphys.reshape(E, Q, 2 * n_loc)
-    P = (G * w[:, :, None]).transpose(0, 2, 1) @ G      # (E, 2n, 2n)
-    P = P.reshape(E, n_loc, 2, n_loc, 2)
-    trace = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
-    local = np.swapaxes(P, 2, 4).copy()                 # entry [i,a,j,b] = P[i,b,j,a]
-    local[:, :, 0, :, 0] += trace
-    local[:, :, 1, :, 1] += trace
+    local = np.empty((E, n_loc, 2, n_loc, 2))
+    for lo in range(0, E, _ELEMENT_CHUNK):
+        # P[(i,a),(j,b)] = sum_K mu_K int d_a phi_i d_b phi_j
+        G = gphys[lo:lo + _ELEMENT_CHUNK].reshape(-1, Q, 2 * n_loc)
+        n = len(G)
+        w = geom.wdet[lo:lo + n] * mu[lo:lo + n, None]
+        P = (G * w[:, :, None]).transpose(0, 2, 1) @ G  # (n, 2n_loc, 2n_loc)
+        P = P.reshape(n, n_loc, 2, n_loc, 2)
+        trace = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
+        out = local[lo:lo + n]
+        out[...] = np.swapaxes(P, 2, 4)                 # [i,a,j,b] = P[i,b,j,a]
+        out[:, :, 0, :, 0] += trace
+        out[:, :, 1, :, 1] += trace
     return local
 
 
@@ -430,17 +435,25 @@ def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
-             params: PhaseParams | None = None) -> sparse.csr_matrix:
-    """Assemble one of the domain-dependent matrices (see module doc)."""
+             params: PhaseParams | None = None, *,
+             geom: GeometryTables | None = None,
+             maps: DofMaps | None = None) -> sparse.csr_matrix:
+    """Assemble one of the domain-dependent matrices (see module doc).
+
+    geom and maps, when given, are the geometry table of mesh and the
+    index maps of the velocity numbering; with both given no cache is
+    looked up, so that the call can run off the main thread (see
+    `ale.HarmonicWorker`), provided the maps it reads exist already.
+    """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     if spaces.mesh is not mesh:
         raise ValueError("spaces were built on a different mesh")
     if kind in ("M_rho", "A_mu") and params is None:
         raise ValueError(f"kind {kind} needs phase parameters")
-    geom = geometry(mesh)
+    geom = geometry(mesh) if geom is None else geom
     V = spaces.velocity
-    maps = index_maps(V)
+    maps = index_maps(V) if maps is None else maps
 
     if kind in ("M", "M_rho"):
         w = None if kind == "M" else params.rho_of(mesh.phase)

@@ -43,7 +43,6 @@ class ScalarSpace:
     """Scalar Lagrange space of the given degree on a mesh.
 
     dof_of     (E, n_loc) global DOF per element and local node
-    positions  (n_dofs, 2) physical node positions
     dof_phase  (n_dofs,) phase of the owning subdomain; 0 when shared by
                both phases (only possible for globally continuous spaces)
     """
@@ -53,13 +52,23 @@ class ScalarSpace:
     continuity: str
     dof_of: np.ndarray
     n_dofs: int
-    positions: np.ndarray
     dof_phase: np.ndarray
 
     def __post_init__(self):
         self.dof_of.setflags(write=False)
-        self.positions.setflags(write=False)
         self.dof_phase.setflags(write=False)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(n_dofs, 2) physical DOF positions, read-only.  They are
+        computed on first read: a step between remeshes reads none, and
+        a remesh reads only those of the new spaces."""
+        if self.degree == self.mesh.degree and self.continuity == GLOBAL:
+            return self.mesh.coords
+        positions = dof_positions(self.mesh, self.degree, self.dof_of,
+                                  self.n_dofs)
+        positions.setflags(write=False)
+        return positions
 
     @property
     def n_local(self) -> int:
@@ -111,18 +120,11 @@ def build_scalar_space(mesh: Mesh, degree: int,
         raise ValueError(f"unknown continuity {continuity!r}")
 
     if degree == mesh.degree and continuity == GLOBAL:
-        dof_of = mesh.elements
-        n_dofs = mesh.n_nodes
-        positions = mesh.coords
-        dof_phase = _phase_of_dofs(mesh, dof_of, n_dofs)
-        return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
-                           positions, dof_phase)
-
-    dof_of, n_dofs = _number_dofs(mesh, degree, continuity == SUBDOMAIN)
-    positions = dof_positions(mesh, degree, dof_of, n_dofs)
-    dof_phase = _phase_of_dofs(mesh, dof_of, n_dofs)
+        dof_of, n_dofs = mesh.elements, mesh.n_nodes
+    else:
+        dof_of, n_dofs = _number_dofs(mesh, degree, continuity == SUBDOMAIN)
     return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
-                       positions, dof_phase)
+                       _phase_of_dofs(mesh, dof_of, n_dofs))
 
 
 def _number_dofs(mesh: Mesh, degree: int, duplicated: bool):

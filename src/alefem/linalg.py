@@ -211,8 +211,9 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
     def refine(factor):
         z = factor.solve(b)
         iterations = 1
+        checked = check(z)
         for _ in range(3):
-            on_target, r, s = check(z)
+            on_target, r, s = checked
             if on_target:
                 return z, iterations, True
             # GMRES minimizes the residual relative to the row scales, the
@@ -220,12 +221,25 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
             if s is None:
                 s = row_scale(z)
             D = s.max() / s
+            tried = []                  # (d, z + d, check(z + d)), last
+
+            def accept(d):
+                zd = z + d
+                tried[:] = [d, zd, check(zd)]
+                return tried[2][0]
+
             dz, its = _gmres(lambda v: D * matvec(v),
                              lambda v: factor.solve(v / D), D * r,
-                             lambda d: check(z + d)[0], MAX_ITERATIONS)
-            z = z + dz
+                             accept, MAX_ITERATIONS)
             iterations += its
-        return z, iterations, check(z)[0]
+            if tried and tried[0] is dz:
+                # GMRES stopped on the last correction it tried: its
+                # check is that of the new z
+                z, checked = tried[1], tried[2]
+            else:
+                z = z + dz
+                checked = check(z)
+        return z, iterations, checked[0]
 
     factorizations = 0
     converged = False

@@ -256,6 +256,16 @@ def values_at_points(vals: np.ndarray, nodal: np.ndarray,
     return out
 
 
+def _in_halves(fn, n: int, split: int, submit) -> None:
+    """fn(0, split) on the calling thread and fn(split, n) through
+    submit, which runs a job fn(*args), possibly on another thread, and
+    returns a future of its result.  Returns once both are done."""
+    job = submit(fn, split, n) if split < n else None
+    fn(0, split)
+    if job is not None:
+        job.result()
+
+
 class GeometryTables:
     """Jacobian data of every element at the points of triangle_rule(2k+2).
 
@@ -272,27 +282,30 @@ class GeometryTables:
     detJ, Jinv and wdet stay (E, Q, ...) and C-ordered: the matmul
     kernels of assembly that read them, through `physical_gradients`,
     round differently on other layouts.
+
+    Given a submit that is not None (see `_in_halves`), the table and each physical
+    gradient array are built in two halves at once: the chunks from
+    the one nearest the middle on, and the upper half of the quadrature
+    points, are handed to submit.  Every chunk and every per-point
+    product is the same as when one thread builds them all, so the
+    arrays are bitwise equal either way.
     """
 
-    def __init__(self, mesh: Mesh):
+    def __init__(self, mesh: Mesh, submit):
         self.rule = rule = triangle_rule(2 * mesh.degree + 2)
         ref = reference_element(mesh.degree)
         vals = ref.shape_values(rule.points)            # (n_g, Q)
         grads = ref.shape_gradients(rule.points)        # (n_g, Q, 2)
-        self.x = values_at_points(vals, mesh.coords, mesh.elements)
-        E, Q, _ = self.x.shape
+        E, Q = mesh.n_elements, len(rule.weights)
+        self.x = np.empty((E, Q, 2))
         self.detJ = np.empty((E, Q))
         self.Jinv = np.empty((E, Q, 2, 2))
-        for lo in range(0, E, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            xs = mesh.coords.T[:, mesh.elements[part].T]   # (2, n_g, n)
-            J = np.einsum("lqj,ile->qije", grads, xs)       # (Q, 2, 2, n)
-            a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
-            det = a * d - b * c
-            _element_major(det, self.detJ[part])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = np.stack([d / det, -b / det, -c / det, a / det], axis=1)
-            _element_major(inv, self.Jinv[part])
+        split = E
+        if submit is not None and E > _CHUNK:
+            split = _CHUNK * max(1, round(E / (2 * _CHUNK)))
+        nodes = (vals, grads, mesh.coords, mesh.elements)
+        _in_halves(lambda lo, hi: self._fill(*nodes, lo, hi), E, split,
+                   submit)
         self.tangled = None
         if np.any(self.detJ <= 0.0):
             e = int(np.argmin(self.detJ.min(axis=1)))
@@ -300,31 +313,55 @@ class GeometryTables:
         self.wdet = self.detJ * rule.weights            # (E, Q)
         self._gphys: dict[int, np.ndarray] = {}
 
-    def physical_gradients(self, space) -> np.ndarray:
+    def _fill(self, vals, grads, coords, elements, lo: int, hi: int) -> None:
+        """x, detJ and Jinv of elements lo to hi, lo a chunk boundary."""
+        for at in range(lo, hi, _CHUNK):
+            part = slice(at, min(at + _CHUNK, hi))
+            xs = coords.T[:, elements[part].T]               # (2, n_g, n)
+            _element_major(np.einsum("lq,ile->qie", vals, xs), self.x[part])
+            J = np.einsum("lqj,ile->qije", grads, xs)       # (Q, 2, 2, n)
+            a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+            det = a * d - b * c
+            _element_major(det, self.detJ[part])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.stack([d / det, -b / det, -c / det, a / det], axis=1)
+            _element_major(inv, self.Jinv[part])
+
+    def physical_gradients(self, space, submit=None) -> np.ndarray:
         """Gradients of a Lagrange space's local basis w.r.t. physical
         coordinates; (E, Q, n_loc, 2), C-contiguous, so that the element
         kernels reading it need no strided copies.  They depend on the
-        space only through its degree, which is the cache key."""
+        space only through its degree, which is the cache key.  submit
+        builds them in halves (see the class doc); an array that exists
+        is handed out as it is."""
         k = space.degree
         if k not in self._gphys:
             G = reference_element(k).shape_gradients(self.rule.points)
             E, Q = self.detJ.shape
             out = np.empty((E, Q, len(G), 2))
-            # sum_j G[l, q, j] Jinv[e, q, j, i] as one matmul batched over
-            # q on a (Q, 2, 2E) copy of Jinv.  matmul rounds according to
-            # operand layout; these operands are the ones that
-            # einsum("lqj,eqji->eqli", optimize=True) passes it
-            Jq = self.Jinv.transpose(1, 2, 0, 3).reshape(Q, 2, 2 * E)
-            gq = np.matmul(G.transpose(1, 0, 2), Jq)   # (Q, n_loc, 2E)
-            del Jq
-            # move the (x, y) pairs to (E, Q, n_loc) as 16-byte items
-            pairs = gq.view(np.complex128)              # (Q, n_loc, E)
-            dest = out.view(np.complex128)[..., 0]
-            for lo in range(0, E, _PAIR_BLOCK):
-                dest[lo:lo + _PAIR_BLOCK] = \
-                    pairs[:, :, lo:lo + _PAIR_BLOCK].transpose(2, 0, 1)
+            split = Q if submit is None else Q // 2
+            _in_halves(lambda lo, hi: self._gradients(G, out, lo, hi),
+                       Q, split, submit)
             self._gphys[k] = out
         return self._gphys[k]
+
+    def _gradients(self, G: np.ndarray, out: np.ndarray, q0: int,
+                   q1: int) -> None:
+        """out[:, q0:q1] = sum_j G[l, q, j] Jinv[e, q, j, i]."""
+        E = len(out)
+        # one matmul batched over q on a (q1 - q0, 2, 2E) copy of Jinv.
+        # matmul rounds according to operand layout; these operands are
+        # the ones that einsum("lqj,eqji->eqli", optimize=True) passes it
+        Jq = self.Jinv[:, q0:q1].transpose(1, 2, 0, 3).reshape(q1 - q0, 2,
+                                                                2 * E)
+        gq = np.matmul(G[:, q0:q1].transpose(1, 0, 2), Jq)  # (q, n_loc, 2E)
+        del Jq
+        # move the (x, y) pairs to (E, q, n_loc) as 16-byte items
+        pairs = gq.view(np.complex128)                   # (q, n_loc, E)
+        dest = out.view(np.complex128)[:, q0:q1, :, 0]
+        for lo in range(0, E, _PAIR_BLOCK):
+            dest[lo:lo + _PAIR_BLOCK] = \
+                pairs[:, :, lo:lo + _PAIR_BLOCK].transpose(2, 0, 1)
 
 
 # The table of the last mesh asked about.  Meshes are immutable, so the
@@ -332,21 +369,22 @@ class GeometryTables:
 _last_geometry: tuple[Mesh, GeometryTables] | None = None
 
 
-def _tables(mesh: Mesh) -> GeometryTables:
+def _tables(mesh: Mesh, submit=None) -> GeometryTables:
     global _last_geometry
     if _last_geometry is None or _last_geometry[0] is not mesh:
         _last_geometry = None           # free the old table first
-        _last_geometry = (mesh, GeometryTables(mesh))
+        _last_geometry = (mesh, GeometryTables(mesh, submit))
     return _last_geometry[1]
 
 
-def geometry(mesh: Mesh) -> GeometryTables:
-    """The geometry table of the mesh, built once per configuration.
+def geometry(mesh: Mesh, submit=None) -> GeometryTables:
+    """The geometry table of the mesh, built once per configuration;
+    submit helps to build it (see `GeometryTables`).
 
     Raises TangledElementError if an element has detJ <= 0 at a
     quadrature point.
     """
-    geom = _tables(mesh)
+    geom = _tables(mesh, submit)
     if geom.tangled is not None:
         raise TangledElementError(*geom.tangled)
     return geom

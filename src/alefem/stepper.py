@@ -14,15 +14,26 @@ observables of one mesh configuration all read its single geometry
 table (`mesh.geometry`), so a step without a remesh builds exactly one:
 that of the moved mesh.
 
-The moved mesh of one step is the configuration the next step extends
-on, and the operator of that extension depends on the mesh alone.  So
-once (3) has gathered its saddle matrix, the state's `HarmonicWorker`
-assembles and factors that operator on a second thread while the
-saddle solve runs, and step (1) of the next step is two triangular
-solves with it.  After a remesh the prepared operator is dropped
-unused.  When the process may run on one CPU only, nothing overlaps,
-and (1) builds the operator itself, on the calling thread.  The
-results are bitwise those of building the operator in (1).
+Each step runs on two threads when the process may use two CPUs: the
+calling thread and the state's `HarmonicWorker`.  What runs where:
+
+- (1) on the worker: the extension by the operator it prepared in the
+  last step (two triangular solves); the calling thread waits for w;
+- (2) on the calling thread;
+- (3) the moved mesh's geometry table and physical gradients in two
+  halves, one on each thread, with the load assembled in between on
+  the calling thread; then A_mu and C on the worker while the calling
+  thread assembles M_rho, the convection form and the pressure mean;
+  then, once the saddle matrix is gathered, the
+  worker assembles and factors the harmonic operator of the moved mesh
+  (the configuration the next step extends on) while the calling
+  thread runs the saddle solve;
+- (4) on the calling thread; a remesh drops the prepared operator
+  unused.
+
+When the process may run on one CPU only, nothing is handed over and
+no thread starts: every job runs on the calling thread, and (1) builds
+the operator itself.  The results are bitwise the same on either path.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .ale import (
     check_and_remesh,
     harmonic_extension,
     move_mesh,
+    run_here,
     spaces_with_mesh,
 )
 from .assembly import (
@@ -46,12 +58,19 @@ from .assembly import (
     assemble_convection,
     assemble_load,
     gather,
+    index_maps,
     momentum_matrix,
     pressure_mean_vector,
 )
 from .fespace import FESpacePair, build_taylor_hood
 from .linalg import SaddleFactor, SaddleSystem, saddle_matrix, solve_saddle
-from .mesh import Mesh, bubble_problem, generate_bubble_mesh, quality
+from .mesh import (
+    Mesh,
+    bubble_problem,
+    generate_bubble_mesh,
+    geometry,
+    quality,
+)
 from .observables import BenchmarkRecord, benchmark_record
 
 
@@ -147,14 +166,25 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
     factor when one is given (see `solve_saddle`).  When harmonic is
-    given, it prepares the harmonic operator of mesh during the saddle
-    solve.  Returns (u, p, multiplier, stats).
+    given, it builds half of the physical gradients and assembles A_mu
+    and C while this thread assembles the other matrices, and it
+    prepares the harmonic operator of mesh during the saddle solve.
+    Returns (u, p, multiplier, stats).
     """
-    M_rho = assemble("M_rho", mesh, spaces, params)
-    A_mu = assemble("A_mu", mesh, spaces, params)
+    submit = run_here if harmonic is None else harmonic.submit
+    V = spaces.velocity
+    geom = geometry(mesh, submit)
+    geom.physical_gradients(V, submit)
+    maps = index_maps(V)
+    maps.vector                 # built here, so that the jobs only read them
+    maps.divergence(spaces.pressure)
+    jobs = [submit(assemble, kind, mesh, spaces, params, geom=geom,
+                   maps=maps) for kind in ("A_mu", "C")]
+    M_rho = assemble("M_rho", mesh, spaces, params, geom=geom, maps=maps)
     B_conv = assemble_convection(mesh, spaces, params, transport)
-    C = assemble("C", mesh, spaces)
     m = pressure_mean_vector(mesh, spaces)
+    A_mu, C = (job.result() for job in jobs)
+    del jobs
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
@@ -204,7 +234,9 @@ def step(state: State, config: SimConfig) -> State:
     mesh = move_mesh(state.mesh, x_new)
     spaces = spaces_with_mesh(state.spaces, mesh)
 
-    # (3) implicit flow solve with convection frozen at u^n - w^n
+    # (3) implicit flow solve with convection frozen at u^n - w^n, on
+    # the moved mesh's geometry table, built in halves with the worker
+    geometry(mesh, state.harmonic.submit)
     load = assemble_load(mesh, spaces, params)
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,

@@ -18,7 +18,6 @@ from alefem.fespace import (
     FESpacePair,
     ScalarSpace,
     _phase_of_dofs,
-    dof_positions,
 )
 from alefem.mesh import (
     MINUS,
@@ -308,10 +307,9 @@ def build_scalar_space(mesh, degree, continuity=GLOBAL):
     if degree == mesh.degree and continuity == GLOBAL:
         dof_of = mesh.elements
         n_dofs = mesh.n_nodes
-        positions = mesh.coords
         dof_phase = _phase_of_dofs(mesh, dof_of, n_dofs)
         return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
-                           positions, dof_phase)
+                           dof_phase)
 
     tri = mesh.elements[:, :3]
     n_loc = (degree + 1) * (degree + 2) // 2
@@ -351,10 +349,8 @@ def build_scalar_space(mesh, degree, continuity=GLOBAL):
             dof_of[e, base + j] = get(("i", e, j))
     n_dofs = len(dof_ids)
 
-    positions = dof_positions(mesh, degree, dof_of, n_dofs)
     dof_phase = _phase_of_dofs(mesh, dof_of, n_dofs)
-    return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs,
-                       positions, dof_phase)
+    return ScalarSpace(mesh, degree, continuity, dof_of, n_dofs, dof_phase)
 
 
 def build_taylor_hood(mesh, k):

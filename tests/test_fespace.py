@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alefem import fespace
 from alefem.fespace import (
     GLOBAL,
     PointLocationError,
@@ -15,7 +16,9 @@ from alefem.fespace import (
 from alefem.mesh import (displace, generate_bubble_mesh, generate_rect_mesh,
                           map_points)
 
-from conftest import CENTER, RADIUS, RECT
+from alefem.stepper import SimConfig, initialize, step
+
+from conftest import BP1, CENTER, RADIUS, RECT
 
 
 def test_two_triangle_dof_counts(two_triangle_mesh):
@@ -188,3 +191,28 @@ def test_mesh_degree_mismatch_rejected(bubble_mesh_k2):
 def test_degree_one_pair_rejected():
     with pytest.raises(ValueError):
         build_taylor_hood(generate_rect_mesh(RECT, 0.5, 1), 1)
+
+
+def test_pressure_positions_are_computed_on_first_read(monkeypatch):
+    """A step without a remesh reads no DOF positions of the pressure
+    space; read, they are those of `dof_positions`."""
+    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=0.01)
+    state = initialize(cfg)
+    original = fespace.dof_positions
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fespace, "dof_positions", counting)
+    state = step(state, cfg)
+    assert state.remesh_count == 0
+    assert calls == []
+    P = state.spaces.pressure
+    positions = P.positions
+    assert np.array_equal(positions,
+                          original(state.mesh, P.degree, P.dof_of, P.n_dofs))
+    assert not positions.flags.writeable
+    assert P.positions is positions and len(calls) == 1
+    state.harmonic.close()

@@ -1,23 +1,33 @@
-"""The contract of the harmonic worker (`ale.HarmonicWorker`).
+"""The contract of the step worker (`ale.HarmonicWorker`).
 
 Each step prepares the harmonic operator of its moved mesh on a second
-thread during the saddle solve; the next step extends with it.  These
-tests pin what that thread may and may not do: free its factors itself,
-read no module-level cache, match an operator only to its own mesh, and
-hand its errors to the step that uses the operator.  On one CPU there
-is nothing to overlap, and no thread is started at all.
+thread during the saddle solve; the next step extends with it.  Before
+that, the thread builds half of the moved mesh's geometry table and
+physical gradients and assembles A_mu and C.  These tests pin what that
+thread may and may not do: free its factors itself, read no
+module-level cache, match an operator only to its own mesh, give
+bitwise the arrays of one thread, and hand its errors to the step that
+waits for them.  On one CPU there is nothing to overlap, and no thread
+is started at all.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from alefem import ale, assembly, mesh
-from alefem.ale import advance_mesh, harmonic_extension
+from alefem.ale import HarmonicWorker, advance_mesh, harmonic_extension
+from alefem.assembly import assemble, index_maps
+from alefem.fespace import build_taylor_hood
+from alefem.mesh import GeometryTables, generate_bubble_mesh, generate_rect_mesh
 from alefem.stepper import SimConfig, initialize, run, step
 
-from conftest import BP1
+from conftest import BP1, CENTER, RADIUS, RECT
 
 TAU = 1.0 / 200.0
 
@@ -171,3 +181,122 @@ def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
     for a, b in ((state.u, overlapped.u), (state.p, overlapped.p),
                  (state.mesh.x, overlapped.mesh.x)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_no_job_reaches_the_thread_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 1)
+    sent = []
+    monkeypatch.setattr(HarmonicWorker, "_send",
+                        lambda self, *args: sent.append(args))
+    state, _ = run(config(3))
+    assert state.remesh_count == 0
+    assert sent == []
+
+
+# Meshes with fewer elements than one chunk of `mesh.GeometryTables`,
+# with exactly two chunks, and with a part chunk.
+SPLIT_MESHES = {
+    32: lambda k: generate_rect_mesh((0.0, 0.0, 1.0, 1.0), 0.25, k),
+    512: lambda k: generate_rect_mesh((0.0, 0.0, 1.0, 1.0), 1.0 / 16.0, k),
+    600: lambda k: generate_bubble_mesh(RECT, CENTER, RADIUS, 0.08, k),
+}
+
+
+def same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("elements", sorted(SPLIT_MESHES))
+@pytest.mark.parametrize("k", [2, 3])
+def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
+    m = SPLIT_MESHES[elements](k)
+    assert m.n_elements == elements
+    spaces = build_taylor_hood(m, k)
+    V, P = spaces.velocity, spaces.pressure
+    jobs = []
+    worker = HarmonicWorker()
+    original = worker.submit
+
+    def submit(fn, *args, **kwargs):
+        jobs.append(fn)
+        return original(fn, *args, **kwargs)
+
+    # switch threads as often as the interpreter can, to interleave the
+    # two halves as finely as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        alone = GeometryTables(m, None)
+        split = GeometryTables(m, submit)
+        for name in ("x", "detJ", "Jinv", "wdet"):
+            same(getattr(split, name), getattr(alone, name))
+        assert split.tangled is None and alone.tangled is None
+        assert len(jobs) == (elements > 256)
+        for space in (V, P):                    # degrees k and k - 1
+            same(split.physical_gradients(space, submit),
+                 alone.physical_gradients(space))
+        assert len(jobs) == (elements > 256) + 2
+        maps = index_maps(V)
+        maps.vector, maps.divergence(P)
+        for kind in ("A_mu", "C"):
+            got = submit(assemble, kind, m, spaces, BP1, geom=split,
+                         maps=maps).result()
+            expect = assemble(kind, m, spaces, BP1)
+            for name in ("data", "indices", "indptr"):
+                same(getattr(got, name), getattr(expect, name))
+        assert worker._thread is not None
+    finally:
+        sys.setswitchinterval(interval)
+        worker.close()
+
+
+@pytest.mark.parametrize("owner, name", [
+    (assembly, "_viscous_local"),
+    (GeometryTables, "_gradients"),
+])
+def test_assembly_job_error_surfaces_in_its_step(owner, name, monkeypatch):
+    original = getattr(owner, name)
+    workers = []
+
+    def failing(*args, **kwargs):
+        if off_main():
+            workers.append(threading.current_thread())
+            raise FloatingPointError("forced assembly failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    done = []
+    with pytest.raises(FloatingPointError,
+                       match="forced assembly failure") as raised:
+        run(config(3), sinks=[lambda i, state, rec: done.append(i)])
+    assert done == [0]                          # step 1 raised it
+    assert raised.type is FloatingPointError
+    assert workers
+    for thread in workers:
+        assert not thread.is_alive()
+
+
+UNCLOSED = """
+from alefem import ale
+from alefem.stepper import SimConfig, initialize, step
+from conftest import BP1
+ale._cpus_available = lambda: 2
+cfg = SimConfig(params=BP1, k=2, h=0.08, tau=1 / 200, T=3 / 200)
+state = initialize(cfg)
+for _ in range(3):
+    state = step(state, cfg)
+assert state.harmonic._thread is not None
+print("stepped")
+"""
+
+
+def test_unclosed_worker_lets_the_process_exit_cleanly():
+    """A worker still open at exit stops and joins its thread before the
+    interpreter is torn down, so the thread frees its factor in time."""
+    tests = Path(__file__).resolve().parent
+    path = f"{tests.parent / 'src'}:{tests}"
+    out = subprocess.run([sys.executable, "-c", UNCLOSED],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "stepped\n")

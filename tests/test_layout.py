@@ -93,6 +93,21 @@ def reference_laplacian_local(geom, space):
     return local
 
 
+def reference_viscous_local(geom, V, mu):
+    """The viscous kernel on all elements at once."""
+    gphys = geom.physical_gradients(V)
+    w = geom.wdet * mu[:, None]
+    E, Q, n_loc, _ = gphys.shape
+    G = gphys.reshape(E, Q, 2 * n_loc)
+    P = ((G * w[:, :, None]).transpose(0, 2, 1) @ G).reshape(
+        E, n_loc, 2, n_loc, 2)
+    trace = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
+    local = np.swapaxes(P, 2, 4).copy()
+    local[:, :, 0, :, 0] += trace
+    local[:, :, 1, :, 1] += trace
+    return local
+
+
 def assert_exact(got, expect):
     assert got.dtype == expect.dtype and got.shape == expect.shape
     assert got.flags.c_contiguous
@@ -101,7 +116,7 @@ def assert_exact(got, expect):
 
 
 def assert_tables_exact(mesh, spaces, coeffs):
-    geom = GeometryTables(mesh)
+    geom = GeometryTables(mesh, None)
     expect, tangled = reference_tables(mesh)
     for name, ref in expect.items():
         assert_exact(getattr(geom, name), ref)
@@ -118,6 +133,9 @@ def assert_tables_exact(mesh, spaces, coeffs):
                  reference_convection_local(geom, V, rho, coeffs))
     assert_exact(assembly._laplacian_local(geom, V),
                  reference_laplacian_local(geom, V))
+    mu = BP1.mu_of(mesh.phase)
+    assert_exact(assembly._viscous_local(geom, V, mu),
+                 reference_viscous_local(geom, V, mu))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -149,7 +167,7 @@ def test_tangled_mesh_tables_equal_reference():
     x[a] = 2.0 * x[b] - x[a]                    # reflect a vertex over another
     tangled = displace(mesh, x.ravel() - mesh.x)
     spaces = spaces_with_mesh(build_taylor_hood(mesh, 2), tangled)
-    assert GeometryTables(tangled).tangled is not None
+    assert GeometryTables(tangled, None).tangled is not None
     # zeros give +0 and -0 products throughout the convection kernel
     assert_tables_exact(tangled, spaces, np.zeros(2 * spaces.velocity.n_dofs))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from alefem import linalg
 from alefem.ale import move_mesh, spaces_with_mesh
 from alefem.assembly import (
     assemble,
@@ -200,3 +201,49 @@ def test_unusable_factor_is_replaced(lagged_pair):
         assert np.array_equal(u, expect[0])
         assert np.array_equal(p, expect[1])
         assert lam == expect[2]
+
+
+class CountingCSR(sparse.csr_matrix):
+    """A CSR matrix that logs (its id, the bytes of the vector) for
+    every vector it multiplies; abs() of it is one too."""
+
+    log: list = []
+
+    def _matmul_vector(self, other):
+        self.log.append((id(self), other.tobytes()))
+        return super()._matmul_vector(other)
+
+
+def counted_solve(system, factor):
+    """The solution, iterations, product log and the id of A0."""
+    CountingCSR.log = []
+    A0 = CountingCSR(system.A0)
+    u, p, lam, stats = solve_saddle(
+        SaddleSystem(A0=A0, rhs_u=system.rhs_u, rhs_p=system.rhs_p,
+                     mean_vector=system.mean_vector), factor)
+    return (u, p, lam, stats.iterations), CountingCSR.log, id(A0)
+
+
+def test_refinement_checks_each_iterate_once(lagged_pair, monkeypatch):
+    """The check GMRES ran on its last correction is that of the next
+    iterate: refinement reuses it instead of multiplying by A0 and |A0|
+    again, and its result is bitwise that of checking afresh."""
+    old, new = lagged_pair
+    factor = solve_saddle(old)[3].factor
+    reused, log, A0 = counted_solve(new, factor)
+    assert reused[3] > 2                        # GMRES ran
+    original = linalg._gmres
+    # a copy of the correction defeats the reuse: every iterate is
+    # checked afresh, as before the reuse
+    monkeypatch.setattr(linalg, "_gmres", lambda *args: (
+        lambda d, its: (d.copy(), its))(*original(*args)))
+    afresh, afresh_log, _ = counted_solve(new, factor)
+    for a, b in zip(reused[:3], afresh[:3]):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert reused[3] == afresh[3]
+    assert len(afresh_log) - len(log) >= 2
+    # the only product taken twice is A0 times the solution: by the
+    # last check and by the final residual check of solve_saddle
+    x = np.concatenate([reused[0], reused[1]]).tobytes()
+    twice = [entry for entry in set(log) if log.count(entry) > 1]
+    assert twice == [(A0, x)]

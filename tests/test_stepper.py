@@ -163,9 +163,9 @@ def test_one_geometry_table_per_step(monkeypatch):
     built = []
     original = GeometryTables.__init__
 
-    def counting(self, mesh):
+    def counting(self, mesh, submit):
         built.append(mesh)
-        original(self, mesh)
+        original(self, mesh, submit)
 
     monkeypatch.setattr(GeometryTables, "__init__", counting)
     nxt = step(state, cfg)
