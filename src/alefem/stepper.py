@@ -24,10 +24,10 @@ calling thread and the state's `HarmonicWorker`.  What runs where:
   halves, one on each thread, with the load assembled in between on
   the calling thread; then A_mu and C on the worker while the calling
   thread assembles M_rho, the convection form and the pressure mean;
-  then, once the saddle matrix is gathered, the
-  worker assembles and factors the harmonic operator of the moved mesh
-  (the configuration the next step extends on) while the calling
-  thread runs the saddle solve;
+  then, once the saddle matrix is gathered, the worker assembles and
+  factors the harmonic operator of the moved mesh (the configuration
+  the next step extends on) while the calling thread runs the saddle
+  solve;
 - (4) on the calling thread; a remesh drops the prepared operator
   unused.
 
@@ -184,7 +184,7 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     B_conv = assemble_convection(mesh, spaces, params, transport)
     m = pressure_mean_vector(mesh, spaces)
     A_mu, C = (job.result() for job in jobs)
-    del jobs
+    del jobs                    # the futures hold A_mu and C too
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
