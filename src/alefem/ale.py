@@ -154,7 +154,9 @@ class HarmonicWorker:
     Its jobs, in the order a step hands them over:
 
     - the extension of u by the harmonic operator prepared in the last
-      step (`extend`), at the start of the step;
+      step, started as soon as the last step's flow solve has u
+      (`extend_ahead`), while the main thread checks the mesh and
+      records the state; the step picks w up (`extend`);
     - the upper halves of the moved mesh's geometry table and of its
       physical gradients (see `mesh.GeometryTables`), while the main
       thread builds the lower halves;
@@ -205,7 +207,9 @@ class HarmonicWorker:
         self._jobs: queue.SimpleQueue | None = None
         self._thread: threading.Thread | None = None
         self._stop = None
-        self._pending = None        # (mesh, spaces) of the job handed over
+        # (mesh, spaces, ahead) of the operator handed over; ahead is
+        # (copy of u, future of w) once extend_ahead has used it
+        self._pending = None
 
     def _send(self, kind: str, args: tuple, done: Future | None) -> None:
         if self._thread is None:
@@ -249,19 +253,39 @@ class HarmonicWorker:
                              (spaces.interface_dofs, spaces.boundary_dofs))
         if cached is None:
             return
-        self._pending = (mesh, spaces)
+        self._pending = (mesh, spaces, None)
         # its result, or exception, is handed on by the extend that uses it
         self._send("prepare", (geometry(mesh), V, maps, *cached), None)
+
+    def extend_ahead(self, mesh: Mesh, spaces: FESpacePair,
+                     u: np.ndarray) -> None:
+        """Start extending u by the operator prepared for mesh and
+        spaces, if one was and is unused, so that the `extend` of the
+        same u on them finds w done.  The thread extends a copy of u."""
+        pending = self._pending
+        if (pending is None or pending[0] is not mesh
+                or pending[1] is not spaces or pending[2] is not None):
+            return
+        u = u.copy()
+        done = Future()
+        self._send("extend", (spaces, u), done)
+        self._pending = (mesh, spaces, (u, done))
 
     def extend(self, mesh: Mesh, spaces: FESpacePair,
                u: np.ndarray) -> np.ndarray | None:
         """The extension of u by the operator prepared for mesh and
         spaces, or None, after dropping any other operator, when there
-        is none."""
+        is none.  An extension started ahead used the operator up and
+        serves only a u bytewise equal to the one it started with."""
         pending, self._pending = self._pending, None
         if pending is None:
             return None
-        if pending[0] is not mesh or pending[1] is not spaces:
+        matches = pending[0] is mesh and pending[1] is spaces
+        ahead = pending[2]
+        if ahead is not None:
+            same_u = matches and ahead[0].tobytes() == u.tobytes()
+            return ahead[1].result() if same_u else None
+        if not matches:
             self._call("drop")
             return None
         return self._call("extend", spaces, u)

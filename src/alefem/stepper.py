@@ -18,7 +18,9 @@ Each step runs on two threads when the process may use two CPUs: the
 calling thread and the state's `HarmonicWorker`.  What runs where:
 
 - (1) on the worker: the extension by the operator it prepared in the
-  last step (two triangular solves); the calling thread waits for w;
+  last step (two triangular solves), started by the last step as soon
+  as its flow solve had u, so that it runs while the calling thread
+  finishes that step and records its state;
 - (2) on the calling thread;
 - (3) the moved mesh's geometry table and physical gradients in two
   halves, one on each thread, with the load assembled in between on
@@ -28,8 +30,8 @@ calling thread and the state's `HarmonicWorker`.  What runs where:
   factors the harmonic operator of the moved mesh (the configuration
   the next step extends on) while the calling thread runs the saddle
   solve;
-- (4) on the calling thread; a remesh drops the prepared operator
-  unused.
+- (4) on the calling thread; after a remesh the next step does not
+  use the extension started on the old mesh.
 
 When the process may run on one CPU only, nothing is handed over and
 no thread starts: every job runs on the calling thread, and (1) builds
@@ -241,6 +243,9 @@ def step(state: State, config: SimConfig) -> State:
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,
                                 factor=state.factor, harmonic=state.harmonic)
+    # the next step extends u on this mesh, unless (4) remeshes: the
+    # worker starts that while this thread goes on
+    state.harmonic.extend_ahead(mesh, spaces, u)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}

@@ -132,6 +132,36 @@ def test_prepared_operator_is_used_only_on_its_own_mesh():
         state.harmonic.close()
 
 
+def test_each_extension_starts_ahead(monkeypatch):
+    """Every step but the first finds its extension started by the step
+    before; none waits for an extension it asked for itself."""
+    asked = []
+    original = HarmonicWorker._call
+
+    def call(self, kind, *args):
+        asked.append(kind)
+        return original(self, kind, *args)
+
+    monkeypatch.setattr(HarmonicWorker, "_call", call)
+    state, _ = run(config(4))
+    assert state.remesh_count == 0
+    assert asked == []
+
+
+def test_extension_started_ahead_serves_only_its_own_u():
+    cfg = config(3)
+    state = step(initialize(cfg), cfg)
+    try:
+        # changed in place after the step started extending it
+        state.u[::7] *= 1.5
+        moved = step(state, cfg)
+        w = harmonic_extension(state.mesh, state.spaces, state.u)
+        expect = advance_mesh(state.mesh.x, w, TAU)
+        assert moved.mesh.x.tobytes() == expect.tobytes()
+    finally:
+        state.harmonic.close()
+
+
 def test_worker_error_surfaces_in_the_step_that_uses_it(monkeypatch):
     original = ale.splu
     workers = []
