@@ -130,8 +130,9 @@ class State:
     the iterations of the last flow solve and saddle_factorizations the
     factorizations since initialize().  harmonic is the worker that
     holds the operator of the next harmonic extension, prepared during
-    the last flow solve; it is made with the first state and handed
-    from state to state, and `run` closes it.
+    the last flow solve, and the extension of u by it, started after
+    that solve; it is made with the first state and handed from state
+    to state, and `run` closes it.
     """
 
     t: float
