@@ -61,9 +61,10 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     The operator of the extension, the mesh Laplacian L and the factor
     of its interior block, depends on the configuration alone; only the
     lift of u on the fixed DOFs and the two triangular solves need u.
-    When worker holds the operator prepared for this mesh and spaces,
-    the extension is its solve (see `HarmonicWorker`); otherwise the
-    operator is built here, on the calling thread.  Either way a factor
+    When worker started the extension of this u on this mesh and
+    spaces, by the operator it prepared, that is the result (see
+    `HarmonicWorker`); otherwise the operator is built here, on the
+    calling thread.  Either way a factor
     is used and freed only by the thread that made it, because scipy
     frees the memory of a SuperLU factor only on that thread.
 
@@ -153,10 +154,6 @@ class HarmonicWorker:
 
     Its jobs, in the order a step hands them over:
 
-    - the extension of u by the harmonic operator prepared in the last
-      step, started as soon as the last step's flow solve has u
-      (`extend_ahead`), while the main thread checks the mesh and
-      records the state; the step picks w up (`extend`);
     - the upper halves of the moved mesh's geometry table and of its
       physical gradients (see `mesh.GeometryTables`), while the main
       thread builds the lower halves;
@@ -164,17 +161,21 @@ class HarmonicWorker:
       thread assembles M_rho, the convection form and the pressure mean
       (see `stepper.flow_solve`);
     - the harmonic operator of the moved mesh (`prepare`), once the
-      saddle matrix is gathered, while the saddle solve runs.
+      saddle matrix is gathered, while the saddle solve runs;
+    - the extension of the new u by that operator, started as soon as
+      the flow solve has u, while the main thread checks the mesh and
+      records the state; the next step picks w up (`extend`).
 
     The moved mesh of step n is the configuration on which step n + 1
     extends, so its operator, the mesh Laplacian and the factor of its
-    interior block, is built in step n.  The thread keeps every factor
-    it makes and runs the solves with it: scipy's SuperLU wrapper
-    records each allocation in a registry of the allocating thread and
-    frees a pointer only on that thread, so a factor released elsewhere
-    would leak its memory.  The main thread gets back only w.  A
-    prepared operator that is not used, after a remesh or for a state
-    on another mesh, is dropped on the thread.  The other jobs
+    interior block, is built in step n and used up by the extension
+    started there.  The thread keeps every factor it makes and runs the
+    solves with it: scipy's SuperLU wrapper records each allocation in
+    a registry of the allocating thread and frees a pointer only on
+    that thread, so a factor released elsewhere would leak its memory.
+    The main thread gets back only w.  An operator whose extension was
+    never started, because the saddle solve raised, is freed on the
+    thread by the next `prepare` or by `close`.  The other jobs
     (`submit`) run a function on the arrays they are handed and hand
     back arrays and sparse matrices, never a factor.
 
@@ -184,32 +185,31 @@ class HarmonicWorker:
     remesh.  The index maps the job reads are built before it is handed
     over, so the two threads never both build one.  An exception of a
     job is raised, with its type unchanged, by the call that waits for
-    its result: for `prepare`, the `extend` that uses the operator; an
-    exception of an operator that is dropped is discarded.
+    its result: for `prepare`, the `extend` that picks w up; an
+    exception of an extension that is not picked up is discarded.
 
     The overlap needs a second CPU.  On one, the thread can only take
     turns with the main thread: pinned to one CPU of a 2-CPU Xeon VM,
     the fastest `rise_h04` step took 12% longer (median of 10 runs) when
     the harmonic operator was built on the thread.  So when the process
     may run on one CPU alone, nothing is handed over and no thread
-    starts: `prepare` does nothing, the next extension builds the
-    operator itself, and `submit` runs its function at once on the
-    calling thread.  The results are bitwise the same on either path.
+    starts: `submitter` and `prepare` give None, the step builds the
+    geometry and assembles every matrix in one piece on the calling
+    thread, and the next extension builds the operator itself.  The
+    results are bitwise the same on either path.
 
-    The thread starts with the first job; `close` drops the operator
-    and joins it.  A worker that is garbage-collected unclosed, or left
-    open at interpreter exit, stops and joins its thread the same way,
-    so that the thread frees its factors before the interpreter is torn
-    down.
+    The thread starts with the first job; `close` joins it.  A worker
+    that is garbage-collected unclosed, or left open at interpreter
+    exit, stops and joins its thread the same way, so that the thread
+    frees its factors before the interpreter is torn down.
     """
 
     def __init__(self):
         self._jobs: queue.SimpleQueue | None = None
         self._thread: threading.Thread | None = None
         self._stop = None
-        # (mesh, spaces, ahead) of the operator handed over; ahead is
-        # (copy of u, future of w) once extend_ahead has used it
-        self._pending = None
+        # (mesh, spaces, copy of u, future of w) of the extension started
+        self._ahead = None
 
     def _send(self, kind: str, args: tuple, done: Future | None) -> None:
         if self._thread is None:
@@ -222,77 +222,61 @@ class HarmonicWorker:
                                           self._thread)
         self._jobs.put((kind, args, done))
 
-    def _call(self, kind: str, *args):
-        """Run a job on the thread and return its result."""
-        done = Future()
-        self._send(kind, args, done)
-        return done.result()
+    def submitter(self):
+        """`submit`, or None when the process may use one CPU only and
+        nothing is handed over."""
+        return self.submit if _cpus_available() >= 2 else None
 
     def submit(self, fn, *args, **kwargs) -> Future:
-        """A future of fn(*args, **kwargs), run on the thread, or at once
-        on the calling thread when the process may use one CPU only.
-        fn must read no module-level cache (see the class doc)."""
-        if _cpus_available() < 2:
-            return run_here(fn, *args, **kwargs)
+        """A future of fn(*args, **kwargs), run on the thread.  fn must
+        read no module-level cache (see the class doc)."""
         done = Future()
         self._send("call", (fn, args, kwargs), done)
         return done
 
-    def prepare(self, mesh: Mesh, spaces: FESpacePair) -> None:
+    def prepare(self, mesh: Mesh, spaces: FESpacePair):
         """Start building the operator of mesh and spaces on the thread,
         when their numbering has its order; the first extension on a
         numbering orders it, on the calling thread.  The physical
         gradients of the velocity space must exist already, so that
-        the two threads never both build them.  On one CPU it does
-        nothing."""
+        the two threads never both build them.
+
+        Returns the function that starts the extension of a u by the
+        operator, on the thread, so that the `extend` of the same u on
+        mesh and spaces finds w done; None, on one CPU or when the
+        numbering has no order yet.
+        """
         if _cpus_available() < 2:
-            return
+            return None
         V = spaces.velocity
         maps = index_maps(V)
         cached = maps.cached("interior",
                              (spaces.interface_dofs, spaces.boundary_dofs))
         if cached is None:
-            return
-        self._pending = (mesh, spaces, None)
-        # its result, or exception, is handed on by the extend that uses it
+            return None
         self._send("prepare", (geometry(mesh), V, maps, *cached), None)
 
-    def extend_ahead(self, mesh: Mesh, spaces: FESpacePair,
-                     u: np.ndarray) -> None:
-        """Start extending u by the operator prepared for mesh and
-        spaces, if one was and is unused, so that the `extend` of the
-        same u on them finds w done.  The thread extends a copy of u."""
-        pending = self._pending
-        if (pending is None or pending[0] is not mesh
-                or pending[1] is not spaces or pending[2] is not None):
-            return
-        u = u.copy()
-        done = Future()
-        self._send("extend", (spaces, u), done)
-        self._pending = (mesh, spaces, (u, done))
+        def extend_ahead(u: np.ndarray) -> None:
+            u = u.copy()                    # the caller may change u
+            done = Future()
+            self._send("extend", (spaces, u), done)
+            self._ahead = (mesh, spaces, u, done)
+        return extend_ahead
 
     def extend(self, mesh: Mesh, spaces: FESpacePair,
                u: np.ndarray) -> np.ndarray | None:
-        """The extension of u by the operator prepared for mesh and
-        spaces, or None, after dropping any other operator, when there
-        is none.  An extension started ahead used the operator up and
-        serves only a u bytewise equal to the one it started with."""
-        pending, self._pending = self._pending, None
-        if pending is None:
+        """The extension of u started on mesh and spaces, or None when
+        the one started last was on others or of a u that differs in
+        some byte."""
+        ahead, self._ahead = self._ahead, None
+        if (ahead is None or ahead[0] is not mesh or ahead[1] is not spaces
+                or ahead[2].tobytes() != u.tobytes()):
             return None
-        matches = pending[0] is mesh and pending[1] is spaces
-        ahead = pending[2]
-        if ahead is not None:
-            same_u = matches and ahead[0].tobytes() == u.tobytes()
-            return ahead[1].result() if same_u else None
-        if not matches:
-            self._call("drop")
-            return None
-        return self._call("extend", spaces, u)
+        return ahead[3].result()
 
     def close(self) -> None:
-        """Drop the prepared operator on the thread, then join it."""
-        self._pending = None
+        """Join the thread, which frees its last operator first."""
+        self._ahead = None
         if self._thread is not None:
             self._stop()
             self._thread = None
@@ -321,14 +305,6 @@ def _detached(err: Exception) -> Exception:
     tb = err.__traceback__.tb_next
     traceback.clear_frames(tb)
     return err.with_traceback(tb)
-
-
-def run_here(fn, *args, **kwargs) -> Future:
-    """A future of fn(*args, **kwargs), run at once on the calling
-    thread: the `HarmonicWorker.submit` of a step without a worker."""
-    done = Future()
-    _settle(done, fn, args, kwargs)
-    return done
 
 
 def _settle(done: Future, fn, args: tuple, kwargs: dict) -> None:
@@ -361,12 +337,12 @@ def _serve(jobs: queue.SimpleQueue) -> None:
                 prepared = _detached(err)
             args = None
             continue
-        # "extend" or "drop": either way the operator is used up
+        # "extend" uses the operator up
         op, prepared = prepared, None
         w = error = None
-        if kind == "extend" and isinstance(op, Exception):
+        if isinstance(op, Exception):
             error = op
-        elif kind == "extend":
+        else:
             try:
                 w = _extend(*op, *args)
             except Exception as err:

@@ -257,8 +257,8 @@ def values_at_points(vals: np.ndarray, nodal: np.ndarray,
 
 
 def _in_halves(fn, n: int, split: int, submit) -> None:
-    """fn(0, split) on the calling thread and fn(split, n) through
-    submit, which runs a job fn(*args), possibly on another thread, and
+    """fn(0, split) on the calling thread and, when split < n, fn(split,
+    n) through submit, which runs fn(*args) on another thread and
     returns a future of its result.  Returns once both are done."""
     job = submit(fn, split, n) if split < n else None
     fn(0, split)
@@ -283,8 +283,8 @@ class GeometryTables:
     kernels of assembly that read them, through `physical_gradients`,
     round differently on other layouts.
 
-    Given a submit that is not None (see `_in_halves`), the table and each physical
-    gradient array are built in two halves at once: the chunks from
+    Given a submit that is not None (see `_in_halves`), the table and
+    each physical gradient array are built in two halves at once: the chunks from
     the one nearest the middle on, and the upper half of the quadrature
     points, are handed to submit.  Every chunk and every per-point
     product is the same as when one thread builds them all, so the

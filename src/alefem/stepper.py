@@ -29,13 +29,14 @@ calling thread and the state's `HarmonicWorker`.  What runs where:
   then, once the saddle matrix is gathered, the worker assembles and
   factors the harmonic operator of the moved mesh (the configuration
   the next step extends on) while the calling thread runs the saddle
-  solve;
+  solve; then the worker starts the extension of the new u by it;
 - (4) on the calling thread; after a remesh the next step does not
   use the extension started on the old mesh.
 
 When the process may run on one CPU only, nothing is handed over and
-no thread starts: every job runs on the calling thread, and (1) builds
-the operator itself.  The results are bitwise the same on either path.
+no thread starts: (3) builds the geometry and assembles every matrix
+in one piece on the calling thread, and (1) builds the operator
+itself.  The results are bitwise the same on either path.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .ale import (
     check_and_remesh,
     harmonic_extension,
     move_mesh,
-    run_here,
     spaces_with_mesh,
 )
 from .assembly import (
@@ -129,10 +129,9 @@ class State:
     solve (None makes that solve factor afresh); saddle_iterations are
     the iterations of the last flow solve and saddle_factorizations the
     factorizations since initialize().  harmonic is the worker that
-    holds the operator of the next harmonic extension, prepared during
-    the last flow solve, and the extension of u by it, started after
-    that solve; it is made with the first state and handed from state
-    to state, and `run` closes it.
+    holds the extension of u that the last flow solve started, by the
+    operator prepared during that solve; it is made with the first
+    state and handed from state to state, and `run` closes it.
     """
 
     t: float
@@ -169,25 +168,30 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
     factor when one is given (see `solve_saddle`).  When harmonic is
-    given, it builds half of the physical gradients and assembles A_mu
-    and C while this thread assembles the other matrices, and it
-    prepares the harmonic operator of mesh during the saddle solve.
+    given and may use a second CPU, it builds half of the physical
+    gradients and assembles A_mu and C while this thread assembles the
+    other matrices, prepares the harmonic operator of mesh during the
+    saddle solve, and then starts extending u by it.
     Returns (u, p, multiplier, stats).
     """
-    submit = run_here if harmonic is None else harmonic.submit
-    V = spaces.velocity
-    geom = geometry(mesh, submit)
-    geom.physical_gradients(V, submit)
-    maps = index_maps(V)
-    maps.vector                 # built here, so that the jobs only read them
-    maps.divergence(spaces.pressure)
-    jobs = [submit(assemble, kind, mesh, spaces, params, geom=geom,
-                   maps=maps) for kind in ("A_mu", "C")]
+    submit = None if harmonic is None else harmonic.submitter()
+    geom = geometry(mesh)
+    maps = index_maps(spaces.velocity)
+    if submit is not None:
+        geom.physical_gradients(spaces.velocity, submit)
+        maps.vector             # built here, so that the jobs only read them
+        maps.divergence(spaces.pressure)
+        jobs = [submit(assemble, kind, mesh, spaces, params, geom=geom,
+                       maps=maps) for kind in ("A_mu", "C")]
     M_rho = assemble("M_rho", mesh, spaces, params, geom=geom, maps=maps)
     B_conv = assemble_convection(mesh, spaces, params, transport)
     m = pressure_mean_vector(mesh, spaces)
-    A_mu, C = (job.result() for job in jobs)
-    del jobs                    # the futures hold A_mu and C too
+    if submit is None:
+        A_mu = assemble("A_mu", mesh, spaces, params)
+        C = assemble("C", mesh, spaces)
+    else:
+        A_mu, C = (job.result() for job in jobs)
+        del jobs                # the futures hold A_mu and C too
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
@@ -212,14 +216,16 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     A0 = gather(spaces.velocity, "saddle", (spaces.boundary_dofs,), saddle,
                 Kuu, C)
     del Kuu, C
-    if harmonic is not None:
-        # after assembly, so that its workspace does not add to theirs,
-        # and after the physical gradients exist
-        harmonic.prepare(mesh, spaces)
+    # after assembly, so that its workspace does not add to theirs, and
+    # after the physical gradients exist
+    extend_ahead = None if submit is None else harmonic.prepare(mesh, spaces)
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
     u[free] = uf
+    if extend_ahead is not None:
+        # the next step extends u on this mesh, unless it remeshes
+        extend_ahead(u)
     return u, p, lam, stats
 
 
@@ -239,14 +245,12 @@ def step(state: State, config: SimConfig) -> State:
 
     # (3) implicit flow solve with convection frozen at u^n - w^n, on
     # the moved mesh's geometry table, built in halves with the worker
-    geometry(mesh, state.harmonic.submit)
+    # when there is a second CPU
+    geometry(mesh, state.harmonic.submitter())
     load = assemble_load(mesh, spaces, params)
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,
                                 factor=state.factor, harmonic=state.harmonic)
-    # the next step extends u on this mesh, unless (4) remeshes: the
-    # worker starts that while this thread goes on
-    state.harmonic.extend_ahead(mesh, spaces, u)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}

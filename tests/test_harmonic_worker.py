@@ -1,9 +1,10 @@
 """The contract of the step worker (`ale.HarmonicWorker`).
 
 Each step prepares the harmonic operator of its moved mesh on a second
-thread during the saddle solve; the next step extends with it.  Before
-that, the thread builds half of the moved mesh's geometry table and
-physical gradients and assembles A_mu and C.  These tests pin what that
+thread during the saddle solve and then starts extending the new u by
+it there; the next step picks the extension up.  Before that, the
+thread builds half of the moved mesh's geometry table and physical
+gradients and assembles A_mu and C.  These tests pin what that
 thread may and may not do: free its factors itself, read no
 module-level cache, match an operator only to its own mesh, give
 bitwise the arrays of one thread, and hand its errors to the step that
@@ -69,8 +70,8 @@ def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
     monkeypatch.setattr(ale, "splu",
                         lambda *a, **kw: Factor(original(*a, **kw), log))
     run(config(4))
-    # a branch: the operator prepared for the first branch's mesh does
-    # not fit the second and is dropped
+    # a branch: the extension started for the first branch's mesh does
+    # not fit the second, which builds its operator on the main thread
     cfg = config(4)
     state = step(initialize(cfg), cfg)
     step(state, cfg)
@@ -133,19 +134,20 @@ def test_prepared_operator_is_used_only_on_its_own_mesh():
 
 
 def test_each_extension_starts_ahead(monkeypatch):
-    """Every step but the first finds its extension started by the step
-    before; none waits for an extension it asked for itself."""
-    asked = []
-    original = HarmonicWorker._call
+    """Every step but the first, which orders the numbering, finds its
+    extension started by the step before."""
+    found = []
+    original = HarmonicWorker.extend
 
-    def call(self, kind, *args):
-        asked.append(kind)
-        return original(self, kind, *args)
+    def extend(self, *args):
+        w = original(self, *args)
+        found.append(w is not None)
+        return w
 
-    monkeypatch.setattr(HarmonicWorker, "_call", call)
+    monkeypatch.setattr(HarmonicWorker, "extend", extend)
     state, _ = run(config(4))
     assert state.remesh_count == 0
-    assert asked == []
+    assert found == [False, True, True, True]
 
 
 def test_extension_started_ahead_serves_only_its_own_u():
