@@ -192,11 +192,11 @@ class HarmonicWorker:
     turns with the main thread: pinned to one CPU of a 2-CPU Xeon VM,
     the fastest `rise_h04` step took 12% longer (median of 10 runs) when
     the harmonic operator was built on the thread.  So when the process
-    may run on one CPU alone, nothing is handed over and no thread
-    starts: `submitter` and `prepare` give None, the step builds the
-    geometry and assembles every matrix in one piece on the calling
-    thread, and the next extension builds the operator itself.  The
-    results are bitwise the same on either path.
+    may run on one CPU alone, `submitter` gives None, nothing is handed
+    over and no thread starts: the step builds the geometry and
+    assembles every matrix in one piece on the calling thread, and the
+    next extension builds the operator itself.  The results are bitwise
+    the same on either path.
 
     The thread starts with the first job; `close` joins it.  A worker
     that is garbage-collected unclosed, or left open at interpreter
@@ -243,11 +243,10 @@ class HarmonicWorker:
 
         Returns the function that starts the extension of a u by the
         operator, on the thread, so that the `extend` of the same u on
-        mesh and spaces finds w done; None, on one CPU or when the
-        numbering has no order yet.
+        mesh and spaces finds w done; None when the numbering has no
+        order yet.  Like `submit`, it is for a process that may use two
+        CPUs (see `submitter`).
         """
-        if _cpus_available() < 2:
-            return None
         V = spaces.velocity
         maps = index_maps(V)
         cached = maps.cached("interior",
