@@ -175,21 +175,25 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     Returns (u, p, multiplier, stats).
     """
     submit = None if harmonic is None else harmonic.submitter()
-    geom = geometry(mesh)
-    maps = index_maps(spaces.velocity)
-    if submit is not None:
+    if submit is None:
+        # in this order: with A_mu and C assembled last, the peak memory
+        # of a rise_h04 run pinned to one CPU was about 4 MB higher
+        M_rho = assemble("M_rho", mesh, spaces, params)
+        A_mu = assemble("A_mu", mesh, spaces, params)
+        B_conv = assemble_convection(mesh, spaces, params, transport)
+        C = assemble("C", mesh, spaces)
+        m = pressure_mean_vector(mesh, spaces)
+    else:
+        geom = geometry(mesh)
+        maps = index_maps(spaces.velocity)
         geom.physical_gradients(spaces.velocity, submit)
         maps.vector             # built here, so that the jobs only read them
         maps.divergence(spaces.pressure)
         jobs = [submit(assemble, kind, mesh, spaces, params, geom=geom,
                        maps=maps) for kind in ("A_mu", "C")]
-    M_rho = assemble("M_rho", mesh, spaces, params, geom=geom, maps=maps)
-    B_conv = assemble_convection(mesh, spaces, params, transport)
-    m = pressure_mean_vector(mesh, spaces)
-    if submit is None:
-        A_mu = assemble("A_mu", mesh, spaces, params)
-        C = assemble("C", mesh, spaces)
-    else:
+        M_rho = assemble("M_rho", mesh, spaces, params, geom=geom, maps=maps)
+        B_conv = assemble_convection(mesh, spaces, params, transport)
+        m = pressure_mean_vector(mesh, spaces)
         A_mu, C = (job.result() for job in jobs)
         del jobs                # the futures hold A_mu and C too
 
