@@ -286,9 +286,9 @@ class GeometryTables:
     Given a submit that is not None (see `_in_halves`), the table and
     each physical gradient array are built in two halves at once: the
     chunks from the one nearest the middle on, and the upper half of the
-    quadrature points, are handed to submit.  Every chunk and every per-point
-    product is the same as when one thread builds them all, so the
-    arrays are bitwise equal either way.
+    quadrature points, are handed to submit.  Every chunk and every
+    per-point product is the same as when one thread builds them all,
+    so the arrays are bitwise equal either way.
     """
 
     def __init__(self, mesh: Mesh, submit):
