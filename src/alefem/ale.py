@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
-from .assembly import Gather, index_maps, scalar_laplacian
+from .assembly import Gather, scalar_laplacian
 from .fespace import (
     FESpacePair,
     ScalarSpace,
@@ -70,36 +70,29 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
 
     The interior block is factored in SuperLU's MMD column order, which
     depends on its sparsity pattern alone.  That order is computed once
-    per DOF numbering, by the first extension on it, and cached with
-    the numbering's index maps; the later operators factor the block,
-    its columns permuted into that order, with the NATURAL ordering and
-    no ordering work of their own.
+    per DOF numbering, by the first extension on it, and kept with the
+    numbering's index maps (`DofMaps.interior`); the later operators
+    factor the block, its columns permuted into that order, with the
+    NATURAL ordering and no ordering work of their own.
     """
     if worker is not None:
         w = worker.extend(mesh, spaces, u)
         if w is not None:
             return w
-    V = spaces.velocity
-    maps = index_maps(V)
-    L = scalar_laplacian(geometry(mesh), V, maps)
-    ordering = []                       # the MMD factor, on a new numbering
-
-    def interior():
+    maps = spaces.maps
+    L = scalar_laplacian(geometry(mesh), spaces.velocity, maps.scalar)
+    if maps.interior is None:
         free = _free(spaces)
         lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-        ordering.append(lu)
         order = _inverse_order(lu.perm_c)
-        return order, Gather(lambda L: L[free][:, free][:, order].tocsc(),
-                             [L])
-
-    order, block = maps.keyed(
-        "interior", (spaces.interface_dofs, spaces.boundary_dofs), interior)
-    if ordering:
+        maps.interior = order, Gather(
+            lambda L: L[free][:, free][:, order].tocsc(), [L])
         # the factor that gave the order solves this call: it has the L,
         # U and row pivots of the block's NATURAL factor in that order
         # (see _inverse_order)
-        solve = ordering.pop().solve
+        solve = lu.solve
     else:
+        order, block = maps.interior
         solve = _natural_solve(block([L]), order)
     return _extend(L, solve, spaces, u)
 
@@ -141,11 +134,12 @@ def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
     return w.ravel()
 
 
-def _prepare(geom, V: ScalarSpace, maps, order: np.ndarray, block: Gather):
-    """The operator (L, solve) of a configuration whose numbering is
-    ordered already, from its geometry table and the numbering's maps
-    alone: no module-level cache is read."""
-    L = scalar_laplacian(geom, V, maps)
+def _prepare(geom, V: ScalarSpace, scalar, order: np.ndarray,
+             block: Gather):
+    """The operator (L, solve) of a configuration from its geometry
+    table and its numbering's scalar sum order, interior order and
+    interior gather, all built already."""
+    L = scalar_laplacian(geom, V, scalar)
     return L, _natural_solve(block([L]), order)
 
 
@@ -179,14 +173,15 @@ class HarmonicWorker:
     (`submit`) run a function on the arrays they are handed and hand
     back arrays and sparse matrices, never a factor.
 
-    Every job gets the geometry table and the numbering's index maps it
-    needs as arguments and reads no module-level cache: those are
-    one-slot caches that the main thread rebuilds meanwhile, on a
-    remesh.  The index maps the job reads are built before it is handed
-    over, so the two threads never both build one.  An exception of a
-    job is raised, with its type unchanged, by the call that waits for
-    its result: for `prepare`, the `extend` that picks w up; an
-    exception of an extension that is not picked up is discarded.
+    The geometry table and physical gradients of a mesh, and the index
+    maps and interior order of a numbering, are built on first use and
+    kept by the mesh and the numbering.  Every one that a job reads is
+    built on the main thread before the job is handed over, so the
+    thread only reads them and the two threads never both build one.
+    An exception of a job is raised, with its type unchanged, by the
+    call that waits for its result: for `prepare`, the `extend` that
+    picks w up; an exception of an extension that is not picked up is
+    discarded.
 
     The overlap needs a second CPU.  On one, the thread can only take
     turns with the main thread: pinned to one CPU of a 2-CPU Xeon VM,
@@ -229,7 +224,7 @@ class HarmonicWorker:
 
     def submit(self, fn, *args, **kwargs) -> Future:
         """A future of fn(*args, **kwargs), run on the thread.  fn must
-        read no module-level cache (see the class doc)."""
+        build nothing that is built on first use (see the class doc)."""
         done = Future()
         self._send("call", (fn, args, kwargs), done)
         return done
@@ -247,13 +242,11 @@ class HarmonicWorker:
         order yet.  Like `submit`, it is for a process that may use two
         CPUs (see `submitter`).
         """
-        V = spaces.velocity
-        maps = index_maps(V)
-        cached = maps.cached("interior",
-                             (spaces.interface_dofs, spaces.boundary_dofs))
-        if cached is None:
+        maps = spaces.maps
+        if maps.interior is None:
             return None
-        self._send("prepare", (geometry(mesh), V, maps, *cached), None)
+        self._send("prepare", (geometry(mesh), spaces.velocity, maps.scalar,
+                               *maps.interior), None)
 
         def extend_ahead(u: np.ndarray) -> None:
             u = u.copy()                    # the caller may change u
@@ -387,14 +380,16 @@ def move_mesh(mesh: Mesh, x_new: np.ndarray) -> Mesh:
 
 
 def spaces_with_mesh(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
-    """Rebind spaces to a mesh with identical connectivity (moved nodes).
-    Their DOF positions are computed when first read."""
+    """Rebind spaces to a mesh with identical connectivity (moved nodes),
+    sharing their numbering and its index maps.  Their DOF positions are
+    computed when first read."""
     def rebind(s: ScalarSpace) -> ScalarSpace:
         return ScalarSpace(mesh, s.degree, s.continuity, s.dof_of, s.n_dofs,
                            s.dof_phase)
 
     return FESpacePair(rebind(spaces.velocity), rebind(spaces.pressure),
-                       spaces.interface_dofs, spaces.boundary_dofs)
+                       spaces.interface_dofs, spaces.boundary_dofs,
+                       spaces.maps)
 
 
 def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
@@ -406,7 +401,8 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
     returned dict holds the coefficients transferred to the new mesh by
     point evaluation (phase-aware for pressure).  Returns
     (mesh, spaces, fields, did_remesh, min_angle), min_angle being that of
-    the returned mesh.
+    the returned mesh.  On a remesh the geometry table of mesh is
+    released before the new mesh is built.
     """
     q = quality(mesh)
     if q.min_angle > angle_threshold:
@@ -416,6 +412,7 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
     ring = mesh.coords[verts]
     k = mesh.degree
     segment_curve = _old_edge_curve(mesh, verts, edges)
+    mesh.release_tables()
     try:
         new_mesh = meshmod.fit_interface_mesh(
             rect, ring, h, k,

@@ -17,13 +17,13 @@ Available kinds for `assemble`:
 
 Index maps.  Between remeshes the nodes move but the connectivity does
 not, so every matrix keeps its sparsity pattern for hundreds of steps.
-`index_maps(space)` holds, per DOF numbering, the canonical CSR pattern
-of each matrix kind and the order in which its element contributions
-are summed; assembly then writes the element kernels straight into CSR
-data arrays.  The maps are keyed on the identity of the space's
-read-only `dof_of` array, which `ale.spaces_with_mesh` passes through
-unchanged, and live in a one-slot cache that frees the old entry before
-building the next, like `mesh.geometry`.
+`DofMaps` holds, for the DOF numbering of a Taylor-Hood pair, the
+canonical CSR pattern of each matrix kind and the order in which its
+element contributions are summed; assembly then writes the element
+kernels straight into CSR data arrays.  The pair owns its maps
+(`FESpacePair.maps`): `fespace.build_taylor_hood` makes them and
+`ale.spaces_with_mesh` hands them on to every moved configuration, so
+each is built once per numbering and dropped with it.
 
 The maps replay scipy's COO-to-CSR conversion (`tocsr`) exactly, so the
 matrices are bitwise equal to those of a COO assembly.  tocsr buckets
@@ -36,10 +36,10 @@ order instead differs in the last bits, and the remeshing of a long run
 is chaotic in such roundoff.  `Gather` extends the same idea to
 matrices derived by slicing and stacking (the saddle matrix, the
 interior block of the mesh Laplacian): the slicing runs once on entry
-ids and is replayed as one gather per step.  The maps of the velocity
-numbering also hold the column order in which `ale.harmonic_extension`
-factors that interior block: SuperLU's MMD ordering depends on the
-pattern alone, so it is computed once per numbering.
+ids and is replayed as one gather per step.  The maps also hold the
+column order in which `ale.harmonic_extension` factors that interior
+block: SuperLU's MMD ordering depends on the pattern alone, so it is
+computed once per numbering.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from .fespace import FESpacePair, ScalarSpace
+from .linalg import saddle_matrix
 from .mesh import MINUS, GeometryTables, Mesh, geometry, values_at_points
 
 MATRIX_KINDS = ("M", "M_rho", "A", "A_mu", "C")
@@ -86,10 +87,6 @@ def _index(a) -> np.ndarray:
     out = np.array(a, dtype=np.int32)
     out.setflags(write=False)
     return out
-
-
-def _pointer(a: np.ndarray) -> tuple[int, int]:
-    return a.ctypes.data, a.size
 
 
 class SumOrder:
@@ -186,22 +183,37 @@ class Gather:
                               shape=self.shape)
 
 
-class DofMaps:
-    """Index maps of one DOF numbering, each built on first use."""
+def _scalar_order(dof_of: np.ndarray, n_dofs: int) -> SumOrder:
+    """Scalar element matrices of a numbering, entries (E, n_loc, n_loc)."""
+    n_loc = dof_of.shape[1]
+    rows = np.repeat(dof_of[:, :, None], n_loc, axis=2)
+    cols = np.repeat(dof_of[:, None, :], n_loc, axis=1)
+    return SumOrder(rows.ravel(), cols.ravel(), (n_dofs, n_dofs))
 
-    def __init__(self, dof_of: np.ndarray, n_dofs: int):
-        self.dof_of = dof_of
-        self.n_dofs = n_dofs
-        self._keyed: dict[str, tuple[tuple, object]] = {}
+
+class DofMaps:
+    """Index maps of the DOF numbering of a Taylor-Hood pair, each built
+    on first use (see the module doc).  They hold the numbering's arrays
+    but no space, so that they keep no mesh alive.
+
+    interior is the column order in which `ale.harmonic_extension`
+    factors the interior block of the mesh Laplacian, with the gather of
+    that block in that order; the first extension on the numbering sets
+    it.
+    """
+
+    def __init__(self, velocity: ScalarSpace, pressure: ScalarSpace,
+                 boundary_dofs: np.ndarray):
+        self.dof_of = velocity.dof_of
+        self.n_dofs = velocity.n_dofs
+        self._pressure = pressure.dof_of, pressure.n_dofs
+        self._boundary_dofs = boundary_dofs
+        self.interior: tuple[np.ndarray, Gather] | None = None
 
     @cached_property
     def scalar(self) -> SumOrder:
-        """Scalar element matrices, entries (E, n_loc, n_loc)."""
-        dofs = self.dof_of
-        n_loc = dofs.shape[1]
-        rows = np.repeat(dofs[:, :, None], n_loc, axis=2)
-        cols = np.repeat(dofs[:, None, :], n_loc, axis=1)
-        return SumOrder(rows.ravel(), cols.ravel(), (self.n_dofs, self.n_dofs))
+        """Scalar element matrices of the velocity space."""
+        return _scalar_order(self.dof_of, self.n_dofs)
 
     @cached_property
     def vector(self) -> SumOrder:
@@ -245,66 +257,32 @@ class DofMaps:
         wanted = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
         return _index(np.searchsorted(keys, wanted))
 
-    def keyed(self, name: str, key: tuple, build):
-        """build(), cached under name while every array of key is the
-        same memory as when it was built.  The entry holds those arrays,
-        so their memory cannot be reused by other data meanwhile."""
-        value = self.cached(name, key)
-        if value is None:
-            self._keyed[name] = None            # free the old map first
-            value = build()
-            self._keyed[name] = (key, value)
-        return value
-
-    def cached(self, name: str, key: tuple):
-        """What keyed(name, key, ...) built, or None if it built nothing
-        for key."""
-        entry = self._keyed.get(name)
-        if entry is None or [_pointer(a) for a in entry[0]] != [
-                _pointer(a) for a in key]:
-            return None
-        return entry[1]
-
-    def divergence(self, pressure: ScalarSpace) -> SumOrder:
+    @cached_property
+    def divergence(self) -> SumOrder:
         """Divergence element matrices, entries (E, n_p, n_loc, 2)."""
-        def build():
-            vdofs = 2 * self.dof_of[:, None, :, None] + np.arange(2)
-            shape = (len(vdofs), pressure.n_local, self.dof_of.shape[1], 2)
-            rows = np.broadcast_to(pressure.dof_of[:, :, None, None], shape)
-            cols = np.broadcast_to(vdofs, shape)
-            return SumOrder(rows.ravel(), cols.ravel(),
-                            (pressure.n_dofs, 2 * self.n_dofs))
-        return self.keyed("divergence", (pressure.dof_of,), build)
+        p_dof_of, p_n_dofs = self._pressure
+        vdofs = 2 * self.dof_of[:, None, :, None] + np.arange(2)
+        shape = (len(vdofs), p_dof_of.shape[1], self.dof_of.shape[1], 2)
+        rows = np.broadcast_to(p_dof_of[:, :, None, None], shape)
+        cols = np.broadcast_to(vdofs, shape)
+        return SumOrder(rows.ravel(), cols.ravel(),
+                        (p_n_dofs, 2 * self.n_dofs))
 
+    @cached_property
+    def saddle(self) -> Gather:
+        """Gathers the saddle block (`linalg.saddle_matrix`) of the
+        velocity DOFs off the boundary from the momentum matrix, on the
+        vector pattern, and the divergence matrix."""
+        free = np.ones((self.n_dofs, 2), dtype=bool)
+        free[self._boundary_dofs] = False
+        free = free.ravel()
 
-# The maps of the last numbering asked about.  dof_of arrays are
-# read-only, so their identity is a key that cannot go stale.
-_last_maps: DofMaps | None = None
-
-
-def index_maps(space: ScalarSpace) -> DofMaps:
-    """The index maps of the space's DOF numbering, built once per
-    numbering (see the module doc)."""
-    global _last_maps
-    if (_last_maps is None or _last_maps.dof_of is not space.dof_of
-            or _last_maps.n_dofs != space.n_dofs):
-        _last_maps = None                   # free the old maps first
-        _last_maps = DofMaps(space.dof_of, space.n_dofs)
-    return _last_maps
-
-
-def gather(space: ScalarSpace, name: str, key: tuple, derive, *matrices):
-    """derive(*matrices) for a derive made of slicing, stacking,
-    transposition, format changes and whole-matrix negation.
-
-    The index map is cached under name with the maps of the space's
-    numbering, and rebuilt when an array of key or the pattern of an
-    input changes.  key must hold every array that derive depends on
-    besides the inputs.
-    """
-    key = key + tuple(m.indices for m in matrices)
-    g = index_maps(space).keyed(name, key, lambda: Gather(derive, matrices))
-    return g(matrices)
+        def derive(Kuu, C):
+            return saddle_matrix(Kuu[free][:, free], (-C[:, free]).tocsr())
+        return Gather(derive, [
+            sparse.csr_matrix((np.zeros(S.nnz), S.indices, S.indptr),
+                              shape=S.shape)
+            for S in (self.vector, self.divergence)])
 
 
 def _interleaved(maps: DofMaps, scalar_data: np.ndarray) -> sparse.csr_matrix:
@@ -313,6 +291,12 @@ def _interleaved(maps: DofMaps, scalar_data: np.ndarray) -> sparse.csr_matrix:
     n = 2 * maps.n_dofs
     return sparse.csr_matrix((scalar_data[source], indices, indptr),
                              shape=(n, n))
+
+
+def _on(indices: np.ndarray, A: sparse.csr_matrix) -> bool:
+    """Whether the column indices of A are the array indices, which
+    csr_matrix keeps as a view."""
+    return A.indices is indices or A.indices.base is indices
 
 
 def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
@@ -324,11 +308,10 @@ def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
     scale by 1 / tau and add left to right.  The arguments must be
     assembled on spaces; A_mu is consumed.
     """
-    maps = index_maps(spaces.velocity)
+    maps = spaces.maps
     indptr, indices, _ = maps.interleaved
-    if (_pointer(A_mu.indices) != _pointer(maps.vector.indices)
-            or _pointer(M_rho.indices) != _pointer(indices)
-            or _pointer(B_conv.indices) != _pointer(indices)):
+    if not (_on(maps.vector.indices, A_mu) and _on(indices, M_rho)
+            and _on(indices, B_conv)):
         raise ValueError("momentum_matrix needs matrices assembled on spaces")
     d = maps.diagonal
     data = A_mu.data
@@ -423,27 +406,25 @@ def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
 
 def scalar_mass(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
     local = _mass_local(geometry(mesh), space, None)
-    return index_maps(space).scalar.matrix(local)
+    return _scalar_order(space.dof_of, space.n_dofs).matrix(local)
 
 
 def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
-                     maps: DofMaps) -> sparse.csr_matrix:
-    """The Laplacian of the space on the configuration of geom, maps
-    being those of its numbering.  It looks up no cache, so that it
-    can run off the main thread (see `ale.HarmonicWorker`)."""
-    return maps.scalar.matrix(_laplacian_local(geom, space))
+                     order: SumOrder | None = None) -> sparse.csr_matrix:
+    """The Laplacian of the space on the configuration of geom, summed
+    in order, the scalar order of its numbering (built here if None)."""
+    if order is None:
+        order = _scalar_order(space.dof_of, space.n_dofs)
+    return order.matrix(_laplacian_local(geom, space))
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
-             params: PhaseParams | None = None, *,
-             geom: GeometryTables | None = None,
-             maps: DofMaps | None = None) -> sparse.csr_matrix:
+             params: PhaseParams | None = None) -> sparse.csr_matrix:
     """Assemble one of the domain-dependent matrices (see module doc).
 
-    geom and maps, when given, are the geometry table of mesh and the
-    index maps of the velocity numbering; with both given no cache is
-    looked up, so that the call can run off the main thread (see
-    `ale.HarmonicWorker`), provided the maps it reads exist already.
+    It reads the geometry table of mesh and the index maps of spaces and
+    builds whichever of them is missing; so it runs off the main thread
+    (see `ale.HarmonicWorker`) only on a table and maps that exist.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -451,9 +432,9 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
         raise ValueError("spaces were built on a different mesh")
     if kind in ("M_rho", "A_mu") and params is None:
         raise ValueError(f"kind {kind} needs phase parameters")
-    geom = geometry(mesh) if geom is None else geom
+    geom = geometry(mesh)
     V = spaces.velocity
-    maps = index_maps(V) if maps is None else maps
+    maps = spaces.maps
 
     if kind in ("M", "M_rho"):
         w = None if kind == "M" else params.rho_of(mesh.phase)
@@ -468,7 +449,7 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
 
     # kind == "C"
     P = spaces.pressure
-    return maps.divergence(P).matrix(_divergence_local(geom, P, V))
+    return maps.divergence.matrix(_divergence_local(geom, P, V))
 
 
 def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
@@ -482,7 +463,7 @@ def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     V = spaces.velocity
     local = _convection_local(geometry(mesh), V, params.rho_of(mesh.phase),
                               transport)
-    maps = index_maps(V)
+    maps = spaces.maps
     return _interleaved(maps, maps.scalar.sum(local))
 
 

@@ -104,6 +104,10 @@ def config_echo(config: SimConfig) -> dict:
 def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
     from .observables import BenchmarkRecord
 
+    if vtk_every < 0:
+        print(f"--vtk-every must be 0 (off) or positive, got {vtk_every}",
+              file=sys.stderr)
+        return 2
     try:
         config = load_config(config_path)
     except (ConfigError, ValueError) as err:
@@ -161,8 +165,12 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
 
 
 def cmd_converge(config_path, levels: int = 3, m: int = 2, quiet=False) -> int:
-    from .verify import spatial_convergence_study
+    from .verify import spatial_convergence_study, study_problem
 
+    problem = study_problem(levels, m)
+    if problem is not None:
+        print(f"converge: {problem}", file=sys.stderr)
+        return 2
     try:
         config = load_config(config_path)
     except (ConfigError, ValueError) as err:
@@ -232,14 +240,13 @@ def build_verify_checks(suite: str):
 
         def check_reference_matrices():
             from .fespace import build_scalar_space
-            from .assembly import index_maps, scalar_laplacian, scalar_mass
+            from .assembly import scalar_laplacian, scalar_mass
             from .mesh import geometry
 
             mesh = _unit_right_triangle()
             space = build_scalar_space(mesh, 1)
             M = scalar_mass(mesh, space).toarray()
-            A = scalar_laplacian(geometry(mesh), space,
-                                 index_maps(space)).toarray()
+            A = scalar_laplacian(geometry(mesh), space).toarray()
             M_exact = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
             A_exact = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
                                 [-0.5, 0.0, 0.5]])

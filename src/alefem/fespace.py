@@ -17,11 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .mesh import MINUS, PLUS, Mesh, first_appearance, map_points
 from .reference import lattice_nodes, reference_element
+
+if TYPE_CHECKING:
+    from .assembly import DofMaps
 
 GLOBAL = "global"
 SUBDOMAIN = "subdomain-discontinuous"
@@ -93,13 +97,16 @@ class FESpacePair:
 
     interface_dofs / boundary_dofs are scalar velocity DOF ids; the
     complement of their union is the zero-trace test space used for the
-    harmonic mesh motion.
+    harmonic mesh motion.  maps are the index maps of the pair's DOF
+    numbering (`assembly.DofMaps`), shared by every pair of that
+    numbering.
     """
 
     velocity: ScalarSpace
     pressure: ScalarSpace
     interface_dofs: np.ndarray
     boundary_dofs: np.ndarray
+    maps: DofMaps
 
     def __post_init__(self):
         self.interface_dofs.setflags(write=False)
@@ -211,11 +218,15 @@ def build_taylor_hood(mesh: Mesh, k: int) -> FESpacePair:
                          f"k = 2 or 3")
     if mesh.degree != k:
         raise ValueError(f"mesh degree {mesh.degree} does not match k={k}")
+    # imported here: assembly imports this module
+    from .assembly import DofMaps
+
     velocity = build_scalar_space(mesh, k, GLOBAL)
     pressure = build_scalar_space(mesh, k - 1, SUBDOMAIN)
     interface_dofs = mesh.interface_node_ids()
     boundary_dofs = mesh.boundary_node_ids()
-    return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs)
+    return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs,
+                       DofMaps(velocity, pressure, boundary_dofs))
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,21 @@ Numbering rule: every entity id (edge node, interior node, DOF of a
 space) is given by first appearance over (element, local entity) in
 element order, as a dict filled in that order would number its keys.
 `first_appearance` computes it from one int64 code per key.  The index
-maps cached by `assembly.index_maps` depend on the resulting numbering,
-so a change to this rule changes every assembled pattern.
+maps of a numbering (`assembly.DofMaps`) depend on the resulting
+numbering, so a change to this rule changes every assembled pattern.
 
-`geometry(mesh)` holds the Jacobian data of a mesh configuration at the
-assembly quadrature points.  It is built once per configuration and
-shared by assembly, observables and `quality`.
+Each mesh configuration owns its geometry table, the Jacobian data at
+the assembly quadrature points: `Mesh.tables` builds it on first use
+and keeps it, so assembly, observables and `quality` share it, until
+`Mesh.release_tables` drops it.  `geometry(mesh)` hands it out after
+checking that no element is tangled.  A mesh made by `displace` shares
+the connectivity of one that was checked, and is not checked again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -70,12 +73,6 @@ class MeshQuality:
     min_jacobian: float   # min detJ / (2*straight area), dimensionless
 
 
-# The connectivity arrays of the last mesh whose interface pairing was
-# checked.  `displace` passes them through verbatim, so a moved mesh needs
-# no second check; holding them keeps their identity from being reused.
-_last_checked: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Immutable degree-k triangulation with phase labels.
@@ -105,12 +102,22 @@ class Mesh:
                 f"degree-{self.degree} elements need {n_expected} nodes, "
                 f"got {self.elements.shape[1]}"
             )
-        global _last_checked
-        checked = (self.elements, self.phase, self.interface_edges)
-        if _last_checked is None or any(
-                a is not b for a, b in zip(checked, _last_checked)):
-            _check_interface_pairing(*checked)
-            _last_checked = checked
+        _check_interface_pairing(self.elements, self.phase,
+                                 self.interface_edges)
+
+    def tables(self, submit=None) -> GeometryTables:
+        """The geometry table of this configuration, built on first use
+        (submit helps to build it, see `GeometryTables`) and kept until
+        `release_tables`."""
+        tables = self.__dict__.get("_tables")
+        if tables is None:
+            tables = GeometryTables(self, submit)
+            object.__setattr__(self, "_tables", tables)
+        return tables
+
+    def release_tables(self) -> None:
+        """Drop the geometry table; the next `tables` builds it again."""
+        self.__dict__.pop("_tables", None)
 
     @property
     def coords(self) -> np.ndarray:
@@ -269,8 +276,9 @@ def _in_halves(fn, n: int, split: int, submit) -> None:
 class GeometryTables:
     """Jacobian data of every element at the points of triangle_rule(2k+2).
 
-    Built from one mesh configuration but holding no reference to it;
-    `geometry` hands out the table of a mesh.  A tangled mesh still gets
+    Built from one mesh configuration, which keeps it (`Mesh.tables`);
+    it holds no reference to the mesh, so that the two form no cycle
+    and a released table is freed at once.  A tangled mesh still gets
     a table (its detJ shows where); `tangled` is then (element, min
     detJ), otherwise None.
 
@@ -364,27 +372,14 @@ class GeometryTables:
                 pairs[:, :, lo:lo + _PAIR_BLOCK].transpose(2, 0, 1)
 
 
-# The table of the last mesh asked about.  Meshes are immutable, so the
-# identity of the mesh is a key that cannot go stale.
-_last_geometry: tuple[Mesh, GeometryTables] | None = None
-
-
-def _tables(mesh: Mesh, submit=None) -> GeometryTables:
-    global _last_geometry
-    if _last_geometry is None or _last_geometry[0] is not mesh:
-        _last_geometry = None           # free the old table first
-        _last_geometry = (mesh, GeometryTables(mesh, submit))
-    return _last_geometry[1]
-
-
 def geometry(mesh: Mesh, submit=None) -> GeometryTables:
-    """The geometry table of the mesh, built once per configuration;
-    submit helps to build it (see `GeometryTables`).
+    """The geometry table of the mesh (`Mesh.tables`); submit helps to
+    build it when it is not built yet.
 
     Raises TangledElementError if an element has detJ <= 0 at a
     quadrature point.
     """
-    geom = _tables(mesh, submit)
+    geom = mesh.tables(submit)
     if geom.tangled is not None:
         raise TangledElementError(*geom.tangled)
     return geom
@@ -408,23 +403,23 @@ def quality(mesh: Mesh) -> MeshQuality:
     min_angle = float(angles.min())
 
     straight_area2 = np.abs(_cross2(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
-    scaled = _tables(mesh).detJ / np.maximum(straight_area2, 1e-300)[:, None]
+    scaled = mesh.tables().detJ / np.maximum(straight_area2, 1e-300)[:, None]
     return MeshQuality(min_angle=min_angle, min_jacobian=float(scaled.min()))
 
 
 def displace(mesh: Mesh, d: np.ndarray) -> Mesh:
-    """Mesh with nodes x + d; connectivity and labels are shared."""
+    """Mesh with nodes x + d; connectivity and labels are shared.  They
+    passed the checks of `Mesh` when mesh was made, so the moved mesh is
+    made without running them again."""
     d = np.asarray(d, dtype=float)
     if d.shape != mesh.x.shape:
         raise MeshError(f"displacement has shape {d.shape}, expected {mesh.x.shape}")
-    return Mesh(
-        x=mesh.x + d,
-        elements=mesh.elements,
-        phase=mesh.phase,
-        interface_edges=mesh.interface_edges,
-        boundary_edges=mesh.boundary_edges,
-        degree=mesh.degree,
-    )
+    x = mesh.x + d
+    x.setflags(write=False)
+    moved = object.__new__(Mesh)
+    moved.__dict__.update({f.name: getattr(mesh, f.name)
+                           for f in fields(Mesh)}, x=x)
+    return moved
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,17 @@ def pullback_difference_norms(coarse, fine) -> dict[str, float]:
 RECT = (0.0, 0.0, 1.0, 2.0)
 
 
+def study_problem(levels, m) -> str | None:
+    """Why a study of that many levels refined by the factor m cannot
+    give a rate, or None if it can."""
+    if not isinstance(levels, int) or levels < 3:
+        return f"need at least 3 levels for a rate estimate, got {levels}"
+    if not isinstance(m, int) or m < 2:
+        return (f"the refinement factor m must be an integer of at least "
+                f"2, got {m}")
+    return None
+
+
 def spatial_convergence_study(config, levels: int = 3, m: int = 2,
                               progress=None) -> RateReport:
     """Nested-mesh sweep of the full two-phase scheme.
@@ -274,14 +285,16 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
     and reports one rate per consecutive difference pair.  Requires the
     runs to finish without remeshing (the pullback comparison needs a
     single reference configuration; short-horizon rate studies satisfy
-    this).
+    this).  Raises ValueError before running anything when levels or m
+    cannot give a rate (see `study_problem`).
     """
     from dataclasses import replace
 
     from .stepper import initialize, step
 
-    if levels < 3:
-        raise ValueError("need at least 3 levels for a rate estimate")
+    problem = study_problem(levels, m)
+    if problem is not None:
+        raise ValueError(problem)
     runs = []
     h_values = []
     for lvl in range(levels):

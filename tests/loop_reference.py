@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from alefem.assembly import DofMaps
 from alefem.fespace import (
     GLOBAL,
     SUBDOMAIN,
@@ -356,6 +357,8 @@ def build_scalar_space(mesh, degree, continuity=GLOBAL):
 def build_taylor_hood(mesh, k):
     velocity = build_scalar_space(mesh, k, GLOBAL)
     pressure = build_scalar_space(mesh, k - 1, SUBDOMAIN)
+    boundary_dofs = edge_set_node_ids(mesh, mesh.boundary_edges)
     return FESpacePair(velocity, pressure,
                        edge_set_node_ids(mesh, mesh.interface_edges),
-                       edge_set_node_ids(mesh, mesh.boundary_edges))
+                       boundary_dofs,
+                       DofMaps(velocity, pressure, boundary_dofs))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -181,6 +182,28 @@ def test_remesh_triggers_and_restores_quality():
     got = evaluate_many(s2.velocity, u2, pts, vector=True)
     expect = np.array([quad(x, y) for x, y in pts])
     assert np.abs(got - expect).max() < 1e-3
+
+
+def test_remesh_releases_the_old_table_before_fitting(monkeypatch):
+    """The moved mesh's geometry table is freed before the new mesh and
+    its table are built, so the two are never alive at once."""
+    from alefem import mesh as meshmod
+
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
+    spaces = build_taylor_hood(mesh, 2)
+    sheared = shear_below_threshold(mesh)
+    table = weakref.ref(sheared.tables())
+    alive = []
+    original = meshmod.fit_interface_mesh
+
+    def fit(*args, **kwargs):
+        alive.append(table() is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(meshmod, "fit_interface_mesh", fit)
+    did = check_and_remesh(sheared, spaces_with_mesh(spaces, sheared), {},
+                           RECT, 0.1)[3]
+    assert did and alive == [False]
 
 
 def test_quadratic_transfer_exact_on_straight_interface():

@@ -6,7 +6,6 @@ from alefem.assembly import (
     assemble,
     assemble_convection,
     assemble_load,
-    index_maps,
     pressure_mean_vector,
     scalar_laplacian,
     scalar_mass,
@@ -49,7 +48,7 @@ def test_p1_mass_matrix_exact():
 def test_p1_stiffness_matrix_exact():
     mesh = unit_right_triangle()
     space = build_scalar_space(mesh, 1)
-    A = scalar_laplacian(geometry(mesh), space, index_maps(space)).toarray()
+    A = scalar_laplacian(geometry(mesh), space).toarray()
     expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.abs(A - expect).max() < 1e-14
 

@@ -196,6 +196,30 @@ def test_vtk_snapshot_contents(tmp_path, config_file):
     assert npoints > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--levels", "0"], ["--levels", "1"], ["--levels", "2"],
+    ["-m", "0"], ["-m", "-1"], ["-m", "1"],
+])
+def test_converge_rejects_bad_arguments_before_running(args, config_file,
+                                                       monkeypatch, capsys):
+    from alefem import stepper
+
+    started, original = [], stepper.initialize
+    monkeypatch.setattr(stepper, "initialize",
+                        lambda *a: started.append(a) or original(*a))
+    assert main(["converge", str(config_file), "-q", *args]) == 2
+    assert started == []
+    assert args[1] in capsys.readouterr().err
+
+
+def test_negative_vtk_every_rejected(tmp_path, config_file, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "-o", str(out), "-q",
+                 "--vtk-every", "-2"]) == 2
+    assert "--vtk-every" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_verify_suites_pass():
     assert main(["verify", "matrices"]) == 0
     assert main(["verify", "transport"]) == 0

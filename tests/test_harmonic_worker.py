@@ -5,11 +5,11 @@ thread during the saddle solve and then starts extending the new u by
 it there; the next step picks the extension up.  Before that, the
 thread builds half of the moved mesh's geometry table and physical
 gradients and assembles A_mu and C.  These tests pin what that
-thread may and may not do: free its factors itself, read no
-module-level cache, match an operator only to its own mesh, give
-bitwise the arrays of one thread, and hand its errors to the step that
-waits for them.  On one CPU there is nothing to overlap, and no thread
-is started at all.
+thread may and may not do: free its factors itself, build nothing
+that is built on first use, match an operator only to its own mesh,
+give bitwise the arrays of one thread, and hand its errors to the step
+that waits for them.  On one CPU there is nothing to overlap, and no
+thread is started at all.
 """
 
 import gc
@@ -17,15 +17,21 @@ import os
 import subprocess
 import sys
 import threading
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from alefem import ale, assembly, mesh
+from alefem import ale, assembly
 from alefem.ale import HarmonicWorker, advance_mesh, harmonic_extension
-from alefem.assembly import assemble, index_maps
+from alefem.assembly import DofMaps, Gather, SumOrder, assemble
 from alefem.fespace import build_taylor_hood
-from alefem.mesh import GeometryTables, generate_bubble_mesh, generate_rect_mesh
+from alefem.mesh import (
+    GeometryTables,
+    generate_bubble_mesh,
+    generate_rect_mesh,
+    geometry,
+)
 from alefem.stepper import SimConfig, initialize, run, step
 
 from conftest import BP1, CENTER, RADIUS, RECT
@@ -87,33 +93,50 @@ def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
     assert any(tid != main for tid in made.values())
 
 
-def test_worker_reads_no_module_level_cache(monkeypatch):
+def test_nothing_is_built_on_the_worker_thread(monkeypatch):
+    """The thread only reads the geometry tables, physical gradients,
+    index maps and interior orders that its jobs need: the main thread
+    builds each before it hands a job over."""
     misuse = []
 
     def guarded(name, fn):
         def call(*args, **kwargs):
             if off_main():
                 misuse.append(name)
-                raise AssertionError(f"{name} called off the main thread")
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(mesh, "_tables", guarded("_tables", mesh._tables))
-    for module in (assembly, ale):
-        monkeypatch.setattr(module, "index_maps",
-                            guarded("index_maps", module.index_maps))
+    for cls in (GeometryTables, DofMaps, SumOrder, Gather):
+        monkeypatch.setattr(cls, "__init__",
+                            guarded(cls.__name__, cls.__init__))
+    for name, prop in vars(DofMaps).items():
+        if isinstance(prop, cached_property):
+            member = cached_property(guarded(name, prop.func))
+            member.__set_name__(DofMaps, name)
+            monkeypatch.setattr(DofMaps, name, member)
+    gradients = GeometryTables.physical_gradients
+
+    def physical_gradients(self, space, submit=None):
+        if space.degree not in self._gphys and off_main():
+            misuse.append("physical_gradients")
+        return gradients(self, space, submit)
+
+    monkeypatch.setattr(GeometryTables, "physical_gradients",
+                        physical_gradients)
+    monkeypatch.setattr(ale, "_inverse_order",
+                        guarded("_inverse_order", ale._inverse_order))
     worker_factors = []
     original = ale.splu
 
     def splu(*args, **kwargs):
         if off_main():
-            worker_factors.append(1)
+            worker_factors.append(kwargs["permc_spec"])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ale, "splu", splu)
     state, _ = run(config(5))
     assert misuse == []
-    assert len(worker_factors) == 5
+    assert worker_factors == ["NATURAL"] * 5
     assert state.remesh_count == 0
 
 
@@ -260,7 +283,8 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         alone = GeometryTables(m, None)
-        split = GeometryTables(m, submit)
+        m.release_tables()                  # a bubble mesh has one
+        split = m.tables(submit)
         for name in ("x", "detJ", "Jinv", "wdet"):
             same(getattr(split, name), getattr(alone, name))
         assert split.tangled is None and alone.tangled is None
@@ -269,14 +293,15 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
             same(split.physical_gradients(space, submit),
                  alone.physical_gradients(space))
         assert len(jobs) == (elements > 256) + 2
-        maps = index_maps(V)
-        maps.vector, maps.divergence(P)
+        spaces.maps.vector, spaces.maps.divergence
+        got = {kind: submit(assemble, kind, m, spaces, BP1).result()
+               for kind in ("A_mu", "C")}
+        m.release_tables()
+        assert geometry(m) is not split         # built by this thread alone
         for kind in ("A_mu", "C"):
-            got = submit(assemble, kind, m, spaces, BP1, geom=split,
-                         maps=maps).result()
             expect = assemble(kind, m, spaces, BP1)
             for name in ("data", "indices", "indptr"):
-                same(getattr(got, name), getattr(expect, name))
+                same(getattr(got[kind], name), getattr(expect, name))
         assert worker._thread is not None
     finally:
         sys.setswitchinterval(interval)

@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name it never
 uses; every public name and every parameter default of the package is
-used by the package; importing the package starts no thread."""
+used by the package; the package keeps no state at module level;
+importing the package starts no thread."""
 
 import ast
 import os
@@ -220,6 +221,95 @@ def test_every_default_is_set_by_a_caller():
     unset = [entry for entry in defaults_never_passed(package_modules())
              if entry not in DEFAULTS_OK]
     assert unset == [], f"defaults that no call in the package sets: {unset}"
+
+
+# Functions that may keep a cache at module level: pure functions of an
+# integer, whose results cannot go stale.
+CACHED_OK = {("quadrature.py", "triangle_rule"),
+             ("quadrature.py", "edge_rule"),
+             ("reference.py", "reference_element"),
+             ("reference.py", "edge_element")}
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "deque",
+                   "OrderedDict"}
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop",
+            "popitem", "clear", "add", "discard", "remove"}
+
+
+def _called_name(node) -> str | None:
+    f = node.func if isinstance(node, ast.Call) else node
+    if isinstance(f, ast.Name):
+        return f.id
+    return f.attr if isinstance(f, ast.Attribute) else None
+
+
+def module_state(path: str, tree: ast.Module):
+    """(line, what) of every way the module keeps state between calls:
+    a `global` statement, a cache decorator, a module-level name bound
+    to None (a slot to fill later), and a module-level container that a
+    statement of the module changes."""
+    found = [(n.lineno, "global " + ", ".join(n.names))
+             for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    found += [(fn.lineno, "cache " + fn.name) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and (path, fn.name) not in CACHED_OK
+              and any(_called_name(d) in ("lru_cache", "cache")
+                      for d in fn.decorator_list)]
+    containers = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        value = stmt.value
+        for t in targets:
+            if not isinstance(t, ast.Name):
+                continue
+            if isinstance(value, ast.Constant) and value.value is None:
+                found.append((stmt.lineno, t.id))
+            elif isinstance(value, CONTAINERS) or (
+                    isinstance(value, ast.Call)
+                    and _called_name(value) in CONTAINER_CALLS):
+                containers[t.id] = stmt.lineno
+    for n in ast.walk(tree):
+        name = None
+        if (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+                and isinstance(n.ctx, (ast.Store, ast.Del))):
+            name = n.value.id
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and isinstance(n.func.value, ast.Name)
+              and n.func.attr in MUTATORS):
+            name = n.func.value.id
+        elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+            name = n.target.id
+        if name in containers:
+            found.append((containers.pop(name), name))
+    return sorted(found)
+
+
+def test_scan_finds_module_state():
+    tree = ast.parse("from functools import lru_cache\n"
+                     "_slot = None\n_seen = {}\n_log = []\nTABLE = {1: 2}\n\n"
+                     "def f(x):\n    global _slot\n    _slot = x\n"
+                     "    _seen[x] = 1\n    _log.append(x)\n"
+                     "    return TABLE[x]\n\n"
+                     "@lru_cache(maxsize=None)\ndef g(k):\n    return k\n")
+    assert module_state("a.py", tree) == [
+        (2, "_slot"), (3, "_seen"), (4, "_log"), (8, "global _slot"),
+        (15, "cache g")]
+
+
+def test_package_keeps_no_module_level_state():
+    """Caches live on the objects they describe (a mesh keeps its
+    geometry table, a pair of spaces the index maps of its numbering),
+    so several configurations can be alive at once."""
+    state = {path: found for path, tree in package_modules().items()
+             if (found := module_state(path, tree))}
+    assert state == {}, f"module-level state: {state}"
 
 
 def test_importing_the_package_starts_no_thread():

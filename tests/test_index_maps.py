@@ -19,7 +19,6 @@ from alefem.assembly import (
     assemble,
     assemble_convection,
     assemble_load,
-    index_maps,
     pressure_mean_vector,
     scalar_laplacian,
     scalar_mass,
@@ -103,7 +102,7 @@ def test_every_kind_equals_coo_assembly(moved):
     local = assembly._convection_local(geom, V, rho, transport)
     assert_same(assemble_convection(mesh, spaces, BP1, transport),
                 kron2(scalar_coo(local, V)))
-    assert_same(scalar_laplacian(geometry(mesh), V, index_maps(V)),
+    assert_same(scalar_laplacian(geometry(mesh), V, spaces.maps.scalar),
                 scalar_coo(assembly._laplacian_local(geom, V), V))
     P1 = build_scalar_space(mesh, 1)
     for space in (P, P1):
@@ -157,7 +156,7 @@ def sliced_flow_solve(mesh, spaces, tau, u_old, transport, load,
 
 def sliced_harmonic_extension(mesh, spaces, u):
     V = spaces.velocity
-    L = scalar_laplacian(geometry(mesh), V, index_maps(V))
+    L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True
@@ -234,22 +233,22 @@ def count_builds(monkeypatch):
 def test_maps_built_once_per_numbering(monkeypatch):
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=TAU, T=1.0)
     state = initialize(cfg)
+    maps = state.spaces.maps
     built = count_builds(monkeypatch)
     for _ in range(4):
         state = step(state, cfg)
     assert state.remesh_count == 0
+    assert state.spaces.maps is maps
     # scalar, vector and divergence sums; saddle and interior gathers
     assert sorted(built) == ["Gather"] * 2 + ["SumOrder"] * 3
-    maps = index_maps(state.spaces.velocity)
 
-    # the same numbering under new identity rebuilds, and stays exact
+    # a space outside a pair sums in an order of its own, and stays exact
     V = state.spaces.velocity
     perm = np.random.default_rng(0).permutation(V.n_dofs)
     renumbered = replace(V, dof_of=perm[V.dof_of])
     geom = geometry(state.mesh)
     assert_same(scalar_mass(state.mesh, renumbered),
                 scalar_coo(assembly._mass_local(geom, V, None), renumbered))
-    assert index_maps(renumbered) is not maps
     assert built[5:] == ["SumOrder"]
 
 

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 
 from alefem import ale, assembly
 from alefem.ale import harmonic_extension, move_mesh, spaces_with_mesh
-from alefem.assembly import field_values, index_maps, scalar_laplacian
+from alefem.assembly import DofMaps, field_values, scalar_laplacian
 from alefem.fespace import FESpacePair, build_scalar_space, build_taylor_hood
 from alefem.mesh import (
     GeometryTables,
@@ -180,7 +180,7 @@ def mmd_harmonic_extension(mesh, spaces, u):
     """The harmonic extension with the interior block factored under
     SuperLU's MMD ordering at every call."""
     V = spaces.velocity
-    L = scalar_laplacian(geometry(mesh), V, index_maps(V))
+    L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True
@@ -230,9 +230,11 @@ def test_harmonic_extension_orders_once_per_numbering(monkeypatch):
     spaces = state.spaces
     V = spaces.velocity
     perm = np.random.default_rng(0).permutation(V.n_dofs)
-    renumbered = FESpacePair(replace(V, dof_of=perm[V.dof_of]),
-                             spaces.pressure, perm[spaces.interface_dofs],
-                             perm[spaces.boundary_dofs])
+    V_perm = replace(V, dof_of=perm[V.dof_of])
+    boundary = perm[spaces.boundary_dofs]
+    renumbered = FESpacePair(V_perm, spaces.pressure,
+                             perm[spaces.interface_dofs], boundary,
+                             DofMaps(V_perm, spaces.pressure, boundary))
     u = np.empty_like(state.u)
     u.reshape(-1, 2)[perm] = state.u.reshape(-1, 2)
     del specs[:]
@@ -248,7 +250,7 @@ def test_harmonic_extension_keeps_mmd_fill():
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = step(initialize(cfg), cfg)
     spaces, V = state.spaces, state.spaces.velocity
-    L = scalar_laplacian(geometry(state.mesh), V, index_maps(V))
+    L = scalar_laplacian(geometry(state.mesh), V, spaces.maps.scalar)
     free = np.ones(V.n_dofs, dtype=bool)
     free[spaces.interface_dofs] = False
     free[spaces.boundary_dofs] = False

@@ -174,6 +174,56 @@ def test_one_geometry_table_per_step(monkeypatch):
     assert len(built) == 1 and built[0] is nxt.mesh
 
 
+def test_interleaved_runs_build_each_table_and_map_once(monkeypatch):
+    """Three configurations stepped in turn, as a lockstep study steps its
+    levels, build one geometry table per mesh configuration and one set
+    of index maps per DOF numbering: stepping one evicts nothing of the
+    others.  A step releases the table of the mesh it leaves, so each
+    state keeps one table alive."""
+    import gc
+    import weakref
+
+    from alefem import assembly
+    from alefem.mesh import GeometryTables
+
+    built, tables = [], []
+    for cls in (GeometryTables, assembly.DofMaps, assembly.SumOrder,
+                assembly.Gather):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, _name=cls.__name__):
+            built.append((_name, args[0]))
+            if _name == "GeometryTables":
+                tables.append(weakref.ref(self))
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    configs = [tiny_config(), tiny_config(k=3), tiny_config(h=0.2)]
+    states = [initialize(cfg) for cfg in configs]
+    assert [name for name, _ in built].count("DofMaps") == 3
+    del built[:]
+    moved = []
+    try:
+        for _ in range(3):
+            for i, cfg in enumerate(configs):
+                states[i] = step(states[i], cfg)
+                record_state(states[i], cfg)
+                moved.append(states[i].mesh)
+    finally:
+        for state in states:
+            state.harmonic.close()
+    assert [state.remesh_count for state in states] == [0, 0, 0]
+    gc.collect()
+    assert sum(table() is not None for table in tables) == len(states)
+    tables = [mesh for name, mesh in built if name == "GeometryTables"]
+    assert len(tables) == len(moved)
+    assert all(a is b for a, b in zip(tables, moved))
+    # per numbering: scalar, vector and divergence sums; saddle and
+    # interior gathers
+    assert sorted(name for name, _ in built if name != "GeometryTables") \
+        == ["Gather"] * 6 + ["SumOrder"] * 9
+
+
 def test_record_state_evaluates_velocity_once(monkeypatch):
     """record_state shares u at the quadrature points and the interface
     length between observables, and equals them computed one by one."""
