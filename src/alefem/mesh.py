@@ -276,11 +276,10 @@ def _in_halves(fn, n: int, split: int, submit) -> None:
 class GeometryTables:
     """Jacobian data of every element at the points of triangle_rule(2k+2).
 
-    Built from one mesh configuration, which keeps it (`Mesh.tables`);
-    it holds no reference to the mesh, so that the two form no cycle
-    and a released table is freed at once.  A tangled mesh still gets
-    a table (its detJ shows where); `tangled` is then (element, min
-    detJ), otherwise None.
+    Built from one mesh configuration, which keeps it (`Mesh.tables`),
+    and holding no reference to it, so that a released table is freed
+    at once.  A tangled mesh still gets a table (its detJ shows where);
+    `tangled` is then (element, min detJ), otherwise None.
 
     Layout rule: the contractions over an element's local nodes run
     element-innermost, on node coordinates gathered as (2, n_loc, n) in
@@ -372,14 +371,13 @@ class GeometryTables:
                 pairs[:, :, lo:lo + _PAIR_BLOCK].transpose(2, 0, 1)
 
 
-def geometry(mesh: Mesh, submit=None) -> GeometryTables:
-    """The geometry table of the mesh (`Mesh.tables`); submit helps to
-    build it when it is not built yet.
+def geometry(mesh: Mesh) -> GeometryTables:
+    """The geometry table of the mesh (`Mesh.tables`).
 
     Raises TangledElementError if an element has detJ <= 0 at a
     quadrature point.
     """
-    geom = mesh.tables(submit)
+    geom = mesh.tables()
     if geom.tangled is not None:
         raise TangledElementError(*geom.tangled)
     return geom

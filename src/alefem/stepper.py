@@ -246,7 +246,7 @@ def step(state: State, config: SimConfig) -> State:
     # (3) implicit flow solve with convection frozen at u^n - w^n, on
     # the moved mesh's geometry table, built in halves with the worker
     # when there is a second CPU
-    geometry(mesh, state.harmonic.submitter())
+    mesh.tables(state.harmonic.submitter())
     load = assemble_load(mesh, spaces, params)
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,
