@@ -63,10 +63,7 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     lift of u on the fixed DOFs and the two triangular solves need u.
     When worker started the extension of this u on this mesh and
     spaces, by the operator it prepared, that is the result (see
-    `HarmonicWorker`); otherwise the operator is built here, on the
-    calling thread.  Either way a factor
-    is used and freed only by the thread that made it, because scipy
-    frees the memory of a SuperLU factor only on that thread.
+    `HarmonicWorker`); otherwise the operator is built here.
 
     The interior block is factored in SuperLU's MMD column order, which
     depends on its sparsity pattern alone.  That order is computed once
@@ -80,21 +77,19 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
         if w is not None:
             return w
     maps = spaces.maps
+    if maps.interior is not None:
+        return _extend(*_operator(geometry(mesh), spaces.velocity,
+                                  maps.scalar, *maps.interior), spaces, u)
     L = scalar_laplacian(geometry(mesh), spaces.velocity, maps.scalar)
-    if maps.interior is None:
-        free = _free(spaces)
-        lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-        order = _inverse_order(lu.perm_c)
-        maps.interior = order, Gather(
-            lambda L: L[free][:, free][:, order].tocsc(), [L])
-        # the factor that gave the order solves this call: it has the L,
-        # U and row pivots of the block's NATURAL factor in that order
-        # (see _inverse_order)
-        solve = lu.solve
-    else:
-        order, block = maps.interior
-        solve = _natural_solve(block([L]), order)
-    return _extend(L, solve, spaces, u)
+    free = _free(spaces)
+    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    order = _inverse_order(lu.perm_c)
+    maps.interior = order, Gather(
+        lambda L: L[free][:, free][:, order].tocsc(), [L])
+    # the factor that gave the order solves this call: it has the L, U
+    # and row pivots of the block's NATURAL factor in that order (see
+    # _inverse_order)
+    return _extend(L, lu.solve, spaces, u)
 
 
 def _free(spaces: FESpacePair) -> np.ndarray:
@@ -104,19 +99,6 @@ def _free(spaces: FESpacePair) -> np.ndarray:
     free[spaces.interface_dofs] = False
     free[spaces.boundary_dofs] = False
     return free
-
-
-def _natural_solve(Lff, order: np.ndarray):
-    """solve(b) of the interior block, given as Lff = block[:, order],
-    by the NATURAL factor of Lff; its result is overwritten by the next
-    call."""
-    lu = splu(Lff, permc_spec="NATURAL")
-    x = np.empty(len(order))
-
-    def solve(b):
-        x[order] = lu.solve(b)
-        return x
-    return solve
 
 
 def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
@@ -134,64 +116,100 @@ def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
     return w.ravel()
 
 
-def _prepare(geom, V: ScalarSpace, scalar, order: np.ndarray,
-             block: Gather):
+def _operator(geom, V: ScalarSpace, scalar, order: np.ndarray,
+              block: Gather):
     """The operator (L, solve) of a configuration from its geometry
     table and its numbering's scalar sum order, interior order and
-    interior gather, all built already."""
+    interior gather, all built already.  solve(b) returns the solution
+    of the interior block in an array that its next call overwrites."""
     L = scalar_laplacian(geom, V, scalar)
-    return L, _natural_solve(block([L]), order)
+    # the NATURAL factor of the block with its columns in that order
+    lu = splu(block([L]), permc_spec="NATURAL")
+    x = np.empty(len(order))
+
+    def solve(b):
+        x[order] = lu.solve(b)
+        return x
+    return L, solve
+
+
+def _prepare(held: list, *operator) -> None:
+    """The job that builds an operator (see `_operator`) into held[0],
+    freeing the one there first."""
+    held[0] = None
+    held[0] = _operator(*operator)
+
+
+def _extend_held(held: list, prepared: Future, spaces: FESpacePair,
+                 u: np.ndarray) -> np.ndarray:
+    """The job that extends u by the operator in held[0] and uses it up;
+    when the `_prepare` job prepared raised, this raises its error."""
+    op, held[0] = held[0], None
+    if op is None:
+        raise prepared.exception()
+    return _extend(*op, spaces, u)
+
+
+def submit_inline(fn, *args) -> Future:
+    """A done future of fn(*args), run at once on the calling thread."""
+    done = Future()
+    _settle(done, fn, args)
+    return done
 
 
 class HarmonicWorker:
-    """One thread that works alongside the step on the main thread.
+    """Where a step runs the jobs it hands over: a thread that works
+    alongside the calling thread when the process may use two CPUs, the
+    calling thread itself when it may use one.
 
-    Its jobs, in the order a step hands them over:
+    The jobs, in the order a step hands them over (`submit`):
 
     - the upper halves of the moved mesh's geometry table and of its
-      physical gradients (see `mesh.GeometryTables`), while the main
+      physical gradients (see `mesh.GeometryTables`), while the calling
       thread builds the lower halves;
-    - the viscous form A_mu and the divergence form C, while the main
+    - the viscous form A_mu and the divergence form C, while the calling
       thread assembles M_rho, the convection form and the pressure mean
       (see `stepper.flow_solve`);
     - the harmonic operator of the moved mesh (`prepare`), once the
       saddle matrix is gathered, while the saddle solve runs;
     - the extension of the new u by that operator, started as soon as
-      the flow solve has u, while the main thread checks the mesh and
-      records the state; the next step picks w up (`extend`).
+      the flow solve has u, while the calling thread checks the mesh
+      and records the state; the next step picks w up (`extend`).
 
     The moved mesh of step n is the configuration on which step n + 1
     extends, so its operator, the mesh Laplacian and the factor of its
     interior block, is built in step n and used up by the extension
-    started there.  The thread keeps every factor it makes and runs the
-    solves with it: scipy's SuperLU wrapper records each allocation in
-    a registry of the allocating thread and frees a pointer only on
-    that thread, so a factor released elsewhere would leak its memory.
-    The main thread gets back only w.  An operator whose extension was
-    never started, because the saddle solve raised, is freed on the
-    thread by the next `prepare` or by `close`.  The other jobs
-    (`submit`) run a function on the arrays they are handed and hand
-    back arrays and sparse matrices, never a factor.
+    started there.  The two jobs hand it over in one slot, held, which
+    only jobs and the end of the thread touch, so every factor is made,
+    used and freed where the jobs run: scipy's SuperLU wrapper records
+    each allocation in a registry of the allocating thread and frees a
+    pointer only on that thread, so a factor released elsewhere would
+    leak its memory.  The caller gets back only w.  An operator whose
+    extension was never started, because the saddle solve raised, is
+    freed by the next `prepare`, or when the thread ends (on one CPU,
+    with the worker).  The other jobs hand back arrays and sparse
+    matrices, never a factor.
 
     The geometry table and physical gradients of a mesh, and the index
     maps and interior order of a numbering, are built on first use and
     kept by the mesh and the numbering.  Every one that a job reads is
-    built on the main thread before the job is handed over, so the
+    built on the calling thread before the job is handed over, so the
     thread only reads them and the two threads never both build one.
     An exception of a job is raised, with its type unchanged, by the
     call that waits for its result: for `prepare`, the `extend` that
     picks w up; an exception of an extension that is not picked up is
     discarded.
 
-    The overlap needs a second CPU.  On one, the thread can only take
-    turns with the main thread: pinned to one CPU of a 2-CPU Xeon VM,
-    the fastest `rise_h04` step took 12% longer (median of 10 runs) when
-    the harmonic operator was built on the thread.  So when the process
-    may run on one CPU alone, `submitter` gives None, nothing is handed
-    over and no thread starts: the step builds the geometry and
-    assembles every matrix in one piece on the calling thread, and the
-    next extension builds the operator itself.  The results are bitwise
-    the same on either path.
+    A thread overlaps nothing without a second CPU: pinned to one CPU of
+    a 2-CPU Xeon VM, building the harmonic operator on one made the
+    fastest `rise_h04` step 12% slower.  So the first `submit` reads how
+    many CPUs the process may use and fixes, for the worker's life,
+    where its jobs run; held is never touched from two threads.  The
+    step hands over the same jobs either way, and its results are
+    bitwise the same when BLAS runs on one thread, as `perfbench/run.py`
+    sets it.  With OpenBLAS's default of two threads, records 1, 3, 4
+    and 6 of a 6-step k=2 h=0.04 run differed in bits between a process
+    on two CPUs and one pinned to one.
 
     The thread starts with the first job; `close` joins it.  A worker
     that is garbage-collected unclosed, or left open at interpreter
@@ -200,59 +218,54 @@ class HarmonicWorker:
     """
 
     def __init__(self):
+        # whether jobs run on the calling thread; None until the first
+        self._inline: bool | None = None
         self._jobs: queue.SimpleQueue | None = None
-        self._thread: threading.Thread | None = None
         self._stop = None
+        self._held = [None]
         # (mesh, spaces, copy of u, future of w) of the extension started
         self._ahead = None
 
-    def _send(self, kind: str, args: tuple, done: Future | None) -> None:
-        if self._thread is None:
+    def submit(self, fn, *args) -> Future:
+        """A future of fn(*args), run on the thread, or done already
+        when the jobs run on the calling thread.  fn must build nothing
+        that is built on first use (see the class doc)."""
+        if self._inline is None:
+            self._inline = _cpus_available() < 2
+        if self._inline:
+            return submit_inline(fn, *args)
+        if self._stop is None or not self._stop.alive:
             self._jobs = queue.SimpleQueue()
-            self._thread = threading.Thread(target=_serve, args=(self._jobs,),
-                                            name="alefem-harmonic",
-                                            daemon=True)
-            self._thread.start()
-            self._stop = weakref.finalize(self, _stop, self._jobs,
-                                          self._thread)
-        self._jobs.put((kind, args, done))
-
-    def submitter(self):
-        """`submit`, or None when the process may use one CPU only and
-        nothing is handed over."""
-        return self.submit if _cpus_available() >= 2 else None
-
-    def submit(self, fn, *args, **kwargs) -> Future:
-        """A future of fn(*args, **kwargs), run on the thread.  fn must
-        build nothing that is built on first use (see the class doc)."""
+            thread = threading.Thread(target=_serve,
+                                      args=(self._jobs, self._held),
+                                      name="alefem-harmonic", daemon=True)
+            thread.start()
+            self._stop = weakref.finalize(self, _stop, self._jobs, thread)
         done = Future()
-        self._send("call", (fn, args, kwargs), done)
+        self._jobs.put((done, fn, args))
         return done
 
     def prepare(self, mesh: Mesh, spaces: FESpacePair):
-        """Start building the operator of mesh and spaces on the thread,
+        """Hand over the building of the operator of mesh and spaces,
         when their numbering has its order; the first extension on a
         numbering orders it, on the calling thread.  The physical
         gradients of the velocity space must exist already, so that
         the two threads never both build them.
 
-        Returns the function that starts the extension of a u by the
-        operator, on the thread, so that the `extend` of the same u on
-        mesh and spaces finds w done; None when the numbering has no
-        order yet.  Like `submit`, it is for a process that may use two
-        CPUs (see `submitter`).
+        Returns the function that hands over the extension of a u by the
+        operator, so that the `extend` of the same u on mesh and spaces
+        finds w started; None when the numbering has no order yet.
         """
         maps = spaces.maps
         if maps.interior is None:
             return None
-        self._send("prepare", (geometry(mesh), spaces.velocity, maps.scalar,
-                               *maps.interior), None)
+        prepared = self.submit(_prepare, self._held, geometry(mesh),
+                               spaces.velocity, maps.scalar, *maps.interior)
 
         def extend_ahead(u: np.ndarray) -> None:
             u = u.copy()                    # the caller may change u
-            done = Future()
-            self._send("extend", (spaces, u), done)
-            self._ahead = (mesh, spaces, u, done)
+            self._ahead = (mesh, spaces, u, self.submit(
+                _extend_held, self._held, prepared, spaces, u))
         return extend_ahead
 
     def extend(self, mesh: Mesh, spaces: FESpacePair,
@@ -269,9 +282,8 @@ class HarmonicWorker:
     def close(self) -> None:
         """Join the thread, which frees its last operator first."""
         self._ahead = None
-        if self._thread is not None:
+        if self._stop is not None:
             self._stop()
-            self._thread = None
 
 
 def _stop(jobs: queue.SimpleQueue, thread: threading.Thread) -> None:
@@ -292,60 +304,30 @@ def _cpus_available() -> int:
 
 def _detached(err: Exception) -> Exception:
     """err with the locals of its finished frames cleared and the frame
-    of the thread's loop left out of its traceback, so that another
-    thread holding err holds no factor of this one."""
+    of `_settle` left out of its traceback, so that another thread
+    holding err holds no factor of this one."""
     tb = err.__traceback__.tb_next
     traceback.clear_frames(tb)
     return err.with_traceback(tb)
 
 
-def _settle(done: Future, fn, args: tuple, kwargs: dict) -> None:
-    """Set done to the result of fn(*args, **kwargs), or its exception."""
+def _settle(done: Future, fn, args: tuple) -> None:
+    """Set done to the result of fn(*args), or its exception."""
     try:
-        result = fn(*args, **kwargs)
+        result = fn(*args)
     except Exception as err:
         done.set_exception(_detached(err))
     else:
         done.set_result(result)
 
 
-def _serve(jobs: queue.SimpleQueue) -> None:
-    """The loop of a `HarmonicWorker`'s thread.  prepared, the operator
-    of the last "prepare" job or the exception it raised, is the only
-    reference to the thread's factors, so each is freed here."""
-    prepared = None
+def _serve(jobs: queue.SimpleQueue, held: list) -> None:
+    """The loop of a `HarmonicWorker`'s thread.  It empties held when it
+    ends, so that the thread frees the operator left there."""
     while (job := jobs.get()) is not None:
-        kind, args, done = job
-        job = None
-        if kind == "call":
-            _settle(done, *args)
-            args = done = None
-            continue
-        if kind == "prepare":
-            prepared = None                 # free the old factor first
-            try:
-                prepared = _prepare(*args)
-            except Exception as err:
-                prepared = _detached(err)
-            args = None
-            continue
-        # "extend" uses the operator up
-        op, prepared = prepared, None
-        w = error = None
-        if isinstance(op, Exception):
-            error = op
-        else:
-            try:
-                w = _extend(*op, *args)
-            except Exception as err:
-                error = _detached(err)
-        op = args = None                # freed before the caller goes on
-        if error is None:
-            done.set_result(w)
-        else:
-            done.set_exception(error)
-        done = w = error = None
-    prepared = None
+        _settle(*job)
+        job = None              # not kept alive while waiting for the next
+    held[0] = None
 
 
 def _inverse_order(perm_c: np.ndarray) -> np.ndarray:

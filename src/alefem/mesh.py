@@ -41,11 +41,6 @@ from .quadrature import triangle_rule
 PLUS = 1
 MINUS = -1
 
-# Gmsh element types for degree-k triangles and edges.
-TRIANGLE_TYPE = {1: 2, 2: 9, 3: 21}
-EDGE_TYPE = {1: 1, 2: 8, 3: 26}
-
-
 
 def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]

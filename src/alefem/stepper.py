@@ -18,29 +18,23 @@ table, that of the moved mesh, and no index map.  Once (1) has w, the
 step releases the table of the mesh it leaves, which nothing reads
 again: kept, it raised the peak memory of a run at h=0.04 by 10%.
 
-Each step runs on two threads when the process may use two CPUs: the
-calling thread and the state's `HarmonicWorker`.  What runs where:
+Each step hands part of its work to the state's `HarmonicWorker`,
+which runs it on a second thread when the process may use two CPUs and
+at once on the calling thread when it may use one.  The step is the
+same either way, and so are its results, bitwise, when BLAS runs on one
+thread (see `HarmonicWorker`).  The jobs, all in (3), and what the
+calling thread does meanwhile on two CPUs:
 
-- (1) on the worker: the extension by the operator it prepared in the
-  last step (two triangular solves), started by the last step as soon
-  as its flow solve had u, so that it runs while the calling thread
-  finishes that step and records its state;
-- (2) on the calling thread;
-- (3) the moved mesh's geometry table and physical gradients in two
-  halves, one on each thread, with the load assembled in between on
-  the calling thread; then A_mu and C on the worker while the calling
-  thread assembles M_rho, the convection form and the pressure mean;
-  then, once the saddle matrix is gathered, the worker assembles and
-  factors the harmonic operator of the moved mesh (the configuration
-  the next step extends on) while the calling thread runs the saddle
-  solve; then the worker starts the extension of the new u by it;
-- (4) on the calling thread; after a remesh the next step does not
-  use the extension started on the old mesh.
-
-When the process may run on one CPU only, nothing is handed over and
-no thread starts: (3) builds the geometry and assembles every matrix
-in one piece on the calling thread, and (1) builds the operator
-itself.  The results are bitwise the same on either path.
+- the upper halves of the moved mesh's geometry table and physical
+  gradients, while it builds the lower halves and assembles the load;
+- A_mu and C, while it assembles M_rho, the convection form and the
+  pressure mean;
+- once the saddle matrix is gathered, the harmonic operator of the
+  moved mesh (the configuration the next step extends on), while it
+  runs the saddle solve;
+- the extension of the new u by that operator, which (1) of the next
+  step picks up, while it checks the mesh and records the state; after
+  a remesh the next step does not use it.
 """
 
 from __future__ import annotations
@@ -57,6 +51,7 @@ from .ale import (
     harmonic_extension,
     move_mesh,
     spaces_with_mesh,
+    submit_inline,
 )
 from .assembly import (
     PhaseParams,
@@ -169,33 +164,24 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
-    factor when one is given (see `solve_saddle`).  When harmonic is
-    given and may use a second CPU, it builds half of the physical
-    gradients and assembles A_mu and C while this thread assembles the
-    other matrices, prepares the harmonic operator of mesh during the
-    saddle solve, and then starts extending u by it.
+    factor when one is given (see `solve_saddle`).  Half of the physical
+    gradients, A_mu and C are jobs of harmonic (see `HarmonicWorker`),
+    which then prepares the harmonic operator of mesh during the saddle
+    solve and starts extending u by it; without harmonic the jobs run on
+    the calling thread and nothing is prepared.
     Returns (u, p, multiplier, stats).
     """
-    submit = None if harmonic is None else harmonic.submitter()
-    if submit is None:
-        # in this order: with A_mu and C assembled last, the peak memory
-        # of a rise_h04 run pinned to one CPU was about 4 MB higher
-        M_rho = assemble("M_rho", mesh, spaces, params)
-        A_mu = assemble("A_mu", mesh, spaces, params)
-        B_conv = assemble_convection(mesh, spaces, params, transport)
-        C = assemble("C", mesh, spaces)
-        m = pressure_mean_vector(mesh, spaces)
-    else:
-        # built here, so that the jobs only read them
-        geometry(mesh).physical_gradients(spaces.velocity, submit)
-        spaces.maps.vector, spaces.maps.divergence
-        jobs = [submit(assemble, kind, mesh, spaces, params)
-                for kind in ("A_mu", "C")]
-        M_rho = assemble("M_rho", mesh, spaces, params)
-        B_conv = assemble_convection(mesh, spaces, params, transport)
-        m = pressure_mean_vector(mesh, spaces)
-        A_mu, C = (job.result() for job in jobs)
-        del jobs                # the futures hold A_mu and C too
+    submit = submit_inline if harmonic is None else harmonic.submit
+    # built here, so that the jobs only read them
+    geometry(mesh).physical_gradients(spaces.velocity, submit)
+    spaces.maps.vector, spaces.maps.divergence
+    jobs = [submit(assemble, kind, mesh, spaces, params)
+            for kind in ("A_mu", "C")]
+    M_rho = assemble("M_rho", mesh, spaces, params)
+    B_conv = assemble_convection(mesh, spaces, params, transport)
+    m = pressure_mean_vector(mesh, spaces)
+    A_mu, C = (job.result() for job in jobs)
+    del jobs                    # the futures hold A_mu and C too
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
@@ -217,7 +203,7 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     del Kuu, C
     # after assembly, so that its workspace does not add to theirs, and
     # after the physical gradients exist
-    extend_ahead = None if submit is None else harmonic.prepare(mesh, spaces)
+    extend_ahead = None if harmonic is None else harmonic.prepare(mesh, spaces)
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
@@ -245,8 +231,7 @@ def step(state: State, config: SimConfig) -> State:
 
     # (3) implicit flow solve with convection frozen at u^n - w^n, on
     # the moved mesh's geometry table, built in halves with the worker
-    # when there is a second CPU
-    mesh.tables(state.harmonic.submitter())
+    mesh.tables(state.harmonic.submit)
     load = assemble_load(mesh, spaces, params)
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,

@@ -8,8 +8,8 @@ gradients and assembles A_mu and C.  These tests pin what that
 thread may and may not do: free its factors itself, build nothing
 that is built on first use, match an operator only to its own mesh,
 give bitwise the arrays of one thread, and hand its errors to the step
-that waits for them.  On one CPU there is nothing to overlap, and no
-thread is started at all.
+that waits for them.  On one CPU the step hands over the same jobs,
+which run at once on the calling thread, and no thread is started.
 """
 
 import gc
@@ -45,8 +45,8 @@ def config(steps: int) -> SimConfig:
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    """Hand the operators to the thread on any machine: on one CPU the
-    worker keeps them on the calling thread."""
+    """Hand the jobs to the thread on any machine: on one CPU the
+    worker runs them on the calling thread."""
     monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
 
 
@@ -230,22 +230,42 @@ def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
             t.name for t in threading.enumerate())])
     assert state.remesh_count == 0
     assert "alefem-harmonic" not in names
-    # one factor per step, each on the calling thread
-    assert factors == [threading.get_ident()] * 4
+    # the first step's ordering factor and one operator prepared per
+    # step, the last one unused as on two CPUs, each on the calling thread
+    assert factors == [threading.get_ident()] * 5
     assert records == overlapped_records
     for a, b in ((state.u, overlapped.u), (state.p, overlapped.p),
                  (state.mesh.x, overlapped.mesh.x)):
         assert a.tobytes() == b.tobytes()
 
 
-def test_no_job_reaches_the_thread_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(ale, "_cpus_available", lambda: 1)
-    sent = []
-    monkeypatch.setattr(HarmonicWorker, "_send",
-                        lambda self, *args: sent.append(args))
-    state, _ = run(config(3))
-    assert state.remesh_count == 0
-    assert sent == []
+def test_one_and_two_cpus_hand_over_the_same_jobs(monkeypatch):
+    submitted = []
+    original = HarmonicWorker.submit
+
+    def submit(self, fn, *args):
+        submitted[-1].append(fn.__name__)
+        return original(self, fn, *args)
+
+    monkeypatch.setattr(HarmonicWorker, "submit", submit)
+    runs, names = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ale, "_cpus_available", lambda: cpus)
+        submitted.append([])
+        names.append([])
+        runs.append(run(config(3), sinks=[
+            lambda i, state, rec: names[-1].extend(
+                t.name for t in threading.enumerate())]))
+    assert submitted[0] == submitted[1]
+    assert "_prepare" in submitted[0] and "assemble" in submitted[0]
+    assert "alefem-harmonic" not in names[0]
+    assert "alefem-harmonic" in names[1]
+    (one, one_records), (two, two_records) = runs
+    assert one.remesh_count == 0
+    assert one_records == two_records
+    for a, b in ((one.u, two.u), (one.p, two.p),
+                 (one.mesh.x, two.mesh.x)):
+        assert a.tobytes() == b.tobytes()
 
 
 # Meshes with fewer elements than one chunk of `mesh.GeometryTables`,
@@ -302,7 +322,7 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
             expect = assemble(kind, m, spaces, BP1)
             for name in ("data", "indices", "indptr"):
                 same(getattr(got[kind], name), getattr(expect, name))
-        assert worker._thread is not None
+        assert "alefem-harmonic" in {t.name for t in threading.enumerate()}
     finally:
         sys.setswitchinterval(interval)
         worker.close()
@@ -335,6 +355,7 @@ def test_assembly_job_error_surfaces_in_its_step(owner, name, monkeypatch):
 
 
 UNCLOSED = """
+import threading
 from alefem import ale
 from alefem.stepper import SimConfig, initialize, step
 from conftest import BP1
@@ -343,7 +364,7 @@ cfg = SimConfig(params=BP1, k=2, h=0.08, tau=1 / 200, T=3 / 200)
 state = initialize(cfg)
 for _ in range(3):
     state = step(state, cfg)
-assert state.harmonic._thread is not None
+assert "alefem-harmonic" in {t.name for t in threading.enumerate()}
 print("stepped")
 """
 

@@ -71,9 +71,6 @@ def test_no_unused_imports(path):
 UNREFERENCED_OK = {
     # raised by nothing yet; the benchmark's workloads import it
     ("fespace.py", "NewtonError"),
-    # Gmsh reader and writer, kept for replaying dumped failures
-    ("msh_io.py", "read_msh"),
-    ("msh_io.py", "write_msh"),
 }
 
 
