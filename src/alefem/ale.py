@@ -49,8 +49,8 @@ class RemeshError(Exception):
         self.ring = ring
 
 
-def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
-                       worker: HarmonicWorker | None = None) -> np.ndarray:
+def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
+                       u: np.ndarray) -> np.ndarray:
     """Discrete harmonic mesh velocity matching u on the interface.
 
     Interface DOFs of the result equal those of u bitwise, boundary DOFs
@@ -61,9 +61,8 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     The operator of the extension, the mesh Laplacian L and the factor
     of its interior block, depends on the configuration alone; only the
     lift of u on the fixed DOFs and the two triangular solves need u.
-    When worker started the extension of this u on this mesh and
-    spaces, by the operator it prepared, that is the result (see
-    `HarmonicWorker`); otherwise the operator is built here.
+    Here the operator is built on the calling thread; a step builds the
+    next configuration's on its worker (see `HarmonicWorker`).
 
     The interior block is factored in SuperLU's MMD column order, which
     depends on its sparsity pattern alone.  That order is computed once
@@ -72,10 +71,6 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     factor the block, its columns permuted into that order, with the
     NATURAL ordering and no ordering work of their own.
     """
-    if worker is not None:
-        w = worker.extend(mesh, spaces, u)
-        if w is not None:
-            return w
     maps = spaces.maps
     if maps.interior is not None:
         return _extend(*_operator(geometry(mesh), spaces.velocity,
@@ -160,35 +155,24 @@ def submit_inline(fn, *args) -> Future:
 class HarmonicWorker:
     """Where a step runs the jobs it hands over: a thread that works
     alongside the calling thread when the process may use two CPUs, the
-    calling thread itself when it may use one.
-
-    The jobs, in the order a step hands them over (`submit`):
-
-    - the upper halves of the moved mesh's geometry table and of its
-      physical gradients (see `mesh.GeometryTables`), while the calling
-      thread builds the lower halves;
-    - the viscous form A_mu and the divergence form C, while the calling
-      thread assembles M_rho, the convection form and the pressure mean
-      (see `stepper.flow_solve`);
-    - the harmonic operator of the moved mesh (`prepare`), once the
-      saddle matrix is gathered, while the saddle solve runs;
-    - the extension of the new u by that operator, started as soon as
-      the flow solve has u, while the calling thread checks the mesh
-      and records the state; the next step picks w up (`extend`).
+    calling thread itself when it may use one.  The jobs, their order
+    and what the calling thread does meanwhile are listed in the doc of
+    `stepper`.
 
     The moved mesh of step n is the configuration on which step n + 1
     extends, so its operator, the mesh Laplacian and the factor of its
-    interior block, is built in step n and used up by the extension
-    started there.  The two jobs hand it over in one slot, held, which
-    only jobs and the end of the thread touch, so every factor is made,
-    used and freed where the jobs run: scipy's SuperLU wrapper records
-    each allocation in a registry of the allocating thread and frees a
-    pointer only on that thread, so a factor released elsewhere would
-    leak its memory.  The caller gets back only w.  An operator whose
-    extension was never started, because the saddle solve raised, is
-    freed by the next `prepare`, or when the thread ends (on one CPU,
-    with the worker).  The other jobs hand back arrays and sparse
-    matrices, never a factor.
+    interior block, is built in step n (`prepare`) and used up by the
+    extension of the new u that step n starts (`extend`).  The two jobs
+    hand it over in one slot, held, which only jobs and the end of the
+    thread touch, so every factor is made, used and freed where the
+    jobs run: scipy's SuperLU wrapper records each allocation in a
+    registry of the allocating thread and frees a pointer only on that
+    thread, so a factor released elsewhere would leak its memory.  The
+    caller gets back only the future of w.  An operator whose extension
+    was never started, because the saddle solve raised, is freed by the
+    next `prepare`, or when the thread ends (on one CPU, with the
+    worker).  The other jobs hand back arrays and sparse matrices, never
+    a factor.
 
     The geometry table and physical gradients of a mesh, and the index
     maps and interior order of a numbering, are built on first use and
@@ -196,9 +180,9 @@ class HarmonicWorker:
     built on the calling thread before the job is handed over, so the
     thread only reads them and the two threads never both build one.
     An exception of a job is raised, with its type unchanged, by the
-    call that waits for its result: for `prepare`, the `extend` that
-    picks w up; an exception of an extension that is not picked up is
-    discarded.
+    call that waits for its result: for `prepare`, the wait for the
+    extension by its operator; an exception of an extension that no
+    step waits for is discarded.
 
     A thread overlaps nothing without a second CPU: pinned to one CPU of
     a 2-CPU Xeon VM, building the harmonic operator on one made the
@@ -206,10 +190,7 @@ class HarmonicWorker:
     many CPUs the process may use and fixes, for the worker's life,
     where its jobs run; held is never touched from two threads.  The
     step hands over the same jobs either way, and its results are
-    bitwise the same when BLAS runs on one thread, as `perfbench/run.py`
-    sets it.  With OpenBLAS's default of two threads, records 1, 3, 4
-    and 6 of a 6-step k=2 h=0.04 run differed in bits between a process
-    on two CPUs and one pinned to one.
+    bitwise the same when BLAS runs on one thread (see `cli`).
 
     The thread starts with the first job; `close` joins it.  A worker
     that is garbage-collected unclosed, or left open at interpreter
@@ -223,8 +204,8 @@ class HarmonicWorker:
         self._jobs: queue.SimpleQueue | None = None
         self._stop = None
         self._held = [None]
-        # (mesh, spaces, copy of u, future of w) of the extension started
-        self._ahead = None
+        # the future of the `_prepare` job handed over last
+        self._prepared: Future | None = None
 
     def submit(self, fn, *args) -> Future:
         """A future of fn(*args), run on the thread, or done already
@@ -245,43 +226,25 @@ class HarmonicWorker:
         self._jobs.put((done, fn, args))
         return done
 
-    def prepare(self, mesh: Mesh, spaces: FESpacePair):
-        """Hand over the building of the operator of mesh and spaces,
-        when their numbering has its order; the first extension on a
-        numbering orders it, on the calling thread.  The physical
-        gradients of the velocity space must exist already, so that
-        the two threads never both build them.
+    def prepare(self, mesh: Mesh, spaces: FESpacePair) -> None:
+        """Hand over the building of the operator of mesh and spaces.
+        Their numbering must have its order, which the first extension
+        on it computes on the calling thread, and the physical gradients
+        of the velocity space must exist already, so that the two
+        threads never both build them."""
+        self._prepared = self.submit(
+            _prepare, self._held, geometry(mesh), spaces.velocity,
+            spaces.maps.scalar, *spaces.maps.interior)
 
-        Returns the function that hands over the extension of a u by the
-        operator, so that the `extend` of the same u on mesh and spaces
-        finds w started; None when the numbering has no order yet.
-        """
-        maps = spaces.maps
-        if maps.interior is None:
-            return None
-        prepared = self.submit(_prepare, self._held, geometry(mesh),
-                               spaces.velocity, maps.scalar, *maps.interior)
-
-        def extend_ahead(u: np.ndarray) -> None:
-            u = u.copy()                    # the caller may change u
-            self._ahead = (mesh, spaces, u, self.submit(
-                _extend_held, self._held, prepared, spaces, u))
-        return extend_ahead
-
-    def extend(self, mesh: Mesh, spaces: FESpacePair,
-               u: np.ndarray) -> np.ndarray | None:
-        """The extension of u started on mesh and spaces, or None when
-        the one started last was on others or of a u that differs in
-        some byte."""
-        ahead, self._ahead = self._ahead, None
-        if (ahead is None or ahead[0] is not mesh or ahead[1] is not spaces
-                or ahead[2].tobytes() != u.tobytes()):
-            return None
-        return ahead[3].result()
+    def extend(self, spaces: FESpacePair, u: np.ndarray) -> Future:
+        """Hand over the extension of u by the operator that `prepare`
+        handed over last, on the configuration of spaces; returns the
+        future of w.  u must not change until w is done."""
+        return self.submit(_extend_held, self._held, self._prepared,
+                           spaces, u)
 
     def close(self) -> None:
         """Join the thread, which frees its last operator first."""
-        self._ahead = None
         if self._stop is not None:
             self._stop()
 

@@ -4,8 +4,16 @@ the verification suites.
 Config files are flat `key = value` text; `[section]` headers are
 allowed for readability and ignored, `#` starts a comment.  The keys
 are the fields of `PhaseParams` and those of `SimConfig` other than
-params; the keys of fields without a default are required.  Tuple
-values are numbers separated by commas or spaces.
+params; the keys of fields without a default are required, and no key
+may be set twice.  Tuple values are numbers separated by commas or
+spaces.
+
+A run's results are bitwise reproducible across CPU counts only with
+BLAS on one thread (`OPENBLAS_NUM_THREADS=1`, as `perfbench/run.py`
+sets it): under OpenBLAS's default of two threads, records 1, 3, 4 and
+6 of a 6-step k=2 h=0.04 run differed in bits between a process on two
+CPUs and one pinned to one.  So `manifest.json` records the CPUs the
+run may use and the BLAS thread variables it found.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -20,7 +29,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ale
 from .assembly import PhaseParams
 from .stepper import SimConfig, run
 from .vtk_io import write_vtk
@@ -32,6 +41,7 @@ class ConfigError(Exception):
 
 def parse_config_text(text: str) -> dict[str, str]:
     out = {}
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -42,7 +52,11 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, val = (s.strip() for s in line.split("=", 1))
         if not key or not val:
             raise ConfigError(f"line {lineno}: empty key or value")
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set "
+                              f"on line {line_of[key]}")
         out[key] = val
+        line_of[key] = lineno
     return out
 
 
@@ -119,9 +133,11 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
     remesh_events = []
     saddle_iterations = []
     last_count = 0
+    reached = "before the first t-level"
 
     def sink(i, state, rec):
-        nonlocal last_count
+        nonlocal last_count, reached
+        reached = f"after t-level {i} (t={state.t:g})"
         csv_rows.append(rec.csv_row())
         if i > 0:
             saddle_iterations.append(state.saddle_iterations)
@@ -140,8 +156,7 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
     try:
         final_state, records = run(config, sinks=[sink])
     except Exception as err:
-        print(f"run failed at t-level {len(csv_rows) - 1}: {err}",
-              file=sys.stderr)
+        print(f"run failed {reached}: {err}", file=sys.stderr)
         return 1
     (out / "bench.csv").write_text(
         BenchmarkRecord.CSV_HEADER + "\n" + "\n".join(csv_rows) + "\n")
@@ -156,6 +171,9 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
         "saddle_iterations_max": max(saddle_iterations, default=0),
         "saddle_iterations_mean": (float(np.mean(saddle_iterations))
                                    if saddle_iterations else 0.0),
+        "cpus_available": ale._cpus_available(),
+        "blas_threads": {name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if not quiet:

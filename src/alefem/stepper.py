@@ -8,22 +8,22 @@ old velocity relative to the mesh, (4) remesh if the minimum angle
 dropped too far.  Diffusion, pressure and divergence are implicit; the
 constant gravity enters explicitly.
 
-The mesh velocity is derived from the velocity at the start of each
-step and is not carried between steps.  Assembly, quality checks and
-observables of one mesh configuration all read the geometry table that
-its mesh keeps (`Mesh.tables`), and every configuration of one DOF
-numbering shares the index maps that its spaces keep
-(`FESpacePair.maps`).  So a step without a remesh builds exactly one
-table, that of the moved mesh, and no index map.  Once (1) has w, the
-step releases the table of the mesh it leaves, which nothing reads
-again: kept, it raised the peak memory of a run at h=0.04 by 10%.
+The mesh velocity w^n, the harmonic extension of u^n on mesh^n, is a
+function of the state, and the state carries its future (`State.w`).
+Assembly, quality checks and observables of one mesh configuration all
+read the geometry table that its mesh keeps (`Mesh.tables`), and every
+configuration of one DOF numbering shares the index maps that its
+spaces keep (`FESpacePair.maps`).  So a step without a remesh builds
+exactly one table, that of the moved mesh, and no index map.  Once (1)
+has w, the step releases the table of the mesh it leaves, which nothing
+reads again: kept, it raised the peak memory of a run at h=0.04 by 10%.
 
 Each step hands part of its work to the state's `HarmonicWorker`,
 which runs it on a second thread when the process may use two CPUs and
 at once on the calling thread when it may use one.  The step is the
 same either way, and so are its results, bitwise, when BLAS runs on one
-thread (see `HarmonicWorker`).  The jobs, all in (3), and what the
-calling thread does meanwhile on two CPUs:
+thread (see `HarmonicWorker`).  The jobs, in the order (3) hands them
+over, and what the calling thread does meanwhile on two CPUs:
 
 - the upper halves of the moved mesh's geometry table and physical
   gradients, while it builds the lower halves and assembles the load;
@@ -32,14 +32,15 @@ calling thread does meanwhile on two CPUs:
 - once the saddle matrix is gathered, the harmonic operator of the
   moved mesh (the configuration the next step extends on), while it
   runs the saddle solve;
-- the extension of the new u by that operator, which (1) of the next
-  step picks up, while it checks the mesh and records the state; after
-  a remesh the next step does not use it.
+- once `flow_solve` returns u, the extension of u by that operator
+  (the w of the next state, unless the step remeshes), while it checks
+  the mesh and records the state.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,7 @@ class SimConfig:
         return int(round(self.T / self.tau))
 
 
-@dataclass
+@dataclass(frozen=True)
 class State:
     """Everything one step hands to the next.
 
@@ -125,10 +126,12 @@ class State:
     so far.  factor is the saddle factor that preconditions the next flow
     solve (None makes that solve factor afresh); saddle_iterations are
     the iterations of the last flow solve and saddle_factorizations the
-    factorizations since initialize().  harmonic is the worker that
-    holds the extension of u that the last flow solve started, by the
-    operator prepared during that solve; it is made with the first
-    state and handed from state to state, and `run` closes it.
+    factorizations since initialize().  harmonic is the step worker,
+    made with the first state and handed from state to state; `run`
+    closes it.  w is the future of the mesh velocity of (mesh, u), which
+    the step that made the state started on harmonic; it is None after
+    initialize() and after a remesh (see `mesh_velocity`).  The state is
+    frozen and u read-only, so w cannot go stale.
     """
 
     t: float
@@ -142,6 +145,10 @@ class State:
     saddle_iterations: int = 0
     saddle_factorizations: int = 0
     harmonic: HarmonicWorker = field(default_factory=HarmonicWorker)
+    w: Future | None = None
+
+    def __post_init__(self):
+        self.u.setflags(write=False)
 
 
 def initialize(config: SimConfig) -> State:
@@ -167,8 +174,8 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     factor when one is given (see `solve_saddle`).  Half of the physical
     gradients, A_mu and C are jobs of harmonic (see `HarmonicWorker`),
     which then prepares the harmonic operator of mesh during the saddle
-    solve and starts extending u by it; without harmonic the jobs run on
-    the calling thread and nothing is prepared.
+    solve; without harmonic the jobs run on the calling thread and
+    nothing is prepared.
     Returns (u, p, multiplier, stats).
     """
     submit = submit_inline if harmonic is None else harmonic.submit
@@ -203,15 +210,21 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     del Kuu, C
     # after assembly, so that its workspace does not add to theirs, and
     # after the physical gradients exist
-    extend_ahead = None if harmonic is None else harmonic.prepare(mesh, spaces)
+    if harmonic is not None:
+        harmonic.prepare(mesh, spaces)
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
     u[free] = uf
-    if extend_ahead is not None:
-        # the next step extends u on this mesh, unless it remeshes
-        extend_ahead(u)
     return u, p, lam, stats
+
+
+def mesh_velocity(state: State) -> np.ndarray:
+    """The mesh velocity of state: its w, or, when it has none, the
+    harmonic extension of its u built on the calling thread."""
+    if state.w is None:
+        return harmonic_extension(state.mesh, state.spaces, state.u)
+    return state.w.result()
 
 
 def step(state: State, config: SimConfig) -> State:
@@ -220,8 +233,7 @@ def step(state: State, config: SimConfig) -> State:
     tau = config.tau
 
     # (1) mesh velocity from the current velocity
-    w = harmonic_extension(state.mesh, state.spaces, state.u,
-                           state.harmonic)
+    w = mesh_velocity(state)
     state.mesh.release_tables()         # before the moved mesh's is built
 
     # (2) move the mesh, carrying all coefficients nodally
@@ -236,6 +248,7 @@ def step(state: State, config: SimConfig) -> State:
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,
                                 factor=state.factor, harmonic=state.harmonic)
+    w_next = state.harmonic.extend(spaces, u)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}
@@ -254,7 +267,8 @@ def step(state: State, config: SimConfig) -> State:
         saddle_iterations=stats.iterations,
         saddle_factorizations=(state.saddle_factorizations
                                + stats.factorizations),
-        harmonic=state.harmonic)
+        harmonic=state.harmonic,
+        w=None if did_remesh else w_next)
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:

@@ -290,7 +290,7 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
     """
     from dataclasses import replace
 
-    from .stepper import initialize, step
+    from .stepper import initialize, mesh_velocity, step
 
     problem = study_problem(levels, m)
     if problem is not None:
@@ -313,7 +313,7 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
             raise RuntimeError(
                 "remeshing occurred during the rate study; shorten T or "
                 "refine tau (the pullback comparison needs an unremeshed run)")
-        w_final = harmonic_extension(state.mesh, state.spaces, state.u)
+        w_final = mesh_velocity(state)
         runs.append({
             "mesh0": mesh0,
             "spaces0": spaces0,

@@ -1,8 +1,10 @@
 import json
+import os
 from dataclasses import MISSING, fields
 
 import pytest
 
+from alefem import ale, stepper
 from alefem.assembly import PhaseParams
 from alefem.cli import (
     ConfigError,
@@ -78,6 +80,19 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text(BP1_CONFIG + "\nbody_force_weighted_by_rho = true\n")
     with pytest.raises(ConfigError, match="body_force_weighted_by_rho"):
         load_config(path)
+
+
+def test_key_set_twice_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(BP1_CONFIG + "h = 0.08\n")
+    first = BP1_CONFIG.splitlines().index("h = 0.16") + 1
+    second = len(BP1_CONFIG.splitlines()) + 1
+    with pytest.raises(ConfigError, match=f"line {second}: key 'h' is "
+                       f"already set on line {first}"):
+        load_config(path)
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 2
+    assert "'h'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_keys_are_the_dataclass_fields():
@@ -172,6 +187,30 @@ def test_cmd_run_writes_outputs(tmp_path, config_file):
         <= manifest["saddle_iterations_max"]
     assert (out / "state_000000.vtk").exists()
     assert (out / "state_000010.vtk").exists()
+    # what bitwise reproducibility across CPU counts depends on
+    assert manifest["cpus_available"] == ale._cpus_available()
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert manifest["blas_threads"] == {name: os.environ.get(name)
+                                        for name in names}
+
+
+def test_failed_run_names_the_last_recorded_level(tmp_path, monkeypatch,
+                                                  capsys):
+    path = tmp_path / "every5.cfg"
+    path.write_text(BP1_CONFIG + "record_every = 5\n")
+    original, steps = stepper.step, []
+
+    def step(state, config):
+        steps.append(state.t)
+        if len(steps) == 7:
+            raise RuntimeError("forced step failure")
+        return original(state, config)
+
+    monkeypatch.setattr(stepper, "step", step)
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err == ("run failed after t-level 5 (t=0.025): "
+                   "forced step failure\n")
 
 
 def test_cmd_run_deterministic(tmp_path, config_file):

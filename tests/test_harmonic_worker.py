@@ -2,14 +2,15 @@
 
 Each step prepares the harmonic operator of its moved mesh on a second
 thread during the saddle solve and then starts extending the new u by
-it there; the next step picks the extension up.  Before that, the
-thread builds half of the moved mesh's geometry table and physical
-gradients and assembles A_mu and C.  These tests pin what that
-thread may and may not do: free its factors itself, build nothing
-that is built on first use, match an operator only to its own mesh,
-give bitwise the arrays of one thread, and hand its errors to the step
-that waits for them.  On one CPU the step hands over the same jobs,
-which run at once on the calling thread, and no thread is started.
+it there; the state the step makes carries that extension as its w,
+which the next step takes.  Before that, the thread builds half of the
+moved mesh's geometry table and physical gradients and assembles A_mu
+and C.  These tests pin what that thread may and may not do: free its
+factors itself, build nothing that is built on first use, use an
+operator only on its own mesh, give bitwise the arrays of one thread,
+and hand its errors to the step that waits for them.  On one CPU the
+step hands over the same jobs, which run at once on the calling thread,
+and no thread is started.
 """
 
 import gc
@@ -17,12 +18,13 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from alefem import ale, assembly
+from alefem import ale, assembly, stepper, verify
 from alefem.ale import HarmonicWorker, advance_mesh, harmonic_extension
 from alefem.assembly import DofMaps, Gather, SumOrder, assemble
 from alefem.fespace import build_taylor_hood
@@ -33,6 +35,7 @@ from alefem.mesh import (
     geometry,
 )
 from alefem.stepper import SimConfig, initialize, run, step
+from alefem.verify import spatial_convergence_study
 
 from conftest import BP1, CENTER, RADIUS, RECT
 
@@ -144,8 +147,9 @@ def test_prepared_operator_is_used_only_on_its_own_mesh():
     cfg = config(3)
     state = step(initialize(cfg), cfg)
     try:
-        # the first call uses the operator prepared for state.mesh, the
-        # second finds one prepared for the mesh of the first call's result
+        # both calls take state.w, extended by the operator prepared for
+        # state.mesh; by the second, the worker holds one prepared for
+        # the mesh of the first call's result
         for _ in range(2):
             moved = step(state, cfg)
             assert moved.remesh_count == 0
@@ -156,33 +160,55 @@ def test_prepared_operator_is_used_only_on_its_own_mesh():
         state.harmonic.close()
 
 
-def test_each_extension_starts_ahead(monkeypatch):
-    """Every step but the first, which orders the numbering, finds its
-    extension started by the step before."""
-    found = []
-    original = HarmonicWorker.extend
+def counted_extensions(monkeypatch, *modules):
+    """The threads of the calls of `ale.harmonic_extension` through each
+    module's name for it, in call order."""
+    threads = []
+    for module in modules:
+        original = module.harmonic_extension
 
-    def extend(self, *args):
-        w = original(self, *args)
-        found.append(w is not None)
-        return w
+        def counting(*args, original=original):
+            threads.append(threading.current_thread())
+            return original(*args)
 
-    monkeypatch.setattr(HarmonicWorker, "extend", extend)
-    state, _ = run(config(4))
+        monkeypatch.setattr(module, "harmonic_extension", counting)
+    return threads
+
+
+def test_only_the_first_step_extends_on_the_calling_thread(monkeypatch):
+    """Every step but the first, which orders the numbering, takes the
+    w that the step before started on the worker (`State.w`)."""
+    threads = counted_extensions(monkeypatch, stepper)
+    seen = []
+    state, _ = run(config(4), sinks=[
+        lambda i, state, rec: seen.append((i, len(threads)))])
     assert state.remesh_count == 0
-    assert found == [False, True, True, True]
+    assert seen == [(0, 0), (1, 1), (2, 1), (3, 1), (4, 1)]
+    assert threads == [threading.main_thread()]
 
 
-def test_extension_started_ahead_serves_only_its_own_u():
-    cfg = config(3)
+def test_convergence_study_extends_once_per_level(monkeypatch):
+    """The study's final w is the extension its last step started, so
+    each level extends on the calling thread only in its first step."""
+    threads = counted_extensions(monkeypatch, stepper, verify)
+    report = spatial_convergence_study(config(2), levels=3, m=2)
+    assert len(report.h_values) == 3
+    assert threads == [threading.main_thread()] * 3
+
+
+def test_state_is_frozen_and_its_velocity_read_only():
+    """w of a state is the extension of its u on its mesh: neither can
+    change after the step that made it started w."""
+    cfg = config(1)
     state = step(initialize(cfg), cfg)
     try:
-        # changed in place after the step started extending it
-        state.u[::7] *= 1.5
-        moved = step(state, cfg)
-        w = harmonic_extension(state.mesh, state.spaces, state.u)
-        expect = advance_mesh(state.mesh.x, w, TAU)
-        assert moved.mesh.x.tobytes() == expect.tobytes()
+        assert state.w is not None
+        with pytest.raises(ValueError, match="read-only"):
+            state.u[::7] *= 1.5
+        with pytest.raises(FrozenInstanceError):
+            state.u = state.u * 1.5
+        with pytest.raises(FrozenInstanceError):
+            state.w = None
     finally:
         state.harmonic.close()
 
