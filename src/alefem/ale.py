@@ -3,9 +3,11 @@
 The mesh velocity equals the fluid velocity on the interface (bitwise,
 by construction) and vanishes on the outer boundary; in the bulk it is
 the discrete harmonic extension of those boundary values, solved
-componentwise.  Remeshing keeps the interface nodes verbatim, so the
-interface curve itself is never perturbed, and transfers fields by point
-evaluation on the old mesh.
+componentwise.  Remeshing redistributes the interface vertices at equal
+arc length, about h apart, along the old degree-k interface curve, and
+places the new interface edge nodes on that curve too, so the curve is
+kept up to the interpolation error of its new edges while its spacing is
+repaired; fields are transferred by point evaluation on the old mesh.
 """
 
 from __future__ import annotations
@@ -346,17 +348,19 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
     returned dict holds the coefficients transferred to the new mesh by
     point evaluation (phase-aware for pressure).  Returns
     (mesh, spaces, fields, did_remesh, min_angle), min_angle being that of
-    the returned mesh.  On a remesh the geometry table of mesh is
-    released before the new mesh is built.
+    the returned mesh.  The new mesh's interface vertices are spaced
+    about h apart along the old interface curve (`_redistribute`).  On a
+    remesh the geometry table of mesh is released before the new mesh is
+    built.
     """
     q = quality(mesh)
     if q.min_angle > angle_threshold:
         return mesh, spaces, fields, False, q.min_angle
 
     verts, edges = interface_cycle(mesh)
-    ring = mesh.coords[verts]
     k = mesh.degree
-    segment_curve = _old_edge_curve(mesh, verts, edges)
+    ring, segment_curve = _redistribute(
+        _old_edge_curve(mesh, verts, edges), len(verts), h)
     mesh.release_tables()
     try:
         new_mesh = meshmod.fit_interface_mesh(
@@ -404,6 +408,47 @@ def _old_edge_curve(mesh: Mesh, verts: np.ndarray, edges):
         return edge.shape_values(s).T @ pos
 
     return curve
+
+
+# Samples per old interface segment by which `_redistribute` measures
+# arc length
+_ARC_SAMPLES = 64
+
+
+def _redistribute(curve, n_old: int, h: float):
+    """A new ring on the closed curve of n_old segments: round(L / h)
+    vertices, at least 3, at equal arc length, L the curve's length.
+    Returns (ring, segment_curve), segment_curve evaluating the curve
+    between consecutive new vertices at equal arc length too.
+
+    Arc length is the length of the polyline through _ARC_SAMPLES points
+    per segment, inverted by linear interpolation; every point returned
+    is evaluated on the curve itself.
+    """
+    s = np.linspace(0.0, 1.0, _ARC_SAMPLES + 1)[:-1]
+    pts = np.vstack([curve(i, (i + 1) % n_old, s) for i in range(n_old)])
+    steps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+    # arc length at the samples, the closing vertex appended
+    arc = np.concatenate([[0.0], np.cumsum(steps)])
+    param = np.append((np.arange(n_old)[:, None] + s).ravel(), n_old)
+    n_new = max(3, round(arc[-1] / h))
+    spacing = arc[-1] / n_new
+
+    def at_arc(a):
+        t = np.interp(a, arc, param)
+        seg = np.minimum(t.astype(int), n_old - 1)
+        out = np.empty((len(t), 2))
+        for i in np.unique(seg):
+            on = seg == i
+            out[on] = curve(i, (i + 1) % n_old, t[on] - i)
+        return out
+
+    def segment_curve(i0, i1, s):
+        if (i0 + 1) % n_new != i1:
+            raise ValueError(f"({i0}, {i1}) is not a forward ring segment")
+        return at_arc((i0 + np.asarray(s, dtype=float)) * spacing)
+
+    return at_arc(np.arange(n_new) * spacing), segment_curve
 
 
 def transfer_velocity(old: FESpacePair, new: FESpacePair,

@@ -89,10 +89,12 @@ def _rise_velocity(mesh: Mesh, geom, uq: np.ndarray) -> float:
 
 
 def _energy(mesh: Mesh, geom, uq: np.ndarray, params: PhaseParams):
-    rho = params.rho_of(mesh.phase)
-    kin = 0.5 * float(np.einsum("eq,eqi,eqi,e->", geom.wdet, uq, uq, rho))
-    pot = float(np.einsum("eq,eq,e->", geom.wdet, geom.x[:, :, 1],
-                          rho * params.g))
+    """(kinetic, potential, total) energy; uq holds the velocity at the
+    quadrature points of geom.  Each is one product of the density-
+    weighted quadrature weights with a (point, component) array."""
+    w = (geom.wdet * params.rho_of(mesh.phase)[:, None]).ravel()
+    kin = 0.5 * float((w @ np.square(uq.reshape(-1, 2))).sum())
+    pot = params.g * float((w @ geom.x.reshape(-1, 2))[1])
     return kin, pot, kin + pot
 
 

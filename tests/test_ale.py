@@ -13,7 +13,14 @@ from alefem.ale import (
 )
 from alefem.assembly import assemble
 from alefem.fespace import build_taylor_hood, interpolate
-from alefem.mesh import MINUS, generate_bubble_mesh, quality
+from alefem.mesh import (
+    MINUS,
+    fit_interface_mesh,
+    generate_bubble_mesh,
+    interface_cycle,
+    quality,
+)
+from alefem.observables import phase_area
 
 from conftest import CENTER, RADIUS, RECT, smooth_displacement
 
@@ -117,16 +124,6 @@ def test_healthy_mesh_not_remeshed(setup):
     assert min_angle == quality(mesh).min_angle
 
 
-def straighten_midnodes(mesh):
-    """Put every degree-2 edge node back on its chord (affine elements)."""
-    coords = mesh.coords.copy()
-    tri = mesh.elements
-    for le in range(3):
-        a, b = le, (le + 1) % 3
-        coords[tri[:, 3 + le]] = 0.5 * (coords[tri[:, a]] + coords[tri[:, b]])
-    return move_mesh(mesh, coords.ravel())
-
-
 def shear_below_threshold(mesh):
     """Shear the bulk until the minimum angle drops below pi/18 while
     every element stays valid."""
@@ -144,6 +141,14 @@ def shear_below_threshold(mesh):
     raise AssertionError("could not build a valid sheared fixture")
 
 
+def quad(x, y):
+    return (x * x - y, 2.0 * x * y + 0.5 * y * y)
+
+
+def lin(x, y):
+    return 3.0 * x - y + 0.25
+
+
 def test_remesh_triggers_and_restores_quality():
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
     spaces = build_taylor_hood(mesh, 2)
@@ -151,9 +156,6 @@ def test_remesh_triggers_and_restores_quality():
     spaces_sh = spaces_with_mesh(spaces, sheared)
     q = quality(sheared)
     assert q.min_angle <= math.pi / 18
-
-    def quad(x, y):
-        return (x * x - y, 2.0 * x * y + 0.5 * y * y)
 
     u = interpolate(spaces_sh.velocity, quad, vector=True)
     fields = {"u": ("velocity", u)}
@@ -206,49 +208,68 @@ def test_remesh_releases_the_old_table_before_fitting(monkeypatch):
     assert did and alive == [False]
 
 
-def test_quadratic_transfer_exact_on_straight_interface():
-    """With polygonal interface edges every element is affine, so a P2
-    space contains global quadratics and the remesh transfer reproduces
-    them to roundoff."""
-    from alefem.mesh import fit_interface_mesh
+def ring_lengths(mesh):
+    verts, _ = interface_cycle(mesh)
+    pos = mesh.coords[verts]
+    return np.linalg.norm(np.roll(pos, -1, axis=0) - pos, axis=1)
 
-    n = 24
-    theta = 2 * np.pi * np.arange(n) / n
+
+@pytest.fixture(scope="module")
+def spread_remesh():
+    """A remesh of a 20-gon inscribed in the bubble circle whose sides
+    span arcs of 4:1: 4 sides on one half (chords 1.9h at h = 0.1) and
+    16 on the other (0.49h).  The mesh keeps straight edges, so every
+    element is affine and its P2 space holds global quadratics.  Its
+    min angle, about 22 degrees, is below the 25 degree threshold used
+    here, which the redistributed ring's mesh (about 30) beats.
+    Returns (polygon, mesh, check_and_remesh's result)."""
+    theta = np.concatenate([np.linspace(0.0, np.pi, 5)[:-1],
+                            np.linspace(np.pi, 2 * np.pi, 17)[:-1]])
     ring = np.column_stack([CENTER[0] + RADIUS * np.cos(theta),
                             CENTER[1] + RADIUS * np.sin(theta)])
     mesh = fit_interface_mesh(RECT, ring, 0.1, 2)
     spaces = build_taylor_hood(mesh, 2)
-    sheared = straighten_midnodes(shear_below_threshold(mesh))
-    spaces_sh = spaces_with_mesh(spaces, sheared)
+    fields = {"u": ("velocity", interpolate(spaces.velocity, quad,
+                                            vector=True)),
+              "p": ("pressure", interpolate(spaces.pressure, lin))}
+    return ring, mesh, check_and_remesh(mesh, spaces, fields, RECT, 0.1,
+                                        angle_threshold=math.radians(25))
 
-    def quad(x, y):
-        return (x * x - y, 2.0 * x * y + 0.5 * y * y)
 
-    u = interpolate(spaces_sh.velocity, quad, vector=True)
-    m2, s2, f2, did, _ = check_and_remesh(sheared, spaces_sh,
-                                          {"u": ("velocity", u)}, RECT, 0.1)
+def test_remesh_evens_out_the_interface_spacing(spread_remesh):
+    _, mesh, (m2, _, _, did, _) = spread_remesh
     assert did
-    rng = np.random.default_rng(4)
-    pts = np.column_stack([rng.uniform(0.05, 0.95, 100),
-                           rng.uniform(0.05, 1.95, 100)])
-    from alefem.fespace import evaluate_many
+    old = ring_lengths(mesh)
+    assert old.max() / old.min() > 3.5
+    new = ring_lengths(m2)
+    # round(L / h) vertices: the arc between them is within h / 2N of h,
+    # and a chord across a corner of the polygon is a little shorter
+    assert 0.9 * 0.1 < new.min() and new.max() < 1.1 * 0.1
+    a1 = phase_area(mesh, MINUS)
+    assert abs(phase_area(m2, MINUS) - a1) < 1e-3 * a1
 
-    got = evaluate_many(s2.velocity, f2["u"][1], pts, vector=True)
-    expect = np.array([quad(x, y) for x, y in pts])
-    assert np.abs(got - expect).max() < 1e-10
+
+def test_remesh_puts_the_interface_nodes_on_the_old_curve(spread_remesh):
+    """The new interface vertices and edge nodes lie on the old interface
+    curve, here the polygon; only its parametrization changes."""
+    ring, _, (m2, *_) = spread_remesh
+    pts = m2.coords[m2.interface_node_ids()]
+    a, ab = ring, np.roll(ring, -1, axis=0) - ring
+    t = np.clip(((pts[:, None] - a) * ab).sum(-1) / (ab * ab).sum(-1),
+                0.0, 1.0)
+    dist = np.linalg.norm(pts[:, None] - (a + t[..., None] * ab), axis=-1)
+    assert dist.min(axis=1).max() < 1e-12
 
 
-def test_remesh_keeps_interface_nodes_verbatim():
-    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
-    spaces = build_taylor_hood(mesh, 2)
-    sheared = shear_below_threshold(mesh)
-    spaces_sh = spaces_with_mesh(spaces, sheared)
-    old_iface = np.sort(sheared.coords[sheared.interface_node_ids()], axis=0)
-    m2, _, _, did, _ = check_and_remesh(sheared, spaces_sh, {}, RECT, 0.1)
-    assert did
-    new_iface = np.sort(m2.coords[m2.interface_node_ids()], axis=0)
-    assert old_iface.shape == new_iface.shape
-    assert np.abs(old_iface - new_iface).max() < 1e-12
+def test_transfer_exact_at_the_new_dofs(spread_remesh):
+    """On affine old elements the transferred coefficients are a global
+    quadratic velocity and a linear pressure at the new DOF positions,
+    interface DOFs included, to roundoff."""
+    *_, (_, s2, f2, _, _) = spread_remesh
+    u = interpolate(s2.velocity, quad, vector=True)
+    assert np.abs(f2["u"][1] - u).max() < 1e-13
+    p = interpolate(s2.pressure, lin)
+    assert np.abs(f2["p"][1] - p).max() < 1e-13
 
 
 def test_interface_motion_matches_velocity_bitwise(setup):

@@ -22,6 +22,7 @@ from dataclasses import FrozenInstanceError
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alefem import ale, assembly, stepper, verify
@@ -79,14 +80,14 @@ def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
     monkeypatch.setattr(ale, "splu",
                         lambda *a, **kw: Factor(original(*a, **kw), log))
     run(config(4))
-    # a branch: the extension started for the first branch's mesh does
-    # not fit the second, which builds its operator on the main thread
+    # a branch: two steps from one state both take its w, the extension
+    # that state's step started, so they move the mesh alike
     cfg = config(4)
     state = step(initialize(cfg), cfg)
-    step(state, cfg)
-    step(state, cfg)
+    first, second = step(state, cfg), step(state, cfg)
+    assert np.array_equal(first.mesh.x, second.mesh.x)
     state.harmonic.close()
-    del state
+    del state, first, second
     gc.collect()
     made = {key: tid for event, key, tid in log if event == "made"}
     freed = {key: tid for event, key, tid in log if event == "freed"}
