@@ -116,7 +116,7 @@ def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
 def _operator(geom, V: ScalarSpace, scalar, order: np.ndarray,
               block: Gather):
     """The operator (L, solve) of a configuration from its geometry
-    table and its numbering's scalar sum order, interior order and
+    table and its numbering's scalar pattern, interior order and
     interior gather, all built already.  solve(b) returns the solution
     of the interior block in an array that its next call overwrites."""
     L = scalar_laplacian(geom, V, scalar)

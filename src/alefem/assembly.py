@@ -18,28 +18,22 @@ Available kinds for `assemble`:
 Index maps.  Between remeshes the nodes move but the connectivity does
 not, so every matrix keeps its sparsity pattern for hundreds of steps.
 `DofMaps` holds, for the DOF numbering of a Taylor-Hood pair, the
-canonical CSR pattern of each matrix kind and the order in which its
-element contributions are summed; assembly then writes the element
-kernels straight into CSR data arrays.  The pair owns its maps
-(`FESpacePair.maps`): `fespace.build_taylor_hood` makes them and
-`ale.spaces_with_mesh` hands them on to every moved configuration, so
-each is built once per numbering and dropped with it.
+canonical CSR pattern of each matrix kind and the CSR slot of each
+element contribution (`Pattern`); assembly then sums the element
+kernels straight into CSR data arrays with one `np.bincount`.  The pair
+owns its maps (`FESpacePair.maps`): `fespace.build_taylor_hood` makes
+them and `ale.spaces_with_mesh` hands them on to every moved
+configuration, so each is built once per numbering and dropped with it.
 
-The maps replay scipy's COO-to-CSR conversion (`tocsr`) exactly, so the
-matrices are bitwise equal to those of a COO assembly.  tocsr buckets
-the entries stably by row, sorts each row with `csr_sort_indices` (a
-std::sort on the column alone, which is not stable) and sums duplicates
-left to right.  `SumOrder` runs that same sort once on entry ids and keeps the
-resulting permutation: the entry of rank 0 of each slot is assigned,
-those of later ranks are added one rank at a time.  Summing in element
-order instead differs in the last bits, and the remeshing of a long run
-is chaotic in such roundoff.  `Gather` extends the same idea to
-matrices derived by slicing and stacking (the saddle matrix, the
-interior block of the mesh Laplacian): the slicing runs once on entry
-ids and is replayed as one gather per step.  The maps also hold the
-column order in which `ale.harmonic_extension` factors that interior
-block: SuperLU's MMD ordering depends on the pattern alone, so it is
-computed once per numbering.
+The pattern is that of a COO assembly (`coo_matrix(...).tocsr()`); the
+sums, taken in element order, differ from its sums in the last bits.
+`Gather` replays matrices derived by slicing and stacking (the saddle
+matrix, the interior block of the mesh Laplacian): the slicing runs
+once on entry ids and is replayed as one gather per step, which only
+permutes entries and so is exact.  The maps also hold the column order
+in which `ale.harmonic_extension` factors that interior block:
+SuperLU's MMD ordering depends on the pattern alone, so it is computed
+once per numbering.
 """
 
 from __future__ import annotations
@@ -89,44 +83,22 @@ def _index(a) -> np.ndarray:
     return out
 
 
-class SumOrder:
-    """Canonical CSR pattern of a list of entries (rows, cols), and the
-    order in which scipy's COO-to-CSR conversion sums entries vals given
-    in that order.
-
-    first[s] is the entry summed first into slot s; later holds, for
-    ranks 1, 2, ... in turn, the slots with an entry of that rank and
-    those entries.
-    """
+class Pattern:
+    """Canonical CSR pattern of the entries (rows, cols), two arrays
+    that broadcast together, taken in C order; slot holds the CSR slot
+    of each entry."""
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
         self.shape = shape
-        counts = np.bincount(rows, minlength=shape[0])
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        order = np.argsort(rows, kind="stable")
-        # coo_tocsr's stable row buckets, then tocsr's own index sort
-        ids = sparse.csr_matrix(
-            (order.astype(float), cols[order].astype(np.int32),
-             indptr.astype(np.int32)), shape=shape)
-        ids.sort_indices()
-        entry = ids.data.astype(np.int64)
-        col = ids.indices
-        starts = np.ones(len(col), dtype=bool)
-        starts[1:] = col[1:] != col[:-1]
-        starts[indptr[:-1][counts > 0]] = True
-        slot = np.cumsum(starts) - 1
-        rank = np.arange(len(col)) - np.flatnonzero(starts)[slot]
-        slot_rows = np.repeat(np.arange(shape[0]), counts)[starts]
-        self.indices = _index(col[starts])
-        self.indptr = _index(np.concatenate(
-            ([0], np.cumsum(np.bincount(slot_rows, minlength=shape[0])))))
-        self.first = _index(entry[starts])
-        by_rank = np.argsort(rank, kind="stable")[len(self.first):]
-        self.later_slots = _index(slot[by_rank])
-        self.later_entries = _index(entry[by_rank])
-        # end of each rank 1, 2, ... within later_*
-        self.rank_bounds = np.searchsorted(rank[by_rank],
-                                           np.arange(2, rank.max() + 2))
+        keys, slot = np.unique(
+            (rows.astype(np.int64) * shape[1] + cols).ravel(),
+            return_inverse=True)
+        self.indices = _index(keys % shape[1])
+        self.indptr = _index(np.searchsorted(
+            keys, np.arange(shape[0] + 1) * shape[1]))
+        # intp, which bincount reads without a converted copy
+        slot.setflags(write=False)
+        self.slot = slot
 
     @property
     def nnz(self) -> int:
@@ -134,13 +106,7 @@ class SumOrder:
 
     def sum(self, vals: np.ndarray) -> np.ndarray:
         """CSR data of the entries vals (in entry order)."""
-        vals = vals.ravel()
-        data = vals[self.first]
-        lo = 0
-        for hi in self.rank_bounds:
-            data[self.later_slots[lo:hi]] += vals[self.later_entries[lo:hi]]
-            lo = hi
-        return data
+        return np.bincount(self.slot, vals.ravel(), self.nnz)
 
     def matrix(self, vals: np.ndarray) -> sparse.csr_matrix:
         return sparse.csr_matrix((self.sum(vals), self.indices, self.indptr),
@@ -183,12 +149,9 @@ class Gather:
                               shape=self.shape)
 
 
-def _scalar_order(dof_of: np.ndarray, n_dofs: int) -> SumOrder:
+def _scalar_pattern(dof_of: np.ndarray, n_dofs: int) -> Pattern:
     """Scalar element matrices of a numbering, entries (E, n_loc, n_loc)."""
-    n_loc = dof_of.shape[1]
-    rows = np.repeat(dof_of[:, :, None], n_loc, axis=2)
-    cols = np.repeat(dof_of[:, None, :], n_loc, axis=1)
-    return SumOrder(rows.ravel(), cols.ravel(), (n_dofs, n_dofs))
+    return Pattern(dof_of[:, :, None], dof_of[:, None, :], (n_dofs, n_dofs))
 
 
 class DofMaps:
@@ -211,20 +174,17 @@ class DofMaps:
         self.interior: tuple[np.ndarray, Gather] | None = None
 
     @cached_property
-    def scalar(self) -> SumOrder:
+    def scalar(self) -> Pattern:
         """Scalar element matrices of the velocity space."""
-        return _scalar_order(self.dof_of, self.n_dofs)
+        return _scalar_pattern(self.dof_of, self.n_dofs)
 
     @cached_property
-    def vector(self) -> SumOrder:
+    def vector(self) -> Pattern:
         """Vector element matrices, entries (E, n_loc, 2, n_loc, 2)."""
         vdofs = 2 * self.dof_of[:, :, None] + np.arange(2)
-        n_loc = self.dof_of.shape[1]
-        shape = (len(vdofs), n_loc, 2, n_loc, 2)
-        rows = np.broadcast_to(vdofs[:, :, :, None, None], shape)
-        cols = np.broadcast_to(vdofs[:, None, None, :, :], shape)
         n = 2 * self.n_dofs
-        return SumOrder(rows.ravel(), cols.ravel(), (n, n))
+        return Pattern(vdofs[:, :, :, None, None], vdofs[:, None, None, :, :],
+                       (n, n))
 
     @cached_property
     def interleaved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,15 +218,12 @@ class DofMaps:
         return _index(np.searchsorted(keys, wanted))
 
     @cached_property
-    def divergence(self) -> SumOrder:
+    def divergence(self) -> Pattern:
         """Divergence element matrices, entries (E, n_p, n_loc, 2)."""
         p_dof_of, p_n_dofs = self._pressure
         vdofs = 2 * self.dof_of[:, None, :, None] + np.arange(2)
-        shape = (len(vdofs), p_dof_of.shape[1], self.dof_of.shape[1], 2)
-        rows = np.broadcast_to(p_dof_of[:, :, None, None], shape)
-        cols = np.broadcast_to(vdofs, shape)
-        return SumOrder(rows.ravel(), cols.ravel(),
-                        (p_n_dofs, 2 * self.n_dofs))
+        return Pattern(p_dof_of[:, :, None, None], vdofs,
+                       (p_n_dofs, 2 * self.n_dofs))
 
     @cached_property
     def saddle(self) -> Gather:
@@ -302,11 +259,9 @@ def _on(indices: np.ndarray, A: sparse.csr_matrix) -> bool:
 def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
                     A_mu: sparse.csr_matrix, B_conv: sparse.csr_matrix,
                     tau: float) -> sparse.csr_matrix:
-    """M_rho / tau + A_mu + B_conv on the pattern of A_mu.
-
-    The entries are summed as scipy's sparse operators sum them, which
-    scale by 1 / tau and add left to right.  The arguments must be
-    assembled on spaces; A_mu is consumed.
+    """M_rho / tau + A_mu + B_conv on the pattern of A_mu, each entry
+    summed in that order.  The arguments must be assembled on spaces;
+    A_mu is consumed.
     """
     maps = spaces.maps
     indptr, indices, _ = maps.interleaved
@@ -334,13 +289,19 @@ def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
 # arrays would be as large as the physical gradients; the mesh
 # Laplacian is assembled while the saddle factor of the previous step is
 # alive, and the viscous form alongside the convection form, so they set
-# the peak memory of a run.  With chunks of 128 elements the peak of the
-# rising-bubble runs at h=0.08 and 0.04 stays at that of whole-array COO
-# assembly; chunks of 512 raised it by about 5 MB at h=0.08.
+# the peak memory of a run.  Chunks of 128 elements keep them to a few
+# hundred kB; chunks of 512 raised the peak of the rising-bubble run at
+# h=0.08 by about 5 MB.
 _ELEMENT_CHUNK = 128
 
 
 def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
+    """Entries (E, n_loc, n_loc) of the Laplacian, one matmul per chunk
+    on the operand layouts below.  They were kept because they measured
+    fastest: at h=0.04, k=2 on one CPU of a 2-CPU Xeon VM (best of 60
+    interleaved calls), 6.5-6.9 ms against 7.2-7.8 ms for
+    einsum("eq,eqia,eqja->eij", optimize=True) on the same chunks and
+    14-15 ms on the whole array."""
     gphys = geom.physical_gradients(space)              # (E, Q, n_loc, 2)
     w = geom.wdet
     E, Q, n_loc, _ = gphys.shape
@@ -352,8 +313,7 @@ def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
         # 16-byte items
         G = np.ascontiguousarray(
             g.view(np.complex128)[..., 0].transpose(0, 2, 1)).view(np.float64)
-        # Gw is the transpose of a C-contiguous (n, 2Q, n_loc) array:
-        # matmul rounds differently for other operand layouts
+        # Gw is the transpose of a C-contiguous (n, 2Q, n_loc) array
         Gw = np.multiply(g.transpose(0, 1, 3, 2),
                          w[lo:lo + n, :, None, None],
                          out=np.empty((n, Q, 2, n_loc)))
@@ -406,16 +366,17 @@ def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
 
 def scalar_mass(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
     local = _mass_local(geometry(mesh), space, None)
-    return _scalar_order(space.dof_of, space.n_dofs).matrix(local)
+    return _scalar_pattern(space.dof_of, space.n_dofs).matrix(local)
 
 
 def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
-                     order: SumOrder | None = None) -> sparse.csr_matrix:
+                     pattern: Pattern | None = None) -> sparse.csr_matrix:
     """The Laplacian of the space on the configuration of geom, summed
-    in order, the scalar order of its numbering (built here if None)."""
-    if order is None:
-        order = _scalar_order(space.dof_of, space.n_dofs)
-    return order.matrix(_laplacian_local(geom, space))
+    through pattern, the scalar pattern of its numbering (built here if
+    None)."""
+    if pattern is None:
+        pattern = _scalar_pattern(space.dof_of, space.n_dofs)
+    return pattern.matrix(_laplacian_local(geom, space))
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
@@ -482,7 +443,7 @@ def assemble_load(mesh: Mesh, spaces: FESpacePair,
     w = geom.wdet * params.rho_of(mesh.phase)[:, None]
     cell = np.einsum("iq,eq->ei", vals, w) * (-params.g)
     out = np.zeros(2 * V.n_dofs)
-    np.add.at(out, 2 * V.dof_of + 1, cell)
+    out[1::2] = np.bincount(V.dof_of.ravel(), cell.ravel(), V.n_dofs)
     return out
 
 
@@ -492,9 +453,7 @@ def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair) -> np.ndarray:
     P = spaces.pressure
     vals = P.basis_values(geom.rule.points)
     cell = np.einsum("iq,eq->ei", vals, geom.wdet)
-    out = np.zeros(P.n_dofs)
-    np.add.at(out, P.dof_of, cell)
-    return out
+    return np.bincount(P.dof_of.ravel(), cell.ravel(), P.n_dofs)
 
 
 # ---------------------------------------------------------------------------

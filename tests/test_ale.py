@@ -1,9 +1,12 @@
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from alefem import ale
 from alefem.ale import (
     advance_mesh,
     check_and_remesh,
@@ -11,18 +14,20 @@ from alefem.ale import (
     move_mesh,
     spaces_with_mesh,
 )
-from alefem.assembly import assemble
-from alefem.fespace import build_taylor_hood, interpolate
+from alefem.assembly import DofMaps, assemble, scalar_laplacian
+from alefem.fespace import FESpacePair, build_taylor_hood, interpolate
 from alefem.mesh import (
     MINUS,
     fit_interface_mesh,
     generate_bubble_mesh,
+    geometry,
     interface_cycle,
     quality,
 )
 from alefem.observables import phase_area
+from alefem.stepper import SimConfig, initialize, step
 
-from conftest import CENTER, RADIUS, RECT, smooth_displacement
+from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +289,102 @@ def test_interface_motion_matches_velocity_bitwise(setup):
     x_lagrangian = mesh.x + tau * u[:len(mesh.x)]
     iv = spaces.vector_dofs(spaces.interface_dofs)
     assert np.array_equal(x_ale[iv], x_lagrangian[iv])
+
+
+# ---------------------------------------------------------------------------
+# the cached column order of the harmonic extension
+
+
+def assert_exact(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def mmd_harmonic_extension(mesh, spaces, u):
+    """The harmonic extension with the interior block factored under
+    SuperLU's MMD ordering at every call."""
+    V = spaces.velocity
+    L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
+    fixed = np.zeros(V.n_dofs, dtype=bool)
+    fixed[spaces.interface_dofs] = True
+    fixed[spaces.boundary_dofs] = True
+    free = ~fixed
+    w = np.zeros((V.n_dofs, 2))
+    w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
+    rhs = -(L @ w)[free]
+    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    for c in range(2):
+        w[free, c] = lu.solve(rhs[:, c])
+    return w.ravel()
+
+
+def record_orderings(monkeypatch):
+    specs = []
+    original = ale.splu
+
+    def recording(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return original(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(ale, "splu", recording)
+    return specs
+
+
+def test_harmonic_extension_orders_once_per_numbering(monkeypatch):
+    # the count below is that of the overlapped path, which one CPU skips
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
+    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
+    state = initialize(cfg)
+    specs = record_orderings(monkeypatch)
+    for _ in range(4):
+        state = step(state, cfg)
+        got = harmonic_extension(state.mesh, state.spaces, state.u)
+        expect = mmd_harmonic_extension(state.mesh, state.spaces, state.u)
+        assert_exact(got, expect)
+    assert state.remesh_count == 0
+    # the operator prepared for the last configuration is factored on the
+    # worker; closing it waits for that
+    state.harmonic.close()
+    # the first step orders by MMD; every later factorization is in that
+    # order: one per configuration prepared during the flow solve that
+    # moved to it, the last one included, and one per extension above
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 8
+
+    # the same numbering under new identity orders again, and stays exact
+    spaces = state.spaces
+    V = spaces.velocity
+    perm = np.random.default_rng(0).permutation(V.n_dofs)
+    V_perm = replace(V, dof_of=perm[V.dof_of])
+    boundary = perm[spaces.boundary_dofs]
+    renumbered = FESpacePair(V_perm, spaces.pressure,
+                             perm[spaces.interface_dofs], boundary,
+                             DofMaps(V_perm, spaces.pressure, boundary))
+    u = np.empty_like(state.u)
+    u.reshape(-1, 2)[perm] = state.u.reshape(-1, 2)
+    del specs[:]
+    for _ in range(2):
+        assert_exact(harmonic_extension(state.mesh, renumbered, u),
+                     mmd_harmonic_extension(state.mesh, renumbered, u))
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+
+
+def test_harmonic_extension_keeps_mmd_fill():
+    """The NATURAL factor of the permuted block has the L, U and row
+    pivots of the MMD factor of the block."""
+    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
+    state = step(initialize(cfg), cfg)
+    spaces, V = state.spaces, state.spaces.velocity
+    L = scalar_laplacian(geometry(state.mesh), V, spaces.maps.scalar)
+    free = np.ones(V.n_dofs, dtype=bool)
+    free[spaces.interface_dofs] = False
+    free[spaces.boundary_dofs] = False
+    Lff = L[free][:, free].tocsc()
+    mmd = splu(Lff, permc_spec="MMD_AT_PLUS_A")
+    natural = splu(Lff[:, ale._inverse_order(mmd.perm_c)],
+                   permc_spec="NATURAL")
+    for a, b in ((mmd.L, natural.L), (mmd.U, natural.U)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert np.array_equal(mmd.perm_r, natural.perm_r)

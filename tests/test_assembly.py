@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from alefem import assembly
+from alefem.ale import move_mesh, spaces_with_mesh
 from alefem.assembly import (
     PhaseParams,
     assemble,
     assemble_convection,
     assemble_load,
+    field_values,
     pressure_mean_vector,
     scalar_laplacian,
     scalar_mass,
 )
 from alefem.fespace import build_scalar_space, build_taylor_hood, interpolate
 from alefem.mesh import (
+    GeometryTables,
     Mesh,
     TangledElementError,
     displace,
@@ -23,7 +27,7 @@ from alefem.mesh import (
 from alefem.quadrature import triangle_rule
 from alefem.reference import reference_element
 
-from conftest import BP1, CENTER, RADIUS, RECT
+from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
 
 
 def unit_right_triangle():
@@ -264,6 +268,66 @@ def test_physical_gradients_cached_by_degree_not_identity():
     g1 = geom.physical_gradients(build_scalar_space(mesh, 1))
     assert g1 is not g2
     assert g1.shape[2] == 3 and g2.shape[2] == 6
+
+
+def assert_close(got, expect):
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("k, tangle", [(2, False), (3, False), (2, True)],
+                         ids=["displaced-2", "displaced-3", "tangled"])
+def test_tables_and_kernels_match_einsum(k, tangle):
+    """The geometry table, the physical gradients, the point values and
+    the element kernels equal one-line einsum forms on a moved mesh, a
+    tangled one included, to 1e-12 of the largest entry."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, k)
+    spaces = build_taylor_hood(mesh, k)
+    rng = np.random.default_rng(10 + k)
+    if tangle:
+        x = mesh.coords.copy()
+        a, b = mesh.elements[5, :2]
+        x[a] = 2.0 * x[b] - x[a]                # reflect a vertex over another
+        mesh = displace(mesh, x.ravel() - mesh.x)
+    else:
+        d = smooth_displacement(rng, spaces.velocity.positions, 0.02)
+        d[spaces.vector_dofs(spaces.boundary_dofs)] = 0.0
+        mesh = move_mesh(mesh, mesh.x + d[:len(mesh.x)])
+    V = spaces_with_mesh(spaces, mesh).velocity
+    coeffs = rng.normal(size=2 * V.n_dofs)
+    geom = GeometryTables(mesh, None)
+
+    rule = triangle_rule(2 * k + 2)
+    xs = mesh.coords[mesh.elements]
+    J = np.einsum("lqj,eli->eqij",
+                  reference_element(k).shape_gradients(rule.points), xs)
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    Jinv = np.linalg.inv(J)
+    tangled = None
+    if np.any(detJ <= 0.0):
+        tangled = (int(np.argmin(detJ.min(axis=1))),
+                   pytest.approx(detJ.min(), rel=1e-12))
+    assert (tangled is not None) == tangle and geom.tangled == tangled
+    vals = V.basis_values(rule.points)
+    assert_close(geom.x, np.einsum("lq,eli->eqi", vals, xs))
+    assert_close(geom.detJ, detJ)
+    assert_close(geom.Jinv, Jinv)
+    assert_close(geom.wdet, detJ * rule.weights)
+    for space in (build_scalar_space(mesh, 1), V):     # g is V's after
+        G = reference_element(space.degree).shape_gradients(rule.points)
+        g = np.einsum("lqj,eqji->eqli", G, Jinv)
+        assert_close(geom.physical_gradients(space), g)
+    a_q = np.einsum("lq,eli->eqi", vals, coeffs.reshape(-1, 2)[V.dof_of])
+    assert_close(field_values(V, coeffs, geom), a_q)
+    w = geom.wdet
+    rho, mu = BP1.rho_of(mesh.phase), BP1.mu_of(mesh.phase)
+    assert_close(assembly._convection_local(geom, V, rho, coeffs),
+                 np.einsum("iq,eq,e,eqja,eqa->eij", vals, w, rho, g, a_q))
+    laplacian = np.einsum("eq,eqia,eqja->eij", w, g, g)
+    assert_close(assembly._laplacian_local(geom, V), laplacian)
+    assert_close(assembly._viscous_local(geom, V, mu),
+                 np.einsum("eq,e,eqib,eqja->eiajb", w, mu, g, g)
+                 + np.einsum("e,eij,ab->eiajb", mu, laplacian, np.eye(2)))
 
 
 def test_tangled_mesh_quality_reports_assembly_raises():

@@ -27,7 +27,7 @@ import pytest
 
 from alefem import ale, assembly, stepper, verify
 from alefem.ale import HarmonicWorker, advance_mesh, harmonic_extension
-from alefem.assembly import DofMaps, Gather, SumOrder, assemble
+from alefem.assembly import DofMaps, Gather, Pattern, assemble
 from alefem.fespace import build_taylor_hood
 from alefem.mesh import (
     GeometryTables,
@@ -110,7 +110,7 @@ def test_nothing_is_built_on_the_worker_thread(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    for cls in (GeometryTables, DofMaps, SumOrder, Gather):
+    for cls in (GeometryTables, DofMaps, Pattern, Gather):
         monkeypatch.setattr(cls, "__init__",
                             guarded(cls.__name__, cls.__init__))
     for name, prop in vars(DofMaps).items():
