@@ -63,8 +63,9 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     The operator of the extension, the mesh Laplacian L and the factor
     of its interior block, depends on the configuration alone; only the
     lift of u on the fixed DOFs and the two triangular solves need u.
-    Here the operator is built on the calling thread; a step builds the
-    next configuration's on its worker (see `HarmonicWorker`).
+    Here the operator is built on the calling thread; a step reads the
+    next configuration's L off its viscous form and factors it on its
+    worker (see `HarmonicWorker`).
 
     The interior block is factored in SuperLU's MMD column order, which
     depends on its sparsity pattern alone.  That order is computed once
@@ -74,10 +75,9 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     NATURAL ordering and no ordering work of their own.
     """
     maps = spaces.maps
-    if maps.interior is not None:
-        return _extend(*_operator(geometry(mesh), spaces.velocity,
-                                  maps.scalar, *maps.interior), spaces, u)
     L = scalar_laplacian(geometry(mesh), spaces.velocity, maps.scalar)
+    if maps.interior is not None:
+        return _extend(*_operator(L, *maps.interior), spaces, u)
     free = _free(spaces)
     lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
     order = _inverse_order(lu.perm_c)
@@ -113,13 +113,10 @@ def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
     return w.ravel()
 
 
-def _operator(geom, V: ScalarSpace, scalar, order: np.ndarray,
-              block: Gather):
-    """The operator (L, solve) of a configuration from its geometry
-    table and its numbering's scalar pattern, interior order and
-    interior gather, all built already.  solve(b) returns the solution
-    of the interior block in an array that its next call overwrites."""
-    L = scalar_laplacian(geom, V, scalar)
+def _operator(L, order: np.ndarray, block: Gather):
+    """The operator (L, solve) of mesh Laplacian L with the interior
+    order and gather of its numbering.  solve(b) returns the solution of
+    the interior block in an array that its next call overwrites."""
     # the NATURAL factor of the block with its columns in that order
     lu = splu(block([L]), permc_spec="NATURAL")
     x = np.empty(len(order))
@@ -162,19 +159,19 @@ class HarmonicWorker:
     `stepper`.
 
     The moved mesh of step n is the configuration on which step n + 1
-    extends, so its operator, the mesh Laplacian and the factor of its
-    interior block, is built in step n (`prepare`) and used up by the
-    extension of the new u that step n starts (`extend`).  The two jobs
-    hand it over in one slot, held, which only jobs and the end of the
-    thread touch, so every factor is made, used and freed where the
-    jobs run: scipy's SuperLU wrapper records each allocation in a
-    registry of the allocating thread and frees a pointer only on that
-    thread, so a factor released elsewhere would leak its memory.  The
-    caller gets back only the future of w.  An operator whose extension
-    was never started, because the saddle solve raised, is freed by the
-    next `prepare`, or when the thread ends (on one CPU, with the
-    worker).  The other jobs hand back arrays and sparse matrices, never
-    a factor.
+    extends, so its operator, the mesh Laplacian that the A_mu job hands
+    back and the factor of its interior block (`prepare`), is built in
+    step n and used up by the extension of the new u that step n starts
+    (`extend`).  The two jobs hand it over in one slot, held, which only
+    jobs and the end of the thread touch, so every factor is made, used
+    and freed where the jobs run: scipy's SuperLU wrapper records each
+    allocation in a registry of the allocating thread and frees a
+    pointer only on that thread, so a factor released elsewhere would
+    leak its memory.  The caller gets back only the future of w.  An
+    operator whose extension was never started, because the saddle solve
+    raised, is freed by the next `prepare`, or when the thread ends (on
+    one CPU, with the worker).  The other jobs hand back arrays and
+    sparse matrices, never a factor.
 
     The geometry table and physical gradients of a mesh, and the index
     maps and interior order of a numbering, are built on first use and
@@ -228,15 +225,12 @@ class HarmonicWorker:
         self._jobs.put((done, fn, args))
         return done
 
-    def prepare(self, mesh: Mesh, spaces: FESpacePair) -> None:
-        """Hand over the building of the operator of mesh and spaces.
-        Their numbering must have its order, which the first extension
-        on it computes on the calling thread, and the physical gradients
-        of the velocity space must exist already, so that the two
-        threads never both build them."""
-        self._prepared = self.submit(
-            _prepare, self._held, geometry(mesh), spaces.velocity,
-            spaces.maps.scalar, *spaces.maps.interior)
+    def prepare(self, spaces: FESpacePair, L) -> None:
+        """Hand over the factoring of the operator of mesh Laplacian L
+        on spaces, whose numbering must have its order (computed on the
+        calling thread by the first extension on it)."""
+        self._prepared = self.submit(_prepare, self._held, L,
+                                     *spaces.maps.interior)
 
     def extend(self, spaces: FESpacePair, u: np.ndarray) -> Future:
         """Hand over the extension of u by the operator that `prepare`

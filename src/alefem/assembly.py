@@ -15,6 +15,9 @@ Available kinds for `assemble`:
     A_mu   viscous form            v^T Am u  = sum_K 2 mu_K int D(u):D(v)
     C      divergence form         q^T C v   = sum_K  int (div v) q
 
+A, A_mu and the mesh Laplacian are all read off one element Gram of the
+physical basis gradients (`_gram_local`, `viscous_and_laplacian`).
+
 Index maps.  Between remeshes the nodes move but the connectivity does
 not, so every matrix keeps its sparsity pattern for hundreds of steps.
 `DofMaps` holds, for the DOF numbering of a Taylor-Hood pair, the
@@ -285,61 +288,39 @@ def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
     return (vals[None] * w[:, None, :]) @ vals.T        # (E, n_loc, n_loc)
 
 
-# Elements per chunk of the Laplacian and viscous kernels.  Their work
-# arrays would be as large as the physical gradients; the mesh
-# Laplacian is assembled while the saddle factor of the previous step is
-# alive, and the viscous form alongside the convection form, so they set
-# the peak memory of a run.  Chunks of 128 elements keep them to a few
-# hundred kB; chunks of 512 raised the peak of the rising-bubble run at
-# h=0.08 by about 5 MB.
+# Elements per chunk of the gradient Gram.  Its work arrays would be
+# four times as large as the physical gradients; the Gram is formed in
+# the A_mu job, alongside the convection form, so it sets the peak
+# memory of a run.  Chunks of 128 elements keep them to a few hundred
+# kB; chunks of 512 raised the peak of the rising-bubble run at h=0.08
+# by about 5 MB.
 _ELEMENT_CHUNK = 128
 
 
-def _laplacian_local(geom: GeometryTables, space: ScalarSpace):
-    """Entries (E, n_loc, n_loc) of the Laplacian, one matmul per chunk
-    on the operand layouts below.  They were kept because they measured
-    fastest: at h=0.04, k=2 on one CPU of a 2-CPU Xeon VM (best of 60
-    interleaved calls), 6.5-6.9 ms against 7.2-7.8 ms for
-    einsum("eq,eqia,eqja->eij", optimize=True) on the same chunks and
-    14-15 ms on the whole array."""
-    gphys = geom.physical_gradients(space)              # (E, Q, n_loc, 2)
-    w = geom.wdet
+def _gram_local(geom: GeometryTables, V: ScalarSpace, mu=None):
+    """Entries (E, n_loc, n_loc) of the Laplacian and (E, n_loc, 2,
+    n_loc, 2) of the viscous form, None without mu, read off one Gram of
+    the physical gradients per element; mu multiplies last."""
+    gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
     E, Q, n_loc, _ = gphys.shape
-    local = np.empty((E, n_loc, n_loc))
+    laplacian = np.empty((E, n_loc, n_loc))
+    viscous = None if mu is None else np.empty((E, n_loc, 2, n_loc, 2))
     for lo in range(0, E, _ELEMENT_CHUNK):
-        g = gphys[lo:lo + _ELEMENT_CHUNK]
-        n = len(g)
-        # (n, n_loc, 2Q), C-contiguous: the (x, y) pairs of g moved as
-        # 16-byte items
-        G = np.ascontiguousarray(
-            g.view(np.complex128)[..., 0].transpose(0, 2, 1)).view(np.float64)
-        # Gw is the transpose of a C-contiguous (n, 2Q, n_loc) array
-        Gw = np.multiply(g.transpose(0, 1, 3, 2),
-                         w[lo:lo + n, :, None, None],
-                         out=np.empty((n, Q, 2, n_loc)))
-        np.matmul(Gw.reshape(n, 2 * Q, n_loc).transpose(0, 2, 1),
-                  G.transpose(0, 2, 1), out=local[lo:lo + n])
-    return local
-
-
-def _viscous_local(geom: GeometryTables, V: ScalarSpace, mu):
-    """Entries (E, n_loc, 2, n_loc, 2) of the viscous form."""
-    gphys = geom.physical_gradients(V)
-    E, Q, n_loc, _ = gphys.shape
-    local = np.empty((E, n_loc, 2, n_loc, 2))
-    for lo in range(0, E, _ELEMENT_CHUNK):
-        # P[(i,a),(j,b)] = sum_K mu_K int d_a phi_i d_b phi_j
+        # P[(i,a),(j,b)] = int_K d_a phi_i d_b phi_j
         G = gphys[lo:lo + _ELEMENT_CHUNK].reshape(-1, Q, 2 * n_loc)
         n = len(G)
-        w = geom.wdet[lo:lo + n] * mu[lo:lo + n, None]
-        P = (G * w[:, :, None]).transpose(0, 2, 1) @ G  # (n, 2n_loc, 2n_loc)
+        P = (G * geom.wdet[lo:lo + n, :, None]).transpose(0, 2, 1) @ G
         P = P.reshape(n, n_loc, 2, n_loc, 2)
-        trace = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
-        out = local[lo:lo + n]
+        trace = np.add(P[:, :, 0, :, 0], P[:, :, 1, :, 1],
+                       out=laplacian[lo:lo + n])
+        if viscous is None:
+            continue
+        out = viscous[lo:lo + n]
         out[...] = np.swapaxes(P, 2, 4)                 # [i,a,j,b] = P[i,b,j,a]
         out[:, :, 0, :, 0] += trace
         out[:, :, 1, :, 1] += trace
-    return local
+        out *= mu[lo:lo + n, None, None, None, None]
+    return laplacian, viscous
 
 
 def _divergence_local(geom: GeometryTables, P: ScalarSpace, V: ScalarSpace):
@@ -376,7 +357,7 @@ def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
     None)."""
     if pattern is None:
         pattern = _scalar_pattern(space.dof_of, space.n_dofs)
-    return pattern.matrix(_laplacian_local(geom, space))
+    return pattern.matrix(_gram_local(geom, space)[0])
 
 
 def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
@@ -402,15 +383,28 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
         return _interleaved(maps, maps.scalar.sum(_mass_local(geom, V, w)))
 
     if kind == "A":
-        return _interleaved(maps, maps.scalar.sum(_laplacian_local(geom, V)))
+        return _interleaved(maps, maps.scalar.sum(_gram_local(geom, V)[0]))
 
     if kind == "A_mu":
         return maps.vector.matrix(
-            _viscous_local(geom, V, params.mu_of(mesh.phase)))
+            _gram_local(geom, V, params.mu_of(mesh.phase))[1])
 
     # kind == "C"
     P = spaces.pressure
     return maps.divergence.matrix(_divergence_local(geom, P, V))
+
+
+def viscous_and_laplacian(mesh: Mesh, spaces: FESpacePair,
+                          params: PhaseParams):
+    """(A_mu, L): the viscous form of `assemble` and the scalar Laplacian
+    of the velocity space, read off one gradient Gram, for a step's flow
+    solve and its next harmonic operator (see `ale.HarmonicWorker`).  It
+    runs off the main thread on the terms of `assemble`."""
+    if spaces.mesh is not mesh:
+        raise ValueError("spaces were built on a different mesh")
+    L, A_mu = _gram_local(geometry(mesh), spaces.velocity,
+                          params.mu_of(mesh.phase))
+    return spaces.maps.vector.matrix(A_mu), spaces.maps.scalar.matrix(L)
 
 
 def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,

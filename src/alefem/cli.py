@@ -195,12 +195,21 @@ def cmd_converge(config_path, levels: int = 3, m: int = 2, quiet=False) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
+    level = 0
+
     def progress(lvl, i, n):
-        if not quiet and i % 25 == 0:
+        nonlocal level
+        level = lvl
+        if not quiet and i and i % 25 == 0:
             print(f"  level {lvl}: step {i}/{n}", file=sys.stderr)
 
-    report = spatial_convergence_study(config, levels=levels, m=m,
-                                       progress=progress)
+    try:
+        report = spatial_convergence_study(config, levels=levels, m=m,
+                                           progress=progress)
+    except Exception as err:
+        print(f"converge failed at level {level} "
+              f"(h={config.h / m ** level:g}): {err}", file=sys.stderr)
+        return 1
     norm_of = {"u": "H1", "w": "H1", "phi": "H1", "p": "L2"}
     print(f"# spatial convergence, k={config.k}, tau={config.tau}, "
           f"T={config.T}, m={m}")

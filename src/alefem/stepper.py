@@ -27,14 +27,14 @@ over, and what the calling thread does meanwhile on two CPUs:
 
 - the upper halves of the moved mesh's geometry table and physical
   gradients, while it builds the lower halves and assembles the load;
-- A_mu and C, while it assembles M_rho, the convection form and the
-  pressure mean;
-- once the saddle matrix is gathered, the harmonic operator of the
-  moved mesh (the configuration the next step extends on), while it
-  runs the saddle solve;
-- once `flow_solve` returns u, the extension of u by that operator
-  (the w of the next state, unless the step remeshes), while it checks
-  the mesh and records the state.
+- A_mu with the mesh Laplacian of the moved mesh (the configuration the
+  next step extends on), both read off one gradient Gram, and C, while
+  it assembles M_rho, the convection form and the pressure mean;
+- once the saddle matrix is gathered, the factoring of that
+  Laplacian's interior block, while it runs the saddle solve;
+- once `flow_solve` returns u, the extension of u by that Laplacian and
+  factor (the w of the next state, unless the step remeshes), while it
+  checks the mesh and records the state.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .assembly import (
     assemble_load,
     momentum_matrix,
     pressure_mean_vector,
+    viscous_and_laplacian,
 )
 from .fespace import FESpacePair, build_taylor_hood
 from .linalg import SaddleFactor, SaddleSystem, solve_saddle
@@ -172,23 +173,23 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
     factor when one is given (see `solve_saddle`).  Half of the physical
-    gradients, A_mu and C are jobs of harmonic (see `HarmonicWorker`),
-    which then prepares the harmonic operator of mesh during the saddle
-    solve; without harmonic the jobs run on the calling thread and
-    nothing is prepared.
+    gradients, A_mu with the mesh Laplacian L, and C are jobs of
+    harmonic (see `HarmonicWorker`), which then prepares the harmonic
+    operator of mesh from L during the saddle solve; without harmonic
+    the jobs run on the calling thread and nothing is prepared.
     Returns (u, p, multiplier, stats).
     """
     submit = submit_inline if harmonic is None else harmonic.submit
     # built here, so that the jobs only read them
     geometry(mesh).physical_gradients(spaces.velocity, submit)
-    spaces.maps.vector, spaces.maps.divergence
-    jobs = [submit(assemble, kind, mesh, spaces, params)
-            for kind in ("A_mu", "C")]
+    spaces.maps.scalar, spaces.maps.vector, spaces.maps.divergence
+    jobs = [submit(viscous_and_laplacian, mesh, spaces, params),
+            submit(assemble, "C", mesh, spaces, params)]
     M_rho = assemble("M_rho", mesh, spaces, params)
     B_conv = assemble_convection(mesh, spaces, params, transport)
     m = pressure_mean_vector(mesh, spaces)
-    A_mu, C = (job.result() for job in jobs)
-    del jobs                    # the futures hold A_mu and C too
+    (A_mu, L), C = (job.result() for job in jobs)
+    del jobs                    # the futures hold A_mu, L and C too
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
@@ -208,10 +209,9 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     rhs_p = C @ u_bc
     A0 = spaces.maps.saddle([Kuu, C])
     del Kuu, C
-    # after assembly, so that its workspace does not add to theirs, and
-    # after the physical gradients exist
+    # after assembly, so that its workspace does not add to theirs
     if harmonic is not None:
-        harmonic.prepare(mesh, spaces)
+        harmonic.prepare(spaces, L)
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()

@@ -277,7 +277,8 @@ def study_problem(levels, m) -> str | None:
 
 
 def spatial_convergence_study(config, levels: int = 3, m: int = 2,
-                              progress=None) -> RateReport:
+                              progress=lambda lvl, i, n: None
+                              ) -> RateReport:
     """Nested-mesh sweep of the full two-phase scheme.
 
     Runs the configuration at mesh sizes h, h/m, ..., compares
@@ -286,7 +287,8 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
     runs to finish without remeshing (the pullback comparison needs a
     single reference configuration; short-horizon rate studies satisfy
     this).  Raises ValueError before running anything when levels or m
-    cannot give a rate (see `study_problem`).
+    cannot give a rate (see `study_problem`).  progress(level, i, n) is
+    called before a level's first step (i = 0) and after each of its n.
     """
     from dataclasses import replace
 
@@ -300,13 +302,13 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
     for lvl in range(levels):
         cfg = replace(config, h=config.h / m ** lvl)
         h_values.append(cfg.h)
+        progress(lvl, 0, cfg.n_steps)
         state = initialize(cfg)
         mesh0, spaces0 = state.mesh, state.spaces
         try:
             for i in range(cfg.n_steps):
                 state = step(state, cfg)
-                if progress is not None:
-                    progress(lvl, i + 1, cfg.n_steps)
+                progress(lvl, i + 1, cfg.n_steps)
         finally:
             state.harmonic.close()
         if state.remesh_count:

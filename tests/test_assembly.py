@@ -324,10 +324,13 @@ def test_tables_and_kernels_match_einsum(k, tangle):
     assert_close(assembly._convection_local(geom, V, rho, coeffs),
                  np.einsum("iq,eq,e,eqja,eqa->eij", vals, w, rho, g, a_q))
     laplacian = np.einsum("eq,eqia,eqja->eij", w, g, g)
-    assert_close(assembly._laplacian_local(geom, V), laplacian)
-    assert_close(assembly._viscous_local(geom, V, mu),
+    gram_laplacian, viscous = assembly._gram_local(geom, V, mu)
+    assert_close(gram_laplacian, laplacian)
+    assert_close(viscous,
                  np.einsum("eq,e,eqib,eqja->eiajb", w, mu, g, g)
                  + np.einsum("e,eij,ab->eiajb", mu, laplacian, np.eye(2)))
+    alone, none = assembly._gram_local(geom, V)
+    assert none is None and alone.tobytes() == gram_laplacian.tobytes()
 
 
 def test_tangled_mesh_quality_reports_assembly_raises():

@@ -251,6 +251,24 @@ def test_converge_rejects_bad_arguments_before_running(args, config_file,
     assert args[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, angle, error", [
+    ("0.2", "1.0", "remeshing failed to beat the angle threshold"),
+    ("0.12", "0.57", "remeshing occurred during the rate study"),
+])
+def test_converge_failure_names_its_level(h, angle, error, tmp_path, capsys):
+    """A level that fails ends the study with one line naming it, its h
+    and the error, and exit code 1: a RemeshError in a step, and a
+    remesh that the rate study cannot use."""
+    path = tmp_path / "fails.cfg"
+    path.write_text(BP1_CONFIG.replace("h = 0.16", f"h = {h}")
+                    .replace("T = 0.05", "T = 0.01")
+                    + f"remesh_angle = {angle}\n")
+    assert main(["converge", str(path), "-q"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"converge failed at level 0 (h={h}): {error}")
+
+
 def test_negative_vtk_every_rejected(tmp_path, config_file, capsys):
     out = tmp_path / "out"
     assert main(["run", str(config_file), "-o", str(out), "-q",
@@ -260,8 +278,8 @@ def test_negative_vtk_every_rejected(tmp_path, config_file, capsys):
 
 
 def test_main_verify_suites_pass():
-    assert main(["verify", "matrices"]) == 0
-    assert main(["verify", "transport"]) == 0
+    for suite in ("matrices", "transport", "homotopy", "manufactured"):
+        assert main(["verify", suite]) == 0
 
 
 def test_verify_detects_corrupted_assembly(monkeypatch, capsys):

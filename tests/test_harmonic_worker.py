@@ -1,16 +1,18 @@
 """The contract of the step worker (`ale.HarmonicWorker`).
 
-Each step prepares the harmonic operator of its moved mesh on a second
-thread during the saddle solve and then starts extending the new u by
-it there; the state the step makes carries that extension as its w,
-which the next step takes.  Before that, the thread builds half of the
-moved mesh's geometry table and physical gradients and assembles A_mu
-and C.  These tests pin what that thread may and may not do: free its
-factors itself, build nothing that is built on first use, use an
-operator only on its own mesh, give bitwise the arrays of one thread,
-and hand its errors to the step that waits for them.  On one CPU the
-step hands over the same jobs, which run at once on the calling thread,
-and no thread is started.
+Before its saddle solve, a step hands a second thread half of the moved
+mesh's geometry table and physical gradients, then A_mu together with
+the moved mesh's Laplacian, both read off one gradient Gram, and C.
+During the saddle solve the thread factors the interior block of that
+Laplacian, and then it extends the new u by that factor there; the
+state the step makes carries that extension as its w, which the next
+step takes unless the step remeshed.  These tests pin what that thread
+may and may not do: free its factors itself, build nothing that is
+built on first use, use an operator only on its own mesh, form one Gram
+per configuration, give bitwise the arrays of one thread, through a
+remesh too, and hand its errors to the step that waits for them.  On
+one CPU the step hands over the same jobs, which run at once on the
+calling thread, and no thread is started.
 """
 
 import gc
@@ -34,6 +36,7 @@ from alefem.mesh import (
     generate_bubble_mesh,
     generate_rect_mesh,
     geometry,
+    quality,
 )
 from alefem.stepper import SimConfig, initialize, run, step
 from alefem.verify import spatial_convergence_study
@@ -295,6 +298,65 @@ def test_one_and_two_cpus_hand_over_the_same_jobs(monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+def test_one_gram_per_configuration(monkeypatch):
+    """Each step reads A_mu and the mesh Laplacian off one gradient Gram
+    (`assembly.viscous_and_laplacian`), and its operator job gets that
+    Laplacian, not a geometry table or a space: four steps form five
+    Grams, one for the first step's extension and one per A_mu job."""
+    grams, prepared = [], []
+    original = assembly._gram_local
+
+    def gram(*args):
+        grams.append(threading.current_thread())
+        return original(*args)
+
+    monkeypatch.setattr(assembly, "_gram_local", gram)
+    prepare = ale._prepare
+
+    def spy(held, *operator):
+        prepared.append([type(arg).__name__ for arg in operator])
+        return prepare(held, *operator)
+
+    monkeypatch.setattr(ale, "_prepare", spy)
+    state, _ = run(config(4))
+    assert state.remesh_count == 0
+    assert len(grams) == 5 and grams[0] is threading.main_thread()
+    assert prepared == [["csr_matrix", "ndarray", "Gather"]] * 4
+
+
+def test_step_through_a_remesh(monkeypatch):
+    """A run that remeshes once, at step 2, on one CPU and on two: the
+    same results bitwise, a state after the remesh that carries neither
+    a saddle factor nor a w, and a next step that extends on the
+    calling thread."""
+    angle = quality(generate_bubble_mesh(RECT, CENTER, RADIUS, 0.12, 2)
+                    ).min_angle
+    cfg = SimConfig(params=BP1, k=2, h=0.12, tau=TAU, T=6 * TAU,
+                    remesh_angle=angle - 1e-6)
+    threads = counted_extensions(monkeypatch, stepper)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ale, "_cpus_available", lambda: cpus)
+        threads.clear()
+        seen = []
+        state, records = run(cfg, sinks=[lambda i, state, rec: seen.append(
+            (rec.remesh_count, state.factor is None, state.w is None,
+             len(threads)))])
+        assert state.remesh_count == 1
+        # records 0-6: the remesh in step 2 leaves no factor and no w,
+        # so step 3 extends on the calling thread, as step 1 did
+        assert seen == [(0, True, True, 0), (0, False, False, 1),
+                        (1, True, True, 1), (1, False, False, 2),
+                        (1, False, False, 2), (1, False, False, 2),
+                        (1, False, False, 2)]
+        assert threads == [threading.main_thread()] * 2
+        runs.append((state, records))
+    (one, one_records), (two, two_records) = runs
+    assert one_records == two_records
+    for a, b in ((one.u, two.u), (one.p, two.p), (one.mesh.x, two.mesh.x)):
+        assert a.tobytes() == b.tobytes()
+
+
 # Meshes with fewer elements than one chunk of `mesh.GeometryTables`,
 # with exactly two chunks, and with a part chunk.
 SPLIT_MESHES = {
@@ -356,7 +418,7 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
 
 
 @pytest.mark.parametrize("owner, name", [
-    (assembly, "_viscous_local"),
+    (assembly, "_gram_local"),
     (GeometryTables, "_gradients"),
 ])
 def test_assembly_job_error_surfaces_in_its_step(owner, name, monkeypatch):

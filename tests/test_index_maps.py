@@ -26,6 +26,7 @@ from alefem.assembly import (
     pressure_mean_vector,
     scalar_laplacian,
     scalar_mass,
+    viscous_and_laplacian,
 )
 from alefem.fespace import build_scalar_space, build_taylor_hood
 from alefem.linalg import SaddleSystem, saddle_matrix, solve_saddle
@@ -95,11 +96,12 @@ def test_every_kind_equals_coo_assembly(moved):
         return coo(local, P.dof_of[:, :, None, None], vcol,
                    (P.n_dofs, 2 * V.n_dofs))
 
+    laplacian, viscous = assembly._gram_local(geom, V, mu)
     expect = {
         "M": kron2(scalar_coo(assembly._mass_local(geom, V, None), V)),
         "M_rho": kron2(scalar_coo(assembly._mass_local(geom, V, rho), V)),
-        "A": kron2(scalar_coo(assembly._laplacian_local(geom, V), V)),
-        "A_mu": vector_coo(assembly._viscous_local(geom, V, mu)),
+        "A": kron2(scalar_coo(laplacian, V)),
+        "A_mu": vector_coo(viscous),
         "C": divergence_coo(assembly._divergence_local(geom, P, V)),
     }
     for kind, ref in expect.items():
@@ -108,7 +110,10 @@ def test_every_kind_equals_coo_assembly(moved):
     assert_same(assemble_convection(mesh, spaces, BP1, transport),
                 kron2(scalar_coo(local, V)))
     assert_same(scalar_laplacian(geometry(mesh), V, spaces.maps.scalar),
-                scalar_coo(assembly._laplacian_local(geom, V), V))
+                scalar_coo(laplacian, V))
+    A_mu, L = viscous_and_laplacian(mesh, spaces, BP1)
+    assert_same(A_mu, expect["A_mu"])
+    assert_same(L, scalar_coo(laplacian, V))
     P1 = build_scalar_space(mesh, 1)
     for space in (P, P1):
         assert_same(scalar_mass(mesh, space),
