@@ -3,11 +3,15 @@
 The mesh velocity equals the fluid velocity on the interface (bitwise,
 by construction) and vanishes on the outer boundary; in the bulk it is
 the discrete harmonic extension of those boundary values, solved
-componentwise.  Remeshing redistributes the interface vertices at equal
-arc length, about h apart, along the old degree-k interface curve, and
-places the new interface edge nodes on that curve too, so the curve is
-kept up to the interpolation error of its new edges while its spacing is
-repaired; fields are transferred by point evaluation on the old mesh.
+componentwise.  Every extension, on the calling thread or on a step's
+worker, factors the interior block of the mesh Laplacian one way
+(`_operator`), the block gathered through the index maps of its
+numbering (`DofMaps.interior`).  Remeshing redistributes the interface
+vertices at equal arc length, about h apart, along the old degree-k
+interface curve, and places the new interface edge nodes on that curve
+too, so the curve is kept up to the interpolation error of its new
+edges while its spacing is repaired; fields are transferred by point
+evaluation on the old mesh.
 """
 
 from __future__ import annotations
@@ -65,28 +69,11 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
     lift of u on the fixed DOFs and the two triangular solves need u.
     Here the operator is built on the calling thread; a step reads the
     next configuration's L off its viscous form and factors it on its
-    worker (see `HarmonicWorker`).
-
-    The interior block is factored in SuperLU's MMD column order, which
-    depends on its sparsity pattern alone.  That order is computed once
-    per DOF numbering, by the first extension on it, and kept with the
-    numbering's index maps (`DofMaps.interior`); the later operators
-    factor the block, its columns permuted into that order, with the
-    NATURAL ordering and no ordering work of their own.
+    worker (see `HarmonicWorker`), by the same `_operator`.
     """
     maps = spaces.maps
     L = scalar_laplacian(geometry(mesh), spaces.velocity, maps.scalar)
-    if maps.interior is not None:
-        return _extend(*_operator(L, *maps.interior), spaces, u)
-    free = _free(spaces)
-    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    order = _inverse_order(lu.perm_c)
-    maps.interior = order, Gather(
-        lambda L: L[free][:, free][:, order].tocsc(), [L])
-    # the factor that gave the order solves this call: it has the L, U
-    # and row pivots of the block's NATURAL factor in that order (see
-    # _inverse_order)
-    return _extend(L, lu.solve, spaces, u)
+    return _extend(*_operator(L, maps.interior), spaces, u)
 
 
 def _free(spaces: FESpacePair) -> np.ndarray:
@@ -113,18 +100,19 @@ def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
     return w.ravel()
 
 
-def _operator(L, order: np.ndarray, block: Gather):
-    """The operator (L, solve) of mesh Laplacian L with the interior
-    order and gather of its numbering.  solve(b) returns the solution of
-    the interior block in an array that its next call overwrites."""
-    # the NATURAL factor of the block with its columns in that order
-    lu = splu(block([L]), permc_spec="NATURAL")
-    x = np.empty(len(order))
+def _operator(L, block: Gather):
+    """The operator (L, solve) of mesh Laplacian L, block being the
+    gather of its interior block (`DofMaps.interior`).
 
-    def solve(b):
-        x[order] = lu.solve(b)
-        return x
-    return L, solve
+    The block is factored in SuperLU's MMD order on A^T + A with
+    relax=1, which keeps SuperLU from merging columns into relaxed
+    supernodes whose explicit zeros it stores and factors.  After two
+    rising-bubble steps, on one CPU of a 2-CPU Xeon VM, SuperLU's
+    default relaxation stored 572,890 entries against 203,056 and took
+    23.9 ms against 8.7 ms at h=0.04, and 4,484,356 against 1,105,402
+    entries and 371 ms against 51 ms at h=0.02.
+    """
+    return L, splu(block([L]), permc_spec="MMD_AT_PLUS_A", relax=1).solve
 
 
 def _prepare(held: list, *operator) -> None:
@@ -160,28 +148,29 @@ class HarmonicWorker:
 
     The moved mesh of step n is the configuration on which step n + 1
     extends, so its operator, the mesh Laplacian that the A_mu job hands
-    back and the factor of its interior block (`prepare`), is built in
-    step n and used up by the extension of the new u that step n starts
-    (`extend`).  The two jobs hand it over in one slot, held, which only
-    jobs and the end of the thread touch, so every factor is made, used
-    and freed where the jobs run: scipy's SuperLU wrapper records each
-    allocation in a registry of the allocating thread and frees a
-    pointer only on that thread, so a factor released elsewhere would
-    leak its memory.  The caller gets back only the future of w.  An
-    operator whose extension was never started, because the saddle solve
-    raised, is freed by the next `prepare`, or when the thread ends (on
-    one CPU, with the worker).  The other jobs hand back arrays and
-    sparse matrices, never a factor.
+    back and the factor of its interior block (`prepare`, by the
+    `_operator` of `harmonic_extension`), is built in step n and used up
+    by the extension of the new u that step n starts (`extend`).  The two
+    jobs hand it over in one slot, held, which only jobs and the end of
+    the thread touch, so every factor is made, used and freed where the
+    jobs run: scipy's SuperLU wrapper records each allocation in a
+    registry of the allocating thread and frees a pointer only on that
+    thread, so a factor released elsewhere would leak its memory.  The
+    caller gets back only the future of w.  An operator whose extension
+    was never started, because the saddle solve raised, is freed by the
+    next `prepare`, or when the thread ends (on one CPU, with the
+    worker).  The other jobs hand back arrays and sparse matrices, never
+    a factor.
 
     The geometry table and physical gradients of a mesh, and the index
-    maps and interior order of a numbering, are built on first use and
-    kept by the mesh and the numbering.  Every one that a job reads is
-    built on the calling thread before the job is handed over, so the
-    thread only reads them and the two threads never both build one.
-    An exception of a job is raised, with its type unchanged, by the
-    call that waits for its result: for `prepare`, the wait for the
-    extension by its operator; an exception of an extension that no
-    step waits for is discarded.
+    maps of a numbering (the gather of the interior block among them),
+    are built on first use and kept by the mesh and the numbering.
+    Every one that a job reads is built on the calling thread before the
+    job is handed over, so the thread only reads them and the two
+    threads never both build one.  An exception of a job is raised, with
+    its type unchanged, by the call that waits for its result: for
+    `prepare`, the wait for the extension by its operator; an exception
+    of an extension that no step waits for is discarded.
 
     A thread overlaps nothing without a second CPU: pinned to one CPU of
     a 2-CPU Xeon VM, building the harmonic operator on one made the
@@ -227,10 +216,9 @@ class HarmonicWorker:
 
     def prepare(self, spaces: FESpacePair, L) -> None:
         """Hand over the factoring of the operator of mesh Laplacian L
-        on spaces, whose numbering must have its order (computed on the
-        calling thread by the first extension on it)."""
+        on spaces (see `_operator`)."""
         self._prepared = self.submit(_prepare, self._held, L,
-                                     *spaces.maps.interior)
+                                     spaces.maps.interior)
 
     def extend(self, spaces: FESpacePair, u: np.ndarray) -> Future:
         """Hand over the extension of u by the operator that `prepare`
@@ -287,22 +275,6 @@ def _serve(jobs: queue.SimpleQueue, held: list) -> None:
         _settle(*job)
         job = None              # not kept alive while waiting for the next
     held[0] = None
-
-
-def _inverse_order(perm_c: np.ndarray) -> np.ndarray:
-    """The inverse of the column permutation perm_c of SuperLU's MMD
-    factor of a matrix A, as a read-only array order.
-
-    perm_c is the MMD order on A^T + A followed by the postorder of the
-    column elimination tree, and both depend on the sparsity pattern
-    alone.  Factored with the NATURAL ordering, A[:, order] has the same
-    L, U and row pivots as A under MMD, and its solution y is x[order].
-    perm_c itself in place of its inverse gives far more fill.
-    """
-    order = np.empty_like(perm_c)
-    order[perm_c] = np.arange(len(order), dtype=order.dtype)
-    order.setflags(write=False)
-    return order
 
 
 def advance_mesh(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
@@ -377,29 +349,19 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
 
 
 def _old_edge_curve(mesh: Mesh, verts: np.ndarray, edges):
-    """Parametrize each interface segment by the old curved edge geometry."""
+    """Parametrize each interface segment by the old curved edge geometry:
+    curve(i, s) evaluates the edge from verts[i] to the next vertex of the
+    cycle at the parameters s in [0, 1]."""
     k = mesh.degree
     edge = edge_element(k)
-    n = len(verts)
 
-    def curve(i0, i1, s):
-        if (i0 + 1) % n == i1:
-            e, le = edges[i0]
-            forward = True
-        elif (i1 + 1) % n == i0:
-            e, le = edges[i1]
-            forward = False
-        else:
-            raise ValueError(f"({i0}, {i1}) is not a ring segment")
+    def curve(i, s):
+        e, le = edges[i]
         ids = mesh.elements[e, edge_local_nodes(k, le)]
         pos = mesh.coords[ids]                          # ordered along the edge
-        a = int(verts[i0 if forward else i1])
-        if ids[0] != a:
+        if ids[0] != verts[i]:
             pos = pos[::-1]
-        s = np.asarray(s, dtype=float)
-        if not forward:
-            s = 1.0 - s
-        return edge.shape_values(s).T @ pos
+        return edge.shape_values(np.asarray(s, dtype=float)).T @ pos
 
     return curve
 
@@ -410,7 +372,8 @@ _ARC_SAMPLES = 64
 
 
 def _redistribute(curve, n_old: int, h: float):
-    """A new ring on the closed curve of n_old segments: round(L / h)
+    """A new ring on the closed curve of n_old segments, segment i being
+    curve(i, s) for s in [0, 1] (see `_old_edge_curve`): round(L / h)
     vertices, at least 3, at equal arc length, L the curve's length.
     Returns (ring, segment_curve), segment_curve evaluating the curve
     between consecutive new vertices at equal arc length too.
@@ -420,7 +383,7 @@ def _redistribute(curve, n_old: int, h: float):
     is evaluated on the curve itself.
     """
     s = np.linspace(0.0, 1.0, _ARC_SAMPLES + 1)[:-1]
-    pts = np.vstack([curve(i, (i + 1) % n_old, s) for i in range(n_old)])
+    pts = np.vstack([curve(i, s) for i in range(n_old)])
     steps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
     # arc length at the samples, the closing vertex appended
     arc = np.concatenate([[0.0], np.cumsum(steps)])
@@ -434,7 +397,7 @@ def _redistribute(curve, n_old: int, h: float):
         out = np.empty((len(t), 2))
         for i in np.unique(seg):
             on = seg == i
-            out[on] = curve(i, (i + 1) % n_old, t[on] - i)
+            out[on] = curve(i, t[on] - i)
         return out
 
     def segment_curve(i0, i1, s):

@@ -33,10 +33,7 @@ sums, taken in element order, differ from its sums in the last bits.
 `Gather` replays matrices derived by slicing and stacking (the saddle
 matrix, the interior block of the mesh Laplacian): the slicing runs
 once on entry ids and is replayed as one gather per step, which only
-permutes entries and so is exact.  The maps also hold the column order
-in which `ale.harmonic_extension` factors that interior block:
-SuperLU's MMD ordering depends on the pattern alone, so it is computed
-once per numbering.
+permutes entries and so is exact.
 """
 
 from __future__ import annotations
@@ -157,24 +154,27 @@ def _scalar_pattern(dof_of: np.ndarray, n_dofs: int) -> Pattern:
     return Pattern(dof_of[:, :, None], dof_of[:, None, :], (n_dofs, n_dofs))
 
 
+def _zeros_on(pattern: Pattern) -> sparse.csr_matrix:
+    """A matrix on pattern, as a template for `Gather`."""
+    return sparse.csr_matrix(
+        (np.zeros(pattern.nnz), pattern.indices, pattern.indptr),
+        shape=pattern.shape)
+
+
 class DofMaps:
     """Index maps of the DOF numbering of a Taylor-Hood pair, each built
     on first use (see the module doc).  They hold the numbering's arrays
-    but no space, so that they keep no mesh alive.
-
-    interior is the column order in which `ale.harmonic_extension`
-    factors the interior block of the mesh Laplacian, with the gather of
-    that block in that order; the first extension on the numbering sets
-    it.
+    but no space, so that they keep no mesh alive.  interface_dofs and
+    boundary_dofs are scalar velocity DOF ids.
     """
 
     def __init__(self, velocity: ScalarSpace, pressure: ScalarSpace,
-                 boundary_dofs: np.ndarray):
+                 interface_dofs: np.ndarray, boundary_dofs: np.ndarray):
         self.dof_of = velocity.dof_of
         self.n_dofs = velocity.n_dofs
         self._pressure = pressure.dof_of, pressure.n_dofs
+        self._interface_dofs = interface_dofs
         self._boundary_dofs = boundary_dofs
-        self.interior: tuple[np.ndarray, Gather] | None = None
 
     @cached_property
     def scalar(self) -> Pattern:
@@ -239,10 +239,19 @@ class DofMaps:
 
         def derive(Kuu, C):
             return saddle_matrix(Kuu[free][:, free], (-C[:, free]).tocsr())
-        return Gather(derive, [
-            sparse.csr_matrix((np.zeros(S.nnz), S.indices, S.indptr),
-                              shape=S.shape)
-            for S in (self.vector, self.divergence)])
+        return Gather(derive, [_zeros_on(self.vector),
+                               _zeros_on(self.divergence)])
+
+    @cached_property
+    def interior(self) -> Gather:
+        """Gathers the interior block, in CSC, of a matrix on the scalar
+        pattern: the velocity DOFs off the interface and off the boundary,
+        on which `ale.harmonic_extension` solves."""
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[self._interface_dofs] = False
+        free[self._boundary_dofs] = False
+        return Gather(lambda L: L[free][:, free].tocsc(),
+                      [_zeros_on(self.scalar)])
 
 
 def _interleaved(maps: DofMaps, scalar_data: np.ndarray) -> sparse.csr_matrix:

@@ -219,8 +219,10 @@ def cmd_converge(config_path, levels: int = 3, m: int = 2, quiet=False) -> int:
         hpair = f"{report.h_values[i]:.3g}/{report.h_values[i + 1]:.3g}"
         print(f"{hpair:>10} " + " ".join(
             f"{report.differences[n][i]:14.6e}" for n in ("u", "w", "phi", "p")))
-    rates = " ".join(f"{report.rates[n][-1]:14.3f}" for n in ("u", "w", "phi", "p"))
-    print(f"{'rate':>10} " + rates)
+    # rate row i compares difference rows i and i + 1
+    for i in range(levels - 2):
+        print(f"{'rate':>10} " + " ".join(
+            f"{report.rates[n][i]:14.3f}" for n in ("u", "w", "phi", "p")))
     return 0
 
 

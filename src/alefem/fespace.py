@@ -226,7 +226,8 @@ def build_taylor_hood(mesh: Mesh, k: int) -> FESpacePair:
     interface_dofs = mesh.interface_node_ids()
     boundary_dofs = mesh.boundary_node_ids()
     return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs,
-                       DofMaps(velocity, pressure, boundary_dofs))
+                       DofMaps(velocity, pressure, interface_dofs,
+                               boundary_dofs))
 
 
 # ---------------------------------------------------------------------------

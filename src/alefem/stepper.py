@@ -31,7 +31,9 @@ over, and what the calling thread does meanwhile on two CPUs:
   next step extends on), both read off one gradient Gram, and C, while
   it assembles M_rho, the convection form and the pressure mean;
 - once the saddle matrix is gathered, the factoring of that
-  Laplacian's interior block, while it runs the saddle solve;
+  Laplacian's interior block (`ale._operator`, on the gather that the
+  calling thread built with the other index maps), while it runs the
+  saddle solve;
 - once `flow_solve` returns u, the extension of u by that Laplacian and
   factor (the w of the next state, unless the step remeshes), while it
   checks the mesh and records the state.
@@ -182,7 +184,8 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     submit = submit_inline if harmonic is None else harmonic.submit
     # built here, so that the jobs only read them
     geometry(mesh).physical_gradients(spaces.velocity, submit)
-    spaces.maps.scalar, spaces.maps.vector, spaces.maps.divergence
+    maps = spaces.maps
+    maps.scalar, maps.vector, maps.divergence, maps.interior
     jobs = [submit(viscous_and_laplacian, mesh, spaces, params),
             submit(assemble, "C", mesh, spaces, params)]
     M_rho = assemble("M_rho", mesh, spaces, params)
@@ -207,7 +210,7 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     # +-0: these liftings equal those through the sliced blocks bitwise
     rhs_f = rhs_u[free] - (Kuu @ u_bc)[free]
     rhs_p = C @ u_bc
-    A0 = spaces.maps.saddle([Kuu, C])
+    A0 = maps.saddle([Kuu, C])
     del Kuu, C
     # after assembly, so that its workspace does not add to theirs
     if harmonic is not None:

@@ -357,8 +357,8 @@ def build_scalar_space(mesh, degree, continuity=GLOBAL):
 def build_taylor_hood(mesh, k):
     velocity = build_scalar_space(mesh, k, GLOBAL)
     pressure = build_scalar_space(mesh, k - 1, SUBDOMAIN)
+    interface_dofs = edge_set_node_ids(mesh, mesh.interface_edges)
     boundary_dofs = edge_set_node_ids(mesh, mesh.boundary_edges)
-    return FESpacePair(velocity, pressure,
-                       edge_set_node_ids(mesh, mesh.interface_edges),
-                       boundary_dofs,
-                       DofMaps(velocity, pressure, boundary_dofs))
+    return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs,
+                       DofMaps(velocity, pressure, interface_dofs,
+                               boundary_dofs))

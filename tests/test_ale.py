@@ -1,9 +1,11 @@
 import math
+import threading
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from alefem import ale
@@ -14,7 +16,7 @@ from alefem.ale import (
     move_mesh,
     spaces_with_mesh,
 )
-from alefem.assembly import DofMaps, assemble, scalar_laplacian
+from alefem.assembly import DofMaps, Gather, assemble, scalar_laplacian
 from alefem.fespace import FESpacePair, build_taylor_hood, interpolate
 from alefem.mesh import (
     MINUS,
@@ -292,7 +294,7 @@ def test_interface_motion_matches_velocity_bitwise(setup):
 
 
 # ---------------------------------------------------------------------------
-# the cached column order of the harmonic extension
+# the one factorization of the harmonic operator
 
 
 def assert_exact(got, expect):
@@ -302,9 +304,9 @@ def assert_exact(got, expect):
     assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
-def mmd_harmonic_extension(mesh, spaces, u):
-    """The harmonic extension with the interior block factored under
-    SuperLU's MMD ordering at every call."""
+def sliced_harmonic_extension(mesh, spaces, u):
+    """The harmonic extension with the interior block sliced out of the
+    mesh Laplacian and factored with the options of `ale._operator`."""
     V = spaces.velocity
     L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
     fixed = np.zeros(V.n_dofs, dtype=bool)
@@ -314,77 +316,86 @@ def mmd_harmonic_extension(mesh, spaces, u):
     w = np.zeros((V.n_dofs, 2))
     w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
     rhs = -(L @ w)[free]
-    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     for c in range(2):
         w[free, c] = lu.solve(rhs[:, c])
     return w.ravel()
 
 
-def record_orderings(monkeypatch):
-    specs = []
-    original = ale.splu
-
-    def recording(A, permc_spec=None, **kwargs):
-        specs.append(permc_spec)
-        return original(A, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(ale, "splu", recording)
-    return specs
-
-
-def test_harmonic_extension_orders_once_per_numbering(monkeypatch):
-    # the count below is that of the overlapped path, which one CPU skips
+def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
+    """Over four steps on two CPUs and one extension on a renumbered
+    copy: every factor, on either thread, is SuperLU's MMD factor with
+    relax=1 of a block gathered through `DofMaps.interior`; no step
+    slices a matrix outside the building of a gather; and the extensions
+    of both threads equal a sliced reference bitwise."""
     monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
-    specs = record_orderings(monkeypatch)
+    factors = []
+    original = ale.splu
+
+    def recording(A, **kwargs):
+        factors.append((threading.current_thread(), A, kwargs))
+        return original(A, **kwargs)
+
+    monkeypatch.setattr(ale, "splu", recording)
+    slices, building = [], [0]
+    init = Gather.__init__
+
+    def build(self, *args):
+        building[0] += 1
+        try:
+            init(self, *args)
+        finally:
+            building[0] -= 1
+
+    monkeypatch.setattr(Gather, "__init__", build)
+    for cls in (sparse.csr_matrix, sparse.csc_matrix):
+        def getitem(self, key, _original=cls.__getitem__):
+            if not building[0]:
+                slices.append(self.shape)
+            return _original(self, key)
+        monkeypatch.setattr(cls, "__getitem__", getitem)
+
+    # (mesh, spaces, u, extension on the calling thread, on the worker)
+    extensions = []
     for _ in range(4):
         state = step(state, cfg)
-        got = harmonic_extension(state.mesh, state.spaces, state.u)
-        expect = mmd_harmonic_extension(state.mesh, state.spaces, state.u)
-        assert_exact(got, expect)
+        extensions.append((state.mesh, state.spaces, state.u,
+                           harmonic_extension(state.mesh, state.spaces,
+                                              state.u),
+                           state.w.result()))
     assert state.remesh_count == 0
-    # the operator prepared for the last configuration is factored on the
-    # worker; closing it waits for that
+    # closing waits for the operator prepared for the last configuration
     state.harmonic.close()
-    # the first step orders by MMD; every later factorization is in that
-    # order: one per configuration prepared during the flow solve that
-    # moved to it, the last one included, and one per extension above
-    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 8
 
-    # the same numbering under new identity orders again, and stays exact
     spaces = state.spaces
     V = spaces.velocity
     perm = np.random.default_rng(0).permutation(V.n_dofs)
     V_perm = replace(V, dof_of=perm[V.dof_of])
-    boundary = perm[spaces.boundary_dofs]
-    renumbered = FESpacePair(V_perm, spaces.pressure,
-                             perm[spaces.interface_dofs], boundary,
-                             DofMaps(V_perm, spaces.pressure, boundary))
+    interface, boundary = (perm[spaces.interface_dofs],
+                           perm[spaces.boundary_dofs])
+    renumbered = FESpacePair(V_perm, spaces.pressure, interface, boundary,
+                             DofMaps(V_perm, spaces.pressure, interface,
+                                     boundary))
     u = np.empty_like(state.u)
     u.reshape(-1, 2)[perm] = state.u.reshape(-1, 2)
-    del specs[:]
-    for _ in range(2):
-        assert_exact(harmonic_extension(state.mesh, renumbered, u),
-                     mmd_harmonic_extension(state.mesh, renumbered, u))
-    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+    got = harmonic_extension(state.mesh, renumbered, u)
+    assert slices == []
+    monkeypatch.undo()
 
-
-def test_harmonic_extension_keeps_mmd_fill():
-    """The NATURAL factor of the permuted block has the L, U and row
-    pivots of the MMD factor of the block."""
-    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
-    state = step(initialize(cfg), cfg)
-    spaces, V = state.spaces, state.spaces.velocity
-    L = scalar_laplacian(geometry(state.mesh), V, spaces.maps.scalar)
-    free = np.ones(V.n_dofs, dtype=bool)
-    free[spaces.interface_dofs] = False
-    free[spaces.boundary_dofs] = False
-    Lff = L[free][:, free].tocsc()
-    mmd = splu(Lff, permc_spec="MMD_AT_PLUS_A")
-    natural = splu(Lff[:, ale._inverse_order(mmd.perm_c)],
-                   permc_spec="NATURAL")
-    for a, b in ((mmd.L, natural.L), (mmd.U, natural.U)):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(a, part), getattr(b, part))
-    assert np.array_equal(mmd.perm_r, natural.perm_r)
+    # the first step's extension, one operator prepared per step and one
+    # per extension above
+    assert len(factors) == 10
+    threads = {thread for thread, _, _ in factors}
+    assert threading.main_thread() in threads and len(threads) == 2
+    for i, (_, A, kwargs) in enumerate(factors):
+        block = (renumbered if i == 9 else spaces).maps.interior
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "relax": 1}
+        assert isinstance(A, sparse.csc_matrix)
+        assert A.indices is block.indices or A.indices.base is block.indices
+    for mesh, spaces_n, u_n, here, worker in extensions:
+        expect = sliced_harmonic_extension(mesh, spaces_n, u_n)
+        assert_exact(here, expect)
+        assert_exact(worker, expect)
+    assert_exact(got, sliced_harmonic_extension(state.mesh, renumbered, u))

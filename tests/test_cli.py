@@ -2,6 +2,7 @@ import json
 import os
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from alefem import ale, stepper
@@ -267,6 +268,44 @@ def test_converge_failure_names_its_level(h, angle, error, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"converge failed at level 0 (h={h}): {error}")
+
+
+def converge_rows(out: str) -> tuple[list[str], list[str]]:
+    """The difference rows and the rate rows of converge's table."""
+    rows = [line.split() for line in out.splitlines()
+            if line and not line.startswith("#")][1:]
+    return ([r for r in rows if r[0] != "rate"],
+            [r for r in rows if r[0] == "rate"])
+
+
+def test_converge_prints_its_table(tmp_path, capsys):
+    """A real 3-level BP1 study: two difference rows and one rate row,
+    every entry finite."""
+    path = tmp_path / "study.cfg"
+    path.write_text(BP1_CONFIG.replace("h = 0.16", "h = 0.2")
+                    .replace("T = 0.05", "T = 0.01"))
+    assert main(["converge", str(path), "-q"]) == 0
+    differences, rates = converge_rows(capsys.readouterr().out)
+    assert [r[0] for r in differences] == ["0.2/0.1", "0.1/0.05"]
+    assert len(rates) == 1
+    for row in differences + rates:
+        assert len(row) == 5
+        assert np.all(np.isfinite([float(v) for v in row[1:]]))
+
+
+def test_converge_prints_every_rate(config_file, monkeypatch, capsys):
+    """Four levels give three differences and two rates, both printed."""
+    from alefem import verify
+
+    def study(config, levels, m, progress):
+        d = {n: [1.0, 0.25, 0.125] for n in ("u", "w", "phi", "p")}
+        return verify.RateReport([0.16, 0.08, 0.04, 0.02], d).compute_rates(m)
+
+    monkeypatch.setattr(verify, "spatial_convergence_study", study)
+    assert main(["converge", str(config_file), "-q", "--levels", "4"]) == 0
+    differences, rates = converge_rows(capsys.readouterr().out)
+    assert len(differences) == 3
+    assert [r[1:] for r in rates] == [["2.000"] * 4, ["1.000"] * 4]
 
 
 def test_negative_vtk_every_rejected(tmp_path, config_file, capsys):

@@ -101,9 +101,9 @@ def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
 
 
 def test_nothing_is_built_on_the_worker_thread(monkeypatch):
-    """The thread only reads the geometry tables, physical gradients,
-    index maps and interior orders that its jobs need: the main thread
-    builds each before it hands a job over."""
+    """The thread only reads the geometry tables, physical gradients
+    and index maps that its jobs need, the gather of the interior block
+    included: the main thread builds each before it hands a job over."""
     misuse = []
 
     def guarded(name, fn):
@@ -130,20 +130,19 @@ def test_nothing_is_built_on_the_worker_thread(monkeypatch):
 
     monkeypatch.setattr(GeometryTables, "physical_gradients",
                         physical_gradients)
-    monkeypatch.setattr(ale, "_inverse_order",
-                        guarded("_inverse_order", ale._inverse_order))
     worker_factors = []
     original = ale.splu
 
     def splu(*args, **kwargs):
         if off_main():
-            worker_factors.append(kwargs["permc_spec"])
+            worker_factors.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ale, "splu", splu)
     state, _ = run(config(5))
     assert misuse == []
-    assert worker_factors == ["NATURAL"] * 5
+    assert worker_factors == [{"permc_spec": "MMD_AT_PLUS_A",
+                               "relax": 1}] * 5
     assert state.remesh_count == 0
 
 
@@ -180,8 +179,8 @@ def counted_extensions(monkeypatch, *modules):
 
 
 def test_only_the_first_step_extends_on_the_calling_thread(monkeypatch):
-    """Every step but the first, which orders the numbering, takes the
-    w that the step before started on the worker (`State.w`)."""
+    """Every step but the first takes the w that the step before
+    started on the worker (`State.w`)."""
     threads = counted_extensions(monkeypatch, stepper)
     seen = []
     state, _ = run(config(4), sinks=[
@@ -260,8 +259,8 @@ def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
             t.name for t in threading.enumerate())])
     assert state.remesh_count == 0
     assert "alefem-harmonic" not in names
-    # the first step's ordering factor and one operator prepared per
-    # step, the last one unused as on two CPUs, each on the calling thread
+    # the first step's extension and one operator prepared per step,
+    # the last one unused as on two CPUs, each on the calling thread
     assert factors == [threading.get_ident()] * 5
     assert records == overlapped_records
     for a, b in ((state.u, overlapped.u), (state.p, overlapped.p),
@@ -321,7 +320,7 @@ def test_one_gram_per_configuration(monkeypatch):
     state, _ = run(config(4))
     assert state.remesh_count == 0
     assert len(grams) == 5 and grams[0] is threading.main_thread()
-    assert prepared == [["csr_matrix", "ndarray", "Gather"]] * 4
+    assert prepared == [["csr_matrix", "Gather"]] * 4
 
 
 def test_step_through_a_remesh(monkeypatch):

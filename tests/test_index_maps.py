@@ -207,7 +207,7 @@ def sliced_harmonic_extension(mesh, spaces, u):
     w = np.zeros((V.n_dofs, 2))
     w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
     rhs = -L[free][:, fixed] @ w[fixed]
-    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     for c in range(2):
         w[free, c] = lu.solve(rhs[:, c])
     return w.ravel()
