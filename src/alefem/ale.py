@@ -2,16 +2,18 @@
 
 The mesh velocity equals the fluid velocity on the interface (bitwise,
 by construction) and vanishes on the outer boundary; in the bulk it is
-the discrete harmonic extension of those boundary values, solved
-componentwise.  Every extension, on the calling thread or on a step's
-worker, factors the interior block of the mesh Laplacian one way
-(`_operator`), the block gathered through the index maps of its
-numbering (`DofMaps.interior`).  Remeshing redistributes the interface
-vertices at equal arc length, about h apart, along the old degree-k
-interface curve, and places the new interface edge nodes on that curve
-too, so the curve is kept up to the interpolation error of its new
-edges while its spacing is repaired; fields are transferred by point
-evaluation on the old mesh.
+the discrete harmonic extension of those boundary values.  Every factor
+of the interior block of the mesh Laplacian, the block gathered through
+the index maps of its numbering (`DofMaps.interior`), is made one way
+(`splu`).  On the calling thread an extension is a direct solve by a
+factor of its own configuration (`harmonic_extension`).  A step's worker
+keeps one factor per numbering across steps, and extends by CG
+preconditioned with it (`_Lagged`, see `HarmonicWorker`).  Remeshing
+redistributes the interface vertices at equal arc length, about h apart,
+along the old degree-k interface curve, and places the new interface
+edge nodes on that curve too, so the curve is kept up to the
+interpolation error of its new edges while its spacing is repaired;
+fields are transferred by point evaluation on the old mesh.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import threading
 import traceback
 import weakref
 from concurrent.futures import Future
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu
 
 from . import mesh as meshmod
 from .assembly import Gather, scalar_laplacian
@@ -35,6 +38,7 @@ from .fespace import (
     build_taylor_hood,
     evaluate_many,
 )
+from .linalg import SolverError, reusable
 from .mesh import (
     Mesh,
     MeshGenerationError,
@@ -43,6 +47,21 @@ from .mesh import (
     quality,
 )
 from .reference import edge_element, edge_local_nodes
+
+# CG iterations that one extension may spend on the lagged factor; after
+# an extension that spent more, the next step refactors (see `_Lagged`).
+# At h=0.04 an iteration costs about 0.45 ms and a factor about 9 ms, and
+# the iterations climb from 4 after a refactor, so that rise_h04
+# refactors every 8-15 steps; caps of 6, 8 and 12 gave its step times
+# within noise of each other.
+MAX_ITERATIONS = 8
+
+# Residual, relative to the right-hand side, at which CG stops a column
+TOLERANCE = 1e-13
+
+# CG iterations after which an extension refactors at once and finishes
+# on the fresh factor
+_CG_LIMIT = 30
 
 
 class RemeshError(Exception):
@@ -55,81 +74,214 @@ class RemeshError(Exception):
         self.ring = ring
 
 
-def harmonic_extension(mesh: Mesh, spaces: FESpacePair,
-                       u: np.ndarray) -> np.ndarray:
+class Extension(NamedTuple):
+    """A mesh velocity w with what its solve spent: CG iterations on the
+    lagged factor, and the factorizations of the interior block made for
+    it (0 when it reused the factor of an earlier step)."""
+
+    w: np.ndarray
+    iterations: int
+    factorizations: int
+
+
+def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
+                       L=None) -> np.ndarray:
     """Discrete harmonic mesh velocity matching u on the interface.
 
     Interface DOFs of the result equal those of u bitwise, boundary DOFs
     are exactly zero, and interior DOFs minimize the Dirichlet energy of
     each subdomain (one global solve; the fixed interface row decouples
-    the subdomains).
+    the subdomains).  L is the mesh Laplacian of mesh
+    (`mesh_laplacian`), assembled here when not given.
 
-    The operator of the extension, the mesh Laplacian L and the factor
-    of its interior block, depends on the configuration alone; only the
-    lift of u on the fixed DOFs and the two triangular solves need u.
-    Here the operator is built on the calling thread; a step reads the
-    next configuration's L off its viscous form and factors it on its
-    worker (see `HarmonicWorker`), by the same `_operator`.
+    This is a direct solve, componentwise, by a factor of the interior
+    block of L, made and freed on the calling thread.  A step's worker
+    extends by CG on a factor lagged across steps instead (see
+    `HarmonicWorker`).
     """
-    maps = spaces.maps
-    L = scalar_laplacian(geometry(mesh), spaces.velocity, maps.scalar)
-    return _extend(*_operator(L, maps.interior), spaces, u)
-
-
-def _free(spaces: FESpacePair) -> np.ndarray:
-    """Mask of the velocity DOFs on neither the interface nor the
-    boundary."""
-    free = np.ones(spaces.velocity.n_dofs, dtype=bool)
-    free[spaces.interface_dofs] = False
-    free[spaces.boundary_dofs] = False
-    return free
-
-
-def _extend(L, solve, spaces: FESpacePair, u: np.ndarray) -> np.ndarray:
-    """The harmonic extension of u by the operator (L, solve)."""
-    free = _free(spaces)
-    w = np.zeros((spaces.velocity.n_dofs, 2))
-    uv = u.reshape(-1, 2)
-    w[spaces.interface_dofs] = uv[spaces.interface_dofs]
-    w[spaces.boundary_dofs] = 0.0
-    # w vanishes on the free DOFs, whose columns therefore add only +-0:
-    # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
-    rhs = -(L @ w)[free]
+    if L is None:
+        L = mesh_laplacian(mesh, spaces)
+    w, free, rhs = _lift(L, spaces, u)
+    lu = splu(spaces.maps.interior([L]))
     for c in range(2):
-        w[free, c] = solve(rhs[:, c])
+        w[free, c] = lu.solve(rhs[:, c])
     return w.ravel()
 
 
-def _operator(L, block: Gather):
-    """The operator (L, solve) of mesh Laplacian L, block being the
-    gather of its interior block (`DofMaps.interior`).
+def mesh_laplacian(mesh: Mesh, spaces: FESpacePair):
+    """The scalar Laplacian of mesh on the velocity numbering of
+    spaces."""
+    return scalar_laplacian(geometry(mesh), spaces.velocity,
+                            spaces.maps.scalar)
 
-    The block is factored in SuperLU's MMD order on A^T + A with
-    relax=1, which keeps SuperLU from merging columns into relaxed
-    supernodes whose explicit zeros it stores and factors.  After two
-    rising-bubble steps, on one CPU of a 2-CPU Xeon VM, SuperLU's
-    default relaxation stored 572,890 entries against 203,056 and took
-    23.9 ms against 8.7 ms at h=0.04, and 4,484,356 against 1,105,402
-    entries and 371 ms against 51 ms at h=0.02.
+
+def _lift(L, spaces: FESpacePair, u: np.ndarray):
+    """(w, free, rhs) of the extension of u by mesh Laplacian L: w is
+    (n_dofs, 2), holding u on the interface and 0 elsewhere, free masks
+    the DOFs on neither the interface nor the boundary, and rhs is the
+    right-hand side of the interior block's system."""
+    free = np.ones(spaces.velocity.n_dofs, dtype=bool)
+    free[spaces.interface_dofs] = False
+    free[spaces.boundary_dofs] = False
+    w = np.zeros((spaces.velocity.n_dofs, 2))
+    w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
+    # w vanishes on the free DOFs, whose columns therefore add only +-0:
+    # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
+    return w, free, -(L @ w)[free]
+
+
+def splu(A):
+    """The LU factor of A, the interior block of a mesh Laplacian, as
+    `DofMaps.interior` gathers it.  perfbench/tracing.py times every
+    harmonic factorization by wrapping this name.
+
+    It is SuperLU's incomplete LU with no drop tolerance and the basic
+    drop rule alone, which drops nothing: the full LU, to rounding.  The
+    incomplete path is taken for its fill_factor, the first guess of the
+    factor's size, from which SuperLU grows the factor as it needs.
+    scipy's splu guesses 20 times the block's entries and keeps all it
+    reserved: at h=0.04 a factor touched 2.0 MB of the 35-46 MB of
+    address space it held, where with fill_factor=2 it holds 2.8 MB
+    (14.7 MB against 150 MB at h=0.02, touching 11.4 MB).  Held across
+    steps by the calling thread, on one CPU, the large reservation kept
+    that much of the malloc heap from reuse: pinned to one CPU, rise_h04
+    runs peaked at 171 MB with a lagged splu factor, at 150-153 MB with
+    this one, and at 153-156 MB when each step factored anew.  Held by
+    the worker's thread, on two CPUs, it cost less than this one: 156-157
+    MB against 159-160 MB (BENCH_pr22.json).
+
+    The block is factored in MMD order on A^T + A with relax=1, which
+    keeps SuperLU from merging columns into relaxed supernodes whose
+    explicit zeros it stores and factors: after two rising-bubble steps,
+    on one CPU of a 2-CPU Xeon VM, SuperLU's default relaxation stored
+    575,054 entries against 204,457 and took 30.7 ms against 9.1 ms at
+    h=0.04, and 4,491,119 against 1,111,769 entries and 596 ms against
+    57 ms at h=0.02.
     """
-    return L, splu(block([L]), permc_spec="MMD_AT_PLUS_A", relax=1).solve
+    return spilu(A, drop_tol=0.0, fill_factor=2, drop_rule="basic",
+                 permc_spec="MMD_AT_PLUS_A", relax=1)
 
 
-def _prepare(held: list, *operator) -> None:
-    """The job that builds an operator (see `_operator`) into held[0],
-    freeing the one there first."""
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inner products of the columns of a and b."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+class _Lagged:
+    """The factor of one numbering's interior block that a worker keeps
+    across steps, with what CG needs between them: the interior values
+    of the last extension, from which the next one starts, and work
+    arrays.  Between remeshes the block changes only by O(tau) per step,
+    so a factor of an earlier configuration preconditions CG on the
+    current one.
+
+    An extension that spends more than MAX_ITERATIONS leaves its L in
+    stale, and the next step's first job (`_refactor`) factors it.
+    """
+
+    def __init__(self, L, block: Gather):
+        self.block = block
+        self.n = n = block.shape[0]
+        self.lu = None
+        self.factorizations = 0         # made since the last extension
+        self.refactor(L)
+        self.x = np.zeros((n, 2))
+        self.r, self.p, self.t = (np.empty((n, 2)) for _ in range(3))
+
+    def refactor(self, L) -> None:
+        """Replace the factor by one of L's block, freeing the old one
+        before the new one is made."""
+        self.stale = None
+        self.lu = None
+        self.lu = splu(self.block([L]))
+        self.factorizations += 1
+
+    def extend(self, L, spaces: FESpacePair, u: np.ndarray) -> Extension:
+        """The harmonic extension of u by mesh Laplacian L of this
+        numbering, to a residual of TOLERANCE per component."""
+        w, free, rhs = _lift(L, spaces, u)
+        A = self.block([L])
+        iterations, converged = self._cg(A, rhs)
+        if not converged:
+            # too far off to go on: refactor at once and finish from x
+            self.refactor(L)
+            more, converged = self._cg(A, rhs)
+            iterations += more
+            if not converged:
+                raise SolverError(f"harmonic extension: CG did not reach "
+                                  f"{TOLERANCE:g} on a fresh factor")
+        elif iterations > MAX_ITERATIONS:
+            self.stale = L
+        w[free] = self.x
+        made, self.factorizations = self.factorizations, 0
+        return Extension(w.ravel(), iterations, made)
+
+    def _cg(self, A, b: np.ndarray) -> tuple[int, bool]:
+        """Preconditioned CG on the columns of A x = b from x, in place:
+        each iteration solves by the factor for both columns at once, and
+        a column stops once its residual is within TOLERANCE of its b (a
+        zero b gives x = 0).  Returns (iterations, converged), stopping
+        unconverged after _CG_LIMIT iterations."""
+        x, r, p, t = self.x, self.r, self.p, self.t
+        target = (TOLERANCE * np.linalg.norm(b, axis=0)) ** 2
+        x[:, target == 0.0] = 0.0
+        np.subtract(b, A @ x, out=r)
+        rz = None
+        for k in range(_CG_LIMIT + 1):
+            active = _dots(r, r) > target
+            if not active.any():
+                return k, True
+            if k == _CG_LIMIT:
+                return k, False
+            z = self.lu.solve(r)
+            rz_old, rz = rz, _dots(r, z)
+            if rz_old is None:
+                p[:] = z
+            else:
+                p *= np.divide(rz, rz_old, out=np.zeros(2),
+                               where=rz_old != 0.0)
+                p += z
+            q = A @ p
+            alpha = np.divide(rz, _dots(p, q), out=np.zeros(2),
+                              where=active)
+            np.multiply(p, alpha, out=t)
+            x += t
+            np.multiply(q, alpha, out=t)
+            r -= t
+
+
+def _refactor(held: list, L, block: Gather) -> None:
+    """A step's first job.  With L, the mesh Laplacian of a new
+    numbering whose interior block block gathers, it replaces the lagged
+    factor in held[0] by one of L's block; with L None, it refactors the
+    lagged factor when the extension before it spent more than
+    MAX_ITERATIONS.  Should the factoring raise, held[0] is left empty,
+    so that the next extension factors afresh and raises the error
+    where a step waits for it."""
+    lagged, held[0] = held[0], None
+    if L is not None:
+        del lagged                      # freed before the new one is made
+        held[0] = _Lagged(L, block)
+    elif lagged is not None:
+        if lagged.stale is not None:
+            lagged.refactor(lagged.stale)
+        held[0] = lagged
+
+
+def _extend_held(held: list, L, spaces: FESpacePair,
+                 u: np.ndarray) -> Extension:
+    """The job that extends u by mesh Laplacian L with the lagged factor
+    in held[0], made first when held[0] holds none of this size."""
+    block = spaces.maps.interior
+    if not reusable(held[0], block.shape[0]):
+        held[0] = None                  # freed before the new one is made
+        held[0] = _Lagged(L, block)
+    return held[0].extend(L, spaces, u)
+
+
+def _drop(held: list) -> None:
+    """The job that frees the lagged factor in held[0]."""
     held[0] = None
-    held[0] = _operator(*operator)
-
-
-def _extend_held(held: list, prepared: Future, spaces: FESpacePair,
-                 u: np.ndarray) -> np.ndarray:
-    """The job that extends u by the operator in held[0] and uses it up;
-    when the `_prepare` job prepared raised, this raises its error."""
-    op, held[0] = held[0], None
-    if op is None:
-        raise prepared.exception()
-    return _extend(*op, spaces, u)
 
 
 def submit_inline(fn, *args) -> Future:
@@ -147,20 +299,37 @@ class HarmonicWorker:
     `stepper`.
 
     The moved mesh of step n is the configuration on which step n + 1
-    extends, so its operator, the mesh Laplacian that the A_mu job hands
-    back and the factor of its interior block (`prepare`, by the
-    `_operator` of `harmonic_extension`), is built in step n and used up
-    by the extension of the new u that step n starts (`extend`).  The two
-    jobs hand it over in one slot, held, which only jobs and the end of
-    the thread touch, so every factor is made, used and freed where the
-    jobs run: scipy's SuperLU wrapper records each allocation in a
-    registry of the allocating thread and frees a pointer only on that
-    thread, so a factor released elsewhere would leak its memory.  The
-    caller gets back only the future of w.  An operator whose extension
-    was never started, because the saddle solve raised, is freed by the
-    next `prepare`, or when the thread ends (on one CPU, with the
-    worker).  The other jobs hand back arrays and sparse matrices, never
-    a factor.
+    extends, so step n extends its new u on the worker, by the mesh
+    Laplacian that the A_mu job hands back (`prepare`, `extend`).  The
+    slot held keeps, across steps, the lagged factor of the numbering's
+    interior block (`_Lagged`): its SuperLU factor, the interior values
+    of the last w, from which CG starts, and CG's work arrays.  A step
+    whose state has no w, the first one of a numbering, extends on the
+    calling thread by a direct solve and hands the Laplacian of that
+    extension to its first job, which factors it (`refactor`); an
+    extension that spends more than MAX_ITERATIONS CG iterations leaves
+    its Laplacian for the next step's first job to factor; a remesh
+    frees the factor (`drop`), whose numbering it ended.  So the worker
+    factors once per numbering and once per overrun, and never while the
+    calling thread runs the saddle solve: at h=0.04 on a 2-CPU Xeon VM,
+    a factor made alongside slowed each of the saddle solve's triangular
+    solves from 1.33-1.41 ms to 2.20-2.71 ms, and triangular solves
+    alongside did not (1.28-1.45 ms).  The factoring is a step's first
+    job, once the calling thread has released the old mesh's geometry
+    table, because memory is at its low point then, and a factor held
+    across steps pins the memory it lands on (see `splu` for what it
+    reserves).  A prototype that refactored during the saddle solve made
+    a rise_h04 run's peak RSS grow from 152 to 170-205 MB.
+
+    Only jobs and the end of the thread touch held, so every factor is
+    made, used and freed where the jobs run: scipy's SuperLU wrapper
+    records each allocation in a registry of the allocating thread and
+    frees a pointer only on that thread, so a factor released elsewhere
+    would leak its memory.  The caller gets back only the future of the
+    `Extension`, and the other jobs hand back arrays and sparse
+    matrices, never a factor.  The lagged factor is freed by `drop`, by
+    the factoring of a new numbering, or when the thread ends (on one
+    CPU, with the worker).
 
     The geometry table and physical gradients of a mesh, and the index
     maps of a numbering (the gather of the interior block among them),
@@ -169,8 +338,9 @@ class HarmonicWorker:
     job is handed over, so the thread only reads them and the two
     threads never both build one.  An exception of a job is raised, with
     its type unchanged, by the call that waits for its result: for
-    `prepare`, the wait for the extension by its operator; an exception
-    of an extension that no step waits for is discarded.
+    `refactor`, the wait for the extension after it, which factors
+    afresh; an exception of an extension that no step waits for is
+    discarded.
 
     A thread overlaps nothing without a second CPU: pinned to one CPU of
     a 2-CPU Xeon VM, building the harmonic operator on one made the
@@ -192,8 +362,8 @@ class HarmonicWorker:
         self._jobs: queue.SimpleQueue | None = None
         self._stop = None
         self._held = [None]
-        # the future of the `_prepare` job handed over last
-        self._prepared: Future | None = None
+        # the mesh Laplacian that `prepare` took for the next `extend`
+        self._laplacian = None
 
     def submit(self, fn, *args) -> Future:
         """A future of fn(*args), run on the thread, or done already
@@ -214,21 +384,31 @@ class HarmonicWorker:
         self._jobs.put((done, fn, args))
         return done
 
-    def prepare(self, spaces: FESpacePair, L) -> None:
-        """Hand over the factoring of the operator of mesh Laplacian L
-        on spaces (see `_operator`)."""
-        self._prepared = self.submit(_prepare, self._held, L,
-                                     spaces.maps.interior)
+    def refactor(self, spaces: FESpacePair, L) -> None:
+        """Hand over a step's first job (see `_refactor`): with L, the
+        mesh Laplacian of the configuration of spaces, it factors the
+        interior block of their new numbering; with L None, it refactors
+        the lagged factor when the extension before it overran."""
+        self.submit(_refactor, self._held, L, spaces.maps.interior)
+
+    def prepare(self, L) -> None:
+        """Take L, the mesh Laplacian of the moved mesh, for the next
+        `extend`; nothing runs until then."""
+        self._laplacian = L
 
     def extend(self, spaces: FESpacePair, u: np.ndarray) -> Future:
-        """Hand over the extension of u by the operator that `prepare`
-        handed over last, on the configuration of spaces; returns the
-        future of w.  u must not change until w is done."""
-        return self.submit(_extend_held, self._held, self._prepared,
-                           spaces, u)
+        """Hand over the extension of u by the Laplacian that `prepare`
+        took last, on the configuration of spaces; returns the future of
+        its `Extension`.  u must not change until that is done."""
+        L, self._laplacian = self._laplacian, None
+        return self.submit(_extend_held, self._held, L, spaces, u)
+
+    def drop(self) -> None:
+        """Free the lagged factor, once the jobs before have run."""
+        self.submit(_drop, self._held).result()
 
     def close(self) -> None:
-        """Join the thread, which frees its last operator first."""
+        """Join the thread, which frees its lagged factor first."""
         if self._stop is not None:
             self._stop()
 
@@ -270,7 +450,7 @@ def _settle(done: Future, fn, args: tuple) -> None:
 
 def _serve(jobs: queue.SimpleQueue, held: list) -> None:
     """The loop of a `HarmonicWorker`'s thread.  It empties held when it
-    ends, so that the thread frees the operator left there."""
+    ends, so that the thread frees the lagged factor left there."""
     while (job := jobs.get()) is not None:
         _settle(*job)
         job = None              # not kept alive while waiting for the next

@@ -14,6 +14,11 @@ sets it): under OpenBLAS's default of two threads, records 1, 3, 4 and
 6 of a 6-step k=2 h=0.04 run differed in bits between a process on two
 CPUs and one pinned to one.  So `manifest.json` records the CPUs the
 run may use and the BLAS thread variables it found.
+
+`alefem run` writes each row of `bench.csv` as it is recorded.  A run
+that raises keeps those rows, and its `manifest.json` reads `"status":
+"failed"` with the error's type and message and the last recorded
+level (`last_step`, `final_time`).
 """
 
 from __future__ import annotations
@@ -129,18 +134,26 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
         return 2
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_rows = []
+    rows = 0
     remesh_events = []
     saddle_iterations = []
+    harmonic_iterations = []
     last_count = 0
+    last = {}                           # of the level recorded last
     reached = "before the first t-level"
 
     def sink(i, state, rec):
-        nonlocal last_count, reached
+        nonlocal rows, last_count, reached
         reached = f"after t-level {i} (t={state.t:g})"
-        csv_rows.append(rec.csv_row())
+        csv.write(rec.csv_row() + "\n")
+        csv.flush()
+        rows += 1
+        last.update(last_step=i, final_time=state.t,
+                    saddle_factorizations=state.saddle_factorizations,
+                    harmonic_factorizations=state.harmonic_factorizations)
         if i > 0:
             saddle_iterations.append(state.saddle_iterations)
+            harmonic_iterations.append(state.harmonic_iterations)
         if rec.remesh_count > last_count:
             remesh_events.append({"step": i, "t": state.t,
                                   "count": rec.remesh_count})
@@ -153,31 +166,41 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
                   f"com_y={rec.center_of_mass[1]:.5f} "
                   f"v_rise={rec.rise_velocity:.5f} remesh={rec.remesh_count}")
 
-    try:
-        final_state, records = run(config, sinks=[sink])
-    except Exception as err:
-        print(f"run failed {reached}: {err}", file=sys.stderr)
-        return 1
-    (out / "bench.csv").write_text(
-        BenchmarkRecord.CSV_HEADER + "\n" + "\n".join(csv_rows) + "\n")
+    error = None
+    # each row is written as the sink receives it, so that a failed run
+    # keeps the rows before the failure
+    with open(out / "bench.csv", "w") as csv:
+        csv.write(BenchmarkRecord.CSV_HEADER + "\n")
+        try:
+            run(config, sinks=[sink])
+        except Exception as err:
+            error = err
+            print(f"run failed {reached}: {err}", file=sys.stderr)
     manifest = {
         "version": __version__,
         "config": config_echo(config),
-        "rows": len(csv_rows),
+        "status": "completed" if error is None else "failed",
+        "rows": rows,
         "csv": "bench.csv",
         "remesh_events": remesh_events,
-        "final_time": final_state.t,
-        "saddle_factorizations": final_state.saddle_factorizations,
-        "saddle_iterations_max": max(saddle_iterations, default=0),
-        "saddle_iterations_mean": (float(np.mean(saddle_iterations))
-                                   if saddle_iterations else 0.0),
-        "cpus_available": ale._cpus_available(),
-        "blas_threads": {name: os.environ.get(name) for name in (
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        **last,
     }
+    if error is not None:
+        manifest["error"] = {"type": type(error).__name__,
+                             "message": str(error)}
+    for name, its in (("saddle", saddle_iterations),
+                      ("harmonic", harmonic_iterations)):
+        manifest[f"{name}_iterations_max"] = max(its, default=0)
+        manifest[f"{name}_iterations_mean"] = (float(np.mean(its))
+                                               if its else 0.0)
+    manifest["cpus_available"] = ale._cpus_available()
+    manifest["blas_threads"] = {name: os.environ.get(name) for name in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    if error is not None:
+        return 1
     if not quiet:
-        print(f"wrote {out / 'bench.csv'} ({len(csv_rows)} rows), "
+        print(f"wrote {out / 'bench.csv'} ({rows} rows), "
               f"{len(remesh_events)} remesh events")
     return 0
 

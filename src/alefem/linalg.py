@@ -109,6 +109,15 @@ class SaddleFactor:
         return np.append(x1 - lam * self.x2, lam)
 
 
+def reusable(factor, n: int) -> bool:
+    """Whether factor, handed on by an earlier solve, may precondition a
+    solve of n unknowns rather than be replaced by a fresh factorization:
+    a stale factor is handed on as None, and one of another size belongs
+    to another numbering.  The saddle solve and the harmonic extension
+    (`ale._extend_held`) both decide so."""
+    return factor is not None and factor.n == n
+
+
 @dataclass
 class SaddleStats:
     """What a saddle solve hands on: the factor for the next solve (None
@@ -242,7 +251,7 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
 
     factorizations = 0
     converged = False
-    if factor is not None and factor.n == n:
+    if reusable(factor, n):
         z, iterations, converged = refine(factor)
     if not converged:
         factor = None               # drop this reference before allocating

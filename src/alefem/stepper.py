@@ -22,21 +22,29 @@ Each step hands part of its work to the state's `HarmonicWorker`,
 which runs it on a second thread when the process may use two CPUs and
 at once on the calling thread when it may use one.  The step is the
 same either way, and so are its results, bitwise, when BLAS runs on one
-thread (see `HarmonicWorker`).  The jobs, in the order (3) hands them
-over, and what the calling thread does meanwhile on two CPUs:
+thread (see `HarmonicWorker`).  The jobs, in the order the step hands
+them over, and what the calling thread does meanwhile on two CPUs:
 
-- the upper halves of the moved mesh's geometry table and physical
-  gradients, while it builds the lower halves and assembles the load;
+- once (1) has w and has released the old mesh's geometry table, the
+  factoring of the interior block of a new numbering's mesh Laplacian,
+  when (1) was a direct solve, or else the refactoring of the worker's
+  lagged factor, when the extension of the step before spent more than
+  `ale.MAX_ITERATIONS` CG iterations, and nothing otherwise; then the
+  upper halves of the moved mesh's geometry table and physical
+  gradients, while it moves the mesh, builds the lower halves and
+  assembles the load;
 - A_mu with the mesh Laplacian of the moved mesh (the configuration the
   next step extends on), both read off one gradient Gram, and C, while
-  it assembles M_rho, the convection form and the pressure mean;
-- once the saddle matrix is gathered, the factoring of that
-  Laplacian's interior block (`ale._operator`, on the gather that the
-  calling thread built with the other index maps), while it runs the
-  saddle solve;
-- once `flow_solve` returns u, the extension of u by that Laplacian and
-  factor (the w of the next state, unless the step remeshes), while it
-  checks the mesh and records the state.
+  it assembles M_rho, the convection form and the pressure mean, and
+  then runs the saddle solve, during which the worker factors nothing;
+- once `flow_solve` returns u, the extension of u by that Laplacian, by
+  CG preconditioned with the lagged factor, the w of the next state
+  unless the step remeshes, while it checks the mesh and records the
+  state.
+
+A step that remeshes frees the lagged factor, whose numbering is dead,
+before it returns; the next step extends on the calling thread by a
+direct solve, as the first step does.
 """
 
 from __future__ import annotations
@@ -48,10 +56,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ale import (
+    Extension,
     HarmonicWorker,
     advance_mesh,
     check_and_remesh,
     harmonic_extension,
+    mesh_laplacian,
     move_mesh,
     spaces_with_mesh,
     submit_inline,
@@ -129,12 +139,16 @@ class State:
     so far.  factor is the saddle factor that preconditions the next flow
     solve (None makes that solve factor afresh); saddle_iterations are
     the iterations of the last flow solve and saddle_factorizations the
-    factorizations since initialize().  harmonic is the step worker,
-    made with the first state and handed from state to state; `run`
-    closes it.  w is the future of the mesh velocity of (mesh, u), which
-    the step that made the state started on harmonic; it is None after
-    initialize() and after a remesh (see `mesh_velocity`).  The state is
-    frozen and u read-only, so w cannot go stale.
+    factorizations since initialize().  harmonic_iterations are the CG
+    iterations of the mesh velocity the last step moved by (0 for a
+    direct solve), and harmonic_factorizations the factorizations made
+    for the mesh velocities the steps since initialize() moved by.
+    harmonic is the step worker, made with the first state and handed
+    from state to state; `run` closes it.  w is the future of the
+    `Extension` of u on mesh, which the step that made the state started
+    on harmonic; it is None after initialize() and after a remesh (see
+    `mesh_velocity`).  The state is frozen and u read-only, so w cannot
+    go stale.
     """
 
     t: float
@@ -147,6 +161,8 @@ class State:
     factor: SaddleFactor | None = None
     saddle_iterations: int = 0
     saddle_factorizations: int = 0
+    harmonic_iterations: int = 0
+    harmonic_factorizations: int = 0
     harmonic: HarmonicWorker = field(default_factory=HarmonicWorker)
     w: Future | None = None
 
@@ -176,10 +192,9 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     default) and the zero-mean pressure constraint, preconditioned by
     factor when one is given (see `solve_saddle`).  Half of the physical
     gradients, A_mu with the mesh Laplacian L, and C are jobs of
-    harmonic (see `HarmonicWorker`), which then prepares the harmonic
-    operator of mesh from L during the saddle solve; without harmonic
-    the jobs run on the calling thread and nothing is prepared.
-    Returns (u, p, multiplier, stats).
+    harmonic (see `HarmonicWorker`), which then takes L for the
+    extension of u (`HarmonicWorker.prepare`); without harmonic the jobs
+    run on the calling thread.  Returns (u, p, multiplier, stats).
     """
     submit = submit_inline if harmonic is None else harmonic.submit
     # built here, so that the jobs only read them
@@ -212,9 +227,9 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     rhs_p = C @ u_bc
     A0 = maps.saddle([Kuu, C])
     del Kuu, C
-    # after assembly, so that its workspace does not add to theirs
     if harmonic is not None:
-        harmonic.prepare(spaces, L)
+        harmonic.prepare(L)
+    del L
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
@@ -222,11 +237,14 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     return u, p, lam, stats
 
 
-def mesh_velocity(state: State) -> np.ndarray:
+def mesh_velocity(state: State, L=None) -> Extension:
     """The mesh velocity of state: its w, or, when it has none, the
-    harmonic extension of its u built on the calling thread."""
+    harmonic extension of its u by a direct solve on the calling thread
+    (no CG iterations, one factorization), by L, the mesh Laplacian of
+    state.mesh, when given."""
     if state.w is None:
-        return harmonic_extension(state.mesh, state.spaces, state.u)
+        return Extension(harmonic_extension(state.mesh, state.spaces,
+                                            state.u, L), 0, 1)
     return state.w.result()
 
 
@@ -234,10 +252,18 @@ def step(state: State, config: SimConfig) -> State:
     """Advance the coupled system by one time step."""
     params = config.params
     tau = config.tau
+    harmonic = state.harmonic
 
-    # (1) mesh velocity from the current velocity
-    w = mesh_velocity(state)
+    # (1) mesh velocity from the current velocity.  A state without w
+    # starts a numbering: the worker factors the interior block of the
+    # Laplacian of its direct extension, as the step's first job.
+    L = mesh_laplacian(state.mesh, state.spaces) if state.w is None else None
+    extension = mesh_velocity(state, L)
+    w = extension.w
     state.mesh.release_tables()         # before the moved mesh's is built
+    # after the release, where the step's memory is at its low point
+    harmonic.refactor(state.spaces, L)
+    del L
 
     # (2) move the mesh, carrying all coefficients nodally
     x_new = advance_mesh(state.mesh.x, w, tau)
@@ -246,12 +272,12 @@ def step(state: State, config: SimConfig) -> State:
 
     # (3) implicit flow solve with convection frozen at u^n - w^n, on
     # the moved mesh's geometry table, built in halves with the worker
-    mesh.tables(state.harmonic.submit)
+    mesh.tables(harmonic.submit)
     load = assemble_load(mesh, spaces, params)
     u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
                                 transport=state.u - w, load=load,
-                                factor=state.factor, harmonic=state.harmonic)
-    w_next = state.harmonic.extend(spaces, u)
+                                factor=state.factor, harmonic=harmonic)
+    w_next = harmonic.extend(spaces, u)
 
     # (4) remesh on the angle criterion
     fields = {"u": ("velocity", u), "p": ("pressure", p)}
@@ -261,6 +287,8 @@ def step(state: State, config: SimConfig) -> State:
     if did_remesh:
         u = fields2["u"][1]
         p = fields2["p"][1]
+        # before the next step factors the new numbering's block
+        harmonic.drop()
     return State(
         t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
         min_angle=min_angle,
@@ -270,7 +298,10 @@ def step(state: State, config: SimConfig) -> State:
         saddle_iterations=stats.iterations,
         saddle_factorizations=(state.saddle_factorizations
                                + stats.factorizations),
-        harmonic=state.harmonic,
+        harmonic_iterations=extension.iterations,
+        harmonic_factorizations=(state.harmonic_factorizations
+                                 + extension.factorizations),
+        harmonic=harmonic,
         w=None if did_remesh else w_next)
 
 

@@ -315,7 +315,7 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
             raise RuntimeError(
                 "remeshing occurred during the rate study; shorten T or "
                 "refine tau (the pullback comparison needs an unremeshed run)")
-        w_final = mesh_velocity(state)
+        w_final = mesh_velocity(state).w
         runs.append({
             "mesh0": mesh0,
             "spaces0": spaces0,

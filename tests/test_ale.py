@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu
 
 from alefem import ale
 from alefem.ale import (
@@ -306,7 +306,7 @@ def assert_exact(got, expect):
 
 def sliced_harmonic_extension(mesh, spaces, u):
     """The harmonic extension with the interior block sliced out of the
-    mesh Laplacian and factored with the options of `ale._operator`."""
+    mesh Laplacian and factored with the options of `ale.splu`."""
     V = spaces.velocity
     L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
     fixed = np.zeros(V.n_dofs, dtype=bool)
@@ -316,7 +316,8 @@ def sliced_harmonic_extension(mesh, spaces, u):
     w = np.zeros((V.n_dofs, 2))
     w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
     rhs = -(L @ w)[free]
-    lu = splu(L[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
+    lu = spilu(L[free][:, free].tocsc(), drop_tol=0.0, fill_factor=2,
+               drop_rule="basic", permc_spec="MMD_AT_PLUS_A", relax=1)
     for c in range(2):
         w[free, c] = lu.solve(rhs[:, c])
     return w.ravel()
@@ -324,21 +325,23 @@ def sliced_harmonic_extension(mesh, spaces, u):
 
 def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
     """Over four steps on two CPUs and one extension on a renumbered
-    copy: every factor, on either thread, is SuperLU's MMD factor with
-    relax=1 of a block gathered through `DofMaps.interior`; no step
-    slices a matrix outside the building of a gather; and the extensions
-    of both threads equal a sliced reference bitwise."""
+    copy: every factor, on either thread, is SuperLU's full LU in MMD
+    order with relax=1 (see `ale.splu`) of a block gathered through
+    `DofMaps.interior`; no step
+    slices a matrix outside the building of a gather; the extensions of
+    the calling thread equal a sliced reference bitwise, and those of
+    the worker, by CG on its lagged factor, to 1e-12."""
     monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
     factors = []
-    original = ale.splu
+    original = ale.spilu
 
     def recording(A, **kwargs):
         factors.append((threading.current_thread(), A, kwargs))
         return original(A, **kwargs)
 
-    monkeypatch.setattr(ale, "splu", recording)
+    monkeypatch.setattr(ale, "spilu", recording)
     slices, building = [], [0]
     init = Gather.__init__
 
@@ -364,9 +367,8 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
         extensions.append((state.mesh, state.spaces, state.u,
                            harmonic_extension(state.mesh, state.spaces,
                                               state.u),
-                           state.w.result()))
+                           state.w.result().w))
     assert state.remesh_count == 0
-    # closing waits for the operator prepared for the last configuration
     state.harmonic.close()
 
     spaces = state.spaces
@@ -384,18 +386,89 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
     assert slices == []
     monkeypatch.undo()
 
-    # the first step's extension, one operator prepared per step and one
-    # per extension above
-    assert len(factors) == 10
-    threads = {thread for thread, _, _ in factors}
-    assert threading.main_thread() in threads and len(threads) == 2
+    # the first step's direct extension and the worker's factor of its
+    # numbering, which every later step reuses, and one per extension
+    # above
+    assert len(factors) == 7
+    threads = [thread for thread, _, _ in factors]
+    assert threads.count(threading.main_thread()) == 6
+    assert len(set(threads)) == 2
     for i, (_, A, kwargs) in enumerate(factors):
-        block = (renumbered if i == 9 else spaces).maps.interior
-        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "relax": 1}
+        block = (renumbered if i == 6 else spaces).maps.interior
+        assert kwargs == {"drop_tol": 0.0, "fill_factor": 2,
+                          "drop_rule": "basic",
+                          "permc_spec": "MMD_AT_PLUS_A", "relax": 1}
         assert isinstance(A, sparse.csc_matrix)
         assert A.indices is block.indices or A.indices.base is block.indices
     for mesh, spaces_n, u_n, here, worker in extensions:
         expect = sliced_harmonic_extension(mesh, spaces_n, u_n)
         assert_exact(here, expect)
-        assert_exact(worker, expect)
+        assert np.abs(worker - expect).max() <= 1e-12 * np.abs(expect).max()
     assert_exact(got, sliced_harmonic_extension(state.mesh, renumbered, u))
+
+
+@pytest.mark.parametrize("cap", [1, ale.MAX_ITERATIONS])
+def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
+    """Over 24 steps at h=0.16, every w that a step moves by, extended on
+    the worker by CG on the lagged factor, equals the sliced direct
+    extension to 1e-12 of its size; its interface DOFs are those of u
+    bitwise and its boundary DOFs exactly 0.  A cap of 1 makes every
+    extension but the first overrun it, so that each later step
+    refactors first; at the default cap no step does."""
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
+    monkeypatch.setattr(ale, "MAX_ITERATIONS", cap)
+    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
+    state = initialize(cfg)
+    iterations = []
+    try:
+        for _ in range(24):
+            state = step(state, cfg)
+            extension = state.w.result()
+            w, spaces = extension.w, state.spaces
+            iterations.append(extension.iterations)
+            expect = sliced_harmonic_extension(state.mesh, spaces, state.u)
+            assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
+            iv = spaces.vector_dofs(spaces.interface_dofs)
+            bv = spaces.vector_dofs(spaces.boundary_dofs)
+            assert w[iv].tobytes() == state.u[iv].tobytes()
+            assert np.array_equal(np.signbit(w[bv]), np.zeros(len(bv), bool))
+            assert not w[bv].any()
+    finally:
+        state.harmonic.close()
+    assert state.remesh_count == 0
+    # the last state's steps moved by a direct extension, the worker's
+    # first one, factored for its numbering, and then by extensions that
+    # factor only after an overrun of the one before: those of the first
+    # 22 steps, the last of which the last state moved by
+    overruns = sum(i > cap for i in iterations[:-2])
+    assert state.harmonic_factorizations == 2 + overruns
+    if cap == 1:
+        assert overruns == 21
+    else:
+        assert overruns == 0 and max(iterations) <= cap
+
+
+def test_lagged_extension_refactors_when_cg_stalls(monkeypatch):
+    """An extension that does not converge within `ale._CG_LIMIT`
+    iterations on the lagged factor refactors at once and finishes on
+    the fresh factor, to the same accuracy."""
+    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
+    monkeypatch.setattr(ale, "_CG_LIMIT", 2)
+    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
+    state = initialize(cfg)
+    extensions = []
+    try:
+        for _ in range(6):
+            state = step(state, cfg)
+            extension = state.w.result()
+            extensions.append(extension)
+            expect = sliced_harmonic_extension(state.mesh, state.spaces,
+                                               state.u)
+            assert np.abs(extension.w - expect).max() \
+                <= 1e-12 * np.abs(expect).max()
+    finally:
+        state.harmonic.close()
+    # the first extends on the factor of its own configuration; each
+    # later one stalls after 2 iterations and refactors
+    assert [e.factorizations for e in extensions] == [1] * 6
+    assert all(e.iterations > 2 for e in extensions[1:])

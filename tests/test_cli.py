@@ -179,13 +179,20 @@ def test_cmd_run_writes_outputs(tmp_path, config_file):
     ts = [float(r.split(",")[0]) for r in csv[1:]]
     assert ts == sorted(ts)
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "completed" and "error" not in manifest
     assert manifest["config"]["h"] == 0.16
     assert manifest["rows"] == 11
+    assert manifest["last_step"] == 10
     steps = manifest["rows"] - 1
     assert 1 <= manifest["saddle_factorizations"] <= steps + 1
     assert 1 <= manifest["saddle_iterations_max"]
     assert 1 <= manifest["saddle_iterations_mean"] \
         <= manifest["saddle_iterations_max"]
+    # a direct extension, then the worker's of the one numbering
+    assert 2 <= manifest["harmonic_factorizations"] <= steps + 1
+    assert 1 <= manifest["harmonic_iterations_max"]
+    assert 0 < manifest["harmonic_iterations_mean"] \
+        <= manifest["harmonic_iterations_max"]
     assert (out / "state_000000.vtk").exists()
     assert (out / "state_000010.vtk").exists()
     # what bitwise reproducibility across CPU counts depends on
@@ -212,6 +219,37 @@ def test_failed_run_names_the_last_recorded_level(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err == ("run failed after t-level 5 (t=0.025): "
                    "forced step failure\n")
+
+
+def test_failed_run_keeps_its_records(tmp_path, config_file, monkeypatch,
+                                      capsys):
+    """A run whose third step raises leaves the rows of t-levels 0-2 in
+    bench.csv and a manifest that names the failure and the last
+    recorded level."""
+    original, steps = stepper.step, []
+
+    def step(state, config):
+        steps.append(state.t)
+        if len(steps) == 3:
+            raise RuntimeError("forced step failure")
+        return original(state, config)
+
+    monkeypatch.setattr(stepper, "step", step)
+    out = tmp_path / "out"
+    assert cmd_run(config_file, out, quiet=True) == 1
+    assert capsys.readouterr().err == ("run failed after t-level 2 "
+                                       "(t=0.01): forced step failure\n")
+    csv = (out / "bench.csv").read_text().splitlines()
+    assert csv[0].startswith("t,circularity,")
+    ts = [float(row.split(",")[0]) for row in csv[1:]]
+    assert ts == [0.0, 0.005, 0.01]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == {"type": "RuntimeError",
+                                 "message": "forced step failure"}
+    assert manifest["rows"] == 3
+    assert manifest["last_step"] == 2
+    assert manifest["final_time"] == ts[-1]
 
 
 def test_cmd_run_deterministic(tmp_path, config_file):

@@ -1,18 +1,19 @@
 """The contract of the step worker (`ale.HarmonicWorker`).
 
-Before its saddle solve, a step hands a second thread half of the moved
-mesh's geometry table and physical gradients, then A_mu together with
-the moved mesh's Laplacian, both read off one gradient Gram, and C.
-During the saddle solve the thread factors the interior block of that
-Laplacian, and then it extends the new u by that factor there; the
-state the step makes carries that extension as its w, which the next
-step takes unless the step remeshed.  These tests pin what that thread
-may and may not do: free its factors itself, build nothing that is
-built on first use, use an operator only on its own mesh, form one Gram
-per configuration, give bitwise the arrays of one thread, through a
-remesh too, and hand its errors to the step that waits for them.  On
-one CPU the step hands over the same jobs, which run at once on the
-calling thread, and no thread is started.
+Before its saddle solve, a step hands a second thread the factoring of
+the lagged harmonic factor when one is due, half of the moved mesh's
+geometry table and physical gradients, then A_mu together with the
+moved mesh's Laplacian, both read off one gradient Gram, and C.  After
+the saddle solve the thread extends the new u by CG on that Laplacian,
+preconditioned by the lagged factor; the state the step makes carries
+that extension as its w, which the next step takes unless the step
+remeshed.  These tests pin what that thread may and may not do: free its
+factors itself, hold at most one, build nothing that is built on first
+use, extend only on its own mesh, form one Gram per configuration, give
+bitwise the arrays of one thread, through a remesh too, and hand its
+errors to the step that waits for them.  On one CPU the step hands over
+the same jobs, which run at once on the calling thread, and no thread
+is started.
 """
 
 import gc
@@ -79,8 +80,8 @@ class Factor:
 
 def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
     log = []
-    original = ale.splu
-    monkeypatch.setattr(ale, "splu",
+    original = ale.spilu
+    monkeypatch.setattr(ale, "spilu",
                         lambda *a, **kw: Factor(original(*a, **kw), log))
     run(config(4))
     # a branch: two steps from one state both take its w, the extension
@@ -98,6 +99,45 @@ def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
     main = threading.main_thread().ident
     assert main in made.values()
     assert any(tid != main for tid in made.values())
+
+
+def test_one_harmonic_factor_is_alive_at_a_time(monkeypatch):
+    """Through a remesh, with a cap of 1, so that every extension on a
+    factor of an earlier configuration overruns and the next step
+    refactors: at no time are two harmonic factors alive, each is freed
+    before the next is made, and on the thread that made it."""
+    log = []
+    original = ale.spilu
+    monkeypatch.setattr(ale, "spilu",
+                        lambda *a, **kw: Factor(original(*a, **kw), log))
+    monkeypatch.setattr(ale, "MAX_ITERATIONS", 1)
+    angle = quality(generate_bubble_mesh(RECT, CENTER, RADIUS, 0.12, 2)
+                    ).min_angle
+    cfg = SimConfig(params=BP1, k=2, h=0.12, tau=TAU, T=6 * TAU,
+                    remesh_angle=angle - 1e-6)
+    state, _ = run(cfg)
+    assert state.remesh_count == 1
+    del state
+    gc.collect()
+    alive, threads = set(), {}
+    for event, key, tid in log:
+        if event == "made":
+            assert not alive
+            alive.add(key)
+            threads[key] = tid
+        else:
+            alive.remove(key)
+            assert threads[key] == tid
+    assert not alive
+    made = [tid for event, _, tid in log if event == "made"]
+    main = threading.main_thread().ident
+    # per numbering (steps 1 and 3): the direct extension on the calling
+    # thread, then the worker's factor; then one refactor per step after
+    # an overrun, steps 4-6.  Step 1 extends on the mesh that the zero
+    # initial velocity left in place, the one its factor is of, so it
+    # does not overrun.
+    assert made.count(main) == 2
+    assert len(made) == 2 + 2 + 3
 
 
 def test_nothing_is_built_on_the_worker_thread(monkeypatch):
@@ -131,34 +171,44 @@ def test_nothing_is_built_on_the_worker_thread(monkeypatch):
     monkeypatch.setattr(GeometryTables, "physical_gradients",
                         physical_gradients)
     worker_factors = []
-    original = ale.splu
+    original = ale.spilu
 
-    def splu(*args, **kwargs):
+    def spilu(*args, **kwargs):
         if off_main():
             worker_factors.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ale, "splu", splu)
+    monkeypatch.setattr(ale, "spilu", spilu)
     state, _ = run(config(5))
     assert misuse == []
-    assert worker_factors == [{"permc_spec": "MMD_AT_PLUS_A",
-                               "relax": 1}] * 5
+    # the lagged factor of the one numbering, made in step 1
+    assert worker_factors == [{"drop_tol": 0.0, "fill_factor": 2,
+                               "drop_rule": "basic",
+                               "permc_spec": "MMD_AT_PLUS_A", "relax": 1}]
     assert state.remesh_count == 0
 
 
 def test_prepared_operator_is_used_only_on_its_own_mesh():
+    """A step moves by the w of its state, the extension of the state's u
+    on the state's mesh (by CG on the worker's lagged factor, to 1e-12
+    of the direct extension there), never by one on another mesh."""
     cfg = config(3)
     state = step(initialize(cfg), cfg)
     try:
-        # both calls take state.w, extended by the operator prepared for
-        # state.mesh; by the second, the worker holds one prepared for
-        # the mesh of the first call's result
+        # both calls take state.w; by the second, the worker has extended
+        # on the mesh of the first call's result with the same factor
         for _ in range(2):
             moved = step(state, cfg)
             assert moved.remesh_count == 0
-            w = harmonic_extension(state.mesh, state.spaces, state.u)
+            w = state.w.result().w
             expect = advance_mesh(state.mesh.x, w, TAU)
             assert moved.mesh.x.tobytes() == expect.tobytes()
+            direct = harmonic_extension(state.mesh, state.spaces, state.u)
+            elsewhere = harmonic_extension(moved.mesh, moved.spaces,
+                                           state.u)
+            scale = np.abs(direct).max()
+            assert np.abs(w - direct).max() <= 1e-12 * scale
+            assert np.abs(w - elsewhere).max() > 1e-6 * scale
     finally:
         state.harmonic.close()
 
@@ -217,7 +267,7 @@ def test_state_is_frozen_and_its_velocity_read_only():
 
 
 def test_worker_error_surfaces_in_the_step_that_uses_it(monkeypatch):
-    original = ale.splu
+    original = ale.spilu
     workers = []
 
     def failing(*args, **kwargs):
@@ -226,12 +276,12 @@ def test_worker_error_surfaces_in_the_step_that_uses_it(monkeypatch):
             raise RuntimeError("forced factorization failure")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ale, "splu", failing)
+    monkeypatch.setattr(ale, "spilu", failing)
     done = []
     with pytest.raises(RuntimeError,
                        match="forced factorization failure") as raised:
         run(config(4), sinks=[lambda i, state, rec: done.append(i)])
-    # step 1 prepares the operator that step 2 uses
+    # step 1 factors on the worker for the extension that step 2 waits for
     assert done == [0, 1]
     assert workers
     # joined while the traceback, and with it the last state and its
@@ -246,22 +296,23 @@ def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
     overlapped, overlapped_records = run(config(4))
     monkeypatch.setattr(ale, "_cpus_available", lambda: 1)
     factors = []
-    original = ale.splu
+    original = ale.spilu
 
-    def splu(*args, **kwargs):
+    def spilu(*args, **kwargs):
         factors.append(threading.get_ident())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ale, "splu", splu)
+    monkeypatch.setattr(ale, "spilu", spilu)
     names = []
     state, records = run(config(4), sinks=[
         lambda i, state, rec: names.extend(
             t.name for t in threading.enumerate())])
     assert state.remesh_count == 0
     assert "alefem-harmonic" not in names
-    # the first step's extension and one operator prepared per step,
-    # the last one unused as on two CPUs, each on the calling thread
-    assert factors == [threading.get_ident()] * 5
+    # the first step's direct extension and the lagged factor of its
+    # numbering, which every later step reuses, as on two CPUs, both on
+    # the calling thread; none in the last step
+    assert factors == [threading.get_ident()] * 2
     assert records == overlapped_records
     for a, b in ((state.u, overlapped.u), (state.p, overlapped.p),
                  (state.mesh.x, overlapped.mesh.x)):
@@ -286,7 +337,10 @@ def test_one_and_two_cpus_hand_over_the_same_jobs(monkeypatch):
             lambda i, state, rec: names[-1].extend(
                 t.name for t in threading.enumerate())]))
     assert submitted[0] == submitted[1]
-    assert "_prepare" in submitted[0] and "assemble" in submitted[0]
+    # each step's first job is the refactor, and its last the extension
+    assert submitted[0].count("_refactor") == 3
+    assert submitted[0].count("_extend_held") == 3
+    assert submitted[0][0] == "_refactor" and "assemble" in submitted[0]
     assert "alefem-harmonic" not in names[0]
     assert "alefem-harmonic" in names[1]
     (one, one_records), (two, two_records) = runs
@@ -299,10 +353,11 @@ def test_one_and_two_cpus_hand_over_the_same_jobs(monkeypatch):
 
 def test_one_gram_per_configuration(monkeypatch):
     """Each step reads A_mu and the mesh Laplacian off one gradient Gram
-    (`assembly.viscous_and_laplacian`), and its operator job gets that
+    (`assembly.viscous_and_laplacian`), and its extension job gets that
     Laplacian, not a geometry table or a space: four steps form five
-    Grams, one for the first step's extension and one per A_mu job."""
-    grams, prepared = [], []
+    Grams, one for the first step's direct extension, whose Laplacian
+    the worker factors as step 1's first job, and one per A_mu job."""
+    grams, refactored, extended = [], [], []
     original = assembly._gram_local
 
     def gram(*args):
@@ -310,17 +365,24 @@ def test_one_gram_per_configuration(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(assembly, "_gram_local", gram)
-    prepare = ale._prepare
+    refactor, extend = ale._refactor, ale._extend_held
 
-    def spy(held, *operator):
-        prepared.append([type(arg).__name__ for arg in operator])
-        return prepare(held, *operator)
+    def spy_refactor(held, L, block):
+        refactored.append([type(L).__name__, type(block).__name__])
+        return refactor(held, L, block)
 
-    monkeypatch.setattr(ale, "_prepare", spy)
+    def spy_extend(held, L, spaces, u):
+        extended.append(type(L).__name__)
+        return extend(held, L, spaces, u)
+
+    monkeypatch.setattr(ale, "_refactor", spy_refactor)
+    monkeypatch.setattr(ale, "_extend_held", spy_extend)
     state, _ = run(config(4))
     assert state.remesh_count == 0
     assert len(grams) == 5 and grams[0] is threading.main_thread()
-    assert prepared == [["csr_matrix", "Gather"]] * 4
+    assert refactored == ([["csr_matrix", "Gather"]]
+                          + [["NoneType", "Gather"]] * 3)
+    assert extended == ["csr_matrix"] * 4
 
 
 def test_step_through_a_remesh(monkeypatch):
