@@ -331,9 +331,9 @@ class HarmonicWorker:
     the factoring of a new numbering, or when the thread ends (on one
     CPU, with the worker).
 
-    The geometry table and physical gradients of a mesh, and the index
-    maps of a numbering (the gather of the interior block among them),
-    are built on first use and kept by the mesh and the numbering.
+    The geometry table of a mesh and the index maps of a numbering (the
+    gather of the interior block among them) are built on first use and
+    kept by the mesh and the numbering.
     Every one that a job reads is built on the calling thread before the
     job is handed over, so the thread only reads them and the two
     threads never both build one.  An exception of a job is raised, with

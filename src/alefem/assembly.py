@@ -15,8 +15,25 @@ Available kinds for `assemble`:
     A_mu   viscous form            v^T Am u  = sum_K 2 mu_K int D(u):D(v)
     C      divergence form         q^T C v   = sum_K  int (div v) q
 
-A, A_mu and the mesh Laplacian are all read off one element Gram of the
-physical basis gradients (`_gram_local`, `viscous_and_laplacian`).
+Element kernels.  Each is one GEMM, F @ T, of per-point factors F, a
+row per element, against a reference tensor T fixed by the degrees and
+the rule (`_reference_tensor`); phi, psi are the velocity and pressure
+bases, d^_c the reference derivatives and wdet = w_q detJ:
+
+    form        rows  F[e, row]                   cols  T[row, col]
+    mass        q     wdet rho                    ij    phi_i phi_j
+    convection  qc    wdet rho (Jinv a)_c         ij    phi_i d^_c phi_j
+    divergence  qca   wdet Jinv[c, a]             ijb   psi_i d^_c phi_j [a=b]
+    Gram        cdq   wdet Jinv[c, a] Jinv[d, b]  ij    d^_c phi_i d^_d phi_j
+
+The Gram's F has a block per ab = 00, 11, 01 and runs per element chunk;
+A, A_mu and the mesh Laplacian L = K00 + K11 are read off its K (see
+`viscous_and_laplacian`), so a configuration keeps only its Jacobian
+table.  Against kernels that read an (E, Q, n_loc, 2) table of physical
+gradients, at h=0.04, k=2 on one CPU of a 2-CPU Xeon VM (best of 20,
+`BENCH_pr23.json`): mass 1.3 -> 0.3 ms, convection 6.6 -> 4.4 ms, the
+Gram with that table's build 12.5 -> 5.9 ms, the divergence 1.4 -> 1.7
+ms (2.5 times that with F as (2, E, 2Q), spent in transposes).
 
 Index maps.  Between remeshes the nodes move but the connectivity does
 not, so every matrix keeps its sparsity pattern for hundreds of steps.
@@ -39,14 +56,16 @@ permutes entries and so is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 
 from .fespace import FESpacePair, ScalarSpace
 from .linalg import saddle_matrix
-from .mesh import MINUS, GeometryTables, Mesh, geometry, values_at_points
+from .mesh import MINUS, GeometryTables, Mesh, geometry
+from .quadrature import triangle_rule
+from .reference import reference_element
 
 MATRIX_KINDS = ("M", "M_rho", "A", "A_mu", "C")
 
@@ -291,18 +310,41 @@ def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
 # element kernels
 
 
+@lru_cache(maxsize=None)
+def _reference_tensor(form: str, test: int, trial: int,
+                      rule_degree: int) -> np.ndarray:
+    """The read-only reference tensor T of form (see the module doc) for
+    the basis of degree test against that of degree trial at the points
+    of triangle_rule(rule_degree)."""
+    points = triangle_rule(rule_degree).points
+    Q = len(points)
+    ref_i, ref_j = reference_element(test), reference_element(trial)
+    phi, dphi = ref_i.shape_values(points), ref_i.shape_gradients(points)
+    phj, dphj = ref_j.shape_values(points), ref_j.shape_gradients(points)
+    if form == "mass":
+        T = np.einsum("iq,jq->qij", phi, phj).reshape(Q, -1)
+    elif form == "convection":
+        T = np.einsum("iq,jqc->qcij", phi, dphj).reshape(2 * Q, -1)
+    elif form == "divergence":
+        T = np.einsum("iq,jqc,ab->qcaijb", phi, dphj, np.eye(2))
+        T = T.reshape(4 * Q, -1)
+    else:                                       # the gradient Gram
+        T = np.einsum("iqc,jqd->cdqij", dphi, dphj).reshape(4 * Q, -1)
+    T.setflags(write=False)
+    return T
+
+
 def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
-    vals = space.basis_values(geom.rule.points)         # (n_loc, Q)
+    T = _reference_tensor("mass", space.degree, space.degree, geom.rule_degree)
     w = geom.wdet if weights is None else geom.wdet * weights[:, None]
-    return (vals[None] * w[:, None, :]) @ vals.T        # (E, n_loc, n_loc)
+    return (w @ T).reshape(-1, space.n_local, space.n_local)
 
 
-# Elements per chunk of the gradient Gram.  Its work arrays would be
-# four times as large as the physical gradients; the Gram is formed in
-# the A_mu job, alongside the convection form, so it sets the peak
-# memory of a run.  Chunks of 128 elements keep them to a few hundred
-# kB; chunks of 512 raised the peak of the rising-bubble run at h=0.08
-# by about 5 MB.
+# Elements per chunk of the gradient Gram.  Its work arrays, the factors
+# F and the chunk's element matrices K, would outgrow the Jacobian table;
+# the Gram runs beside the flow assembly, so it sets the peak memory of a
+# run.  Chunks of 128 elements keep them to a few hundred kB; chunks of
+# 512 raised the peak of the rising-bubble run at h=0.08 by about 5 MB.
 _ELEMENT_CHUNK = 128
 
 
@@ -310,48 +352,57 @@ def _gram_local(geom: GeometryTables, V: ScalarSpace, mu=None):
     """Entries (E, n_loc, n_loc) of the Laplacian and (E, n_loc, 2,
     n_loc, 2) of the viscous form, None without mu, read off one Gram of
     the physical gradients per element; mu multiplies last."""
-    gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
-    E, Q, n_loc, _ = gphys.shape
+    T = _reference_tensor("gram", V.degree, V.degree, geom.rule_degree)
+    E, Q = geom.wdet.shape
+    n_loc = V.n_local
     laplacian = np.empty((E, n_loc, n_loc))
     viscous = None if mu is None else np.empty((E, n_loc, 2, n_loc, 2))
+    F = np.empty((3, min(E, _ELEMENT_CHUNK), 2, 2, Q))
     for lo in range(0, E, _ELEMENT_CHUNK):
-        # P[(i,a),(j,b)] = int_K d_a phi_i d_b phi_j
-        G = gphys[lo:lo + _ELEMENT_CHUNK].reshape(-1, Q, 2 * n_loc)
-        n = len(G)
-        P = (G * geom.wdet[lo:lo + n, :, None]).transpose(0, 2, 1) @ G
-        P = P.reshape(n, n_loc, 2, n_loc, 2)
-        trace = np.add(P[:, :, 0, :, 0], P[:, :, 1, :, 1],
-                       out=laplacian[lo:lo + n])
+        # X[e, a, c, q] = Jinv[e, q, c, a]: d xi_c / d x_a
+        X = geom.Jinv[lo:lo + _ELEMENT_CHUNK].transpose(0, 3, 2, 1)
+        n = len(X)
+        wX = X * geom.wdet[lo:lo + n, None, None, :]
+        # F[ab, e, c, d, q] = wdet Jinv[c, a] Jinv[d, b], ab = 00, 11, 01
+        for f, (a, b) in zip(F, ((0, 0), (1, 1), (0, 1))):
+            np.multiply(wX[:, a, :, None], X[:, b, None], out=f[:n])
+        # K[ab, e, i, j] = int_K d_a phi_i d_b phi_j
+        K = (F[:, :n].reshape(3 * n, 4 * Q) @ T).reshape(3, n, n_loc, n_loc)
+        trace = np.add(K[0], K[1], out=laplacian[lo:lo + n])
         if viscous is None:
             continue
-        out = viscous[lo:lo + n]
-        out[...] = np.swapaxes(P, 2, 4)                 # [i,a,j,b] = P[i,b,j,a]
-        out[:, :, 0, :, 0] += trace
-        out[:, :, 1, :, 1] += trace
+        out = viscous[lo:lo + n]                # [i,a,j,b] = K[ba][i, j]
+        np.add(K[0], trace, out=out[:, :, 0, :, 0])
+        np.add(K[1], trace, out=out[:, :, 1, :, 1])
+        out[:, :, 0, :, 1] = K[2].transpose(0, 2, 1)
+        out[:, :, 1, :, 0] = K[2]
         out *= mu[lo:lo + n, None, None, None, None]
     return laplacian, viscous
 
 
 def _divergence_local(geom: GeometryTables, P: ScalarSpace, V: ScalarSpace):
     """Entries (E, n_p, n_v, 2) of the divergence form."""
-    pvals = P.basis_values(geom.rule.points)            # (n_p, Q)
-    gphys = geom.physical_gradients(V)                  # (E, Q, n_v, 2)
-    E, Q, n_v, _ = gphys.shape
-    G = gphys.reshape(E, Q, 2 * n_v)
-    return ((pvals[None] * geom.wdet[:, None, :]) @ G).reshape(
-        E, P.n_local, n_v, 2)
+    T = _reference_tensor("divergence", P.degree, V.degree, geom.rule_degree)
+    E, Q = geom.wdet.shape
+    F = geom.Jinv * geom.wdet[:, :, None, None]         # rows (q, c, a)
+    return (F.reshape(E, 4 * Q) @ T).reshape(E, P.n_local, V.n_local, 2)
 
 
 def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
                       transport: np.ndarray):
     """Scalar entries (E, n_loc, n_loc) of the convection form."""
-    vals = V.basis_values(geom.rule.points)             # (n_loc, Q)
-    gphys = geom.physical_gradients(V)                  # (E, Q, n_loc, 2)
-    a_q = values_at_points(vals, transport.reshape(-1, 2), V.dof_of)  # (E, Q, 2)
+    T = _reference_tensor("convection", V.degree, V.degree, geom.rule_degree)
+    a = field_values(V, transport, geom)                # (E, Q, 2)
+    # scalar form: int phi_i (a . grad phi_j), identical for both
+    # components; a . grad = sum_c (Jinv a)_c d^_c
     w = geom.wdet * rho[:, None]
-    # scalar form: int phi_i (a . grad phi_j); identical for both components
-    adg = np.einsum("eqja,eqa->eqj", gphys, a_q)        # (E, Q, n_loc)
-    return (vals[None] * w[:, None, :]) @ adg
+    J = geom.Jinv
+    E, Q = w.shape
+    F = np.empty((E, Q, 2))
+    for c in range(2):
+        np.multiply(J[:, :, c, 0] * a[..., 0] + J[:, :, c, 1] * a[..., 1],
+                    w, out=F[:, :, c])
+    return (F.reshape(E, 2 * Q) @ T).reshape(E, V.n_local, V.n_local)
 
 
 def scalar_mass(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
@@ -465,18 +516,23 @@ def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair) -> np.ndarray:
 
 def field_values(space: ScalarSpace, coeffs: np.ndarray,
                  geom: GeometryTables) -> np.ndarray:
-    """Vector field values at quadrature points; (E, Q, 2)."""
-    vals = space.basis_values(geom.rule.points)
-    return values_at_points(vals, coeffs.reshape(-1, 2), space.dof_of)
+    """Vector field values at quadrature points; (E, Q, 2), the view of
+    one GEMM's (E, 2, Q) result."""
+    cf = coeffs.reshape(-1, 2)[space.dof_of].transpose(0, 2, 1)
+    vals = space.basis_values(geom.rule.points)         # (n_loc, Q)
+    return (cf.reshape(-1, space.n_local) @ vals).reshape(
+        len(cf), 2, -1).transpose(0, 2, 1)
 
 
 def field_gradients(space: ScalarSpace, coeffs: np.ndarray,
                     geom: GeometryTables) -> np.ndarray:
     """Vector field Jacobians at quadrature points; (E, Q, 2, 2) with
     entry [i, j] = d u_i / d x_j."""
-    gphys = geom.physical_gradients(space)
-    cf = coeffs.reshape(-1, 2)[space.dof_of]
-    return cf.transpose(0, 2, 1)[:, None] @ gphys
+    G = space.basis_gradients(geom.rule.points)        # (n_loc, Q, 2)
+    cf = coeffs.reshape(-1, 2)[space.dof_of].transpose(0, 2, 1)
+    # reference gradients [e, i, q, c] = d u_i / d xi_c, times d xi / d x
+    ref = cf.reshape(-1, len(G)) @ G.reshape(len(G), -1)
+    return ref.reshape(len(cf), 2, -1, 2).transpose(0, 2, 1, 3) @ geom.Jinv
 
 
 def scalar_field_values(space: ScalarSpace, coeffs: np.ndarray,

@@ -234,40 +234,12 @@ def map_points(mesh: Mesh, elems, ref: np.ndarray):
 # while the saddle factor of the previous step is alive.
 _CHUNK = 256
 
-# Elements per block of the (x, y) pair transpose in `physical_gradients`.
-_PAIR_BLOCK = 64
-
 
 def _element_major(a: np.ndarray, out: np.ndarray) -> None:
     """Copy the element-innermost array a (..., n) into the C-ordered
     array out (n, ...), as one 2-D transpose: numpy copies that far
     faster than the same data through a 3- or 4-D transposed view."""
     out.reshape(len(out), -1)[...] = a.reshape(-1, len(out)).T
-
-
-def values_at_points(vals: np.ndarray, nodal: np.ndarray,
-                     cells: np.ndarray) -> np.ndarray:
-    """sum_l vals[l, q] * nodal[cells[e, l]] for nodal pairs (N, 2); a
-    C-ordered (E, Q, 2) array, contracted element-innermost as
-    `GeometryTables` does.  The convection kernel reads it: on the
-    strided result of einsum(..., optimize=True) that kernel took
-    13.6-14.2 ms instead of 7.7-11.2 ms at h=0.04, k=2 on one CPU."""
-    out = np.empty((len(cells), vals.shape[1], 2))
-    for lo in range(0, len(cells), _CHUNK):
-        part = nodal.T[:, cells[lo:lo + _CHUNK].T]     # (2, n_loc, n)
-        _element_major(np.einsum("lq,ile->qie", vals, part),
-                       out[lo:lo + _CHUNK])
-    return out
-
-
-def _in_halves(fn, n: int, split: int, submit) -> None:
-    """fn(0, split) on the calling thread and, when split < n, fn(split,
-    n) through submit, which runs fn(*args) on another thread and
-    returns a future of its result.  Returns once both are done."""
-    job = submit(fn, split, n) if split < n else None
-    fn(0, split)
-    if job is not None:
-        job.result()
 
 
 class GeometryTables:
@@ -286,18 +258,19 @@ class GeometryTables:
     VM (best of 20), 7.4-8.0 ms against 9.5-11.3 ms for einsums over
     (E, n_loc, 2) node arrays.  The public arrays x, detJ, Jinv and wdet
     stay (E, Q, ...) and C-ordered, the layout the element kernels of
-    assembly read.
+    assembly read, against reference tensors (see `assembly`); they are
+    all the per-configuration arrays there are.
 
-    Given a submit that is not None (see `_in_halves`), the table and
-    each physical gradient array are built in two halves at once: the
-    chunks from the one nearest the middle on, and the upper half of the
-    quadrature points, are handed to submit.  Every chunk and every
-    per-point product is the same as when one thread builds them all,
-    so the arrays are bitwise equal either way.
+    Given a submit that is not None, which runs fn(*args) on another
+    thread and returns a future of its result, the table is built in
+    two halves at once: the chunks from the one nearest the middle on
+    are handed to submit.  Every chunk is the same as when one thread
+    builds them all, so the arrays are bitwise equal either way.
     """
 
     def __init__(self, mesh: Mesh, submit):
-        self.rule = rule = triangle_rule(2 * mesh.degree + 2)
+        self.rule_degree = 2 * mesh.degree + 2
+        self.rule = rule = triangle_rule(self.rule_degree)
         ref = reference_element(mesh.degree)
         vals = ref.shape_values(rule.points)            # (n_g, Q)
         grads = ref.shape_gradients(rule.points)        # (n_g, Q, 2)
@@ -305,18 +278,19 @@ class GeometryTables:
         self.x = np.empty((E, Q, 2))
         self.detJ = np.empty((E, Q))
         self.Jinv = np.empty((E, Q, 2, 2))
-        split = E
+        nodes = (vals, grads, mesh.coords, mesh.elements)
+        split, job = E, None
         if submit is not None and E > _CHUNK:
             split = _CHUNK * max(1, round(E / (2 * _CHUNK)))
-        nodes = (vals, grads, mesh.coords, mesh.elements)
-        _in_halves(lambda lo, hi: self._fill(*nodes, lo, hi), E, split,
-                   submit)
+            job = submit(self._fill, *nodes, split, E)
+        self._fill(*nodes, 0, split)
+        if job is not None:
+            job.result()
         self.tangled = None
         if np.any(self.detJ <= 0.0):
             e = int(np.argmin(self.detJ.min(axis=1)))
             self.tangled = (e, float(self.detJ.min()))
         self.wdet = self.detJ * rule.weights            # (E, Q)
-        self._gphys: dict[int, np.ndarray] = {}
 
     def _fill(self, vals, grads, coords, elements, lo: int, hi: int) -> None:
         """x, detJ and Jinv of elements lo to hi, lo a chunk boundary."""
@@ -331,43 +305,6 @@ class GeometryTables:
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv = np.stack([d / det, -b / det, -c / det, a / det], axis=1)
             _element_major(inv, self.Jinv[part])
-
-    def physical_gradients(self, space, submit=None) -> np.ndarray:
-        """Gradients of a Lagrange space's local basis w.r.t. physical
-        coordinates; (E, Q, n_loc, 2), C-contiguous, so that the element
-        kernels reading it need no strided copies.  They depend on the
-        space only through its degree, which is the cache key.  submit
-        builds them in halves (see the class doc); an array that exists
-        is handed out as it is."""
-        k = space.degree
-        if k not in self._gphys:
-            G = reference_element(k).shape_gradients(self.rule.points)
-            E, Q = self.detJ.shape
-            out = np.empty((E, Q, len(G), 2))
-            split = Q if submit is None else Q // 2
-            _in_halves(lambda lo, hi: self._gradients(G, out, lo, hi),
-                       Q, split, submit)
-            self._gphys[k] = out
-        return self._gphys[k]
-
-    def _gradients(self, G: np.ndarray, out: np.ndarray, q0: int,
-                   q1: int) -> None:
-        """out[:, q0:q1] = sum_j G[l, q, j] Jinv[e, q, j, i]."""
-        E = len(out)
-        # one matmul batched over q on a (q1 - q0, 2, 2E) copy of Jinv,
-        # kept because it measured fastest: 3.9-5.5 ms against 6.9-9.0 ms
-        # for einsum("lqj,eqji->eqli", optimize=True) at h=0.04, k=2,
-        # built in halves on one CPU (best of 20)
-        Jq = self.Jinv[:, q0:q1].transpose(1, 2, 0, 3).reshape(q1 - q0, 2,
-                                                                2 * E)
-        gq = np.matmul(G[:, q0:q1].transpose(1, 0, 2), Jq)  # (q, n_loc, 2E)
-        del Jq
-        # move the (x, y) pairs to (E, q, n_loc) as 16-byte items
-        pairs = gq.view(np.complex128)                   # (q, n_loc, E)
-        dest = out.view(np.complex128)[:, q0:q1, :, 0]
-        for lo in range(0, E, _PAIR_BLOCK):
-            dest[lo:lo + _PAIR_BLOCK] = \
-                pairs[:, :, lo:lo + _PAIR_BLOCK].transpose(2, 0, 1)
 
 
 def geometry(mesh: Mesh) -> GeometryTables:

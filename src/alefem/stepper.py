@@ -30,13 +30,15 @@ them over, and what the calling thread does meanwhile on two CPUs:
   when (1) was a direct solve, or else the refactoring of the worker's
   lagged factor, when the extension of the step before spent more than
   `ale.MAX_ITERATIONS` CG iterations, and nothing otherwise; then the
-  upper halves of the moved mesh's geometry table and physical
-  gradients, while it moves the mesh, builds the lower halves and
-  assembles the load;
+  upper half of the moved mesh's geometry table, while it moves the
+  mesh, builds the lower half and assembles the load;
 - A_mu with the mesh Laplacian of the moved mesh (the configuration the
-  next step extends on), both read off one gradient Gram, and C, while
-  it assembles M_rho, the convection form and the pressure mean, and
-  then runs the saddle solve, during which the worker factors nothing;
+  next step extends on), both read off one gradient Gram, while it
+  assembles C, M_rho, the convection form and the pressure mean, and
+  then runs the saddle solve, during which the worker factors nothing.
+  So both take about as long: at h=0.04 on a 2-CPU Xeon VM, the Gram
+  23.5 ms and the rest 24.3 ms (medians of 28 steps); with C on the
+  worker, the calling thread waited 6.7 ms per step for it;
 - once `flow_solve` returns u, the extension of u by that Laplacian, by
   CG preconditioned with the lagged factor, the w of the next state
   unless the step remeshes, while it checks the mesh and records the
@@ -190,24 +192,24 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
-    factor when one is given (see `solve_saddle`).  Half of the physical
-    gradients, A_mu with the mesh Laplacian L, and C are jobs of
-    harmonic (see `HarmonicWorker`), which then takes L for the
-    extension of u (`HarmonicWorker.prepare`); without harmonic the jobs
-    run on the calling thread.  Returns (u, p, multiplier, stats).
+    factor when one is given (see `solve_saddle`).  A_mu with the mesh
+    Laplacian L is a job of harmonic (see `HarmonicWorker`), which then
+    takes L for the extension of u (`HarmonicWorker.prepare`); without
+    harmonic the job runs on the calling thread.  Returns (u, p,
+    multiplier, stats).
     """
     submit = submit_inline if harmonic is None else harmonic.submit
-    # built here, so that the jobs only read them
-    geometry(mesh).physical_gradients(spaces.velocity, submit)
+    # built here, so that the job only reads them
+    geometry(mesh)
     maps = spaces.maps
-    maps.scalar, maps.vector, maps.divergence, maps.interior
-    jobs = [submit(viscous_and_laplacian, mesh, spaces, params),
-            submit(assemble, "C", mesh, spaces, params)]
+    maps.scalar, maps.vector, maps.interior
+    job = submit(viscous_and_laplacian, mesh, spaces, params)
+    C = assemble("C", mesh, spaces, params)
     M_rho = assemble("M_rho", mesh, spaces, params)
     B_conv = assemble_convection(mesh, spaces, params, transport)
     m = pressure_mean_vector(mesh, spaces)
-    (A_mu, L), C = (job.result() for job in jobs)
-    del jobs                    # the futures hold A_mu, L and C too
+    A_mu, L = job.result()
+    del job                     # the future holds A_mu and L too
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)

@@ -26,6 +26,7 @@ from alefem.mesh import (
 )
 from alefem.quadrature import triangle_rule
 from alefem.reference import reference_element
+from alefem.stepper import SimConfig, run
 
 from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
 
@@ -259,17 +260,6 @@ def test_unit_square_quadratic_norm():
     assert xf @ assemble("A", mesh, spaces) @ xf == pytest.approx(1.0, abs=1e-12)
 
 
-def test_physical_gradients_cached_by_degree_not_identity():
-    mesh = generate_rect_mesh((0, 0, 1, 1), 0.5, 2)
-    geom = geometry(mesh)
-    first, second = build_scalar_space(mesh, 2), build_scalar_space(mesh, 2)
-    g2 = geom.physical_gradients(first)
-    assert geom.physical_gradients(second) is g2
-    g1 = geom.physical_gradients(build_scalar_space(mesh, 1))
-    assert g1 is not g2
-    assert g1.shape[2] == 3 and g2.shape[2] == 6
-
-
 def assert_close(got, expect):
     assert got.shape == expect.shape
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
@@ -278,9 +268,11 @@ def assert_close(got, expect):
 @pytest.mark.parametrize("k, tangle", [(2, False), (3, False), (2, True)],
                          ids=["displaced-2", "displaced-3", "tangled"])
 def test_tables_and_kernels_match_einsum(k, tangle):
-    """The geometry table, the physical gradients, the point values and
-    the element kernels equal one-line einsum forms on a moved mesh, a
-    tangled one included, to 1e-12 of the largest entry."""
+    """The geometry table, the point values and gradients and the
+    element kernels of mass, M_rho, convection, C, A, A_mu and the
+    Laplacian equal one-line einsum forms over the physical gradients
+    g, formed here from Jinv, on a moved mesh, a tangled one included,
+    to 1e-12 of the largest entry."""
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, k)
     spaces = build_taylor_hood(mesh, k)
     rng = np.random.default_rng(10 + k)
@@ -293,7 +285,8 @@ def test_tables_and_kernels_match_einsum(k, tangle):
         d = smooth_displacement(rng, spaces.velocity.positions, 0.02)
         d[spaces.vector_dofs(spaces.boundary_dofs)] = 0.0
         mesh = move_mesh(mesh, mesh.x + d[:len(mesh.x)])
-    V = spaces_with_mesh(spaces, mesh).velocity
+    spaces = spaces_with_mesh(spaces, mesh)
+    V, P = spaces.velocity, spaces.pressure
     coeffs = rng.normal(size=2 * V.n_dofs)
     geom = GeometryTables(mesh, None)
 
@@ -313,16 +306,23 @@ def test_tables_and_kernels_match_einsum(k, tangle):
     assert_close(geom.detJ, detJ)
     assert_close(geom.Jinv, Jinv)
     assert_close(geom.wdet, detJ * rule.weights)
-    for space in (build_scalar_space(mesh, 1), V):     # g is V's after
-        G = reference_element(space.degree).shape_gradients(rule.points)
-        g = np.einsum("lqj,eqji->eqli", G, Jinv)
-        assert_close(geom.physical_gradients(space), g)
-    a_q = np.einsum("lq,eli->eqi", vals, coeffs.reshape(-1, 2)[V.dof_of])
+    g = np.einsum("lqj,eqji->eqli", V.basis_gradients(rule.points), Jinv)
+    cf = coeffs.reshape(-1, 2)[V.dof_of]
+    a_q = np.einsum("lq,eli->eqi", vals, cf)
     assert_close(field_values(V, coeffs, geom), a_q)
+    assert_close(assembly.field_gradients(V, coeffs, geom),
+                 np.einsum("eli,eqlj->eqij", cf, g))
     w = geom.wdet
     rho, mu = BP1.rho_of(mesh.phase), BP1.mu_of(mesh.phase)
+    mass = np.einsum("iq,jq,eq->eij", vals, vals, w)
+    assert_close(assembly._mass_local(geom, V, None), mass)
+    assert_close(assembly._mass_local(geom, V, rho),
+                 mass * rho[:, None, None])
     assert_close(assembly._convection_local(geom, V, rho, coeffs),
                  np.einsum("iq,eq,e,eqja,eqa->eij", vals, w, rho, g, a_q))
+    assert_close(assembly._divergence_local(geom, P, V),
+                 np.einsum("iq,eq,eqja->eija",
+                           P.basis_values(rule.points), w, g))
     laplacian = np.einsum("eq,eqia,eqja->eij", w, g, g)
     gram_laplacian, viscous = assembly._gram_local(geom, V, mu)
     assert_close(gram_laplacian, laplacian)
@@ -331,6 +331,23 @@ def test_tables_and_kernels_match_einsum(k, tangle):
                  + np.einsum("e,eij,ab->eiajb", mu, laplacian, np.eye(2)))
     alone, none = assembly._gram_local(geom, V)
     assert none is None and alone.tobytes() == gram_laplacian.tobytes()
+
+
+def test_a_step_keeps_only_the_jacobian_table():
+    """After a step has assembled on its moved mesh, the mesh's geometry
+    table holds the Jacobian data x, detJ, Jinv and wdet and no other
+    per-configuration array: the kernels contract it against reference
+    tensors, and build no table of physical gradients."""
+    cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0 / 200.0)
+    state, _ = run(cfg)
+    assert state.remesh_count == 0
+    geom = state.mesh.tables()
+    E, Q = geom.wdet.shape
+    assert set(vars(geom)) == {"rule_degree", "rule", "tangled", "x",
+                               "detJ", "Jinv", "wdet"}
+    assert {name: getattr(geom, name).shape
+            for name in ("x", "detJ", "Jinv", "wdet")} == {
+        "x": (E, Q, 2), "detJ": (E, Q), "Jinv": (E, Q, 2, 2), "wdet": (E, Q)}
 
 
 def test_tangled_mesh_quality_reports_assembly_raises():

@@ -2,12 +2,11 @@
 
 Before its saddle solve, a step hands a second thread the factoring of
 the lagged harmonic factor when one is due, half of the moved mesh's
-geometry table and physical gradients, then A_mu together with the
-moved mesh's Laplacian, both read off one gradient Gram, and C.  After
-the saddle solve the thread extends the new u by CG on that Laplacian,
-preconditioned by the lagged factor; the state the step makes carries
-that extension as its w, which the next step takes unless the step
-remeshed.  These tests pin what that thread may and may not do: free its
+geometry table, then A_mu together with the moved mesh's Laplacian,
+both read off one gradient Gram.  After the saddle solve the thread
+extends the new u by CG on that Laplacian, preconditioned by the lagged
+factor; the state the step makes carries that extension as its w, which
+the next step takes unless the step remeshed.  These tests pin what that thread may and may not do: free its
 factors itself, hold at most one, build nothing that is built on first
 use, extend only on its own mesh, form one Gram per configuration, give
 bitwise the arrays of one thread, through a remesh too, and hand its
@@ -141,9 +140,11 @@ def test_one_harmonic_factor_is_alive_at_a_time(monkeypatch):
 
 
 def test_nothing_is_built_on_the_worker_thread(monkeypatch):
-    """The thread only reads the geometry tables, physical gradients
-    and index maps that its jobs need, the gather of the interior block
-    included: the main thread builds each before it hands a job over."""
+    """The thread only reads the geometry tables and index maps that
+    its jobs need, the gather of the interior block included: the main
+    thread builds each before it hands a job over.  The reference
+    tensors of the kernels are a pure cache of the degrees (see
+    `test_hygiene.CACHED_OK`)."""
     misuse = []
 
     def guarded(name, fn):
@@ -161,15 +162,6 @@ def test_nothing_is_built_on_the_worker_thread(monkeypatch):
             member = cached_property(guarded(name, prop.func))
             member.__set_name__(DofMaps, name)
             monkeypatch.setattr(DofMaps, name, member)
-    gradients = GeometryTables.physical_gradients
-
-    def physical_gradients(self, space, submit=None):
-        if space.degree not in self._gphys and off_main():
-            misuse.append("physical_gradients")
-        return gradients(self, space, submit)
-
-    monkeypatch.setattr(GeometryTables, "physical_gradients",
-                        physical_gradients)
     worker_factors = []
     original = ale.spilu
 
@@ -337,10 +329,11 @@ def test_one_and_two_cpus_hand_over_the_same_jobs(monkeypatch):
             lambda i, state, rec: names[-1].extend(
                 t.name for t in threading.enumerate())]))
     assert submitted[0] == submitted[1]
-    # each step's first job is the refactor, and its last the extension
-    assert submitted[0].count("_refactor") == 3
-    assert submitted[0].count("_extend_held") == 3
-    assert submitted[0][0] == "_refactor" and "assemble" in submitted[0]
+    # each step hands over the refactor, the Gram and the extension, in
+    # that order (the mesh is too small to build its table in halves);
+    # the calling thread assembles C, M_rho and the convection form
+    assert submitted[0] == ["_refactor", "viscous_and_laplacian",
+                            "_extend_held"] * 3
     assert "alefem-harmonic" not in names[0]
     assert "alefem-harmonic" in names[1]
     (one, one_records), (two, two_records) = runs
@@ -438,7 +431,6 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
     m = SPLIT_MESHES[elements](k)
     assert m.n_elements == elements
     spaces = build_taylor_hood(m, k)
-    V, P = spaces.velocity, spaces.pressure
     jobs = []
     worker = HarmonicWorker()
     original = worker.submit
@@ -459,10 +451,6 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
             same(getattr(split, name), getattr(alone, name))
         assert split.tangled is None and alone.tangled is None
         assert len(jobs) == (elements > 256)
-        for space in (V, P):                    # degrees k and k - 1
-            same(split.physical_gradients(space, submit),
-                 alone.physical_gradients(space))
-        assert len(jobs) == (elements > 256) + 2
         spaces.maps.vector, spaces.maps.divergence
         got = {kind: submit(assemble, kind, m, spaces, BP1).result()
                for kind in ("A_mu", "C")}
@@ -480,7 +468,6 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
 
 @pytest.mark.parametrize("owner, name", [
     (assembly, "_gram_local"),
-    (GeometryTables, "_gradients"),
 ])
 def test_assembly_job_error_surfaces_in_its_step(owner, name, monkeypatch):
     original = getattr(owner, name)

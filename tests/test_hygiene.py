@@ -220,9 +220,10 @@ def test_every_default_is_set_by_a_caller():
     assert unset == [], f"defaults that no call in the package sets: {unset}"
 
 
-# Functions that may keep a cache at module level: pure functions of an
-# integer, whose results cannot go stale.
-CACHED_OK = {("quadrature.py", "triangle_rule"),
+# Functions that may keep a cache at module level: pure functions of
+# integers and form names, whose results cannot go stale.
+CACHED_OK = {("assembly.py", "_reference_tensor"),
+             ("quadrature.py", "triangle_rule"),
              ("quadrature.py", "edge_rule"),
              ("reference.py", "reference_element"),
              ("reference.py", "edge_element")}
