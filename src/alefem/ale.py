@@ -5,10 +5,10 @@ by construction) and vanishes on the outer boundary; in the bulk it is
 the discrete harmonic extension of those boundary values.  Every factor
 of the interior block of the mesh Laplacian, the block gathered through
 the index maps of its numbering (`DofMaps.interior`), is made one way
-(`splu`).  On the calling thread an extension is a direct solve by a
-factor of its own configuration (`harmonic_extension`).  A step's worker
-keeps one factor per numbering across steps, and extends by CG
-preconditioned with it (`_Lagged`, see `HarmonicWorker`).  Remeshing
+(`splu`).  The first extension of a numbering is a direct solve by a
+factor of its own configuration (`harmonic_extension`); the steps after
+it keep one factor of the numbering across steps and extend by CG
+preconditioned with it (`LaggedFactor`).  Remeshing
 redistributes the interface vertices at equal arc length, about h apart,
 along the old degree-k interface curve, and places the new interface
 edge nodes on that curve too, so the curve is kept up to the
@@ -19,12 +19,6 @@ fields are transferred by point evaluation on the old mesh.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
-import traceback
-import weakref
-from concurrent.futures import Future
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +32,7 @@ from .fespace import (
     build_taylor_hood,
     evaluate_many,
 )
-from .linalg import SolverError, reusable
+from .linalg import SolverError
 from .mesh import (
     Mesh,
     MeshGenerationError,
@@ -49,7 +43,8 @@ from .mesh import (
 from .reference import edge_element, edge_local_nodes
 
 # CG iterations that one extension may spend on the lagged factor; after
-# an extension that spent more, the next step refactors (see `_Lagged`).
+# an extension that spent more, the next step refactors (see
+# `LaggedFactor`).
 # At h=0.04 an iteration costs about 0.45 ms and a factor about 9 ms, and
 # the iterations climb from 4 after a refactor, so that rise_h04
 # refactors every 8-15 steps; caps of 6, 8 and 12 gave its step times
@@ -95,9 +90,8 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     (`mesh_laplacian`), assembled here when not given.
 
     This is a direct solve, componentwise, by a factor of the interior
-    block of L, made and freed on the calling thread.  A step's worker
-    extends by CG on a factor lagged across steps instead (see
-    `HarmonicWorker`).
+    block of L, made and freed here.  A step whose state carries a
+    lagged factor extends by CG on it instead (see `LaggedFactor`).
     """
     if L is None:
         L = mesh_laplacian(mesh, spaces)
@@ -143,12 +137,11 @@ def splu(A):
     reserved: at h=0.04 a factor touched 2.0 MB of the 35-46 MB of
     address space it held, where with fill_factor=2 it holds 2.8 MB
     (14.7 MB against 150 MB at h=0.02, touching 11.4 MB).  Held across
-    steps by the calling thread, on one CPU, the large reservation kept
-    that much of the malloc heap from reuse: pinned to one CPU, rise_h04
-    runs peaked at 171 MB with a lagged splu factor, at 150-153 MB with
-    this one, and at 153-156 MB when each step factored anew.  Held by
-    the worker's thread, on two CPUs, it cost less than this one: 156-157
-    MB against 159-160 MB (BENCH_pr22.json).
+    steps, the large reservation kept that much of the malloc heap from
+    reuse: rise_h04 runs that stepped on one thread (pinned to one CPU)
+    peaked at 171 MB with a lagged splu factor, at 150-153 MB with this
+    one, and at 153-156 MB when each step factored anew
+    (BENCH_pr22.json).
 
     The block is factored in MMD order on A^T + A with relax=1, which
     keeps SuperLU from merging columns into relaxed supernodes whose
@@ -167,21 +160,22 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
-class _Lagged:
-    """The factor of one numbering's interior block that a worker keeps
-    across steps, with what CG needs between them: the interior values
-    of the last extension, from which the next one starts, and work
-    arrays.  Between remeshes the block changes only by O(tau) per step,
-    so a factor of an earlier configuration preconditions CG on the
-    current one.
+class LaggedFactor:
+    """The factor of one numbering's interior block that the states of
+    a run hand on from step to step (`stepper.State`), with what CG
+    needs between them: the interior values of the last extension, from
+    which the next one starts, and work arrays.  Between remeshes the
+    block changes only by O(tau) per step, so a factor of an earlier
+    configuration preconditions CG on the current one.
 
     An extension that spends more than MAX_ITERATIONS leaves its L in
-    stale, and the next step's first job (`_refactor`) factors it.
+    stale, and the next step factors it once it has released the old
+    mesh's geometry table (see `stepper.step`).
     """
 
     def __init__(self, L, block: Gather):
         self.block = block
-        self.n = n = block.shape[0]
+        n = block.shape[0]
         self.lu = None
         self.factorizations = 0         # made since the last extension
         self.refactor(L)
@@ -248,213 +242,6 @@ class _Lagged:
             x += t
             np.multiply(q, alpha, out=t)
             r -= t
-
-
-def _refactor(held: list, L, block: Gather) -> None:
-    """A step's first job.  With L, the mesh Laplacian of a new
-    numbering whose interior block block gathers, it replaces the lagged
-    factor in held[0] by one of L's block; with L None, it refactors the
-    lagged factor when the extension before it spent more than
-    MAX_ITERATIONS.  Should the factoring raise, held[0] is left empty,
-    so that the next extension factors afresh and raises the error
-    where a step waits for it."""
-    lagged, held[0] = held[0], None
-    if L is not None:
-        del lagged                      # freed before the new one is made
-        held[0] = _Lagged(L, block)
-    elif lagged is not None:
-        if lagged.stale is not None:
-            lagged.refactor(lagged.stale)
-        held[0] = lagged
-
-
-def _extend_held(held: list, L, spaces: FESpacePair,
-                 u: np.ndarray) -> Extension:
-    """The job that extends u by mesh Laplacian L with the lagged factor
-    in held[0], made first when held[0] holds none of this size."""
-    block = spaces.maps.interior
-    if not reusable(held[0], block.shape[0]):
-        held[0] = None                  # freed before the new one is made
-        held[0] = _Lagged(L, block)
-    return held[0].extend(L, spaces, u)
-
-
-def _drop(held: list) -> None:
-    """The job that frees the lagged factor in held[0]."""
-    held[0] = None
-
-
-def submit_inline(fn, *args) -> Future:
-    """A done future of fn(*args), run at once on the calling thread."""
-    done = Future()
-    _settle(done, fn, args)
-    return done
-
-
-class HarmonicWorker:
-    """Where a step runs the jobs it hands over: a thread that works
-    alongside the calling thread when the process may use two CPUs, the
-    calling thread itself when it may use one.  The jobs, their order
-    and what the calling thread does meanwhile are listed in the doc of
-    `stepper`.
-
-    The moved mesh of step n is the configuration on which step n + 1
-    extends, so step n extends its new u on the worker, by the mesh
-    Laplacian that the A_mu job hands back (`prepare`, `extend`).  The
-    slot held keeps, across steps, the lagged factor of the numbering's
-    interior block (`_Lagged`): its SuperLU factor, the interior values
-    of the last w, from which CG starts, and CG's work arrays.  A step
-    whose state has no w, the first one of a numbering, extends on the
-    calling thread by a direct solve and hands the Laplacian of that
-    extension to its first job, which factors it (`refactor`); an
-    extension that spends more than MAX_ITERATIONS CG iterations leaves
-    its Laplacian for the next step's first job to factor; a remesh
-    frees the factor (`drop`), whose numbering it ended.  So the worker
-    factors once per numbering and once per overrun, and never while the
-    calling thread runs the saddle solve: at h=0.04 on a 2-CPU Xeon VM,
-    a factor made alongside slowed each of the saddle solve's triangular
-    solves from 1.33-1.41 ms to 2.20-2.71 ms, and triangular solves
-    alongside did not (1.28-1.45 ms).  The factoring is a step's first
-    job, once the calling thread has released the old mesh's geometry
-    table, because memory is at its low point then, and a factor held
-    across steps pins the memory it lands on (see `splu` for what it
-    reserves).  A prototype that refactored during the saddle solve made
-    a rise_h04 run's peak RSS grow from 152 to 170-205 MB.
-
-    Only jobs and the end of the thread touch held, so every factor is
-    made, used and freed where the jobs run: scipy's SuperLU wrapper
-    records each allocation in a registry of the allocating thread and
-    frees a pointer only on that thread, so a factor released elsewhere
-    would leak its memory.  The caller gets back only the future of the
-    `Extension`, and the other jobs hand back arrays and sparse
-    matrices, never a factor.  The lagged factor is freed by `drop`, by
-    the factoring of a new numbering, or when the thread ends (on one
-    CPU, with the worker).
-
-    The geometry table of a mesh and the index maps of a numbering (the
-    gather of the interior block among them) are built on first use and
-    kept by the mesh and the numbering.
-    Every one that a job reads is built on the calling thread before the
-    job is handed over, so the thread only reads them and the two
-    threads never both build one.  An exception of a job is raised, with
-    its type unchanged, by the call that waits for its result: for
-    `refactor`, the wait for the extension after it, which factors
-    afresh; an exception of an extension that no step waits for is
-    discarded.
-
-    A thread overlaps nothing without a second CPU: pinned to one CPU of
-    a 2-CPU Xeon VM, building the harmonic operator on one made the
-    fastest `rise_h04` step 12% slower.  So the first `submit` reads how
-    many CPUs the process may use and fixes, for the worker's life,
-    where its jobs run; held is never touched from two threads.  The
-    step hands over the same jobs either way, and its results are
-    bitwise the same when BLAS runs on one thread (see `cli`).
-
-    The thread starts with the first job; `close` joins it.  A worker
-    that is garbage-collected unclosed, or left open at interpreter
-    exit, stops and joins its thread the same way, so that the thread
-    frees its factors before the interpreter is torn down.
-    """
-
-    def __init__(self):
-        # whether jobs run on the calling thread; None until the first
-        self._inline: bool | None = None
-        self._jobs: queue.SimpleQueue | None = None
-        self._stop = None
-        self._held = [None]
-        # the mesh Laplacian that `prepare` took for the next `extend`
-        self._laplacian = None
-
-    def submit(self, fn, *args) -> Future:
-        """A future of fn(*args), run on the thread, or done already
-        when the jobs run on the calling thread.  fn must build nothing
-        that is built on first use (see the class doc)."""
-        if self._inline is None:
-            self._inline = _cpus_available() < 2
-        if self._inline:
-            return submit_inline(fn, *args)
-        if self._stop is None or not self._stop.alive:
-            self._jobs = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve,
-                                      args=(self._jobs, self._held),
-                                      name="alefem-harmonic", daemon=True)
-            thread.start()
-            self._stop = weakref.finalize(self, _stop, self._jobs, thread)
-        done = Future()
-        self._jobs.put((done, fn, args))
-        return done
-
-    def refactor(self, spaces: FESpacePair, L) -> None:
-        """Hand over a step's first job (see `_refactor`): with L, the
-        mesh Laplacian of the configuration of spaces, it factors the
-        interior block of their new numbering; with L None, it refactors
-        the lagged factor when the extension before it overran."""
-        self.submit(_refactor, self._held, L, spaces.maps.interior)
-
-    def prepare(self, L) -> None:
-        """Take L, the mesh Laplacian of the moved mesh, for the next
-        `extend`; nothing runs until then."""
-        self._laplacian = L
-
-    def extend(self, spaces: FESpacePair, u: np.ndarray) -> Future:
-        """Hand over the extension of u by the Laplacian that `prepare`
-        took last, on the configuration of spaces; returns the future of
-        its `Extension`.  u must not change until that is done."""
-        L, self._laplacian = self._laplacian, None
-        return self.submit(_extend_held, self._held, L, spaces, u)
-
-    def drop(self) -> None:
-        """Free the lagged factor, once the jobs before have run."""
-        self.submit(_drop, self._held).result()
-
-    def close(self) -> None:
-        """Join the thread, which frees its lagged factor first."""
-        if self._stop is not None:
-            self._stop()
-
-
-def _stop(jobs: queue.SimpleQueue, thread: threading.Thread) -> None:
-    """End the loop of a worker's thread and join it, unless called on
-    that thread itself (by a garbage collection that ran there)."""
-    jobs.put(None)
-    if thread is not threading.current_thread():
-        thread.join()
-
-
-def _cpus_available() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:              # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _detached(err: Exception) -> Exception:
-    """err with the locals of its finished frames cleared and the frame
-    of `_settle` left out of its traceback, so that another thread
-    holding err holds no factor of this one."""
-    tb = err.__traceback__.tb_next
-    traceback.clear_frames(tb)
-    return err.with_traceback(tb)
-
-
-def _settle(done: Future, fn, args: tuple) -> None:
-    """Set done to the result of fn(*args), or its exception."""
-    try:
-        result = fn(*args)
-    except Exception as err:
-        done.set_exception(_detached(err))
-    else:
-        done.set_result(result)
-
-
-def _serve(jobs: queue.SimpleQueue, held: list) -> None:
-    """The loop of a `HarmonicWorker`'s thread.  It empties held when it
-    ends, so that the thread frees the lagged factor left there."""
-    while (job := jobs.get()) is not None:
-        _settle(*job)
-        job = None              # not kept alive while waiting for the next
-    held[0] = None
 
 
 def advance_mesh(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:

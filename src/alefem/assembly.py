@@ -342,9 +342,10 @@ def _mass_local(geom: GeometryTables, space: ScalarSpace, weights):
 
 # Elements per chunk of the gradient Gram.  Its work arrays, the factors
 # F and the chunk's element matrices K, would outgrow the Jacobian table;
-# the Gram runs beside the flow assembly, so it sets the peak memory of a
-# run.  Chunks of 128 elements keep them to a few hundred kB; chunks of
-# 512 raised the peak of the rising-bubble run at h=0.08 by about 5 MB.
+# the Gram runs while the saddle factor of the step before is alive, so
+# it adds to the peak memory of a run.  Chunks of 128 elements keep them to a few
+# hundred kB; chunks of 512 raised the peak of the rising-bubble run at
+# h=0.08 by about 5 MB, when the Gram ran on a second thread.
 _ELEMENT_CHUNK = 128
 
 
@@ -425,8 +426,7 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
     """Assemble one of the domain-dependent matrices (see module doc).
 
     It reads the geometry table of mesh and the index maps of spaces and
-    builds whichever of them is missing; so it runs off the main thread
-    (see `ale.HarmonicWorker`) only on a table and maps that exist.
+    builds whichever of them is missing.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -458,8 +458,8 @@ def viscous_and_laplacian(mesh: Mesh, spaces: FESpacePair,
                           params: PhaseParams):
     """(A_mu, L): the viscous form of `assemble` and the scalar Laplacian
     of the velocity space, read off one gradient Gram, for a step's flow
-    solve and its next harmonic operator (see `ale.HarmonicWorker`).  It
-    runs off the main thread on the terms of `assemble`."""
+    solve and the harmonic extension of its u (see `stepper.flow_solve`).
+    Like `assemble`, it builds the table and maps it reads if missing."""
     if spaces.mesh is not mesh:
         raise ValueError("spaces were built on a different mesh")
     L, A_mu = _gram_local(geometry(mesh), spaces.velocity,

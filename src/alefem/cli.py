@@ -8,12 +8,14 @@ params; the keys of fields without a default are required, and no key
 may be set twice.  Tuple values are numbers separated by commas or
 spaces.
 
-A run's results are bitwise reproducible across CPU counts only with
-BLAS on one thread (`OPENBLAS_NUM_THREADS=1`, as `perfbench/run.py`
-sets it): under OpenBLAS's default of two threads, records 1, 3, 4 and
-6 of a 6-step k=2 h=0.04 run differed in bits between a process on two
-CPUs and one pinned to one.  So `manifest.json` records the CPUs the
-run may use and the BLAS thread variables it found.
+A run steps on one thread, so the step itself does the same work
+whatever the number of CPUs.  BLAS may not, so a run's results are
+bitwise reproducible across CPU counts only with BLAS on one thread
+(`OPENBLAS_NUM_THREADS=1`, as `perfbench/run.py` sets it).  Under
+OpenBLAS's default of two threads, records 1, 3, 4 and 6 of a 6-step
+k=2 h=0.04 run differed in bits between a process on two CPUs and one
+pinned to one.  So `manifest.json` records the CPUs the run may use and
+the BLAS thread variables it found.
 
 `alefem run` writes each row of `bench.csv` as it is recorded.  A run
 that raises keeps those rows, and its `manifest.json` reads `"status":
@@ -34,7 +36,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__, ale
+from . import __version__
 from .assembly import PhaseParams
 from .stepper import SimConfig, run
 from .vtk_io import write_vtk
@@ -193,7 +195,7 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
         manifest[f"{name}_iterations_max"] = max(its, default=0)
         manifest[f"{name}_iterations_mean"] = (float(np.mean(its))
                                                if its else 0.0)
-    manifest["cpus_available"] = ale._cpus_available()
+    manifest["cpus_available"] = len(os.sched_getaffinity(0))
     manifest["blas_threads"] = {name: os.environ.get(name) for name in (
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -113,8 +113,7 @@ def reusable(factor, n: int) -> bool:
     """Whether factor, handed on by an earlier solve, may precondition a
     solve of n unknowns rather than be replaced by a fresh factorization:
     a stale factor is handed on as None, and one of another size belongs
-    to another numbering.  The saddle solve and the harmonic extension
-    (`ale._extend_held`) both decide so."""
+    to another numbering."""
     return factor is not None and factor.n == n
 
 

@@ -100,13 +100,12 @@ class Mesh:
         _check_interface_pairing(self.elements, self.phase,
                                  self.interface_edges)
 
-    def tables(self, submit=None) -> GeometryTables:
+    def tables(self) -> GeometryTables:
         """The geometry table of this configuration, built on first use
-        (submit helps to build it, see `GeometryTables`) and kept until
-        `release_tables`."""
+        and kept until `release_tables`."""
         tables = self.__dict__.get("_tables")
         if tables is None:
-            tables = GeometryTables(self, submit)
+            tables = GeometryTables(self)
             object.__setattr__(self, "_tables", tables)
         return tables
 
@@ -254,21 +253,15 @@ class GeometryTables:
     element-innermost, on node coordinates gathered as (2, n_loc, n) in
     chunks of n elements, and detJ and Jinv are formed elementwise on
     that layout.  It was kept because it measured fastest: at h=0.04,
-    k=2, built in halves as a step builds it, on one CPU of a 2-CPU Xeon
-    VM (best of 20), 7.4-8.0 ms against 9.5-11.3 ms for einsums over
-    (E, n_loc, 2) node arrays.  The public arrays x, detJ, Jinv and wdet
-    stay (E, Q, ...) and C-ordered, the layout the element kernels of
-    assembly read, against reference tensors (see `assembly`); they are
-    all the per-configuration arrays there are.
-
-    Given a submit that is not None, which runs fn(*args) on another
-    thread and returns a future of its result, the table is built in
-    two halves at once: the chunks from the one nearest the middle on
-    are handed to submit.  Every chunk is the same as when one thread
-    builds them all, so the arrays are bitwise equal either way.
+    k=2, on one CPU of a 2-CPU Xeon VM (best of 20), 7.4-8.0 ms against
+    9.5-11.3 ms for einsums over (E, n_loc, 2) node arrays.  The public
+    arrays x, detJ, Jinv and wdet stay (E, Q, ...) and C-ordered, the
+    layout the element kernels of assembly read, against reference
+    tensors (see `assembly`); they are all the per-configuration arrays
+    there are.
     """
 
-    def __init__(self, mesh: Mesh, submit):
+    def __init__(self, mesh: Mesh):
         self.rule_degree = 2 * mesh.degree + 2
         self.rule = rule = triangle_rule(self.rule_degree)
         ref = reference_element(mesh.degree)
@@ -278,24 +271,9 @@ class GeometryTables:
         self.x = np.empty((E, Q, 2))
         self.detJ = np.empty((E, Q))
         self.Jinv = np.empty((E, Q, 2, 2))
-        nodes = (vals, grads, mesh.coords, mesh.elements)
-        split, job = E, None
-        if submit is not None and E > _CHUNK:
-            split = _CHUNK * max(1, round(E / (2 * _CHUNK)))
-            job = submit(self._fill, *nodes, split, E)
-        self._fill(*nodes, 0, split)
-        if job is not None:
-            job.result()
-        self.tangled = None
-        if np.any(self.detJ <= 0.0):
-            e = int(np.argmin(self.detJ.min(axis=1)))
-            self.tangled = (e, float(self.detJ.min()))
-        self.wdet = self.detJ * rule.weights            # (E, Q)
-
-    def _fill(self, vals, grads, coords, elements, lo: int, hi: int) -> None:
-        """x, detJ and Jinv of elements lo to hi, lo a chunk boundary."""
-        for at in range(lo, hi, _CHUNK):
-            part = slice(at, min(at + _CHUNK, hi))
+        coords, elements = mesh.coords, mesh.elements
+        for at in range(0, E, _CHUNK):
+            part = slice(at, at + _CHUNK)
             xs = coords.T[:, elements[part].T]               # (2, n_g, n)
             _element_major(np.einsum("lq,ile->qie", vals, xs), self.x[part])
             J = np.einsum("lqj,ile->qije", grads, xs)       # (Q, 2, 2, n)
@@ -305,6 +283,11 @@ class GeometryTables:
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv = np.stack([d / det, -b / det, -c / det, a / det], axis=1)
             _element_major(inv, self.Jinv[part])
+        self.tangled = None
+        if np.any(self.detJ <= 0.0):
+            e = int(np.argmin(self.detJ.min(axis=1)))
+            self.tangled = (e, float(self.detJ.min()))
+        self.wdet = self.detJ * rule.weights            # (E, Q)
 
 
 def geometry(mesh: Mesh) -> GeometryTables:

@@ -9,64 +9,57 @@ dropped too far.  Diffusion, pressure and divergence are implicit; the
 constant gravity enters explicitly.
 
 The mesh velocity w^n, the harmonic extension of u^n on mesh^n, is a
-function of the state, and the state carries its future (`State.w`).
-Assembly, quality checks and observables of one mesh configuration all
-read the geometry table that its mesh keeps (`Mesh.tables`), and every
+function of the state, and the state carries it (`State.w`).  Assembly,
+quality checks and observables of one mesh configuration all read the
+geometry table that its mesh keeps (`Mesh.tables`), and every
 configuration of one DOF numbering shares the index maps that its
 spaces keep (`FESpacePair.maps`).  So a step without a remesh builds
 exactly one table, that of the moved mesh, and no index map.  Once (1)
 has w, the step releases the table of the mesh it leaves, which nothing
 reads again: kept, it raised the peak memory of a run at h=0.04 by 10%.
 
-Each step hands part of its work to the state's `HarmonicWorker`,
-which runs it on a second thread when the process may use two CPUs and
-at once on the calling thread when it may use one.  The step is the
-same either way, and so are its results, bitwise, when BLAS runs on one
-thread (see `HarmonicWorker`).  The jobs, in the order the step hands
-them over, and what the calling thread does meanwhile on two CPUs:
+A step runs on the calling thread, in this order:
 
-- once (1) has w and has released the old mesh's geometry table, the
-  factoring of the interior block of a new numbering's mesh Laplacian,
-  when (1) was a direct solve, or else the refactoring of the worker's
-  lagged factor, when the extension of the step before spent more than
-  `ale.MAX_ITERATIONS` CG iterations, and nothing otherwise; then the
-  upper half of the moved mesh's geometry table, while it moves the
-  mesh, builds the lower half and assembles the load;
-- A_mu with the mesh Laplacian of the moved mesh (the configuration the
-  next step extends on), both read off one gradient Gram, while it
-  assembles C, M_rho, the convection form and the pressure mean, and
-  then runs the saddle solve, during which the worker factors nothing.
-  So both take about as long: at h=0.04 on a 2-CPU Xeon VM, the Gram
-  23.5 ms and the rest 24.3 ms (medians of 28 steps); with C on the
-  worker, the calling thread waited 6.7 ms per step for it;
-- once `flow_solve` returns u, the extension of u by that Laplacian, by
-  CG preconditioned with the lagged factor, the w of the next state
-  unless the step remeshes, while it checks the mesh and records the
-  state.
+- (1) takes the state's w, or, in the first step of a numbering, extends
+  u by a direct solve, and releases the old mesh's geometry table; then,
+  where the step's memory is at its low point, it factors the interior
+  block of the Laplacian of that direct extension for the steps after
+  it, or refactors the state's lagged factor when the extension before
+  spent more than `ale.MAX_ITERATIONS` CG iterations
+  (`ale.LaggedFactor`).  A factor held across steps pins the memory it
+  lands on (see `ale.splu`);
+- (2) moves the mesh;
+- (3) builds the moved mesh's geometry table and assembles the load,
+  reads A_mu and the moved mesh's Laplacian, the configuration the next
+  step extends on, off one gradient Gram, assembles C, M_rho, the
+  convection form and the pressure mean, and runs the saddle solve;
+- (4) checks the mesh and remeshes on the angle criterion.  A step that
+  keeps its mesh then extends u by CG on the Laplacian of (3),
+  preconditioned with the lagged factor, the w of the next state.  A
+  step that remeshes extends nothing and drops the lagged factor, whose
+  numbering is dead; the next step extends by a direct solve, as the
+  first step does.
 
-A step that remeshes frees the lagged factor, whose numbering is dead,
-before it returns; the next step extends on the calling thread by a
-direct solve, as the first step does.
+With BLAS on one thread the results are therefore bitwise the same
+whatever the number of CPUs (see `cli`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ale import (
     Extension,
-    HarmonicWorker,
+    LaggedFactor,
     advance_mesh,
     check_and_remesh,
     harmonic_extension,
     mesh_laplacian,
     move_mesh,
     spaces_with_mesh,
-    submit_inline,
 )
 from .assembly import (
     PhaseParams,
@@ -83,7 +76,6 @@ from .mesh import (
     Mesh,
     bubble_problem,
     generate_bubble_mesh,
-    geometry,
     quality,
 )
 from .observables import BenchmarkRecord, benchmark_record
@@ -145,12 +137,12 @@ class State:
     iterations of the mesh velocity the last step moved by (0 for a
     direct solve), and harmonic_factorizations the factorizations made
     for the mesh velocities the steps since initialize() moved by.
-    harmonic is the step worker, made with the first state and handed
-    from state to state; `run` closes it.  w is the future of the
-    `Extension` of u on mesh, which the step that made the state started
-    on harmonic; it is None after initialize() and after a remesh (see
-    `mesh_velocity`).  The state is frozen and u read-only, so w cannot
-    go stale.
+    harmonic_factor is the lagged factor of the interior block of the
+    numbering of spaces, handed from state to state like factor, by
+    which the step extends the next w.  w is the `Extension` of u on
+    mesh, made by the step that made the state.  Both are None after
+    initialize() and after a remesh (see `mesh_velocity`).  The state is
+    frozen and u read-only, so w cannot go stale.
     """
 
     t: float
@@ -165,8 +157,8 @@ class State:
     saddle_factorizations: int = 0
     harmonic_iterations: int = 0
     harmonic_factorizations: int = 0
-    harmonic: HarmonicWorker = field(default_factory=HarmonicWorker)
-    w: Future | None = None
+    harmonic_factor: LaggedFactor | None = None
+    w: Extension | None = None
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -185,31 +177,22 @@ def initialize(config: SimConfig) -> State:
 def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
                tau: float, u_old: np.ndarray, transport: np.ndarray,
                load: np.ndarray, boundary_values: np.ndarray | None = None,
-               factor: SaddleFactor | None = None,
-               harmonic: HarmonicWorker | None = None):
+               factor: SaddleFactor | None = None):
     """One implicit solve of the momentum/divergence system.
 
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, preconditioned by
-    factor when one is given (see `solve_saddle`).  A_mu with the mesh
-    Laplacian L is a job of harmonic (see `HarmonicWorker`), which then
-    takes L for the extension of u (`HarmonicWorker.prepare`); without
-    harmonic the job runs on the calling thread.  Returns (u, p,
-    multiplier, stats).
+    factor when one is given (see `solve_saddle`).  A_mu is read off one
+    gradient Gram together with L, the scalar Laplacian of mesh
+    (`viscous_and_laplacian`), which a step extends the new u by.
+    Returns (u, p, multiplier, stats, L).
     """
-    submit = submit_inline if harmonic is None else harmonic.submit
-    # built here, so that the job only reads them
-    geometry(mesh)
-    maps = spaces.maps
-    maps.scalar, maps.vector, maps.interior
-    job = submit(viscous_and_laplacian, mesh, spaces, params)
+    A_mu, L = viscous_and_laplacian(mesh, spaces, params)
     C = assemble("C", mesh, spaces, params)
     M_rho = assemble("M_rho", mesh, spaces, params)
     B_conv = assemble_convection(mesh, spaces, params, transport)
     m = pressure_mean_vector(mesh, spaces)
-    A_mu, L = job.result()
-    del job                     # the future holds A_mu and L too
 
     rhs_u = load + M_rho @ u_old / tau
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
@@ -227,44 +210,44 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     # +-0: these liftings equal those through the sliced blocks bitwise
     rhs_f = rhs_u[free] - (Kuu @ u_bc)[free]
     rhs_p = C @ u_bc
-    A0 = maps.saddle([Kuu, C])
+    A0 = spaces.maps.saddle([Kuu, C])
     del Kuu, C
-    if harmonic is not None:
-        harmonic.prepare(L)
-    del L
     uf, p, lam, stats = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
     u[free] = uf
-    return u, p, lam, stats
+    return u, p, lam, stats, L
 
 
 def mesh_velocity(state: State, L=None) -> Extension:
     """The mesh velocity of state: its w, or, when it has none, the
-    harmonic extension of its u by a direct solve on the calling thread
-    (no CG iterations, one factorization), by L, the mesh Laplacian of
-    state.mesh, when given."""
+    harmonic extension of its u by a direct solve (no CG iterations, one
+    factorization), by L, the mesh Laplacian of state.mesh, when
+    given."""
     if state.w is None:
         return Extension(harmonic_extension(state.mesh, state.spaces,
                                             state.u, L), 0, 1)
-    return state.w.result()
+    return state.w
 
 
 def step(state: State, config: SimConfig) -> State:
     """Advance the coupled system by one time step."""
     params = config.params
     tau = config.tau
-    harmonic = state.harmonic
 
     # (1) mesh velocity from the current velocity.  A state without w
-    # starts a numbering: the worker factors the interior block of the
-    # Laplacian of its direct extension, as the step's first job.
+    # starts a numbering: the interior block of the Laplacian of its
+    # direct extension is factored for the extensions after it.
     L = mesh_laplacian(state.mesh, state.spaces) if state.w is None else None
     extension = mesh_velocity(state, L)
     w = extension.w
     state.mesh.release_tables()         # before the moved mesh's is built
     # after the release, where the step's memory is at its low point
-    harmonic.refactor(state.spaces, L)
+    lagged = state.harmonic_factor
+    if L is not None:
+        lagged = LaggedFactor(L, state.spaces.maps.interior)
+    elif lagged.stale is not None:      # the extension before overran
+        lagged.refactor(lagged.stale)
     del L
 
     # (2) move the mesh, carrying all coefficients nodally
@@ -272,16 +255,13 @@ def step(state: State, config: SimConfig) -> State:
     mesh = move_mesh(state.mesh, x_new)
     spaces = spaces_with_mesh(state.spaces, mesh)
 
-    # (3) implicit flow solve with convection frozen at u^n - w^n, on
-    # the moved mesh's geometry table, built in halves with the worker
-    mesh.tables(harmonic.submit)
+    # (3) implicit flow solve with convection frozen at u^n - w^n
     load = assemble_load(mesh, spaces, params)
-    u, p, _, stats = flow_solve(mesh, spaces, params, tau, state.u,
-                                transport=state.u - w, load=load,
-                                factor=state.factor, harmonic=harmonic)
-    w_next = harmonic.extend(spaces, u)
+    u, p, _, stats, L = flow_solve(mesh, spaces, params, tau, state.u,
+                                   transport=state.u - w, load=load,
+                                   factor=state.factor)
 
-    # (4) remesh on the angle criterion
+    # (4) remesh on the angle criterion, or extend u on the moved mesh
     fields = {"u": ("velocity", u), "p": ("pressure", p)}
     mesh2, spaces2, fields2, did_remesh, min_angle = check_and_remesh(
         mesh, spaces, fields, config.rect, config.h,
@@ -289,8 +269,10 @@ def step(state: State, config: SimConfig) -> State:
     if did_remesh:
         u = fields2["u"][1]
         p = fields2["p"][1]
-        # before the next step factors the new numbering's block
-        harmonic.drop()
+        # the new numbering starts with a direct extension
+        lagged = w_next = None
+    else:
+        w_next = lagged.extend(L, spaces, u)
     return State(
         t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
         min_angle=min_angle,
@@ -303,8 +285,8 @@ def step(state: State, config: SimConfig) -> State:
         harmonic_iterations=extension.iterations,
         harmonic_factorizations=(state.harmonic_factorizations
                                  + extension.factorizations),
-        harmonic=harmonic,
-        w=None if did_remesh else w_next)
+        harmonic_factor=lagged,
+        w=w_next)
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
@@ -317,23 +299,18 @@ def run(config: SimConfig, sinks=()):
     """Run the simulation; returns (final state, list of records).
 
     sinks are callables invoked as sink(step_index, state, record) at
-    every recorded step (including the initial state).  The harmonic
-    worker of the states is closed on return, also when a step or a
-    sink raises.
+    every recorded step (including the initial state).
     """
     state = initialize(config)
-    try:
-        records = [record_state(state, config)]
-        for sink in sinks:
-            sink(0, state, records[-1])
-        n = config.n_steps
-        for i in range(1, n + 1):
-            state = step(state, config)
-            if i % config.record_every == 0 or i == n:
-                rec = record_state(state, config)
-                records.append(rec)
-                for sink in sinks:
-                    sink(i, state, rec)
-    finally:
-        state.harmonic.close()
+    records = [record_state(state, config)]
+    for sink in sinks:
+        sink(0, state, records[-1])
+    n = config.n_steps
+    for i in range(1, n + 1):
+        state = step(state, config)
+        if i % config.record_every == 0 or i == n:
+            rec = record_state(state, config)
+            records.append(rec)
+            for sink in sinks:
+                sink(i, state, rec)
     return state, records

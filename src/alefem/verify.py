@@ -305,12 +305,9 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
         progress(lvl, 0, cfg.n_steps)
         state = initialize(cfg)
         mesh0, spaces0 = state.mesh, state.spaces
-        try:
-            for i in range(cfg.n_steps):
-                state = step(state, cfg)
-                progress(lvl, i + 1, cfg.n_steps)
-        finally:
-            state.harmonic.close()
+        for i in range(cfg.n_steps):
+            state = step(state, cfg)
+            progress(lvl, i + 1, cfg.n_steps)
         if state.remesh_count:
             raise RuntimeError(
                 "remeshing occurred during the rate study; shorten T or "
@@ -426,9 +423,8 @@ def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
     n = max(1, int(round(T / tau)))
     p = np.zeros(spaces.pressure.n_dofs)
     for _ in range(n):
-        u, p, _lam, _stats = flow_solve(mesh, spaces, params, tau, u,
-                                        transport=u, load=load,
-                                        boundary_values=u)
+        u, p = flow_solve(mesh, spaces, params, tau, u, transport=u,
+                          load=load, boundary_values=u)[:2]
 
     uq = field_values(spaces.velocity, u, geom)
     gq = field_gradients(spaces.velocity, u, geom)

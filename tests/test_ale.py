@@ -324,14 +324,12 @@ def sliced_harmonic_extension(mesh, spaces, u):
 
 
 def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
-    """Over four steps on two CPUs and one extension on a renumbered
-    copy: every factor, on either thread, is SuperLU's full LU in MMD
+    """Over four steps and one extension on a renumbered copy: every
+    factor, all made on the calling thread, is SuperLU's full LU in MMD
     order with relax=1 (see `ale.splu`) of a block gathered through
-    `DofMaps.interior`; no step
-    slices a matrix outside the building of a gather; the extensions of
-    the calling thread equal a sliced reference bitwise, and those of
-    the worker, by CG on its lagged factor, to 1e-12."""
-    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
+    `DofMaps.interior`; no step slices a matrix outside the building of
+    a gather; the direct extensions equal a sliced reference bitwise,
+    and the steps' own, by CG on the lagged factor, to 1e-12."""
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
     factors = []
@@ -360,16 +358,15 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
             return _original(self, key)
         monkeypatch.setattr(cls, "__getitem__", getitem)
 
-    # (mesh, spaces, u, extension on the calling thread, on the worker)
+    # (mesh, spaces, u, direct extension, the step's lagged extension)
     extensions = []
     for _ in range(4):
         state = step(state, cfg)
         extensions.append((state.mesh, state.spaces, state.u,
                            harmonic_extension(state.mesh, state.spaces,
                                               state.u),
-                           state.w.result().w))
+                           state.w.w))
     assert state.remesh_count == 0
-    state.harmonic.close()
 
     spaces = state.spaces
     V = spaces.velocity
@@ -386,13 +383,11 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
     assert slices == []
     monkeypatch.undo()
 
-    # the first step's direct extension and the worker's factor of its
-    # numbering, which every later step reuses, and one per extension
-    # above
-    assert len(factors) == 7
-    threads = [thread for thread, _, _ in factors]
-    assert threads.count(threading.main_thread()) == 6
-    assert len(set(threads)) == 2
+    # the first step's direct extension and the lagged factor of its
+    # numbering, which every later step reuses, and one per direct
+    # extension above
+    assert [thread for thread, _, _ in factors] \
+        == [threading.main_thread()] * 7
     for i, (_, A, kwargs) in enumerate(factors):
         block = (renumbered if i == 6 else spaces).maps.interior
         assert kwargs == {"drop_tol": 0.0, "fill_factor": 2,
@@ -400,44 +395,38 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
                           "permc_spec": "MMD_AT_PLUS_A", "relax": 1}
         assert isinstance(A, sparse.csc_matrix)
         assert A.indices is block.indices or A.indices.base is block.indices
-    for mesh, spaces_n, u_n, here, worker in extensions:
+    for mesh, spaces_n, u_n, direct, lagged in extensions:
         expect = sliced_harmonic_extension(mesh, spaces_n, u_n)
-        assert_exact(here, expect)
-        assert np.abs(worker - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert_exact(direct, expect)
+        assert np.abs(lagged - expect).max() <= 1e-12 * np.abs(expect).max()
     assert_exact(got, sliced_harmonic_extension(state.mesh, renumbered, u))
 
 
 @pytest.mark.parametrize("cap", [1, ale.MAX_ITERATIONS])
 def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
-    """Over 24 steps at h=0.16, every w that a step moves by, extended on
-    the worker by CG on the lagged factor, equals the sliced direct
-    extension to 1e-12 of its size; its interface DOFs are those of u
+    """Over 24 steps at h=0.16, every w that a step moves by, extended by
+    CG on the lagged factor, equals the sliced direct extension to 1e-12 of its size; its interface DOFs are those of u
     bitwise and its boundary DOFs exactly 0.  A cap of 1 makes every
     extension but the first overrun it, so that each later step
     refactors first; at the default cap no step does."""
-    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
     monkeypatch.setattr(ale, "MAX_ITERATIONS", cap)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
     iterations = []
-    try:
-        for _ in range(24):
-            state = step(state, cfg)
-            extension = state.w.result()
-            w, spaces = extension.w, state.spaces
-            iterations.append(extension.iterations)
-            expect = sliced_harmonic_extension(state.mesh, spaces, state.u)
-            assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
-            iv = spaces.vector_dofs(spaces.interface_dofs)
-            bv = spaces.vector_dofs(spaces.boundary_dofs)
-            assert w[iv].tobytes() == state.u[iv].tobytes()
-            assert np.array_equal(np.signbit(w[bv]), np.zeros(len(bv), bool))
-            assert not w[bv].any()
-    finally:
-        state.harmonic.close()
+    for _ in range(24):
+        state = step(state, cfg)
+        w, spaces = state.w.w, state.spaces
+        iterations.append(state.w.iterations)
+        expect = sliced_harmonic_extension(state.mesh, spaces, state.u)
+        assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
+        iv = spaces.vector_dofs(spaces.interface_dofs)
+        bv = spaces.vector_dofs(spaces.boundary_dofs)
+        assert w[iv].tobytes() == state.u[iv].tobytes()
+        assert np.array_equal(np.signbit(w[bv]), np.zeros(len(bv), bool))
+        assert not w[bv].any()
     assert state.remesh_count == 0
-    # the last state's steps moved by a direct extension, the worker's
-    # first one, factored for its numbering, and then by extensions that
+    # the last state's steps moved by a direct extension, the first
+    # lagged one, factored for its numbering, and then by extensions that
     # factor only after an overrun of the one before: those of the first
     # 22 steps, the last of which the last state moved by
     overruns = sum(i > cap for i in iterations[:-2])
@@ -452,22 +441,17 @@ def test_lagged_extension_refactors_when_cg_stalls(monkeypatch):
     """An extension that does not converge within `ale._CG_LIMIT`
     iterations on the lagged factor refactors at once and finishes on
     the fresh factor, to the same accuracy."""
-    monkeypatch.setattr(ale, "_cpus_available", lambda: 2)
     monkeypatch.setattr(ale, "_CG_LIMIT", 2)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
     extensions = []
-    try:
-        for _ in range(6):
-            state = step(state, cfg)
-            extension = state.w.result()
-            extensions.append(extension)
-            expect = sliced_harmonic_extension(state.mesh, state.spaces,
-                                               state.u)
-            assert np.abs(extension.w - expect).max() \
-                <= 1e-12 * np.abs(expect).max()
-    finally:
-        state.harmonic.close()
+    for _ in range(6):
+        state = step(state, cfg)
+        extensions.append(state.w)
+        expect = sliced_harmonic_extension(state.mesh, state.spaces,
+                                           state.u)
+        assert np.abs(state.w.w - expect).max() \
+            <= 1e-12 * np.abs(expect).max()
     # the first extends on the factor of its own configuration; each
     # later one stalls after 2 iterations and refactors
     assert [e.factorizations for e in extensions] == [1] * 6

@@ -288,7 +288,7 @@ def test_tables_and_kernels_match_einsum(k, tangle):
     spaces = spaces_with_mesh(spaces, mesh)
     V, P = spaces.velocity, spaces.pressure
     coeffs = rng.normal(size=2 * V.n_dofs)
-    geom = GeometryTables(mesh, None)
+    geom = GeometryTables(mesh)
 
     rule = triangle_rule(2 * k + 2)
     xs = mesh.coords[mesh.elements]

@@ -215,4 +215,3 @@ def test_pressure_positions_are_computed_on_first_read(monkeypatch):
                           original(state.mesh, P.degree, P.dof_of, P.n_dofs))
     assert not positions.flags.writeable
     assert P.positions is positions and len(calls) == 1
-    state.harmonic.close()

@@ -65,10 +65,10 @@ def manufactured_stokes(h):
     M = assemble("M", mesh, spaces)
     load = M @ f_nodal
     # steady Stokes: take one huge implicit step with zero transport
-    u, p, lam, _ = flow_solve(mesh, spaces, params, 1e12,
-                              np.zeros_like(u_bc),
-                              transport=np.zeros_like(u_bc), load=load,
-                              boundary_values=u_bc)
+    u, p, lam, _, _ = flow_solve(mesh, spaces, params, 1e12,
+                                 np.zeros_like(u_bc),
+                                 transport=np.zeros_like(u_bc), load=load,
+                                 boundary_values=u_bc)
     return mesh, spaces, u, p, lam, u_bc
 
 
