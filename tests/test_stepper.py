@@ -1,20 +1,12 @@
-import gc
 import math
-import threading
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from alefem import ale, assembly, stepper, verify
 from alefem.assembly import PhaseParams, assemble, pressure_mean_vector
 from alefem.fespace import build_taylor_hood
-from alefem.mesh import (
-    fit_interface_mesh,
-    generate_bubble_mesh,
-    geometry,
-    quality,
-)
+from alefem.mesh import fit_interface_mesh, geometry, quality
 from alefem.stepper import (
     SimConfig,
     State,
@@ -23,8 +15,7 @@ from alefem.stepper import (
     run,
     step,
 )
-from alefem.ale import LaggedFactor, advance_mesh, harmonic_extension
-from alefem.verify import spatial_convergence_study
+from alefem.ale import harmonic_extension
 
 from conftest import BP1, CENTER, RADIUS, RECT
 
@@ -267,201 +258,3 @@ def test_record_state_evaluates_velocity_once(monkeypatch):
         remesh_count=state.remesh_count,
     ))
     assert state.min_angle == quality(state.mesh).min_angle
-
-
-# The lagged harmonic factor (`ale.LaggedFactor`), which the states of a
-# run hand on from step to step.
-
-def steps_config(n: int) -> SimConfig:
-    return tiny_config(T=n / 200.0)
-
-
-def remesh_config() -> SimConfig:
-    """Six steps at h=0.12 with a threshold just below the initial mesh's
-    minimum angle, so that step 2 remeshes once."""
-    angle = quality(generate_bubble_mesh(RECT, CENTER, RADIUS, 0.12, 2)
-                    ).min_angle
-    return tiny_config(h=0.12, T=6 / 200.0, remesh_angle=angle - 1e-6)
-
-
-class Factor:
-    """A SuperLU factor that logs when it is made and freed."""
-
-    def __init__(self, lu, log):
-        self._lu = lu
-        self._log = log
-        log.append(("made", id(self)))
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-    def __del__(self):
-        self._log.append(("freed", id(self)))
-
-
-def logged_factors(monkeypatch):
-    log = []
-    original = ale.spilu
-    monkeypatch.setattr(ale, "spilu",
-                        lambda *a, **kw: Factor(original(*a, **kw), log))
-    return log
-
-
-def test_one_harmonic_factor_is_alive_at_a_time(monkeypatch):
-    """Through a remesh, with a cap of 1, so that every extension on a
-    factor of an earlier configuration overruns and the next step
-    refactors: at no time are two harmonic factors alive, and each is
-    freed before the next is made."""
-    log = logged_factors(monkeypatch)
-    monkeypatch.setattr(ale, "MAX_ITERATIONS", 1)
-    state, _ = run(remesh_config())
-    assert state.remesh_count == 1
-    del state
-    gc.collect()
-    alive = set()
-    for event, key in log:
-        if event == "made":
-            assert not alive
-            alive.add(key)
-        else:
-            alive.remove(key)
-    assert not alive
-    # per numbering (steps 1 and 3): the direct extension, then the
-    # lagged factor; then one refactor per step after an overrun, steps
-    # 4-6.  Step 1 extends on the mesh that the zero initial velocity
-    # left in place, the one its factor is of, so it does not overrun.
-    assert sum(event == "made" for event, _ in log) == 2 + 2 + 3
-
-
-def test_the_moved_mesh_is_advance_mesh_of_the_states_w():
-    """A step moves by the w of its state, the extension of the state's u
-    on the state's mesh (by CG on the lagged factor, to 1e-12 of the
-    direct extension there), never by one on another mesh: two steps
-    from one state move the mesh alike."""
-    cfg = steps_config(3)
-    state = step(initialize(cfg), cfg)
-    for _ in range(2):
-        moved = step(state, cfg)
-        assert moved.remesh_count == 0
-        w = state.w.w
-        expect = advance_mesh(state.mesh.x, w, cfg.tau)
-        assert moved.mesh.x.tobytes() == expect.tobytes()
-        direct = harmonic_extension(state.mesh, state.spaces, state.u)
-        elsewhere = harmonic_extension(moved.mesh, moved.spaces, state.u)
-        scale = np.abs(direct).max()
-        assert np.abs(w - direct).max() <= 1e-12 * scale
-        assert np.abs(w - elsewhere).max() > 1e-6 * scale
-
-
-def counted_extensions(monkeypatch, *modules):
-    """The calls of `ale.harmonic_extension` through each module's name
-    for it, in call order."""
-    calls = []
-    for module in modules:
-        original = module.harmonic_extension
-
-        def counting(*args, original=original, name=module.__name__):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(module, "harmonic_extension", counting)
-    return calls
-
-
-def test_only_the_first_step_of_a_numbering_extends_by_a_direct_solve(
-        monkeypatch):
-    """Every step but the first takes the w that the step before made
-    (`State.w`), and the run factors twice: the first step's direct
-    extension, and the lagged factor of the numbering, which every later
-    step reuses."""
-    calls = counted_extensions(monkeypatch, stepper)
-    log = logged_factors(monkeypatch)
-    seen = []
-    state, _ = run(steps_config(4), sinks=[
-        lambda i, state, rec: seen.append((i, len(calls)))])
-    assert state.remesh_count == 0
-    assert seen == [(0, 0), (1, 1), (2, 1), (3, 1), (4, 1)]
-    assert sum(event == "made" for event, _ in log) == 2
-
-
-def test_convergence_study_extends_once_per_level(monkeypatch):
-    """The study's final w is the extension its last step made, so each
-    level extends by a direct solve only in its first step."""
-    calls = counted_extensions(monkeypatch, stepper, verify)
-    report = spatial_convergence_study(steps_config(2), levels=3, m=2)
-    assert len(report.h_values) == 3
-    assert calls == ["alefem.stepper"] * 3
-
-
-def test_state_is_frozen_and_its_velocity_read_only():
-    """w of a state is the extension of its u on its mesh: neither can
-    change after the step that made it made w."""
-    cfg = steps_config(1)
-    state = step(initialize(cfg), cfg)
-    assert state.w is not None
-    with pytest.raises(ValueError, match="read-only"):
-        state.u[::7] *= 1.5
-    with pytest.raises(FrozenInstanceError):
-        state.u = state.u * 1.5
-    with pytest.raises(FrozenInstanceError):
-        state.w = None
-
-
-def test_one_gram_per_configuration(monkeypatch):
-    """Each step reads A_mu and the mesh Laplacian off one gradient Gram
-    (`assembly.viscous_and_laplacian`), and its extension gets that
-    Laplacian: four steps form five Grams, one for the first step's
-    direct extension, whose Laplacian the lagged factor is made of, and
-    one per flow solve."""
-    grams, made, extended = [], [], []
-    original = assembly._gram_local
-
-    def gram(*args):
-        grams.append(args[1])
-        return original(*args)
-
-    monkeypatch.setattr(assembly, "_gram_local", gram)
-    init, extend = LaggedFactor.__init__, LaggedFactor.extend
-
-    def spy_init(self, L, block):
-        made.append(type(L).__name__)
-        init(self, L, block)
-
-    def spy_extend(self, L, spaces, u):
-        extended.append(type(L).__name__)
-        return extend(self, L, spaces, u)
-
-    monkeypatch.setattr(LaggedFactor, "__init__", spy_init)
-    monkeypatch.setattr(LaggedFactor, "extend", spy_extend)
-    state, _ = run(steps_config(4))
-    assert state.remesh_count == 0
-    assert len(grams) == 5
-    assert made == ["csr_matrix"]
-    assert extended == ["csr_matrix"] * 4
-
-
-def test_step_through_a_remesh(monkeypatch):
-    """A run that remeshes once, at step 2: the state after the remesh
-    carries neither a saddle factor, nor a lagged harmonic factor, nor a
-    w, and the next step extends by a direct solve, as step 1 did."""
-    calls = counted_extensions(monkeypatch, stepper)
-    seen = []
-    state, _ = run(remesh_config(), sinks=[lambda i, state, rec: seen.append(
-        (rec.remesh_count, state.factor is None,
-         state.harmonic_factor is None, state.w is None, len(calls)))])
-    assert state.remesh_count == 1
-    assert seen == [(0, True, True, True, 0), (0, False, False, False, 1),
-                    (1, True, True, True, 1), (1, False, False, False, 2),
-                    (1, False, False, False, 2), (1, False, False, False, 2),
-                    (1, False, False, False, 2)]
-
-
-def test_a_run_starts_no_thread():
-    """The whole step runs on the calling thread, through a remesh too."""
-    before = threading.active_count()
-    inside = []
-    state, _ = run(remesh_config(), sinks=[
-        lambda i, state, rec: inside.append(threading.active_count())])
-    assert state.remesh_count == 1
-    assert inside == [before] * 7
-    assert threading.active_count() == before
