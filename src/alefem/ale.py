@@ -5,10 +5,11 @@ by construction) and vanishes on the outer boundary; in the bulk it is
 the discrete harmonic extension of those boundary values.  Every factor
 of the interior block of the mesh Laplacian, the block gathered through
 the index maps of its numbering (`DofMaps.interior`), is made one way
-(`splu`).  The first extension of a numbering is a direct solve by a
-factor of its own configuration (`harmonic_extension`); the steps after
-it keep one factor of the numbering across steps and extend by CG
-preconditioned with it (`LaggedFactor`).  Remeshing
+(`splu`).  Every extension solves on the lagged factor of its
+numbering (`linalg.LaggedFactor`, see `extend`): directly on a factor
+of its own configuration, as the first extension of a numbering does
+(`harmonic_extension`), and by CG preconditioned with the factor of an
+earlier configuration otherwise.  Remeshing
 redistributes the interface vertices at equal arc length, about h apart,
 along the old degree-k interface curve, and places the new interface
 edge nodes on that curve too, so the curve is kept up to the
@@ -25,14 +26,14 @@ import numpy as np
 from scipy.sparse.linalg import spilu
 
 from . import mesh as meshmod
-from .assembly import Gather, scalar_laplacian
+from .assembly import scalar_laplacian
 from .fespace import (
     FESpacePair,
     ScalarSpace,
     build_taylor_hood,
     evaluate_many,
 )
-from .linalg import SolverError
+from .linalg import LaggedFactor
 from .mesh import (
     Mesh,
     MeshGenerationError,
@@ -43,19 +44,22 @@ from .mesh import (
 from .reference import edge_element, edge_local_nodes
 
 # CG iterations that one extension may spend on the lagged factor; after
-# an extension that spent more, the next step refactors (see
-# `LaggedFactor`).
-# At h=0.04 an iteration costs about 0.45 ms and a factor about 9 ms, and
-# the iterations climb from 4 after a refactor, so that rise_h04
-# refactors every 8-15 steps; caps of 6, 8 and 12 gave its step times
-# within noise of each other.
+# an extension that spent more, the next one refactors (see
+# `linalg.LaggedFactor`).
+# At h=0.04, on one CPU of a shared 2-CPU Xeon VM, an iteration costs
+# about 1.5 ms in a rise_h04 run (951 in 150 steps; the (n, 2) solve by
+# the factor is 0.6 ms of it and A @ p 0.1 ms) and a factor 16-25 ms.
+# The iterations climb from 5 after a refactor, so that rise_h04
+# refactors every 9-16 steps once its first factor is spent.  Caps of 6,
+# 8 and 12 gave its step times within noise of each other when an
+# iteration cost 0.45 ms.
 MAX_ITERATIONS = 8
 
 # Residual, relative to the right-hand side, at which CG stops a column
 TOLERANCE = 1e-13
 
-# CG iterations after which an extension refactors at once and finishes
-# on the fresh factor
+# CG iterations after which an extension refactors at once and solves
+# directly on the fresh factor
 _CG_LIMIT = 30
 
 
@@ -80,26 +84,23 @@ class Extension(NamedTuple):
 
 
 def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
-                       L=None) -> np.ndarray:
+                       lagged: LaggedFactor | None = None) -> np.ndarray:
     """Discrete harmonic mesh velocity matching u on the interface.
 
     Interface DOFs of the result equal those of u bitwise, boundary DOFs
     are exactly zero, and interior DOFs minimize the Dirichlet energy of
     each subdomain (one global solve; the fixed interface row decouples
-    the subdomains).  L is the mesh Laplacian of mesh
-    (`mesh_laplacian`), assembled here when not given.
+    the subdomains).
 
     This is a direct solve, componentwise, by a factor of the interior
-    block of L, made and freed here.  A step whose state carries a
-    lagged factor extends by CG on it instead (see `LaggedFactor`).
+    block of the mesh Laplacian of mesh, made by lagged, a new
+    `LaggedFactor` of the numbering of spaces (made here when not
+    given), which keeps the factor for the extensions after this one
+    (see `extend`).
     """
-    if L is None:
-        L = mesh_laplacian(mesh, spaces)
-    w, free, rhs = _lift(L, spaces, u)
-    lu = splu(spaces.maps.interior([L]))
-    for c in range(2):
-        w[free, c] = lu.solve(rhs[:, c])
-    return w.ravel()
+    if lagged is None:
+        lagged = LaggedFactor(MAX_ITERATIONS)
+    return extend(mesh_laplacian(mesh, spaces), spaces, u, lagged).w
 
 
 def mesh_laplacian(mesh: Mesh, spaces: FESpacePair):
@@ -107,21 +108,6 @@ def mesh_laplacian(mesh: Mesh, spaces: FESpacePair):
     spaces."""
     return scalar_laplacian(geometry(mesh), spaces.velocity,
                             spaces.maps.scalar)
-
-
-def _lift(L, spaces: FESpacePair, u: np.ndarray):
-    """(w, free, rhs) of the extension of u by mesh Laplacian L: w is
-    (n_dofs, 2), holding u on the interface and 0 elsewhere, free masks
-    the DOFs on neither the interface nor the boundary, and rhs is the
-    right-hand side of the interior block's system."""
-    free = np.ones(spaces.velocity.n_dofs, dtype=bool)
-    free[spaces.interface_dofs] = False
-    free[spaces.boundary_dofs] = False
-    w = np.zeros((spaces.velocity.n_dofs, 2))
-    w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
-    # w vanishes on the free DOFs, whose columns therefore add only +-0:
-    # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
-    return w, free, -(L @ w)[free]
 
 
 def splu(A):
@@ -155,93 +141,76 @@ def splu(A):
                  permc_spec="MMD_AT_PLUS_A", relax=1)
 
 
+def extend(L, spaces: FESpacePair, u: np.ndarray, lagged: LaggedFactor,
+           start: np.ndarray | None = None) -> Extension:
+    """The harmonic extension of u by mesh Laplacian L, of the
+    numbering of spaces, on the factor that lagged holds: directly,
+    componentwise, on a factor made here from L's interior block, and
+    otherwise by block CG preconditioned with the factor of an earlier
+    configuration, from the interior values of start, the previous
+    extension, to a residual of TOLERANCE per component.  A CG that has
+    not converged after _CG_LIMIT iterations refactors (see
+    `linalg.LaggedFactor`).
+    """
+    free = np.ones(spaces.velocity.n_dofs, dtype=bool)
+    free[spaces.interface_dofs] = False
+    free[spaces.boundary_dofs] = False
+    w = np.zeros((spaces.velocity.n_dofs, 2))
+    w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
+    # w vanishes on the free DOFs, whose columns therefore add only +-0:
+    # this equals -L[free][:, fixed] @ w[fixed] bitwise, up to signs of 0
+    rhs = -(L @ w)[free]
+    A = spaces.maps.interior([L])
+    x = (np.zeros_like(rhs) if start is None
+         else start.reshape(-1, 2)[free])
+
+    def attempt(lu, fresh):
+        if not fresh:
+            return _cg(A, rhs, x, lu)
+        for c in range(2):
+            x[:, c] = lu.solve(rhs[:, c])
+        return x, 0, True
+
+    x, iterations, made = lagged.solve(lambda: splu(A), attempt)
+    w[free] = x
+    return Extension(w.ravel(), iterations, made)
+
+
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The inner products of the columns of a and b."""
     return np.einsum("ij,ij->j", a, b)
 
 
-class LaggedFactor:
-    """The factor of one numbering's interior block that the states of
-    a run hand on from step to step (`stepper.State`), with what CG
-    needs between them: the interior values of the last extension, from
-    which the next one starts, and work arrays.  Between remeshes the
-    block changes only by O(tau) per step, so a factor of an earlier
-    configuration preconditions CG on the current one.
-
-    An extension that spends more than MAX_ITERATIONS leaves its L in
-    stale, and the next step factors it once it has released the old
-    mesh's geometry table (see `stepper.step`).
-    """
-
-    def __init__(self, L, block: Gather):
-        self.block = block
-        n = block.shape[0]
-        self.lu = None
-        self.factorizations = 0         # made since the last extension
-        self.refactor(L)
-        self.x = np.zeros((n, 2))
-        self.r, self.p, self.t = (np.empty((n, 2)) for _ in range(3))
-
-    def refactor(self, L) -> None:
-        """Replace the factor by one of L's block, freeing the old one
-        before the new one is made."""
-        self.stale = None
-        self.lu = None
-        self.lu = splu(self.block([L]))
-        self.factorizations += 1
-
-    def extend(self, L, spaces: FESpacePair, u: np.ndarray) -> Extension:
-        """The harmonic extension of u by mesh Laplacian L of this
-        numbering, to a residual of TOLERANCE per component."""
-        w, free, rhs = _lift(L, spaces, u)
-        A = self.block([L])
-        iterations, converged = self._cg(A, rhs)
-        if not converged:
-            # too far off to go on: refactor at once and finish from x
-            self.refactor(L)
-            more, converged = self._cg(A, rhs)
-            iterations += more
-            if not converged:
-                raise SolverError(f"harmonic extension: CG did not reach "
-                                  f"{TOLERANCE:g} on a fresh factor")
-        elif iterations > MAX_ITERATIONS:
-            self.stale = L
-        w[free] = self.x
-        made, self.factorizations = self.factorizations, 0
-        return Extension(w.ravel(), iterations, made)
-
-    def _cg(self, A, b: np.ndarray) -> tuple[int, bool]:
-        """Preconditioned CG on the columns of A x = b from x, in place:
-        each iteration solves by the factor for both columns at once, and
-        a column stops once its residual is within TOLERANCE of its b (a
-        zero b gives x = 0).  Returns (iterations, converged), stopping
-        unconverged after _CG_LIMIT iterations."""
-        x, r, p, t = self.x, self.r, self.p, self.t
-        target = (TOLERANCE * np.linalg.norm(b, axis=0)) ** 2
-        x[:, target == 0.0] = 0.0
-        np.subtract(b, A @ x, out=r)
-        rz = None
-        for k in range(_CG_LIMIT + 1):
-            active = _dots(r, r) > target
-            if not active.any():
-                return k, True
-            if k == _CG_LIMIT:
-                return k, False
-            z = self.lu.solve(r)
-            rz_old, rz = rz, _dots(r, z)
-            if rz_old is None:
-                p[:] = z
-            else:
-                p *= np.divide(rz, rz_old, out=np.zeros(2),
-                               where=rz_old != 0.0)
-                p += z
-            q = A @ p
-            alpha = np.divide(rz, _dots(p, q), out=np.zeros(2),
-                              where=active)
-            np.multiply(p, alpha, out=t)
-            x += t
-            np.multiply(q, alpha, out=t)
-            r -= t
+def _cg(A, b: np.ndarray, x: np.ndarray, lu):
+    """Block CG on the columns of A x = b from x, in place,
+    preconditioned by the factor lu: each iteration solves by lu for
+    both columns at once, and a column stops once its residual is within
+    TOLERANCE of its b (a zero b gives x = 0).  Returns (x, iterations,
+    converged), stopping unconverged after _CG_LIMIT iterations."""
+    target = (TOLERANCE * np.linalg.norm(b, axis=0)) ** 2
+    x[:, target == 0.0] = 0.0
+    r = b - A @ x
+    p, t = np.empty_like(x), np.empty_like(x)
+    rz = None
+    for k in range(_CG_LIMIT + 1):
+        active = _dots(r, r) > target
+        if not active.any():
+            return x, k, True
+        if k == _CG_LIMIT:
+            return x, k, False
+        z = lu.solve(r)
+        rz_old, rz = rz, _dots(r, z)
+        if rz_old is None:
+            p[:] = z
+        else:
+            p *= np.divide(rz, rz_old, out=np.zeros(2), where=rz_old != 0.0)
+            p += z
+        q = A @ p
+        alpha = np.divide(rz, _dots(p, q), out=np.zeros(2), where=active)
+        np.multiply(p, alpha, out=t)
+        x += t
+        np.multiply(q, alpha, out=t)
+        r -= t
 
 
 def advance_mesh(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:

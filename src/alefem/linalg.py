@@ -3,11 +3,14 @@
 The zero-mean pressure constraint is imposed by a single scalar
 multiplier row/column bordering the saddle block, which is
 preconditioned by an LU factor of its quasi-definite form, made in a
-symmetric minimum-degree order without pivoting (`SaddleFactor`).  A
-factor outlives its solve: between remeshes the saddle matrix changes
-only by O(tau), so the factor of an earlier step preconditions GMRES on
-the current system and a new factorization is needed only when that
-stops paying off.
+symmetric minimum-degree order without pivoting (`SaddleFactor`).
+
+A factor outlives its solve.  Between remeshes the matrices of a step
+change only by O(tau), so the factor of an earlier step preconditions
+an iteration on the current system, and a new factorization is needed
+only when that stops paying off.  `LaggedFactor` holds such a factor
+and decides when to replace it, for the saddle solve here and for the
+harmonic extension (`ale.extend`).
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class SaddleSystem:
             raise SolverError("mean vector size does not match pressure block")
 
 
-# Applications of a factor (iterations) one saddle solve may spend before
-# the factor is handed back as stale, so that the next solve refactors.
+# Applications of a factor (iterations) one saddle solve may spend on it
+# before it goes stale, so that the next solve refactors (`LaggedFactor`).
 MAX_ITERATIONS = 20
 
 # Weight, relative to max |diag A0|, of the pressure diagonal that makes
@@ -84,7 +87,7 @@ class SaddleFactor:
     """
 
     def __init__(self, A0: sparse.spmatrix, c: np.ndarray, n_u: int):
-        self.n = n = A0.shape[0]
+        n = A0.shape[0]
         self.c = c
         self.sign = np.repeat([1.0, -1.0], [n_u, n - n_u])
         sigma = float(np.abs(A0.diagonal()).max()) or 1.0
@@ -109,21 +112,53 @@ class SaddleFactor:
         return np.append(x1 - lam * self.x2, lam)
 
 
-def reusable(factor, n: int) -> bool:
-    """Whether factor, handed on by an earlier solve, may precondition a
-    solve of n unknowns rather than be replaced by a fresh factorization:
-    a stale factor is handed on as None, and one of another size belongs
-    to another numbering."""
-    return factor is not None and factor.n == n
+class LaggedFactor:
+    """The factor of one numbering's matrix that the solves of a run
+    hand on from step to step, and the one rule by which it is replaced.
+
+    A solve runs its iteration on the held factor.  It refactors from
+    its own matrix first when there is none, as in the first solve of a
+    numbering or after the solve before went stale, and at once when the
+    iteration cannot converge on a lagged factor; it then finishes on
+    the fresh factor.  A solve that spends more than cap iterations on
+    the factor it leaves behind drops it: the factor has gone stale, and
+    the next solve refactors.  The old factor is always freed before the
+    new one is made.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.factor = None
+
+    def solve(self, make: Callable, attempt: Callable):
+        """Run attempt(factor, fresh) -> (result, iterations, converged)
+        on the held factor, fresh telling it that the factor was made by
+        make(), from the matrix of this solve.  Returns (result,
+        iterations, factorizations), the iterations summed over both
+        attempts when there were two."""
+        iterations = made = 0
+        while True:
+            fresh = self.factor is None
+            if fresh:
+                self.factor = make()
+                made += 1
+            result, spent, converged = attempt(self.factor, fresh)
+            iterations += spent
+            if converged or fresh:
+                break
+            self.factor = None          # freed before the new one is made
+        if spent > self.cap:
+            self.factor = None          # stale: the next solve refactors
+        return result, iterations, made
 
 
 @dataclass
 class SaddleStats:
-    """What a saddle solve hands on: the factor for the next solve (None
-    when it has gone stale), the iterations spent (applications of the
-    factor) and the factorizations made (0 or 1)."""
+    """What a saddle solve hands on: the lagged factor for the next
+    solve, the iterations spent (applications of a factor) and the
+    factorizations made (0 or 1)."""
 
-    factor: SaddleFactor | None
+    factor: LaggedFactor
     iterations: int
     factorizations: int
 
@@ -160,19 +195,20 @@ def _gmres(matvec: Callable, precond: Callable, r: np.ndarray,
     return d, max_iter
 
 
-def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
+def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
     """Solve the bordered saddle problem; returns (u, p, multiplier, stats).
 
-    The first iterate is one bordered solve with factor, typically the
-    one an earlier solve handed on; iterative refinement on the exact
-    bordered residual follows, each correction computed by GMRES right-
-    preconditioned with the same factor.  The factor inverts a matrix
-    EPSILON away from A0 (see `SaddleFactor`), so a fresh one needs a
-    few iterations too.  A factor of the wrong size, or one that cannot
-    reach the refinement target, is replaced by a fresh factorization.
-    stats.iterations counts applications of the factor; stats.factor is
-    None when they exceeded MAX_ITERATIONS, so that the next solve
-    refactors instead.
+    The first iterate is one bordered solve with the factor that factor
+    holds, typically one an earlier solve of the numbering made;
+    iterative refinement on the exact bordered residual follows, each
+    correction computed by GMRES right-preconditioned with the same
+    factor.  The factor inverts a matrix EPSILON away from A0 (see
+    `SaddleFactor`), so a fresh one needs a few iterations too.  When
+    factor holds none, or its factor cannot reach the refinement target,
+    A0 is factored afresh, and when the solve spends more than
+    MAX_ITERATIONS applications the factor goes stale (see
+    `LaggedFactor`).  Without factor a new LaggedFactor is made;
+    stats.factor is the one the solve ran on.
 
     The refinement target is 1e-12 of the bound below and, row by row,
     1e-12 of |A| |x| + |b|.  The matrix is badly scaled (M_rho / tau
@@ -248,15 +284,10 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
                 checked = check(z)
         return z, iterations, checked[0]
 
-    factorizations = 0
-    converged = False
-    if reusable(factor, n):
-        z, iterations, converged = refine(factor)
-    if not converged:
-        factor = None               # drop this reference before allocating
-        factor = SaddleFactor(A0, c, n_u)
-        factorizations = 1
-        z, iterations, _ = refine(factor)
+    if factor is None:
+        factor = LaggedFactor(MAX_ITERATIONS)
+    z, iterations, factorizations = factor.solve(
+        lambda: SaddleFactor(A0, c, n_u), lambda f, fresh: refine(f))
 
     x, lam = z[:n], z[n]
     res = rhs - (A0 @ x + lam * c)
@@ -269,6 +300,4 @@ def solve_saddle(system: SaddleSystem, factor: SaddleFactor | None = None):
     if abs(mean) > 1e-10 * max(np.abs(p).max(initial=0.0), 1.0) * \
             max(np.abs(m).sum(), 1.0):
         raise SolverError(f"pressure mean {mean:.3e} not eliminated")
-    stats = SaddleStats(factor if iterations <= MAX_ITERATIONS else None,
-                        iterations, factorizations)
-    return u, p, float(lam), stats
+    return u, p, float(lam), SaddleStats(factor, iterations, factorizations)

@@ -21,24 +21,26 @@ reads again: kept, it raised the peak memory of a run at h=0.04 by 10%.
 A step runs on the calling thread, in this order:
 
 - (1) takes the state's w, or, in the first step of a numbering, extends
-  u by a direct solve, and releases the old mesh's geometry table; then,
-  where the step's memory is at its low point, it factors the interior
-  block of the Laplacian of that direct extension for the steps after
-  it, or refactors the state's lagged factor when the extension before
-  spent more than `ale.MAX_ITERATIONS` CG iterations
-  (`ale.LaggedFactor`).  A factor held across steps pins the memory it
-  lands on (see `ale.splu`);
+  u by a direct solve, whose factor of the interior block becomes the
+  numbering's lagged harmonic factor (`ale.harmonic_extension`), and
+  releases the old mesh's geometry table;
 - (2) moves the mesh;
 - (3) builds the moved mesh's geometry table and assembles the load,
   reads A_mu and the moved mesh's Laplacian, the configuration the next
   step extends on, off one gradient Gram, assembles C, M_rho, the
-  convection form and the pressure mean, and runs the saddle solve;
+  convection form and the pressure mean, and runs the saddle solve on
+  the numbering's lagged saddle factor;
 - (4) checks the mesh and remeshes on the angle criterion.  A step that
-  keeps its mesh then extends u by CG on the Laplacian of (3),
-  preconditioned with the lagged factor, the w of the next state.  A
-  step that remeshes extends nothing and drops the lagged factor, whose
-  numbering is dead; the next step extends by a direct solve, as the
-  first step does.
+  keeps its mesh then extends u on the Laplacian of (3) and the lagged
+  harmonic factor, by CG from the w of (1), the w of the next state
+  (`ale.extend`).  A step that remeshes extends nothing and drops both
+  lagged factors, whose numbering is dead; the next step extends by a
+  direct solve, as the first step does.
+
+Both lagged factors follow one rule (`linalg.LaggedFactor`): a solve
+that overran its cap drops its factor, and the next solve refactors
+from its own matrix.  A factor held across steps pins the memory it
+lands on (see `ale.splu`).
 
 With BLAS on one thread the results are therefore bitwise the same
 whatever the number of CPUs (see `cli`).
@@ -51,13 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ale
 from .ale import (
     Extension,
-    LaggedFactor,
     advance_mesh,
     check_and_remesh,
+    extend,
     harmonic_extension,
-    mesh_laplacian,
     move_mesh,
     spaces_with_mesh,
 )
@@ -71,7 +73,7 @@ from .assembly import (
     viscous_and_laplacian,
 )
 from .fespace import FESpacePair, build_taylor_hood
-from .linalg import SaddleFactor, SaddleSystem, solve_saddle
+from .linalg import LaggedFactor, SaddleSystem, solve_saddle
 from .mesh import (
     Mesh,
     bubble_problem,
@@ -130,19 +132,23 @@ class State:
     """Everything one step hands to the next.
 
     min_angle is the minimum angle of mesh and remesh_count the remeshes
-    so far.  factor is the saddle factor that preconditions the next flow
-    solve (None makes that solve factor afresh); saddle_iterations are
-    the iterations of the last flow solve and saddle_factorizations the
+    so far.  factor and harmonic_factor are the lagged factors of the
+    numbering of spaces (`linalg.LaggedFactor`) on which the next flow
+    solve and the next extension run; saddle_iterations are the
+    iterations of the last flow solve and saddle_factorizations the
     factorizations since initialize().  harmonic_iterations are the CG
     iterations of the mesh velocity the last step moved by (0 for a
     direct solve), and harmonic_factorizations the factorizations made
-    for the mesh velocities the steps since initialize() moved by.
-    harmonic_factor is the lagged factor of the interior block of the
-    numbering of spaces, handed from state to state like factor, by
-    which the step extends the next w.  w is the `Extension` of u on
-    mesh, made by the step that made the state.  Both are None after
-    initialize() and after a remesh (see `mesh_velocity`).  The state is
-    frozen and u read-only, so w cannot go stale.
+    for the mesh velocities the steps since initialize() moved by.  w is
+    the `Extension` of u on mesh, made by the step that made the state.
+    All three are None after initialize() and after a remesh.  The state
+    is frozen and u read-only, so w cannot go stale.
+
+    The lagged factors are not: a step hands on the objects it got, and
+    its solves replace the factors inside them.  So the states of a run
+    share their lagged factors, and so do two branches stepped from one
+    state, each solving on what the other left; their results agree to
+    the solvers' tolerances, not bitwise.
     """
 
     t: float
@@ -152,7 +158,7 @@ class State:
     p: np.ndarray
     min_angle: float
     remesh_count: int = 0
-    factor: SaddleFactor | None = None
+    factor: LaggedFactor | None = None
     saddle_iterations: int = 0
     saddle_factorizations: int = 0
     harmonic_iterations: int = 0
@@ -177,12 +183,12 @@ def initialize(config: SimConfig) -> State:
 def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
                tau: float, u_old: np.ndarray, transport: np.ndarray,
                load: np.ndarray, boundary_values: np.ndarray | None = None,
-               factor: SaddleFactor | None = None):
+               factor: LaggedFactor | None = None):
     """One implicit solve of the momentum/divergence system.
 
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
-    default) and the zero-mean pressure constraint, preconditioned by
+    default) and the zero-mean pressure constraint, on the lagged factor
     factor when one is given (see `solve_saddle`).  A_mu is read off one
     gradient Gram together with L, the scalar Laplacian of mesh
     (`viscous_and_laplacian`), which a step extends the new u by.
@@ -219,36 +225,20 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     return u, p, lam, stats, L
 
 
-def mesh_velocity(state: State, L=None) -> Extension:
-    """The mesh velocity of state: its w, or, when it has none, the
-    harmonic extension of its u by a direct solve (no CG iterations, one
-    factorization), by L, the mesh Laplacian of state.mesh, when
-    given."""
-    if state.w is None:
-        return Extension(harmonic_extension(state.mesh, state.spaces,
-                                            state.u, L), 0, 1)
-    return state.w
-
-
 def step(state: State, config: SimConfig) -> State:
     """Advance the coupled system by one time step."""
     params = config.params
     tau = config.tau
 
     # (1) mesh velocity from the current velocity.  A state without w
-    # starts a numbering: the interior block of the Laplacian of its
-    # direct extension is factored for the extensions after it.
-    L = mesh_laplacian(state.mesh, state.spaces) if state.w is None else None
-    extension = mesh_velocity(state, L)
+    # starts a numbering, whose lagged factor its direct extension makes.
+    harmonic, extension = state.harmonic_factor, state.w
+    if extension is None:
+        harmonic = LaggedFactor(ale.MAX_ITERATIONS)
+        extension = Extension(harmonic_extension(
+            state.mesh, state.spaces, state.u, harmonic), 0, 1)
     w = extension.w
     state.mesh.release_tables()         # before the moved mesh's is built
-    # after the release, where the step's memory is at its low point
-    lagged = state.harmonic_factor
-    if L is not None:
-        lagged = LaggedFactor(L, state.spaces.maps.interior)
-    elif lagged.stale is not None:      # the extension before overran
-        lagged.refactor(lagged.stale)
-    del L
 
     # (2) move the mesh, carrying all coefficients nodally
     x_new = advance_mesh(state.mesh.x, w, tau)
@@ -270,9 +260,9 @@ def step(state: State, config: SimConfig) -> State:
         u = fields2["u"][1]
         p = fields2["p"][1]
         # the new numbering starts with a direct extension
-        lagged = w_next = None
+        harmonic = w_next = None
     else:
-        w_next = lagged.extend(L, spaces, u)
+        w_next = extend(L, spaces, u, harmonic, w)
     return State(
         t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
         min_angle=min_angle,
@@ -285,7 +275,7 @@ def step(state: State, config: SimConfig) -> State:
         harmonic_iterations=extension.iterations,
         harmonic_factorizations=(state.harmonic_factorizations
                                  + extension.factorizations),
-        harmonic_factor=lagged,
+        harmonic_factor=harmonic,
         w=w_next)
 
 

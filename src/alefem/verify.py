@@ -287,16 +287,20 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
     runs to finish without remeshing (the pullback comparison needs a
     single reference configuration; short-horizon rate studies satisfy
     this).  Raises ValueError before running anything when levels or m
-    cannot give a rate (see `study_problem`).  progress(level, i, n) is
+    cannot give a rate (see `study_problem`) or the configuration has no
+    step, whose w the study compares.  progress(level, i, n) is
     called before a level's first step (i = 0) and after each of its n.
     """
     from dataclasses import replace
 
-    from .stepper import initialize, mesh_velocity, step
+    from .stepper import initialize, step
 
     problem = study_problem(levels, m)
     if problem is not None:
         raise ValueError(problem)
+    if config.n_steps == 0:
+        raise ValueError(f"the study needs at least one step, and "
+                         f"T={config.T} holds none of tau={config.tau}")
     runs = []
     h_values = []
     for lvl in range(levels):
@@ -312,12 +316,11 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
             raise RuntimeError(
                 "remeshing occurred during the rate study; shorten T or "
                 "refine tau (the pullback comparison needs an unremeshed run)")
-        w_final = mesh_velocity(state).w
         runs.append({
             "mesh0": mesh0,
             "spaces0": spaces0,
             "u": state.u,
-            "w": w_final,
+            "w": state.w.w,
             "phi": state.mesh.x.copy(),
             "p": state.p,
         })

@@ -383,13 +383,13 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
     assert slices == []
     monkeypatch.undo()
 
-    # the first step's direct extension and the lagged factor of its
-    # numbering, which every later step reuses, and one per direct
+    # the first step's direct extension, whose factor every later step
+    # reuses as the lagged factor of its numbering, and one per direct
     # extension above
     assert [thread for thread, _, _ in factors] \
-        == [threading.main_thread()] * 7
+        == [threading.main_thread()] * 6
     for i, (_, A, kwargs) in enumerate(factors):
-        block = (renumbered if i == 6 else spaces).maps.interior
+        block = (renumbered if i == 5 else spaces).maps.interior
         assert kwargs == {"drop_tol": 0.0, "fill_factor": 2,
                           "drop_rule": "basic",
                           "permc_spec": "MMD_AT_PLUS_A", "relax": 1}
@@ -404,19 +404,21 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
 
 @pytest.mark.parametrize("cap", [1, ale.MAX_ITERATIONS])
 def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
-    """Over 24 steps at h=0.16, every w that a step moves by, extended by
-    CG on the lagged factor, equals the sliced direct extension to 1e-12 of its size; its interface DOFs are those of u
-    bitwise and its boundary DOFs exactly 0.  A cap of 1 makes every
-    extension but the first overrun it, so that each later step
-    refactors first; at the default cap no step does."""
+    """Over 24 steps at h=0.16, every w that a step moves by, extended on
+    the lagged factor, equals the sliced direct extension to 1e-12 of
+    its size; its interface DOFs are those of u bitwise and its boundary
+    DOFs exactly 0.  A cap of 1 makes every extension by CG on a factor
+    of an earlier configuration overrun it, so that the next extension
+    refactors and solves directly; at the default cap none does."""
     monkeypatch.setattr(ale, "MAX_ITERATIONS", cap)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
-    iterations = []
+    iterations, made = [], []
     for _ in range(24):
         state = step(state, cfg)
         w, spaces = state.w.w, state.spaces
         iterations.append(state.w.iterations)
+        made.append(state.w.factorizations)
         expect = sliced_harmonic_extension(state.mesh, spaces, state.u)
         assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
         iv = spaces.vector_dofs(spaces.interface_dofs)
@@ -425,22 +427,28 @@ def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
         assert np.array_equal(np.signbit(w[bv]), np.zeros(len(bv), bool))
         assert not w[bv].any()
     assert state.remesh_count == 0
-    # the last state's steps moved by a direct extension, the first
-    # lagged one, factored for its numbering, and then by extensions that
-    # factor only after an overrun of the one before: those of the first
-    # 22 steps, the last of which the last state moved by
-    overruns = sum(i > cap for i in iterations[:-2])
-    assert state.harmonic_factorizations == 2 + overruns
+    # an extension refactors, and then solves directly, exactly when the
+    # one before it overran
+    assert made == [0] + [int(i > cap) for i in iterations[:-1]]
+    assert all(i == 0 for i, m in zip(iterations, made) if m)
+    # the last state's steps moved by a direct extension, whose factor
+    # became the lagged factor of the numbering, and by the extensions of
+    # the first 23 steps
+    assert state.harmonic_factorizations == 1 + sum(made[:-1])
     if cap == 1:
-        assert overruns == 21
+        # step 1 extends on the mesh that the zero initial velocity left
+        # in place, the one its factor is of; from step 2 on, each CG
+        # extension overruns and the next one refactors
+        assert iterations[0] == 1
+        assert made == [0, 0] + [1, 0] * 11
     else:
-        assert overruns == 0 and max(iterations) <= cap
+        assert sum(made) == 0 and max(iterations) <= cap
 
 
 def test_lagged_extension_refactors_when_cg_stalls(monkeypatch):
     """An extension that does not converge within `ale._CG_LIMIT`
-    iterations on the lagged factor refactors at once and finishes on
-    the fresh factor, to the same accuracy."""
+    iterations on the lagged factor refactors at once and finishes by a
+    direct solve on the fresh factor."""
     monkeypatch.setattr(ale, "_CG_LIMIT", 2)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
@@ -452,7 +460,8 @@ def test_lagged_extension_refactors_when_cg_stalls(monkeypatch):
                                            state.u)
         assert np.abs(state.w.w - expect).max() \
             <= 1e-12 * np.abs(expect).max()
-    # the first extends on the factor of its own configuration; each
-    # later one stalls after 2 iterations and refactors
-    assert [e.factorizations for e in extensions] == [1] * 6
-    assert all(e.iterations > 2 for e in extensions[1:])
+    # the first extends on the factor of its own configuration, the one
+    # of the direct extension of step 1; each later one stalls after 2
+    # iterations and refactors
+    assert [e.factorizations for e in extensions] == [0] + [1] * 5
+    assert [e.iterations for e in extensions[1:]] == [2] * 5

@@ -2,17 +2,19 @@
 next one.
 
 A step reads A_mu and the moved mesh's Laplacian off one gradient Gram
-and, unless it remeshed, extends its new u by CG on that Laplacian,
-preconditioned by the lagged factor of the numbering's interior block
-(`ale.LaggedFactor`); the state it makes carries that extension as its
-w and the factor as its harmonic_factor, and the next step moves the
-mesh by that w.  These tests pin what that hand-over may and may not
-do: hold at most one factor and free each one, extend only on the
-state's own mesh, solve directly only in the first step of a
-numbering, form one Gram per configuration, keep a state's u and w
-fixed, start over after a remesh, and do all of it, the geometry table
-built in chunks included, on the calling thread, raising its errors in
-the step that makes them.
+and, unless it remeshed, extends its new u on that Laplacian and the
+lagged harmonic factor of the numbering (`ale.extend`), by CG from the
+w it moved by; the state it makes carries that extension as its w and
+the factor as its harmonic_factor (a `linalg.LaggedFactor`), and the
+next step moves the mesh by that w.  The first step of a numbering
+extends by a direct solve, whose factor becomes the numbering's lagged
+factor.  These tests pin what that hand-over may and may not do: hold
+at most one factor and free each one, extend only on the state's own
+mesh, solve directly only in the first step of a numbering, factor
+once in that step, form one Gram per configuration, keep a state's u
+and w fixed, start over after a remesh, and do all of it, the geometry
+table built in chunks included, on the calling thread, raising its
+errors in the step that makes them.
 """
 
 import gc
@@ -24,7 +26,7 @@ import pytest
 
 from alefem import ale, assembly, stepper, verify
 from alefem import mesh as meshmod
-from alefem.ale import LaggedFactor, advance_mesh, harmonic_extension
+from alefem.ale import advance_mesh, harmonic_extension
 from alefem.assembly import assemble
 from alefem.fespace import build_taylor_hood
 from alefem.mesh import generate_bubble_mesh, generate_rect_mesh, quality
@@ -93,10 +95,10 @@ def test_factors_are_freed_by_the_thread_that_made_them(monkeypatch):
 
 
 def test_one_harmonic_factor_is_alive_at_a_time(monkeypatch):
-    """Through a remesh, with a cap of 1, so that every extension on a
-    factor of an earlier configuration overruns and the next step
-    refactors: at no time are two harmonic factors alive, and each is
-    freed before the next is made, on the thread that made it."""
+    """Through a remesh, with a cap of 1, so that every extension by CG
+    on a factor of an earlier configuration overruns and the next
+    extension refactors: at no time are two harmonic factors alive, and
+    each is freed before the next is made, on the thread that made it."""
     log = logged_factors(monkeypatch)
     monkeypatch.setattr(ale, "MAX_ITERATIONS", 1)
     state, _ = run(remesh_config())
@@ -113,11 +115,12 @@ def test_one_harmonic_factor_is_alive_at_a_time(monkeypatch):
             alive.remove(key)
             assert threads[key] == tid
     assert not alive
-    # per numbering (steps 1 and 3): the direct extension, then the
-    # lagged factor; then one refactor per step after an overrun, steps
-    # 4-6.  Step 1 extends on the mesh that the zero initial velocity
-    # left in place, the one its factor is of, so it does not overrun.
-    assert sum(event == "made" for event, _, _ in log) == 2 + 2 + 3
+    # per numbering (steps 1 and 3): the direct extension, whose factor
+    # the numbering lags; then the extensions of steps 4 and 6 refactor,
+    # after the CG extensions of steps 3 and 5 overran.  Step 1 extends
+    # on the mesh that the zero initial velocity left in place, the one
+    # its factor is of, so it does not overrun.
+    assert sum(event == "made" for event, _, _ in log) == 1 + 1 + 2
 
 
 def test_prepared_operator_is_used_only_on_its_own_mesh():
@@ -159,8 +162,8 @@ def counted_extensions(monkeypatch, *modules):
 def test_only_the_first_step_extends_on_the_calling_thread(monkeypatch):
     """Every step but the first takes the w that the step before made
     (`State.w`): the run extends by a direct solve once, on the calling
-    thread, and factors twice, for that solve and for the lagged factor
-    of the numbering, which every later step reuses."""
+    thread, and factors once, for that solve; the factor is the lagged
+    factor of the numbering, which every later step reuses."""
     calls = counted_extensions(monkeypatch, stepper)
     log = logged_factors(monkeypatch)
     seen = []
@@ -169,7 +172,20 @@ def test_only_the_first_step_extends_on_the_calling_thread(monkeypatch):
     assert state.remesh_count == 0
     assert seen == [(0, 0), (1, 1), (2, 1), (3, 1), (4, 1)]
     assert calls == [("alefem.stepper", threading.main_thread())]
-    assert sum(event == "made" for event, _, _ in log) == 2
+    assert sum(event == "made" for event, _, _ in log) == 1
+
+
+def test_first_step_of_a_numbering_factors_once(monkeypatch):
+    """The first step of each numbering, step 1 and the step after the
+    remesh at step 2, makes exactly one harmonic factor: its direct
+    extension's, which its own CG extension then lags."""
+    log = logged_factors(monkeypatch)
+    made = []
+    state, _ = run(remesh_config(), sinks=[lambda i, state, rec: made.append(
+        sum(event == "made" for event, _, _ in log))])
+    assert state.remesh_count == 1
+    per_step = np.diff(made).tolist()
+    assert per_step[0] == 1 and per_step[2] == 1
 
 
 def test_convergence_study_extends_once_per_level(monkeypatch):
@@ -197,8 +213,8 @@ def test_state_is_frozen_and_its_velocity_read_only():
 
 def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
     """Every factor and every Gram of a run is made on the calling
-    thread, on any number of CPUs: two factors (the first step's direct
-    extension and the lagged factor of its numbering) and five Grams."""
+    thread, on any number of CPUs: one factor (the first step's direct
+    extension's, the lagged factor of its numbering) and five Grams."""
     factors, grams = [], []
     spilu, gram = ale.spilu, assembly._gram_local
 
@@ -214,7 +230,7 @@ def test_one_cpu_builds_every_operator_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(assembly, "_gram_local", spy_gram)
     state, _ = run(config(4))
     assert state.remesh_count == 0
-    assert factors == [threading.main_thread()] * 2
+    assert factors == [threading.main_thread()]
     assert grams == [threading.main_thread()] * 5
 
 
@@ -222,9 +238,9 @@ def test_one_gram_per_configuration(monkeypatch):
     """Each step reads A_mu and the mesh Laplacian off one gradient Gram
     (`assembly.viscous_and_laplacian`), and its extension gets that
     Laplacian: four steps form five Grams, one for the first step's
-    direct extension, whose Laplacian the lagged factor is made of, and
-    one per flow solve."""
-    grams, made, extended = [], [], []
+    direct extension, whose factor the later extensions lag, and one per
+    flow solve."""
+    grams, extended = [], []
     original = assembly._gram_local
 
     def gram(*args):
@@ -232,23 +248,18 @@ def test_one_gram_per_configuration(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(assembly, "_gram_local", gram)
-    init, extend = LaggedFactor.__init__, LaggedFactor.extend
+    # the direct extension calls ale's name, a step's extension its own
+    for module in (ale, stepper):
+        def spy(L, *args, extend=module.extend, name=module.__name__):
+            extended.append((name, type(L).__name__))
+            return extend(L, *args)
 
-    def spy_init(self, L, block):
-        made.append(type(L).__name__)
-        init(self, L, block)
-
-    def spy_extend(self, L, spaces, u):
-        extended.append(type(L).__name__)
-        return extend(self, L, spaces, u)
-
-    monkeypatch.setattr(LaggedFactor, "__init__", spy_init)
-    monkeypatch.setattr(LaggedFactor, "extend", spy_extend)
+        monkeypatch.setattr(module, "extend", spy)
     state, _ = run(config(4))
     assert state.remesh_count == 0
     assert len(grams) == 5
-    assert made == ["csr_matrix"]
-    assert extended == ["csr_matrix"] * 4
+    assert extended == ([("alefem.ale", "csr_matrix")]
+                        + [("alefem.stepper", "csr_matrix")] * 4)
 
 
 def test_step_through_a_remesh(monkeypatch):

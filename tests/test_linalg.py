@@ -3,8 +3,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from alefem import linalg, stepper
-from alefem.ale import move_mesh, spaces_with_mesh
+from alefem import ale, linalg, stepper
+from alefem.ale import extend, mesh_laplacian, move_mesh, spaces_with_mesh
 from alefem.assembly import (
     assemble,
     assemble_convection,
@@ -14,6 +14,7 @@ from alefem.assembly import (
 )
 from alefem.fespace import build_taylor_hood, interpolate
 from alefem.linalg import (
+    LaggedFactor,
     SaddleFactor,
     SaddleSystem,
     saddle_matrix,
@@ -186,23 +187,24 @@ def test_lagged_factor_matches_fresh_solve(lagged_pair):
 
 
 def test_unusable_factor_is_replaced(lagged_pair):
+    """A lagged factor that cannot reach the refinement target is
+    replaced by a fresh factorization, on which the solve ends bitwise
+    as a solve that factors afresh from the start."""
     _, new = lagged_pair
     expect = solve_saddle(new)
-    coarse = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.2, 2)
-    coarse_spaces = build_taylor_hood(coarse, 2)
-    u0 = np.zeros(2 * coarse_spaces.velocity.n_dofs)
-    wrong_size = solve_saddle(bubble_saddle(coarse, coarse_spaces, u0))[3].factor
     n = new.A0.shape[0]
     c = np.concatenate([np.zeros(len(new.rhs_u)), new.mean_vector])
     useless = SaddleFactor(sparse.identity(n, format="csr"), c,
                            len(new.rhs_u))
-    for factor in (wrong_size, useless):
-        u, p, lam, stats = solve_saddle(new, factor)
-        assert stats.factorizations == 1
-        assert stats.factor is not factor
-        assert np.array_equal(u, expect[0])
-        assert np.array_equal(p, expect[1])
-        assert lam == expect[2]
+    lagged = LaggedFactor(linalg.MAX_ITERATIONS)
+    lagged.factor = useless
+    u, p, lam, stats = solve_saddle(new, lagged)
+    assert stats.factorizations == 1
+    assert stats.factor is lagged
+    assert lagged.factor is not useless and lagged.factor is not None
+    assert np.array_equal(u, expect[0])
+    assert np.array_equal(p, expect[1])
+    assert lam == expect[2]
 
 
 class CountingCSR(sparse.csr_matrix):
@@ -295,5 +297,146 @@ def test_fresh_and_lagged_factors_reach_the_target(bubble_run_systems):
         u, p, lam, stats = solve_saddle(later, factor)
         assert stats.factorizations == made
         assert stats.iterations <= linalg.MAX_ITERATIONS
-        assert stats.factor is not None
+        assert stats.factor.factor is not None      # not stale
         assert_on_target(later, u, p, lam)
+
+
+# ---------------------------------------------------------------------------
+# the one rule of a lagged factor, for the saddle solve and the harmonic
+# extension alike
+
+
+class Logged:
+    """A factor that logs ("made", id, matrix) when made and ("freed",
+    id) when released."""
+
+    def __init__(self, factor, log, matrix):
+        self._factor = factor
+        self._log = log
+        log.append(("made", id(self), matrix))
+
+    def __getattr__(self, name):
+        return getattr(self._factor, name)
+
+    def __del__(self):
+        self._log.append(("freed", id(self)))
+
+
+@pytest.fixture(scope="module")
+def three_configurations():
+    """(mesh, spaces) of a bubble mesh moved by O(tau) twice, and the
+    velocity that moved it."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    spaces = build_taylor_hood(mesh, 2)
+    rng = np.random.default_rng(5)
+    u = smooth_displacement(rng, spaces.velocity.positions, 0.05)
+    u[spaces.vector_dofs(spaces.boundary_dofs)] = 0.0
+    configurations = []
+    for i in range(3):
+        moved = move_mesh(mesh, mesh.x + i * TAU * u[:len(mesh.x)])
+        configurations.append((moved, spaces_with_mesh(spaces, moved)))
+    return configurations, u
+
+
+class SaddleCase:
+    """The saddle solve of each configuration."""
+
+    def __init__(self, configurations, u, monkeypatch, log):
+        self.systems = [bubble_saddle(m, s, u) for m, s in configurations]
+        make = linalg.SaddleFactor
+        monkeypatch.setattr(linalg, "SaddleFactor", lambda A0, c, n_u: Logged(
+            make(A0, c, n_u), log, A0))
+        system = self.systems[0]
+        self.n_u = len(system.rhs_u)
+        self.c = np.concatenate([np.zeros(self.n_u), system.mean_vector])
+
+    def matrix(self, i):
+        return self.systems[i].A0
+
+    def solve(self, lagged, i):
+        u, p, lam, stats = solve_saddle(self.systems[i], lagged)
+        assert stats.factor is lagged
+        return (np.append(np.concatenate([u, p]), lam), stats.iterations,
+                stats.factorizations)
+
+    def useless(self):
+        n = self.matrix(0).shape[0]
+        return SaddleFactor(sparse.identity(n, format="csr"), self.c,
+                            self.n_u)
+
+
+class HarmonicCase:
+    """The harmonic extension of u on each configuration."""
+
+    def __init__(self, configurations, u, monkeypatch, log):
+        self.configurations = configurations
+        self.L = [mesh_laplacian(m, s) for m, s in configurations]
+        self.u = u
+        self.make = make = ale.splu
+        monkeypatch.setattr(ale, "splu", lambda A: Logged(make(A), log, A))
+
+    def matrix(self, i):
+        return self.configurations[i][1].maps.interior([self.L[i]])
+
+    def solve(self, lagged, i):
+        e = extend(self.L[i], self.configurations[i][1], self.u, lagged)
+        return e.w, e.iterations, e.factorizations
+
+    def useless(self):
+        return self.make(sparse.identity(self.matrix(0).shape[0],
+                                         format="csc"))
+
+
+def alive_at_each_make(log):
+    """For each factor made, the factors alive when it was made."""
+    alive, seen = set(), []
+    for event in log:
+        if event[0] == "made":
+            seen.append(set(alive))
+            alive.add(event[1])
+        else:
+            alive.discard(event[1])
+    return seen
+
+
+@pytest.mark.parametrize("Case", [SaddleCase, HarmonicCase],
+                         ids=["saddle", "harmonic"])
+def test_one_rule_for_every_lagged_factor(Case, three_configurations,
+                                          monkeypatch):
+    """Both solves follow `linalg.LaggedFactor`'s rule: a solve that
+    spends more than the cap on a lagged factor drops it, and the next
+    solve refactors from its own matrix; a solve that cannot converge on
+    a lagged factor refactors at once and finishes on the fresh factor,
+    as a solve that factors afresh does; and the old factor is freed
+    before the new one is made."""
+    log = []
+    case = Case(*three_configurations, monkeypatch, log)
+    same = lambda a, b: (a != b).nnz == 0          # noqa: E731
+
+    lagged = LaggedFactor(1000)
+    _, _, made = case.solve(lagged, 0)
+    assert made == 1 and same(log[-1][2], case.matrix(0))
+    first = id(lagged.factor)
+
+    # the lagged factor of configuration 0 on configuration 1 overruns a
+    # cap of 1 and goes stale: freed at once, made anew by the next solve
+    lagged.cap = 1
+    _, iterations, made = case.solve(lagged, 1)
+    assert made == 0 and iterations > 1
+    assert lagged.factor is None and log[-1] == ("freed", first)
+    lagged.cap = 1000
+    _, _, made = case.solve(lagged, 2)
+    assert made == 1 and same(log[-1][2], case.matrix(2))
+    assert lagged.factor is not None
+
+    # a useless lagged factor: no convergence, so a refactor at once
+    lagged.factor = None
+    lagged.factor = Logged(case.useless(), log, None)
+    useless = id(lagged.factor)
+    result, iterations, made = case.solve(lagged, 1)
+    assert made == 1 and iterations >= 1
+    assert log[-2][:2] == ("freed", useless)
+    assert same(log[-1][2], case.matrix(1))
+    assert all(not alive for alive in alive_at_each_make(log))
+    expect = case.solve(LaggedFactor(1000), 1)[0]
+    assert np.array_equal(result, expect)

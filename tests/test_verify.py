@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alefem import stepper
 from alefem.fespace import build_taylor_hood
 from alefem.mesh import generate_bubble_mesh
+from alefem.stepper import SimConfig
 from alefem.verify import (
     convergence_rate,
     homotopy_identity_residual,
     manufactured_flow_errors,
+    spatial_convergence_study,
     transport_formula_residual,
 )
 
@@ -106,6 +109,18 @@ def test_convergence_rate_arithmetic():
         convergence_rate(0.0, 1e-3, 2)
     with pytest.raises(ValueError):
         convergence_rate(1e-2, 1e-3, 1)
+
+
+def test_convergence_study_without_a_step_runs_nothing(monkeypatch):
+    """A study compares the w of each level's last step, so a
+    configuration with T=0 is rejected, naming T and tau, before any
+    level starts."""
+    started = []
+    monkeypatch.setattr(stepper, "initialize", started.append)
+    config = SimConfig(params=BP1, k=2, h=0.2, tau=0.005, T=0.0)
+    with pytest.raises(ValueError, match=r"T=0\.0 .* tau=0\.005"):
+        spatial_convergence_study(config)
+    assert started == []
 
 
 @given(scale=st.floats(min_value=1e-6, max_value=1e6),
