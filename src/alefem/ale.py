@@ -152,9 +152,7 @@ def extend(L, spaces: FESpacePair, u: np.ndarray, lagged: LaggedFactor,
     not converged after _CG_LIMIT iterations refactors (see
     `linalg.LaggedFactor`).
     """
-    free = np.ones(spaces.velocity.n_dofs, dtype=bool)
-    free[spaces.interface_dofs] = False
-    free[spaces.boundary_dofs] = False
+    free = spaces.maps.interior_mask
     w = np.zeros((spaces.velocity.n_dofs, 2))
     w[spaces.interface_dofs] = u.reshape(-1, 2)[spaces.interface_dofs]
     # w vanishes on the free DOFs, whose columns therefore add only +-0:
@@ -348,15 +346,13 @@ def transfer_velocity(old: FESpacePair, new: FESpacePair,
                       coeffs: np.ndarray) -> np.ndarray:
     """Nodal transfer of a continuous velocity-space vector field."""
     V = new.velocity
-    vals = evaluate_many(old.velocity, coeffs, V.positions,
-                         phase=V.dof_phase, vector=True)
-    return vals.ravel()
+    return evaluate_many(old.velocity, coeffs, V.positions,
+                         phase=V.dof_phase, vector=True).ravel()
 
 
 def transfer_pressure(old: FESpacePair, new: FESpacePair,
                       coeffs: np.ndarray) -> np.ndarray:
     """Phase-aware nodal transfer of a pressure field."""
     P = new.pressure
-    vals = evaluate_many(old.pressure, coeffs, P.positions,
+    return evaluate_many(old.pressure, coeffs, P.positions,
                          phase=P.dof_phase)
-    return vals

@@ -184,7 +184,10 @@ class DofMaps:
     """Index maps of the DOF numbering of a Taylor-Hood pair, each built
     on first use (see the module doc).  They hold the numbering's arrays
     but no space, so that they keep no mesh alive.  interface_dofs and
-    boundary_dofs are scalar velocity DOF ids.
+    boundary_dofs are scalar velocity DOF ids.  The read-only masks
+    saddle_mask (interleaved velocity DOFs off the boundary) and
+    interior_mask (scalar ones off both) select the unknowns of `saddle`
+    and `interior`, and are built once, with the maps.
     """
 
     def __init__(self, velocity: ScalarSpace, pressure: ScalarSpace,
@@ -192,8 +195,13 @@ class DofMaps:
         self.dof_of = velocity.dof_of
         self.n_dofs = velocity.n_dofs
         self._pressure = pressure.dof_of, pressure.n_dofs
-        self._interface_dofs = interface_dofs
-        self._boundary_dofs = boundary_dofs
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[boundary_dofs] = False
+        self.saddle_mask = np.repeat(free, 2)
+        free[interface_dofs] = False
+        self.interior_mask = free
+        self.saddle_mask.setflags(write=False)
+        free.setflags(write=False)
 
     @cached_property
     def scalar(self) -> Pattern:
@@ -252,9 +260,7 @@ class DofMaps:
         """Gathers the saddle block (`linalg.saddle_matrix`) of the
         velocity DOFs off the boundary from the momentum matrix, on the
         vector pattern, and the divergence matrix."""
-        free = np.ones((self.n_dofs, 2), dtype=bool)
-        free[self._boundary_dofs] = False
-        free = free.ravel()
+        free = self.saddle_mask
 
         def derive(Kuu, C):
             return saddle_matrix(Kuu[free][:, free], (-C[:, free]).tocsr())
@@ -266,9 +272,7 @@ class DofMaps:
         """Gathers the interior block, in CSC, of a matrix on the scalar
         pattern: the velocity DOFs off the interface and off the boundary,
         on which `ale.harmonic_extension` solves."""
-        free = np.ones(self.n_dofs, dtype=bool)
-        free[self._interface_dofs] = False
-        free[self._boundary_dofs] = False
+        free = self.interior_mask
         return Gather(lambda L: L[free][:, free].tocsc(),
                       [_zeros_on(self.scalar)])
 

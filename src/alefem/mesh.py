@@ -23,14 +23,16 @@ Each mesh configuration owns its geometry table, the Jacobian data at
 the assembly quadrature points: `Mesh.tables` builds it on first use
 and keeps it, so assembly, observables and `quality` share it, until
 `Mesh.release_tables` drops it.  `geometry(mesh)` hands it out after
-checking that no element is tangled.  A mesh made by `displace` shares
-the connectivity of one that was checked, and is not checked again.
+checking that no element is tangled.  Its point locator is kept the
+same way (`Mesh.locator`), so all point location on it bins once.  A
+mesh made by `displace` shares the connectivity of one that was checked,
+and is not checked again; it inherits neither table nor locator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -103,15 +105,20 @@ class Mesh:
     def tables(self) -> GeometryTables:
         """The geometry table of this configuration, built on first use
         and kept until `release_tables`."""
-        tables = self.__dict__.get("_tables")
-        if tables is None:
-            tables = GeometryTables(self)
-            object.__setattr__(self, "_tables", tables)
-        return tables
+        if "_tables" not in self.__dict__:
+            object.__setattr__(self, "_tables", GeometryTables(self))
+        return self._tables
 
     def release_tables(self) -> None:
         """Drop the geometry table; the next `tables` builds it again."""
         self.__dict__.pop("_tables", None)
+
+    def locator(self) -> PointLocator:
+        """The point locator of this configuration, built on first use
+        and kept."""
+        if "_locator" not in self.__dict__:
+            object.__setattr__(self, "_locator", PointLocator(self))
+        return self._locator
 
     @property
     def coords(self) -> np.ndarray:
@@ -218,8 +225,13 @@ def map_points(mesh: Mesh, elems, ref: np.ndarray):
     is the derivative of physical coordinate i w.r.t. reference
     coordinate j.  No sign check: detJ <= 0 marks a tangled element.
     """
-    ref_el = reference_element(mesh.degree)
-    xe = mesh.coords[mesh.elements[elems]]            # (P, n_loc, 2)
+    return _map_nodes(mesh.coords[mesh.elements[elems]], mesh.degree, ref)
+
+
+def _map_nodes(xe: np.ndarray, degree: int, ref: np.ndarray):
+    """`map_points` on the gathered node coordinates xe (P, n_loc, 2)
+    of the degree-`degree` elements."""
+    ref_el = reference_element(degree)
     vals = ref_el.shape_values(ref)                   # (n_loc, P)
     grads = ref_el.shape_gradients(ref)               # (n_loc, P, 2)
     x = np.einsum("lp,pli->pi", vals, xe)
@@ -300,6 +312,166 @@ def geometry(mesh: Mesh) -> GeometryTables:
     if geom.tangled is not None:
         raise TangledElementError(*geom.tangled)
     return geom
+
+
+class PointLocationError(Exception):
+    pass
+
+
+# A point whose best barycentric coordinate is below -_CONTAINMENT_TOL
+# lies outside the mesh.  The Newton inversion of a geometry map stops
+# at a residual of _NEWTON_TOL or after _NEWTON_MAX_ITER iterations.
+_CONTAINMENT_TOL = 1e-10
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 30
+
+
+def _runs(count: np.ndarray):
+    """(owner, offset): item i of runs of the given lengths is at place
+    offset[i] of run owner[i]."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
+@dataclass(eq=False)
+class PointLocator:
+    """Bin-accelerated element lookup with curved-element Newton inversion.
+
+    Kept by the mesh it is built from (`Mesh.locator`), whose arrays it
+    holds, but not the mesh, so the two form no reference cycle.  Each
+    element is a member of every bin its padded box meets; the members
+    of bin c are members[start[c]:start[c + 1]], in element order.
+    """
+
+    mesh: InitVar[Mesh]
+
+    def __post_init__(self, mesh):
+        coords = mesh.coords
+        self._coords, self._elements = coords, mesh.elements
+        self._phase, self._degree = mesh.phase, mesh.degree
+        el_pts = coords[mesh.elements]                  # (E, n_loc, 2)
+        lo = el_pts.min(axis=1)
+        hi = el_pts.max(axis=1)
+        pad = 0.125 * (hi - lo).max(axis=1, keepdims=True)
+        self._lo = lo - pad
+        self._hi = hi + pad
+        self._origin = coords.min(axis=0)
+        extent = coords.max(axis=0) - self._origin
+        diam = np.linalg.norm(hi - lo, axis=1)
+        bin_size = max(float(np.median(diam)), 1e-12)
+        self._nbins = np.maximum(np.ceil(extent / bin_size).astype(int), 1)
+        self._bin_size = extent / self._nbins
+        first = self._cell_of(self._lo)
+        span = self._cell_of(self._hi) - first + 1      # bins per axis
+        el, at = _runs(span[:, 0] * span[:, 1])
+        cell = self._bin_id(first[el] + np.column_stack(
+            [at // span[el, 1], at % span[el, 1]]))
+        self._members = el[np.argsort(cell, kind="stable")]
+        self._start = np.concatenate([[0], np.cumsum(
+            np.bincount(cell, minlength=int(self._nbins.prod())))])
+
+    def _cell_of(self, pts):
+        c = ((pts - self._origin) / np.maximum(self._bin_size, 1e-300)).astype(int)
+        return np.clip(c, 0, self._nbins - 1)
+
+    def _bin_id(self, cells):
+        return cells[:, 0] * self._nbins[1] + cells[:, 1]
+
+    def locate(self, pts, phase=None):
+        """Locate points; returns (element ids, reference coordinates).
+
+        phase restricts the search to elements of that phase (scalar or
+        per-point array); if no matching element contains a point, the
+        best matching-phase element is used and the reference
+        coordinates extrapolate slightly outside the triangle.  Without
+        a phase, points outside the mesh raise PointLocationError.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n = len(pts)
+        pair_pt, pair_el = self._candidates(pts)
+        ref, converged = self._invert(pts[pair_pt], pair_el)
+        lam = np.column_stack([1.0 - ref.sum(axis=1), ref[:, 0], ref[:, 1]])
+        score = np.where(converged, lam.min(axis=1), -np.inf)
+        el_phase = self._phase[pair_el]
+        want = np.broadcast_to(np.asarray(0 if phase is None else phase,
+                                          dtype=int), (n,))[pair_pt]
+        phase_ok = (want == 0) | (el_phase == want)
+
+        best_el = np.full(n, -1, dtype=int)
+        best_ref = np.zeros((n, 2))
+        ok = np.flatnonzero(phase_ok)
+        # the last of a point's pairs in score order wins, a later
+        # candidate winning a tie
+        sel = ok[np.lexsort((score[ok], pair_pt[ok]))]
+        rows = sel[np.diff(pair_pt[sel], append=n) != 0]
+        has = pair_pt[rows]
+        best_el[has] = pair_el[rows]
+        best_ref[has] = ref[rows]
+
+        missing = best_el < 0
+        if missing.any():
+            raise PointLocationError(
+                f"{int(missing.sum())} points have no candidate element "
+                f"(first: {pts[missing][0]})")
+        if phase is None and (score[rows] < -_CONTAINMENT_TOL).any():
+            worst = np.argmin(score[rows])
+            raise PointLocationError(
+                f"point {pts[has[worst]]} lies outside the mesh "
+                f"(containment defect {-score[rows][worst]:.2e})")
+        return best_el, best_ref
+
+    def _candidates(self, pts):
+        """The (point, element) pairs that `locate` inverts, ordered by
+        point and then element: the members of a point's bin whose box
+        holds it, or, when none does, every member of its bin."""
+        cell = self._bin_id(self._cell_of(pts))
+        first = self._start[cell]
+        pair_pt, at = _runs(self._start[cell + 1] - first)
+        pair_el = self._members[at + first[pair_pt]]
+        inbox = np.ones(len(pair_pt), dtype=bool)
+        for axis in range(2):
+            x = pts[pair_pt, axis]
+            inbox &= ((x >= self._lo[pair_el, axis])
+                      & (x <= self._hi[pair_el, axis]))
+        keep = inbox | (np.bincount(pair_pt[inbox], minlength=len(pts))
+                        == 0)[pair_pt]
+        return pair_pt[keep], pair_el[keep]
+
+    def _invert(self, pts, elems):
+        """Per-pair Newton inversion of the geometry maps, vectorized.
+
+        Returns (ref, converged).  Pairs that wander far outside the
+        reference triangle are frozen and flagged as non-converged; they
+        only occur for candidate elements that do not contain the point.
+        """
+        xe = self._coords[self._elements[elems]]       # (P, n_loc, 2)
+        # affine initial guess from the vertex triangle
+        a, b, c = xe[:, 0], xe[:, 1], xe[:, 2]
+        M = np.stack([b - a, c - a], axis=2)            # columns are edges
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        rhs = pts - a
+        ref = np.empty_like(rhs)
+        ref[:, 0] = (M[:, 1, 1] * rhs[:, 0] - M[:, 0, 1] * rhs[:, 1]) / det
+        ref[:, 1] = (-M[:, 1, 0] * rhs[:, 0] + M[:, 0, 0] * rhs[:, 1]) / det
+        active = np.ones(len(pts), dtype=bool)
+        for _ in range(_NEWTON_MAX_ITER):
+            x, J, detJ = _map_nodes(xe, self._degree, ref)
+            r = x - pts
+            resid = np.abs(r).max(axis=1)
+            active &= resid >= _NEWTON_TOL
+            wandered = np.abs(ref).max(axis=1) > 10.0
+            active &= ~wandered
+            if not active.any():
+                break
+            detJ = np.where(np.abs(detJ) < 1e-300, 1e-300, detJ)
+            step = np.empty_like(r)
+            step[:, 0] = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / detJ
+            step[:, 1] = (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / detJ
+            ref[active] -= step[active]
+        final_resid = np.abs(r).max(axis=1) if len(pts) else np.empty(0)
+        converged = final_resid < np.maximum(
+            _NEWTON_TOL, 1e-9 * np.abs(pts).max(initial=1.0))
+        return ref, converged
 
 
 def quality(mesh: Mesh) -> MeshQuality:

@@ -206,8 +206,7 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
 
     n_u = 2 * spaces.velocity.n_dofs
     bnd = spaces.vector_dofs(spaces.boundary_dofs)
-    free = np.ones(n_u, dtype=bool)
-    free[bnd] = False
+    free = spaces.maps.saddle_mask
     u_bc = np.zeros(n_u)
     if boundary_values is not None:
         u_bc[bnd] = boundary_values[bnd]

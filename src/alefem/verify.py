@@ -33,6 +33,7 @@ from .fespace import (
     FESpacePair,
     build_scalar_space,
     build_taylor_hood,
+    evaluate_at,
     interpolate,
 )
 from .mesh import Mesh, displace, generate_rect_mesh, geometry, map_points
@@ -196,28 +197,6 @@ class RateReport:
 # pullback difference norms between two runs
 
 
-def _values_grads_at(space, coeffs, elems, ref, vector):
-    """Field values and physical-coordinate gradients at (element, ref)."""
-    vals = space.basis_values(ref)                      # (n_loc, P)
-    grads = space.basis_gradients(ref)                  # (n_loc, P, 2)
-    _, J, detJ = map_points(space.mesh, elems, ref)
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-    gphys = np.einsum("lpj,pji->lpi", grads, Jinv)      # (n_loc, P, 2)
-    if vector:
-        cf = coeffs.reshape(-1, 2)[space.dof_of[elems]]  # (P, n_loc, 2)
-        val = np.einsum("lp,plc->pc", vals, cf)
-        grad = np.einsum("lpi,plc->pci", gphys, cf)
-    else:
-        cf = coeffs[space.dof_of[elems]]
-        val = np.einsum("lp,pl->p", vals, cf)
-        grad = np.einsum("lpi,pl->pi", gphys, cf)
-    return val, grad
-
-
 def pullback_difference_norms(coarse, fine) -> dict[str, float]:
     """H1 (u, w, phi) and L2 (p) norms of run differences on the initial
     configuration.
@@ -228,7 +207,9 @@ def pullback_difference_norms(coarse, fine) -> dict[str, float]:
     initial mesh realizes the composition with the flow map.  The fine
     run is evaluated at the coarse initial quadrature points by point
     location in the fine initial mesh, phase-matched to the coarse
-    element so that gradients never straddle the interface.
+    element so that gradients never straddle the interface.  The points
+    are located once, by the fine mesh's locator; u, w, phi and p are all
+    read at those (element, reference point) pairs.
     """
     mesh_c = coarse["mesh0"]
     geom = geometry(mesh_c)
@@ -238,22 +219,28 @@ def pullback_difference_norms(coarse, fine) -> dict[str, float]:
     pts = geom.x.reshape(-1, 2)
     phases = np.repeat(mesh_c.phase, Q)
     Vf, Pf = fine["spaces0"].velocity, fine["spaces0"].pressure
-    elems_f, ref_f = Vf.locator.locate(pts, phase=phases)
+    elems_f, ref_f = Vf.mesh.locator().locate(pts, phase=phases)
+    vals = Vf.basis_values(ref_f)                       # (n_loc, P)
+    _, J, detJ = map_points(Vf.mesh, elems_f, ref_f)
+    Jinv = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]],
+                    axis=1).reshape(-1, 2, 2) / detJ[:, None, None]
+    gphys = np.einsum("lpj,pji->lpi", Vf.basis_gradients(ref_f), Jinv)
+    dofs = Vf.dof_of[elems_f]
 
     wq = geom.wdet.ravel()
     out = {}
     for name in ("u", "w", "phi"):
         val_c = field_values(Vc, coarse[name], geom).reshape(-1, 2)
         grad_c = field_gradients(Vc, coarse[name], geom).reshape(-1, 2, 2)
-        val_f, grad_f = _values_grads_at(Vf, fine[name], elems_f, ref_f,
-                                         vector=True)
+        cf = fine[name].reshape(-1, 2)[dofs]            # (P, n_loc, 2)
+        val_f = np.einsum("lp,plc->pc", vals, cf)
+        grad_f = np.einsum("lpi,plc->pci", gphys, cf)
         dv = ((val_c - val_f) ** 2).sum(axis=1)
         dg = ((grad_c - grad_f) ** 2).sum(axis=(1, 2))
         out[name] = math.sqrt(float((wq * (dv + dg)).sum()))
 
     p_c = scalar_field_values(Pc, coarse["p"], geom).ravel()
-    elems_p, ref_p = Pf.locator.locate(pts, phase=phases)
-    p_f, _ = _values_grads_at(Pf, fine["p"], elems_p, ref_p, vector=False)
+    p_f = evaluate_at(Pf, fine["p"], elems_f, ref_f)
     out["p"] = math.sqrt(float((wq * (p_c - p_f) ** 2).sum()))
     return out
 

@@ -1,4 +1,5 @@
-"""Dict-and-loop mesh and DOF numbering, kept only as a test reference.
+"""Dict-and-loop mesh and DOF numbering and point location, kept only
+as a test reference.
 
 The package builds every numbering from one vectorized edge table
 (`alefem.mesh.first_appearance`).  These loops are the implementation it
@@ -6,9 +7,16 @@ replaced, frozen: a dict filled in (element, local entity) order numbers
 its keys by first appearance, and the vectorized build must reproduce
 every array bit for bit.  The Delaunay, smoothing, classification and
 quality steps are shared with the package, since they were not changed.
+
+`PointLocator` is the locator that `alefem.mesh.PointLocator` replaced,
+frozen: its bins are a dict of element lists filled in element order,
+and it collects each point's candidates in a loop over the points.  The
+array bins must give the same candidates in the same order, and so the
+same elements and reference coordinates bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from alefem.mesh import (
     PLUS,
     Mesh,
     MeshGenerationError,
+    PointLocationError,
     _classify,
     _dist_to_polyline,
     _ekey,
@@ -34,6 +43,7 @@ from alefem.mesh import (
     _oriented_simplices,
     _seg_intersect,
     _smooth,
+    map_points,
     quality,
 )
 from alefem.reference import edge_local_nodes
@@ -362,3 +372,158 @@ def build_taylor_hood(mesh, k):
     return FESpacePair(velocity, pressure, interface_dofs, boundary_dofs,
                        DofMaps(velocity, pressure, interface_dofs,
                                boundary_dofs))
+
+
+# A point whose best barycentric coordinate is below -_CONTAINMENT_TOL
+# lies outside the mesh.  The Newton inversion of a geometry map stops
+# at a residual of _NEWTON_TOL or after _NEWTON_MAX_ITER iterations.
+_CONTAINMENT_TOL = 1e-10
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 30
+
+
+@dataclass
+class PointLocator:
+    """Bin-accelerated element lookup with curved-element Newton inversion."""
+
+    mesh: Mesh
+
+    def __post_init__(self):
+        coords = self.mesh.coords
+        el_pts = coords[self.mesh.elements]            # (E, n_loc, 2)
+        lo = el_pts.min(axis=1)
+        hi = el_pts.max(axis=1)
+        pad = 0.125 * (hi - lo).max(axis=1, keepdims=True)
+        self._lo = lo - pad
+        self._hi = hi + pad
+        dom_lo = coords.min(axis=0)
+        dom_hi = coords.max(axis=0)
+        diam = np.linalg.norm(hi - lo, axis=1)
+        bin_size = max(float(np.median(diam)), 1e-12)
+        self._origin = dom_lo
+        self._nbins = np.maximum(
+            np.ceil((dom_hi - dom_lo) / bin_size).astype(int), 1)
+        self._bin_size = (dom_hi - dom_lo) / self._nbins
+        self._bins: dict[tuple[int, int], np.ndarray] = {}
+        cells_lo = self._cell_of(self._lo)
+        cells_hi = self._cell_of(self._hi)
+        members: dict[tuple[int, int], list[int]] = {}
+        for e in range(len(el_pts)):
+            for i in range(cells_lo[e, 0], cells_hi[e, 0] + 1):
+                for j in range(cells_lo[e, 1], cells_hi[e, 1] + 1):
+                    members.setdefault((i, j), []).append(e)
+        self._bins = {k: np.array(v, dtype=int) for k, v in members.items()}
+
+    def _cell_of(self, pts):
+        c = ((pts - self._origin) / np.maximum(self._bin_size, 1e-300)).astype(int)
+        return np.clip(c, 0, self._nbins - 1)
+
+    def locate(self, pts, phase=None):
+        """Locate points; returns (element ids, reference coordinates).
+
+        phase restricts the search to elements of that phase (scalar or
+        per-point array); if no matching element contains a point, the
+        best matching-phase element is used and the reference
+        coordinates extrapolate slightly outside the triangle.  Without
+        a phase, points outside the mesh raise PointLocationError.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n = len(pts)
+        if phase is None:
+            phase_arr = np.zeros(n, dtype=int)
+        else:
+            phase_arr = np.broadcast_to(np.asarray(phase, dtype=int), (n,))
+
+        pair_pt: list[int] = []
+        pair_el: list[int] = []
+        cells = self._cell_of(pts)
+        for i in range(n):
+            cands = self._bins.get((cells[i, 0], cells[i, 1]))
+            if cands is None:
+                cands = np.empty(0, dtype=int)
+            inbox = cands[
+                (pts[i, 0] >= self._lo[cands, 0]) & (pts[i, 0] <= self._hi[cands, 0])
+                & (pts[i, 1] >= self._lo[cands, 1]) & (pts[i, 1] <= self._hi[cands, 1])
+            ]
+            if len(inbox) == 0:
+                inbox = cands
+            pair_pt.extend([i] * len(inbox))
+            pair_el.extend(inbox.tolist())
+        pair_pt = np.asarray(pair_pt, dtype=int)
+        pair_el = np.asarray(pair_el, dtype=int)
+        if len(pair_pt) == 0 and n > 0:
+            raise PointLocationError("points outside the mesh bounding box")
+
+        ref, converged = self._invert(pts[pair_pt], pair_el)
+        lam = np.column_stack([1.0 - ref.sum(axis=1), ref[:, 0], ref[:, 1]])
+        score = np.where(converged, lam.min(axis=1), -np.inf)
+        el_phase = self.mesh.phase[pair_el]
+        want = phase_arr[pair_pt]
+        phase_ok = (want == 0) | (el_phase == want)
+
+        best_el = np.full(n, -1, dtype=int)
+        best_ref = np.zeros((n, 2))
+        best_score = np.full(n, -np.inf)
+        ok = np.flatnonzero(phase_ok)
+        if len(ok):
+            order = np.lexsort((score[ok], pair_pt[ok]))
+            sel = ok[order]
+            pts_sorted = pair_pt[sel]
+            last = np.searchsorted(pts_sorted, np.arange(n), side="right") - 1
+            has = (last >= 0) & (pts_sorted[np.clip(last, 0, None)] == np.arange(n))
+            rows = sel[last[has]]
+            best_el[has] = pair_el[rows]
+            best_ref[has] = ref[rows]
+            best_score[has] = score[rows]
+
+        missing = best_el < 0
+        if missing.any():
+            raise PointLocationError(
+                f"{int(missing.sum())} points have no candidate element "
+                f"(first: {pts[missing][0]})")
+        if phase is None and (best_score < -_CONTAINMENT_TOL).any():
+            worst = int(np.argmin(best_score))
+            raise PointLocationError(
+                f"point {pts[worst]} lies outside the mesh "
+                f"(containment defect {-best_score[worst]:.2e})")
+        return best_el, best_ref
+
+    def _invert(self, pts, elems):
+        """Per-pair Newton inversion of the geometry maps, vectorized.
+
+        Returns (ref, converged).  Pairs that wander far outside the
+        reference triangle are frozen and flagged as non-converged; they
+        only occur for candidate elements that do not contain the point.
+        """
+        mesh = self.mesh
+        # affine initial guess from the vertex triangle
+        tri = mesh.coords[mesh.elements[elems, :3]]     # (P, 3, 2)
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        M = np.stack([b - a, c - a], axis=2)            # columns are edges
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        rhs = pts - a
+        ref = np.empty_like(rhs)
+        ref[:, 0] = (M[:, 1, 1] * rhs[:, 0] - M[:, 0, 1] * rhs[:, 1]) / det
+        ref[:, 1] = (-M[:, 1, 0] * rhs[:, 0] + M[:, 0, 0] * rhs[:, 1]) / det
+        converged = np.ones(len(pts), dtype=bool)
+        if mesh.degree == 1:
+            return ref, converged
+        active = np.ones(len(pts), dtype=bool)
+        for _ in range(_NEWTON_MAX_ITER):
+            x, J, detJ = map_points(mesh, elems, ref)
+            r = x - pts
+            resid = np.abs(r).max(axis=1)
+            active &= resid >= _NEWTON_TOL
+            wandered = np.abs(ref).max(axis=1) > 10.0
+            active &= ~wandered
+            if not active.any():
+                break
+            detJ = np.where(np.abs(detJ) < 1e-300, 1e-300, detJ)
+            step = np.empty_like(r)
+            step[:, 0] = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / detJ
+            step[:, 1] = (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / detJ
+            ref[active] -= step[active]
+        final_resid = np.abs(r).max(axis=1) if len(pts) else np.empty(0)
+        converged = final_resid < np.maximum(
+            _NEWTON_TOL, 1e-9 * np.abs(pts).max(initial=1.0))
+        return ref, converged

@@ -215,6 +215,30 @@ def test_remesh_releases_the_old_table_before_fitting(monkeypatch):
     assert did and alive == [False]
 
 
+def test_remesh_builds_one_locator_for_the_old_mesh(monkeypatch):
+    """The velocity and the pressure transfer locate on the locator of
+    the old mesh, which is built once for both."""
+    from alefem import fespace
+
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
+    spaces = build_taylor_hood(mesh, 2)
+    sheared = shear_below_threshold(mesh)
+    spaces_sh = spaces_with_mesh(spaces, sheared)
+    built = []
+    original = fespace.PointLocator.__post_init__
+
+    def counting(self, *args):
+        built.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(fespace.PointLocator, "__post_init__", counting)
+    fields = {"u": ("velocity", np.zeros(2 * spaces.velocity.n_dofs)),
+              "p": ("pressure", np.zeros(spaces.pressure.n_dofs))}
+    did = check_and_remesh(sheared, spaces_sh, fields, RECT, 0.1)[3]
+    assert did and len(built) == 1
+    assert sheared.locator() is built[0]
+
+
 def ring_lengths(mesh):
     verts, _ = interface_cycle(mesh)
     pos = mesh.coords[verts]

@@ -13,11 +13,12 @@ from alefem.fespace import (
     evaluate_many,
     interpolate,
 )
-from alefem.mesh import (displace, generate_bubble_mesh, generate_rect_mesh,
-                          map_points)
+from alefem.mesh import (MINUS, PLUS, displace, generate_bubble_mesh,
+                          generate_rect_mesh, geometry, map_points)
 
 from alefem.stepper import SimConfig, initialize, step
 
+import loop_reference
 from conftest import BP1, CENTER, RADIUS, RECT
 
 
@@ -215,3 +216,55 @@ def test_pressure_positions_are_computed_on_first_read(monkeypatch):
                           original(state.mesh, P.degree, P.dof_of, P.n_dofs))
     assert not positions.flags.writeable
     assert P.positions is positions and len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_array_bins_locate_as_the_loop_over_points_did(k):
+    """The array bins give every point the candidates of the frozen dict
+    bins and per-point loop, in their order, so `locate` returns their
+    elements and reference coordinates bit for bit: for the pullback's
+    per-element phases, a transfer's per-DOF phases (0 on the
+    interface), one phase for all points, no phase, and points off the
+    mesh with a phase."""
+    fine = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.08, k)
+    coarse = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, k)
+    geom = geometry(coarse)
+    quad = geom.x.reshape(-1, 2)
+    V = build_taylor_hood(coarse, k).velocity
+    rng = np.random.default_rng(7)
+    inside = np.column_stack([rng.uniform(0.0, 1.0, 500),
+                              rng.uniform(0.0, 2.0, 500)])
+    r = np.hypot(*(inside - CENTER).T)
+    cases = [(quad, np.repeat(coarse.phase, geom.x.shape[1])),
+             (V.positions, V.dof_phase), (inside[r < 0.9 * RADIUS], MINUS),
+             (inside[r > 1.1 * RADIUS], PLUS),
+             (np.vstack([inside, V.positions]), None),
+             # in no candidate's box: the best of its bin, extrapolated
+             (np.array([[1.2, 1.0], [-0.3, 0.4], [0.5, 2.25]]), PLUS)]
+    new, old = fine.locator(), loop_reference.PointLocator(fine)
+    for pts, phase in cases:
+        elems, ref = new.locate(pts, phase=phase)
+        elems_old, ref_old = old.locate(pts, phase=phase)
+        assert elems.dtype == elems_old.dtype and ref.dtype == ref_old.dtype
+        assert elems.tobytes() == elems_old.tobytes()
+        assert ref.tobytes() == ref_old.tobytes()
+    for locator in (new, old):
+        with pytest.raises(PointLocationError):
+            locator.locate(np.vstack([inside, [[1.5, 1.0]]]))
+
+
+def test_a_mesh_keeps_one_locator_and_a_moved_mesh_builds_its_own(
+        bubble_mesh_k2):
+    mesh = bubble_mesh_k2
+    locator = mesh.locator()
+    assert mesh.locator() is locator
+    rng = np.random.default_rng(8)
+    moved = displace(mesh, rng.uniform(-5e-4, 5e-4, size=mesh.x.shape))
+    assert moved.locator() is not locator
+    # each locates in its own configuration
+    centroid = np.array([[1 / 3, 1 / 3]])
+    for m in (mesh, moved):
+        x, _, _ = map_points(m, [17], centroid)
+        elems, ref = m.locator().locate(x)
+        assert elems[0] == 17
+        assert np.allclose(ref, centroid, atol=1e-12)

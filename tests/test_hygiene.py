@@ -16,9 +16,13 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "alefem"
 
 # Imported for other modules to find here: the benchmark's tracer wraps
-# `alefem.assembly.GeometryTables.__init__`, and the tests import
+# `alefem.assembly.GeometryTables.__init__` and the `__post_init__` and
+# `locate` of `alefem.fespace.PointLocator`, the benchmark's workloads
+# import `PointLocationError` from `alefem.fespace`, and the tests import
 # `smooth_displacement` from conftest.
 RE_EXPORTS = {("assembly.py", "GeometryTables"),
+              ("fespace.py", "PointLocator"),
+              ("fespace.py", "PointLocationError"),
               ("conftest.py", "smooth_displacement")}
 
 

@@ -13,6 +13,7 @@ from alefem.verify import (
     convergence_rate,
     homotopy_identity_residual,
     manufactured_flow_errors,
+    pullback_difference_norms,
     spatial_convergence_study,
     transport_formula_residual,
 )
@@ -168,3 +169,48 @@ def test_manufactured_forcing_consistent_with_fields():
         conv = gu @ np.array(u(x, y))
         resid = rho * conv - mu * lap + gp - np.array(f(x, y))
         assert np.abs(resid).max() < 2e-5
+
+
+def test_pullback_norms_of_a_run_against_itself_and_shifted_copies(
+        coarse, monkeypatch):
+    """A run against itself differs by roundoff; a pressure shifted by c
+    differs by |c| sqrt(|RECT|) in L2, a velocity shifted by (a, b) by
+    sqrt(|RECT| (a^2 + b^2)) in H1.  Each call locates the coarse
+    quadrature points once."""
+    from alefem import fespace
+
+    mesh, spaces = coarse
+    rng = np.random.default_rng(21)
+    V, P = spaces.velocity.positions, spaces.pressure.positions
+    # a run's final fields, smooth and O(1)
+    run = {"mesh0": mesh, "spaces0": spaces,
+           "u": smooth_displacement(rng, V, 1.0),
+           "w": smooth_displacement(rng, V, 1.0),
+           "phi": mesh.x + smooth_displacement(rng, V, 1e-2),
+           "p": smooth_displacement(rng, P, 1.0)[::2]}
+    zero = {**run, **{name: np.zeros_like(run[name])
+                      for name in ("u", "w", "phi", "p")}}
+    scale = pullback_difference_norms(run, zero)
+    calls = []
+    original = fespace.PointLocator.locate
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fespace.PointLocator, "locate", counting)
+    same = pullback_difference_norms(run, run)
+    assert len(calls) == 1
+    for name, value in same.items():
+        assert value <= 1e-12 * scale[name], name
+
+    area = (RECT[2] - RECT[0]) * (RECT[3] - RECT[1])
+    c, a, b = -0.75, 0.3, -0.4
+    shifted = pullback_difference_norms(run, {**run, "p": run["p"] + c})
+    assert shifted["p"] == pytest.approx(abs(c) * math.sqrt(area), rel=1e-12)
+    assert all(shifted[name] == same[name] for name in ("u", "w", "phi"))
+    moved = {**run, "u": run["u"] + np.tile([a, b], spaces.velocity.n_dofs)}
+    shifted = pullback_difference_norms(run, moved)
+    assert shifted["u"] == pytest.approx(math.sqrt(area * (a * a + b * b)),
+                                         rel=1e-12)
+    assert all(shifted[name] == same[name] for name in ("w", "phi", "p"))
