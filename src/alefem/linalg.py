@@ -3,7 +3,11 @@
 The zero-mean pressure constraint is imposed by a single scalar
 multiplier row/column bordering the saddle block, which is
 preconditioned by an LU factor of its quasi-definite form, made in a
-symmetric minimum-degree order without pivoting (`SaddleFactor`).
+symmetric minimum-degree order without pivoting, of its transpose,
+which SuperLU reads off the CSR arrays without a copy (`SaddleFactor`).
+Refinement by GMRES on that factor takes one product by the matrix per
+iteration, and checks an iterate only when GMRES's residual says that
+it may meet the target (`solve_saddle`).
 
 A factor outlives its solve.  Between remeshes the matrices of a step
 change only by O(tau), so the factor of an earlier step preconditions
@@ -20,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 
@@ -73,7 +78,7 @@ EPSILON = 1e-14
 
 class SaddleFactor:
     """Preconditioner of one bordered saddle matrix [[A0, c], [c^T, 0]],
-    A0 = [[Kuu, B^T], [B, 0]] with a velocity block of size n_u.
+    A0 = [[Kuu, B^T], [B, 0]] in CSR with a velocity block of size n_u.
 
     Factored verbatim, the dense border would ruin the fill-reducing
     order, and A0 alone is singular.  So F = A0 - EPSILON sigma E_p is
@@ -81,25 +86,29 @@ class SaddleFactor:
     |diag A0|, as P = S F, S = diag(I, -I).  P's symmetric part, sym(Kuu)
     + EPSILON sigma E_p, is positive definite while M_rho / tau dominates
     Kuu, so P has an LU factor without pivoting in any symmetric order
-    (Vanderbei, SIAM J. Optim. 5 (1995)): SuperLU's MMD order of P^T + P
-    gives 1.52M nonzeros at h=0.04, where COLAMD with partial pivoting
-    gave 3.50M.  F^-1 v = P^-1 S v, and c^T F^-1 c closes the border.
+    (Vanderbei, SIAM J. Optim. 5 (1995)).  P's CSR arrays are handed to
+    SuperLU as the CSC arrays of P^T, which it factors without a copy,
+    and solves by P^-1 are its solves with trans="T".  With relax=1 (see
+    `ale.splu`), SuperLU's MMD order of P + P^T gives 1.39M nonzeros at
+    h=0.04, where COLAMD with partial pivoting gave 3.50M.  F^-1 v =
+    P^-1 S v, and c^T F^-1 c closes the border.
     """
 
-    def __init__(self, A0: sparse.spmatrix, c: np.ndarray, n_u: int):
+    def __init__(self, A0: sparse.csr_matrix, c: np.ndarray, n_u: int):
         n = A0.shape[0]
         self.c = c
         self.sign = np.repeat([1.0, -1.0], [n_u, n - n_u])
         sigma = float(np.abs(A0.diagonal()).max()) or 1.0
         P = (sparse.diags(self.sign) @ A0
-             + sparse.diags(EPSILON * sigma * (self.sign < 0)))
+             + sparse.diags(EPSILON * sigma * (self.sign < 0))).tocsr()
         try:
-            self.lu = splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            self.lu = splu(sparse.csc_matrix((P.data, P.indices, P.indptr),
+                                             shape=P.shape),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           relax=1, options=dict(SymmetricMode=True))
         except RuntimeError as err:
             raise SolverError(f"factorization failed: {err}") from err
-        self.x2 = self.lu.solve(self.sign * c)
+        self.x2 = self.lu.solve(self.sign * c, trans="T")
         self.cx2 = c @ self.x2
         if self.cx2 == 0.0 or not np.isfinite(self.cx2):
             raise SolverError("bordered closure is singular "
@@ -107,7 +116,7 @@ class SaddleFactor:
 
     def solve(self, rs: np.ndarray) -> np.ndarray:
         """(x, lam) with F x + lam c = r and c^T x = s, for rs = (r, s)."""
-        x1 = self.lu.solve(self.sign * rs[:-1])
+        x1 = self.lu.solve(self.sign * rs[:-1], trans="T")
         lam = (self.c @ x1 - rs[-1]) / self.cx2
         return np.append(x1 - lam * self.x2, lam)
 
@@ -164,35 +173,49 @@ class SaddleStats:
 
 
 def _gmres(matvec: Callable, precond: Callable, r: np.ndarray,
-           accept: Callable, max_iter: int):
+           accept: Callable, max_iter: int, reach: float):
     """Right-preconditioned GMRES for matvec(d) = r, started from d = 0.
 
-    The preconditioned directions are kept, so forming the iterate costs
-    no further preconditioner application.  Stops as soon as accept(d)
-    holds, on breakdown, or after max_iter iterations; returns (d,
-    iterations).
+    Each iteration orthogonalizes by classical Gram-Schmidt with one
+    reorthogonalization (CGS2; Giraud, Langou & Rozloznik, Comput. Math.
+    Appl. 50 (2005)) and updates the Givens rotations of the
+    least-squares problem, so that |g[j + 1]| is the 2-norm of its
+    residual (Saad, Iterative Methods for Sparse Linear Systems, 2nd
+    ed., 6.5.3).  Only once that is at most reach, after max_iter
+    iterations or on breakdown is the iterate d formed, from the
+    preconditioned directions kept, and accept(d) asked.  Stops as soon
+    as accept(d) holds, on breakdown, or after max_iter iterations;
+    returns (d, iterations).
     """
     n = len(r)
     V = np.zeros((max_iter + 1, n))
     Z = np.empty((max_iter, n))
-    H = np.zeros((max_iter + 1, max_iter))
+    R = np.zeros((max_iter, max_iter))
+    rotations = np.empty((max_iter, 2))         # (cos, sin)
     g = np.zeros(max_iter + 1)
     g[0] = np.linalg.norm(r)
     V[0] = r / g[0]
     for j in range(max_iter):
         Z[j] = precond(V[j])
         w = matvec(Z[j])
-        for i in range(j + 1):                  # modified Gram-Schmidt
-            H[i, j] = V[i] @ w
-            w -= H[i, j] * V[i]
-        H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j] > 0.0:
-            V[j + 1] = w / H[j + 1, j]
-        y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
-        d = y @ Z[:j + 1]
-        if H[j + 1, j] == 0.0 or accept(d):
-            return d, j + 1
-    return d, max_iter
+        h = np.zeros(j + 2)
+        for _ in range(2):
+            a = V[:j + 1] @ w
+            w -= a @ V[:j + 1]
+            h[:j + 1] += a
+        h[j + 1] = np.linalg.norm(w)
+        if h[j + 1] > 0.0:
+            V[j + 1] = w / h[j + 1]
+        for i, (c, s) in enumerate(rotations[:j]):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        c, s = rotations[j] = h[j:] / np.hypot(h[j], h[j + 1])
+        R[:j + 1, j] = np.append(h[:j], c * h[j] + s * h[j + 1])
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        last = h[j + 1] == 0.0 or j + 1 == max_iter
+        if last or abs(g[j + 1]) <= reach:
+            d = solve_triangular(R[:j + 1, :j + 1], g[:j + 1]) @ Z[:j + 1]
+            if accept(d) or last:
+                return d, j + 1
 
 
 def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
@@ -214,19 +237,27 @@ def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
     1e-12 of |A| |x| + |b|.  The matrix is badly scaled (M_rho / tau
     against the divergence rows), and the row-wise target makes the
     result independent, to about 1e-12 in the observables, of which
-    factor preconditioned it.
+    factor preconditioned it.  An iterate is checked against it only
+    once GMRES's residual, scaled by the rows' targets, has a 2-norm in
+    reach: at most sqrt(n) times the largest target.  A check multiplies
+    by A0, and by |A0| only once the residual meets the bound; |A0|
+    shares A0's index arrays and is made then, after the factor, so
+    that it does not add to the factorization's peak memory.
     """
     n_u = len(system.rhs_u)
     n = system.A0.shape[0]
     m = system.mean_vector
     c = np.concatenate([np.zeros(n_u), m])
     A0 = system.A0
-    abs_A0, abs_c = abs(A0), np.abs(c)
+    abs_A0, abs_c = [], np.abs(c)       # |A0| is made by the first row_scale
     rhs = np.concatenate([system.rhs_u, system.rhs_p])
     b = np.append(rhs, 0.0)
     abs_b = np.abs(b)
-    # rows summed in order by the product: stored zeros change nothing
-    norm_A = (abs_A0 @ np.ones(n)).max(initial=0.0) + np.abs(m).sum()
+    # row sums of |A0|: an empty row sums one entry of a later row, or
+    # the 0 appended, so the largest is that of the nonempty rows
+    norm_A = (np.add.reduceat(np.append(np.abs(A0.data), 0.0),
+                              A0.indptr[:-1]).max(initial=0.0)
+              + np.abs(m).sum())
 
     def matvec(z):
         return np.append(A0 @ z[:n] + z[n] * c, c @ z[:n])
@@ -236,8 +267,11 @@ def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
                    np.abs(rhs).max(initial=0.0), 1e-30)
 
     def row_scale(z):
+        if not abs_A0:
+            abs_A0.append(type(A0)((np.abs(A0.data), A0.indices, A0.indptr),
+                                   shape=A0.shape))
         az = np.abs(z)
-        s = np.append(abs_A0 @ az[:n] + az[n] * abs_c, abs_c @ az[:n])
+        s = np.append(abs_A0[0] @ az[:n] + az[n] * abs_c, abs_c @ az[:n])
         return np.maximum(s + abs_b, 1e-30)
 
     def check(z):
@@ -264,24 +298,20 @@ def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
             if s is None:
                 s = row_scale(z)
             D = s.max() / s
-            tried = []                  # (d, z + d, check(z + d)), last
+            tried = []                  # z + d and its check, for the last d
 
             def accept(d):
                 zd = z + d
-                tried[:] = [d, zd, check(zd)]
-                return tried[2][0]
+                tried[:] = [zd, check(zd)]
+                return tried[1][0]
 
-            dz, its = _gmres(lambda v: D * matvec(v),
-                             lambda v: factor.solve(v / D), D * r,
-                             accept, MAX_ITERATIONS)
-            iterations += its
-            if tried and tried[0] is dz:
-                # GMRES stopped on the last correction it tried: its
-                # check is that of the new z
-                z, checked = tried[1], tried[2]
-            else:
-                z = z + dz
-                checked = check(z)
+            # GMRES's last correction is checked: its check is that of the
+            # new z.  The reach allows the row scale to double from z to it.
+            iterations += _gmres(lambda v: D * matvec(v),
+                                 lambda v: factor.solve(v / D), D * r, accept,
+                                 MAX_ITERATIONS,
+                                 2.0 * np.sqrt(n + 1) * 1e-12 * s.max())[1]
+            z, checked = tried
         return z, iterations, checked[0]
 
     if factor is None:

@@ -24,9 +24,10 @@ the assembly quadrature points: `Mesh.tables` builds it on first use
 and keeps it, so assembly, observables and `quality` share it, until
 `Mesh.release_tables` drops it.  `geometry(mesh)` hands it out after
 checking that no element is tangled.  Its point locator is kept the
-same way (`Mesh.locator`), so all point location on it bins once.  A
-mesh made by `displace` shares the connectivity of one that was checked,
-and is not checked again; it inherits neither table nor locator.
+same way (`Mesh.locator`), so all point location on it bins once, and
+so is its `quality`.  A mesh made by `displace` shares the connectivity
+of one that was checked, and is not checked again; it inherits no
+table, locator or quality.
 """
 
 from __future__ import annotations
@@ -388,14 +389,14 @@ class PointLocator:
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = len(pts)
-        pair_pt, pair_el = self._candidates(pts)
+        want = np.broadcast_to(np.asarray(0 if phase is None else phase,
+                                          dtype=int), (n,))
+        pair_pt, pair_el = self._candidates(pts, want)
         ref, converged = self._invert(pts[pair_pt], pair_el)
         lam = np.column_stack([1.0 - ref.sum(axis=1), ref[:, 0], ref[:, 1]])
         score = np.where(converged, lam.min(axis=1), -np.inf)
-        el_phase = self._phase[pair_el]
-        want = np.broadcast_to(np.asarray(0 if phase is None else phase,
-                                          dtype=int), (n,))[pair_pt]
-        phase_ok = (want == 0) | (el_phase == want)
+        want = want[pair_pt]
+        phase_ok = (want == 0) | (self._phase[pair_el] == want)
 
         best_el = np.full(n, -1, dtype=int)
         best_ref = np.zeros((n, 2))
@@ -420,14 +421,14 @@ class PointLocator:
                 f"(containment defect {-score[rows][worst]:.2e})")
         return best_el, best_ref
 
-    def _candidates(self, pts):
-        """The (point, element) pairs that `locate` inverts, ordered by
-        point and then element: the members of a point's bin whose box
-        holds it, or, when none does, every member of its bin."""
-        cell = self._bin_id(self._cell_of(pts))
-        first = self._start[cell]
-        pair_pt, at = _runs(self._start[cell + 1] - first)
-        pair_el = self._members[at + first[pair_pt]]
+    def _candidates(self, pts, want):
+        """The (point, element) pairs that `locate` inverts, by point: the
+        members of a point's bin whose box holds it, or, when none does,
+        every member of its bin, in element order.  A point of phase
+        want (0 for any) that matches none of them looks over the rings
+        of bins around its own and gets, after these, the elements of
+        its phase in the first ring that holds any."""
+        pair_pt, pair_el = self._members_near(pts, np.arange(len(pts)), 0)
         inbox = np.ones(len(pair_pt), dtype=bool)
         for axis in range(2):
             x = pts[pair_pt, axis]
@@ -435,7 +436,32 @@ class PointLocator:
                       & (x <= self._hi[pair_el, axis]))
         keep = inbox | (np.bincount(pair_pt[inbox], minlength=len(pts))
                         == 0)[pair_pt]
-        return pair_pt[keep], pair_el[keep]
+        pair_pt, pair_el = pair_pt[keep], pair_el[keep]
+        lacking = want != 0
+        lacking[pair_pt[self._phase[pair_el] == want[pair_pt]]] = False
+        lacking, n_el = np.flatnonzero(lacking), len(self._phase)
+        for r in range(int(self._nbins.max())):
+            if not len(lacking):
+                break
+            pt, el = self._members_near(pts, lacking, r)
+            found = np.unique((pt * n_el + el)[self._phase[el] == want[pt]])
+            pair_pt = np.append(pair_pt, found // n_el)
+            pair_el = np.append(pair_el, found % n_el)
+            lacking = np.setdiff1d(lacking, found // n_el)
+        return pair_pt, pair_el
+
+    def _members_near(self, pts, which, r):
+        """(point, element) pairs of the points which and the members of
+        the bins at most r bins from each one's own, by point."""
+        off = np.arange(-r, r + 1)
+        cells = self._cell_of(pts[which])[:, None] + np.stack(
+            np.meshgrid(off, off, indexing="ij"), axis=-1).reshape(-1, 2)
+        inside = ((cells >= 0) & (cells < self._nbins)).all(axis=2)
+        cell = self._bin_id(cells[inside])
+        first = self._start[cell]
+        run, at = _runs(self._start[cell + 1] - first)
+        return (np.repeat(which, inside.sum(axis=1))[run],
+                self._members[at + first[run]])
 
     def _invert(self, pts, elems):
         """Per-pair Newton inversion of the geometry maps, vectorized.
@@ -476,10 +502,14 @@ class PointLocator:
 
 def quality(mesh: Mesh) -> MeshQuality:
     """Minimum vertex angle and scaled Jacobian bound, the two figures a
-    step reads; no edge length is computed.
+    step reads; no edge length is computed.  Computed on first use and
+    kept on the mesh, as its geometry table and locator are, so a fitted
+    mesh is measured once; a mesh made by `displace` inherits none.
 
     Never raises on a tangled mesh: min_jacobian <= 0 reports it.
     """
+    if "_quality" in mesh.__dict__:
+        return mesh._quality
     tri = mesh.coords[mesh.elements[:, :3]]           # (E, 3, 2)
     angles = np.empty((len(tri), 3))
     for i in range(3):
@@ -493,7 +523,9 @@ def quality(mesh: Mesh) -> MeshQuality:
 
     straight_area2 = np.abs(_cross2(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
     scaled = mesh.tables().detJ / np.maximum(straight_area2, 1e-300)[:, None]
-    return MeshQuality(min_angle=min_angle, min_jacobian=float(scaled.min()))
+    object.__setattr__(mesh, "_quality", MeshQuality(
+        min_angle=min_angle, min_jacobian=float(scaled.min())))
+    return mesh._quality
 
 
 def displace(mesh: Mesh, d: np.ndarray) -> Mesh:

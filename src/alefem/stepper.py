@@ -204,17 +204,17 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
     del M_rho, A_mu, B_conv
 
-    n_u = 2 * spaces.velocity.n_dofs
-    bnd = spaces.vector_dofs(spaces.boundary_dofs)
     free = spaces.maps.saddle_mask
-    u_bc = np.zeros(n_u)
+    u_bc = np.zeros(2 * spaces.velocity.n_dofs)
+    rhs_f, rhs_p = rhs_u[free], np.zeros(C.shape[0])
     if boundary_values is not None:
+        bnd = spaces.vector_dofs(spaces.boundary_dofs)
         u_bc[bnd] = boundary_values[bnd]
-
-    # u_bc vanishes on the free DOFs, whose columns therefore add only
-    # +-0: these liftings equal those through the sliced blocks bitwise
-    rhs_f = rhs_u[free] - (Kuu @ u_bc)[free]
-    rhs_p = C @ u_bc
+        # u_bc vanishes on the free DOFs, whose columns therefore add
+        # only +-0: these liftings equal those through the sliced blocks
+        # bitwise
+        rhs_f -= (Kuu @ u_bc)[free]
+        rhs_p = C @ u_bc
     A0 = spaces.maps.saddle([Kuu, C])
     del Kuu, C
     uf, p, lam, stats = solve_saddle(SaddleSystem(

@@ -13,6 +13,12 @@ frozen: its bins are a dict of element lists filled in element order,
 and it collects each point's candidates in a loop over the points.  The
 array bins must give the same candidates in the same order, and so the
 same elements and reference coordinates bit for bit.
+
+`solve_saddle` is the saddle solve that `alefem.linalg.solve_saddle`
+replaced, frozen on a given factor: GMRES by modified Gram-Schmidt and
+a least-squares solve at every iteration, each iterate formed and
+checked.  The gated GMRES must spend as many applications of the
+factor, and reach the same result to the refinement target.
 """
 
 import math
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from alefem.assembly import DofMaps
+from alefem.linalg import SolverError
 from alefem.fespace import (
     GLOBAL,
     SUBDOMAIN,
@@ -527,3 +534,100 @@ class PointLocator:
         converged = final_resid < np.maximum(
             _NEWTON_TOL, 1e-9 * np.abs(pts).max(initial=1.0))
         return ref, converged
+
+
+# ---------------------------------------------------------------------------
+# the saddle solve
+
+
+def _gmres(matvec, precond, r, accept, max_iter):
+    n = len(r)
+    V = np.zeros((max_iter + 1, n))
+    Z = np.empty((max_iter, n))
+    H = np.zeros((max_iter + 1, max_iter))
+    g = np.zeros(max_iter + 1)
+    g[0] = np.linalg.norm(r)
+    V[0] = r / g[0]
+    for j in range(max_iter):
+        Z[j] = precond(V[j])
+        w = matvec(Z[j])
+        for i in range(j + 1):                  # modified Gram-Schmidt
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] > 0.0:
+            V[j + 1] = w / H[j + 1, j]
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
+        d = y @ Z[:j + 1]
+        if H[j + 1, j] == 0.0 or accept(d):
+            return d, j + 1
+    return d, max_iter
+
+
+def solve_saddle(system, factor):
+    """(u, p, multiplier, iterations) of system, refined on factor, a
+    `SaddleFactor`."""
+    n_u = len(system.rhs_u)
+    n = system.A0.shape[0]
+    m = system.mean_vector
+    c = np.concatenate([np.zeros(n_u), m])
+    A0 = system.A0
+    abs_A0, abs_c = abs(A0), np.abs(c)
+    rhs = np.concatenate([system.rhs_u, system.rhs_p])
+    b = np.append(rhs, 0.0)
+    abs_b = np.abs(b)
+    norm_A = (abs_A0 @ np.ones(n)).max(initial=0.0) + np.abs(m).sum()
+
+    def matvec(z):
+        return np.append(A0 @ z[:n] + z[n] * c, c @ z[:n])
+
+    def bound(x):
+        return max(norm_A * np.abs(x).max(initial=0.0),
+                   np.abs(rhs).max(initial=0.0), 1e-30)
+
+    def row_scale(z):
+        az = np.abs(z)
+        s = np.append(abs_A0 @ az[:n] + az[n] * abs_c, abs_c @ az[:n])
+        return np.maximum(s + abs_b, 1e-30)
+
+    def check(z):
+        r = b - matvec(z)
+        res = np.abs(r)
+        if not res.max() <= 1e-12 * bound(z[:n]):
+            return False, r, None
+        s = row_scale(z)
+        return bool(np.all(res <= 1e-12 * s)), r, s
+
+    z = factor.solve(b)
+    iterations = 1
+    checked = check(z)
+    for _ in range(3):
+        on_target, r, s = checked
+        if on_target:
+            break
+        if s is None:
+            s = row_scale(z)
+        D = s.max() / s
+        tried = []
+
+        def accept(d):
+            zd = z + d
+            tried[:] = [d, zd, check(zd)]
+            return tried[2][0]
+
+        dz, its = _gmres(lambda v: D * matvec(v),
+                         lambda v: factor.solve(v / D), D * r,
+                         accept, 20)
+        iterations += its
+        if tried and tried[0] is dz:
+            z, checked = tried[1], tried[2]
+        else:
+            z = z + dz
+            checked = check(z)
+    if not checked[0]:
+        raise SolverError("refinement missed the target")
+    x, lam = z[:n], z[n]
+    res = rhs - (A0 @ x + lam * c)
+    if np.abs(res).max(initial=0.0) > 1e-9 * bound(x):
+        raise SolverError("saddle residual exceeds the bound")
+    return x[:n_u], x[n_u:], float(lam), iterations

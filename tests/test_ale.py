@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spilu
 
 from alefem import ale
+from alefem import mesh as meshmod
 from alefem.ale import (
     advance_mesh,
     check_and_remesh,
@@ -20,6 +21,7 @@ from alefem.assembly import DofMaps, Gather, assemble, scalar_laplacian
 from alefem.fespace import FESpacePair, build_taylor_hood, interpolate
 from alefem.mesh import (
     MINUS,
+    MeshQuality,
     fit_interface_mesh,
     generate_bubble_mesh,
     geometry,
@@ -146,6 +148,26 @@ def shear_below_threshold(mesh):
             if q.min_jacobian > 0 and q.min_angle <= math.pi / 18:
                 return moved
     raise AssertionError("could not build a valid sheared fixture")
+
+
+def test_a_fitted_mesh_is_measured_once(monkeypatch):
+    """fit_interface_mesh measures the mesh it fits; the set-up and a
+    remesh read that measure off the mesh instead of computing it again,
+    and a remesh reads the moved mesh's measure, already taken."""
+    made = []
+    monkeypatch.setattr(meshmod, "MeshQuality", lambda **figures: (
+        made.append(MeshQuality(**figures)) or made[-1]))
+    state = initialize(SimConfig(params=BP1, k=2, h=0.1, tau=0.005,
+                                 T=0.005))
+    assert len(made) == 1 and quality(state.mesh) is made[0]
+    sheared = shear_below_threshold(state.mesh)
+    spaces = spaces_with_mesh(state.spaces, sheared)
+    made.clear()
+    fields = {"p": ("pressure", np.zeros(spaces.pressure.n_dofs))}
+    new_mesh, *_, did, min_angle = check_and_remesh(sheared, spaces, fields,
+                                                    RECT, 0.1)
+    assert did and len(made) == 1 and quality(new_mesh) is made[0]
+    assert min_angle == made[0].min_angle
 
 
 def quad(x, y):

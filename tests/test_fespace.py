@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alefem import fespace
+from alefem import ale, fespace
 from alefem.fespace import (
     GLOBAL,
     PointLocationError,
@@ -251,6 +251,36 @@ def test_array_bins_locate_as_the_loop_over_points_did(k):
     for locator in (new, old):
         with pytest.raises(PointLocationError):
             locator.locate(np.vstack([inside, [[1.5, 1.0]]]))
+
+
+def test_a_phase_missing_from_a_bin_is_sought_ring_by_ring():
+    """The minus-phase pressure DOF at the top of a bubble moved up by
+    0.02, (0.5, 0.77), lies above the old bubble, and its bin on the old
+    mesh holds no minus element: it takes the nearest minus element of
+    the bins around, extrapolating a little, where the frozen locator
+    raised.  Every other point locates as the frozen locator does, bit
+    for bit."""
+    old = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.08, 2)
+    new = build_taylor_hood(generate_bubble_mesh(RECT, (0.5, 0.52), RADIUS,
+                                                 0.08, 2), 2)
+    pts, phase = new.pressure.positions, new.pressure.dof_phase
+    top = np.all(np.isclose(pts, (0.5, 0.77)), axis=1) & (phase == MINUS)
+    assert top.sum() == 1
+    frozen = loop_reference.PointLocator(old)
+    with pytest.raises(PointLocationError):
+        frozen.locate(pts, phase=phase)
+    elems, ref = old.locator().locate(pts, phase=phase)
+    elems_old, ref_old = frozen.locate(pts[~top], phase=phase[~top])
+    assert elems[~top].tobytes() == elems_old.tobytes()
+    assert ref[~top].tobytes() == ref_old.tobytes()
+    assert old.phase[elems[top]] == MINUS
+    x, _, _ = map_points(old, elems[top], ref[top])
+    assert np.allclose(x, pts[top], atol=1e-12)
+    assert np.append(ref[top], 1.0 - ref[top].sum()).min() > -0.5
+    p = np.random.default_rng(9).standard_normal(
+        build_taylor_hood(old, 2).pressure.n_dofs)
+    assert np.isfinite(ale.transfer_pressure(build_taylor_hood(old, 2), new,
+                                             p)).all()
 
 
 def test_a_mesh_keeps_one_locator_and_a_moved_mesh_builds_its_own(

@@ -23,6 +23,7 @@ from alefem.linalg import (
 from alefem.mesh import generate_bubble_mesh, generate_rect_mesh
 from alefem.stepper import SimConfig, flow_solve
 
+import loop_reference
 from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
 
 
@@ -228,29 +229,70 @@ def counted_solve(system, factor):
     return (u, p, lam, stats.iterations), CountingCSR.log, id(A0)
 
 
-def test_refinement_checks_each_iterate_once(lagged_pair, monkeypatch):
-    """The check GMRES ran on its last correction is that of the next
-    iterate: refinement reuses it instead of multiplying by A0 and |A0|
-    again, and its result is bitwise that of checking afresh."""
+def test_refinement_checks_each_iterate_once(lagged_pair):
+    """GMRES checks an iterate only once its residual is within reach of
+    the target, and refinement reuses the check GMRES ran on its last
+    correction as that of the next iterate.  So the solve multiplies by
+    A0 fewer times than the frozen solve, which checked every iterate,
+    and the only product taken twice is A0 times the solution: by the
+    last check and by the final residual check of solve_saddle."""
     old, new = lagged_pair
     factor = solve_saddle(old)[3].factor
+    saddle_factor = factor.factor
     reused, log, A0 = counted_solve(new, factor)
     assert reused[3] > 2                        # GMRES ran
-    original = linalg._gmres
-    # a copy of the correction defeats the reuse: every iterate is
-    # checked afresh, as before the reuse
-    monkeypatch.setattr(linalg, "_gmres", lambda *args: (
-        lambda d, its: (d.copy(), its))(*original(*args)))
-    afresh, afresh_log, _ = counted_solve(new, factor)
-    for a, b in zip(reused[:3], afresh[:3]):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert reused[3] == afresh[3]
-    assert len(afresh_log) - len(log) >= 2
-    # the only product taken twice is A0 times the solution: by the
-    # last check and by the final residual check of solve_saddle
+    CountingCSR.log = []
+    counted = CountingCSR(new.A0)
+    loop_reference.solve_saddle(SaddleSystem(
+        A0=counted, rhs_u=new.rhs_u, rhs_p=new.rhs_p,
+        mean_vector=new.mean_vector), saddle_factor)
+    frozen = [entry for entry in CountingCSR.log if entry[0] == id(counted)]
+    assert len([entry for entry in log if entry[0] == A0]) < len(frozen)
     x = np.concatenate([reused[0], reused[1]]).tobytes()
     twice = [entry for entry in set(log) if log.count(entry) > 1]
     assert twice == [(A0, x)]
+
+
+def assert_as_frozen(system, saddle_factor):
+    """The solve on saddle_factor spends the applications the frozen
+    solve spends, and agrees with it to 1e-12 of the solution's size."""
+    lagged = LaggedFactor(linalg.MAX_ITERATIONS)
+    lagged.factor = saddle_factor
+    u, p, lam, stats = solve_saddle(system, lagged)
+    assert stats.factorizations == 0
+    uf, pf, lamf, iterations = loop_reference.solve_saddle(system,
+                                                           saddle_factor)
+    assert stats.iterations == iterations
+    x, xf = np.concatenate([u, p]), np.concatenate([uf, pf])
+    assert np.abs(x - xf).max() <= 1e-12 * np.abs(xf).max()
+
+
+def test_gated_gmres_spends_what_checking_every_iterate_did(
+        lagged_pair, bubble_run_systems):
+    old, new = lagged_pair
+    assert_as_frozen(new, solve_saddle(old)[3].factor.factor)
+    first, later = bubble_run_systems
+    assert_as_frozen(later, solve_saddle(first)[3].factor.factor)
+    assert_as_frozen(later, solve_saddle(later)[3].factor.factor)
+
+
+def test_saddle_factor_solves_the_shifted_bordered_system(lagged_pair):
+    """F x + lam c = r and c^T x = s to roundoff, F = A0 - EPSILON sigma
+    E_p the matrix the factor inverts."""
+    system = lagged_pair[1]
+    A0, n_u = system.A0, len(system.rhs_u)
+    n = A0.shape[0]
+    c = np.concatenate([np.zeros(n_u), system.mean_vector])
+    sigma = np.abs(A0.diagonal()).max()
+    F = A0 - sparse.diags(linalg.EPSILON * sigma * (np.arange(n) >= n_u))
+    rs = np.random.default_rng(3).standard_normal(n + 1)
+    xl = SaddleFactor(A0, c, n_u).solve(rs)
+    x, lam = xl[:n], xl[n]
+    # normwise: the pressures solve a block EPSILON from singular
+    norm_F = abs(F).sum(axis=1).max() + np.abs(c).sum()
+    scale = norm_F * np.abs(xl).max() + np.abs(rs).max()
+    assert np.abs(F @ x + lam * c - rs[:n]).max() <= 1e-14 * scale
+    assert abs(c @ x - rs[n]) <= 1e-14 * scale
 
 
 @pytest.fixture(scope="module")
@@ -272,8 +314,8 @@ def bubble_run_systems():
 
 
 def test_quasi_definite_factor_halves_the_fill():
-    """At h=0.04 the fill drops to 43% of the pivoted COLAMD factor's
-    (1.52M against 3.50M nonzeros); at h=0.08 it is 53%."""
+    """At h=0.04 the fill drops to 40% of the pivoted COLAMD factor's
+    (1.39M against 3.50M nonzeros)."""
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.04, 2)
     spaces = build_taylor_hood(mesh, 2)
     system = bubble_saddle(mesh, spaces,

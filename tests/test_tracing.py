@@ -9,6 +9,10 @@ run without failing any other test.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
+
 from alefem import stepper
 from alefem.stepper import SimConfig
 
@@ -55,3 +59,21 @@ def test_traced_steps_record_every_span():
     assert names.count("stepper.step") == 2
     assert all(span[tracing.END] >= span[tracing.START] > 0.0
                for span in tracer.spans)
+
+
+def test_factor_proxy_counts_a_transposed_solve_once():
+    """`linalg.SaddleFactor` solves by its factor with trans="T": the
+    proxy hands the keyword on and counts the call as one triangular
+    solve, so `linalg.trisolves_per_step` counts applications."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    A = sparse.csc_matrix(np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0],
+                                    [0.0, 3.0, 6.0]]))
+    lu = splu(A)
+    proxy = tracing._Factor(lu, tracer, "linalg")
+    b = np.array([1.0, -2.0, 0.5])
+    x = proxy.solve(b, trans="T")
+    assert x.tobytes() == lu.solve(b, trans="T").tobytes()
+    assert np.allclose(A.T @ x, b, rtol=0.0, atol=1e-14)
+    assert [(key, value) for _, key, value in tracer.counts] == [
+        ("linalg.trisolves", 1)]
