@@ -37,11 +37,12 @@ from .linalg import LaggedFactor
 from .mesh import (
     Mesh,
     MeshGenerationError,
+    edge_nodes,
     geometry,
     interface_cycle,
     quality,
 )
-from .reference import edge_element, edge_local_nodes
+from .reference import edge_element
 
 # CG iterations that one extension may spend on the lagged factor; after
 # an extension that spent more, the next one refactors (see
@@ -257,10 +258,9 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
     if q.min_angle > angle_threshold:
         return mesh, spaces, fields, False, q.min_angle
 
-    verts, edges = interface_cycle(mesh)
+    _, edges = interface_cycle(mesh)
     k = mesh.degree
-    ring, segment_curve = _redistribute(
-        _old_edge_curve(mesh, verts, edges), len(verts), h)
+    ring, segment_curve = _redistribute(mesh, edges, h)
     mesh.release_tables()
     try:
         new_mesh = meshmod.fit_interface_mesh(
@@ -282,40 +282,30 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
     return new_mesh, new_spaces, out, True, quality(new_mesh).min_angle
 
 
-def _old_edge_curve(mesh: Mesh, verts: np.ndarray, edges):
-    """Parametrize each interface segment by the old curved edge geometry:
-    curve(i, s) evaluates the edge from verts[i] to the next vertex of the
-    cycle at the parameters s in [0, 1]."""
-    k = mesh.degree
-    edge = edge_element(k)
-
-    def curve(i, s):
-        e, le = edges[i]
-        ids = mesh.elements[e, edge_local_nodes(k, le)]
-        pos = mesh.coords[ids]                          # ordered along the edge
-        if ids[0] != verts[i]:
-            pos = pos[::-1]
-        return edge.shape_values(np.asarray(s, dtype=float)).T @ pos
-
-    return curve
-
-
 # Samples per old interface segment by which `_redistribute` measures
 # arc length
 _ARC_SAMPLES = 64
 
 
-def _redistribute(curve, n_old: int, h: float):
-    """A new ring on the closed curve of n_old segments, segment i being
-    curve(i, s) for s in [0, 1] (see `_old_edge_curve`): round(L / h)
-    vertices, at least 3, at equal arc length, L the curve's length.
-    Returns (ring, segment_curve), segment_curve evaluating the curve
-    between consecutive new vertices at equal arc length too.
+def _redistribute(mesh: Mesh, edges: np.ndarray, h: float):
+    """A new ring on the old interface curve, whose segment i is the
+    curved edge of row edges[i] of mesh, in the cycle's direction (see
+    `interface_cycle`): round(L / h) vertices, at least 3, at equal arc
+    length, L the curve's length.  Returns (ring, segment_curve),
+    segment_curve evaluating the curve between consecutive new vertices
+    at equal arc length too.
 
     Arc length is the length of the polyline through _ARC_SAMPLES points
     per segment, inverted by linear interpolation; every point returned
     is evaluated on the curve itself.
     """
+    pos = mesh.coords[edge_nodes(mesh, edges)]          # (n_old, k+1, 2)
+    basis = edge_element(mesh.degree).shape_values
+    n_old = len(edges)
+
+    def curve(i, s):            # segment i at the parameters s in [0, 1]
+        return basis(np.asarray(s, dtype=float)).T @ pos[i]
+
     s = np.linspace(0.0, 1.0, _ARC_SAMPLES + 1)[:-1]
     pts = np.vstack([curve(i, s) for i in range(n_old)])
     steps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)

@@ -37,7 +37,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .assembly import PhaseParams
+from .assembly import MATRIX_KINDS, PhaseParams
 from .stepper import SimConfig, run
 from .vtk_io import write_vtk
 
@@ -267,6 +267,9 @@ def cmd_verify(suite: str = "all") -> int:
     return 1 if failed else 0
 
 
+VERIFY_SUITES = ("homotopy", "transport", "manufactured", "matrices", "all")
+
+
 def build_verify_checks(suite: str):
     from .fespace import build_taylor_hood
     from .mesh import generate_bubble_mesh
@@ -274,9 +277,8 @@ def build_verify_checks(suite: str):
     from .verify import (homotopy_identity_residual, manufactured_flow_errors,
                          transport_formula_residual)
 
-    suites = ("homotopy", "transport", "manufactured", "matrices", "all")
-    if suite not in suites:
-        raise ValueError(f"unknown suite {suite!r}; choose from {suites}")
+    if suite not in VERIFY_SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
     checks = []
 
     if suite in ("matrices", "all"):
@@ -318,7 +320,7 @@ def build_verify_checks(suite: str):
             rng = np.random.default_rng(2024)
             n_u = 2 * spaces.velocity.n_dofs
             worst = 0.0
-            for kind in ("M", "M_rho", "A", "A_mu", "C"):
+            for kind in MATRIX_KINDS:
                 for _ in range(4):
                     e_x = smooth_displacement(rng, spaces.velocity.positions,
                                               1e-2)
@@ -415,8 +417,7 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the verification oracles")
     p_ver.add_argument("suite", nargs="?", default="all",
-                       choices=["homotopy", "transport", "manufactured",
-                                "matrices", "all"])
+                       choices=VERIFY_SUITES)
 
     args = parser.parse_args(argv)
     if args.command == "run":

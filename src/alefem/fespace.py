@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .mesh import (MINUS, PLUS, Mesh, PointLocationError, PointLocator,
-                   first_appearance)
+                   _edge_table, first_appearance)
 from .reference import lattice_nodes, reference_element
 
 if TYPE_CHECKING:
@@ -134,7 +134,7 @@ def build_scalar_space(mesh: Mesh, degree: int,
 def _number_dofs(mesh: Mesh, degree: int, duplicated: bool):
     """DOF table and count of a degree-`degree` space.
 
-    DOF keys are vertices, (edge, j) for the degree-1 nodes inside each
+    DOF keys are vertices, (edge id, j) for the degree-1 nodes inside each
     edge, and (element, j) for interior nodes; a duplicated space tags
     the keys on the interface with the phase of the element.  Keys are
     numbered by first appearance, element by element, vertices first,
@@ -147,37 +147,34 @@ def _number_dofs(mesh: Mesh, degree: int, duplicated: bool):
     n_edge = degree - 1
     n_loc = (degree + 1) * (degree + 2) // 2
     n_int = n_loc - 3 - 3 * n_edge
-    a, b = tri, tri[:, [1, 2, 0]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    edge_of, ends, _ = _edge_table(tri)
 
     # phase tag + 1 of each key: 0 or 2 on the duplicated interface, else 1
     vertex_tag = edge_tag = np.ones((E, 3), dtype=np.int64)
     if duplicated and len(mesh.interface_edges):
         side = mesh.phase[:, None].astype(np.int64) + 1
-        ie, ile = mesh.interface_edges.T
-        lo_i, hi_i = lo[ie, ile], hi[ie, ile]
-        vertex_tag = np.where(np.isin(tri, [lo_i, hi_i]), side, 1)
-        m = int(tri.max()) + 1
-        edge_tag = np.where(np.isin(lo * m + hi, lo_i * m + hi_i), side, 1)
+        iface = edge_of[tuple(mesh.interface_edges.T)]
+        vertex_tag = np.where(np.isin(tri, ends[iface]), side, 1)
+        edge_tag = np.where(np.isin(edge_of, iface), side, 1)
 
-    # key rows (kind, id, id2, tag, j), in the order the slots are met
-    keys = np.zeros((E, n_loc, 5), dtype=np.int64)
+    # key rows (kind, id, tag, j), in the order the slots are met
+    keys = np.zeros((E, n_loc, 4), dtype=np.int64)
     keys[:, :3, 1] = tri
-    keys[:, :3, 3] = vertex_tag
-    edge_keys = keys[:, 3:3 + 3 * n_edge].reshape(E, 3, n_edge, 5)
+    keys[:, :3, 2] = vertex_tag
+    edge_keys = keys[:, 3:3 + 3 * n_edge].reshape(E, 3, n_edge, 4)
     edge_keys[..., 0] = 1
-    edge_keys[..., 1] = lo[..., None]
-    edge_keys[..., 2] = hi[..., None]
-    edge_keys[..., 3] = edge_tag[..., None]
-    edge_keys[..., 4] = np.arange(n_edge)
+    edge_keys[..., 1] = edge_of[..., None]
+    edge_keys[..., 2] = edge_tag[..., None]
+    edge_keys[..., 3] = np.arange(n_edge)
     keys[:, n_loc - n_int:, 0] = 2
     keys[:, n_loc - n_int:, 1] = np.arange(E)[:, None]
-    keys[:, n_loc - n_int:, 4] = np.arange(n_int)
-    ids, first = first_appearance(keys.reshape(-1, 5))
+    keys[:, n_loc - n_int:, 3] = np.arange(n_int)
+    ids, first = first_appearance(keys.reshape(-1, 4))
 
     dof_of = ids.reshape(E, n_loc)
     edge_ids = dof_of[:, 3:3 + 3 * n_edge].reshape(E, 3, n_edge)
-    edge_ids[:] = np.where((a > b)[..., None], edge_ids[..., ::-1], edge_ids)
+    backward = (tri > tri[:, [1, 2, 0]])[..., None]
+    edge_ids[:] = np.where(backward, edge_ids[..., ::-1], edge_ids)
     return dof_of, len(first)
 
 

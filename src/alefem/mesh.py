@@ -28,6 +28,11 @@ same way (`Mesh.locator`), so all point location on it bins once, and
 so is its `quality`.  A mesh made by `displace` shares the connectivity
 of one that was checked, and is not checked again; it inherits no
 table, locator or quality.
+
+Orientation: every element lists its vertices counterclockwise and
+each `interface_edges` row is the minus-side incidence of its edge, so
+a row's edge, from local vertex le to le + 1, runs counterclockwise
+around the minus phase; `interface_cycle` and `edge_nodes` follow it.
 """
 
 from __future__ import annotations
@@ -135,16 +140,17 @@ class Mesh:
 
     def interface_node_ids(self) -> np.ndarray:
         """All node ids lying on the interface."""
-        return self._node_ids_on(self.interface_edges)
+        return np.unique(edge_nodes(self, self.interface_edges))
 
     def boundary_node_ids(self) -> np.ndarray:
-        return self._node_ids_on(self.boundary_edges)
+        return np.unique(edge_nodes(self, self.boundary_edges))
 
-    def _node_ids_on(self, edges: np.ndarray) -> np.ndarray:
-        if len(edges) == 0:
-            return np.empty(0, dtype=int)
-        local = np.array([edge_local_nodes(self.degree, le) for le in range(3)])
-        return np.unique(self.elements[edges[:, :1], local[edges[:, 1]]])
+
+def edge_nodes(mesh: Mesh, rows: np.ndarray) -> np.ndarray:
+    """(n, k+1) node ids along each (element, local edge) row, in the
+    element's own direction: from local vertex le to le + 1 mod 3."""
+    local = np.array([edge_local_nodes(mesh.degree, le) for le in range(3)])
+    return mesh.elements[rows[:, :1], local[rows[:, 1]]]
 
 
 def first_appearance(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -187,28 +193,14 @@ def _check_interface_pairing(elements, phase, interface_edges) -> None:
     stored with its minus-side incidence."""
     if len(interface_edges) == 0:
         return
-    tri = elements[:, :3]
-    a = tri.ravel().astype(np.int64)
-    b = tri[:, [1, 2, 0]].ravel().astype(np.int64)
-    m = int(tri.max()) + 1
-    keys = np.minimum(a, b) * m + np.maximum(a, b)
-    owner = np.repeat(np.arange(len(tri)), 3)
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    owner_sorted = owner[order]
-
-    e = interface_edges[:, 0]
-    le = interface_edges[:, 1]
-    sa = tri[e, le].astype(np.int64)
-    sb = tri[e, (le + 1) % 3].astype(np.int64)
-    skeys = np.minimum(sa, sb) * m + np.maximum(sa, sb)
-    lo = np.searchsorted(keys_sorted, skeys, side="left")
-    hi = np.searchsorted(keys_sorted, skeys, side="right")
-    if np.any(hi - lo != 2):
+    edge_of = _edge_table(elements[:, :3])[0]
+    count = np.bincount(edge_of.ravel())
+    phase_sum = np.bincount(edge_of.ravel(), weights=np.repeat(phase, 3))
+    e, le = interface_edges.T
+    ids = edge_of[e, le]
+    if np.any(count[ids] != 2):
         raise MeshError("an interface edge is not shared by exactly 2 elements")
-    p1 = phase[owner_sorted[lo]]
-    p2 = phase[owner_sorted[hi - 1]]
-    if np.any(p1 == p2):
+    if np.any(phase_sum[ids] != 0):
         raise MeshError("an interface edge does not separate the two phases")
     if np.any(phase[e] != MINUS):
         raise MeshError("interface edges must be stored with minus-side incidence")
@@ -975,40 +967,31 @@ def interface_cycle(mesh: Mesh):
 
     Returns (vertex_ids, edges): vertex_ids is the ordered cycle of
     interface vertex node ids, counterclockwise around the minus phase,
-    and edges[i] is the (element, local_edge) of the segment from
-    vertex_ids[i] to vertex_ids[i+1 mod n].
+    and edges[i] is the (element, local_edge) row of the segment from
+    vertex_ids[i] to vertex_ids[i+1 mod n].  The walk follows the rows'
+    own direction (see the module doc) from the lowest vertex, or from
+    its successor if the first row that touches it enters it.
     """
-    if len(mesh.interface_edges) == 0:
+    rows = mesh.interface_edges
+    if len(rows) == 0:
         raise MeshError("mesh has no interface")
-    by_end: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    seg_lookup: dict[tuple[int, int], tuple[int, int]] = {}
-    for e, le in mesh.interface_edges:
-        tri = mesh.elements[e, :3]
-        a, b = int(tri[le]), int(tri[(le + 1) % 3])
-        seg_lookup[(a, b)] = (int(e), int(le))
-        seg_lookup[(b, a)] = (int(e), int(le))
-        by_end.setdefault(a, []).append((b, (int(e), int(le))))
-        by_end.setdefault(b, []).append((a, (int(e), int(le))))
-    start = min(by_end)
+    a, b = edge_nodes(mesh, rows)[:, [0, -1]].T
+    n_out = np.bincount(a, minlength=mesh.n_nodes)
+    bad = (n_out != np.bincount(b, minlength=mesh.n_nodes)) | (n_out > 1)
+    if bad.any():
+        raise MeshError(f"interface is not one simple closed curve at "
+                        f"vertex {np.argmax(bad)}")
+    succ, leave = np.full((2, mesh.n_nodes), -1)
+    succ[a], leave[a] = b, np.arange(len(rows))
+    low = int(a.min())
+    # `_redistribute` starts the new ring here, so the start fixes a remesh
+    start = low if leave[low] < np.argmax(b == low) else int(succ[low])
     cycle = [start]
-    prev = None
-    cur = start
-    while True:
-        nxts = [n for n, _ in by_end[cur] if n != prev]
-        if not nxts:
-            raise MeshError("interface is not a closed cycle")
-        nxt = nxts[0]
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-    if len(cycle) != len(mesh.interface_edges):
+    while len(cycle) < len(rows) and succ[cycle[-1]] != start:
+        cycle.append(int(succ[cycle[-1]]))
+    if len(cycle) != len(rows):
         raise MeshError("interface has more than one component")
-    verts = np.array(cycle, dtype=int)
-    pos = mesh.coords[verts]
-    area2 = _cross2(pos, np.roll(pos, -1, axis=0)).sum()
-    if area2 < 0.0:
-        verts = verts[::-1]
-    edges = [seg_lookup[(int(verts[i]), int(verts[(i + 1) % len(verts)]))]
-             for i in range(len(verts))]
-    return verts, edges
+    verts = np.array(cycle)
+    if _cross2(mesh.coords[verts], mesh.coords[np.roll(verts, -1)]).sum() < 0:
+        raise MeshError("interface runs clockwise: a minus element is inverted")
+    return verts, rows[leave[verts]]

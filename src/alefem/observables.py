@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import PhaseParams, field_values
-from .mesh import MINUS, Mesh, geometry
+from .mesh import MINUS, Mesh, edge_nodes, geometry
 from .quadrature import edge_rule
-from .reference import edge_element, edge_local_nodes
+from .reference import edge_element
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,12 @@ def interface_length(mesh: Mesh) -> float:
     k = mesh.degree
     rule = edge_rule(2 * k + 2)
     dbasis = edge_element(k).shape_derivatives(rule.points[:, 0])  # (k+1, Q)
-    total = 0.0
-    for e, le in mesh.interface_edges:
-        ids = mesh.elements[e, edge_local_nodes(k, le)]
-        pos = mesh.coords[ids]                       # nodes at sorted params
-        tangent = np.einsum("lq,li->qi", dbasis, pos)
-        total += float(rule.weights @ np.linalg.norm(tangent, axis=1))
-    return total
+    pos = mesh.coords[edge_nodes(mesh, mesh.interface_edges)]      # (n, k+1, 2)
+    tangent = np.einsum("lq,nli->nqi", dbasis, pos)
+    # a stack of (1, Q) @ (Q,) products takes one dot per edge, as a
+    # matrix-vector product would not; the edges add up in row order
+    per_edge = np.linalg.norm(tangent, axis=2)[:, None] @ rule.weights
+    return float(np.cumsum(per_edge)[-1])
 
 
 def _circularity(area: float, length: float) -> float:

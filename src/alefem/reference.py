@@ -107,8 +107,7 @@ class EdgeElement:
     """Degree-k Lagrange basis on the reference edge [0, 1].
 
     The nodes 0, 1/k, ..., 1 are in increasing order, which is the order
-    of `edge_local_nodes` along an edge, as `ale._old_edge_curve` and
-    `observables.interface_length` read the nodes of a mesh edge.
+    of `edge_local_nodes` along an edge, as `mesh.edge_nodes` reads them.
     """
 
     degree: int

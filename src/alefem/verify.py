@@ -23,6 +23,7 @@ import numpy as np
 
 from .ale import harmonic_extension
 from .assembly import (
+    MATRIX_KINDS,
     PhaseParams,
     assemble,
     field_gradients,
@@ -39,7 +40,6 @@ from .fespace import (
 from .mesh import Mesh, displace, generate_rect_mesh, geometry, map_points
 from .stepper import flow_solve
 
-HOMOTOPY_KINDS = ("M", "M_rho", "A", "A_mu", "C")
 # Gauss-Legendre points in the homotopy parameter
 HOMOTOPY_POINTS = 16
 
@@ -60,7 +60,7 @@ def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
     corresponding shape-derivative volume integral on the intermediate
     meshes x* + theta * e_x, with HOMOTOPY_POINTS points.
     """
-    if kind not in HOMOTOPY_KINDS:
+    if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind in ("M_rho", "A_mu") and params is None:
         raise ValueError(f"kind {kind} needs phase parameters")

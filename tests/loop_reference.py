@@ -14,6 +14,15 @@ and it collects each point's candidates in a loop over the points.  The
 array bins must give the same candidates in the same order, and so the
 same elements and reference coordinates bit for bit.
 
+`interface_cycle`, `check_interface_pairing` and `interface_length` are
+the interface-edge code that `alefem.mesh.interface_cycle`, its
+`_check_interface_pairing` and `alefem.observables.interface_length`
+replaced, frozen: a walk over two dicts followed by a signed-area test
+that reverses a clockwise cycle, a pairing check on sorted int64 edge
+keys, and a loop over the interface edges.  The walk over the edge
+table's rows must give the same cycle, the same start vertex included,
+and the gather the same length bit for bit.
+
 `solve_saddle` is the saddle solve that `alefem.linalg.solve_saddle`
 replaced, frozen on a given factor: GMRES by modified Gram-Schmidt and
 a least-squares solve at every iteration, each iterate formed and
@@ -39,9 +48,11 @@ from alefem.mesh import (
     MINUS,
     PLUS,
     Mesh,
+    MeshError,
     MeshGenerationError,
     PointLocationError,
     _classify,
+    _cross2,
     _dist_to_polyline,
     _ekey,
     _find_crossing_edge,
@@ -53,7 +64,8 @@ from alefem.mesh import (
     map_points,
     quality,
 )
-from alefem.reference import edge_local_nodes
+from alefem.quadrature import edge_rule
+from alefem.reference import edge_element, edge_local_nodes
 
 
 def generate_rect_mesh(rect, h, k):
@@ -319,6 +331,98 @@ def edge_set_node_ids(mesh, edges):
         return np.empty(0, dtype=int)
     ids = [mesh.elements[e, edge_local_nodes(mesh.degree, le)] for e, le in edges]
     return np.unique(np.concatenate(ids))
+
+
+def check_interface_pairing(elements, phase, interface_edges) -> None:
+    """Every interface edge must separate a plus and a minus element and be
+    stored with its minus-side incidence."""
+    if len(interface_edges) == 0:
+        return
+    tri = elements[:, :3]
+    a = tri.ravel().astype(np.int64)
+    b = tri[:, [1, 2, 0]].ravel().astype(np.int64)
+    m = int(tri.max()) + 1
+    keys = np.minimum(a, b) * m + np.maximum(a, b)
+    owner = np.repeat(np.arange(len(tri)), 3)
+    order = np.argsort(keys, kind="stable")
+    keys_sorted = keys[order]
+    owner_sorted = owner[order]
+
+    e = interface_edges[:, 0]
+    le = interface_edges[:, 1]
+    sa = tri[e, le].astype(np.int64)
+    sb = tri[e, (le + 1) % 3].astype(np.int64)
+    skeys = np.minimum(sa, sb) * m + np.maximum(sa, sb)
+    lo = np.searchsorted(keys_sorted, skeys, side="left")
+    hi = np.searchsorted(keys_sorted, skeys, side="right")
+    if np.any(hi - lo != 2):
+        raise MeshError("an interface edge is not shared by exactly 2 elements")
+    p1 = phase[owner_sorted[lo]]
+    p2 = phase[owner_sorted[hi - 1]]
+    if np.any(p1 == p2):
+        raise MeshError("an interface edge does not separate the two phases")
+    if np.any(phase[e] != MINUS):
+        raise MeshError("interface edges must be stored with minus-side incidence")
+
+
+def interface_cycle(mesh: Mesh):
+    """Order the interface into one closed vertex cycle.
+
+    Returns (vertex_ids, edges): vertex_ids is the ordered cycle of
+    interface vertex node ids, counterclockwise around the minus phase,
+    and edges[i] is the (element, local_edge) of the segment from
+    vertex_ids[i] to vertex_ids[i+1 mod n].
+    """
+    if len(mesh.interface_edges) == 0:
+        raise MeshError("mesh has no interface")
+    by_end: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    seg_lookup: dict[tuple[int, int], tuple[int, int]] = {}
+    for e, le in mesh.interface_edges:
+        tri = mesh.elements[e, :3]
+        a, b = int(tri[le]), int(tri[(le + 1) % 3])
+        seg_lookup[(a, b)] = (int(e), int(le))
+        seg_lookup[(b, a)] = (int(e), int(le))
+        by_end.setdefault(a, []).append((b, (int(e), int(le))))
+        by_end.setdefault(b, []).append((a, (int(e), int(le))))
+    start = min(by_end)
+    cycle = [start]
+    prev = None
+    cur = start
+    while True:
+        nxts = [n for n, _ in by_end[cur] if n != prev]
+        if not nxts:
+            raise MeshError("interface is not a closed cycle")
+        nxt = nxts[0]
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+    if len(cycle) != len(mesh.interface_edges):
+        raise MeshError("interface has more than one component")
+    verts = np.array(cycle, dtype=int)
+    pos = mesh.coords[verts]
+    area2 = _cross2(pos, np.roll(pos, -1, axis=0)).sum()
+    if area2 < 0.0:
+        verts = verts[::-1]
+    edges = [seg_lookup[(int(verts[i]), int(verts[(i + 1) % len(verts)]))]
+             for i in range(len(verts))]
+    return verts, edges
+
+
+def interface_length(mesh: Mesh) -> float:
+    """Length of the (curved) interface by edge quadrature."""
+    if len(mesh.interface_edges) == 0:
+        return 0.0
+    k = mesh.degree
+    rule = edge_rule(2 * k + 2)
+    dbasis = edge_element(k).shape_derivatives(rule.points[:, 0])  # (k+1, Q)
+    total = 0.0
+    for e, le in mesh.interface_edges:
+        ids = mesh.elements[e, edge_local_nodes(k, le)]
+        pos = mesh.coords[ids]                       # nodes at sorted params
+        tangent = np.einsum("lq,li->qi", dbasis, pos)
+        total += float(rule.weights @ np.linalg.norm(tangent, axis=1))
+    return total
 
 
 def build_scalar_space(mesh, degree, continuity=GLOBAL):

@@ -1,10 +1,16 @@
+import itertools
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from alefem import mesh as meshmod
 from alefem.mesh import (
+    MINUS,
+    PLUS,
     Mesh,
     MeshError,
     MeshGenerationError,
@@ -207,6 +213,117 @@ def test_corrupted_interface_edges_raise_after_displace():
         Mesh(x=mesh.x, elements=mesh.elements, phase=mesh.phase,
              interface_edges=bad, boundary_edges=mesh.boundary_edges,
              degree=mesh.degree)
+
+
+def with_interface(mesh, phase, rows):
+    return Mesh(x=mesh.x, elements=mesh.elements, phase=phase,
+                interface_edges=rows, boundary_edges=mesh.boundary_edges,
+                degree=mesh.degree)
+
+
+def plus_side_row(mesh):
+    """The interface rows with the first at its plus-side incidence."""
+    edge_of = meshmod._edge_table(mesh.elements[:, :3])[0]
+    rows = mesh.interface_edges.copy()
+    twins = np.argwhere(edge_of == edge_of[tuple(rows[0])])
+    rows[0] = twins[twins[:, 0] != rows[0, 0]][0]
+    return rows
+
+
+def boundary_row(mesh):
+    return np.vstack([mesh.interface_edges, mesh.boundary_edges[:1]])
+
+
+def plus_plus_row(mesh):
+    edge_of = meshmod._edge_table(mesh.elements[:, :3])[0]
+    plus = np.bincount(edge_of.ravel(),
+                       weights=np.repeat(mesh.phase == PLUS, 3))
+    e, le = np.argwhere(plus[edge_of] == 2)[0]
+    return np.vstack([mesh.interface_edges, [[e, le]]])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (plus_side_row, "minus-side incidence"),
+    (boundary_row, "not shared by exactly 2 elements"),
+    (plus_plus_row, "does not separate the two phases"),
+])
+def test_pairing_check_rejects(corrupt, message):
+    """Each check of the pairing raises as the sort-based check did."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    rows = corrupt(mesh)
+    with pytest.raises(MeshError, match=message):
+        with_interface(mesh, mesh.phase, rows)
+    with pytest.raises(MeshError, match=message):
+        ref.check_interface_pairing(mesh.elements, mesh.phase, rows)
+
+
+def grid_interface(h, triangles):
+    """A grid mesh of the unit square whose minus phase is the given
+    triangles, each (i, j, half) for half 0 or 1 of cell (i, j), with
+    their edges as the interface rows, in that order."""
+    grid = generate_rect_mesh((0.0, 0.0, 1.0, 1.0), h, 2)
+    n = round(1.0 / h)
+    minus = [2 * (n * i + j) + half for i, j, half in triangles]
+    phase = grid.phase.copy()
+    phase[minus] = MINUS
+    rows = np.array([[e, le] for e in minus for le in range(3)])
+    return grid, phase, rows, minus
+
+
+def test_interface_cycle_needs_an_interface():
+    with pytest.raises(MeshError, match="no interface"):
+        interface_cycle(generate_rect_mesh(RECT, 0.25, 2))
+
+
+def test_interface_cycle_rejects_an_open_chain():
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    e, le = mesh.interface_edges[0]
+    end = min(mesh.elements[e, [le, (le + 1) % 3]])
+    open_chain = with_interface(mesh, mesh.phase, mesh.interface_edges[1:])
+    with pytest.raises(MeshError, match=rf"at vertex {end}$"):
+        interface_cycle(open_chain)
+
+
+def test_interface_cycle_rejects_two_loops():
+    grid, phase, rows, _ = grid_interface(0.125, [(1, 1, 0), (5, 5, 0)])
+    with pytest.raises(MeshError, match="more than one component"):
+        interface_cycle(with_interface(grid, phase, rows))
+
+
+def test_interface_cycle_rejects_a_clockwise_interface():
+    """Mirrored, every element runs clockwise, which the walk reports
+    instead of reversing the cycle."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
+    mirror = np.zeros_like(mesh.coords)
+    mirror[:, 0] = 1.0 - 2.0 * mesh.coords[:, 0]
+    with pytest.raises(MeshError, match="clockwise"):
+        interface_cycle(displace(mesh, mirror.ravel()))
+
+
+def test_figure_eight_interface_raises_at_the_shared_vertex():
+    """Two minus triangles of a 4x4-cell grid that meet at one vertex
+    pass the pairing check.  In half the orders of their six rows the
+    dict walk this replaced re-entered one loop at the shared vertex
+    and never returned; every order now raises there, at once."""
+    grid, phase, rows, minus = grid_interface(0.25, [(1, 1, 0), (2, 2, 1)])
+    (shared,) = np.intersect1d(*grid.elements[minus, :3])
+    meshes = [with_interface(grid, phase, rows[list(order)])
+              for order in itertools.permutations(range(len(rows)))]
+
+    def overrun(*_):
+        raise TimeoutError("interface_cycle ran for over a second")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        t0 = time.perf_counter()
+        for mesh in meshes:
+            with pytest.raises(MeshError, match=rf"at vertex {shared}$"):
+                interface_cycle(mesh)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_displace_small_random_keeps_validity():

@@ -2,7 +2,9 @@
 
 Every array of a mesh and of its spaces must be bitwise equal, dtype
 included, to what `loop_reference` builds, since the index maps of
-`assembly` and every result downstream depend on the numbering.
+`assembly` and every result downstream depend on the numbering.  So
+must the interface cycle, whose start vertex fixes the ring of every
+remesh, and the interface length, a recorded observable.
 """
 
 import math
@@ -16,13 +18,16 @@ from alefem.fespace import GLOBAL, SUBDOMAIN, build_scalar_space, build_taylor_h
 from alefem.mesh import (
     MINUS,
     PLUS,
+    displace,
     first_appearance,
     fit_interface_mesh,
     generate_bubble_mesh,
     generate_rect_mesh,
+    interface_cycle,
 )
+from alefem.observables import interface_length
 
-from conftest import CENTER, RADIUS, RECT
+from conftest import CENTER, RADIUS, RECT, smooth_displacement
 
 MESH_FIELDS = ("x", "elements", "phase", "interface_edges", "boundary_edges")
 SPACE_FIELDS = ("dof_of", "positions", "dof_phase")
@@ -134,6 +139,30 @@ def test_flip_ring_recovers_every_segment(monkeypatch):
     for p, q in zip(a, b):
         owners = np.flatnonzero(np.isin(tri, [p, q]).sum(axis=1) == 2)
         assert sorted(mesh.phase[owners]) == [MINUS, PLUS]
+
+
+def assert_same_interface(mesh):
+    verts, edges = interface_cycle(mesh)
+    old_verts, old_edges = ref.interface_cycle(mesh)
+    assert_same(verts, old_verts, "vertex_ids")
+    assert_same(edges, np.array(old_edges), "edges")
+    assert interface_length(mesh) == ref.interface_length(mesh)
+
+
+@pytest.mark.parametrize("h", [0.16, 0.08, 0.04])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("center", [CENTER, (0.47, 0.53), (0.52, 0.61)])
+def test_interface_cycle_and_length_match_loops(h, k, center):
+    """On fitted meshes and on displaced copies of them, which are not
+    checked again."""
+    mesh = generate_bubble_mesh(RECT, center, RADIUS, h, k)
+    d = smooth_displacement(np.random.default_rng(7), mesh.coords, 0.2 * h)
+    for m in (mesh, displace(mesh, d)):
+        assert_same_interface(m)
+
+
+def test_flip_ring_interface_matches_loops():
+    assert_same_interface(fit_interface_mesh(RECT, flip_ring(), FLIP_RING_H, 2))
 
 
 def test_first_appearance_numbers_like_a_dict():
