@@ -65,13 +65,18 @@ _CG_LIMIT = 30
 
 
 class RemeshError(Exception):
-    def __init__(self, message: str, ring: np.ndarray):
+    """A remesh that failed.  ring is the redistributed ring it tried to
+    fit, and curve the old interface curve, the (n, k+1, 2) array that
+    `_redistribute` made ring from."""
+
+    def __init__(self, message: str, ring: np.ndarray, curve: np.ndarray):
         super().__init__(
             f"{message}; interface polyline has {len(ring)} vertices, "
             f"bbox x [{ring[:, 0].min():.4f}, {ring[:, 0].max():.4f}] "
             f"y [{ring[:, 1].min():.4f}, {ring[:, 1].max():.4f}]"
         )
         self.ring = ring
+        self.curve = curve
 
 
 class Extension(NamedTuple):
@@ -240,46 +245,39 @@ def spaces_with_mesh(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
                        spaces.maps)
 
 
-def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
-                     rect, h: float,
+def check_and_remesh(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
+                     p: np.ndarray, rect, h: float,
                      angle_threshold: float = math.pi / 18.0):
     """Regenerate the mesh if its minimum angle dropped below the threshold.
 
-    fields maps names to ("velocity" | "pressure", coefficients); the
-    returned dict holds the coefficients transferred to the new mesh by
-    point evaluation (phase-aware for pressure).  Returns
-    (mesh, spaces, fields, did_remesh, min_angle), min_angle being that of
-    the returned mesh.  The new mesh's interface vertices are spaced
-    about h apart along the old interface curve (`_redistribute`).  On a
-    remesh the geometry table of mesh is released before the new mesh is
-    built.
+    Returns (mesh, spaces, (u, p), did_remesh, min_angle), min_angle
+    being that of the returned mesh.  On a remesh, u and p are
+    transferred to the new spaces by point evaluation on the old mesh
+    (phase-aware for p).  The new mesh's interface vertices are spaced
+    about h apart along the old interface curve, the node array its
+    interface edges gather (`_redistribute`).  On a remesh the geometry
+    table of mesh is released before the new mesh is built.
     """
     q = quality(mesh)
     if q.min_angle > angle_threshold:
-        return mesh, spaces, fields, False, q.min_angle
+        return mesh, spaces, (u, p), False, q.min_angle
 
     _, edges = interface_cycle(mesh)
-    k = mesh.degree
-    ring, segment_curve = _redistribute(mesh, edges, h)
+    curve = mesh.coords[edge_nodes(mesh, edges)]          # (n, k+1, 2)
+    ring, segment_curve = _redistribute(curve, h)
     mesh.release_tables()
     try:
         new_mesh = meshmod.fit_interface_mesh(
-            rect, ring, h, k,
+            rect, ring, h, mesh.degree,
             segment_curve=segment_curve, min_angle=angle_threshold)
     except MeshGenerationError as err:
         raise RemeshError(f"remeshing failed to beat the angle threshold "
-                          f"({err})", ring) from err
+                          f"({err})", ring, curve) from err
 
-    new_spaces = build_taylor_hood(new_mesh, k)
-    out = {}
-    for name, (kind, coeffs) in fields.items():
-        if kind == "velocity":
-            out[name] = (kind, transfer_velocity(spaces, new_spaces, coeffs))
-        elif kind == "pressure":
-            out[name] = (kind, transfer_pressure(spaces, new_spaces, coeffs))
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-    return new_mesh, new_spaces, out, True, quality(new_mesh).min_angle
+    new_spaces = build_taylor_hood(new_mesh, mesh.degree)
+    fields = (transfer_velocity(spaces, new_spaces, u),
+              transfer_pressure(spaces, new_spaces, p))
+    return new_mesh, new_spaces, fields, True, quality(new_mesh).min_angle
 
 
 # Samples per old interface segment by which `_redistribute` measures
@@ -287,27 +285,32 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, fields: dict,
 _ARC_SAMPLES = 64
 
 
-def _redistribute(mesh: Mesh, edges: np.ndarray, h: float):
-    """A new ring on the old interface curve, whose segment i is the
-    curved edge of row edges[i] of mesh, in the cycle's direction (see
-    `interface_cycle`): round(L / h) vertices, at least 3, at equal arc
-    length, L the curve's length.  Returns (ring, segment_curve),
-    segment_curve evaluating the curve between consecutive new vertices
-    at equal arc length too.
+def _redistribute(pos: np.ndarray, h: float):
+    """A new ring on the old interface curve pos, the (n, k+1, 2) node
+    positions of its degree-k segments in cycle order, segment i running
+    from pos[i, 0] to pos[i, -1], the start of segment i + 1 mod n:
+    round(L / h) vertices, at least 3, at equal arc length, L the
+    curve's length.  Returns (ring, segment_curve), segment_curve(i, s)
+    giving the points of new ring segment i, from vertex i to vertex
+    i + 1, at the parameters s in [0, 1], at equal arc length too; i and
+    s broadcast against each other.
 
     Arc length is the length of the polyline through _ARC_SAMPLES points
     per segment, inverted by linear interpolation; every point returned
     is evaluated on the curve itself.
     """
-    pos = mesh.coords[edge_nodes(mesh, edges)]          # (n_old, k+1, 2)
-    basis = edge_element(mesh.degree).shape_values
-    n_old = len(edges)
+    basis = edge_element(pos.shape[1] - 1).shape_values
+    n_old = len(pos)
 
-    def curve(i, s):            # segment i at the parameters s in [0, 1]
-        return basis(np.asarray(s, dtype=float)).T @ pos[i]
+    def curve(i, s):            # old segment i at the parameters s
+        i, s = np.broadcast_arrays(i, np.asarray(s, dtype=float))
+        # one (k+1)-term product per point, as one segment's product
+        # by its basis values would give it
+        b = basis(s.ravel()).T[:, None]                 # (P, 1, k+1)
+        return (b @ pos[i.ravel()])[:, 0].reshape(*i.shape, 2)
 
     s = np.linspace(0.0, 1.0, _ARC_SAMPLES + 1)[:-1]
-    pts = np.vstack([curve(i, s) for i in range(n_old)])
+    pts = curve(np.arange(n_old)[:, None], s).reshape(-1, 2)
     steps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
     # arc length at the samples, the closing vertex appended
     arc = np.concatenate([[0.0], np.cumsum(steps)])
@@ -318,16 +321,10 @@ def _redistribute(mesh: Mesh, edges: np.ndarray, h: float):
     def at_arc(a):
         t = np.interp(a, arc, param)
         seg = np.minimum(t.astype(int), n_old - 1)
-        out = np.empty((len(t), 2))
-        for i in np.unique(seg):
-            on = seg == i
-            out[on] = curve(i, t[on] - i)
-        return out
+        return curve(seg, t - seg)
 
-    def segment_curve(i0, i1, s):
-        if (i0 + 1) % n_new != i1:
-            raise ValueError(f"({i0}, {i1}) is not a forward ring segment")
-        return at_arc((i0 + np.asarray(s, dtype=float)) * spacing)
+    def segment_curve(i, s):
+        return at_arc((np.asarray(i) + np.asarray(s, dtype=float)) * spacing)
 
     return at_arc(np.arange(n_new) * spacing), segment_curve
 

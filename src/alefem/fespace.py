@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .mesh import (MINUS, PLUS, Mesh, PointLocationError, PointLocator,
-                   _edge_table, first_appearance)
+                   first_appearance)
 from .reference import lattice_nodes, reference_element
 
 if TYPE_CHECKING:
@@ -147,7 +147,7 @@ def _number_dofs(mesh: Mesh, degree: int, duplicated: bool):
     n_edge = degree - 1
     n_loc = (degree + 1) * (degree + 2) // 2
     n_int = n_loc - 3 - 3 * n_edge
-    edge_of, ends, _ = _edge_table(tri)
+    edge_of, ends, _ = mesh.edge_table()
 
     # phase tag + 1 of each key: 0 or 2 on the duplicated interface, else 1
     vertex_tag = edge_tag = np.ones((E, 3), dtype=np.int64)

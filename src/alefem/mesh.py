@@ -105,8 +105,15 @@ class Mesh:
                 f"degree-{self.degree} elements need {n_expected} nodes, "
                 f"got {self.elements.shape[1]}"
             )
-        _check_interface_pairing(self.elements, self.phase,
-                                 self.interface_edges)
+        _check_interface_pairing(self)
+
+    def edge_table(self):
+        """The `_edge_table` of the elements, built on first use and
+        kept; `_elevate` hands on the one it built."""
+        if "_edges" not in self.__dict__:
+            object.__setattr__(self, "_edges",
+                               _edge_table(self.elements[:, :3]))
+        return self._edges
 
     def tables(self) -> GeometryTables:
         """The geometry table of this configuration, built on first use
@@ -188,15 +195,16 @@ def _edge_table(tris):
     return ids.reshape(-1, 3), pairs[first], first
 
 
-def _check_interface_pairing(elements, phase, interface_edges) -> None:
+def _check_interface_pairing(mesh: Mesh) -> None:
     """Every interface edge must separate a plus and a minus element and be
     stored with its minus-side incidence."""
-    if len(interface_edges) == 0:
+    if len(mesh.interface_edges) == 0:
         return
-    edge_of = _edge_table(elements[:, :3])[0]
+    phase = mesh.phase
+    edge_of = mesh.edge_table()[0]
     count = np.bincount(edge_of.ravel())
     phase_sum = np.bincount(edge_of.ravel(), weights=np.repeat(phase, 3))
-    e, le = interface_edges.T
+    e, le = mesh.interface_edges.T
     ids = edge_of[e, le]
     if np.any(count[ids] != 2):
         raise MeshError("an interface edge is not shared by exactly 2 elements")
@@ -602,12 +610,13 @@ def generate_bubble_mesh(rect, center, radius: float, h: float, k: int) -> Mesh:
     theta = 2.0 * math.pi * np.arange(n_ring) / n_ring
     ring = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
 
-    def curve(i0, i1, s):
-        # arc-equidistant parametrization of the ring segment i0 -> i1
-        t0, t1 = theta[i0], theta[i1]
+    def curve(i, s):
+        # arc-equidistant parametrization of the ring segment i -> i + 1
+        t0, t1 = theta[i], theta[(i + 1) % n_ring]
         dt = (t1 - t0 + math.pi) % (2.0 * math.pi) - math.pi
         t = t0 + dt * np.asarray(s, dtype=float)
-        return np.column_stack([cx + radius * np.cos(t), cy + radius * np.sin(t)])
+        return np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)],
+                        axis=-1)
 
     return fit_interface_mesh(rect, ring, h, k, segment_curve=curve)
 
@@ -619,10 +628,11 @@ def fit_interface_mesh(rect, ring: np.ndarray, h: float, k: int,
 
     ring           (n, 2) ordered vertices of the closed interface; kept
                    verbatim as mesh nodes
-    segment_curve  optional callable (i0, i1, s) -> (len(s), 2) giving
-                   points of the curved interface at parameters s along
-                   the directed ring segment i0 -> i1 (s=0 and s=1 are the
-                   segment endpoints); straight edges if omitted
+    segment_curve  optional callable (i, s) -> (..., 2) giving points of
+                   the curved interface on ring segment i, from vertex i
+                   to vertex i + 1 mod n, at parameters s (s=0 and s=1 are
+                   the segment's ends); i and s broadcast against each
+                   other.  Straight edges if omitted
     """
     ring = np.asarray(ring, dtype=float)
     if len(ring) < 3:
@@ -838,15 +848,18 @@ def _find_crossing_edge(pts, edge_map, a, b):
 def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
     """Insert degree-k edge/interior nodes and assemble the Mesh.
 
-    With a segment_curve, the edges joining consecutive ring_ids are
-    interface edges whose nodes lie on segment_curve; all other edges
-    are straight.  Edge j's k-1 nodes get ids len(pts) + (k-1)*j + (0..k-2)
-    along its increasing-id direction; cubic interior nodes follow, one
-    per element.
+    With a segment_curve (see `fit_interface_mesh`), the edges joining
+    consecutive ring_ids are interface edges whose nodes lie on it, got
+    by one call for the edge nodes of every ring edge and one for their
+    midpoints; all other edges are straight.  Edge j's k-1 nodes get ids
+    len(pts) + (k-1)*j + (0..k-2) along its increasing-id direction;
+    cubic interior nodes follow, one per element.  The mesh keeps the
+    edge table built here (`Mesh.edge_table`).
     """
     pts = np.asarray(pts, dtype=float)
     n_loc = (k + 1) * (k + 2) // 2
-    edge_of, ends, first = _edge_table(tris)
+    table = _edge_table(tris)
+    edge_of, ends, first = table
     elements = np.empty((len(tris), n_loc), dtype=int)
     elements[:, :3] = tris
     nodes = [pts]
@@ -860,15 +873,14 @@ def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
         mids = (pts[ends[:, 0], None] * (1 - s[:, None])
                 + pts[ends[:, 1], None] * s[:, None])   # (n_edges, k-1, 2)
         if segment_curve is not None:
-            for edge, i0, i1 in zip(*_ring_segments(ends, ring_ids, len(pts))):
-                arc = np.asarray(segment_curve(i0, i1, s), dtype=float)
-                # arc runs from ring vertex i0 to i1; store it along ends
-                mids[edge] = arc if ring_ids[i0] == ends[edge, 0] else arc[::-1]
-                chord_mid = 0.5 * (pts[ends[edge, 0]] + pts[ends[edge, 1]])
-                curve_mid = np.asarray(
-                    segment_curve(i0, i1, np.array([0.5])), dtype=float)[0]
-                deviation[edge] = curve_mid - chord_mid
-                curved[edge] = True
+            edges, seg, forward = _ring_segments(ends, ring_ids, len(pts))
+            # arc runs from ring vertex seg to seg + 1; store it along ends
+            arc = np.asarray(segment_curve(seg[:, None], s), dtype=float)
+            mids[edges] = np.where(forward[:, None, None], arc, arc[:, ::-1])
+            chord_mid = 0.5 * (pts[ends[edges, 0]] + pts[ends[edges, 1]])
+            deviation[edges] = (np.asarray(segment_curve(seg, 0.5),
+                                           dtype=float) - chord_mid)
+            curved[edges] = True
         nodes.append(mids.reshape(-1, 2))
         forward = tris < tris[:, [1, 2, 0]]
         j = np.arange(k - 1)
@@ -885,30 +897,30 @@ def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
 
     interface_edges, boundary_edges = _find_edge_sets(
         edge_of, ends, first, phase, rect, coords)
-    return Mesh(
-        x=coords.ravel(),
-        elements=elements,
+    # made as `displace` makes a mesh, to hand on the table, but checked
+    mesh = object.__new__(Mesh)
+    mesh.__dict__.update(
+        x=coords.ravel(), elements=elements,
         phase=np.asarray(phase, dtype=np.int8),
-        interface_edges=interface_edges,
-        boundary_edges=boundary_edges,
-        degree=k,
-    )
+        interface_edges=interface_edges, boundary_edges=boundary_edges,
+        degree=k, _edges=table)
+    mesh.__post_init__()
+    return mesh
 
 
 def _ring_segments(ends, ring_ids, n_pts):
     """The edges joining consecutive ring vertices, in edge order, as
-    (edge ids, i0, i1) with i0 -> i1 the directed ring segment."""
+    arrays (edges, segment, forward): edge edges[j] joins ring vertices
+    segment[j] and segment[j] + 1 mod n, and runs that way from ends[:, 0]
+    to ends[:, 1] where forward[j]."""
     n = len(ring_ids)
-    pos = np.full(n_pts, -1)
-    pos[ring_ids] = np.arange(n)
-    ia, ib = pos[ends[:, 0]], pos[ends[:, 1]]
+    at = np.full(n_pts, -1)
+    at[ring_ids] = np.arange(n)
+    ia, ib = at[ends[:, 0]], at[ends[:, 1]]
     on_ring = (ia >= 0) & (ib >= 0)
     forward = on_ring & ((ia + 1) % n == ib)
-    backward = on_ring & ((ib + 1) % n == ia)
-    edges = np.flatnonzero(forward | backward)
-    i0 = np.where(forward, ia, ib)[edges]
-    i1 = np.where(forward, ib, ia)[edges]
-    return edges, i0.tolist(), i1.tolist()
+    edges = np.flatnonzero(forward | (on_ring & ((ib + 1) % n == ia)))
+    return edges, np.where(forward, ia, ib)[edges], forward[edges]
 
 
 def _shift_interior_nodes(coords, elements, edge_of, curved, deviation):

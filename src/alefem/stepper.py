@@ -251,13 +251,10 @@ def step(state: State, config: SimConfig) -> State:
                                    factor=state.factor)
 
     # (4) remesh on the angle criterion, or extend u on the moved mesh
-    fields = {"u": ("velocity", u), "p": ("pressure", p)}
-    mesh2, spaces2, fields2, did_remesh, min_angle = check_and_remesh(
-        mesh, spaces, fields, config.rect, config.h,
+    mesh2, spaces2, (u, p), did_remesh, min_angle = check_and_remesh(
+        mesh, spaces, u, p, config.rect, config.h,
         angle_threshold=config.remesh_angle)
     if did_remesh:
-        u = fields2["u"][1]
-        p = fields2["p"][1]
         # the new numbering starts with a direct extension
         harmonic = w_next = None
     else:

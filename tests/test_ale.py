@@ -123,13 +123,19 @@ def test_area_drift_second_order_for_divfree_motion(setup):
     assert all(1.9 < r < 2.1 for r in rates)
 
 
+def zero_fields(spaces):
+    """A zero velocity and a zero pressure on spaces."""
+    return (np.zeros(2 * spaces.velocity.n_dofs),
+            np.zeros(spaces.pressure.n_dofs))
+
+
 def test_healthy_mesh_not_remeshed(setup):
     mesh, spaces = setup
-    fields = {"u": ("velocity", np.zeros(2 * spaces.velocity.n_dofs))}
-    m2, s2, f2, did, min_angle = check_and_remesh(mesh, spaces, fields,
-                                                  RECT, 0.1)
+    u, p = zero_fields(spaces)
+    m2, s2, (u2, p2), did, min_angle = check_and_remesh(mesh, spaces, u, p,
+                                                        RECT, 0.1)
     assert not did
-    assert m2 is mesh and s2 is spaces and f2 is fields
+    assert m2 is mesh and s2 is spaces and u2 is u and p2 is p
     assert min_angle == quality(mesh).min_angle
 
 
@@ -163,9 +169,8 @@ def test_a_fitted_mesh_is_measured_once(monkeypatch):
     sheared = shear_below_threshold(state.mesh)
     spaces = spaces_with_mesh(state.spaces, sheared)
     made.clear()
-    fields = {"p": ("pressure", np.zeros(spaces.pressure.n_dofs))}
-    new_mesh, *_, did, min_angle = check_and_remesh(sheared, spaces, fields,
-                                                    RECT, 0.1)
+    new_mesh, *_, did, min_angle = check_and_remesh(
+        sheared, spaces, *zero_fields(spaces), RECT, 0.1)
     assert did and len(made) == 1 and quality(new_mesh) is made[0]
     assert min_angle == made[0].min_angle
 
@@ -187,9 +192,9 @@ def test_remesh_triggers_and_restores_quality():
     assert q.min_angle <= math.pi / 18
 
     u = interpolate(spaces_sh.velocity, quad, vector=True)
-    fields = {"u": ("velocity", u)}
-    m2, s2, f2, did, min_angle = check_and_remesh(sheared, spaces_sh,
-                                                  fields, RECT, 0.1)
+    p = np.zeros(spaces_sh.pressure.n_dofs)
+    m2, s2, (u2, _), did, min_angle = check_and_remesh(sheared, spaces_sh,
+                                                       u, p, RECT, 0.1)
     assert did
     assert min_angle == quality(m2).min_angle > math.pi / 18
 
@@ -204,7 +209,6 @@ def test_remesh_triggers_and_restores_quality():
 
     # quadratic transfer is exact up to the curved-edge interpolation
     # defect of the old field (O(h^3); exactness needs straight elements)
-    u2 = f2["u"][1]
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(0.1, 0.9, 100),
                            rng.uniform(0.1, 1.9, 100)])
@@ -232,8 +236,8 @@ def test_remesh_releases_the_old_table_before_fitting(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(meshmod, "fit_interface_mesh", fit)
-    did = check_and_remesh(sheared, spaces_with_mesh(spaces, sheared), {},
-                           RECT, 0.1)[3]
+    did = check_and_remesh(sheared, spaces_with_mesh(spaces, sheared),
+                           *zero_fields(spaces), RECT, 0.1)[3]
     assert did and alive == [False]
 
 
@@ -254,9 +258,8 @@ def test_remesh_builds_one_locator_for_the_old_mesh(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(fespace.PointLocator, "__post_init__", counting)
-    fields = {"u": ("velocity", np.zeros(2 * spaces.velocity.n_dofs)),
-              "p": ("pressure", np.zeros(spaces.pressure.n_dofs))}
-    did = check_and_remesh(sheared, spaces_sh, fields, RECT, 0.1)[3]
+    did = check_and_remesh(sheared, spaces_sh, *zero_fields(spaces), RECT,
+                           0.1)[3]
     assert did and len(built) == 1
     assert sheared.locator() is built[0]
 
@@ -282,10 +285,9 @@ def spread_remesh():
                             CENTER[1] + RADIUS * np.sin(theta)])
     mesh = fit_interface_mesh(RECT, ring, 0.1, 2)
     spaces = build_taylor_hood(mesh, 2)
-    fields = {"u": ("velocity", interpolate(spaces.velocity, quad,
-                                            vector=True)),
-              "p": ("pressure", interpolate(spaces.pressure, lin))}
-    return ring, mesh, check_and_remesh(mesh, spaces, fields, RECT, 0.1,
+    u = interpolate(spaces.velocity, quad, vector=True)
+    p = interpolate(spaces.pressure, lin)
+    return ring, mesh, check_and_remesh(mesh, spaces, u, p, RECT, 0.1,
                                         angle_threshold=math.radians(25))
 
 
@@ -318,11 +320,11 @@ def test_transfer_exact_at_the_new_dofs(spread_remesh):
     """On affine old elements the transferred coefficients are a global
     quadratic velocity and a linear pressure at the new DOF positions,
     interface DOFs included, to roundoff."""
-    *_, (_, s2, f2, _, _) = spread_remesh
+    *_, (_, s2, (u2, p2), _, _) = spread_remesh
     u = interpolate(s2.velocity, quad, vector=True)
-    assert np.abs(f2["u"][1] - u).max() < 1e-13
+    assert np.abs(u2 - u).max() < 1e-13
     p = interpolate(s2.pressure, lin)
-    assert np.abs(f2["p"][1] - p).max() < 1e-13
+    assert np.abs(p2 - p).max() < 1e-13
 
 
 def test_interface_motion_matches_velocity_bitwise(setup):
