@@ -65,9 +65,7 @@ _CG_LIMIT = 30
 
 
 class RemeshError(Exception):
-    """A remesh that failed.  ring is the redistributed ring it tried to
-    fit, and curve the old interface curve, the (n, k+1, 2) array that
-    `_redistribute` made ring from."""
+    """A failed fit of ring, made from curve by `_redistribute`."""
 
     def __init__(self, message: str, ring: np.ndarray, curve: np.ndarray):
         super().__init__(
@@ -287,13 +285,12 @@ _ARC_SAMPLES = 64
 
 def _redistribute(pos: np.ndarray, h: float):
     """A new ring on the old interface curve pos, the (n, k+1, 2) node
-    positions of its degree-k segments in cycle order, segment i running
-    from pos[i, 0] to pos[i, -1], the start of segment i + 1 mod n:
-    round(L / h) vertices, at least 3, at equal arc length, L the
-    curve's length.  Returns (ring, segment_curve), segment_curve(i, s)
-    giving the points of new ring segment i, from vertex i to vertex
-    i + 1, at the parameters s in [0, 1], at equal arc length too; i and
-    s broadcast against each other.
+    positions of its segments in cycle order, segment i running from
+    pos[i, 0] to pos[i, -1] = pos[i + 1 mod n, 0]: round(L / h)
+    vertices, at least 3, at equal arc length, L the curve's length.
+    Returns (ring, segment_curve), segment_curve(i, s) giving the points
+    of new ring segment i, from vertex i to i + 1, at the parameters s,
+    at equal arc length too; i and s broadcast against each other.
 
     Arc length is the length of the polyline through _ARC_SAMPLES points
     per segment, inverted by linear interpolation; every point returned
@@ -301,16 +298,8 @@ def _redistribute(pos: np.ndarray, h: float):
     """
     basis = edge_element(pos.shape[1] - 1).shape_values
     n_old = len(pos)
-
-    def curve(i, s):            # old segment i at the parameters s
-        i, s = np.broadcast_arrays(i, np.asarray(s, dtype=float))
-        # one (k+1)-term product per point, as one segment's product
-        # by its basis values would give it
-        b = basis(s.ravel()).T[:, None]                 # (P, 1, k+1)
-        return (b @ pos[i.ravel()])[:, 0].reshape(*i.shape, 2)
-
     s = np.linspace(0.0, 1.0, _ARC_SAMPLES + 1)[:-1]
-    pts = curve(np.arange(n_old)[:, None], s).reshape(-1, 2)
+    pts = (basis(s).T @ pos).reshape(-1, 2)
     steps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
     # arc length at the samples, the closing vertex appended
     arc = np.concatenate([[0.0], np.cumsum(steps)])
@@ -318,15 +307,22 @@ def _redistribute(pos: np.ndarray, h: float):
     n_new = max(3, round(arc[-1] / h))
     spacing = arc[-1] / n_new
 
-    def at_arc(a):
-        t = np.interp(a, arc, param)
-        seg = np.minimum(t.astype(int), n_old - 1)
-        return curve(seg, t - seg)
-
     def segment_curve(i, s):
-        return at_arc((np.asarray(i) + np.asarray(s, dtype=float)) * spacing)
+        i, s = np.broadcast_arrays(i, np.asarray(s, dtype=float))
+        t = np.interp((i + s) * spacing, arc, param)
+        seg = np.minimum(t.astype(int), n_old - 1)
+        # the points of one i on one old segment share one product by the
+        # basis, as one call per segment i made them: at k=3 BLAS rounds
+        # the basis values of one point otherwise than those of several
+        key = i * n_old + seg
+        out = np.empty(t.shape + (2,))
+        for g in np.unique(key):
+            on, j = key == g, g % n_old
+            out[on] = basis(t[on] - j).T @ pos[j]
+        return out
 
-    return at_arc(np.arange(n_new) * spacing), segment_curve
+    # segment 0 at s = 0, 1, ... walks the whole ring
+    return segment_curve(0, np.arange(n_new)), segment_curve
 
 
 def transfer_velocity(old: FESpacePair, new: FESpacePair,

@@ -25,9 +25,10 @@ and keeps it, so assembly, observables and `quality` share it, until
 `Mesh.release_tables` drops it.  `geometry(mesh)` hands it out after
 checking that no element is tangled.  Its point locator is kept the
 same way (`Mesh.locator`), so all point location on it bins once, and
-so is its `quality`.  A mesh made by `displace` shares the connectivity
-of one that was checked, and is not checked again; it inherits no
-table, locator or quality.
+so are its `quality` and its edge table (`Mesh.edge_table`, handed on
+by `_elevate`).  A mesh made by `displace` shares the connectivity of
+one that was checked, and is not checked again; it inherits no table,
+locator or quality.
 
 Orientation: every element lists its vertices counterclockwise and
 each `interface_edges` row is the minus-side incidence of its edge, so
@@ -108,8 +109,7 @@ class Mesh:
         _check_interface_pairing(self)
 
     def edge_table(self):
-        """The `_edge_table` of the elements, built on first use and
-        kept; `_elevate` hands on the one it built."""
+        """The `_edge_table` of the elements, built on first use and kept."""
         if "_edges" not in self.__dict__:
             object.__setattr__(self, "_edges",
                                _edge_table(self.elements[:, :3]))
@@ -200,8 +200,7 @@ def _check_interface_pairing(mesh: Mesh) -> None:
     stored with its minus-side incidence."""
     if len(mesh.interface_edges) == 0:
         return
-    phase = mesh.phase
-    edge_of = mesh.edge_table()[0]
+    edge_of, phase = mesh.edge_table()[0], mesh.phase
     count = np.bincount(edge_of.ravel())
     phase_sum = np.bincount(edge_of.ravel(), weights=np.repeat(phase, 3))
     e, le = mesh.interface_edges.T
@@ -850,16 +849,14 @@ def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
 
     With a segment_curve (see `fit_interface_mesh`), the edges joining
     consecutive ring_ids are interface edges whose nodes lie on it, got
-    by one call for the edge nodes of every ring edge and one for their
-    midpoints; all other edges are straight.  Edge j's k-1 nodes get ids
-    len(pts) + (k-1)*j + (0..k-2) along its increasing-id direction;
-    cubic interior nodes follow, one per element.  The mesh keeps the
-    edge table built here (`Mesh.edge_table`).
+    by one call for all their edge nodes and one for their midpoints; all
+    other edges are straight.  Edge j's k-1 nodes get ids len(pts) +
+    (k-1)*j + (0..k-2) along its increasing-id direction; cubic interior
+    nodes follow, one per element.  The mesh keeps the edge table.
     """
     pts = np.asarray(pts, dtype=float)
     n_loc = (k + 1) * (k + 2) // 2
-    table = _edge_table(tris)
-    edge_of, ends, first = table
+    edge_of, ends, first = table = _edge_table(tris)
     elements = np.empty((len(tris), n_loc), dtype=int)
     elements[:, :3] = tris
     nodes = [pts]
@@ -897,13 +894,11 @@ def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
 
     interface_edges, boundary_edges = _find_edge_sets(
         edge_of, ends, first, phase, rect, coords)
-    # made as `displace` makes a mesh, to hand on the table, but checked
-    mesh = object.__new__(Mesh)
-    mesh.__dict__.update(
-        x=coords.ravel(), elements=elements,
-        phase=np.asarray(phase, dtype=np.int8),
-        interface_edges=interface_edges, boundary_edges=boundary_edges,
-        degree=k, _edges=table)
+    mesh = object.__new__(Mesh)         # as `displace` does, to add the table
+    mesh.__dict__.update(x=coords.ravel(), elements=elements,
+                         phase=np.asarray(phase, dtype=np.int8),
+                         interface_edges=interface_edges,
+                         boundary_edges=boundary_edges, degree=k, _edges=table)
     mesh.__post_init__()
     return mesh
 
