@@ -11,6 +11,8 @@ from scipy.sparse.linalg import spilu
 from alefem import ale
 from alefem import mesh as meshmod
 from alefem.ale import (
+    RemeshError,
+    _redistribute,
     advance_mesh,
     check_and_remesh,
     harmonic_extension,
@@ -21,7 +23,9 @@ from alefem.assembly import DofMaps, Gather, assemble, scalar_laplacian
 from alefem.fespace import FESpacePair, build_taylor_hood, interpolate
 from alefem.mesh import (
     MINUS,
+    MeshGenerationError,
     MeshQuality,
+    edge_nodes,
     fit_interface_mesh,
     generate_bubble_mesh,
     geometry,
@@ -262,6 +266,34 @@ def test_remesh_builds_one_locator_for_the_old_mesh(monkeypatch):
                            0.1)[3]
     assert did and len(built) == 1
     assert sheared.locator() is built[0]
+
+
+def test_remesh_error_carries_the_old_curve(monkeypatch):
+    """A failed fit raises RemeshError with the old curve, bit for bit as
+    the moved mesh's interface edges gather it, and the ring that
+    `_redistribute` makes of it; the message is the one it always was."""
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
+    spaces = build_taylor_hood(mesh, 2)
+    sheared = shear_below_threshold(mesh)
+
+    def fail(*args, **kwargs):
+        raise MeshGenerationError("no fit")
+
+    monkeypatch.setattr(meshmod, "fit_interface_mesh", fail)
+    with pytest.raises(RemeshError) as info:
+        check_and_remesh(sheared, spaces_with_mesh(spaces, sheared),
+                         *zero_fields(spaces), RECT, 0.1)
+    err = info.value
+    curve = sheared.coords[edge_nodes(sheared, interface_cycle(sheared)[1])]
+    assert err.curve.shape == curve.shape
+    assert err.curve.tobytes() == curve.tobytes()
+    ring = _redistribute(err.curve, 0.1)[0]
+    assert ring.tobytes() == err.ring.tobytes()
+    assert str(err) == (
+        f"remeshing failed to beat the angle threshold (no fit); interface "
+        f"polyline has {len(ring)} vertices, "
+        f"bbox x [{ring[:, 0].min():.4f}, {ring[:, 0].max():.4f}] "
+        f"y [{ring[:, 1].min():.4f}, {ring[:, 1].max():.4f}]")
 
 
 def ring_lengths(mesh):

@@ -215,6 +215,39 @@ def test_corrupted_interface_edges_raise_after_displace():
              degree=mesh.degree)
 
 
+def test_a_mesh_builds_its_edge_table_once(monkeypatch):
+    """A fitted mesh keeps the edge table its elevation built, and its
+    pairing check and both DOF numberings read it: one table per band
+    tried.  A mesh made from its six fields builds the table once."""
+    from alefem.fespace import build_taylor_hood
+
+    tables, bands = [], []
+    edge_table, fit_points = meshmod._edge_table, meshmod._fit_points
+    monkeypatch.setattr(meshmod, "_edge_table", lambda tris: (
+        tables.append(len(tris)) or edge_table(tris)))
+    monkeypatch.setattr(meshmod, "_fit_points", lambda *args: (
+        bands.append(args[3]) or fit_points(*args)))
+    mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.08, 2)
+    build_taylor_hood(mesh, 2)
+    assert len(bands) == 1 and len(tables) == 1
+
+    ring = mesh.coords[interface_cycle(mesh)[0]]
+    tables.clear()
+    bands.clear()
+    with pytest.raises(MeshGenerationError):
+        meshmod.fit_interface_mesh(RECT, ring, 0.08, 2,
+                                   min_angle=math.radians(59))
+    assert len(bands) == 4 and len(tables) == 4
+
+    tables.clear()
+    same = Mesh(x=mesh.x, elements=mesh.elements, phase=mesh.phase,
+                interface_edges=mesh.interface_edges,
+                boundary_edges=mesh.boundary_edges, degree=mesh.degree)
+    build_taylor_hood(same, 2)
+    assert len(tables) == 1
+    assert same.edge_table()[0].tobytes() == mesh.edge_table()[0].tobytes()
+
+
 def with_interface(mesh, phase, rows):
     return Mesh(x=mesh.x, elements=mesh.elements, phase=phase,
                 interface_edges=rows, boundary_edges=mesh.boundary_edges,
