@@ -870,10 +870,10 @@ def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
         mids = (pts[ends[:, 0], None] * (1 - s[:, None])
                 + pts[ends[:, 1], None] * s[:, None])   # (n_edges, k-1, 2)
         if segment_curve is not None:
-            edges, seg, forward = _ring_segments(ends, ring_ids, len(pts))
+            edges, seg, aligned = _ring_segments(ends, ring_ids, len(pts))
             # arc runs from ring vertex seg to seg + 1; store it along ends
             arc = np.asarray(segment_curve(seg[:, None], s), dtype=float)
-            mids[edges] = np.where(forward[:, None, None], arc, arc[:, ::-1])
+            mids[edges] = np.where(aligned[:, None, None], arc, arc[:, ::-1])
             chord_mid = 0.5 * (pts[ends[edges, 0]] + pts[ends[edges, 1]])
             deviation[edges] = (np.asarray(segment_curve(seg, 0.5),
                                            dtype=float) - chord_mid)
@@ -905,13 +905,13 @@ def _elevate(pts, tris, phase, rect, k, ring_ids=None, segment_curve=None):
 
 def _ring_segments(ends, ring_ids, n_pts):
     """The edges joining consecutive ring vertices, in edge order, as
-    arrays (edges, segment, forward): edge edges[j] joins ring vertices
+    arrays (edges, segment, aligned): edge edges[j] joins ring vertices
     segment[j] and segment[j] + 1 mod n, and runs that way from ends[:, 0]
-    to ends[:, 1] where forward[j]."""
+    to ends[:, 1] where aligned[j]."""
     n = len(ring_ids)
-    at = np.full(n_pts, -1)
-    at[ring_ids] = np.arange(n)
-    ia, ib = at[ends[:, 0]], at[ends[:, 1]]
+    pos = np.full(n_pts, -1)
+    pos[ring_ids] = np.arange(n)
+    ia, ib = pos[ends[:, 0]], pos[ends[:, 1]]
     on_ring = (ia >= 0) & (ib >= 0)
     forward = on_ring & ((ia + 1) % n == ib)
     edges = np.flatnonzero(forward | (on_ring & ((ib + 1) % n == ia)))
