@@ -3,9 +3,9 @@ hand to their remeshes (tests/data/remesh_corpus.npz, written by
 tests/make_remesh_corpus.py), redistributed and fitted at their h and k.
 
 Today one fit raises, the last curve of k=2 at h=0.08 (step 417, whose
-best band samples a scaled Jacobian of -0.809), and four fits come back
-inverted at an element vertex although `quality` samples det J above 0
-at every quadrature point.
+four bands sample scaled Jacobians from -1.325 to -0.783), and four fits
+come back inverted at an element vertex although `quality` samples det J
+above 0 at every quadrature point.
 """
 
 import math
