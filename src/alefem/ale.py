@@ -269,8 +269,7 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
             rect, ring, h, mesh.degree,
             segment_curve=segment_curve, min_angle=angle_threshold)
     except MeshGenerationError as err:
-        raise RemeshError(f"remeshing failed to beat the angle threshold "
-                          f"({err})", ring, curve) from err
+        raise RemeshError(f"remeshing failed: {err}", ring, curve) from err
 
     new_spaces = build_taylor_hood(new_mesh, mesh.degree)
     fields = (transfer_velocity(spaces, new_spaces, u),

@@ -7,10 +7,12 @@ the outer rectangle boundary stays exactly polygonal.
 
 The built-in generator lays a structured grid over the rectangle,
 removes grid points in a band around the interface polyline, inserts the
-interface nodes verbatim, triangulates with Delaunay, recovers the
-interface segments by edge flips, and smooths the free points.  Degree-k
-geometry is obtained afterwards by inserting edge/interior nodes, with
-the interface edge nodes placed on the exact interface curve.
+interface nodes verbatim, and triangulates with Delaunay, smoothing the
+free points between triangulations.  Every interface segment must be an
+edge of each triangulation as it comes: none is recovered, and a fit
+whose segment is missing raises.  Degree-k geometry is obtained
+afterwards by inserting edge/interior nodes, with the interface edge
+nodes placed on the exact interface curve.
 
 Numbering rule: every entity id (edge node, interior node, DOF of a
 space) is given by first appearance over (element, local entity) in
@@ -632,35 +634,39 @@ def fit_interface_mesh(rect, ring: np.ndarray, h: float, k: int,
                    to vertex i + 1 mod n, at parameters s (s=0 and s=1 are
                    the segment's ends); i and s broadcast against each
                    other.  Straight edges if omitted
+
+    Raises MeshGenerationError when a ring segment is not an edge of one
+    of the Delaunay triangulations, or when the mesh's min angle is not
+    above min_angle or its scaled Jacobian not above 0; the message
+    names each criterion that failed.
     """
     ring = np.asarray(ring, dtype=float)
     if len(ring) < 3:
         raise MeshGenerationError("interface polyline needs at least 3 points")
-    last_err = None
-    for band in (0.55, 0.45, 0.65, 0.35):
-        try:
-            pts, tris, ring_ids = _fit_points(rect, ring, h, band)
-            phase = _classify(pts, tris, ring)
-            mesh = _elevate(pts, tris, phase, rect, k, ring_ids, segment_curve)
-            q = quality(mesh)
-            if q.min_angle > min_angle and q.min_jacobian > 0.0:
-                return mesh
-            last_err = MeshGenerationError(
-                f"fitted mesh quality too low: min angle "
-                f"{math.degrees(q.min_angle):.2f} deg, scaled Jacobian "
-                f"{q.min_jacobian:.3f} (band {band})"
-            )
-        except MeshGenerationError as err:
-            last_err = err
-    raise last_err
+    pts, tris, ring_ids = _fit_points(rect, ring, h)
+    phase = _classify(pts, tris, ring)
+    mesh = _elevate(pts, tris, phase, rect, k, ring_ids, segment_curve)
+    q = quality(mesh)
+    failed = []
+    if not q.min_angle > min_angle:
+        failed.append(f"min angle {math.degrees(q.min_angle):.2f} deg is "
+                      f"not above {math.degrees(min_angle):.2f} deg")
+    if not q.min_jacobian > 0.0:
+        failed.append(f"scaled Jacobian {q.min_jacobian:.3f} is not above 0")
+    if failed:
+        raise MeshGenerationError("; ".join(failed))
+    return mesh
 
 
+# Grid points nearer the interface polyline than this many grid spacings
+# are removed, so that the ring's nodes replace them
+_BAND = 0.55
 # Laplacian smoothing passes of the free grid points, each followed by
 # a new Delaunay triangulation
 _SMOOTHING_PASSES = 4
 
 
-def _fit_points(rect, ring, h, band_factor):
+def _fit_points(rect, ring, h):
     x0, y0, x1, y1 = rect
     nx = max(2, round((x1 - x0) / h))
     ny = max(2, round((y1 - y0) / h))
@@ -673,9 +679,8 @@ def _fit_points(rect, ring, h, band_factor):
         np.isclose(grid[:, 0], x0) | np.isclose(grid[:, 0], x1)
         | np.isclose(grid[:, 1], y0) | np.isclose(grid[:, 1], y1)
     )
-    band = band_factor * max(gx, gy)
     d = _dist_to_polyline(grid, ring)
-    keep = (d >= band) | on_bnd
+    keep = (d >= _BAND * max(gx, gy)) | on_bnd
     grid = grid[keep]
     on_bnd = on_bnd[keep]
 
@@ -684,21 +689,32 @@ def _fit_points(rect, ring, h, band_factor):
     ring_ids = np.arange(n_grid, n_grid + len(ring))
     free = np.zeros(len(pts), dtype=bool)
     free[:n_grid] = ~on_bnd
-    segments = [(int(ring_ids[i]), int(ring_ids[(i + 1) % len(ring)]))
-                for i in range(len(ring))]
 
-    tris = None
     for it in range(_SMOOTHING_PASSES + 1):
         tris = _oriented_simplices(pts)
-        tris = _recover_edges(pts, tris, segments)
+        _check_ring_edges(tris, ring_ids, len(pts))
         if it == _SMOOTHING_PASSES:
             break
         pts = _smooth(pts, tris, free)
     return pts, tris, ring_ids
 
 
+def _check_ring_edges(tris, ring_ids, n_pts) -> None:
+    """Raise MeshGenerationError naming the first ring segment that is
+    not an edge of the triangles tris."""
+    local_edges = np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2)
+    found = np.zeros(len(ring_ids), dtype=bool)
+    found[_ring_segments(local_edges, ring_ids, n_pts)[1]] = True
+    if not found.all():
+        i = int(np.argmin(found))
+        a, b = ring_ids[i], ring_ids[(i + 1) % len(ring_ids)]
+        raise MeshGenerationError(
+            f"ring segment {i} (nodes {a}-{b}) is not an edge of the "
+            f"Delaunay triangulation")
+
+
 def _oriented_simplices(pts):
-    tris = Delaunay(pts).simplices.copy()
+    tris = Delaunay(pts).simplices.astype(int)     # Qhull's are int32
     a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
     flip = _cross2(b - a, c - a) < 0.0
     tris[flip] = tris[flip][:, [0, 2, 1]]
@@ -751,93 +767,6 @@ def _classify(pts, tris, ring):
     centroids = pts[tris].mean(axis=1)
     inside = _point_in_polygon(centroids, ring)
     return np.where(inside, MINUS, PLUS).astype(np.int8)
-
-
-# ---------------------------------------------------------------------------
-# constrained-edge recovery by flipping
-
-
-def _ekey(a, b):
-    return (a, b) if a < b else (b, a)
-
-
-def _recover_edges(pts, tris, segments):
-    # Delaunay usually contains every segment already; then no flip is due
-    pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]],
-                       np.asarray(segments)])
-    ids, first = first_appearance(np.sort(pairs, axis=1))
-    if (first[ids[3 * len(tris):]] < 3 * len(tris)).all():
-        return np.array(tris, dtype=int)
-
-    tri_list = [tuple(int(v) for v in t) for t in tris]
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for idx, t in enumerate(tri_list):
-        for i in range(3):
-            edge_map.setdefault(_ekey(t[i], t[(i + 1) % 3]), []).append(idx)
-
-    def replace(idx, t):
-        old = tri_list[idx]
-        for i in range(3):
-            edge_map[_ekey(old[i], old[(i + 1) % 3])].remove(idx)
-        tri_list[idx] = t
-        for i in range(3):
-            edge_map.setdefault(_ekey(t[i], t[(i + 1) % 3]), []).append(idx)
-
-    def present(a, b):
-        return bool(edge_map.get(_ekey(a, b)))
-
-    for a, b in segments:
-        guard = 0
-        while not present(a, b):
-            guard += 1
-            if guard > 200:
-                raise MeshGenerationError(
-                    f"failed to recover interface segment {a}-{b} by edge flips"
-                )
-            u, v = _find_crossing_edge(pts, edge_map, a, b)
-            t1, t2 = edge_map[_ekey(u, v)][:2]
-            p = _opposite(tri_list[t1], u, v)
-            q = _opposite(tri_list[t2], u, v)
-            if not _seg_intersect(pts[p], pts[q], pts[u], pts[v]):
-                raise MeshGenerationError(
-                    f"non-flippable configuration while recovering {a}-{b}"
-                )
-            replace(t1, _orient(pts, (p, q, u)))
-            replace(t2, _orient(pts, (p, q, v)))
-    return np.array(tri_list, dtype=int)
-
-
-def _opposite(tri, u, v):
-    return next(n for n in tri if n != u and n != v)
-
-
-def _orient(pts, tri):
-    a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-    if _cross2(b - a, c - a) < 0.0:
-        return (tri[0], tri[2], tri[1])
-    return tuple(tri)
-
-
-def _seg_intersect(p1, p2, p3, p4):
-    """Proper intersection of open segments p1-p2 and p3-p4."""
-    d1 = _cross2(p4 - p3, p1 - p3)
-    d2 = _cross2(p4 - p3, p2 - p3)
-    d3 = _cross2(p2 - p1, p3 - p1)
-    d4 = _cross2(p2 - p1, p4 - p1)
-    return bool((d1 * d2 < 0.0) and (d3 * d4 < 0.0))
-
-
-def _find_crossing_edge(pts, edge_map, a, b):
-    pa, pb = pts[a], pts[b]
-    for key, owners in edge_map.items():
-        if not owners:
-            continue
-        u, v = key
-        if u in (a, b) or v in (a, b):
-            continue
-        if _seg_intersect(pa, pb, pts[u], pts[v]):
-            return key
-    raise MeshGenerationError(f"no edge crosses missing segment {a}-{b}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,20 +43,18 @@ class BenchmarkRecord:
         return ",".join(f"{v:.17g}" for v in vals) + f",{self.remesh_count}"
 
 
-def phase_area(mesh: Mesh, phase: int) -> float:
-    geom = geometry(mesh)
-    mask = mesh.phase == phase
-    return float(geom.wdet[mask].sum())
-
-
-def center_of_mass(mesh: Mesh):
-    """Centroid of the minus phase (the bubble)."""
-    geom = geometry(mesh)
+def _bubble(mesh: Mesh, geom):
+    """(mask, w, area) of the minus phase: its elements, their weights
+    geom.wdet[mask] and the sum of those, its area."""
     mask = mesh.phase == MINUS
-    area = geom.wdet[mask].sum()
-    cx = (geom.wdet[mask] * geom.x[mask, :, 0]).sum() / area
-    cy = (geom.wdet[mask] * geom.x[mask, :, 1]).sum() / area
-    return float(cx), float(cy)
+    w = geom.wdet[mask]
+    return mask, w, w.sum()
+
+
+def _bubble_mean(bubble, f: np.ndarray) -> float:
+    """Bubble average of f, an (E, Q) array at the quadrature points."""
+    mask, w, area = bubble
+    return float((w * f[mask]).sum() / area)
 
 
 def interface_length(mesh: Mesh) -> float:
@@ -79,14 +77,6 @@ def _circularity(area: float, length: float) -> float:
     return 2.0 * math.sqrt(math.pi * area) / length
 
 
-def _rise_velocity(mesh: Mesh, geom, uq: np.ndarray) -> float:
-    """Bubble average of the vertical velocity component; uq holds the
-    velocity at the quadrature points of geom."""
-    mask = mesh.phase == MINUS
-    area = geom.wdet[mask].sum()
-    return float((geom.wdet[mask] * uq[mask, :, 1]).sum() / area)
-
-
 def _energy(mesh: Mesh, geom, uq: np.ndarray, params: PhaseParams):
     """(kinetic, potential, total) energy; uq holds the velocity at the
     quadrature points of geom.  Each is one product of the density-
@@ -102,17 +92,21 @@ def benchmark_record(t: float, mesh: Mesh, velocity_space, u: np.ndarray,
                      remesh_count: int) -> BenchmarkRecord:
     """Every observable of one state.  Each quantity is computed once:
     the velocity at the quadrature points serves the energy and the rise
-    velocity, the bubble area and interface length the circularity."""
+    velocity, the bubble's weights its area, centroid and rise velocity
+    (the average of the vertical velocity), and its area and the
+    interface length the circularity."""
     geom = geometry(mesh)
     uq = field_values(velocity_space, u, geom)
-    area = phase_area(mesh, MINUS)
+    bubble = _bubble(mesh, geom)
+    area = float(bubble[2])
     length = interface_length(mesh)
     kin, pot, tot = _energy(mesh, geom, uq, params)
     return BenchmarkRecord(
         t=t,
         circularity=_circularity(area, length),
-        center_of_mass=center_of_mass(mesh),
-        rise_velocity=_rise_velocity(mesh, geom, uq),
+        center_of_mass=(_bubble_mean(bubble, geom.x[..., 0]),
+                        _bubble_mean(bubble, geom.x[..., 1])),
+        rise_velocity=_bubble_mean(bubble, uq[..., 1]),
         kinetic_energy=kin,
         potential_energy=pot,
         total_energy=tot,

@@ -5,8 +5,10 @@ The package builds every numbering from one vectorized edge table
 (`alefem.mesh.first_appearance`).  These loops are the implementation it
 replaced, frozen: a dict filled in (element, local entity) order numbers
 its keys by first appearance, and the vectorized build must reproduce
-every array bit for bit.  The Delaunay, smoothing, classification and
-quality steps are shared with the package, since they were not changed.
+every array bit for bit.  The points and triangles of a fit (the grid
+and its band, Delaunay, the ring check and smoothing, `_fit_points`)
+and their classification are shared with the package, since they were
+not changed.
 
 `PointLocator` is the locator that `alefem.mesh.PointLocator` replaced,
 frozen: its bins are a dict of element lists filled in element order,
@@ -53,16 +55,8 @@ from alefem.mesh import (
     PointLocationError,
     _classify,
     _cross2,
-    _dist_to_polyline,
-    _ekey,
-    _find_crossing_edge,
-    _opposite,
-    _orient,
-    _oriented_simplices,
-    _seg_intersect,
-    _smooth,
+    _fit_points,
     map_points,
-    quality,
 )
 from alefem.quadrature import edge_rule
 from alefem.reference import edge_element, edge_local_nodes
@@ -108,95 +102,15 @@ def generate_bubble_mesh(rect, center, radius, h, k):
     return fit_interface_mesh(rect, ring, h, k, segment_curve=curve)
 
 
-def fit_interface_mesh(rect, ring, h, k, segment_curve=None,
-                       min_angle=math.pi / 18.0):
+def fit_interface_mesh(rect, ring, h, k, segment_curve=None):
     ring = np.asarray(ring, dtype=float)
-    last_err = None
-    for band in (0.55, 0.45, 0.65, 0.35):
-        try:
-            pts, tris, ring_ids = _fit_points(rect, ring, h, band)
-            phase = _classify(pts, tris, ring)
-            mesh = _build_fitted(pts, tris, phase, ring_ids, rect, k,
-                                 segment_curve)
-            q = quality(mesh)
-            if q.min_angle > min_angle and q.min_jacobian > 0.0:
-                return mesh
-            last_err = MeshGenerationError("fitted mesh quality too low")
-        except MeshGenerationError as err:
-            last_err = err
-    raise last_err
+    pts, tris, ring_ids = _fit_points(rect, ring, h)
+    phase = _classify(pts, tris, ring)
+    return _build_fitted(pts, tris, phase, ring_ids, rect, k, segment_curve)
 
 
-def _fit_points(rect, ring, h, band_factor, n_smooth=4):
-    x0, y0, x1, y1 = rect
-    nx = max(2, round((x1 - x0) / h))
-    ny = max(2, round((y1 - y0) / h))
-    gx, gy = (x1 - x0) / nx, (y1 - y0) / ny
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.column_stack([X.ravel(), Y.ravel()])
-    on_bnd = (
-        np.isclose(grid[:, 0], x0) | np.isclose(grid[:, 0], x1)
-        | np.isclose(grid[:, 1], y0) | np.isclose(grid[:, 1], y1)
-    )
-    band = band_factor * max(gx, gy)
-    d = _dist_to_polyline(grid, ring)
-    keep = (d >= band) | on_bnd
-    grid = grid[keep]
-    on_bnd = on_bnd[keep]
-
-    pts = np.vstack([grid, ring])
-    n_grid = len(grid)
-    ring_ids = np.arange(n_grid, n_grid + len(ring))
-    free = np.zeros(len(pts), dtype=bool)
-    free[:n_grid] = ~on_bnd
-    segments = [(int(ring_ids[i]), int(ring_ids[(i + 1) % len(ring)]))
-                for i in range(len(ring))]
-
-    tris = None
-    for it in range(n_smooth + 1):
-        tris = _oriented_simplices(pts)
-        tris = _recover_edges(pts, tris, segments)
-        if it == n_smooth:
-            break
-        pts = _smooth(pts, tris, free)
-    return pts, tris, ring_ids
-
-
-def _recover_edges(pts, tris, segments):
-    tri_list = [tuple(int(v) for v in t) for t in tris]
-    edge_map = {}
-    for idx, t in enumerate(tri_list):
-        for i in range(3):
-            edge_map.setdefault(_ekey(t[i], t[(i + 1) % 3]), []).append(idx)
-
-    def replace(idx, t):
-        old = tri_list[idx]
-        for i in range(3):
-            edge_map[_ekey(old[i], old[(i + 1) % 3])].remove(idx)
-        tri_list[idx] = t
-        for i in range(3):
-            edge_map.setdefault(_ekey(t[i], t[(i + 1) % 3]), []).append(idx)
-
-    def present(a, b):
-        return bool(edge_map.get(_ekey(a, b)))
-
-    for a, b in segments:
-        guard = 0
-        while not present(a, b):
-            guard += 1
-            if guard > 200:
-                raise MeshGenerationError("segment not recovered")
-            u, v = _find_crossing_edge(pts, edge_map, a, b)
-            t1, t2 = edge_map[_ekey(u, v)][:2]
-            p = _opposite(tri_list[t1], u, v)
-            q = _opposite(tri_list[t2], u, v)
-            if not _seg_intersect(pts[p], pts[q], pts[u], pts[v]):
-                raise MeshGenerationError("non-flippable configuration")
-            replace(t1, _orient(pts, (p, q, u)))
-            replace(t2, _orient(pts, (p, q, v)))
-    return np.array(tri_list, dtype=int)
+def _ekey(a, b):
+    return (a, b) if a < b else (b, a)
 
 
 def _build_fitted(pts, tris, phase, ring_ids, rect, k, segment_curve):

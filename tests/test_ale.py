@@ -32,7 +32,7 @@ from alefem.mesh import (
     interface_cycle,
     quality,
 )
-from alefem.observables import phase_area
+from alefem.observables import _bubble
 from alefem.stepper import SimConfig, initialize, step
 
 from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
@@ -271,7 +271,7 @@ def test_remesh_builds_one_locator_for_the_old_mesh(monkeypatch):
 def test_remesh_error_carries_the_old_curve(monkeypatch):
     """A failed fit raises RemeshError with the old curve, bit for bit as
     the moved mesh's interface edges gather it, and the ring that
-    `_redistribute` makes of it; the message is the one it always was."""
+    `_redistribute` makes of it; the message gives the fit's reason."""
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
     spaces = build_taylor_hood(mesh, 2)
     sheared = shear_below_threshold(mesh)
@@ -290,7 +290,7 @@ def test_remesh_error_carries_the_old_curve(monkeypatch):
     ring = _redistribute(err.curve, 0.1)[0]
     assert ring.tobytes() == err.ring.tobytes()
     assert str(err) == (
-        f"remeshing failed to beat the angle threshold (no fit); interface "
+        "remeshing failed: no fit; interface "
         f"polyline has {len(ring)} vertices, "
         f"bbox x [{ring[:, 0].min():.4f}, {ring[:, 0].max():.4f}] "
         f"y [{ring[:, 1].min():.4f}, {ring[:, 1].max():.4f}]")
@@ -305,14 +305,14 @@ def ring_lengths(mesh):
 @pytest.fixture(scope="module")
 def spread_remesh():
     """A remesh of a 20-gon inscribed in the bubble circle whose sides
-    span arcs of 4:1: 4 sides on one half (chords 1.9h at h = 0.1) and
-    16 on the other (0.49h).  The mesh keeps straight edges, so every
+    span arcs of 3:1: 5 sides on one half (chords 1.55h at h = 0.1) and
+    15 on the other (0.52h).  The mesh keeps straight edges, so every
     element is affine and its P2 space holds global quadratics.  Its
-    min angle, about 22 degrees, is below the 25 degree threshold used
-    here, which the redistributed ring's mesh (about 30) beats.
+    min angle, about 23 degrees, is below the 25 degree threshold used
+    here, which the redistributed ring's mesh beats.
     Returns (polygon, mesh, check_and_remesh's result)."""
-    theta = np.concatenate([np.linspace(0.0, np.pi, 5)[:-1],
-                            np.linspace(np.pi, 2 * np.pi, 17)[:-1]])
+    theta = np.concatenate([np.linspace(0.0, np.pi, 6)[:-1],
+                            np.linspace(np.pi, 2 * np.pi, 16)[:-1]])
     ring = np.column_stack([CENTER[0] + RADIUS * np.cos(theta),
                             CENTER[1] + RADIUS * np.sin(theta)])
     mesh = fit_interface_mesh(RECT, ring, 0.1, 2)
@@ -327,13 +327,13 @@ def test_remesh_evens_out_the_interface_spacing(spread_remesh):
     _, mesh, (m2, _, _, did, _) = spread_remesh
     assert did
     old = ring_lengths(mesh)
-    assert old.max() / old.min() > 3.5
+    assert old.max() / old.min() > 2.9
     new = ring_lengths(m2)
     # round(L / h) vertices: the arc between them is within h / 2N of h,
     # and a chord across a corner of the polygon is a little shorter
     assert 0.9 * 0.1 < new.min() and new.max() < 1.1 * 0.1
-    a1 = phase_area(mesh, MINUS)
-    assert abs(phase_area(m2, MINUS) - a1) < 1e-3 * a1
+    a1, a2 = (_bubble(m, geometry(m))[2] for m in (mesh, m2))
+    assert abs(a2 - a1) < 1e-3 * a1
 
 
 def test_remesh_puts_the_interface_nodes_on_the_old_curve(spread_remesh):

@@ -291,7 +291,7 @@ def test_converge_rejects_bad_arguments_before_running(args, config_file,
 
 
 @pytest.mark.parametrize("h, angle, error", [
-    ("0.2", "1.0", "remeshing failed to beat the angle threshold"),
+    ("0.2", "1.0", "remeshing failed: min angle"),
     ("0.12", "0.57", "remeshing occurred during the rate study"),
 ])
 def test_converge_failure_names_its_level(h, angle, error, tmp_path, capsys):

@@ -72,6 +72,18 @@ def test_circle_outside_rectangle_rejected():
         generate_bubble_mesh(RECT, (0.5, 0.5), 0.45, 0.08, 2)  # clearance <= h
 
 
+def test_a_ring_segment_missing_from_delaunay_raises():
+    """A coarse ellipse whose 1.9h chords are not all Delaunay edges: the
+    fit recovers no segment, and raises naming the first one missing."""
+    theta = 2.0 * math.pi * np.arange(6) / 6
+    ring = np.column_stack([0.5 + 0.3 * np.cos(theta),
+                            0.7 + 0.15 * np.sin(theta)])
+    with pytest.raises(MeshGenerationError, match=(
+            r"^ring segment \d \(nodes \d+-\d+\) is not an edge of the "
+            r"Delaunay triangulation$")):
+        meshmod.fit_interface_mesh(RECT, ring, 0.16, 2)
+
+
 def test_interface_edges_pair_plus_minus():
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.1, 2)
     assert (mesh.phase[mesh.interface_edges[:, 0]] == -1).all()
@@ -217,27 +229,25 @@ def test_corrupted_interface_edges_raise_after_displace():
 
 def test_a_mesh_builds_its_edge_table_once(monkeypatch):
     """A fitted mesh keeps the edge table its elevation built, and its
-    pairing check and both DOF numberings read it: one table per band
-    tried.  A mesh made from its six fields builds the table once."""
+    pairing check and both DOF numberings read it: one table per fit,
+    a failing fit included.  A mesh made from its six fields builds the
+    table once."""
     from alefem.fespace import build_taylor_hood
 
-    tables, bands = [], []
-    edge_table, fit_points = meshmod._edge_table, meshmod._fit_points
+    tables = []
+    edge_table = meshmod._edge_table
     monkeypatch.setattr(meshmod, "_edge_table", lambda tris: (
         tables.append(len(tris)) or edge_table(tris)))
-    monkeypatch.setattr(meshmod, "_fit_points", lambda *args: (
-        bands.append(args[3]) or fit_points(*args)))
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.08, 2)
     build_taylor_hood(mesh, 2)
-    assert len(bands) == 1 and len(tables) == 1
+    assert len(tables) == 1
 
     ring = mesh.coords[interface_cycle(mesh)[0]]
     tables.clear()
-    bands.clear()
-    with pytest.raises(MeshGenerationError):
+    with pytest.raises(MeshGenerationError, match="min angle"):
         meshmod.fit_interface_mesh(RECT, ring, 0.08, 2,
                                    min_angle=math.radians(59))
-    assert len(bands) == 4 and len(tables) == 4
+    assert len(tables) == 1
 
     tables.clear()
     same = Mesh(x=mesh.x, elements=mesh.elements, phase=mesh.phase,

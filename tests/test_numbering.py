@@ -7,20 +7,14 @@ must the interface cycle, whose start vertex fixes the ring of every
 remesh, and the interface length, a recorded observable.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 import loop_reference as ref
-from alefem import mesh as meshmod
 from alefem.fespace import GLOBAL, SUBDOMAIN, build_scalar_space, build_taylor_hood
 from alefem.mesh import (
-    MINUS,
-    PLUS,
     displace,
     first_appearance,
-    fit_interface_mesh,
     generate_bubble_mesh,
     generate_rect_mesh,
     interface_cycle,
@@ -31,17 +25,6 @@ from conftest import CENTER, RADIUS, RECT, smooth_displacement
 
 MESH_FIELDS = ("x", "elements", "phase", "interface_edges", "boundary_edges")
 SPACE_FIELDS = ("dof_of", "positions", "dof_phase")
-
-# A coarse ellipse whose chords Delaunay misses: recovering its segments
-# takes edge flips.
-FLIP_RING_H = 0.16
-
-
-def flip_ring():
-    theta = 2.0 * math.pi * np.arange(6) / 6
-    return np.column_stack([0.5 + 0.3 * np.cos(theta),
-                            0.7 + 0.15 * np.sin(theta)])
-
 
 def assert_same(a, b, what):
     a, b = np.asarray(a), np.asarray(b)
@@ -99,48 +82,6 @@ def test_scalar_spaces_match_loops(degree, continuity):
                       f"P{degree}")
 
 
-def test_flip_ring_matches_loops():
-    mesh = fit_interface_mesh(RECT, flip_ring(), FLIP_RING_H, 2)
-    old = ref.fit_interface_mesh(RECT, flip_ring(), FLIP_RING_H, 2)
-    assert_same_mesh(mesh, old)
-    assert_same_spaces(mesh, old, 2)
-
-
-def test_flip_ring_recovers_every_segment(monkeypatch):
-    flips = []
-    crossing = meshmod._find_crossing_edge
-
-    def counting(*args):
-        flips.append(args)
-        return crossing(*args)
-
-    monkeypatch.setattr(meshmod, "_find_crossing_edge", counting)
-    ring = flip_ring()
-    mesh = fit_interface_mesh(RECT, ring, FLIP_RING_H, 2)
-    assert len(flips) > 0
-
-    # the ring vertices are kept verbatim, and each ring segment is an edge
-    tri = mesh.elements[:, :3]
-    node_of = [int(np.flatnonzero((mesh.coords == p).all(axis=1))[0])
-               for p in ring]
-    edges = {frozenset(map(int, (t[i], t[(i + 1) % 3])))
-             for t in tri for i in range(3)}
-    for i in range(len(ring)):
-        assert frozenset((node_of[i], node_of[(i + 1) % len(ring)])) in edges
-
-    # the interface is exactly the ring, each edge stored on its minus
-    # side and shared with a plus element
-    e, le = mesh.interface_edges.T
-    a, b = tri[e, le], tri[e, (le + 1) % 3]
-    assert {frozenset((int(p), int(q))) for p, q in zip(a, b)} == {
-        frozenset((node_of[i], node_of[(i + 1) % len(ring)]))
-        for i in range(len(ring))}
-    assert (mesh.phase[e] == MINUS).all()
-    for p, q in zip(a, b):
-        owners = np.flatnonzero(np.isin(tri, [p, q]).sum(axis=1) == 2)
-        assert sorted(mesh.phase[owners]) == [MINUS, PLUS]
-
-
 def assert_same_interface(mesh):
     verts, edges = interface_cycle(mesh)
     old_verts, old_edges = ref.interface_cycle(mesh)
@@ -159,10 +100,6 @@ def test_interface_cycle_and_length_match_loops(h, k, center):
     d = smooth_displacement(np.random.default_rng(7), mesh.coords, 0.2 * h)
     for m in (mesh, displace(mesh, d)):
         assert_same_interface(m)
-
-
-def test_flip_ring_interface_matches_loops():
-    assert_same_interface(fit_interface_mesh(RECT, flip_ring(), FLIP_RING_H, 2))
 
 
 def test_first_appearance_numbers_like_a_dict():

@@ -243,12 +243,14 @@ def test_record_state_evaluates_velocity_once(monkeypatch):
     geom = geometry(mesh)
     uq = obs.field_values(V, u, geom)
     kin, pot, tot = obs._energy(mesh, geom, uq, cfg.params)
-    area, length = obs.phase_area(mesh, -1), obs.interface_length(mesh)
+    bubble = obs._bubble(mesh, geom)
+    area, length = float(bubble[2]), obs.interface_length(mesh)
     assert astuple(rec) == astuple(obs.BenchmarkRecord(
         t=state.t,
         circularity=obs._circularity(area, length),
-        center_of_mass=obs.center_of_mass(mesh),
-        rise_velocity=obs._rise_velocity(mesh, geom, uq),
+        center_of_mass=(obs._bubble_mean(bubble, geom.x[..., 0]),
+                        obs._bubble_mean(bubble, geom.x[..., 1])),
+        rise_velocity=obs._bubble_mean(bubble, uq[..., 1]),
         kinetic_energy=kin,
         potential_energy=pot,
         total_energy=tot,
