@@ -20,7 +20,6 @@ fields are transferred by point evaluation on the old mesh.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import spilu
@@ -77,19 +76,10 @@ class RemeshError(Exception):
         self.curve = curve
 
 
-class Extension(NamedTuple):
-    """A mesh velocity w with what its solve spent: CG iterations on the
-    lagged factor, and the factorizations of the interior block made for
-    it (0 when it reused the factor of an earlier step)."""
-
-    w: np.ndarray
-    iterations: int
-    factorizations: int
-
-
 def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
                        lagged: LaggedFactor | None = None) -> np.ndarray:
-    """Discrete harmonic mesh velocity matching u on the interface.
+    """Discrete harmonic mesh velocity matching u on the interface, as
+    the flat vector of its DOFs.
 
     Interface DOFs of the result equal those of u bitwise, boundary DOFs
     are exactly zero, and interior DOFs minimize the Dirichlet energy of
@@ -97,14 +87,14 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     the subdomains).
 
     This is a direct solve, componentwise, by a factor of the interior
-    block of the mesh Laplacian of mesh, made by lagged, a new
-    `LaggedFactor` of the numbering of spaces (made here when not
-    given), which keeps the factor for the extensions after this one
-    (see `extend`).
+    block of the mesh Laplacian of mesh, made by lagged, a
+    `LaggedFactor` of the numbering of spaces that holds no factor (made
+    here when not given), which keeps the factor for the extensions
+    after this one (see `extend`).
     """
     if lagged is None:
         lagged = LaggedFactor(MAX_ITERATIONS)
-    return extend(mesh_laplacian(mesh, spaces), spaces, u, lagged).w
+    return extend(mesh_laplacian(mesh, spaces), spaces, u, lagged)
 
 
 def mesh_laplacian(mesh: Mesh, spaces: FESpacePair):
@@ -146,9 +136,10 @@ def splu(A):
 
 
 def extend(L, spaces: FESpacePair, u: np.ndarray, lagged: LaggedFactor,
-           start: np.ndarray | None = None) -> Extension:
-    """The harmonic extension of u by mesh Laplacian L, of the
-    numbering of spaces, on the factor that lagged holds: directly,
+           start: np.ndarray | None = None) -> np.ndarray:
+    """The harmonic extension w of u by mesh Laplacian L, of the
+    numbering of spaces, as the flat vector of its DOFs, on the factor
+    that lagged holds, which counts the solve's CG iterations: directly,
     componentwise, on a factor made here from L's interior block, and
     otherwise by block CG preconditioned with the factor of an earlier
     configuration, from the interior values of start, the previous
@@ -173,9 +164,8 @@ def extend(L, spaces: FESpacePair, u: np.ndarray, lagged: LaggedFactor,
             x[:, c] = lu.solve(rhs[:, c])
         return x, 0, True
 
-    x, iterations, made = lagged.solve(lambda: splu(A), attempt)
-    w[free] = x
-    return Extension(w.ravel(), iterations, made)
+    w[free] = lagged.solve(lambda: splu(A), attempt)
+    return w.ravel()
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,17 +238,15 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
                      angle_threshold: float = math.pi / 18.0):
     """Regenerate the mesh if its minimum angle dropped below the threshold.
 
-    Returns (mesh, spaces, (u, p), did_remesh, min_angle), min_angle
-    being that of the returned mesh.  On a remesh, u and p are
+    Returns (mesh, spaces, (u, p), did_remesh).  On a remesh, u and p are
     transferred to the new spaces by point evaluation on the old mesh
     (phase-aware for p).  The new mesh's interface vertices are spaced
     about h apart along the old interface curve, the node array its
     interface edges gather (`_redistribute`).  On a remesh the geometry
     table of mesh is released before the new mesh is built.
     """
-    q = quality(mesh)
-    if q.min_angle > angle_threshold:
-        return mesh, spaces, (u, p), False, q.min_angle
+    if quality(mesh).min_angle > angle_threshold:
+        return mesh, spaces, (u, p), False
 
     _, edges = interface_cycle(mesh)
     curve = mesh.coords[edge_nodes(mesh, edges)]          # (n, k+1, 2)
@@ -274,7 +262,7 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     new_spaces = build_taylor_hood(new_mesh, mesh.degree)
     fields = (transfer_velocity(spaces, new_spaces, u),
               transfer_pressure(spaces, new_spaces, p))
-    return new_mesh, new_spaces, fields, True, quality(new_mesh).min_angle
+    return new_mesh, new_spaces, fields, True
 
 
 # Samples per old interface segment by which `_redistribute` measures

@@ -21,6 +21,12 @@ the BLAS thread variables it found.
 that raises keeps those rows, and its `manifest.json` reads `"status":
 "failed"` with the error's type and message and the last recorded
 level (`last_step`, `final_time`).
+
+The manifest's solver figures are the counts of the run's two
+`linalg.LaggedFactor`s.  `harmonic_iterations_*` count, per recorded
+step, the extension that step made for the next one (in a remesh step,
+which makes none, the last one made), and `harmonic_factorizations`
+includes a refactor made by the last step's extension.
 """
 
 from __future__ import annotations
@@ -150,12 +156,13 @@ def cmd_run(config_path, outdir, vtk_every: int = 0, quiet=False) -> int:
         csv.write(rec.csv_row() + "\n")
         csv.flush()
         rows += 1
+        saddle, harmonic = state.factor, state.harmonic_factor
         last.update(last_step=i, final_time=state.t,
-                    saddle_factorizations=state.saddle_factorizations,
-                    harmonic_factorizations=state.harmonic_factorizations)
+                    saddle_factorizations=saddle.factorizations,
+                    harmonic_factorizations=harmonic.factorizations)
         if i > 0:
-            saddle_iterations.append(state.saddle_iterations)
-            harmonic_iterations.append(state.harmonic_iterations)
+            saddle_iterations.append(saddle.iterations)
+            harmonic_iterations.append(harmonic.iterations)
         if rec.remesh_count > last_count:
             remesh_events.append({"step": i, "t": state.t,
                                   "count": rec.remesh_count})

@@ -12,9 +12,9 @@ it may meet the target (`solve_saddle`).
 A factor outlives its solve.  Between remeshes the matrices of a step
 change only by O(tau), so the factor of an earlier step preconditions
 an iteration on the current system, and a new factorization is needed
-only when that stops paying off.  `LaggedFactor` holds such a factor
-and decides when to replace it, for the saddle solve here and for the
-harmonic extension (`ale.extend`).
+only when that stops paying off.  `LaggedFactor` holds such a factor,
+decides when to replace it and counts what its solves spent, for the
+saddle solve here and for the harmonic extension (`ale.extend`).
 """
 
 from __future__ import annotations
@@ -132,44 +132,34 @@ class LaggedFactor:
     the fresh factor.  A solve that spends more than cap iterations on
     the factor it leaves behind drops it: the factor has gone stale, and
     the next solve refactors.  The old factor is always freed before the
-    new one is made.
+    new one is made.  iterations counts those of the last solve, both
+    attempts summed, and factorizations all the factors made.
     """
 
     def __init__(self, cap: int):
         self.cap = cap
         self.factor = None
+        self.iterations = 0
+        self.factorizations = 0
 
     def solve(self, make: Callable, attempt: Callable):
         """Run attempt(factor, fresh) -> (result, iterations, converged)
         on the held factor, fresh telling it that the factor was made by
-        make(), from the matrix of this solve.  Returns (result,
-        iterations, factorizations), the iterations summed over both
-        attempts when there were two."""
-        iterations = made = 0
+        make(), from the matrix of this solve.  Returns the result."""
+        self.iterations = 0
         while True:
             fresh = self.factor is None
             if fresh:
                 self.factor = make()
-                made += 1
+                self.factorizations += 1
             result, spent, converged = attempt(self.factor, fresh)
-            iterations += spent
+            self.iterations += spent
             if converged or fresh:
                 break
             self.factor = None          # freed before the new one is made
         if spent > self.cap:
             self.factor = None          # stale: the next solve refactors
-        return result, iterations, made
-
-
-@dataclass
-class SaddleStats:
-    """What a saddle solve hands on: the lagged factor for the next
-    solve, the iterations spent (applications of a factor) and the
-    factorizations made (0 or 1)."""
-
-    factor: LaggedFactor
-    iterations: int
-    factorizations: int
+        return result
 
 
 def _gmres(matvec: Callable, precond: Callable, r: np.ndarray,
@@ -219,7 +209,7 @@ def _gmres(matvec: Callable, precond: Callable, r: np.ndarray,
 
 
 def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
-    """Solve the bordered saddle problem; returns (u, p, multiplier, stats).
+    """Solve the bordered saddle problem; returns (u, p, multiplier, factor).
 
     The first iterate is one bordered solve with the factor that factor
     holds, typically one an earlier solve of the numbering made;
@@ -230,8 +220,8 @@ def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
     factor holds none, or its factor cannot reach the refinement target,
     A0 is factored afresh, and when the solve spends more than
     MAX_ITERATIONS applications the factor goes stale (see
-    `LaggedFactor`).  Without factor a new LaggedFactor is made;
-    stats.factor is the one the solve ran on.
+    `LaggedFactor`).  Without factor a new LaggedFactor is made; the
+    one the solve ran on, and counted in, is returned.
 
     The refinement target is 1e-12 of the bound below and, row by row,
     1e-12 of |A| |x| + |b|.  The matrix is badly scaled (M_rho / tau
@@ -316,8 +306,8 @@ def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
 
     if factor is None:
         factor = LaggedFactor(MAX_ITERATIONS)
-    z, iterations, factorizations = factor.solve(
-        lambda: SaddleFactor(A0, c, n_u), lambda f, fresh: refine(f))
+    z = factor.solve(lambda: SaddleFactor(A0, c, n_u),
+                     lambda f, fresh: refine(f))
 
     x, lam = z[:n], z[n]
     res = rhs - (A0 @ x + lam * c)
@@ -330,4 +320,4 @@ def solve_saddle(system: SaddleSystem, factor: LaggedFactor | None = None):
     if abs(mean) > 1e-10 * max(np.abs(p).max(initial=0.0), 1.0) * \
             max(np.abs(m).sum(), 1.0):
         raise SolverError(f"pressure mean {mean:.3e} not eliminated")
-    return u, p, float(lam), SaddleStats(factor, iterations, factorizations)
+    return u, p, float(lam), factor

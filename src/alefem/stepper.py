@@ -21,9 +21,9 @@ reads again: kept, it raised the peak memory of a run at h=0.04 by 10%.
 A step runs on the calling thread, in this order:
 
 - (1) takes the state's w, or, in the first step of a numbering, extends
-  u by a direct solve, whose factor of the interior block becomes the
-  numbering's lagged harmonic factor (`ale.harmonic_extension`), and
-  releases the old mesh's geometry table;
+  u by a direct solve on a factor of the interior block that the run's
+  lagged harmonic factor makes and keeps (`ale.harmonic_extension`),
+  and releases the old mesh's geometry table;
 - (2) moves the mesh;
 - (3) builds the moved mesh's geometry table and assembles the load,
   reads A_mu and the moved mesh's Laplacian, the configuration the next
@@ -33,14 +33,15 @@ A step runs on the calling thread, in this order:
 - (4) checks the mesh and remeshes on the angle criterion.  A step that
   keeps its mesh then extends u on the Laplacian of (3) and the lagged
   harmonic factor, by CG from the w of (1), the w of the next state
-  (`ale.extend`).  A step that remeshes extends nothing and drops both
-  lagged factors, whose numbering is dead; the next step extends by a
-  direct solve, as the first step does.
+  (`ale.extend`).  A step that remeshes extends nothing and frees the
+  factors that both lagged factors hold, whose numbering is dead; the
+  next step extends by a direct solve, as the first step does.
 
-Both lagged factors follow one rule (`linalg.LaggedFactor`): a solve
-that overran its cap drops its factor, and the next solve refactors
-from its own matrix.  A factor held across steps pins the memory it
-lands on (see `ale.splu`).
+The run's two lagged factors, of the saddle solve and of the extension,
+are made by `initialize` and count their own solves.  Both follow one
+rule (`linalg.LaggedFactor`): a solve that overran its cap drops its
+factor, and the next solve refactors from its own matrix.  A factor
+held across steps pins the memory it lands on (see `ale.splu`).
 
 With BLAS on one thread the results are therefore bitwise the same
 whatever the number of CPUs (see `cli`).
@@ -53,9 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ale
+from . import ale, linalg
 from .ale import (
-    Extension,
     advance_mesh,
     check_and_remesh,
     extend,
@@ -131,24 +131,20 @@ class SimConfig:
 class State:
     """Everything one step hands to the next.
 
-    min_angle is the minimum angle of mesh and remesh_count the remeshes
-    so far.  factor and harmonic_factor are the lagged factors of the
-    numbering of spaces (`linalg.LaggedFactor`) on which the next flow
-    solve and the next extension run; saddle_iterations are the
-    iterations of the last flow solve and saddle_factorizations the
-    factorizations since initialize().  harmonic_iterations are the CG
-    iterations of the mesh velocity the last step moved by (0 for a
-    direct solve), and harmonic_factorizations the factorizations made
-    for the mesh velocities the steps since initialize() moved by.  w is
-    the `Extension` of u on mesh, made by the step that made the state.
-    All three are None after initialize() and after a remesh.  The state
-    is frozen and u read-only, so w cannot go stale.
+    remesh_count counts the remeshes so far.  factor and harmonic_factor
+    are the run's two lagged factors (`linalg.LaggedFactor`), on which
+    the next flow solve and the next extension run, each holding a
+    factor of the numbering of spaces or none, and each counting its
+    solves: the iterations of its last solve and the factorizations
+    since initialize().  w is the extension of u on mesh, made by the
+    step that made the state; it is None after initialize() and after a
+    remesh.  The state is frozen and u read-only, so w cannot go stale.
 
     The lagged factors are not: a step hands on the objects it got, and
-    its solves replace the factors inside them.  So the states of a run
-    share their lagged factors, and so do two branches stepped from one
-    state, each solving on what the other left; their results agree to
-    the solvers' tolerances, not bitwise.
+    its solves replace the factors inside them and add to their counts.
+    So the states of a run share their lagged factors, and so do two
+    branches stepped from one state, each solving on what the other
+    left; their results agree to the solvers' tolerances, not bitwise.
     """
 
     t: float
@@ -156,15 +152,10 @@ class State:
     spaces: FESpacePair
     u: np.ndarray
     p: np.ndarray
-    min_angle: float
+    factor: LaggedFactor
+    harmonic_factor: LaggedFactor
     remesh_count: int = 0
-    factor: LaggedFactor | None = None
-    saddle_iterations: int = 0
-    saddle_factorizations: int = 0
-    harmonic_iterations: int = 0
-    harmonic_factorizations: int = 0
-    harmonic_factor: LaggedFactor | None = None
-    w: Extension | None = None
+    w: np.ndarray | None = None
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -177,7 +168,8 @@ def initialize(config: SimConfig) -> State:
     u = np.zeros(2 * spaces.velocity.n_dofs)
     p = np.zeros(spaces.pressure.n_dofs)
     return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p,
-                 min_angle=quality(mesh).min_angle)
+                 factor=LaggedFactor(linalg.MAX_ITERATIONS),
+                 harmonic_factor=LaggedFactor(ale.MAX_ITERATIONS))
 
 
 def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
@@ -192,7 +184,8 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     factor when one is given (see `solve_saddle`).  A_mu is read off one
     gradient Gram together with L, the scalar Laplacian of mesh
     (`viscous_and_laplacian`), which a step extends the new u by.
-    Returns (u, p, multiplier, stats, L).
+    Returns (u, p, multiplier, factor, L), factor the `LaggedFactor`
+    the saddle solve ran on.
     """
     A_mu, L = viscous_and_laplacian(mesh, spaces, params)
     C = assemble("C", mesh, spaces, params)
@@ -217,11 +210,11 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
         rhs_p = C @ u_bc
     A0 = spaces.maps.saddle([Kuu, C])
     del Kuu, C
-    uf, p, lam, stats = solve_saddle(SaddleSystem(
+    uf, p, lam, factor = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)
     u = u_bc.copy()
     u[free] = uf
-    return u, p, lam, stats, L
+    return u, p, lam, factor, L
 
 
 def step(state: State, config: SimConfig) -> State:
@@ -230,13 +223,11 @@ def step(state: State, config: SimConfig) -> State:
     tau = config.tau
 
     # (1) mesh velocity from the current velocity.  A state without w
-    # starts a numbering, whose lagged factor its direct extension makes.
-    harmonic, extension = state.harmonic_factor, state.w
-    if extension is None:
-        harmonic = LaggedFactor(ale.MAX_ITERATIONS)
-        extension = Extension(harmonic_extension(
-            state.mesh, state.spaces, state.u, harmonic), 0, 1)
-    w = extension.w
+    # starts a numbering: its extension is direct, on a factor it makes.
+    w = state.w
+    if w is None:
+        w = harmonic_extension(state.mesh, state.spaces, state.u,
+                               state.harmonic_factor)
     state.mesh.release_tables()         # before the moved mesh's is built
 
     # (2) move the mesh, carrying all coefficients nodally
@@ -246,38 +237,31 @@ def step(state: State, config: SimConfig) -> State:
 
     # (3) implicit flow solve with convection frozen at u^n - w^n
     load = assemble_load(mesh, spaces, params)
-    u, p, _, stats, L = flow_solve(mesh, spaces, params, tau, state.u,
-                                   transport=state.u - w, load=load,
-                                   factor=state.factor)
+    u, p, _, _, L = flow_solve(mesh, spaces, params, tau, state.u,
+                               transport=state.u - w, load=load,
+                               factor=state.factor)
 
     # (4) remesh on the angle criterion, or extend u on the moved mesh
-    mesh2, spaces2, (u, p), did_remesh, min_angle = check_and_remesh(
+    mesh2, spaces2, (u, p), did_remesh = check_and_remesh(
         mesh, spaces, u, p, config.rect, config.h,
         angle_threshold=config.remesh_angle)
     if did_remesh:
-        # the new numbering starts with a direct extension
-        harmonic = w_next = None
+        # factors of the old numbering cannot precondition the new one,
+        # which starts with a direct extension
+        state.factor.factor = state.harmonic_factor.factor = None
+        w_next = None
     else:
-        w_next = extend(L, spaces, u, harmonic, w)
+        w_next = extend(L, spaces, u, state.harmonic_factor, w)
     return State(
         t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
-        min_angle=min_angle,
-        remesh_count=state.remesh_count + int(did_remesh),
-        # a factor of the old mesh cannot precondition the new one
-        factor=None if did_remesh else stats.factor,
-        saddle_iterations=stats.iterations,
-        saddle_factorizations=(state.saddle_factorizations
-                               + stats.factorizations),
-        harmonic_iterations=extension.iterations,
-        harmonic_factorizations=(state.harmonic_factorizations
-                                 + extension.factorizations),
-        harmonic_factor=harmonic,
-        w=w_next)
+        factor=state.factor, harmonic_factor=state.harmonic_factor,
+        remesh_count=state.remesh_count + int(did_remesh), w=w_next)
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
     return benchmark_record(state.t, state.mesh, state.spaces.velocity,
-                            state.u, config.params, state.min_angle,
+                            state.u, config.params,
+                            quality(state.mesh).min_angle,
                             state.remesh_count)
 
 

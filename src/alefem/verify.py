@@ -307,7 +307,7 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
             "mesh0": mesh0,
             "spaces0": spaces0,
             "u": state.u,
-            "w": state.w.w,
+            "w": state.w,
             "phi": state.mesh.x.copy(),
             "p": state.p,
         })

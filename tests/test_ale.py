@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spilu
 
-from alefem import ale
+from alefem import ale, stepper
 from alefem import mesh as meshmod
 from alefem.ale import (
     RemeshError,
@@ -136,11 +136,9 @@ def zero_fields(spaces):
 def test_healthy_mesh_not_remeshed(setup):
     mesh, spaces = setup
     u, p = zero_fields(spaces)
-    m2, s2, (u2, p2), did, min_angle = check_and_remesh(mesh, spaces, u, p,
-                                                        RECT, 0.1)
+    m2, s2, (u2, p2), did = check_and_remesh(mesh, spaces, u, p, RECT, 0.1)
     assert not did
     assert m2 is mesh and s2 is spaces and u2 is u and p2 is p
-    assert min_angle == quality(mesh).min_angle
 
 
 def shear_below_threshold(mesh):
@@ -173,10 +171,9 @@ def test_a_fitted_mesh_is_measured_once(monkeypatch):
     sheared = shear_below_threshold(state.mesh)
     spaces = spaces_with_mesh(state.spaces, sheared)
     made.clear()
-    new_mesh, *_, did, min_angle = check_and_remesh(
+    new_mesh, *_, did = check_and_remesh(
         sheared, spaces, *zero_fields(spaces), RECT, 0.1)
     assert did and len(made) == 1 and quality(new_mesh) is made[0]
-    assert min_angle == made[0].min_angle
 
 
 def quad(x, y):
@@ -197,10 +194,10 @@ def test_remesh_triggers_and_restores_quality():
 
     u = interpolate(spaces_sh.velocity, quad, vector=True)
     p = np.zeros(spaces_sh.pressure.n_dofs)
-    m2, s2, (u2, _), did, min_angle = check_and_remesh(sheared, spaces_sh,
-                                                       u, p, RECT, 0.1)
+    m2, s2, (u2, _), did = check_and_remesh(sheared, spaces_sh, u, p, RECT,
+                                            0.1)
     assert did
-    assert min_angle == quality(m2).min_angle > math.pi / 18
+    assert quality(m2).min_angle > math.pi / 18
 
     # phase areas are preserved up to the curved-geometry tolerance
     from alefem.mesh import geometry
@@ -324,7 +321,7 @@ def spread_remesh():
 
 
 def test_remesh_evens_out_the_interface_spacing(spread_remesh):
-    _, mesh, (m2, _, _, did, _) = spread_remesh
+    _, mesh, (m2, _, _, did) = spread_remesh
     assert did
     old = ring_lengths(mesh)
     assert old.max() / old.min() > 2.9
@@ -352,7 +349,7 @@ def test_transfer_exact_at_the_new_dofs(spread_remesh):
     """On affine old elements the transferred coefficients are a global
     quadratic velocity and a linear pressure at the new DOF positions,
     interface DOFs included, to roundoff."""
-    *_, (_, s2, (u2, p2), _, _) = spread_remesh
+    *_, (_, s2, (u2, p2), _) = spread_remesh
     u = interpolate(s2.velocity, quad, vector=True)
     assert np.abs(u2 - u).max() < 1e-13
     p = interpolate(s2.pressure, lin)
@@ -445,7 +442,7 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
         extensions.append((state.mesh, state.spaces, state.u,
                            harmonic_extension(state.mesh, state.spaces,
                                               state.u),
-                           state.w.w))
+                           state.w))
     assert state.remesh_count == 0
 
     spaces = state.spaces
@@ -482,6 +479,24 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
     assert_exact(got, sliced_harmonic_extension(state.mesh, renumbered, u))
 
 
+def lagged_extensions(monkeypatch):
+    """(iterations, factorizations) of every extension that a step makes
+    on its moved mesh (`stepper.extend`), read off the lagged factor it
+    solves on: its count of that solve, and the change in its count of
+    factors."""
+    counts = []
+    original = stepper.extend
+
+    def counting(L, spaces, u, lagged, start=None):
+        before = lagged.factorizations
+        w = original(L, spaces, u, lagged, start)
+        counts.append((lagged.iterations, lagged.factorizations - before))
+        return w
+
+    monkeypatch.setattr(stepper, "extend", counting)
+    return counts
+
+
 @pytest.mark.parametrize("cap", [1, ale.MAX_ITERATIONS])
 def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
     """Over 24 steps at h=0.16, every w that a step moves by, extended on
@@ -491,14 +506,12 @@ def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
     of an earlier configuration overrun it, so that the next extension
     refactors and solves directly; at the default cap none does."""
     monkeypatch.setattr(ale, "MAX_ITERATIONS", cap)
+    counts = lagged_extensions(monkeypatch)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
-    iterations, made = [], []
     for _ in range(24):
         state = step(state, cfg)
-        w, spaces = state.w.w, state.spaces
-        iterations.append(state.w.iterations)
-        made.append(state.w.factorizations)
+        w, spaces = state.w, state.spaces
         expect = sliced_harmonic_extension(state.mesh, spaces, state.u)
         assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
         iv = spaces.vector_dofs(spaces.interface_dofs)
@@ -507,14 +520,15 @@ def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
         assert np.array_equal(np.signbit(w[bv]), np.zeros(len(bv), bool))
         assert not w[bv].any()
     assert state.remesh_count == 0
+    iterations, made = map(list, zip(*counts))
     # an extension refactors, and then solves directly, exactly when the
     # one before it overran
     assert made == [0] + [int(i > cap) for i in iterations[:-1]]
     assert all(i == 0 for i, m in zip(iterations, made) if m)
-    # the last state's steps moved by a direct extension, whose factor
-    # became the lagged factor of the numbering, and by the extensions of
-    # the first 23 steps
-    assert state.harmonic_factorizations == 1 + sum(made[:-1])
+    # the run factored for step 1's direct extension, whose factor
+    # became the lagged factor of the numbering, and for the extensions
+    # of the 24 steps
+    assert state.harmonic_factor.factorizations == 1 + sum(made)
     if cap == 1:
         # step 1 extends on the mesh that the zero initial velocity left
         # in place, the one its factor is of; from step 2 on, each CG
@@ -530,18 +544,17 @@ def test_lagged_extension_refactors_when_cg_stalls(monkeypatch):
     iterations on the lagged factor refactors at once and finishes by a
     direct solve on the fresh factor."""
     monkeypatch.setattr(ale, "_CG_LIMIT", 2)
+    counts = lagged_extensions(monkeypatch)
     cfg = SimConfig(params=BP1, k=2, h=0.16, tau=1.0 / 200.0, T=1.0)
     state = initialize(cfg)
-    extensions = []
     for _ in range(6):
         state = step(state, cfg)
-        extensions.append(state.w)
         expect = sliced_harmonic_extension(state.mesh, state.spaces,
                                            state.u)
-        assert np.abs(state.w.w - expect).max() \
+        assert np.abs(state.w - expect).max() \
             <= 1e-12 * np.abs(expect).max()
     # the first extends on the factor of its own configuration, the one
     # of the direct extension of step 1; each later one stalls after 2
     # iterations and refactors
-    assert [e.factorizations for e in extensions] == [0] + [1] * 5
-    assert [e.iterations for e in extensions[1:]] == [2] * 5
+    assert [made for _, made in counts] == [0] + [1] * 5
+    assert [iterations for iterations, _ in counts[1:]] == [2] * 5

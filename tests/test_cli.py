@@ -5,7 +5,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from alefem import stepper
+from alefem import ale, linalg, stepper
 from alefem.assembly import PhaseParams
 from alefem.cli import (
     ConfigError,
@@ -21,6 +21,7 @@ from alefem.cli import (
 from alefem.stepper import SimConfig
 
 from conftest import BP1
+from test_harmonic_worker import remesh_config
 
 BP1_CONFIG = """# benchmark BP-1
 [physics]
@@ -108,6 +109,13 @@ def test_config_keys_are_the_dataclass_fields():
     assert {kind for kind, _ in keys.values()} == {int, float, tuple}
 
 
+def write_config(path, cfg):
+    """Write every key of cfg to path, each value by its repr."""
+    path.write_text("".join(
+        f"{k} = {', '.join(map(repr, v)) if isinstance(v, list) else repr(v)}\n"
+        for k, v in config_echo(cfg).items()))
+
+
 def test_config_echo_loads_back(tmp_path):
     cfg = SimConfig(params=BP1, k=3, h=0.12, tau=0.004, T=0.2,
                     rect=(0.0, -0.5, 1.5, 2.0), circle_center=(0.7, 0.6),
@@ -115,9 +123,7 @@ def test_config_echo_loads_back(tmp_path):
     echo = config_echo(cfg)
     assert list(echo) == list(config_keys())
     path = tmp_path / "echo.cfg"
-    path.write_text("".join(
-        f"{k} = {', '.join(map(repr, v)) if isinstance(v, list) else repr(v)}\n"
-        for k, v in echo.items()))
+    write_config(path, cfg)
     assert load_config(path) == cfg
     assert config_echo(load_config(path)) == echo
 
@@ -200,6 +206,30 @@ def test_cmd_run_writes_outputs(tmp_path, config_file):
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     assert manifest["blas_threads"] == {name: os.environ.get(name)
                                         for name in names}
+
+
+def test_manifest_counts_every_factorization_through_a_remesh(
+        tmp_path, monkeypatch):
+    """Through the remesh at step 2 of `remesh_config`, the manifest's
+    factorization totals are the factors the run made: every
+    `linalg.SaddleFactor` and every `ale.splu`."""
+    made = {"saddle": 0, "harmonic": 0}
+    for module, name, key in ((linalg, "SaddleFactor", "saddle"),
+                              (ale, "splu", "harmonic")):
+        def counting(*args, _original=getattr(module, name), _key=key):
+            made[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    path = tmp_path / "remesh.cfg"
+    write_config(path, remesh_config())
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [event["step"] for event in manifest["remesh_events"]] == [2]
+    # each numbering factors for its first solves
+    assert made["saddle"] >= 2 and made["harmonic"] >= 2
+    assert manifest["saddle_factorizations"] == made["saddle"]
+    assert manifest["harmonic_factorizations"] == made["harmonic"]
 
 
 def test_failed_run_names_the_last_recorded_level(tmp_path, monkeypatch,

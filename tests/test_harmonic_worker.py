@@ -5,16 +5,16 @@ A step reads A_mu and the moved mesh's Laplacian off one gradient Gram
 and, unless it remeshed, extends its new u on that Laplacian and the
 lagged harmonic factor of the numbering (`ale.extend`), by CG from the
 w it moved by; the state it makes carries that extension as its w and
-the factor as its harmonic_factor (a `linalg.LaggedFactor`), and the
-next step moves the mesh by that w.  The first step of a numbering
-extends by a direct solve, whose factor becomes the numbering's lagged
-factor.  These tests pin what that hand-over may and may not do: hold
-at most one factor and free each one, extend only on the state's own
-mesh, solve directly only in the first step of a numbering, factor
-once in that step, form one Gram per configuration, keep a state's u
-and w fixed, start over after a remesh, and do all of it, the geometry
-table built in chunks included, on the calling thread, raising its
-errors in the step that makes them.
+the run's lagged harmonic factor (a `linalg.LaggedFactor`) as its
+harmonic_factor, and the next step moves the mesh by that w.  The first
+step of a numbering extends by a direct solve, whose factor the lagged
+factor then keeps.  These tests pin what that hand-over may and may not
+do: hold at most one factor and free each one, extend only on the
+state's own mesh, solve directly only in the first step of a numbering,
+factor once in that step, form one Gram per configuration, keep a
+state's u and w fixed, start over after a remesh, and do all of it, the
+geometry table built in chunks included, on the calling thread, raising
+its errors in the step that makes them.
 """
 
 import gc
@@ -134,7 +134,7 @@ def test_prepared_operator_is_used_only_on_its_own_mesh():
     for _ in range(2):
         moved = step(state, cfg)
         assert moved.remesh_count == 0
-        w = state.w.w
+        w = state.w
         expect = advance_mesh(state.mesh.x, w, TAU)
         assert moved.mesh.x.tobytes() == expect.tobytes()
         direct = harmonic_extension(state.mesh, state.spaces, state.u)
@@ -264,15 +264,21 @@ def test_one_gram_per_configuration(monkeypatch):
 
 def test_step_through_a_remesh(monkeypatch):
     """A run that remeshes once, at step 2: the state after the remesh
-    carries neither a saddle factor, nor a lagged harmonic factor, nor a
-    w, and the next step extends by a direct solve on the calling
-    thread, as step 1 did."""
+    carries the run's two lagged factors, the objects it carried before,
+    but neither holds a factor, and it carries no w; the next step
+    extends by a direct solve on the calling thread, as step 1 did."""
     calls = counted_extensions(monkeypatch, stepper)
-    seen = []
-    state, _ = run(remesh_config(), sinks=[lambda i, state, rec: seen.append(
-        (rec.remesh_count, state.factor is None,
-         state.harmonic_factor is None, state.w is None, len(calls)))])
+    seen, lagged = [], []
+
+    def sink(i, state, rec):
+        seen.append((rec.remesh_count, state.factor.factor is None,
+                     state.harmonic_factor.factor is None, state.w is None,
+                     len(calls)))
+        lagged.append((state.factor, state.harmonic_factor))
+
+    state, _ = run(remesh_config(), sinks=[sink])
     assert state.remesh_count == 1
+    assert all(a is b for pair in lagged[1:] for a, b in zip(pair, lagged[0]))
     assert seen == [(0, True, True, True, 0), (0, False, False, False, 1),
                     (1, True, True, True, 1), (1, False, False, False, 2),
                     (1, False, False, False, 2), (1, False, False, False, 2),

@@ -175,9 +175,10 @@ def test_lagged_factor_matches_fresh_solve(lagged_pair):
     old, new = lagged_pair
     *_, first = solve_saddle(old)
     assert first.factorizations == 1
-    u, p, lam, lagged = solve_saddle(new, first.factor)
-    assert lagged.factorizations == 0
-    assert lagged.factor is first.factor
+    held = first.factor
+    u, p, lam, lagged = solve_saddle(new, first)
+    assert lagged is first and lagged.factorizations == 1
+    assert lagged.factor is held
     assert 2 < lagged.iterations <= 20
     uf, pf, lamf, fresh = solve_saddle(new)
     assert fresh.factorizations == 1
@@ -199,9 +200,9 @@ def test_unusable_factor_is_replaced(lagged_pair):
                            len(new.rhs_u))
     lagged = LaggedFactor(linalg.MAX_ITERATIONS)
     lagged.factor = useless
-    u, p, lam, stats = solve_saddle(new, lagged)
-    assert stats.factorizations == 1
-    assert stats.factor is lagged
+    u, p, lam, returned = solve_saddle(new, lagged)
+    assert lagged.factorizations == 1
+    assert returned is lagged
     assert lagged.factor is not useless and lagged.factor is not None
     assert np.array_equal(u, expect[0])
     assert np.array_equal(p, expect[1])
@@ -223,10 +224,10 @@ def counted_solve(system, factor):
     """The solution, iterations, product log and the id of A0."""
     CountingCSR.log = []
     A0 = CountingCSR(system.A0)
-    u, p, lam, stats = solve_saddle(
+    u, p, lam, factor = solve_saddle(
         SaddleSystem(A0=A0, rhs_u=system.rhs_u, rhs_p=system.rhs_p,
                      mean_vector=system.mean_vector), factor)
-    return (u, p, lam, stats.iterations), CountingCSR.log, id(A0)
+    return (u, p, lam, factor.iterations), CountingCSR.log, id(A0)
 
 
 def test_refinement_checks_each_iterate_once(lagged_pair):
@@ -237,7 +238,7 @@ def test_refinement_checks_each_iterate_once(lagged_pair):
     and the only product taken twice is A0 times the solution: by the
     last check and by the final residual check of solve_saddle."""
     old, new = lagged_pair
-    factor = solve_saddle(old)[3].factor
+    factor = solve_saddle(old)[3]
     saddle_factor = factor.factor
     reused, log, A0 = counted_solve(new, factor)
     assert reused[3] > 2                        # GMRES ran
@@ -258,11 +259,11 @@ def assert_as_frozen(system, saddle_factor):
     solve spends, and agrees with it to 1e-12 of the solution's size."""
     lagged = LaggedFactor(linalg.MAX_ITERATIONS)
     lagged.factor = saddle_factor
-    u, p, lam, stats = solve_saddle(system, lagged)
-    assert stats.factorizations == 0
+    u, p, lam, _ = solve_saddle(system, lagged)
+    assert lagged.factorizations == 0
     uf, pf, lamf, iterations = loop_reference.solve_saddle(system,
                                                            saddle_factor)
-    assert stats.iterations == iterations
+    assert lagged.iterations == iterations
     x, xf = np.concatenate([u, p]), np.concatenate([uf, pf])
     assert np.abs(x - xf).max() <= 1e-12 * np.abs(xf).max()
 
@@ -270,10 +271,10 @@ def assert_as_frozen(system, saddle_factor):
 def test_gated_gmres_spends_what_checking_every_iterate_did(
         lagged_pair, bubble_run_systems):
     old, new = lagged_pair
-    assert_as_frozen(new, solve_saddle(old)[3].factor.factor)
+    assert_as_frozen(new, solve_saddle(old)[3].factor)
     first, later = bubble_run_systems
-    assert_as_frozen(later, solve_saddle(first)[3].factor.factor)
-    assert_as_frozen(later, solve_saddle(later)[3].factor.factor)
+    assert_as_frozen(later, solve_saddle(first)[3].factor)
+    assert_as_frozen(later, solve_saddle(later)[3].factor)
 
 
 def test_saddle_factor_solves_the_shifted_bordered_system(lagged_pair):
@@ -334,12 +335,13 @@ def test_quasi_definite_factor_halves_the_fill():
 
 def test_fresh_and_lagged_factors_reach_the_target(bubble_run_systems):
     first, later = bubble_run_systems
-    old = solve_saddle(first)[3].factor
+    old = solve_saddle(first)[3]
     for factor, made in ((None, 1), (old, 0)):
-        u, p, lam, stats = solve_saddle(later, factor)
-        assert stats.factorizations == made
-        assert stats.iterations <= linalg.MAX_ITERATIONS
-        assert stats.factor.factor is not None      # not stale
+        before = 0 if factor is None else factor.factorizations
+        u, p, lam, lagged = solve_saddle(later, factor)
+        assert lagged.factorizations - before == made
+        assert lagged.iterations <= linalg.MAX_ITERATIONS
+        assert lagged.factor is not None            # not stale
         assert_on_target(later, u, p, lam)
 
 
@@ -396,10 +398,11 @@ class SaddleCase:
         return self.systems[i].A0
 
     def solve(self, lagged, i):
-        u, p, lam, stats = solve_saddle(self.systems[i], lagged)
-        assert stats.factor is lagged
-        return (np.append(np.concatenate([u, p]), lam), stats.iterations,
-                stats.factorizations)
+        before = lagged.factorizations
+        u, p, lam, returned = solve_saddle(self.systems[i], lagged)
+        assert returned is lagged
+        return (np.append(np.concatenate([u, p]), lam), lagged.iterations,
+                lagged.factorizations - before)
 
     def useless(self):
         n = self.matrix(0).shape[0]
@@ -421,8 +424,9 @@ class HarmonicCase:
         return self.configurations[i][1].maps.interior([self.L[i]])
 
     def solve(self, lagged, i):
-        e = extend(self.L[i], self.configurations[i][1], self.u, lagged)
-        return e.w, e.iterations, e.factorizations
+        before = lagged.factorizations
+        w = extend(self.L[i], self.configurations[i][1], self.u, lagged)
+        return w, lagged.iterations, lagged.factorizations - before
 
     def useless(self):
         return self.make(sparse.identity(self.matrix(0).shape[0],

@@ -4,8 +4,10 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from alefem import ale, linalg
 from alefem.assembly import PhaseParams, assemble, pressure_mean_vector
 from alefem.fespace import build_taylor_hood
+from alefem.linalg import LaggedFactor
 from alefem.mesh import fit_interface_mesh, geometry, quality
 from alefem.stepper import (
     SimConfig,
@@ -61,7 +63,8 @@ def hydrostatic_setup(h=0.16, k=2):
     u = np.zeros(2 * spaces.velocity.n_dofs)
     state = State(t=0.0, mesh=mesh, spaces=spaces, u=u,
                   p=np.zeros(spaces.pressure.n_dofs),
-                  min_angle=quality(mesh).min_angle)
+                  factor=LaggedFactor(linalg.MAX_ITERATIONS),
+                  harmonic_factor=LaggedFactor(ale.MAX_ITERATIONS))
     return state, cfg, params
 
 
@@ -139,17 +142,21 @@ def test_records_strictly_increasing_and_deterministic():
 
 def test_factor_reuse_matches_refactoring_every_step():
     cfg = tiny_config(T=20 / 200)
-    reuse = refactor = initialize(cfg)
+    # two runs, so that neither steps on the other's lagged factors
+    reuse, refactor = initialize(cfg), initialize(cfg)
     a, b = [], []
+    made = 0
     for _ in range(20):
         reuse = step(reuse, cfg)
-        refactor = step(replace(refactor, factor=None), cfg)
+        fresh = LaggedFactor(linalg.MAX_ITERATIONS)
+        refactor = step(replace(refactor, factor=fresh), cfg)
+        made += fresh.factorizations
         a.append(np.hstack(astuple(record_state(reuse, cfg))))
         b.append(np.hstack(astuple(record_state(refactor, cfg))))
     # relative to each observable's largest magnitude over the run
     scale = np.maximum(np.abs(b).max(axis=0), 1e-300)
     assert (np.abs(np.array(a) - b) / scale).max() <= 1e-10
-    assert reuse.saddle_factorizations < refactor.saddle_factorizations == 20
+    assert reuse.factor.factorizations < made == 20
 
 
 def test_one_geometry_table_per_step(monkeypatch):
@@ -256,7 +263,6 @@ def test_record_state_evaluates_velocity_once(monkeypatch):
         total_energy=tot,
         area_minus=area,
         interface_length=length,
-        min_angle=state.min_angle,
+        min_angle=quality(mesh).min_angle,
         remesh_count=state.remesh_count,
     ))
-    assert state.min_angle == quality(state.mesh).min_angle
