@@ -47,10 +47,11 @@ configuration, so each is built once per numbering and dropped with it.
 
 The pattern is that of a COO assembly (`coo_matrix(...).tocsr()`); the
 sums, taken in element order, differ from its sums in the last bits.
-`Gather` replays matrices derived by slicing and stacking (the saddle
-matrix, the interior block of the mesh Laplacian): the slicing runs
-once on entry ids and is replayed as one gather per step, which only
-permutes entries and so is exact.
+`Gather` replays matrices derived by slicing, stacking and copying
+(the saddle matrix, the interior block of the mesh Laplacian, a scalar
+matrix on both components): the derivation runs once on entry ids and
+is replayed as one gather per step, which only permutes and copies
+entries and so is exact.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class Pattern:
 
 class Gather:
     """A matrix derived from assembled ones by slicing, stacking,
-    transposition, format changes and negation, replayed as one gather
-    over their data arrays.
+    Kronecker products with the identity, transposition, format changes
+    and negation, replayed as one gather over their data arrays.
 
     derive(*matrices) runs once, on copies whose data are entry ids;
     the ids it returns (negative where it negated) are the map.
@@ -187,7 +188,8 @@ class DofMaps:
     boundary_dofs are scalar velocity DOF ids.  The read-only masks
     saddle_mask (interleaved velocity DOFs off the boundary) and
     interior_mask (scalar ones off both) select the unknowns of `saddle`
-    and `interior`, and are built once, with the maps.
+    and `interior`, and are built once, with the maps.  interleaved,
+    saddle and interior are `Gather`s.
     """
 
     def __init__(self, velocity: ScalarSpace, pressure: ScalarSpace,
@@ -217,34 +219,21 @@ class DofMaps:
                        (n, n))
 
     @cached_property
-    def interleaved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, source) of a scalar matrix acting on both
-        components: scalar row i becomes rows 2i and 2i+1 with the same
-        data, source being its slots."""
-        S = self.scalar
-        lengths = np.diff(S.indptr)
-        indptr = np.zeros(2 * self.n_dofs + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.repeat(lengths, 2))
-        row_of = np.repeat(np.arange(self.n_dofs), lengths)
-        slots = np.arange(S.nnz)
-        # row 2i holds the slots of scalar row i, then row 2i+1 again
-        source = np.empty(2 * S.nnz, dtype=np.int64)
-        indices = np.empty(2 * S.nnz, dtype=np.int64)
-        at = slots + S.indptr[row_of]
-        source[at], indices[at] = slots, 2 * S.indices
-        at = at + lengths[row_of]
-        source[at], indices[at] = slots, 2 * S.indices + 1
-        return _index(indptr), _index(indices), _index(source)
+    def interleaved(self) -> Gather:
+        """Gathers a scalar matrix acting on both components: scalar
+        row i becomes rows 2i and 2i+1 with the same data."""
+        return Gather(lambda S: sparse.kron(S, sparse.identity(2),
+                                            format="csr"),
+                      [_zeros_on(self.scalar)])
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         """Slots of the vector pattern that hold the entries of the
         interleaved pattern, in its slot order."""
-        V = self.vector
-        indptr, indices, _ = self.interleaved
+        V, W = self.vector, self.interleaved
         n = 2 * self.n_dofs
         keys = np.repeat(np.arange(n), np.diff(V.indptr)) * n + V.indices
-        wanted = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+        wanted = np.repeat(np.arange(n), np.diff(W.indptr)) * n + W.indices
         return _index(np.searchsorted(keys, wanted))
 
     @cached_property
@@ -279,10 +268,9 @@ class DofMaps:
 
 def _interleaved(maps: DofMaps, scalar_data: np.ndarray) -> sparse.csr_matrix:
     """The scalar matrix with data scalar_data, acting on both components."""
-    indptr, indices, source = maps.interleaved
-    n = 2 * maps.n_dofs
-    return sparse.csr_matrix((scalar_data[source], indices, indptr),
-                             shape=(n, n))
+    W = maps.interleaved
+    return sparse.csr_matrix((scalar_data[W.source], W.indices, W.indptr),
+                             shape=W.shape)
 
 
 def _on(indices: np.ndarray, A: sparse.csr_matrix) -> bool:
@@ -299,7 +287,7 @@ def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
     A_mu is consumed.
     """
     maps = spaces.maps
-    indptr, indices, _ = maps.interleaved
+    indices = maps.interleaved.indices
     if not (_on(maps.vector.indices, A_mu) and _on(indices, M_rho)
             and _on(indices, B_conv)):
         raise ValueError("momentum_matrix needs matrices assembled on spaces")

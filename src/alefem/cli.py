@@ -22,11 +22,12 @@ that raises keeps those rows, and its `manifest.json` reads `"status":
 "failed"` with the error's type and message and the last recorded
 level (`last_step`, `final_time`).
 
-The manifest's solver figures are the counts of the run's two
-`linalg.LaggedFactor`s.  `harmonic_iterations_*` count, per recorded
-step, the extension that step made for the next one (in a remesh step,
-which makes none, the last one made), and `harmonic_factorizations`
-includes a refactor made by the last step's extension.
+The manifest's solver figures and remesh events cover every step of the
+run.  The solver figures are the counts of the run's two
+`linalg.LaggedFactor`s.  `harmonic_iterations_*` count, per step, the
+extension that step made for the next one (in a remesh step, which
+makes none, the last one made), and `harmonic_factorizations` includes
+a refactor made by the last step's extension.
 """
 
 from __future__ import annotations

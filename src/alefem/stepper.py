@@ -97,7 +97,6 @@ class SimConfig:
     circle_center: tuple = (0.5, 0.5)
     circle_radius: float = 0.25
     remesh_angle: float = math.pi / 18.0
-    record_every: int = 1
 
     def __post_init__(self):
         if self.tau <= 0 or self.h <= 0 or self.T < 0:
@@ -105,9 +104,6 @@ class SimConfig:
         if self.k not in (2, 3):
             raise ValueError(f"unsupported degree k={self.k}; the "
                              f"Taylor-Hood pairs need k = 2 or 3")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be at least 1, "
-                             f"got {self.record_every}")
         steps = self.T / self.tau
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ValueError(f"T={self.T} is not a whole number of steps "
@@ -268,19 +264,15 @@ def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
 def run(config: SimConfig, sinks=()):
     """Run the simulation; returns (final state, list of records).
 
-    sinks are callables invoked as sink(step_index, state, record) at
-    every recorded step (including the initial state).
+    Every t-level is recorded, the initial state's included, and sinks
+    are callables invoked as sink(step_index, state, record) at each.
     """
     state = initialize(config)
-    records = [record_state(state, config)]
-    for sink in sinks:
-        sink(0, state, records[-1])
-    n = config.n_steps
-    for i in range(1, n + 1):
-        state = step(state, config)
-        if i % config.record_every == 0 or i == n:
-            rec = record_state(state, config)
-            records.append(rec)
-            for sink in sinks:
-                sink(i, state, rec)
+    records = []
+    for i in range(config.n_steps + 1):
+        if i:
+            state = step(state, config)
+        records.append(record_state(state, config))
+        for sink in sinks:
+            sink(i, state, records[-1])
     return state, records

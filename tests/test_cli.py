@@ -5,7 +5,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from alefem import ale, linalg, stepper
+from alefem import ale, cli, linalg, stepper
 from alefem.assembly import PhaseParams
 from alefem.cli import (
     ConfigError,
@@ -119,7 +119,7 @@ def write_config(path, cfg):
 def test_config_echo_loads_back(tmp_path):
     cfg = SimConfig(params=BP1, k=3, h=0.12, tau=0.004, T=0.2,
                     rect=(0.0, -0.5, 1.5, 2.0), circle_center=(0.7, 0.6),
-                    circle_radius=0.2, remesh_angle=0.2, record_every=3)
+                    circle_radius=0.2, remesh_angle=0.2)
     echo = config_echo(cfg)
     assert list(echo) == list(config_keys())
     path = tmp_path / "echo.cfg"
@@ -128,13 +128,14 @@ def test_config_echo_loads_back(tmp_path):
     assert config_echo(load_config(path)) == echo
 
 
-@pytest.mark.parametrize("every", [0, -3])
-def test_record_every_below_one_rejected(tmp_path, every):
-    with pytest.raises(ValueError, match="record_every"):
-        SimConfig(params=BP1, k=2, h=0.16, tau=0.005, T=0.05,
-                  record_every=every)
+def test_record_every_is_an_unknown_key(tmp_path):
+    """A run records every t-level; the key that thinned its records is
+    gone."""
     path = tmp_path / "every.cfg"
-    path.write_text(BP1_CONFIG + f"record_every = {every}\n")
+    path.write_text(BP1_CONFIG + "record_every = 5\n")
+    with pytest.raises(ConfigError,
+                       match="^unknown config keys: record_every$"):
+        load_config(path)
     assert cmd_run(path, tmp_path / "out", quiet=True) == 2
     assert not (tmp_path / "out").exists()
 
@@ -232,23 +233,34 @@ def test_manifest_counts_every_factorization_through_a_remesh(
     assert manifest["harmonic_factorizations"] == made["harmonic"]
 
 
-def test_failed_run_names_the_last_recorded_level(tmp_path, monkeypatch,
-                                                  capsys):
-    path = tmp_path / "every5.cfg"
-    path.write_text(BP1_CONFIG + "record_every = 5\n")
-    original, steps = stepper.step, []
+def test_manifest_figures_are_whole_run_figures(tmp_path, monkeypatch):
+    """Through the remesh at step 2 of `remesh_config`, the manifest's
+    iteration figures and remesh events, and the VTK snapshots, are
+    those of every step, as a sink of its own reads them."""
+    seen = []                           # (step, saddle, harmonic, remeshes)
 
-    def step(state, config):
-        steps.append(state.t)
-        if len(steps) == 7:
-            raise RuntimeError("forced step failure")
-        return original(state, config)
+    def probe(i, state, rec):
+        seen.append((i, state.factor.iterations,
+                     state.harmonic_factor.iterations, state.remesh_count))
 
-    monkeypatch.setattr(stepper, "step", step)
-    assert cmd_run(path, tmp_path / "out", quiet=True) == 1
-    err = capsys.readouterr().err
-    assert err == ("run failed after t-level 5 (t=0.025): "
-                   "forced step failure\n")
+    original = cli.run
+    monkeypatch.setattr(cli, "run", lambda config, sinks=(): original(
+        config, sinks=[*sinks, probe]))
+    path = tmp_path / "remesh.cfg"
+    write_config(path, remesh_config())
+    out = tmp_path / "out"
+    assert cmd_run(path, out, vtk_every=3, quiet=True) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    steps, saddle, harmonic, remeshes = zip(*seen)
+    assert steps == tuple(range(7))
+    for name, its in (("saddle", saddle[1:]), ("harmonic", harmonic[1:])):
+        assert manifest[f"{name}_iterations_max"] == max(its)
+        assert manifest[f"{name}_iterations_mean"] == np.mean(its)
+    rose = [i for i in steps[1:] if remeshes[i] > remeshes[i - 1]]
+    assert rose == [2]
+    assert [event["step"] for event in manifest["remesh_events"]] == rose
+    assert sorted(f.name for f in out.glob("*.vtk")) == [
+        f"state_{i:06d}.vtk" for i in (0, 3, 6)]
 
 
 def test_failed_run_keeps_its_records(tmp_path, config_file, monkeypatch,

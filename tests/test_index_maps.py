@@ -293,8 +293,9 @@ def test_maps_built_once_per_numbering(monkeypatch):
         state = step(state, cfg)
     assert state.remesh_count == 0
     assert state.spaces.maps is maps
-    # scalar, vector and divergence patterns; saddle and interior gathers
-    assert sorted(built) == ["Gather"] * 2 + ["Pattern"] * 3
+    # scalar, vector and divergence patterns; interleaved, saddle and
+    # interior gathers
+    assert sorted(built) == ["Gather"] * 3 + ["Pattern"] * 3
 
     # a space outside a pair gets a pattern of its own
     V = state.spaces.velocity
@@ -303,7 +304,7 @@ def test_maps_built_once_per_numbering(monkeypatch):
     geom = geometry(state.mesh)
     assert_same(scalar_mass(state.mesh, renumbered),
                 scalar_coo(assembly._mass_local(geom, V, None), renumbered))
-    assert built[5:] == ["Pattern"]
+    assert built[6:] == ["Pattern"]
 
 
 def test_step_between_remeshes_needs_no_coo_kron_bmat_or_slicing(monkeypatch):

@@ -221,10 +221,10 @@ def test_interleaved_runs_build_each_table_and_map_once(monkeypatch):
     tables = [mesh for name, mesh in built if name == "GeometryTables"]
     assert len(tables) == len(moved)
     assert all(a is b for a, b in zip(tables, moved))
-    # per numbering: scalar, vector and divergence patterns; saddle and
-    # interior gathers
+    # per numbering: scalar, vector and divergence patterns;
+    # interleaved, saddle and interior gathers
     assert sorted(name for name, _ in built if name != "GeometryTables") \
-        == ["Gather"] * 6 + ["Pattern"] * 9
+        == ["Gather"] * 9 + ["Pattern"] * 9
 
 
 def test_record_state_evaluates_velocity_once(monkeypatch):
