@@ -140,6 +140,22 @@ def test_record_every_is_an_unknown_key(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("every", [0, -3])
+def test_record_every_below_one_rejected(tmp_path, every):
+    """A record_every below one is still refused, now because the key no
+    longer exists, both as a SimConfig field and in a config file."""
+    with pytest.raises(TypeError, match="record_every"):
+        SimConfig(params=BP1, k=2, h=0.16, tau=0.005, T=0.05,
+                  record_every=every)
+    path = tmp_path / "every.cfg"
+    path.write_text(BP1_CONFIG + f"record_every = {every}\n")
+    with pytest.raises(ConfigError,
+                       match="^unknown config keys: record_every$"):
+        load_config(path)
+    assert cmd_run(path, tmp_path / "out", quiet=True) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra, match", [
     # 2.48 steps of tau = 0.005: run to t = 0.01, T would have echoed 0.0124
     ("T = 0.0124", "whole number of steps"),
