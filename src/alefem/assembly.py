@@ -1,12 +1,13 @@
 """Assembly of the domain-dependent matrices and load vectors.
 
-All matrices act on interleaved vector coefficients (entries 2i, 2i+1
-are the x/y components of scalar DOF i) except the divergence matrix,
-whose rows live on the pressure space.  Phase weights are per-element
-constants; the mesh is fitted, so no integrand ever straddles the
-interface.  Every integral runs over the quadrature table of
-`mesh.geometry`, which is built once per mesh configuration; a tangled
-mesh raises TangledElementError.
+The matrices of `assemble` act on interleaved vector coefficients
+(entries 2i, 2i+1 are the x/y components of scalar DOF i) except the
+divergence matrix, whose rows live on the pressure space.  The
+convection form and the forms of `scalar_mass` and `scalar_laplacian`
+are scalar.  Phase weights are per-element constants; the mesh is
+fitted, so no integrand ever straddles the interface.  Every integral
+runs over the quadrature table of `mesh.geometry`, which is built once
+per mesh configuration; a tangled mesh raises TangledElementError.
 
 Available kinds for `assemble`:
     M      vector mass             v^T M u   = sum_K  int u.v
@@ -27,31 +28,40 @@ bases, d^_c the reference derivatives and wdet = w_q detJ:
     Gram        cdq   wdet Jinv[c, a] Jinv[d, b]  ij    d^_c phi_i d^_d phi_j
 
 The Gram's F has a block per ab = 00, 11, 01 and runs per element chunk;
-A, A_mu and the mesh Laplacian L = K00 + K11 are read off its K (see
-`viscous_and_laplacian`), so a configuration keeps only its Jacobian
-table.  Against kernels that read an (E, Q, n_loc, 2) table of physical
-gradients, at h=0.04, k=2 on one CPU of a 2-CPU Xeon VM (best of 20,
-`BENCH_pr23.json`): mass 1.3 -> 0.3 ms, convection 6.6 -> 4.4 ms, the
-Gram with that table's build 12.5 -> 5.9 ms, the divergence 1.4 -> 1.7
-ms (2.5 times that with F as (2, E, 2Q), spent in transposes).
+the mesh Laplacian L = K00 + K11, A (L on both components) and the four
+scalar blocks mu (K_ab^T + L [a=b]) of A_mu, ab = 00, 01, 10, 11, are
+read off its K (see `_gram_local`), so a configuration keeps only its
+Jacobian table.  Against kernels that read an (E, Q, n_loc, 2) table of
+physical gradients, at h=0.04, k=2 on one CPU of a 2-CPU Xeon VM (best
+of 20, `BENCH_pr23.json`): mass 1.3 -> 0.3 ms, convection 6.6 -> 4.4 ms,
+the Gram with that table's build 12.5 -> 5.9 ms, the divergence
+1.4 -> 1.7 ms (2.5 times that with F as (2, E, 2Q), spent in
+transposes).
 
 Index maps.  Between remeshes the nodes move but the connectivity does
 not, so every matrix keeps its sparsity pattern for hundreds of steps.
 `DofMaps` holds, for the DOF numbering of a Taylor-Hood pair, the
-canonical CSR pattern of each matrix kind and the CSR slot of each
-element contribution (`Pattern`); assembly then sums the element
-kernels straight into CSR data arrays with one `np.bincount`.  The pair
-owns its maps (`FESpacePair.maps`): `fespace.build_taylor_hood` makes
-them and `ale.spaces_with_mesh` hands them on to every moved
-configuration, so each is built once per numbering and dropped with it.
+canonical CSR pattern of the scalar and of the divergence element
+matrices and the CSR slot of each element contribution (`Pattern`);
+assembly then sums the element kernels straight into CSR data arrays
+with one `np.bincount`.  Every velocity form is summed on the scalar
+pattern, the viscous form as its four blocks, and every vector matrix is
+gathered from scalar ones.  A slot map of the vector element entries
+would hold E (2 n_loc)^2 slots, four times the scalar one; without it
+the peak memory of the rising-bubble run at h=0.04, k=2 fell from 131
+MB to 122 MB (median of 10 runs on a 2-CPU Xeon VM), and each CSR entry
+still sums the same contributions in the same order.  The pair owns its maps
+(`FESpacePair.maps`): `fespace.build_taylor_hood` makes them and
+`ale.spaces_with_mesh` hands them on to every moved configuration, so
+each is built once per numbering and dropped with it.
 
 The pattern is that of a COO assembly (`coo_matrix(...).tocsr()`); the
 sums, taken in element order, differ from its sums in the last bits.
-`Gather` replays matrices derived by slicing, stacking and copying
-(the saddle matrix, the interior block of the mesh Laplacian, a scalar
-matrix on both components): the derivation runs once on entry ids and
-is replayed as one gather per step, which only permutes and copies
-entries and so is exact.
+`Gather` replays matrices derived by slicing, stacking and copying (the
+saddle matrix, the interior block of the mesh Laplacian, a scalar matrix
+on both components, the vector matrix of four scalar blocks): the
+derivation runs once on entry ids and is replayed as one gather per
+step, which only permutes and copies entries and so is exact.
 """
 
 from __future__ import annotations
@@ -181,6 +191,15 @@ def _zeros_on(pattern: Pattern) -> sparse.csr_matrix:
         shape=pattern.shape)
 
 
+def _vector_matrix(*blocks) -> sparse.csr_matrix:
+    """The matrix on interleaved vector coefficients whose entry
+    (2i + a, 2j + b) is that of blocks[2a + b] at (i, j), blocks given
+    in the order ab = 00, 01, 10, 11."""
+    units = [sparse.csr_matrix(([1.0], ([a], [b])), shape=(2, 2))
+             for a in range(2) for b in range(2)]
+    return sum(sparse.kron(B, E, format="csr") for B, E in zip(blocks, units))
+
+
 class DofMaps:
     """Index maps of the DOF numbering of a Taylor-Hood pair, each built
     on first use (see the module doc).  They hold the numbering's arrays
@@ -188,8 +207,10 @@ class DofMaps:
     boundary_dofs are scalar velocity DOF ids.  The read-only masks
     saddle_mask (interleaved velocity DOFs off the boundary) and
     interior_mask (scalar ones off both) select the unknowns of `saddle`
-    and `interior`, and are built once, with the maps.  interleaved,
-    saddle and interior are `Gather`s.
+    and `interior`, and are built once, with the maps.  scalar and
+    divergence are `Pattern`s, interleaved, blocks, saddle and interior
+    `Gather`s; a step between remeshes reads scalar, divergence, saddle
+    and interior only.
     """
 
     def __init__(self, velocity: ScalarSpace, pressure: ScalarSpace,
@@ -211,14 +232,6 @@ class DofMaps:
         return _scalar_pattern(self.dof_of, self.n_dofs)
 
     @cached_property
-    def vector(self) -> Pattern:
-        """Vector element matrices, entries (E, n_loc, 2, n_loc, 2)."""
-        vdofs = 2 * self.dof_of[:, :, None] + np.arange(2)
-        n = 2 * self.n_dofs
-        return Pattern(vdofs[:, :, :, None, None], vdofs[:, None, None, :, :],
-                       (n, n))
-
-    @cached_property
     def interleaved(self) -> Gather:
         """Gathers a scalar matrix acting on both components: scalar
         row i becomes rows 2i and 2i+1 with the same data."""
@@ -227,14 +240,10 @@ class DofMaps:
                       [_zeros_on(self.scalar)])
 
     @cached_property
-    def diagonal(self) -> np.ndarray:
-        """Slots of the vector pattern that hold the entries of the
-        interleaved pattern, in its slot order."""
-        V, W = self.vector, self.interleaved
-        n = 2 * self.n_dofs
-        keys = np.repeat(np.arange(n), np.diff(V.indptr)) * n + V.indices
-        wanted = np.repeat(np.arange(n), np.diff(W.indptr)) * n + W.indices
-        return _index(np.searchsorted(keys, wanted))
+    def blocks(self) -> Gather:
+        """Gathers the vector matrix (`_vector_matrix`) of four blocks
+        on the scalar pattern."""
+        return Gather(_vector_matrix, [_zeros_on(self.scalar)] * 4)
 
     @cached_property
     def divergence(self) -> Pattern:
@@ -247,14 +256,16 @@ class DofMaps:
     @cached_property
     def saddle(self) -> Gather:
         """Gathers the saddle block (`linalg.saddle_matrix`) of the
-        velocity DOFs off the boundary from the momentum matrix, on the
-        vector pattern, and the divergence matrix."""
+        velocity DOFs off the boundary from the four blocks of the
+        momentum matrix, on the scalar pattern, and the divergence
+        matrix."""
         free = self.saddle_mask
 
-        def derive(Kuu, C):
+        def derive(A00, A01, A10, A11, C):
+            Kuu = _vector_matrix(A00, A01, A10, A11)
             return saddle_matrix(Kuu[free][:, free], (-C[:, free]).tocsr())
-        return Gather(derive, [_zeros_on(self.vector),
-                               _zeros_on(self.divergence)])
+        return Gather(derive, [_zeros_on(self.scalar)] * 4
+                      + [_zeros_on(self.divergence)])
 
     @cached_property
     def interior(self) -> Gather:
@@ -264,38 +275,6 @@ class DofMaps:
         free = self.interior_mask
         return Gather(lambda L: L[free][:, free].tocsc(),
                       [_zeros_on(self.scalar)])
-
-
-def _interleaved(maps: DofMaps, scalar_data: np.ndarray) -> sparse.csr_matrix:
-    """The scalar matrix with data scalar_data, acting on both components."""
-    W = maps.interleaved
-    return sparse.csr_matrix((scalar_data[W.source], W.indices, W.indptr),
-                             shape=W.shape)
-
-
-def _on(indices: np.ndarray, A: sparse.csr_matrix) -> bool:
-    """Whether the column indices of A are the array indices, which
-    csr_matrix keeps as a view."""
-    return A.indices is indices or A.indices.base is indices
-
-
-def momentum_matrix(spaces: FESpacePair, M_rho: sparse.csr_matrix,
-                    A_mu: sparse.csr_matrix, B_conv: sparse.csr_matrix,
-                    tau: float) -> sparse.csr_matrix:
-    """M_rho / tau + A_mu + B_conv on the pattern of A_mu, each entry
-    summed in that order.  The arguments must be assembled on spaces;
-    A_mu is consumed.
-    """
-    maps = spaces.maps
-    indices = maps.interleaved.indices
-    if not (_on(maps.vector.indices, A_mu) and _on(indices, M_rho)
-            and _on(indices, B_conv)):
-        raise ValueError("momentum_matrix needs matrices assembled on spaces")
-    d = maps.diagonal
-    data = A_mu.data
-    data[d] = (M_rho.data * (1.0 / tau) + data[d]) + B_conv.data
-    return sparse.csr_matrix((data, A_mu.indices, A_mu.indptr),
-                             shape=A_mu.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +321,16 @@ _ELEMENT_CHUNK = 128
 
 
 def _gram_local(geom: GeometryTables, V: ScalarSpace, mu=None):
-    """Entries (E, n_loc, n_loc) of the Laplacian and (E, n_loc, 2,
-    n_loc, 2) of the viscous form, None without mu, read off one Gram of
-    the physical gradients per element; mu multiplies last."""
+    """Entries (E, n_loc, n_loc) of the Laplacian and (4, E, n_loc,
+    n_loc) of the viscous form, None without mu, read off one Gram of
+    the physical gradients per element; mu multiplies last.  The viscous
+    form couples the components: its block ab = 00, 01, 10, 11 pairs
+    component a of the test function with component b of the trial."""
     T = _reference_tensor("gram", V.degree, V.degree, geom.rule_degree)
     E, Q = geom.wdet.shape
     n_loc = V.n_local
     laplacian = np.empty((E, n_loc, n_loc))
-    viscous = None if mu is None else np.empty((E, n_loc, 2, n_loc, 2))
+    viscous = None if mu is None else np.empty((4, E, n_loc, n_loc))
     F = np.empty((3, min(E, _ELEMENT_CHUNK), 2, 2, Q))
     for lo in range(0, E, _ELEMENT_CHUNK):
         # X[e, a, c, q] = Jinv[e, q, c, a]: d xi_c / d x_a
@@ -364,12 +345,12 @@ def _gram_local(geom: GeometryTables, V: ScalarSpace, mu=None):
         trace = np.add(K[0], K[1], out=laplacian[lo:lo + n])
         if viscous is None:
             continue
-        out = viscous[lo:lo + n]                # [i,a,j,b] = K[ba][i, j]
-        np.add(K[0], trace, out=out[:, :, 0, :, 0])
-        np.add(K[1], trace, out=out[:, :, 1, :, 1])
-        out[:, :, 0, :, 1] = K[2].transpose(0, 2, 1)
-        out[:, :, 1, :, 0] = K[2]
-        out *= mu[lo:lo + n, None, None, None, None]
+        out = viscous[:, lo:lo + n]             # [ab, e] = K[ba][e]
+        np.add(K[0], trace, out=out[0])
+        out[1] = K[2].transpose(0, 2, 1)
+        out[2] = K[2]
+        np.add(K[1], trace, out=out[3])
+        out *= mu[lo:lo + n, None, None]
     return laplacian, viscous
 
 
@@ -398,9 +379,13 @@ def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
     return (F.reshape(E, 2 * Q) @ T).reshape(E, V.n_local, V.n_local)
 
 
-def scalar_mass(mesh: Mesh, space: ScalarSpace) -> sparse.csr_matrix:
-    local = _mass_local(geometry(mesh), space, None)
-    return _scalar_pattern(space.dof_of, space.n_dofs).matrix(local)
+def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None,
+                pattern: Pattern | None = None) -> sparse.csr_matrix:
+    """The mass matrix of the space weighted by the per-element weights
+    (none if None), summed through pattern as in `scalar_laplacian`."""
+    if pattern is None:
+        pattern = _scalar_pattern(space.dof_of, space.n_dofs)
+    return pattern.matrix(_mass_local(geometry(mesh), space, weights))
 
 
 def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
@@ -432,14 +417,13 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
 
     if kind in ("M", "M_rho"):
         w = None if kind == "M" else params.rho_of(mesh.phase)
-        return _interleaved(maps, maps.scalar.sum(_mass_local(geom, V, w)))
+        return maps.interleaved([maps.scalar.matrix(_mass_local(geom, V, w))])
 
     if kind == "A":
-        return _interleaved(maps, maps.scalar.sum(_gram_local(geom, V)[0]))
+        return maps.interleaved([maps.scalar.matrix(_gram_local(geom, V)[0])])
 
     if kind == "A_mu":
-        return maps.vector.matrix(
-            _gram_local(geom, V, params.mu_of(mesh.phase))[1])
+        return maps.blocks(viscous_and_laplacian(mesh, spaces, params)[0])
 
     # kind == "C"
     P = spaces.pressure
@@ -448,30 +432,34 @@ def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
 
 def viscous_and_laplacian(mesh: Mesh, spaces: FESpacePair,
                           params: PhaseParams):
-    """(A_mu, L): the viscous form of `assemble` and the scalar Laplacian
-    of the velocity space, read off one gradient Gram, for a step's flow
+    """(A_mu, L): the four blocks ab = 00, 01, 10, 11 of the viscous form
+    (`_gram_local`) and the Laplacian of the velocity space, all on its
+    scalar pattern and read off one gradient Gram, for a step's flow
     solve and the harmonic extension of its u (see `stepper.flow_solve`).
+    `DofMaps.blocks` gathers the viscous form of `assemble` from A_mu.
     Like `assemble`, it builds the table and maps it reads if missing."""
     if spaces.mesh is not mesh:
         raise ValueError("spaces were built on a different mesh")
     L, A_mu = _gram_local(geometry(mesh), spaces.velocity,
                           params.mu_of(mesh.phase))
-    return spaces.maps.vector.matrix(A_mu), spaces.maps.scalar.matrix(L)
+    scalar = spaces.maps.scalar
+    return [scalar.matrix(b) for b in A_mu], scalar.matrix(L)
 
 
 def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
                         transport: np.ndarray) -> sparse.csr_matrix:
-    """Convection matrix for a frozen transport field.
+    """Convection matrix for a frozen transport field, on the scalar
+    pattern of the velocity space.
 
     transport holds interleaved velocity-space coefficients of the field
-    a = u - w; the result satisfies
-    v^T B chi = sum_K rho_K int (a . grad chi) . v.
+    a = u - w; the result B satisfies
+    v^T B chi = sum_K rho_K int (a . grad chi) v
+    for scalar v and chi, and acts so on each component of a vector field.
     """
     V = spaces.velocity
     local = _convection_local(geometry(mesh), V, params.rho_of(mesh.phase),
                               transport)
-    maps = spaces.maps
-    return _interleaved(maps, maps.scalar.sum(local))
+    return spaces.maps.scalar.matrix(local)
 
 
 def assemble_load(mesh: Mesh, spaces: FESpacePair,

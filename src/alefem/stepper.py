@@ -26,10 +26,12 @@ A step runs on the calling thread, in this order:
   and releases the old mesh's geometry table;
 - (2) moves the mesh;
 - (3) builds the moved mesh's geometry table and assembles the load,
-  reads A_mu and the moved mesh's Laplacian, the configuration the next
-  step extends on, off one gradient Gram, assembles C, M_rho, the
-  convection form and the pressure mean, and runs the saddle solve on
-  the numbering's lagged saddle factor;
+  reads the four blocks of A_mu and the moved mesh's Laplacian, the
+  configuration the next step extends on, off one gradient Gram,
+  assembles C, M_rho, the convection form and the pressure mean, adds
+  M_rho / tau and the convection form to the diagonal blocks, all on
+  the scalar pattern, gathers the saddle matrix from the blocks and C,
+  and runs the saddle solve on the numbering's lagged saddle factor;
 - (4) checks the mesh and remeshes on the angle criterion.  A step that
   keeps its mesh then extends u on the Laplacian of (3) and the lagged
   harmonic factor, by CG from the w of (1), the w of the next state
@@ -68,8 +70,8 @@ from .assembly import (
     assemble,
     assemble_convection,
     assemble_load,
-    momentum_matrix,
     pressure_mean_vector,
+    scalar_mass,
     viscous_and_laplacian,
 )
 from .fespace import FESpacePair, build_taylor_hood
@@ -177,23 +179,28 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     Solves (M_rho / tau + B(transport) + A_mu) u - C^T p = load + M_rho
     u_old / tau with no-slip rows replaced by boundary_values (zero by
     default) and the zero-mean pressure constraint, on the lagged factor
-    factor when one is given (see `solve_saddle`).  A_mu is read off one
-    gradient Gram together with L, the scalar Laplacian of mesh
-    (`viscous_and_laplacian`), which a step extends the new u by.
-    Returns (u, p, multiplier, factor, L), factor the `LaggedFactor`
-    the saddle solve ran on.
+    factor when one is given (see `solve_saddle`).  The velocity blocks
+    are sums on the scalar pattern: the four of A_mu, read off one
+    gradient Gram with L, the scalar Laplacian of mesh that a step
+    extends the new u by (`viscous_and_laplacian`), and M_rho / tau + B
+    added to the diagonal two.  `DofMaps.saddle` gathers the saddle
+    matrix from them and C.  Returns (u, p, multiplier, factor, L),
+    factor the `LaggedFactor` the saddle solve ran on.
     """
-    A_mu, L = viscous_and_laplacian(mesh, spaces, params)
+    maps = spaces.maps
+    Kuu, L = viscous_and_laplacian(mesh, spaces, params)
     C = assemble("C", mesh, spaces, params)
-    M_rho = assemble("M_rho", mesh, spaces, params)
+    M_rho = scalar_mass(mesh, spaces.velocity, params.rho_of(mesh.phase),
+                        maps.scalar)
     B_conv = assemble_convection(mesh, spaces, params, transport)
     m = pressure_mean_vector(mesh, spaces)
 
-    rhs_u = load + M_rho @ u_old / tau
-    Kuu = momentum_matrix(spaces, M_rho, A_mu, B_conv, tau)
-    del M_rho, A_mu, B_conv
+    rhs_u = load + (M_rho @ u_old.reshape(-1, 2)).ravel() / tau
+    for block in (Kuu[0], Kuu[3]):
+        block.data = (M_rho.data * (1.0 / tau) + block.data) + B_conv.data
+    del M_rho, B_conv
 
-    free = spaces.maps.saddle_mask
+    free = maps.saddle_mask
     u_bc = np.zeros(2 * spaces.velocity.n_dofs)
     rhs_f, rhs_p = rhs_u[free], np.zeros(C.shape[0])
     if boundary_values is not None:
@@ -202,9 +209,9 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
         # u_bc vanishes on the free DOFs, whose columns therefore add
         # only +-0: these liftings equal those through the sliced blocks
         # bitwise
-        rhs_f -= (Kuu @ u_bc)[free]
+        rhs_f -= (maps.blocks(Kuu) @ u_bc)[free]
         rhs_p = C @ u_bc
-    A0 = spaces.maps.saddle([Kuu, C])
+    A0 = maps.saddle(Kuu + [C])
     del Kuu, C
     uf, p, lam, factor = solve_saddle(SaddleSystem(
         A0=A0, rhs_u=rhs_f, rhs_p=rhs_p, mean_vector=m), factor)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from alefem.assembly import PhaseParams
 from alefem.cli import smooth_displacement  # noqa: F401  (shared by tests)
@@ -9,6 +10,12 @@ BP1 = PhaseParams(rho_plus=1000.0, rho_minus=100.0, mu_plus=10.0,
 RECT = (0.0, 0.0, 1.0, 2.0)
 CENTER = (0.5, 0.5)
 RADIUS = 0.25
+
+
+def kron2(S):
+    """The scalar matrix S acting alike on both components of
+    interleaved vector coefficients."""
+    return sparse.kron(S, sparse.identity(2, format="csr"), format="csr")
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from alefem.quadrature import triangle_rule
 from alefem.reference import reference_element
 from alefem.stepper import SimConfig, run
 
-from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
+from conftest import BP1, CENTER, RADIUS, RECT, kron2, smooth_displacement
 
 
 def unit_right_triangle():
@@ -117,7 +117,7 @@ def test_convection_zero_field_and_constant_target(small_setup):
     a = interpolate(spaces.velocity, lambda x, y: (1.0, 0.0), vector=True)
     B = assemble_convection(mesh, spaces, BP1, a)
     const = np.tile([2.0, -1.0], spaces.velocity.n_dofs)
-    assert np.abs(B @ const).max() < 1e-11
+    assert np.abs(kron2(B) @ const).max() < 1e-11
 
 
 def dense_reference_matrices(mesh, spaces, params, transport):
@@ -188,7 +188,7 @@ def test_assembly_matches_dense_reference(two_triangle_mesh):
     for kind in ("M", "M_rho", "A", "A_mu", "C"):
         K = assemble(kind, mesh, spaces, params).toarray()
         assert np.abs(K - ref[kind]).max() < 1e-12, kind
-    B = assemble_convection(mesh, spaces, params, transport).toarray()
+    B = kron2(assemble_convection(mesh, spaces, params, transport)).toarray()
     assert np.abs(B - ref["B"]).max() < 1e-12
 
 
@@ -198,7 +198,7 @@ def test_convection_against_dense_oracle_with_linear_target(two_triangle_mesh):
     params = PhaseParams(1.0, 1.0, 1.0, 1.0, 1.0)
     a = interpolate(spaces.velocity, lambda x, y: (1.0, 0.0), vector=True)
     chi = interpolate(spaces.velocity, lambda x, y: (x, 0.0), vector=True)
-    B = assemble_convection(mesh, spaces, params, a)
+    B = kron2(assemble_convection(mesh, spaces, params, a))
     M = assemble("M", mesh, spaces)
     # (1,0).grad (x,0) = (1,0): pairing with any v equals (e_x, v)
     ex = np.tile([1.0, 0.0], spaces.velocity.n_dofs)
@@ -326,9 +326,11 @@ def test_tables_and_kernels_match_einsum(k, tangle):
     laplacian = np.einsum("eq,eqia,eqja->eij", w, g, g)
     gram_laplacian, viscous = assembly._gram_local(geom, V, mu)
     assert_close(gram_laplacian, laplacian)
+    # blocks ab = 00, 01, 10, 11: test component a, trial component b
     assert_close(viscous,
-                 np.einsum("eq,e,eqib,eqja->eiajb", w, mu, g, g)
-                 + np.einsum("e,eij,ab->eiajb", mu, laplacian, np.eye(2)))
+                 (np.einsum("eq,e,eqib,eqja->abeij", w, mu, g, g)
+                  + np.einsum("e,eij,ab->abeij", mu, laplacian, np.eye(2))
+                  ).reshape(viscous.shape))
     alone, none = assembly._gram_local(geom, V)
     assert none is None and alone.tobytes() == gram_laplacian.tobytes()
 

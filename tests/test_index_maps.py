@@ -5,9 +5,9 @@ matrices scattered with `coo_matrix(...).tocsr()`, vector blocks made by
 `sparse.kron`, and the saddle and harmonic systems cut out of the
 assembled matrices by slicing and `bmat`.  Patterns compare exactly.
 Summed data compare to 8 ulps of the largest entry, since the slot maps
-sum in element order and tocsr in its own; the gathers and the
-momentum sum only permute and add as the references do, so the solves
-through them compare exactly.
+sum in element order and tocsr in its own; the gathers and the sum of
+the momentum blocks only permute and add as the references do, so the
+solves through them compare exactly.
 """
 
 from dataclasses import replace
@@ -33,7 +33,7 @@ from alefem.linalg import SaddleSystem, saddle_matrix, solve_saddle
 from alefem.mesh import generate_bubble_mesh, generate_rect_mesh, geometry
 from alefem.stepper import SimConfig, flow_solve, initialize, step
 
-from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
+from conftest import BP1, CENTER, RADIUS, RECT, kron2, smooth_displacement
 
 TAU = 1.0 / 200.0
 
@@ -49,10 +49,6 @@ def scalar_coo(local, space):
     dofs = space.dof_of
     return coo(local, dofs[:, :, None], dofs[:, None, :],
                (space.n_dofs, space.n_dofs))
-
-
-def kron2(S):
-    return sparse.kron(S, sparse.identity(2, format="csr"), format="csr")
 
 
 def assert_same(A, B, ulps=8):
@@ -79,17 +75,26 @@ def moved(request):
     return mesh, spaces, transport
 
 
+def vector_coo(local, space):
+    """The vector matrix of entries local (E, n_loc, 2, n_loc, 2)."""
+    vdofs = 2 * space.dof_of[:, :, None] + np.arange(2)
+    n = 2 * space.n_dofs
+    return coo(local, vdofs[:, :, :, None, None], vdofs[:, None, None, :, :],
+               (n, n))
+
+
+def interleaved_blocks(blocks):
+    """Entries (E, n_loc, 2, n_loc, 2) of the blocks (4, E, n_loc, n_loc),
+    ab = 00, 01, 10, 11."""
+    _, E, n, _ = blocks.shape
+    return blocks.reshape(2, 2, E, n, n).transpose(2, 3, 0, 4, 1)
+
+
 def test_every_kind_equals_coo_assembly(moved):
     mesh, spaces, transport = moved
     geom = geometry(mesh)
     V, P = spaces.velocity, spaces.pressure
     rho, mu = BP1.rho_of(mesh.phase), BP1.mu_of(mesh.phase)
-
-    def vector_coo(local):
-        vdofs = 2 * V.dof_of[:, :, None] + np.arange(2)
-        n = 2 * V.n_dofs
-        return coo(local, vdofs[:, :, :, None, None],
-                   vdofs[:, None, None, :, :], (n, n))
 
     def divergence_coo(local):
         vcol = 2 * V.dof_of[:, None, :, None] + np.arange(2)
@@ -101,19 +106,23 @@ def test_every_kind_equals_coo_assembly(moved):
         "M": kron2(scalar_coo(assembly._mass_local(geom, V, None), V)),
         "M_rho": kron2(scalar_coo(assembly._mass_local(geom, V, rho), V)),
         "A": kron2(scalar_coo(laplacian, V)),
-        "A_mu": vector_coo(viscous),
+        "A_mu": vector_coo(interleaved_blocks(viscous), V),
         "C": divergence_coo(assembly._divergence_local(geom, P, V)),
     }
     for kind, ref in expect.items():
         assert_same(assemble(kind, mesh, spaces, BP1), ref)
     local = assembly._convection_local(geom, V, rho, transport)
     assert_same(assemble_convection(mesh, spaces, BP1, transport),
-                kron2(scalar_coo(local, V)))
+                scalar_coo(local, V))
     assert_same(scalar_laplacian(geometry(mesh), V, spaces.maps.scalar),
                 scalar_coo(laplacian, V))
     A_mu, L = viscous_and_laplacian(mesh, spaces, BP1)
-    assert_same(A_mu, expect["A_mu"])
+    for block, local in zip(A_mu, viscous):
+        assert_same(block, scalar_coo(local, V))
+    assert_same(spaces.maps.blocks(A_mu), expect["A_mu"])
     assert_same(L, scalar_coo(laplacian, V))
+    assert_same(scalar_mass(mesh, V, rho, spaces.maps.scalar),
+                scalar_coo(assembly._mass_local(geom, V, rho), V))
     P1 = build_scalar_space(mesh, 1)
     for space in (P, P1):
         assert_same(scalar_mass(mesh, space),
@@ -121,7 +130,7 @@ def test_every_kind_equals_coo_assembly(moved):
 
 
 def element_entries(spaces):
-    """The scalar, vector and divergence maps, each with the rows and
+    """The scalar and divergence patterns, each with the rows and
     columns of its element matrix entries as (E, ...) arrays."""
     V, P = spaces.velocity, spaces.pressure
     maps = spaces.maps
@@ -129,8 +138,6 @@ def element_entries(spaces):
     return [
         (maps.scalar, *np.broadcast_arrays(V.dof_of[:, :, None],
                                            V.dof_of[:, None, :])),
-        (maps.vector, *np.broadcast_arrays(vdofs[:, :, :, None, None],
-                                           vdofs[:, None, None, :, :])),
         (maps.divergence, *np.broadcast_arrays(P.dof_of[:, :, None, None],
                                                vdofs[:, None, :, :])),
     ]
@@ -142,6 +149,12 @@ def test_patterns_equal_coo_patterns(moved):
         ref = coo(np.ones(rows.shape), rows, cols, pattern.shape)
         assert np.array_equal(pattern.indices, ref.indices)
         assert np.array_equal(pattern.indptr, ref.indptr)
+    # the vector matrix gathered from four scalar blocks
+    V = spaces.velocity
+    ref = vector_coo(np.ones((len(V.dof_of), V.n_local, 2, V.n_local, 2)), V)
+    blocks = spaces.maps.blocks
+    assert np.array_equal(blocks.indices, ref.indices)
+    assert np.array_equal(blocks.indptr, ref.indptr)
 
 
 def test_sums_in_reversed_element_order_agree(moved):
@@ -151,18 +164,37 @@ def test_sums_in_reversed_element_order_agree(moved):
         vals = rng.normal(size=rows.shape)
         backwards = assembly.Pattern(rows[::-1], cols[::-1], pattern.shape)
         assert_same(backwards.matrix(vals[::-1]), pattern.matrix(vals))
+    # four blocks summed on the scalar pattern and gathered, against the
+    # vector matrix scattered in reversed element order
+    V = spaces.velocity
+    blocks = rng.normal(size=(4, len(V.dof_of), V.n_local, V.n_local))
+    vals = interleaved_blocks(blocks)
+    assert_same(spaces.maps.blocks([spaces.maps.scalar.matrix(b)
+                                    for b in blocks]),
+                vector_coo(vals[::-1], replace(V, dof_of=V.dof_of[::-1])))
 
 
-def test_momentum_matrix_equals_sparse_sum(moved):
+def test_momentum_matrix_equals_sparse_sum(moved, monkeypatch):
+    """The blocks that flow_solve hands to the saddle gather are those of
+    M_rho / tau + A_mu + B_conv, to the bit."""
     mesh, spaces, transport = moved
+    maps = spaces.maps
+    saddle, handed = maps.saddle, []
+
+    def spy(matrices):
+        handed.extend(matrices)
+        return saddle(matrices)
+
+    monkeypatch.setattr(maps, "saddle", spy)
+    load = assemble_load(mesh, spaces, BP1)
+    flow_solve(mesh, spaces, BP1, TAU, 0.1 * transport, transport, load)
     M_rho = assemble("M_rho", mesh, spaces, BP1)
     A_mu = assemble("A_mu", mesh, spaces, BP1)
-    B_conv = assemble_convection(mesh, spaces, BP1, transport)
+    B_conv = kron2(assemble_convection(mesh, spaces, BP1, transport))
     expect = (M_rho / TAU + A_mu + B_conv).tocsr()
-    got = assembly.momentum_matrix(spaces, M_rho, A_mu, B_conv, TAU)
     # the sparse sum drops entries that cancel to 0.0; the fixed pattern
     # keeps them as explicit zeros (and is read-only, hence the copy)
-    got = got.copy()
+    got = maps.blocks(handed[:4]).copy()
     got.eliminate_zeros()
     assert_same(got, expect, ulps=0)
 
@@ -172,7 +204,7 @@ def sliced_flow_solve(mesh, spaces, tau, u_old, transport, load,
     """The flow solve through slicing and bmat of the assembled blocks."""
     M_rho = assemble("M_rho", mesh, spaces, BP1)
     A_mu = assemble("A_mu", mesh, spaces, BP1)
-    B_conv = assemble_convection(mesh, spaces, BP1, transport)
+    B_conv = kron2(assemble_convection(mesh, spaces, BP1, transport))
     C = assemble("C", mesh, spaces)
     m = pressure_mean_vector(mesh, spaces)
     Kuu = (M_rho / tau + A_mu + B_conv).tocsr()
@@ -293,9 +325,10 @@ def test_maps_built_once_per_numbering(monkeypatch):
         state = step(state, cfg)
     assert state.remesh_count == 0
     assert state.spaces.maps is maps
-    # scalar, vector and divergence patterns; interleaved, saddle and
-    # interior gathers
-    assert sorted(built) == ["Gather"] * 3 + ["Pattern"] * 3
+    # scalar and divergence patterns, saddle and interior gathers; a step
+    # gathers no vector matrix of one scalar matrix or of four blocks
+    assert sorted(built) == ["Gather"] * 2 + ["Pattern"] * 2
+    assert "interleaved" not in vars(maps) and "blocks" not in vars(maps)
 
     # a space outside a pair gets a pattern of its own
     V = state.spaces.velocity
@@ -304,7 +337,45 @@ def test_maps_built_once_per_numbering(monkeypatch):
     geom = geometry(state.mesh)
     assert_same(scalar_mass(state.mesh, renumbered),
                 scalar_coo(assembly._mass_local(geom, V, None), renumbered))
-    assert built[6:] == ["Pattern"]
+    assert built[4:] == ["Pattern"]
+
+
+def held_arrays(obj, found=None):
+    """The arrays that obj holds, directly or through the objects, tuples
+    and lists it holds, by id."""
+    found = {} if found is None else found
+    if isinstance(obj, np.ndarray):
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            held_arrays(item, found)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            held_arrays(item, found)
+    return found
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_maps_hold_no_vector_slot_map(k):
+    """After two steps the maps of a numbering hold no slot map of the
+    vector element entries (E, n_loc, 2, n_loc, 2): every pattern's
+    arrays are smaller than that, and a gather's are as large as the
+    matrix it gathers.  In all they hold under 80 bytes per scalar
+    element entry E n_loc^2: 50 at k=2 and 63 at k=3 here, 56 for k=2
+    at h=0.04.  A vector slot map alone costs 32 (four int64 slots per
+    scalar entry), and the maps that kept one held 110-127."""
+    cfg = SimConfig(params=BP1, k=k, h=0.16, tau=TAU, T=1.0)
+    state = initialize(cfg)
+    for _ in range(2):
+        state = step(state, cfg)
+    maps = state.spaces.maps
+    E, n_loc = maps.dof_of.shape
+    for held in vars(maps).values():
+        if isinstance(held, assembly.Pattern):
+            assert all(a.size < E * (2 * n_loc) ** 2
+                       for a in held_arrays(held).values())
+    total = sum(a.nbytes for a in held_arrays(maps).values())
+    assert total < 80 * E * n_loc ** 2
 
 
 def test_step_between_remeshes_needs_no_coo_kron_bmat_or_slicing(monkeypatch):

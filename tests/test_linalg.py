@@ -24,7 +24,7 @@ from alefem.mesh import generate_bubble_mesh, generate_rect_mesh
 from alefem.stepper import SimConfig, flow_solve
 
 import loop_reference
-from conftest import BP1, CENTER, RADIUS, RECT, smooth_displacement
+from conftest import BP1, CENTER, RADIUS, RECT, kron2, smooth_displacement
 
 
 def test_saddle_zero_rhs_gives_zero():
@@ -135,7 +135,7 @@ def bubble_saddle(mesh, spaces, u_old):
     """The saddle system of one rising-bubble step on the given mesh."""
     M_rho = assemble("M_rho", mesh, spaces, BP1)
     Kuu = (M_rho / TAU + assemble("A_mu", mesh, spaces, BP1)
-           + assemble_convection(mesh, spaces, BP1, u_old)).tocsr()
+           + kron2(assemble_convection(mesh, spaces, BP1, u_old))).tocsr()
     rhs = assemble_load(mesh, spaces, BP1) + M_rho @ u_old / TAU
     C = assemble("C", mesh, spaces)
     free = np.ones(2 * spaces.velocity.n_dofs, dtype=bool)

@@ -221,10 +221,13 @@ def test_interleaved_runs_build_each_table_and_map_once(monkeypatch):
     tables = [mesh for name, mesh in built if name == "GeometryTables"]
     assert len(tables) == len(moved)
     assert all(a is b for a, b in zip(tables, moved))
-    # per numbering: scalar, vector and divergence patterns;
-    # interleaved, saddle and interior gathers
+    # per numbering: scalar and divergence patterns, saddle and interior
+    # gathers; no step gathers a vector matrix of one scalar matrix or of
+    # four blocks
     assert sorted(name for name, _ in built if name != "GeometryTables") \
-        == ["Gather"] * 9 + ["Pattern"] * 9
+        == ["Gather"] * 6 + ["Pattern"] * 6
+    for state in states:
+        assert not {"interleaved", "blocks"} & vars(state.spaces.maps).keys()
 
 
 def test_record_state_evaluates_velocity_once(monkeypatch):
