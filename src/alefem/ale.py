@@ -19,8 +19,6 @@ fields are transferred by point evaluation on the old mesh.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.sparse.linalg import spilu
 
@@ -34,10 +32,10 @@ from .fespace import (
 )
 from .linalg import LaggedFactor
 from .mesh import (
+    REMESH_ANGLE,
     Mesh,
     MeshGenerationError,
     edge_nodes,
-    geometry,
     interface_cycle,
     quality,
 )
@@ -76,7 +74,7 @@ class RemeshError(Exception):
         self.curve = curve
 
 
-def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
+def harmonic_extension(spaces: FESpacePair, u: np.ndarray,
                        lagged: LaggedFactor | None = None) -> np.ndarray:
     """Discrete harmonic mesh velocity matching u on the interface, as
     the flat vector of its DOFs.
@@ -87,21 +85,15 @@ def harmonic_extension(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
     the subdomains).
 
     This is a direct solve, componentwise, by a factor of the interior
-    block of the mesh Laplacian of mesh, made by lagged, a
-    `LaggedFactor` of the numbering of spaces that holds no factor (made
-    here when not given), which keeps the factor for the extensions
-    after this one (see `extend`).
+    block of the mesh Laplacian of spaces, made by lagged, a
+    `LaggedFactor` of their numbering that holds no factor (made here
+    when not given), which keeps the factor for the extensions after
+    this one (see `extend`).
     """
     if lagged is None:
         lagged = LaggedFactor(MAX_ITERATIONS)
-    return extend(mesh_laplacian(mesh, spaces), spaces, u, lagged)
-
-
-def mesh_laplacian(mesh: Mesh, spaces: FESpacePair):
-    """The scalar Laplacian of mesh on the velocity numbering of
-    spaces."""
-    return scalar_laplacian(geometry(mesh), spaces.velocity,
-                            spaces.maps.scalar)
+    L = scalar_laplacian(spaces.velocity, spaces.maps.scalar)
+    return extend(L, spaces, u, lagged)
 
 
 def splu(A):
@@ -233,20 +225,22 @@ def spaces_with_mesh(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
                        spaces.maps)
 
 
-def check_and_remesh(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
-                     p: np.ndarray, rect, h: float,
-                     angle_threshold: float = math.pi / 18.0):
-    """Regenerate the mesh if its minimum angle dropped below the threshold.
+def check_and_remesh(spaces: FESpacePair, u: np.ndarray, p: np.ndarray,
+                     rect, h: float, angle_threshold: float = REMESH_ANGLE):
+    """Regenerate the mesh of spaces if its minimum angle dropped below
+    the threshold.
 
-    Returns (mesh, spaces, (u, p), did_remesh).  On a remesh, u and p are
-    transferred to the new spaces by point evaluation on the old mesh
-    (phase-aware for p).  The new mesh's interface vertices are spaced
+    Returns (spaces, u, p, did_remesh), the arguments if the mesh is
+    kept; did_remesh is at index 3, where perfbench/tracing.py reads it.
+    On a remesh, u and p are transferred to the new spaces by point
+    evaluation on the old mesh (phase-aware for p), whose geometry table
+    is released first.  The new mesh's interface vertices are spaced
     about h apart along the old interface curve, the node array its
-    interface edges gather (`_redistribute`).  On a remesh the geometry
-    table of mesh is released before the new mesh is built.
+    interface edges gather (`_redistribute`).
     """
+    mesh = spaces.mesh
     if quality(mesh).min_angle > angle_threshold:
-        return mesh, spaces, (u, p), False
+        return spaces, u, p, False
 
     _, edges = interface_cycle(mesh)
     curve = mesh.coords[edge_nodes(mesh, edges)]          # (n, k+1, 2)
@@ -260,9 +254,8 @@ def check_and_remesh(mesh: Mesh, spaces: FESpacePair, u: np.ndarray,
         raise RemeshError(f"remeshing failed: {err}", ring, curve) from err
 
     new_spaces = build_taylor_hood(new_mesh, mesh.degree)
-    fields = (transfer_velocity(spaces, new_spaces, u),
-              transfer_pressure(spaces, new_spaces, p))
-    return new_mesh, new_spaces, fields, True
+    return (new_spaces, transfer_velocity(spaces, new_spaces, u),
+            transfer_pressure(spaces, new_spaces, p), True)
 
 
 # Samples per old interface segment by which `_redistribute` measures

@@ -8,6 +8,8 @@ are scalar.  Phase weights are per-element constants; the mesh is
 fitted, so no integrand ever straddles the interface.  Every integral
 runs over the quadrature table of `mesh.geometry`, which is built once
 per mesh configuration; a tangled mesh raises TangledElementError.
+Each public function reads its configuration off the spaces it is
+given: the mesh of a pair (`FESpacePair.mesh`) or of a scalar space.
 
 Available kinds for `assemble`:
     M      vector mass             v^T M u   = sum_K  int u.v
@@ -74,7 +76,7 @@ from scipy import sparse
 
 from .fespace import FESpacePair, ScalarSpace
 from .linalg import saddle_matrix
-from .mesh import MINUS, GeometryTables, Mesh, geometry
+from .mesh import MINUS, GeometryTables, geometry
 from .quadrature import triangle_rule
 from .reference import reference_element
 
@@ -379,74 +381,68 @@ def _convection_local(geom: GeometryTables, V: ScalarSpace, rho,
     return (F.reshape(E, 2 * Q) @ T).reshape(E, V.n_local, V.n_local)
 
 
-def scalar_mass(mesh: Mesh, space: ScalarSpace, weights=None,
+def scalar_mass(space: ScalarSpace, weights=None,
                 pattern: Pattern | None = None) -> sparse.csr_matrix:
     """The mass matrix of the space weighted by the per-element weights
     (none if None), summed through pattern as in `scalar_laplacian`."""
     if pattern is None:
         pattern = _scalar_pattern(space.dof_of, space.n_dofs)
-    return pattern.matrix(_mass_local(geometry(mesh), space, weights))
+    return pattern.matrix(_mass_local(geometry(space.mesh), space, weights))
 
 
-def scalar_laplacian(geom: GeometryTables, space: ScalarSpace,
+def scalar_laplacian(space: ScalarSpace,
                      pattern: Pattern | None = None) -> sparse.csr_matrix:
-    """The Laplacian of the space on the configuration of geom, summed
-    through pattern, the scalar pattern of its numbering (built here if
-    None)."""
+    """The Laplacian of the space on its mesh, summed through pattern,
+    the scalar pattern of its numbering (built here if None)."""
     if pattern is None:
         pattern = _scalar_pattern(space.dof_of, space.n_dofs)
-    return pattern.matrix(_gram_local(geom, space)[0])
+    return pattern.matrix(_gram_local(geometry(space.mesh), space)[0])
 
 
-def assemble(kind: str, mesh: Mesh, spaces: FESpacePair,
+def assemble(kind: str, spaces: FESpacePair,
              params: PhaseParams | None = None) -> sparse.csr_matrix:
     """Assemble one of the domain-dependent matrices (see module doc).
 
-    It reads the geometry table of mesh and the index maps of spaces and
-    builds whichever of them is missing.
+    It reads the geometry table of the mesh of spaces and their index
+    maps and builds whichever of them is missing.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    if spaces.mesh is not mesh:
-        raise ValueError("spaces were built on a different mesh")
     if kind in ("M_rho", "A_mu") and params is None:
         raise ValueError(f"kind {kind} needs phase parameters")
-    geom = geometry(mesh)
+    geom = geometry(spaces.mesh)
     V = spaces.velocity
     maps = spaces.maps
 
     if kind in ("M", "M_rho"):
-        w = None if kind == "M" else params.rho_of(mesh.phase)
+        w = None if kind == "M" else params.rho_of(spaces.mesh.phase)
         return maps.interleaved([maps.scalar.matrix(_mass_local(geom, V, w))])
 
     if kind == "A":
         return maps.interleaved([maps.scalar.matrix(_gram_local(geom, V)[0])])
 
     if kind == "A_mu":
-        return maps.blocks(viscous_and_laplacian(mesh, spaces, params)[0])
+        return maps.blocks(viscous_and_laplacian(spaces, params)[0])
 
     # kind == "C"
     P = spaces.pressure
     return maps.divergence.matrix(_divergence_local(geom, P, V))
 
 
-def viscous_and_laplacian(mesh: Mesh, spaces: FESpacePair,
-                          params: PhaseParams):
+def viscous_and_laplacian(spaces: FESpacePair, params: PhaseParams):
     """(A_mu, L): the four blocks ab = 00, 01, 10, 11 of the viscous form
     (`_gram_local`) and the Laplacian of the velocity space, all on its
     scalar pattern and read off one gradient Gram, for a step's flow
     solve and the harmonic extension of its u (see `stepper.flow_solve`).
     `DofMaps.blocks` gathers the viscous form of `assemble` from A_mu.
     Like `assemble`, it builds the table and maps it reads if missing."""
-    if spaces.mesh is not mesh:
-        raise ValueError("spaces were built on a different mesh")
-    L, A_mu = _gram_local(geometry(mesh), spaces.velocity,
-                          params.mu_of(mesh.phase))
+    L, A_mu = _gram_local(geometry(spaces.mesh), spaces.velocity,
+                          params.mu_of(spaces.mesh.phase))
     scalar = spaces.maps.scalar
     return [scalar.matrix(b) for b in A_mu], scalar.matrix(L)
 
 
-def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
+def assemble_convection(spaces: FESpacePair, params: PhaseParams,
                         transport: np.ndarray) -> sparse.csr_matrix:
     """Convection matrix for a frozen transport field, on the scalar
     pattern of the velocity space.
@@ -456,14 +452,12 @@ def assemble_convection(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     v^T B chi = sum_K rho_K int (a . grad chi) v
     for scalar v and chi, and acts so on each component of a vector field.
     """
-    V = spaces.velocity
-    local = _convection_local(geometry(mesh), V, params.rho_of(mesh.phase),
-                              transport)
+    local = _convection_local(geometry(spaces.mesh), spaces.velocity,
+                              params.rho_of(spaces.mesh.phase), transport)
     return spaces.maps.scalar.matrix(local)
 
 
-def assemble_load(mesh: Mesh, spaces: FESpacePair,
-                  params: PhaseParams) -> np.ndarray:
+def assemble_load(spaces: FESpacePair, params: PhaseParams) -> np.ndarray:
     """Pairing of the gravity force rho (0, -g) with the test functions,
     rho being the per-element density.
 
@@ -471,19 +465,19 @@ def assemble_load(mesh: Mesh, spaces: FESpacePair,
     exactly by the pressure p = -g y with u = 0, so it cannot move a
     bubble.
     """
-    geom = geometry(mesh)
+    geom = geometry(spaces.mesh)
     V = spaces.velocity
     vals = V.basis_values(geom.rule.points)
-    w = geom.wdet * params.rho_of(mesh.phase)[:, None]
+    w = geom.wdet * params.rho_of(spaces.mesh.phase)[:, None]
     cell = np.einsum("iq,eq->ei", vals, w) * (-params.g)
     out = np.zeros(2 * V.n_dofs)
     out[1::2] = np.bincount(V.dof_of.ravel(), cell.ravel(), V.n_dofs)
     return out
 
 
-def pressure_mean_vector(mesh: Mesh, spaces: FESpacePair) -> np.ndarray:
+def pressure_mean_vector(spaces: FESpacePair) -> np.ndarray:
     """Vector m with m^T p = integral of the pressure FE function."""
-    geom = geometry(mesh)
+    geom = geometry(spaces.mesh)
     P = spaces.pressure
     vals = P.basis_values(geom.rule.points)
     cell = np.einsum("iq,eq->ei", vals, geom.wdet)

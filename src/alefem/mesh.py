@@ -52,6 +52,9 @@ from .quadrature import triangle_rule
 PLUS = 1
 MINUS = -1
 
+# A run remeshes at a minimum angle not above this, and a fit must beat it
+REMESH_ANGLE = math.pi / 18.0
+
 
 def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -624,7 +627,7 @@ def generate_bubble_mesh(rect, center, radius: float, h: float, k: int) -> Mesh:
 
 def fit_interface_mesh(rect, ring: np.ndarray, h: float, k: int,
                        segment_curve=None,
-                       min_angle: float = math.pi / 18.0) -> Mesh:
+                       min_angle: float = REMESH_ANGLE) -> Mesh:
     """Fitted mesh of the rectangle around a closed interface polyline.
 
     ring           (n, 2) ordered vertices of the closed interface; kept

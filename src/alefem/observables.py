@@ -87,14 +87,15 @@ def _energy(mesh: Mesh, geom, uq: np.ndarray, params: PhaseParams):
     return kin, pot, kin + pot
 
 
-def benchmark_record(t: float, mesh: Mesh, velocity_space, u: np.ndarray,
+def benchmark_record(t: float, velocity_space, u: np.ndarray,
                      params: PhaseParams, min_angle: float,
                      remesh_count: int) -> BenchmarkRecord:
-    """Every observable of one state.  Each quantity is computed once:
-    the velocity at the quadrature points serves the energy and the rise
-    velocity, the bubble's weights its area, centroid and rise velocity
-    (the average of the vertical velocity), and its area and the
-    interface length the circularity."""
+    """Every observable of a state on the mesh of velocity_space, each
+    computed once: the velocity at the quadrature points serves the
+    energy and the rise velocity, the bubble's weights its area, centroid
+    and rise velocity (the average of the vertical velocity), and its
+    area and the interface length the circularity."""
+    mesh = velocity_space.mesh
     geom = geometry(mesh)
     uq = field_values(velocity_space, u, geom)
     bubble = _bubble(mesh, geom)

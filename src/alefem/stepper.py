@@ -9,14 +9,16 @@ dropped too far.  Diffusion, pressure and divergence are implicit; the
 constant gravity enters explicitly.
 
 The mesh velocity w^n, the harmonic extension of u^n on mesh^n, is a
-function of the state, and the state carries it (`State.w`).  Assembly,
-quality checks and observables of one mesh configuration all read the
-geometry table that its mesh keeps (`Mesh.tables`), and every
-configuration of one DOF numbering shares the index maps that its
-spaces keep (`FESpacePair.maps`).  So a step without a remesh builds
-exactly one table, that of the moved mesh, and no index map.  Once (1)
-has w, the step releases the table of the mesh it leaves, which nothing
-reads again: kept, it raised the peak memory of a run at h=0.04 by 10%.
+function of the state, and the state carries it (`State.w`).  The pair
+of spaces on a mesh names its configuration: every stage takes the pair
+and reads the mesh off it.  Assembly, quality checks and observables of
+one configuration all read the geometry table that its mesh keeps
+(`Mesh.tables`), and every configuration of one DOF numbering shares the
+index maps that its spaces keep (`FESpacePair.maps`).  So a step without
+a remesh builds exactly one table, that of the moved mesh, and no index
+map.  Once (1) has w, the step releases the table of the mesh it leaves,
+which nothing reads again: kept, it raised the peak memory of a run at
+h=0.04 by 10%.
 
 A step runs on the calling thread, in this order:
 
@@ -77,6 +79,7 @@ from .assembly import (
 from .fespace import FESpacePair, build_taylor_hood
 from .linalg import LaggedFactor, SaddleSystem, solve_saddle
 from .mesh import (
+    REMESH_ANGLE,
     Mesh,
     bubble_problem,
     generate_bubble_mesh,
@@ -98,7 +101,7 @@ class SimConfig:
     rect: tuple = (0.0, 0.0, 1.0, 2.0)
     circle_center: tuple = (0.5, 0.5)
     circle_radius: float = 0.25
-    remesh_angle: float = math.pi / 18.0
+    remesh_angle: float = REMESH_ANGLE
 
     def __post_init__(self):
         if self.tau <= 0 or self.h <= 0 or self.T < 0:
@@ -129,12 +132,13 @@ class SimConfig:
 class State:
     """Everything one step hands to the next.
 
+    spaces is the pair on the state's mesh, which `mesh` reads off it.
     remesh_count counts the remeshes so far.  factor and harmonic_factor
     are the run's two lagged factors (`linalg.LaggedFactor`), on which
     the next flow solve and the next extension run, each holding a
     factor of the numbering of spaces or none, and each counting its
     solves: the iterations of its last solve and the factorizations
-    since initialize().  w is the extension of u on mesh, made by the
+    since initialize().  w is the extension of u on spaces, made by the
     step that made the state; it is None after initialize() and after a
     remesh.  The state is frozen and u read-only, so w cannot go stale.
 
@@ -146,7 +150,6 @@ class State:
     """
 
     t: float
-    mesh: Mesh
     spaces: FESpacePair
     u: np.ndarray
     p: np.ndarray
@@ -158,6 +161,10 @@ class State:
     def __post_init__(self):
         self.u.setflags(write=False)
 
+    @property
+    def mesh(self) -> Mesh:
+        return self.spaces.mesh
+
 
 def initialize(config: SimConfig) -> State:
     mesh = generate_bubble_mesh(config.rect, config.circle_center,
@@ -165,14 +172,14 @@ def initialize(config: SimConfig) -> State:
     spaces = build_taylor_hood(mesh, config.k)
     u = np.zeros(2 * spaces.velocity.n_dofs)
     p = np.zeros(spaces.pressure.n_dofs)
-    return State(t=0.0, mesh=mesh, spaces=spaces, u=u, p=p,
+    return State(t=0.0, spaces=spaces, u=u, p=p,
                  factor=LaggedFactor(linalg.MAX_ITERATIONS),
                  harmonic_factor=LaggedFactor(ale.MAX_ITERATIONS))
 
 
-def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
-               tau: float, u_old: np.ndarray, transport: np.ndarray,
-               load: np.ndarray, boundary_values: np.ndarray | None = None,
+def flow_solve(spaces: FESpacePair, params: PhaseParams, tau: float,
+               u_old: np.ndarray, transport: np.ndarray, load: np.ndarray,
+               boundary_values: np.ndarray | None = None,
                factor: LaggedFactor | None = None):
     """One implicit solve of the momentum/divergence system.
 
@@ -181,19 +188,19 @@ def flow_solve(mesh: Mesh, spaces: FESpacePair, params: PhaseParams,
     default) and the zero-mean pressure constraint, on the lagged factor
     factor when one is given (see `solve_saddle`).  The velocity blocks
     are sums on the scalar pattern: the four of A_mu, read off one
-    gradient Gram with L, the scalar Laplacian of mesh that a step
+    gradient Gram with L, the scalar Laplacian of spaces that a step
     extends the new u by (`viscous_and_laplacian`), and M_rho / tau + B
     added to the diagonal two.  `DofMaps.saddle` gathers the saddle
     matrix from them and C.  Returns (u, p, multiplier, factor, L),
     factor the `LaggedFactor` the saddle solve ran on.
     """
     maps = spaces.maps
-    Kuu, L = viscous_and_laplacian(mesh, spaces, params)
-    C = assemble("C", mesh, spaces, params)
-    M_rho = scalar_mass(mesh, spaces.velocity, params.rho_of(mesh.phase),
+    Kuu, L = viscous_and_laplacian(spaces, params)
+    C = assemble("C", spaces, params)
+    M_rho = scalar_mass(spaces.velocity, params.rho_of(spaces.mesh.phase),
                         maps.scalar)
-    B_conv = assemble_convection(mesh, spaces, params, transport)
-    m = pressure_mean_vector(mesh, spaces)
+    B_conv = assemble_convection(spaces, params, transport)
+    m = pressure_mean_vector(spaces)
 
     rhs_u = load + (M_rho @ u_old.reshape(-1, 2)).ravel() / tau
     for block in (Kuu[0], Kuu[3]):
@@ -229,24 +236,22 @@ def step(state: State, config: SimConfig) -> State:
     # starts a numbering: its extension is direct, on a factor it makes.
     w = state.w
     if w is None:
-        w = harmonic_extension(state.mesh, state.spaces, state.u,
-                               state.harmonic_factor)
+        w = harmonic_extension(state.spaces, state.u, state.harmonic_factor)
     state.mesh.release_tables()         # before the moved mesh's is built
 
     # (2) move the mesh, carrying all coefficients nodally
     x_new = advance_mesh(state.mesh.x, w, tau)
-    mesh = move_mesh(state.mesh, x_new)
-    spaces = spaces_with_mesh(state.spaces, mesh)
+    spaces = spaces_with_mesh(state.spaces, move_mesh(state.mesh, x_new))
 
     # (3) implicit flow solve with convection frozen at u^n - w^n
-    load = assemble_load(mesh, spaces, params)
-    u, p, _, _, L = flow_solve(mesh, spaces, params, tau, state.u,
+    load = assemble_load(spaces, params)
+    u, p, _, _, L = flow_solve(spaces, params, tau, state.u,
                                transport=state.u - w, load=load,
                                factor=state.factor)
 
     # (4) remesh on the angle criterion, or extend u on the moved mesh
-    mesh2, spaces2, (u, p), did_remesh = check_and_remesh(
-        mesh, spaces, u, p, config.rect, config.h,
+    spaces, u, p, did_remesh = check_and_remesh(
+        spaces, u, p, config.rect, config.h,
         angle_threshold=config.remesh_angle)
     if did_remesh:
         # factors of the old numbering cannot precondition the new one,
@@ -256,15 +261,14 @@ def step(state: State, config: SimConfig) -> State:
     else:
         w_next = extend(L, spaces, u, state.harmonic_factor, w)
     return State(
-        t=state.t + tau, mesh=mesh2, spaces=spaces2, u=u, p=p,
+        t=state.t + tau, spaces=spaces, u=u, p=p,
         factor=state.factor, harmonic_factor=state.harmonic_factor,
         remesh_count=state.remesh_count + int(did_remesh), w=w_next)
 
 
 def record_state(state: State, config: SimConfig) -> BenchmarkRecord:
-    return benchmark_record(state.t, state.mesh, state.spaces.velocity,
-                            state.u, config.params,
-                            quality(state.mesh).min_angle,
+    return benchmark_record(state.t, state.spaces.velocity, state.u,
+                            config.params, quality(state.mesh).min_angle,
                             state.remesh_count)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ale
 from .ale import harmonic_extension
 from .assembly import (
     MATRIX_KINDS,
@@ -58,20 +59,23 @@ def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
     is v^T (C(x* + e_x) - C(x*)) u with v on the pressure space.  RHS is
     the Gauss-Legendre quadrature (in the homotopy parameter) of the
     corresponding shape-derivative volume integral on the intermediate
-    meshes x* + theta * e_x, with HOMOTOPY_POINTS points.
+    meshes x* + theta * e_x, with HOMOTOPY_POINTS points.  spaces (built
+    here if None) must be a pair on mesh_star, or ValueError is raised.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind in ("M_rho", "A_mu") and params is None:
         raise ValueError(f"kind {kind} needs phase parameters")
+    if spaces is not None and spaces.mesh is not mesh_star:
+        raise ValueError("spaces were built on a mesh other than mesh_star")
     if params is None:
         params = PhaseParams(1.0, 1.0, 1.0, 1.0, 1.0)
     spaces = spaces or build_taylor_hood(mesh_star, mesh_star.degree)
 
-    mesh_end = displace(mesh_star, e_x)
-    K0 = assemble(kind, mesh_star, spaces, params)
-    spaces_end = _rebind(spaces, mesh_end)
-    K1 = assemble(kind, mesh_end, spaces_end, params)
+    K0 = assemble(kind, spaces, params)
+    # through the module, so that a wrapper on ale.spaces_with_mesh sees it
+    rebind = ale.spaces_with_mesh
+    K1 = assemble(kind, rebind(spaces, displace(mesh_star, e_x)), params)
     if kind == "C":
         lhs = float(v @ (K1 - K0) @ u)
     else:
@@ -82,24 +86,17 @@ def homotopy_identity_residual(mesh_star: Mesh, e_x: np.ndarray, kind: str,
     weights = 0.5 * wt
     rhs = 0.0
     for theta, w in zip(thetas, weights):
-        mesh_t = displace(mesh_star, theta * e_x)
-        spaces_t = _rebind(spaces, mesh_t)
-        rhs += w * _shape_derivative(mesh_t, spaces_t, kind, u, v, e_x, params)
+        spaces_t = rebind(spaces, displace(mesh_star, theta * e_x))
+        rhs += w * _shape_derivative(spaces_t, kind, u, v, e_x, params)
     return abs(lhs - rhs)
-
-
-def _rebind(spaces: FESpacePair, mesh: Mesh) -> FESpacePair:
-    # imported per call, so that a wrapper on ale.spaces_with_mesh sees it
-    from .ale import spaces_with_mesh
-
-    return spaces_with_mesh(spaces, mesh)
 
 
 def _sym(G):
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-def _shape_derivative(mesh, spaces, kind, u, v, e_x, params) -> float:
+def _shape_derivative(spaces, kind, u, v, e_x, params) -> float:
+    mesh = spaces.mesh
     geom = geometry(mesh)
     V = spaces.velocity
     Ge = field_gradients(V, e_x, geom)                  # (E, Q, 2, 2)
@@ -201,7 +198,7 @@ def pullback_difference_norms(coarse, fine) -> dict[str, float]:
     """H1 (u, w, phi) and L2 (p) norms of run differences on the initial
     configuration.
 
-    Each argument is a dict with keys mesh0, spaces0, u, w, phi, p; the
+    Each argument is a dict with keys spaces0, u, w, phi, p; the
     coefficient vectors are the final-time values on the (unremeshed)
     initial connectivity, so evaluating them at reference points of the
     initial mesh realizes the composition with the flow map.  The fine
@@ -211,7 +208,7 @@ def pullback_difference_norms(coarse, fine) -> dict[str, float]:
     are located once, by the fine mesh's locator; u, w, phi and p are all
     read at those (element, reference point) pairs.
     """
-    mesh_c = coarse["mesh0"]
+    mesh_c = coarse["spaces0"].mesh
     geom = geometry(mesh_c)
     E, Q = geom.wdet.shape
     Vc, Pc = coarse["spaces0"].velocity, coarse["spaces0"].pressure
@@ -295,7 +292,7 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
         h_values.append(cfg.h)
         progress(lvl, 0, cfg.n_steps)
         state = initialize(cfg)
-        mesh0, spaces0 = state.mesh, state.spaces
+        spaces0 = state.spaces
         for i in range(cfg.n_steps):
             state = step(state, cfg)
             progress(lvl, i + 1, cfg.n_steps)
@@ -304,7 +301,6 @@ def spatial_convergence_study(config, levels: int = 3, m: int = 2,
                 "remeshing occurred during the rate study; shorten T or "
                 "refine tau (the pullback comparison needs an unremeshed run)")
         runs.append({
-            "mesh0": mesh0,
             "spaces0": spaces0,
             "u": state.u,
             "w": state.w,
@@ -405,15 +401,16 @@ def manufactured_flow_errors(k: int, h: float, tau: float, T: float,
 
     u = interpolate(spaces.velocity, exact_u, vector=True)
     f_nodal = interpolate(spaces.velocity, force, vector=True)
-    M = assemble("M", mesh, spaces)
+    M = assemble("M", spaces)
     load = M @ f_nodal
 
-    w = harmonic_extension(mesh, spaces, u)
-    assert np.abs(w).max() < 1e-14
+    w_max = float(np.abs(harmonic_extension(spaces, u)).max())
+    if not w_max < 1e-14:
+        raise RuntimeError(f"mesh velocity {w_max:.3e} without interface")
     n = max(1, int(round(T / tau)))
     p = np.zeros(spaces.pressure.n_dofs)
     for _ in range(n):
-        u, p = flow_solve(mesh, spaces, params, tau, u, transport=u,
+        u, p = flow_solve(spaces, params, tau, u, transport=u,
                           load=load, boundary_values=u)[:2]
 
     uq = field_values(spaces.velocity, u, geom)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import threading
 import weakref
@@ -47,7 +48,7 @@ def setup():
 def test_zero_interface_velocity_gives_zero(setup):
     mesh, spaces = setup
     u = np.zeros(2 * spaces.velocity.n_dofs)
-    w = harmonic_extension(mesh, spaces, u)
+    w = harmonic_extension(spaces, u)
     assert not w.any()
 
 
@@ -55,7 +56,7 @@ def test_dirichlet_rows_exact(setup):
     mesh, spaces = setup
     rng = np.random.default_rng(0)
     u = rng.normal(size=2 * spaces.velocity.n_dofs)
-    w = harmonic_extension(mesh, spaces, u)
+    w = harmonic_extension(spaces, u)
     iv = spaces.vector_dofs(spaces.interface_dofs)
     bv = spaces.vector_dofs(spaces.boundary_dofs)
     assert np.array_equal(w[iv], u[iv])  # bitwise
@@ -71,7 +72,7 @@ def test_linear_field_reproduced_inside_bubble(setup):
         return (0.3 * x - 0.7 * y + 0.1, 0.2 * x + 0.5 * y)
 
     u = interpolate(spaces.velocity, lin, vector=True)
-    w = harmonic_extension(mesh, spaces, u)
+    w = harmonic_extension(spaces, u)
     minus_dofs = np.unique(spaces.velocity.dof_of[mesh.phase == MINUS])
     wv = w.reshape(-1, 2)[minus_dofs]
     exact = u.reshape(-1, 2)[minus_dofs]
@@ -82,12 +83,12 @@ def test_energy_minimality(setup):
     mesh, spaces = setup
     rng = np.random.default_rng(1)
     u = smooth_displacement(rng, spaces.velocity.positions, 0.5)
-    w = harmonic_extension(mesh, spaces, u)
+    w = harmonic_extension(spaces, u)
     # competitor: keep the same interface/boundary data, interpolated bulk
     competitor = u.copy()
     bv = spaces.vector_dofs(spaces.boundary_dofs)
     competitor[bv] = 0.0
-    A = assemble("A", mesh, spaces)
+    A = assemble("A", spaces)
     e_w = w @ A @ w
     e_c = competitor @ A @ competitor
     assert e_w <= e_c + 1e-12
@@ -136,9 +137,20 @@ def zero_fields(spaces):
 def test_healthy_mesh_not_remeshed(setup):
     mesh, spaces = setup
     u, p = zero_fields(spaces)
-    m2, s2, (u2, p2), did = check_and_remesh(mesh, spaces, u, p, RECT, 0.1)
+    s2, u2, p2, did = check_and_remesh(spaces, u, p, RECT, 0.1)
     assert not did
-    assert m2 is mesh and s2 is spaces and u2 is u and p2 is p
+    assert s2 is spaces and u2 is u and p2 is p
+
+
+def test_one_remesh_angle():
+    """The run's remesh threshold, the remesh check's and the fit's least
+    angle all default to the one constant `mesh.REMESH_ANGLE`."""
+    defaults = [inspect.signature(f).parameters[name].default
+                for f, name in ((check_and_remesh, "angle_threshold"),
+                                (fit_interface_mesh, "min_angle"))]
+    defaults.append(SimConfig.__dataclass_fields__["remesh_angle"].default)
+    assert all(d is meshmod.REMESH_ANGLE for d in defaults)
+    assert meshmod.REMESH_ANGLE == math.pi / 18.0
 
 
 def shear_below_threshold(mesh):
@@ -171,9 +183,9 @@ def test_a_fitted_mesh_is_measured_once(monkeypatch):
     sheared = shear_below_threshold(state.mesh)
     spaces = spaces_with_mesh(state.spaces, sheared)
     made.clear()
-    new_mesh, *_, did = check_and_remesh(
-        sheared, spaces, *zero_fields(spaces), RECT, 0.1)
-    assert did and len(made) == 1 and quality(new_mesh) is made[0]
+    new_spaces, *_, did = check_and_remesh(
+        spaces, *zero_fields(spaces), RECT, 0.1)
+    assert did and len(made) == 1 and quality(new_spaces.mesh) is made[0]
 
 
 def quad(x, y):
@@ -194,8 +206,8 @@ def test_remesh_triggers_and_restores_quality():
 
     u = interpolate(spaces_sh.velocity, quad, vector=True)
     p = np.zeros(spaces_sh.pressure.n_dofs)
-    m2, s2, (u2, _), did = check_and_remesh(sheared, spaces_sh, u, p, RECT,
-                                            0.1)
+    s2, u2, _, did = check_and_remesh(spaces_sh, u, p, RECT, 0.1)
+    m2 = s2.mesh
     assert did
     assert quality(m2).min_angle > math.pi / 18
 
@@ -237,7 +249,7 @@ def test_remesh_releases_the_old_table_before_fitting(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(meshmod, "fit_interface_mesh", fit)
-    did = check_and_remesh(sheared, spaces_with_mesh(spaces, sheared),
+    did = check_and_remesh(spaces_with_mesh(spaces, sheared),
                            *zero_fields(spaces), RECT, 0.1)[3]
     assert did and alive == [False]
 
@@ -259,8 +271,7 @@ def test_remesh_builds_one_locator_for_the_old_mesh(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(fespace.PointLocator, "__post_init__", counting)
-    did = check_and_remesh(sheared, spaces_sh, *zero_fields(spaces), RECT,
-                           0.1)[3]
+    did = check_and_remesh(spaces_sh, *zero_fields(spaces), RECT, 0.1)[3]
     assert did and len(built) == 1
     assert sheared.locator() is built[0]
 
@@ -278,7 +289,7 @@ def test_remesh_error_carries_the_old_curve(monkeypatch):
 
     monkeypatch.setattr(meshmod, "fit_interface_mesh", fail)
     with pytest.raises(RemeshError) as info:
-        check_and_remesh(sheared, spaces_with_mesh(spaces, sheared),
+        check_and_remesh(spaces_with_mesh(spaces, sheared),
                          *zero_fields(spaces), RECT, 0.1)
     err = info.value
     curve = sheared.coords[edge_nodes(sheared, interface_cycle(sheared)[1])]
@@ -316,12 +327,13 @@ def spread_remesh():
     spaces = build_taylor_hood(mesh, 2)
     u = interpolate(spaces.velocity, quad, vector=True)
     p = interpolate(spaces.pressure, lin)
-    return ring, mesh, check_and_remesh(mesh, spaces, u, p, RECT, 0.1,
+    return ring, mesh, check_and_remesh(spaces, u, p, RECT, 0.1,
                                         angle_threshold=math.radians(25))
 
 
 def test_remesh_evens_out_the_interface_spacing(spread_remesh):
-    _, mesh, (m2, _, _, did) = spread_remesh
+    _, mesh, (s2, _, _, did) = spread_remesh
+    m2 = s2.mesh
     assert did
     old = ring_lengths(mesh)
     assert old.max() / old.min() > 2.9
@@ -336,8 +348,8 @@ def test_remesh_evens_out_the_interface_spacing(spread_remesh):
 def test_remesh_puts_the_interface_nodes_on_the_old_curve(spread_remesh):
     """The new interface vertices and edge nodes lie on the old interface
     curve, here the polygon; only its parametrization changes."""
-    ring, _, (m2, *_) = spread_remesh
-    pts = m2.coords[m2.interface_node_ids()]
+    ring, _, (s2, *_) = spread_remesh
+    pts = s2.mesh.coords[s2.mesh.interface_node_ids()]
     a, ab = ring, np.roll(ring, -1, axis=0) - ring
     t = np.clip(((pts[:, None] - a) * ab).sum(-1) / (ab * ab).sum(-1),
                 0.0, 1.0)
@@ -349,7 +361,7 @@ def test_transfer_exact_at_the_new_dofs(spread_remesh):
     """On affine old elements the transferred coefficients are a global
     quadratic velocity and a linear pressure at the new DOF positions,
     interface DOFs included, to roundoff."""
-    *_, (_, s2, (u2, p2), _) = spread_remesh
+    *_, (s2, u2, p2, _) = spread_remesh
     u = interpolate(s2.velocity, quad, vector=True)
     assert np.abs(u2 - u).max() < 1e-13
     p = interpolate(s2.pressure, lin)
@@ -362,7 +374,7 @@ def test_interface_motion_matches_velocity_bitwise(setup):
     mesh, spaces = setup
     rng = np.random.default_rng(8)
     u = smooth_displacement(rng, spaces.velocity.positions, 0.3)
-    w = harmonic_extension(mesh, spaces, u)
+    w = harmonic_extension(spaces, u)
     tau = 0.01
     x_ale = advance_mesh(mesh.x, w, tau)
     x_lagrangian = mesh.x + tau * u[:len(mesh.x)]
@@ -381,11 +393,11 @@ def assert_exact(got, expect):
     assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
-def sliced_harmonic_extension(mesh, spaces, u):
+def sliced_harmonic_extension(spaces, u):
     """The harmonic extension with the interior block sliced out of the
     mesh Laplacian and factored with the options of `ale.splu`."""
     V = spaces.velocity
-    L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
+    L = scalar_laplacian(V, spaces.maps.scalar)
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True
@@ -435,13 +447,12 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
             return _original(self, key)
         monkeypatch.setattr(cls, "__getitem__", getitem)
 
-    # (mesh, spaces, u, direct extension, the step's lagged extension)
+    # (spaces, u, direct extension, the step's lagged extension)
     extensions = []
     for _ in range(4):
         state = step(state, cfg)
-        extensions.append((state.mesh, state.spaces, state.u,
-                           harmonic_extension(state.mesh, state.spaces,
-                                              state.u),
+        extensions.append((state.spaces, state.u,
+                           harmonic_extension(state.spaces, state.u),
                            state.w))
     assert state.remesh_count == 0
 
@@ -456,7 +467,7 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
                                      boundary))
     u = np.empty_like(state.u)
     u.reshape(-1, 2)[perm] = state.u.reshape(-1, 2)
-    got = harmonic_extension(state.mesh, renumbered, u)
+    got = harmonic_extension(renumbered, u)
     assert slices == []
     monkeypatch.undo()
 
@@ -472,11 +483,11 @@ def test_every_harmonic_operator_is_factored_one_way(monkeypatch):
                           "permc_spec": "MMD_AT_PLUS_A", "relax": 1}
         assert isinstance(A, sparse.csc_matrix)
         assert A.indices is block.indices or A.indices.base is block.indices
-    for mesh, spaces_n, u_n, direct, lagged in extensions:
-        expect = sliced_harmonic_extension(mesh, spaces_n, u_n)
+    for spaces_n, u_n, direct, lagged in extensions:
+        expect = sliced_harmonic_extension(spaces_n, u_n)
         assert_exact(direct, expect)
         assert np.abs(lagged - expect).max() <= 1e-12 * np.abs(expect).max()
-    assert_exact(got, sliced_harmonic_extension(state.mesh, renumbered, u))
+    assert_exact(got, sliced_harmonic_extension(renumbered, u))
 
 
 def lagged_extensions(monkeypatch):
@@ -512,7 +523,7 @@ def test_lagged_extension_matches_the_direct_one(cap, monkeypatch):
     for _ in range(24):
         state = step(state, cfg)
         w, spaces = state.w, state.spaces
-        expect = sliced_harmonic_extension(state.mesh, spaces, state.u)
+        expect = sliced_harmonic_extension(spaces, state.u)
         assert np.abs(w - expect).max() <= 1e-12 * np.abs(expect).max()
         iv = spaces.vector_dofs(spaces.interface_dofs)
         bv = spaces.vector_dofs(spaces.boundary_dofs)
@@ -549,8 +560,7 @@ def test_lagged_extension_refactors_when_cg_stalls(monkeypatch):
     state = initialize(cfg)
     for _ in range(6):
         state = step(state, cfg)
-        expect = sliced_harmonic_extension(state.mesh, state.spaces,
-                                           state.u)
+        expect = sliced_harmonic_extension(state.spaces, state.u)
         assert np.abs(state.w - expect).max() \
             <= 1e-12 * np.abs(expect).max()
     # the first extends on the factor of its own configuration, the one

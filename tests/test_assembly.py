@@ -45,7 +45,7 @@ def unit_right_triangle():
 def test_p1_mass_matrix_exact():
     mesh = unit_right_triangle()
     space = build_scalar_space(mesh, 1)
-    M = scalar_mass(mesh, space).toarray()
+    M = scalar_mass(space).toarray()
     expect = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     assert np.abs(M - expect).max() < 1e-14
 
@@ -53,7 +53,7 @@ def test_p1_mass_matrix_exact():
 def test_p1_stiffness_matrix_exact():
     mesh = unit_right_triangle()
     space = build_scalar_space(mesh, 1)
-    A = scalar_laplacian(geometry(mesh), space).toarray()
+    A = scalar_laplacian(space).toarray()
     expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.abs(A - expect).max() < 1e-14
 
@@ -67,14 +67,14 @@ def small_setup():
 
 def test_divergence_of_constant_velocity(small_setup):
     mesh, spaces = small_setup
-    C = assemble("C", mesh, spaces)
+    C = assemble("C", spaces)
     u = np.tile([0.7, -0.3], spaces.velocity.n_dofs)
     assert np.abs(C @ u).max() < 1e-12
 
 
 def test_viscous_form_annihilates_rigid_motions(small_setup):
     mesh, spaces = small_setup
-    A_mu = assemble("A_mu", mesh, spaces, BP1)
+    A_mu = assemble("A_mu", spaces, BP1)
     n = spaces.velocity.n_dofs
     for field in (lambda x, y: (1.0, 0.0), lambda x, y: (0.0, 1.0),
                   lambda x, y: (-y, x)):
@@ -84,7 +84,7 @@ def test_viscous_form_annihilates_rigid_motions(small_setup):
 
 def test_laplace_form_annihilates_constants(small_setup):
     mesh, spaces = small_setup
-    A = assemble("A", mesh, spaces)
+    A = assemble("A", spaces)
     u = np.tile([1.0, 1.0], spaces.velocity.n_dofs)
     assert np.abs(A @ u).max() < 1e-12
 
@@ -93,7 +93,7 @@ def test_symmetry_and_positive_semidefiniteness(small_setup):
     mesh, spaces = small_setup
     rng = np.random.default_rng(0)
     for kind in ("M", "M_rho", "A", "A_mu"):
-        K = assemble(kind, mesh, spaces, BP1)
+        K = assemble(kind, spaces, BP1)
         asym = np.abs((K - K.T)).max()
         assert asym < 1e-12 * max(np.abs(K).max(), 1.0)
         for _ in range(20):
@@ -104,18 +104,18 @@ def test_symmetry_and_positive_semidefiniteness(small_setup):
 def test_weighted_forms_reduce_to_unweighted(small_setup):
     mesh, spaces = small_setup
     ones = PhaseParams(1.0, 1.0, 1.0, 1.0, 1.0)
-    M = assemble("M", mesh, spaces)
-    M_rho = assemble("M_rho", mesh, spaces, ones)
+    M = assemble("M", spaces)
+    M_rho = assemble("M_rho", spaces, ones)
     assert np.abs((M - M_rho)).max() < 1e-14
 
 
 def test_convection_zero_field_and_constant_target(small_setup):
     mesh, spaces = small_setup
-    B0 = assemble_convection(mesh, spaces, BP1,
+    B0 = assemble_convection(spaces, BP1,
                              np.zeros(2 * spaces.velocity.n_dofs))
     assert B0.nnz == 0 or np.abs(B0.data).max() < 1e-15
     a = interpolate(spaces.velocity, lambda x, y: (1.0, 0.0), vector=True)
-    B = assemble_convection(mesh, spaces, BP1, a)
+    B = assemble_convection(spaces, BP1, a)
     const = np.tile([2.0, -1.0], spaces.velocity.n_dofs)
     assert np.abs(kron2(B) @ const).max() < 1e-11
 
@@ -186,9 +186,9 @@ def test_assembly_matches_dense_reference(two_triangle_mesh):
     transport = rng.normal(size=2 * spaces.velocity.n_dofs)
     ref = dense_reference_matrices(mesh, spaces, params, transport)
     for kind in ("M", "M_rho", "A", "A_mu", "C"):
-        K = assemble(kind, mesh, spaces, params).toarray()
+        K = assemble(kind, spaces, params).toarray()
         assert np.abs(K - ref[kind]).max() < 1e-12, kind
-    B = kron2(assemble_convection(mesh, spaces, params, transport)).toarray()
+    B = kron2(assemble_convection(spaces, params, transport)).toarray()
     assert np.abs(B - ref["B"]).max() < 1e-12
 
 
@@ -198,8 +198,8 @@ def test_convection_against_dense_oracle_with_linear_target(two_triangle_mesh):
     params = PhaseParams(1.0, 1.0, 1.0, 1.0, 1.0)
     a = interpolate(spaces.velocity, lambda x, y: (1.0, 0.0), vector=True)
     chi = interpolate(spaces.velocity, lambda x, y: (x, 0.0), vector=True)
-    B = kron2(assemble_convection(mesh, spaces, params, a))
-    M = assemble("M", mesh, spaces)
+    B = kron2(assemble_convection(spaces, params, a))
+    M = assemble("M", spaces)
     # (1,0).grad (x,0) = (1,0): pairing with any v equals (e_x, v)
     ex = np.tile([1.0, 0.0], spaces.velocity.n_dofs)
     assert np.abs(B @ chi - M @ ex).max() < 1e-12
@@ -208,18 +208,18 @@ def test_convection_against_dense_oracle_with_linear_target(two_triangle_mesh):
 def test_load_pairing(small_setup):
     mesh, spaces = small_setup
     unit = PhaseParams(1.0, 1.0, 1.0, 1.0, 0.98)
-    load = assemble_load(mesh, spaces, unit)
+    load = assemble_load(spaces, unit)
     ey = np.tile([0.0, 1.0], spaces.velocity.n_dofs)
     assert ey @ load == pytest.approx(-0.98 * 2.0, abs=1e-10)
     ex = np.tile([1.0, 0.0], spaces.velocity.n_dofs)
     assert ex @ load == pytest.approx(0.0, abs=1e-12)
     g0 = PhaseParams(1.0, 1.0, 1.0, 1.0, 1e-300)
-    assert np.abs(assemble_load(mesh, spaces, g0)).max() < 1e-290
+    assert np.abs(assemble_load(spaces, g0)).max() < 1e-290
 
 
 def test_load_rho_weighted(small_setup):
     mesh, spaces = small_setup
-    load = assemble_load(mesh, spaces, BP1)
+    load = assemble_load(spaces, BP1)
     ey = np.tile([0.0, 1.0], spaces.velocity.n_dofs)
     geom = geometry(mesh)
     area_minus = geom.wdet[mesh.phase == -1].sum()
@@ -234,8 +234,8 @@ def test_quadratic_norms(small_setup):
     """v @ M @ v and v @ A @ v are the squared L2 and H1-semi norms."""
     mesh, spaces = small_setup
     V = spaces.velocity
-    M = assemble("M", mesh, spaces)
-    A = assemble("A", mesh, spaces)
+    M = assemble("M", spaces)
+    A = assemble("A", spaces)
     one = np.tile([1.0, 0.0], V.n_dofs)
     assert one @ M @ one == pytest.approx(2.0, abs=1e-10)
     assert one @ A @ one == pytest.approx(0.0, abs=1e-12)
@@ -248,7 +248,7 @@ def test_quadratic_norms(small_setup):
 
 def test_pressure_mean_vector_is_integral(small_setup):
     mesh, spaces = small_setup
-    m = pressure_mean_vector(mesh, spaces)
+    m = pressure_mean_vector(spaces)
     pc = interpolate(spaces.pressure, lambda x, y: 1.0)
     assert m @ pc == pytest.approx(2.0, abs=1e-12)
 
@@ -257,7 +257,7 @@ def test_unit_square_quadratic_norm():
     mesh = generate_rect_mesh((0, 0, 1, 1), 0.25, 2)
     spaces = build_taylor_hood(mesh, 2)
     xf = interpolate(spaces.velocity, lambda x, y: (x, 0.0), vector=True)
-    assert xf @ assemble("A", mesh, spaces) @ xf == pytest.approx(1.0, abs=1e-12)
+    assert xf @ assemble("A", spaces) @ xf == pytest.approx(1.0, abs=1e-12)
 
 
 def assert_close(got, expect):
@@ -365,4 +365,4 @@ def test_tangled_mesh_quality_reports_assembly_raises():
     q = quality(tangled)
     assert q.min_jacobian <= 0.0
     with pytest.raises(TangledElementError):
-        assemble("M", tangled, build_taylor_hood(tangled, 2))
+        assemble("M", build_taylor_hood(tangled, 2))

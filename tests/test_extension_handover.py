@@ -3,18 +3,18 @@ next one.
 
 A step reads A_mu and the moved mesh's Laplacian off one gradient Gram
 and, unless it remeshed, extends its new u on that Laplacian and the
-lagged harmonic factor of the numbering (`ale.extend`), by CG from the
-w it moved by; the state it makes carries that extension as its w and
-the run's lagged harmonic factor (a `linalg.LaggedFactor`) as its
+lagged harmonic factor of the numbering (`ale.extend`), by CG from the w
+it moved by; the state it makes carries that extension as its w and the
+run's lagged harmonic factor (a `linalg.LaggedFactor`) as its
 harmonic_factor, and the next step moves the mesh by that w.  The first
 step of a numbering extends by a direct solve, whose factor the lagged
 factor then keeps.  These tests pin what that hand-over may and may not
 do: hold at most one factor and free each one, extend only on the
-state's own mesh, solve directly only in the first step of a numbering,
-factor once in that step, form one Gram per configuration, keep a
-state's u and w fixed, start over after a remesh, and do all of it, the
-geometry table built in chunks included, on the calling thread, raising
-its errors in the step that makes them.
+state's own spaces, solve directly only in the first step of a
+numbering, factor once in that step, form one Gram per configuration,
+keep a state's u and w fixed, start over after a remesh, and do all of
+it, the geometry table built in chunks included, on the calling thread,
+raising its errors in the step that makes them.
 """
 
 import gc
@@ -137,8 +137,8 @@ def test_prepared_operator_is_used_only_on_its_own_mesh():
         w = state.w
         expect = advance_mesh(state.mesh.x, w, TAU)
         assert moved.mesh.x.tobytes() == expect.tobytes()
-        direct = harmonic_extension(state.mesh, state.spaces, state.u)
-        elsewhere = harmonic_extension(moved.mesh, moved.spaces, state.u)
+        direct = harmonic_extension(state.spaces, state.u)
+        elsewhere = harmonic_extension(moved.spaces, state.u)
         scale = np.abs(direct).max()
         assert np.abs(w - direct).max() <= 1e-12 * scale
         assert np.abs(w - elsewhere).max() > 1e-6 * scale
@@ -322,7 +322,7 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
     spaces = build_taylor_hood(m, k)
     m.release_tables()                      # a bubble mesh has one
     split = m.tables()
-    got = {kind: assemble(kind, m, spaces, BP1) for kind in ("A_mu", "C")}
+    got = {kind: assemble(kind, spaces, BP1) for kind in ("A_mu", "C")}
     m.release_tables()
     monkeypatch.setattr(meshmod, "_CHUNK", elements)
     whole = m.tables()
@@ -331,7 +331,7 @@ def test_split_geometry_and_assembly_are_bitwise(k, elements, monkeypatch):
         same(getattr(split, name), getattr(whole, name))
     assert split.tangled is None and whole.tangled is None
     for kind in ("A_mu", "C"):
-        expect = assemble(kind, m, spaces, BP1)
+        expect = assemble(kind, spaces, BP1)
         for name in ("data", "indices", "indptr"):
             same(getattr(got[kind], name), getattr(expect, name))
 

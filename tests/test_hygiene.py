@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never
 uses; every public name and every parameter default of the package is
-used by the package; the package keeps no state at module level;
-importing the package starts no thread."""
+used by the package; no function of the package takes a mesh beside a
+space; the package keeps no state at module level; importing the
+package starts no thread."""
 
 import ast
 import os
@@ -151,6 +152,73 @@ def test_every_public_name_is_used_in_the_package():
     unused = [entry for entry in unreferenced_public(package_modules())
               if entry not in UNREFERENCED_OK]
     assert unused == [], f"public but unused in the package: {unused}"
+
+
+# Functions that may take a mesh beside a space or a pair of spaces.
+MESH_BESIDE_SPACES_OK = {
+    # the benchmark's workloads call it with both; it refuses a pair that
+    # was not built on mesh_star
+    ("verify.py", "homotopy_identity_residual"),
+    # it binds a pair to a mesh of the same connectivity
+    ("ale.py", "spaces_with_mesh"),
+}
+MESH_TYPES = {"Mesh"}
+SPACE_TYPES = {"FESpacePair", "ScalarSpace"}
+
+
+def _parameter_kinds(arg: ast.arg) -> set[str]:
+    """"mesh" and/or "spaces" for a parameter that names or annotates a
+    mesh or a space (or a pair of spaces)."""
+    annotated = ({n.id for n in ast.walk(arg.annotation)
+                  if isinstance(n, ast.Name)} if arg.annotation else set())
+    name = arg.arg
+    kinds = set()
+    if annotated & MESH_TYPES or name == "mesh" or name.startswith("mesh_"):
+        kinds.add("mesh")
+    if (annotated & SPACE_TYPES or name in ("space", "spaces")
+            or name.endswith(("_space", "_spaces"))):
+        kinds.add("spaces")
+    return kinds
+
+
+def mesh_beside_spaces(modules: dict[str, ast.Module]):
+    """(module, function) of every function that takes a mesh parameter
+    and a space or pair parameter: a configuration named twice, whose
+    two names can disagree."""
+    found = []
+    for path, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            kinds = set().union(*map(_parameter_kinds, a.posonlyargs
+                                     + a.args + a.kwonlyargs))
+            if kinds == {"mesh", "spaces"}:
+                found.append((path, fn.name))
+    return sorted(found)
+
+
+def test_scan_finds_a_mesh_beside_spaces():
+    modules = {"a.py": ast.parse(
+        "def by_name(mesh, spaces):\n    pass\n\n"
+        "def by_type(m: Mesh, *, s: FESpacePair | None = None):\n"
+        "    pass\n\n"
+        "def scalar(velocity_space, mesh_star):\n    pass\n\n"
+        "class C:\n    def method(self, space: ScalarSpace, mesh):\n"
+        "        pass\n\n"
+        "def mesh_only(mesh: Mesh, meshes):\n    pass\n\n"
+        "def spaces_only(spaces, old: FESpacePair):\n    pass\n")}
+    assert mesh_beside_spaces(modules) == [
+        ("a.py", "by_name"), ("a.py", "by_type"), ("a.py", "method"),
+        ("a.py", "scalar")]
+
+
+def test_no_function_takes_a_mesh_beside_its_spaces():
+    """A pair of spaces (or a scalar space) names its configuration, and
+    the mesh is read off it; see `ale.spaces_with_mesh`."""
+    found = [entry for entry in mesh_beside_spaces(package_modules())
+             if entry not in MESH_BESIDE_SPACES_OK]
+    assert found == [], f"a mesh beside a space or pair: {found}"
 
 
 # Defaults kept although no call in the package passes the parameter.

@@ -110,22 +110,22 @@ def test_every_kind_equals_coo_assembly(moved):
         "C": divergence_coo(assembly._divergence_local(geom, P, V)),
     }
     for kind, ref in expect.items():
-        assert_same(assemble(kind, mesh, spaces, BP1), ref)
+        assert_same(assemble(kind, spaces, BP1), ref)
     local = assembly._convection_local(geom, V, rho, transport)
-    assert_same(assemble_convection(mesh, spaces, BP1, transport),
+    assert_same(assemble_convection(spaces, BP1, transport),
                 scalar_coo(local, V))
-    assert_same(scalar_laplacian(geometry(mesh), V, spaces.maps.scalar),
+    assert_same(scalar_laplacian(V, spaces.maps.scalar),
                 scalar_coo(laplacian, V))
-    A_mu, L = viscous_and_laplacian(mesh, spaces, BP1)
+    A_mu, L = viscous_and_laplacian(spaces, BP1)
     for block, local in zip(A_mu, viscous):
         assert_same(block, scalar_coo(local, V))
     assert_same(spaces.maps.blocks(A_mu), expect["A_mu"])
     assert_same(L, scalar_coo(laplacian, V))
-    assert_same(scalar_mass(mesh, V, rho, spaces.maps.scalar),
+    assert_same(scalar_mass(V, rho, spaces.maps.scalar),
                 scalar_coo(assembly._mass_local(geom, V, rho), V))
     P1 = build_scalar_space(mesh, 1)
     for space in (P, P1):
-        assert_same(scalar_mass(mesh, space),
+        assert_same(scalar_mass(space),
                     scalar_coo(assembly._mass_local(geom, space, None), space))
 
 
@@ -186,11 +186,11 @@ def test_momentum_matrix_equals_sparse_sum(moved, monkeypatch):
         return saddle(matrices)
 
     monkeypatch.setattr(maps, "saddle", spy)
-    load = assemble_load(mesh, spaces, BP1)
-    flow_solve(mesh, spaces, BP1, TAU, 0.1 * transport, transport, load)
-    M_rho = assemble("M_rho", mesh, spaces, BP1)
-    A_mu = assemble("A_mu", mesh, spaces, BP1)
-    B_conv = kron2(assemble_convection(mesh, spaces, BP1, transport))
+    load = assemble_load(spaces, BP1)
+    flow_solve(spaces, BP1, TAU, 0.1 * transport, transport, load)
+    M_rho = assemble("M_rho", spaces, BP1)
+    A_mu = assemble("A_mu", spaces, BP1)
+    B_conv = kron2(assemble_convection(spaces, BP1, transport))
     expect = (M_rho / TAU + A_mu + B_conv).tocsr()
     # the sparse sum drops entries that cancel to 0.0; the fixed pattern
     # keeps them as explicit zeros (and is read-only, hence the copy)
@@ -199,14 +199,14 @@ def test_momentum_matrix_equals_sparse_sum(moved, monkeypatch):
     assert_same(got, expect, ulps=0)
 
 
-def sliced_flow_solve(mesh, spaces, tau, u_old, transport, load,
+def sliced_flow_solve(spaces, tau, u_old, transport, load,
                       boundary_values=None, factor=None):
     """The flow solve through slicing and bmat of the assembled blocks."""
-    M_rho = assemble("M_rho", mesh, spaces, BP1)
-    A_mu = assemble("A_mu", mesh, spaces, BP1)
-    B_conv = kron2(assemble_convection(mesh, spaces, BP1, transport))
-    C = assemble("C", mesh, spaces)
-    m = pressure_mean_vector(mesh, spaces)
+    M_rho = assemble("M_rho", spaces, BP1)
+    A_mu = assemble("A_mu", spaces, BP1)
+    B_conv = kron2(assemble_convection(spaces, BP1, transport))
+    C = assemble("C", spaces)
+    m = pressure_mean_vector(spaces)
     Kuu = (M_rho / tau + A_mu + B_conv).tocsr()
     rhs_u = load + M_rho @ u_old / tau
     n_u = 2 * spaces.velocity.n_dofs
@@ -229,9 +229,9 @@ def sliced_flow_solve(mesh, spaces, tau, u_old, transport, load,
     return u, p, lam, factor
 
 
-def sliced_harmonic_extension(mesh, spaces, u):
+def sliced_harmonic_extension(spaces, u):
     V = spaces.velocity
-    L = scalar_laplacian(geometry(mesh), V, spaces.maps.scalar)
+    L = scalar_laplacian(V, spaces.maps.scalar)
     fixed = np.zeros(V.n_dofs, dtype=bool)
     fixed[spaces.interface_dofs] = True
     fixed[spaces.boundary_dofs] = True
@@ -265,17 +265,16 @@ def assert_same_solution(a, b):
 def test_flow_solve_equals_sliced_path(moved):
     mesh, spaces, transport = moved
     u_old = 0.1 * transport
-    load = assemble_load(mesh, spaces, BP1)
-    fresh = counted(flow_solve, mesh, spaces, BP1, TAU, u_old, transport,
-                    load)
-    assert_same_solution(fresh, counted(sliced_flow_solve, mesh, spaces,
+    load = assemble_load(spaces, BP1)
+    fresh = counted(flow_solve, spaces, BP1, TAU, u_old, transport, load)
+    assert_same_solution(fresh, counted(sliced_flow_solve, spaces,
                                         TAU, u_old, transport, load))
     # a factor of an earlier configuration preconditions both alike
     later = 1.01 * transport
     assert_same_solution(
-        counted(flow_solve, mesh, spaces, BP1, TAU, u_old, later, load,
+        counted(flow_solve, spaces, BP1, TAU, u_old, later, load,
                 factor=fresh[5]),
-        counted(sliced_flow_solve, mesh, spaces, TAU, u_old, later, load,
+        counted(sliced_flow_solve, spaces, TAU, u_old, later, load,
                 factor=fresh[5]))
 
 
@@ -285,22 +284,22 @@ def test_flow_solve_with_boundary_values_equals_sliced_path(lagged):
     spaces = build_taylor_hood(mesh, 2)
     rng = np.random.default_rng(7)
     u = smooth_displacement(rng, spaces.velocity.positions, 1.0)
-    load = assemble_load(mesh, spaces, BP1)
+    load = assemble_load(spaces, BP1)
     factor = None
     if lagged:
-        factor = flow_solve(mesh, spaces, BP1, TAU, 0.5 * u, 0.5 * u, load,
+        factor = flow_solve(spaces, BP1, TAU, 0.5 * u, 0.5 * u, load,
                             boundary_values=0.5 * u)[3]
     assert_same_solution(
-        counted(flow_solve, mesh, spaces, BP1, TAU, u, u, load,
+        counted(flow_solve, spaces, BP1, TAU, u, u, load,
                 boundary_values=u, factor=factor),
-        counted(sliced_flow_solve, mesh, spaces, TAU, u, u, load,
+        counted(sliced_flow_solve, spaces, TAU, u, u, load,
                 boundary_values=u, factor=factor))
 
 
 def test_harmonic_extension_equals_sliced_path(moved):
     mesh, spaces, transport = moved
-    assert np.array_equal(harmonic_extension(mesh, spaces, transport),
-                          sliced_harmonic_extension(mesh, spaces, transport))
+    assert np.array_equal(harmonic_extension(spaces, transport),
+                          sliced_harmonic_extension(spaces, transport))
 
 
 def count_builds(monkeypatch):
@@ -335,7 +334,7 @@ def test_maps_built_once_per_numbering(monkeypatch):
     perm = np.random.default_rng(0).permutation(V.n_dofs)
     renumbered = replace(V, dof_of=perm[V.dof_of])
     geom = geometry(state.mesh)
-    assert_same(scalar_mass(state.mesh, renumbered),
+    assert_same(scalar_mass(renumbered),
                 scalar_coo(assembly._mass_local(geom, V, None), renumbered))
     assert built[4:] == ["Pattern"]
 

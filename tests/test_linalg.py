@@ -4,13 +4,14 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from alefem import ale, linalg, stepper
-from alefem.ale import extend, mesh_laplacian, move_mesh, spaces_with_mesh
+from alefem.ale import extend, move_mesh, spaces_with_mesh
 from alefem.assembly import (
     assemble,
     assemble_convection,
     assemble_load,
     pressure_mean_vector,
     PhaseParams,
+    scalar_laplacian,
 )
 from alefem.fespace import build_taylor_hood, interpolate
 from alefem.linalg import (
@@ -31,10 +32,10 @@ def test_saddle_zero_rhs_gives_zero():
     mesh = generate_rect_mesh((0, 0, 1, 1), 0.25, 2)
     spaces = build_taylor_hood(mesh, 2)
     params = PhaseParams(1.0, 1.0, 1.0, 1.0, 1.0)
-    A_mu = assemble("A_mu", mesh, spaces, params)
-    M_rho = assemble("M_rho", mesh, spaces, params)
-    C = assemble("C", mesh, spaces)
-    m = pressure_mean_vector(mesh, spaces)
+    A_mu = assemble("A_mu", spaces, params)
+    M_rho = assemble("M_rho", spaces, params)
+    C = assemble("C", spaces)
+    m = pressure_mean_vector(spaces)
     bnd = spaces.vector_dofs(spaces.boundary_dofs)
     free = np.ones(2 * spaces.velocity.n_dofs, dtype=bool)
     free[bnd] = False
@@ -64,10 +65,10 @@ def manufactured_stokes(h):
 
     u_bc = interpolate(spaces.velocity, exact_u, vector=True)
     f_nodal = interpolate(spaces.velocity, force, vector=True)
-    M = assemble("M", mesh, spaces)
+    M = assemble("M", spaces)
     load = M @ f_nodal
     # steady Stokes: take one huge implicit step with zero transport
-    u, p, lam, _, _ = flow_solve(mesh, spaces, params, 1e12,
+    u, p, lam, _, _ = flow_solve(spaces, params, 1e12,
                                  np.zeros_like(u_bc),
                                  transport=np.zeros_like(u_bc), load=load,
                                  boundary_values=u_bc)
@@ -79,7 +80,7 @@ def test_saddle_manufactured_stokes():
     # quadratic velocity and linear pressure are reproduced exactly
     assert np.abs(u - u_exact).max() < 1e-9
     pe = interpolate(spaces.pressure, lambda x, y: x - 0.5)
-    m = pressure_mean_vector(mesh, spaces)
+    m = pressure_mean_vector(spaces)
     assert np.abs(m @ p) < 1e-10
     shift = (m @ (p - pe)) / (m @ np.ones_like(m))
     assert np.abs(p - pe - shift).max() < 1e-9
@@ -88,7 +89,7 @@ def test_saddle_manufactured_stokes():
 
 def test_saddle_divergence_residual():
     mesh, spaces, u, p, lam, _ = manufactured_stokes(0.25)
-    C = assemble("C", mesh, spaces)
+    C = assemble("C", spaces)
     assert np.abs(C @ u).max() < 1e-9
 
 
@@ -111,14 +112,14 @@ def test_infsup_constant_stable_under_refinement():
     for h in (0.5, 0.25):
         mesh = generate_rect_mesh((0, 0, 1, 1), h, 2)
         spaces = build_taylor_hood(mesh, 2)
-        A = assemble("A", mesh, spaces) + assemble("M", mesh, spaces)
-        C = assemble("C", mesh, spaces)
+        A = assemble("A", spaces) + assemble("M", spaces)
+        C = assemble("C", spaces)
         bnd = spaces.vector_dofs(spaces.boundary_dofs)
         free = np.ones(2 * spaces.velocity.n_dofs, dtype=bool)
         free[bnd] = False
         Af = A.tocsr()[free][:, free].toarray()
         Cf = C[:, free].toarray()
-        Mp = scalar_mass(mesh, spaces.pressure).toarray()
+        Mp = scalar_mass(spaces.pressure).toarray()
         S = Cf @ np.linalg.solve(Af, Cf.T)
         lam = eigh(S, Mp, eigvals_only=True)
         nonzero = lam[lam > 1e-10 * lam.max()]
@@ -131,19 +132,19 @@ def test_infsup_constant_stable_under_refinement():
 TAU = 1.0 / 200.0
 
 
-def bubble_saddle(mesh, spaces, u_old):
-    """The saddle system of one rising-bubble step on the given mesh."""
-    M_rho = assemble("M_rho", mesh, spaces, BP1)
-    Kuu = (M_rho / TAU + assemble("A_mu", mesh, spaces, BP1)
-           + kron2(assemble_convection(mesh, spaces, BP1, u_old))).tocsr()
-    rhs = assemble_load(mesh, spaces, BP1) + M_rho @ u_old / TAU
-    C = assemble("C", mesh, spaces)
+def bubble_saddle(spaces, u_old):
+    """The saddle system of one rising-bubble step on the given spaces."""
+    M_rho = assemble("M_rho", spaces, BP1)
+    Kuu = (M_rho / TAU + assemble("A_mu", spaces, BP1)
+           + kron2(assemble_convection(spaces, BP1, u_old))).tocsr()
+    rhs = assemble_load(spaces, BP1) + M_rho @ u_old / TAU
+    C = assemble("C", spaces)
     free = np.ones(2 * spaces.velocity.n_dofs, dtype=bool)
     free[spaces.vector_dofs(spaces.boundary_dofs)] = False
     return SaddleSystem(A0=saddle_matrix(Kuu[free][:, free],
                                          (-C[:, free]).tocsr()),
                         rhs_u=rhs[free], rhs_p=np.zeros(C.shape[0]),
-                        mean_vector=pressure_mean_vector(mesh, spaces))
+                        mean_vector=pressure_mean_vector(spaces))
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +156,8 @@ def lagged_pair():
     u = smooth_displacement(rng, spaces.velocity.positions, 0.05)
     u[spaces.vector_dofs(spaces.boundary_dofs)] = 0.0
     moved = move_mesh(mesh, mesh.x + TAU * u[:len(mesh.x)])
-    return (bubble_saddle(mesh, spaces, u),
-            bubble_saddle(moved, spaces_with_mesh(spaces, moved), u))
+    return (bubble_saddle(spaces, u),
+            bubble_saddle(spaces_with_mesh(spaces, moved), u))
 
 
 def assert_on_target(system, u, p, lam):
@@ -319,8 +320,7 @@ def test_quasi_definite_factor_halves_the_fill():
     (1.39M against 3.50M nonzeros)."""
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.04, 2)
     spaces = build_taylor_hood(mesh, 2)
-    system = bubble_saddle(mesh, spaces,
-                           np.zeros(2 * spaces.velocity.n_dofs))
+    system = bubble_saddle(spaces, np.zeros(2 * spaces.velocity.n_dofs))
     A0 = system.A0
     n_u = len(system.rhs_u)
     c = np.concatenate([np.zeros(n_u), system.mean_vector])
@@ -368,7 +368,7 @@ class Logged:
 
 @pytest.fixture(scope="module")
 def three_configurations():
-    """(mesh, spaces) of a bubble mesh moved by O(tau) twice, and the
+    """The spaces of a bubble mesh moved by O(tau) twice, and the
     velocity that moved it."""
     mesh = generate_bubble_mesh(RECT, CENTER, RADIUS, 0.16, 2)
     spaces = build_taylor_hood(mesh, 2)
@@ -378,7 +378,7 @@ def three_configurations():
     configurations = []
     for i in range(3):
         moved = move_mesh(mesh, mesh.x + i * TAU * u[:len(mesh.x)])
-        configurations.append((moved, spaces_with_mesh(spaces, moved)))
+        configurations.append(spaces_with_mesh(spaces, moved))
     return configurations, u
 
 
@@ -386,7 +386,7 @@ class SaddleCase:
     """The saddle solve of each configuration."""
 
     def __init__(self, configurations, u, monkeypatch, log):
-        self.systems = [bubble_saddle(m, s, u) for m, s in configurations]
+        self.systems = [bubble_saddle(s, u) for s in configurations]
         make = linalg.SaddleFactor
         monkeypatch.setattr(linalg, "SaddleFactor", lambda A0, c, n_u: Logged(
             make(A0, c, n_u), log, A0))
@@ -415,17 +415,18 @@ class HarmonicCase:
 
     def __init__(self, configurations, u, monkeypatch, log):
         self.configurations = configurations
-        self.L = [mesh_laplacian(m, s) for m, s in configurations]
+        self.L = [scalar_laplacian(s.velocity, s.maps.scalar)
+                  for s in configurations]
         self.u = u
         self.make = make = ale.splu
         monkeypatch.setattr(ale, "splu", lambda A: Logged(make(A), log, A))
 
     def matrix(self, i):
-        return self.configurations[i][1].maps.interior([self.L[i]])
+        return self.configurations[i].maps.interior([self.L[i]])
 
     def solve(self, lagged, i):
         before = lagged.factorizations
-        w = extend(self.L[i], self.configurations[i][1], self.u, lagged)
+        w = extend(self.L[i], self.configurations[i], self.u, lagged)
         return w, lagged.iterations, lagged.factorizations - before
 
     def useless(self):

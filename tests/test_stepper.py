@@ -61,7 +61,7 @@ def hydrostatic_setup(h=0.16, k=2):
     cfg = SimConfig(params=params, k=k, h=h, tau=0.01, T=1.0)
     spaces = build_taylor_hood(mesh, k)
     u = np.zeros(2 * spaces.velocity.n_dofs)
-    state = State(t=0.0, mesh=mesh, spaces=spaces, u=u,
+    state = State(t=0.0, spaces=spaces, u=u,
                   p=np.zeros(spaces.pressure.n_dofs),
                   factor=LaggedFactor(linalg.MAX_ITERATIONS),
                   harmonic_factor=LaggedFactor(ale.MAX_ITERATIONS))
@@ -85,9 +85,9 @@ def test_step_order_and_weak_incompressibility():
     state = initialize(cfg)
     for _ in range(3):
         state = step(state, cfg)
-    C = assemble("C", state.mesh, state.spaces)
+    C = assemble("C", state.spaces)
     assert np.abs(C @ state.u).max() < 1e-9
-    m = pressure_mean_vector(state.mesh, state.spaces)
+    m = pressure_mean_vector(state.spaces)
     assert abs(m @ state.p) < 1e-10
 
 
@@ -98,7 +98,7 @@ def test_interface_moves_lagrangian_bitwise():
     u = state.u
     mesh = state.mesh
     spaces = state.spaces
-    w = harmonic_extension(mesh, spaces, u)
+    w = harmonic_extension(spaces, u)
     nxt = step(state, cfg)
     iv = spaces.vector_dofs(spaces.interface_dofs)
     lagr = mesh.x[iv] + cfg.tau * u[iv]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alefem import stepper
+from alefem import stepper, verify
+from alefem.ale import spaces_with_mesh
 from alefem.fespace import build_taylor_hood
-from alefem.mesh import generate_bubble_mesh
+from alefem.mesh import displace, generate_bubble_mesh
 from alefem.stepper import SimConfig
 from alefem.verify import (
     convergence_rate,
@@ -76,6 +77,21 @@ def test_homotopy_two_phase_viscosity(coarse):
     assert r < 1e-9
 
 
+def test_homotopy_refuses_spaces_of_another_mesh(coarse):
+    """mesh_star and spaces name one configuration twice, so a pair built
+    on another bubble's mesh, or on an equal copy of mesh_star, raises
+    before anything is assembled."""
+    mesh, spaces = coarse
+    n_u = 2 * spaces.velocity.n_dofs
+    u = np.ones(n_u)
+    other = generate_bubble_mesh(RECT, (0.5, 0.6), RADIUS, 0.2, 2)
+    copy = spaces_with_mesh(spaces, displace(mesh, np.zeros_like(mesh.x)))
+    for pair in (build_taylor_hood(other, 2), copy):
+        with pytest.raises(ValueError, match="mesh other than mesh_star"):
+            homotopy_identity_residual(mesh, np.zeros(n_u), "M", u, u,
+                                       spaces=pair)
+
+
 def test_transport_zero_velocity(coarse):
     mesh, spaces = coarse
     rng = np.random.default_rng(1)
@@ -142,6 +158,16 @@ def test_manufactured_polynomial_reproduction():
         assert ep < 1e-9
 
 
+def test_manufactured_run_refuses_a_moving_mesh(monkeypatch):
+    """The single-phase run has no interface, so its mesh velocity must
+    vanish; a nonzero one raises, naming its size, also under python -O,
+    which would strip an assert."""
+    monkeypatch.setattr(verify, "harmonic_extension",
+                        lambda spaces, u: np.full_like(u, -2.5e-3))
+    with pytest.raises(RuntimeError, match="mesh velocity 2.500e-03"):
+        manufactured_flow_errors(2, 0.5, 0.1, 0.1, case="poly")
+
+
 def test_manufactured_forcing_consistent_with_fields():
     """Finite-difference check that the hard-coded trig forcing solves
     the steady momentum equation for the hard-coded exact fields."""
@@ -183,7 +209,7 @@ def test_pullback_norms_of_a_run_against_itself_and_shifted_copies(
     rng = np.random.default_rng(21)
     V, P = spaces.velocity.positions, spaces.pressure.positions
     # a run's final fields, smooth and O(1)
-    run = {"mesh0": mesh, "spaces0": spaces,
+    run = {"spaces0": spaces,
            "u": smooth_displacement(rng, V, 1.0),
            "w": smooth_displacement(rng, V, 1.0),
            "phi": mesh.x + smooth_displacement(rng, V, 1e-2),
