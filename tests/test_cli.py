@@ -21,7 +21,7 @@ from alefem.cli import (
 from alefem.stepper import SimConfig
 
 from conftest import BP1
-from test_extension_handover import remesh_config
+from test_harmonic_worker import remesh_config
 
 BP1_CONFIG = """# benchmark BP-1
 [physics]
